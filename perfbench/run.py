@@ -18,6 +18,17 @@ at random n in [B, 10B], B being its recorded depth, so an unsound depth
 counts as a failed job.  Eliminations and twists are checked by substitution
 at random points.
 
+The host of a shared machine runs faster and slower by half again over
+fractions of a second to minutes, and the program's wall times follow it.
+So while the untraced jobs run, a fixed piece of pure-Python work that uses
+no cubeforge code is timed every PROBE_EVERY_S (``HostSpeed``), in the
+middle of long jobs too.  Each job's time, less the probes run during it,
+is divided by the mean reading from SCALE_WINDOW_S before the job to
+SCALE_WINDOW_S after it, over the reading of a reference host
+(REFERENCE_PROBE_S): the reported times are seconds on that host.  Set-up
+times are scaled by readings taken just before and after each set-up
+process.  The times as measured are printed beside the scaled ones.
+
 ``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` runs half the
 time untraced and half with the outside-in layer trace of ``tracer.py``, and
 reports the per-layer metrics, per pass over the job list, plus the tracing
@@ -29,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import importlib
 import io
 import json
@@ -37,10 +49,12 @@ import random
 import re
 import resource
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
 import time
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -53,9 +67,19 @@ TRACE_DIR = ROOT / ".perfbench_out"
 
 WORKLOADS = ("forge-enum", "forge-guess", "eliminate", "certify")
 DEFAULT_SEED = 1
-SETUP_REPEATS = 7
+SETUP_REPEATS = 11
 CHECK_POINTS = 10
 TAIL_BEYOND = 10
+TAIL_FLOOR_PCT = 99
+PROBE_EVERY_S = 0.125
+PROBE_REPS = 3
+# a job is scaled by the probe readings from this long before it to this
+# long after it: long enough for a few readings, short enough to follow the
+# host's swings
+SCALE_WINDOW_S = 0.25
+# the probe time the reported figures are scaled to: a host on which
+# probe() reads this reports its times unscaled
+REFERENCE_PROBE_S = 0.002
 
 END_TO_END_UNITS = {
     "setup_s": "s",
@@ -83,6 +107,16 @@ def import_cli():
     if not Path(cli.__file__).resolve().is_relative_to(src):
         raise BenchError(f"cubeforge was imported from {cli.__file__}, not {src}")
     return cli
+
+
+def default_seconds() -> float:
+    """``run_seconds`` of BENCHMARK.json, so that a run without --seconds
+    times the same passes as the recorded runs."""
+    try:
+        with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
+            return float(json.load(fh)["run_seconds"])
+    except (OSError, ValueError, KeyError) as exc:
+        raise BenchError(f"no run_seconds in {ROOT / 'BENCHMARK.json'}: {exc}") from exc
 
 
 def load_golden() -> dict:
@@ -147,25 +181,117 @@ def setup(workload: str, seed: int, workdir: Path):
     return cli, golden, jobs, argvs
 
 
-def measure_setup(workload: str, seed: int) -> float:
+def measure_setup(workload: str, seed: int):
     """Median wall time, over fresh processes, from process start until the
     first job is ready: interpreter start, import, input selection and
-    writing the input files."""
+    writing the input files.  Returns it as measured, and with each time
+    divided by the mean of the ``probe()`` readings taken just before and
+    just after its process, over REFERENCE_PROBE_S."""
     times = []
+    scaled = []
     for k in range(SETUP_REPEATS):
         workdir = WORK_ROOT / f"setup-{os.getpid()}-{k}"
         cmd = [sys.executable, str(HERE / "run.py"), "--workload", workload,
                "--seed", str(seed), "--setup-only", str(workdir)]
+        before = probe()
         try:
             t0 = time.perf_counter()
             proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.DEVNULL,
                                   stderr=subprocess.PIPE, text=True, timeout=120)
             times.append(time.perf_counter() - t0)
+            scaled.append(times[-1] * 2 * REFERENCE_PROBE_S / (before + probe()))
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
         if proc.returncode != 0:
             raise BenchError(f"set-up failed: {proc.stderr.strip()}")
+    return statistics.median(times), statistics.median(scaled)
+
+
+# --- host speed ---
+
+def _probe_unit():
+    """A fixed piece of pure-Python work of the kinds the program does: small
+    and big integer arithmetic, fractions, dicts and tuples.  It uses no
+    cubeforge code, so a change to the program cannot change its cost."""
+    table = {}
+    acc = 0
+    for i in range(1500):
+        acc = (acc + i * i) % 1009
+        table[(i, acc)] = acc
+    big = 3 ** 300
+    for i in range(400):
+        big = (big * 7919 + i) % (5 ** 400)
+    frac = Fraction(1, 3)
+    for i in range(1, 120):
+        frac = frac * Fraction(i + 1, i + 2) + Fraction(1, i)
+    return len(table), big, frac
+
+
+def probe() -> float:
+    """Median time of PROBE_REPS runs of ``_probe_unit``, with the garbage
+    collector off so that the program's heap does not enter it."""
+    clock = time.perf_counter
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        times = []
+        for _ in range(PROBE_REPS):
+            t0 = clock()
+            _probe_unit()
+            times.append(clock() - t0)
+    finally:
+        if enabled:
+            gc.enable()
     return statistics.median(times)
+
+
+class HostSpeed:
+    """How much slower than the reference host the machine runs, sampled
+    while jobs run.
+
+    Inside the ``with`` block a SIGALRM interval timer runs ``probe()`` every
+    PROBE_EVERY_S of wall time, between the program's bytecodes, so long jobs
+    are sampled during their own run; one more reading is taken on entry and
+    on exit.  run_passes adds the (start, end) of each job to ``jobs``."""
+
+    def __init__(self):
+        self.readings: list[tuple[float, float, float]] = []  # (start, end, probe time)
+        self.jobs: list[tuple[float, float]] = []
+
+    def _sample(self, signum=None, frame=None):
+        t0 = time.perf_counter()
+        value = probe()
+        self.readings.append((t0, time.perf_counter(), value))
+
+    def __enter__(self):
+        self._sample()
+        self._handler = signal.signal(signal.SIGALRM, self._sample)
+        signal.setitimer(signal.ITIMER_REAL, PROBE_EVERY_S, PROBE_EVERY_S)
+        return self
+
+    def __exit__(self, *exc):
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, self._handler)
+        self._sample()
+
+    def times(self):
+        """Each job's time less the probes run during it, as measured and as
+        scaled to the reference host: divided by the mean reading from
+        SCALE_WINDOW_S before the job to SCALE_WINDOW_S after it, or else
+        the last reading before it, over REFERENCE_PROBE_S.  A probe runs
+        between two bytecodes, so it lies wholly inside a job or wholly
+        outside it."""
+        starts = [r[0] for r in self.readings]
+        measured, scaled = [], []
+        for t0, t1 in self.jobs:
+            lo, hi = bisect_left(starts, t0), bisect_right(starts, t1)
+            net = t1 - t0 - sum(end - start for start, end, _ in self.readings[lo:hi])
+            near = self.readings[bisect_left(starts, t0 - SCALE_WINDOW_S):
+                                 bisect_right(starts, t1 + SCALE_WINDOW_S)]
+            measured.append(net)
+            scaled.append(net * REFERENCE_PROBE_S
+                          / statistics.mean(v for *_, v in near or self.readings[lo - 1:lo]))
+        return measured, scaled
 
 
 # --- the closed loop ---
@@ -194,21 +320,27 @@ def pass_count(golden: dict, workload: str, seconds: float) -> int:
     return max(1, round(seconds / nominal))
 
 
-def run_passes(cli, argvs: list[list[str]], passes: int, tracer=None):
+def run_passes(cli, argvs: list[list[str]], passes: int, tracer=None, host=None):
     """``passes`` whole passes over the job list.  Returns
-    ([(job index, exit code, stdout, job seconds)], [pass seconds])."""
+    ([(job index, exit code, stdout, job seconds)], [pass seconds]), a pass
+    taking the sum of its job times.  With an entered HostSpeed ``host``, the
+    (start, end) of each job is added to ``host.jobs``."""
     clock = time.perf_counter
     records = []
     pass_times = []
     for _ in range(passes):
-        start = clock()
+        busy = 0.0
         for i, argv in enumerate(argvs):
             if tracer is not None:
                 tracer.job = len(records)
             t0 = clock()
             rc, out = invoke(cli, argv)
-            records.append((i, rc, out, clock() - t0))
-        pass_times.append(clock() - start)
+            t1 = clock()
+            if host is not None:
+                host.jobs.append((t0, t1))
+            records.append((i, rc, out, t1 - t0))
+            busy += t1 - t0
+        pass_times.append(busy)
     return records, pass_times
 
 
@@ -218,14 +350,27 @@ def throughput(jobs_per_pass: int, pass_times: list[float]) -> float:
     return statistics.median(jobs_per_pass / t for t in pass_times)
 
 
+def end_to_end(setup_s: float, jobs_per_pass: int, times: list[float]) -> dict:
+    """The timed end-to-end metrics from the job times of whole passes."""
+    passes = [sum(times[k:k + jobs_per_pass]) for k in range(0, len(times), jobs_per_pass)]
+    return {
+        "setup_s": setup_s,
+        "jobs_per_s": throughput(jobs_per_pass, passes),
+        "job_s.p50": statistics.median(times),
+        "job_s.tail": tail(times)[0],
+    }
+
+
 def tail(samples: list[float]):
-    """The highest percentile with at least TAIL_BEYOND samples beyond it, as
-    (value, percentile); the maximum when there are too few samples."""
+    """The job time at nearest rank ``max(ceil(0.99 n), n - TAIL_BEYOND)`` of
+    the ``n`` sorted samples, as (value, percentile, samples beyond it).  From
+    1000 samples on this is the highest percentile that has TAIL_BEYOND
+    samples beyond it; with fewer it stays at p99 rather than fall, so with
+    fewer than 100 samples it is the slowest job of the run."""
     s = sorted(samples)
     n = len(s)
-    if n <= TAIL_BEYOND:
-        return s[-1], 100.0
-    return s[n - TAIL_BEYOND - 1], 100.0 * (n - TAIL_BEYOND) / n
+    rank = max(-(-TAIL_FLOOR_PCT * n // 100), n - TAIL_BEYOND)
+    return s[rank - 1], 100.0 * rank / n, n - rank
 
 
 # --- correctness ---
@@ -461,7 +606,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seconds", type=float,
+                        help="run length; default: run_seconds in BENCHMARK.json")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-only", metavar="DIR", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -472,12 +618,15 @@ def main(argv=None) -> int:
 
     workdir = WORK_ROOT / f"run-{os.getpid()}"
     try:
+        if args.seconds is None:
+            args.seconds = default_seconds()
         import_cli()
-        setup_s = measure_setup(args.workload, args.seed)
+        setup_measured, setup_s = measure_setup(args.workload, args.seed)
         cli, golden, jobs, argvs = setup(args.workload, args.seed, workdir)
         if not args.trace:
-            records, pass_times = run_passes(
-                cli, argvs, pass_count(golden, args.workload, args.seconds))
+            with HostSpeed() as host:
+                records, pass_times = run_passes(
+                    cli, argvs, pass_count(golden, args.workload, args.seconds), host=host)
             peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
             mismatched = 0
         else:
@@ -512,16 +661,16 @@ def main(argv=None) -> int:
     print(f"failed_ratio = {failed / len(records)} ratio")
 
     if not args.trace:
-        times = [dt for *_, dt in records]
-        value, pct = tail(times)
-        print(f"job_s.tail is p{pct:.1f} of {len(times)} samples over {len(pass_times)} passes")
-        metrics = {
-            "setup_s": setup_s,
-            "jobs_per_s": throughput(len(jobs), pass_times),
-            "job_s.p50": statistics.median(times),
-            "job_s.tail": value,
-            "peak_rss_mb": peak_rss_mb,
-        }
+        measured, times = host.times()
+        _, pct, beyond = tail(times)
+        print(f"job_s.tail is p{pct:.1f}: {beyond} of {len(times)} samples beyond it, "
+              f"{len(pass_times)} passes")
+        print(f"host speed: {len(host.readings)} probes, median "
+              f"{statistics.median(v for *_, v in host.readings)} s, "
+              f"reference {REFERENCE_PROBE_S} s")
+        for name, v in end_to_end(setup_measured, len(jobs), measured).items():
+            print(f"as measured: {name} = {v} {END_TO_END_UNITS[name]}")
+        metrics = dict(end_to_end(setup_s, len(jobs), times), peak_rss_mb=peak_rss_mb)
         units = END_TO_END_UNITS
     else:
         traced_jps = throughput(len(jobs), pass_times)

@@ -3,13 +3,16 @@
     python3 perfbench/selftest.py
 
 Checks, on one pass of every workload:
-- traced and untraced passes print byte-identical job outputs;
+- traced and untraced passes print byte-identical job outputs, the untraced
+  one with the host-speed probes running;
 - every metric name matches [A-Za-z0-9_.-]+ and BENCHMARK.json lists exactly
   the metrics the benchmark emits;
 - the correctness gate can fail: a corrupted golden entry, and a certificate
   whose claim is false beyond its depth, are both counted as failed jobs;
 - a held-out seed gives the same job count per pass and the same top-ranked
-  layer as the default seed.
+  layer as the default seed;
+- the tail statistic never drops below p99;
+- the host-speed scaling leaves the probes' time out of job times.
 It also prints each workload's layer shares (self time over traced time).
 Exits 1 if any check fails.  Takes about two minutes.
 """
@@ -63,11 +66,13 @@ def main() -> int:
     try:
         for workload in run.WORKLOADS:
             cli, _, jobs, argvs = run.setup(workload, run.DEFAULT_SEED, workdir)
-            plain, _ = run.run_passes(cli, argvs, 1)
+            with run.HostSpeed() as host:
+                plain, _ = run.run_passes(cli, argvs, 1, host=host)
             traced, tracer = traced_pass(cli, argvs)
             check(run.trace_mismatches(plain, traced) == 0
                   and [r[:3] for r in plain] == [r[:3] for r in traced],
-                  f"{workload}: traced and untraced outputs are byte-identical")
+                  f"{workload}: traced and untraced outputs are byte-identical "
+                  f"({len(host.readings)} host-speed probes in the untraced pass)")
             failed, reasons = run.count_failures(jobs, plain, run.DEFAULT_SEED)
             check(failed == 0, f"{workload}: every job matches its golden output {reasons}")
             metrics = tracer.layer_metrics(1)
@@ -110,6 +115,25 @@ def main() -> int:
         shutil.rmtree(workdir, ignore_errors=True)
         with contextlib.suppress(OSError):
             run.WORK_ROOT.rmdir()
+
+    host = run.HostSpeed()
+    ref, window = run.REFERENCE_PROBE_S, run.SCALE_WINDOW_S
+    host.readings = [(0.0, 0.01, ref), (1.0, 1.01, 2 * ref), (2.0, 2.01, 4 * ref),
+                     (2.5 + 2 * window, 2.51 + 2 * window, 8 * ref)]
+    host.jobs = [(0.5, 1.5), (1.02, 2.5), (1.0 + 1.5 * window, 2.0 - 1.5 * window)]
+    measured, scaled = host.times()
+    want = [0.99, 1.47, 1.0 - 3 * window, 0.99 / 2, 1.47 / 3, (1.0 - 3 * window) / 2]
+    check(len(measured + scaled) == 6
+          and all(abs(a - b) < 1e-9 for a, b in zip(measured + scaled, want)),
+          "host-speed probes are left out of job times, and a job is scaled by the "
+          "readings from SCALE_WINDOW_S before it to SCALE_WINDOW_S after it, or else by the "
+          "last one before it")
+
+    tails = {n: run.tail([float(i) for i in range(n)])
+             for n in (4, 12, 44, 99, 100, 999, 1000, 5382)}
+    check(all(pct >= 99 for _, pct, _ in tails.values())
+          and all(beyond == 10 for n, (_, _, beyond) in tails.items() if n >= 1000),
+          "job_s.tail never drops below p99, and has ten samples beyond it from 1000 samples on")
 
     emitted = list(run.END_TO_END_UNITS) + layer_names
     check(all(NAME.fullmatch(n) for n in emitted), "every metric name matches [A-Za-z0-9_.-]+")
