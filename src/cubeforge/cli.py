@@ -40,6 +40,13 @@ EXIT_EMPTY = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
+# Upper caps on the work options, so that no command line runs without end.
+# At the caps a run takes seconds to tens of seconds, not hours.
+MAX_PELL_BOUND = 20_000
+MAX_SEARCH_BOUND = 100
+MAX_TARGET_CAP = 200
+MAX_GUESS_ORDER = 8
+
 _EMPTY_ERRORS = (EmptySeedSet, NoOrbitFound, NoForm, NoTargetedForm, EliminationCollapse)
 _INPUT_ERRORS = (
     ParseError,
@@ -88,7 +95,22 @@ def _load_seeds(path: str, a: int, b: int) -> list[WeightedQuadruple]:
     return seeds
 
 
+def _check_caps(args, caps: dict[str, int]) -> None:
+    for option, cap in caps.items():
+        value = getattr(args, option[2:].replace("-", "_"))
+        if value > cap:
+            raise ValueError(f"{option} {value} exceeds the cap {cap}")
+
+
 def _cmd_forge(args) -> int:
+    _check_caps(
+        args,
+        {
+            "--search-bound": MAX_SEARCH_BOUND,
+            "--target-cap": MAX_TARGET_CAP,
+            "--guess-order": MAX_GUESS_ORDER,
+        },
+    )
     extra = _load_seeds(args.seed_file, args.a, args.b) if args.seed_file else None
     theorems = forge(
         args.a,
@@ -112,6 +134,14 @@ def _cmd_forge(args) -> int:
 
 
 def _cmd_pell(args) -> int:
+    _check_caps(
+        args,
+        {
+            "--bound": MAX_PELL_BOUND,
+            "--target-cap": MAX_TARGET_CAP,
+            "--guess-order": MAX_GUESS_ORDER,
+        },
+    )
     form = _parse_form(args.form)
     orbit = sol_quad(
         form, args.guess_order, bound=args.bound, target_cap=args.target_cap

@@ -30,8 +30,8 @@ from .kernel import (
     rational_nullspace,
     resultant,
 )
+from .quadform import SIGN_SYMBOL
 
-SIGN_SYMBOL = "sgn"
 TARGETS = ("constant", "alternating", "none")
 
 

@@ -37,11 +37,10 @@ from .errors import (
     PoleAtOrigin,
 )
 from .kernel import MultiPoly
-from .quadform import QuadForm, sol_quad
+from .quadform import SIGN_SYMBOL, QuadForm, sol_quad
 
 log = logging.getLogger(__name__)
 
-SIGN_SYMBOL = "sgn"
 RHS_KINDS = ("constant", "alternating")
 
 
@@ -66,11 +65,6 @@ class CubicTheorem:
 
     def sequences(self, count: int) -> tuple[list, list, list]:
         return tuple(taylor_coefficients(g, count) for g in self.gfs)
-
-    def holds_at(self, n: int) -> bool:
-        va, vb, vc = (taylor_coefficients(g, n + 1)[n] for g in self.gfs)
-        rhs = self.c * (-1 if (self.rhs_kind == "alternating" and n % 2) else 1)
-        return self.a * va**3 + self.a * vb**3 + self.b * vc**3 == rhs
 
 
 def theorem_to_json(thm: CubicTheorem) -> dict:

@@ -2,10 +2,21 @@
 with generating-function output, and the explicit constant-value form
 constructors for shared-denominator sequence pairs.
 
-The orbit machinery is deliberately simple-minded: enumerate small solutions,
-guess one linear recurrence for both coordinate sequences, rebuild generating
-functions, and certify the resulting infinite family by a finite check.  No
-reduction theory of forms is used anywhere.
+Orbits are found from data: enumerate small solutions, guess one linear
+recurrence for both coordinate sequences, rebuild generating functions, and
+certify the resulting infinite family by a finite check.  No reduction theory
+of forms is used anywhere.
+
+Enumeration is one windowed pass over m.  With D = qb^2 - 4*qa*qc and
+t = 2*qc*n + qb*m, completing the square gives 4*qc*Q(m, n) = t^2 - D*m^2, so
+|Q| <= cap holds exactly when D*m^2 - 4|qc|*cap <= t^2 <= D*m^2 + 4|qc|*cap.
+Two isqrt calls per m bound the window for |t|, and only the t in it with
+t = qb*m (mod 2|qc|) give an integer n = (t - qb*m) / (2*qc).  For D > 0 the
+two windows t and -t hold about 1 + 4*cap / (sqrt(D)*m) such t, so every
+target with |e| <= cap comes out of one scan in O(bound + cap*log(bound))
+steps, where a scan per target costs one isqrt per m and target.  When
+qc = 0 the form is m*(qa*m + qb*n) and the window is
+|qa*m + qb*n| <= cap // m.
 """
 
 from __future__ import annotations
@@ -110,38 +121,71 @@ def enumerate_solutions(
     """All (m, n, Q(m, n)) with 1 <= m <= bound, 0 <= n <= bound and value in
     ``targets``, sorted by m then n.  The quarter-plane quotients the global
     (m, n) <-> (-m, -n) symmetry and fixes the orientation every orbit guess
-    relies on."""
+    relies on.
+
+    One pass over m visits only the (m, n) with |Q(m, n)| <= max |target|,
+    using the window derived in the module docstring, clipped to the n range.
+    """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     tset = set(int(t) for t in targets)
+    if not tset:
+        return []
+    cap = max(abs(t) for t in tset)
     qa, qb, qc = form.qa, form.qb, form.qc
     out: list[tuple[int, int, int]] = []
+    if qc == 0 and qb == 0:
+        for m in range(1, bound + 1):
+            v = qa * m * m
+            if v in tset:
+                out.extend((m, n, v) for n in range(bound + 1))
+        return out
+    if qc == 0:
+        # Q = m*u with u = qa*m + qb*n, so |Q| <= cap forces |u| <= cap // m
+        step = abs(qb)
+        lo_off, hi_off = min(0, qb * bound), max(0, qb * bound)
+        for m in range(1, bound + 1):
+            u0 = qa * m
+            w = cap // m
+            lo, hi = max(-w, u0 + lo_off), min(w, u0 + hi_off)
+            hits = []
+            for u in range(lo + (u0 - lo) % step, hi + 1, step):
+                if m * u in tset:
+                    hits.append(((u - u0) // qb, m * u))
+            if hits:
+                hits.sort()
+                out.extend([(m, n, v) for n, v in hits])
+        return out
+    disc = form.discriminant
+    slack = 4 * abs(qc) * cap
+    step = 2 * abs(qc)
+    two_qc, four_qc = 2 * qc, 4 * qc
+    # t = 2*qc*n + qb*m runs over [qb*m + lo_off, qb*m + hi_off] for n in [0, bound]
+    lo_off, hi_off = min(0, two_qc * bound), max(0, two_qc * bound)
     for m in range(1, bound + 1):
-        hits: set[int] = set()
-        if qc == 0 and qb == 0:
-            if qa * m * m in tset:
-                hits.update(range(bound + 1))
-        elif qc == 0:
-            # linear in n: qb*m*n = e - qa*m^2
-            for e in tset:
-                num = e - qa * m * m
-                q, r = divmod(num, qb * m)
-                if r == 0 and 0 <= q <= bound:
-                    hits.add(q)
-        else:
-            for e in tset:
-                disc = (qb * m) ** 2 - 4 * qc * (qa * m * m - e)
-                if disc < 0:
-                    continue
-                s = isqrt(disc)
-                if s * s != disc:
-                    continue
-                for root in ((-qb * m + s), (-qb * m - s)):
-                    q, r = divmod(root, 2 * qc)
-                    if r == 0 and 0 <= q <= bound:
-                        hits.add(q)
-        for n in sorted(hits):
-            out.append((m, n, form.value(m, n)))
+        centre = disc * m * m
+        if centre + slack < 0:
+            continue
+        s_hi = isqrt(centre + slack)
+        s_lo = isqrt(centre - slack - 1) + 1 if centre > slack else 0
+        if s_lo > s_hi:
+            continue
+        t0 = qb * m
+        t_min, t_max = t0 + lo_off, t0 + hi_off
+        hits = []
+        # |t| in [s_lo, s_hi], counting t = 0 once
+        for lo, hi in ((s_lo, s_hi), (-s_hi, -s_lo if s_lo else -1)):
+            if lo < t_min:
+                lo = t_min
+            if hi > t_max:
+                hi = t_max
+            for t in range(lo + (t0 - lo) % step, hi + 1, step):
+                v = (t * t - centre) // four_qc
+                if v in tset:
+                    hits.append(((t - t0) // two_qc, v))
+        if hits:
+            hits.sort()
+            out.extend([(m, n, v) for n, v in hits])
     return out
 
 
@@ -198,22 +242,49 @@ def sol_quad(
 ) -> PellOrbit:
     """Find a certified Pell-like orbit for the form.
 
-    Target magnitudes |e| are scanned upward from 1.  Inside one magnitude
-    class the candidate solution lists are tried in a fixed ladder: the full
-    sorted list, the even- and odd-indexed subsequences (interleaved orbits
-    are common), then each sign class of the achieved value.  Among the
-    certified candidates of the winning class, a constant-kind orbit beats an
-    alternating one; remaining ties go to the earliest ladder position.
+    Target magnitudes |e| are scanned upward from 1; one enumeration gathers
+    the solutions of every magnitude up to ``target_cap`` at once.  Inside one
+    magnitude class the candidate solution lists are tried in a fixed ladder:
+    the full sorted list, the even- and odd-indexed subsequences (interleaved
+    orbits are common), then each sign class of the achieved value.  Among
+    the certified candidates of the winning class, a constant-kind orbit
+    beats an alternating one; remaining ties go to the earliest ladder
+    position.
+
+    Forms in one variable (qb == 0 and qa*qc == 0) raise NoOrbitFound before
+    any enumeration, because no ladder candidate can pass.  For Q = qa*m^2
+    and |e| >= 1 there is at most one m = k with qa*k^2 = +-|e|, so a class
+    is the single line (k, 0), (k, 1), ..., (k, bound) and every candidate
+    with at least three points pairs the constant sequence k with a
+    non-constant arithmetic one.  A recurrence fitted jointly to both holds
+    for both at every index: applied to a*i + b it leaves a polynomial of
+    degree <= 1 in i, which is zero on the at least two windows per sequence
+    that the pooled margin of joint_guess_recurrence demands.  So the rebuilt
+    generating functions are k/(1 - t) and (b + (a - b)*t)/(1 - t)^2 with
+    a != 0, both in lowest terms, and the "denominator split" check rejects
+    the pair.  Q = qc*n^2 is the same with the roles of m and n swapped.
     """
     if guess_order < 2:
         raise ValueError("guess_order must be at least 2")
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
     if form.discriminant < 0:
         raise DefiniteForm(
             f"{form} has negative discriminant {form.discriminant}; "
             "every target admits only finitely many solutions"
         )
+    no_orbit = (
+        f"no certified orbit for {form} with |target| <= {target_cap}, "
+        f"enumeration bound {bound}, guess order {guess_order}"
+    )
+    if form.qb == 0 and form.qa * form.qc == 0:
+        raise NoOrbitFound(no_orbit)
+    targets = [e for mag in range(1, target_cap + 1) for e in (mag, -mag)]
+    by_magnitude: dict[int, list[tuple[int, int, int]]] = {}
+    for sol in enumerate_solutions(form, targets, bound):
+        by_magnitude.setdefault(abs(sol[2]), []).append(sol)
     for mag in range(1, target_cap + 1):
-        sols = enumerate_solutions(form, {mag, -mag}, bound)
+        sols = by_magnitude.get(mag, [])
         if len(sols) < 3:
             continue
         ladder = [
@@ -235,10 +306,7 @@ def sol_quad(
         if candidates:
             constant = [o for o in candidates if o.kind == "constant"]
             return constant[0] if constant else candidates[0]
-    raise NoOrbitFound(
-        f"no certified orbit for {form} with |target| <= {target_cap}, "
-        f"enumeration bound {bound}, guess order {guess_order}"
-    )
+    raise NoOrbitFound(no_orbit)
 
 
 def general_quadform(

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from cubeforge import MultiPoly, certify_theorem, theorem_from_json
+from cubeforge import cli
 from cubeforge.cli import main
 from cubeforge.errors import ParseError
 from cubeforge.parsing import parse_poly, print_poly
@@ -71,6 +72,24 @@ class TestCliExitCodes:
 
     def test_unknown_flag(self, capsys):
         assert main(["pell", "--nope", "1"]) == 2
+
+    @pytest.mark.parametrize(
+        "command, option, cap",
+        [
+            (["pell", "--form", "m^2 - 2*n^2"], "--bound", cli.MAX_PELL_BOUND),
+            (["pell", "--form", "m^2 - 2*n^2"], "--target-cap", cli.MAX_TARGET_CAP),
+            (["pell", "--form", "m^2 - 2*n^2"], "--guess-order", cli.MAX_GUESS_ORDER),
+            (["forge", "--a", "1", "--b", "1"], "--search-bound", cli.MAX_SEARCH_BOUND),
+            (["forge", "--a", "1", "--b", "1"], "--target-cap", cli.MAX_TARGET_CAP),
+            (["forge", "--a", "1", "--b", "1"], "--guess-order", cli.MAX_GUESS_ORDER),
+        ],
+    )
+    def test_work_option_over_cap(self, capsys, command, option, cap):
+        assert main(command + [option, str(cap + 1)]) == 2
+        assert f"{option} {cap + 1} exceeds the cap {cap}" in capsys.readouterr().err
+
+    def test_pell_bound_at_cap(self, capsys):
+        assert main(["pell", "--form", "m^2 - 2*n^2", "--bound", str(cli.MAX_PELL_BOUND)]) == 0
 
 
 class TestCliCommands:

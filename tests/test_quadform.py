@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -19,6 +20,7 @@ from cubeforge.errors import (
     ZeroB,
 )
 from cubeforge.parsing import parse_poly
+from cubeforge.quadform import _orbit_from_solutions
 
 
 def naive_enumerate(form, targets, bound):
@@ -29,6 +31,44 @@ def naive_enumerate(form, targets, bound):
             if v in targets:
                 out.append((m, n, v))
     return out
+
+
+def reference_sol_quad(form, guess_order, bound, target_cap):
+    """The per-magnitude search: one enumeration per target magnitude and no
+    shortcut for one-variable forms."""
+    if form.discriminant < 0:
+        raise DefiniteForm(f"{form} is definite")
+    for mag in range(1, target_cap + 1):
+        sols = enumerate_solutions(form, {mag, -mag}, bound)
+        if len(sols) < 3:
+            continue
+        ladder = [
+            sols,
+            sols[0::2],
+            sols[1::2],
+            [s for s in sols if s[2] > 0],
+            [s for s in sols if s[2] < 0],
+        ]
+        seen = []
+        candidates = []
+        for cand in ladder:
+            if cand in seen:
+                continue
+            seen.append(cand)
+            orbit = _orbit_from_solutions(form, cand, guess_order)
+            if orbit is not None:
+                candidates.append(orbit)
+        if candidates:
+            constant = [o for o in candidates if o.kind == "constant"]
+            return constant[0] if constant else candidates[0]
+    raise NoOrbitFound(f"no certified orbit for {form}")
+
+
+def _outcome(search, form, guess_order, bound, target_cap):
+    try:
+        return search(form, guess_order, bound=bound, target_cap=target_cap).to_json()
+    except (DefiniteForm, NoOrbitFound) as exc:
+        return type(exc)
 
 
 class TestQuadForm:
@@ -81,6 +121,43 @@ class TestEnumerate:
                     form, targets, bound
                 )
 
+    def test_window_sweep_matches_naive_oracle(self):
+        rng = random.Random(73)
+        forms = [
+            QuadForm(0, 5, 0),  # qc = 0
+            QuadForm(3, -2, 0),
+            QuadForm(-4, 0, 0),  # qb = qc = 0
+            QuadForm(0, 0, 6),  # D = 0, one variable
+            QuadForm(1, -2, 1),  # D = 0, (m - n)^2
+            QuadForm(4, 4, 1),
+            QuadForm(2, 1, -1),  # square D = 9
+            QuadForm(1, 0, -4),  # square D = 16
+            QuadForm(3, 1, 2),  # D < 0
+            QuadForm(1, 0, -2),
+        ]
+        while len(forms) < 300:
+            coeffs = [rng.randint(-6, 6) for _ in range(3)]
+            if any(coeffs):
+                forms.append(QuadForm(*coeffs))
+        kinds = set()
+        for i, form in enumerate(forms):
+            d = form.discriminant
+            if form.qc == 0:
+                kinds.add("qb=qc=0" if form.qb == 0 else "qc=0")
+            elif d <= 0:
+                kinds.add("D<0" if d else "D=0")
+            else:
+                kinds.add("square D>0" if isqrt(d) ** 2 == d else "D>0")
+            targets = {rng.randint(-40, 40) for _ in range(rng.randint(1, 6))}
+            targets.add((40, -40, 0)[i % 3])
+            bound = (1, 2, 13, 40)[i % 4]
+            assert enumerate_solutions(form, targets, bound) == naive_enumerate(
+                form, targets, bound
+            ), (form, targets, bound)
+        assert kinds == {"qc=0", "qb=qc=0", "D=0", "D<0", "square D>0", "D>0"}
+        # |Q| = max |target| on the window's edge: t = 0 with D*m^2 = -4|qc|*cap
+        assert enumerate_solutions(QuadForm(1, 0, 1), {4}, 5) == [(2, 0, 4)]
+
 
 class TestSolQuad:
     def test_classic_pell(self):
@@ -103,6 +180,28 @@ class TestSolQuad:
         # (2m - n)(m + n): every target has finitely many representations
         with pytest.raises(NoOrbitFound):
             sol_quad(QuadForm(2, 1, -1), 4, target_cap=5)
+
+    def test_matches_per_magnitude_reference(self):
+        rng = random.Random(79)
+        forms = []
+        while len(forms) < 30:
+            form = QuadForm(*(rng.randint(-6, 6) for _ in range(3)))
+            if form.discriminant > 0 and form.qa and form.qc:
+                forms.append(form)
+        found = 0
+        for form in forms:
+            got = _outcome(sol_quad, form, 3, 120, 12)
+            assert got == _outcome(reference_sol_quad, form, 3, 120, 12), form
+            found += isinstance(got, dict)
+        assert 0 < found < len(forms)
+
+    @pytest.mark.parametrize("text", ["m^2", "-3*m^2", "n^2", "-n^2"])
+    def test_one_variable_form_rejected(self, text):
+        form = QuadForm.from_poly(parse_poly(text, ("m", "n")))
+        for order in (2, 3, 4):
+            with pytest.raises(NoOrbitFound):
+                sol_quad(form, order)
+            assert _outcome(reference_sol_quad, form, order, 60, 30) is NoOrbitFound
 
     @pytest.mark.parametrize(
         "form",
