@@ -20,6 +20,9 @@ from .kernel import MultiPoly, rational_solve
 
 Coeffs = tuple[int, ...]
 
+# The symbol that stands for (-1)^n in expressions passed to certify_zero.
+SIGN_SYMBOL = "sgn"
+
 
 # --- univariate helpers (ascending coefficient tuples, () is zero) ---
 
@@ -194,12 +197,6 @@ class Certificate:
     def certified(self) -> bool:
         return self.witness is None
 
-    @property
-    def verdict(self) -> str:
-        if self.certified:
-            return "certified"
-        return f"refuted(witness={self.witness})"
-
 
 def _fit_recurrence(seqs: Sequence[Sequence[Fraction]], order: int):
     """Shared coefficients e1..e_order with s(n+r) = e1 s(n+r-1) + ... + e_r s(n)
@@ -232,20 +229,17 @@ def guess_recurrence(terms: Sequence, max_order: int):
         raise ValueError("terms must be nonempty")
     if max_order < 1:
         raise ValueError("max_order must be at least 1")
-    data = [Fraction(t) for t in terms]
-    for r in range(1, max_order + 1):
-        if len(data) < 2 * r + 2:
-            break
-        sol = _fit_recurrence([data], r)
-        if sol is not None:
-            return sol
-    return None
+    return joint_guess_recurrence([terms], max_order)
 
 
-def joint_guess_recurrence(seqs: Sequence[Sequence], max_order: int):
-    """Like guess_recurrence but one recurrence must fit several sequences.
-    The over-determination margin is pooled: order r needs at least r+2
-    equations in total (for a single sequence this is the 2r+2 term rule)."""
+def joint_guess_recurrence(seqs: Sequence[Sequence], max_order: int, surplus: int = 2):
+    """Minimal-order recurrence [e1..er] that fits every sequence, or None.
+
+    Order r needs every sequence to have at least r terms and at least
+    r + surplus equations in total.  For one sequence of L terms there are
+    L - r equations, so the default surplus 2 is the rule of 2r+2 terms and
+    surplus 1 the rule of 2r+1 terms.
+    """
     data = [[Fraction(t) for t in s] for s in seqs]
     if not data or any(not s for s in data):
         return None
@@ -253,7 +247,7 @@ def joint_guess_recurrence(seqs: Sequence[Sequence], max_order: int):
         if min(len(s) for s in data) < r:
             break
         equations = sum(max(0, len(s) - r) for s in data)
-        if equations < r + 2:
+        if equations < r + surplus:
             break
         sol = _fit_recurrence(data, r)
         if sol is not None:
@@ -290,14 +284,7 @@ def seq_from_terms(terms: Sequence[int], max_order: int) -> RationalGF:
     """
     if not terms:
         raise ValueError("terms must be nonempty")
-    data = [Fraction(t) for t in terms]
-    coeffs = None
-    for r in range(1, max_order + 1):
-        if len(data) < 2 * r + 1:
-            break
-        coeffs = _fit_recurrence([data], r)
-        if coeffs is not None:
-            break
+    coeffs = joint_guess_recurrence([terms], max_order, surplus=1)
     if coeffs is None:
         raise GuessFailed(
             f"no recurrence of order <= {max_order} fits {len(terms)} terms"
@@ -322,6 +309,14 @@ def certificate_bound(denominators: Sequence[Coeffs], degree: int) -> int:
     return comb(r + degree, degree) + 2
 
 
+def rhs_poly(c: int, kind: str) -> MultiPoly:
+    """Right-hand side c*(-1)^n for kind "alternating", spelled
+    c*SIGN_SYMBOL, and the constant c for any other kind."""
+    if kind == "alternating":
+        return c * MultiPoly.variable(SIGN_SYMBOL)
+    return MultiPoly.constant(c)
+
+
 def certify_zero(
     expr: MultiPoly,
     seqs: Mapping[str, RationalGF],
@@ -330,10 +325,25 @@ def certify_zero(
     """Prove or refute that ``expr`` vanishes for all n when each symbol is
     replaced by its sequence value (and ``sign_symbol``, if named, by (-1)^n).
 
-    The bound B = C(r+D, D) + 2 initial checks constitute a full proof for
-    C-finite inputs: the evaluated expression satisfies a recurrence of order
-    at most B, so B leading zeros force it to vanish identically.
+    The sign symbol may only occur in one pure linear term k*sign_symbol;
+    any other use raises ValueError.  Write expr = P + k*(-1)^n with P free
+    of the sign symbol and of total degree <= D, and let r be the degree of
+    the lcm L of the denominators.  Every sequence is annihilated by L, so
+    the values of P lie in the span of products of at most D solutions of L:
+    a shift-invariant space of dimension at most C(r+D, D).  Adjoining
+    (-1)^n keeps it shift-invariant and adds one dimension.  A sequence in a
+    shift-invariant space of dimension d satisfies a monic recurrence of
+    order d, so d leading zeros force it to vanish; the bound
+    B = C(r+D, D) + 2 >= d initial checks is therefore a full proof.  A
+    term such as sign_symbol*X^k would multiply the whole space by (-1)^n,
+    which the +2 does not cover.
     """
+    if sign_symbol in expr.variables:
+        i = expr.variables.index(sign_symbol)
+        if any(ev[i] and sum(ev) != 1 for ev in expr.terms):
+            raise ValueError(
+                f"{sign_symbol!r} may only occur in a linear term k*{sign_symbol}"
+            )
     for v in expr.used_variables():
         if v == sign_symbol:
             continue

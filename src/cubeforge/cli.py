@@ -46,6 +46,10 @@ MAX_PELL_BOUND = 20_000
 MAX_SEARCH_BOUND = 100
 MAX_TARGET_CAP = 200
 MAX_GUESS_ORDER = 8
+# verify checks C(r+3, 3) + 2 indices, where r <= the sum of the three
+# denominator orders; a theorem forged at --guess-order 4 or less stays
+# within the cap.
+MAX_VERIFY_ORDER = 30
 
 _EMPTY_ERRORS = (EmptySeedSet, NoOrbitFound, NoForm, NoTargetedForm, EliminationCollapse)
 _INPUT_ERRORS = (
@@ -182,6 +186,11 @@ def _cmd_verify(args) -> int:
     all_ok = True
     for item in items:
         thm = theorem_from_json(item)
+        order = sum(g.order for g in thm.gfs)
+        if order > MAX_VERIFY_ORDER:
+            raise ValueError(
+                f"denominator orders sum to {order}, which exceeds the cap {MAX_VERIFY_ORDER}"
+            )
         cert = certify_theorem(thm)
         if cert.certified:
             print(f"certified, depth {cert.bound}")

@@ -12,10 +12,12 @@ from math import comb
 from typing import Sequence
 
 from .cfinite import (
+    SIGN_SYMBOL,
     Certificate,
     RationalGF,
     certificate_bound,
     certify_zero,
+    rhs_poly,
     taylor_coefficients,
 )
 from .errors import (
@@ -30,7 +32,6 @@ from .kernel import (
     rational_nullspace,
     resultant,
 )
-from .quadform import SIGN_SYMBOL
 
 TARGETS = ("constant", "alternating", "none")
 
@@ -224,11 +225,7 @@ def find_form(
             constant = -chosen[-1]
         if not coeffs:
             raise NoForm("nullspace vector has no monomial support")
-        expr = MultiPoly(names, {ev: c for ev, c in coeffs.items()})
-        if target == "alternating":
-            expr = expr - constant * MultiPoly.variable(SIGN_SYMBOL)
-        elif target == "constant":
-            expr = expr - constant
+        expr = MultiPoly(names, coeffs) - rhs_poly(constant, target)
         cert = certify_zero(expr, bindings, sign_symbol=SIGN_SYMBOL)
         if cert.certified:
             return FormResult(

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from math import comb
 
 from .cfinite import (
+    SIGN_SYMBOL,
     Certificate,
     RationalGF,
-    certificate_bound,
     certify_zero,
+    rhs_poly,
     seq_from_terms,
     taylor_coefficients,
 )
@@ -37,7 +38,7 @@ from .errors import (
     PoleAtOrigin,
 )
 from .kernel import MultiPoly
-from .quadform import SIGN_SYMBOL, QuadForm, sol_quad
+from .quadform import QuadForm, sol_quad
 
 log = logging.getLogger(__name__)
 
@@ -99,6 +100,8 @@ def theorem_from_json(data) -> CubicTheorem:
         raise MalformedTheorem(str(exc)) from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedTheorem(f"theorem schema violation: {exc}") from exc
+    if a == 0 or b == 0:
+        raise MalformedTheorem("weights must be nonzero")
     if c == 0:
         raise MalformedTheorem("right-hand constant must be nonzero")
     if any(not g.num for g in gfs):
@@ -117,37 +120,21 @@ def theorem_from_json(data) -> CubicTheorem:
 
 
 def certify_theorem(thm: CubicTheorem) -> Certificate:
-    """Re-certify a theorem from its generating functions alone: with r the
-    degree of the lcm of the three denominators, checking
-    a*A^3 + a*B^3 + b*C^3 - c*(+-1)^n = 0 for n < C(r+3, 3) + 2 proves it."""
-    for g in thm.gfs:
-        if not g.den or g.den[0] == 0:
-            raise MalformedTheorem("generating function denominator is unusable")
-    bound = certificate_bound([g.den for g in thm.gfs], 3)
-    seq_a, seq_b, seq_c = (taylor_coefficients(g, bound) for g in thm.gfs)
-    for n in range(bound):
-        rhs = thm.c * (-1 if (thm.rhs_kind == "alternating" and n % 2) else 1)
-        lhs = thm.a * seq_a[n] ** 3 + thm.a * seq_b[n] ** 3 + thm.b * seq_c[n] ** 3
-        if lhs != rhs:
-            return Certificate(bound=bound, witness=n)
-    return Certificate(bound=bound)
+    """Re-certify a theorem from its generating functions alone: certify_zero
+    on a*A^3 + a*B^3 + b*C^3 - c*(+-1)^n, which with r the degree of the lcm
+    of the three denominators checks n < C(r+3, 3) + 2."""
+    cubic = MultiPoly(
+        ("A", "B", "C"), {(3, 0, 0): thm.a, (0, 3, 0): thm.a, (0, 0, 3): thm.b}
+    )
+    return certify_zero(
+        cubic - rhs_poly(thm.c, thm.rhs_kind),
+        dict(zip("ABC", thm.gfs)),
+        sign_symbol=SIGN_SYMBOL,
+    )
 
 
 def _poly_json(p: MultiPoly) -> list:
     return [[list(ev), c] for ev, c in p.sorted_terms()]
-
-
-def _dedup_key(thm: CubicTheorem) -> tuple:
-    terms = []
-    for g in thm.gfs:
-        terms.extend(taylor_coefficients(g, 12))
-    flip = 1
-    for t in terms:
-        if t:
-            flip = -1 if t < 0 else 1
-            break
-    canon = tuple(flip * t for t in terms)
-    return (thm.a, thm.b, thm.c, thm.rhs_kind, canon)
 
 
 def _sort_key(thm: CubicTheorem) -> tuple:
@@ -217,7 +204,7 @@ def forge(
                 theorems.append(thm)
     unique: dict[tuple, CubicTheorem] = {}
     for thm in theorems:
-        unique.setdefault(_dedup_key(thm), thm)
+        unique.setdefault((thm.a, thm.b, thm.c, thm.rhs_kind, thm.gfs), thm)
     result = sorted(unique.values(), key=_sort_key)
     if not result:
         log.info(
@@ -261,11 +248,7 @@ def _build_theorem(seed, quadruple, weights, j, orbit) -> CubicTheorem | None:
         return None
     # certify on orbit data: degree-6 identity in the orbit sequences
     pa, pb, pc_poly = (quadruple.polys[i] for i in ordered)
-    expr = thm_a * pa**3 + thm_a * pb**3 + thm_b * pc_poly**3
-    if rhs_kind == "alternating":
-        expr = expr - c * MultiPoly.variable(SIGN_SYMBOL)
-    else:
-        expr = expr - c
+    expr = thm_a * pa**3 + thm_a * pb**3 + thm_b * pc_poly**3 - rhs_poly(c, rhs_kind)
     cert = certify_zero(
         expr, {"m": orbit.gf_m, "n": orbit.gf_n}, sign_symbol=SIGN_SYMBOL
     )

@@ -27,11 +27,13 @@ from math import isqrt
 from typing import Iterable, Sequence
 
 from .cfinite import (
+    SIGN_SYMBOL,
     Certificate,
     RationalGF,
     certify_zero,
     gf_from_recurrence,
     joint_guess_recurrence,
+    rhs_poly,
     taylor_coefficients,
 )
 from .errors import (
@@ -43,8 +45,6 @@ from .errors import (
     ZeroB,
 )
 from .kernel import MultiPoly
-
-SIGN_SYMBOL = "sgn"
 
 
 @dataclass(frozen=True)
@@ -224,9 +224,7 @@ def _orbit_from_solutions(
     if gf_m.den != gf_n.den:
         # reduction split the shared denominator; treat as a failed candidate
         return None
-    expr = form.to_poly() - target * (
-        MultiPoly.variable(SIGN_SYMBOL) if kind == "alternating" else MultiPoly.constant(1)
-    )
+    expr = form.to_poly() - rhs_poly(target, kind)
     cert = certify_zero(expr, {"m": gf_m, "n": gf_n}, sign_symbol=SIGN_SYMBOL)
     if not cert.certified:
         return None

@@ -11,6 +11,7 @@ from cubeforge import (
     seq_from_terms,
     taylor_coefficients,
 )
+from cubeforge.cfinite import joint_guess_recurrence
 from cubeforge.errors import (
     GuessFailed,
     NonIntegralGF,
@@ -89,6 +90,23 @@ class TestGuess:
             assert guessed is not None and len(guessed) <= r
 
 
+class TestJointGuess:
+    FIB = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34]
+
+    def test_pooled_margin(self):
+        # order r needs r + 2 equations pooled over all the sequences
+        assert joint_guess_recurrence([[1, 2], [3, 6]], 2) is None
+        assert joint_guess_recurrence([[1, 2], [3, 6, 12]], 2) == [2]
+        assert joint_guess_recurrence([[0, 1, 1, 2], [2, 3, 5]], 3) is None
+        assert joint_guess_recurrence([[0, 1, 1, 2], [2, 3, 5, 8]], 3) == [1, 1]
+
+    def test_shortest_sequence_limits_order(self):
+        # a sequence with fewer than r terms stops the search at order r,
+        # even when the others alone give enough equations
+        assert joint_guess_recurrence([[5], self.FIB], 3) is None
+        assert joint_guess_recurrence([[5, 8], self.FIB], 3) == [1, 1]
+
+
 class TestSeqFromTerms:
     def test_recurrence_reconstruction(self):
         g = seq_from_terms([0, 1, 9, 82, 747], 3)
@@ -96,6 +114,12 @@ class TestSeqFromTerms:
 
     def test_constant_sequence(self):
         assert seq_from_terms([1, 1, 1, 1], 2) == RationalGF((1,), (1, -1))
+
+    def test_margin_rule(self):
+        # four terms are not enough for order 2 (2r+1 = 5); five are, see
+        # test_recurrence_reconstruction
+        with pytest.raises(GuessFailed):
+            seq_from_terms([0, 1, 9, 82], 3)
 
     def test_insufficient_data(self):
         with pytest.raises(GuessFailed):
@@ -144,6 +168,16 @@ class TestCertifyZero:
         cert = certify_zero(expr, {"A": gf_a, "B": gf_b, "C": gf_c})
         assert not cert.certified
         assert cert.witness == 0
+
+    def test_sign_symbol_only_linear(self):
+        # with m = 2^n, (s - 1)(m - 2)(m - 8)(m - 32) vanishes at n = 0..6:
+        # s - 1 is zero at even n and m hits a root at n = 1, 3, 5.  That is
+        # the whole depth 7 for r = 1, D = 4, yet the value at n = 7 is not 0
+        m, s = var("m"), var("s")
+        expr = (s - 1) * (m - 2) * (m - 8) * (m - 32)
+        assert expr.evaluate({"m": 2**7, "s": -1}) == -2903040
+        with pytest.raises(ValueError):
+            certify_zero(expr, {"m": RationalGF((1,), (1, -2))}, sign_symbol="s")
 
     def test_unbound_symbol(self, alternating_triple):
         with pytest.raises(UnboundSymbol):

@@ -196,6 +196,55 @@ class TestCliCommands:
         path.write_text('{"a": 1}')
         assert main(["verify", "--file", str(path)]) == 2
 
+    @pytest.mark.parametrize("a, b", [(0, -1), (1, 0)])
+    def test_verify_zero_weight(self, tmp_path, capsys, a, b):
+        theorem = {
+            "a": a,
+            "b": b,
+            "c": 1,
+            "rhs_kind": "constant",
+            "gfs": [{"num": [1], "den": [1, -1]}] * 3,
+        }
+        path = tmp_path / "theorem.json"
+        path.write_text(json.dumps(theorem))
+        assert main(["verify", "--file", str(path)]) == 2
+        assert "weights must be nonzero" in capsys.readouterr().err
+
+    @staticmethod
+    def _power_theorem(orders):
+        # sum_n C(n+k-1, k-1) t^n = 1/(1-t)^k: the lcm has degree max(orders)
+        dens = []
+        for k in orders:
+            den = [1]
+            for _ in range(k):
+                den = [x - y for x, y in zip(den + [0], [0] + den)]
+            dens.append(den)
+        return {
+            "a": 1,
+            "b": 1,
+            "c": 1,
+            "rhs_kind": "constant",
+            "gfs": [{"num": [1], "den": den} for den in dens],
+        }
+
+    @pytest.mark.parametrize("orders", [(200, 1, 1), (11, 10, 10)])
+    def test_verify_order_over_cap(self, tmp_path, capsys, orders):
+        # at r = 200 the depth would be C(203, 3) + 2 = 1373703
+        assert sum(orders) > cli.MAX_VERIFY_ORDER
+        path = tmp_path / "theorem.json"
+        path.write_text(json.dumps(self._power_theorem(orders)))
+        assert main(["verify", "--file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"sum to {sum(orders)}, which exceeds the cap {cli.MAX_VERIFY_ORDER}" in err
+
+    def test_verify_order_at_cap(self, tmp_path, capsys):
+        orders = (10, 10, 10)
+        assert sum(orders) == cli.MAX_VERIFY_ORDER
+        path = tmp_path / "theorem.json"
+        path.write_text(json.dumps(self._power_theorem(orders)))
+        assert main(["verify", "--file", str(path)]) == 1
+        assert "refuted at n=0 (checked depth 288)" in capsys.readouterr().err
+
     def test_forge_json_is_verifiable(self, tmp_path, capsys):
         assert main(["forge", "--a", "1", "--b", "-1", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
