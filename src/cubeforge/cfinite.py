@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb, gcd, lcm
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import GuessFailed, NonIntegralGF, PoleAtOrigin, UnboundSymbol
 from .kernel import MultiPoly, rational_solve
@@ -168,21 +169,28 @@ class RationalGF:
         return cls(data["num"], data["den"])
 
 
-def taylor_coefficients(g: RationalGF, count: int):
-    """First ``count`` Taylor coefficients of g at the origin, exact.
-    Values are ints whenever the expansion is integral, Fractions otherwise."""
-    den = g.den
+def taylor_series(g: RationalGF) -> Iterator[int | Fraction]:
+    """The Taylor coefficients of g at the origin, exact, one at a time and
+    without end.  Values are ints whenever integral, Fractions otherwise."""
+    num, den = g.num, g.den
     if not den or den[0] == 0:
         raise PoleAtOrigin("denominator vanishes at the origin")
     d0 = den[0]
     out = []
-    for n in range(count):
-        acc = Fraction(g.num[n]) if n < len(g.num) else Fraction(0)
+    while True:
+        n = len(out)
+        acc = Fraction(num[n]) if n < len(num) else Fraction(0)
         for i in range(1, min(n, len(den) - 1) + 1):
             acc -= den[i] * out[n - i]
         acc /= d0
         out.append(acc)
-    return [int(x) if x.denominator == 1 else x for x in out]
+        yield int(acc) if acc.denominator == 1 else acc
+
+
+def taylor_coefficients(g: RationalGF, count: int):
+    """First ``count`` Taylor coefficients of g at the origin, exact.
+    Values are ints whenever integral, Fractions otherwise."""
+    return list(islice(taylor_series(g), count))
 
 
 @dataclass(frozen=True)
@@ -295,18 +303,24 @@ def seq_from_terms(terms: Sequence[int], max_order: int) -> RationalGF:
     return gf
 
 
-def certificate_bound(denominators: Sequence[Coeffs], degree: int) -> int:
-    """C(r + D, D) + 2 where r is the degree of the lcm of the denominators.
+def certificate_bound(gfs: Sequence[RationalGF], degree: int) -> int:
+    """s + C(r + D, D) + 2, where r is the degree of the lcm of the
+    denominators and s the largest preperiod max(0, len(num) - len(den) + 1).
 
-    Monomials of degree <= D in sequences annihilated by an operator of order
-    r span a space of dimension at most C(r+D, D); the +2 adjoins the
-    constant and alternating targets.  Deliberately conservative.
+    den * A = num gives sum_j den_j a(n - j) = num_n for every n, and num_n
+    is 0 from n = len(num) on, so a(n + s) obeys the recurrence of den from
+    n = 0 on once s + order >= len(num).  Monomials of degree <= D in
+    sequences annihilated by an operator of order r span a space of
+    dimension at most C(r+D, D); the +2 adjoins the constant and alternating
+    targets.  Deliberately conservative.
     """
     l: Coeffs = (1,)
-    for den in denominators:
-        l = _poly_lcm(l, den)
+    s = 0
+    for g in gfs:
+        l = _poly_lcm(l, g.den)
+        s = max(s, len(g.num) - len(g.den) + 1)
     r = len(l) - 1
-    return comb(r + degree, degree) + 2
+    return s + comb(r + degree, degree) + 2
 
 
 def rhs_poly(c: int, kind: str) -> MultiPoly:
@@ -328,15 +342,22 @@ def certify_zero(
     The sign symbol may only occur in one pure linear term k*sign_symbol;
     any other use raises ValueError.  Write expr = P + k*(-1)^n with P free
     of the sign symbol and of total degree <= D, and let r be the degree of
-    the lcm L of the denominators.  Every sequence is annihilated by L, so
-    the values of P lie in the span of products of at most D solutions of L:
-    a shift-invariant space of dimension at most C(r+D, D).  Adjoining
+    the lcm L of the denominators.  A sequence num/den obeys the recurrence
+    of den only from its preperiod s = max(0, len(num) - len(den) + 1) on
+    (see certificate_bound); let s be the largest over the sequences.  From
+    n = s on every sequence is annihilated by L, so the values of P at
+    n >= s lie in the span of products of at most D solutions of L: a
+    shift-invariant space of dimension at most C(r+D, D).  Adjoining
     (-1)^n keeps it shift-invariant and adds one dimension.  A sequence in a
     shift-invariant space of dimension d satisfies a monic recurrence of
-    order d, so d leading zeros force it to vanish; the bound
-    B = C(r+D, D) + 2 >= d initial checks is therefore a full proof.  A
+    order d, so d zeros at n = s, ..., s + d - 1 force it to vanish from s
+    on, and n < s is checked directly; the bound
+    B = s + C(r+D, D) + 2 >= s + d checks is therefore a full proof.  A
     term such as sign_symbol*X^k would multiply the whole space by (-1)^n,
     which the +2 does not cover.
+
+    The sequences are expanded while the identity is checked, so a refuted
+    identity stops at its first nonzero value, the witness.
     """
     if sign_symbol in expr.variables:
         i = expr.variables.index(sign_symbol)
@@ -350,10 +371,10 @@ def certify_zero(
         if v not in seqs:
             raise UnboundSymbol(f"no sequence bound to symbol {v!r}")
     degree = expr.total_degree()
-    bound = certificate_bound([g.den for g in seqs.values()], degree)
-    expansions = {name: taylor_coefficients(g, bound) for name, g in seqs.items()}
+    bound = certificate_bound(list(seqs.values()), degree)
+    series = {v: taylor_series(seqs[v]) for v in expr.used_variables() if v != sign_symbol}
     for n in range(bound):
-        env = {name: vals[n] for name, vals in expansions.items()}
+        env = {name: next(values) for name, values in series.items()}
         if sign_symbol is not None:
             env[sign_symbol] = -1 if n % 2 else 1
         if expr.evaluate(env) != 0:

@@ -46,10 +46,13 @@ MAX_PELL_BOUND = 20_000
 MAX_SEARCH_BOUND = 100
 MAX_TARGET_CAP = 200
 MAX_GUESS_ORDER = 8
-# verify checks C(r+3, 3) + 2 indices, where r <= the sum of the three
-# denominator orders; a theorem forged at --guess-order 4 or less stays
-# within the cap.
+# verify checks s + C(r+3, 3) + 2 indices, where r <= the sum of the three
+# denominator orders and the preperiod s is below the numerator length; a
+# theorem forged at --guess-order 4 or less stays within both caps.  The
+# numerator length is checked before parsing, because RationalGF reduces by
+# a gcd over Fraction whose cost grows fast with the numerator degree.
 MAX_VERIFY_ORDER = 30
+MAX_NUMERATOR_LENGTH = MAX_VERIFY_ORDER + 1
 
 _EMPTY_ERRORS = (EmptySeedSet, NoOrbitFound, NoForm, NoTargetedForm, EliminationCollapse)
 _INPUT_ERRORS = (
@@ -73,13 +76,24 @@ def _parse_form(text: str) -> QuadForm:
     return QuadForm.from_poly(parse_poly(text, ("m", "n")))
 
 
+def _check_numerator(num) -> None:
+    """Reject a raw numerator (a list, or any other sized JSON value) longer
+    than MAX_NUMERATOR_LENGTH, before RationalGF sees it."""
+    if isinstance(num, (list, str, dict)) and len(num) > MAX_NUMERATOR_LENGTH:
+        raise ValueError(
+            f"a numerator has {len(num)} coefficients, which exceeds the cap "
+            f"{MAX_NUMERATOR_LENGTH}"
+        )
+
+
 def _parse_gf(text: str) -> RationalGF:
     parts = text.split(";")
     if len(parts) != 2:
         raise ValueError(f"generating function must be 'num;den', got {text!r}")
-    num = [int(c) for c in parts[0].split(",") if c.strip() != ""]
+    num = [c for c in parts[0].split(",") if c.strip() != ""]
+    _check_numerator(num)
     den = [int(c) for c in parts[1].split(",") if c.strip() != ""]
-    return RationalGF(num, den)
+    return RationalGF([int(c) for c in num], den)
 
 
 def _parse_matrix(text: str) -> list[list[int]]:
@@ -185,6 +199,10 @@ def _cmd_verify(args) -> int:
     items = data if isinstance(data, list) else [data]
     all_ok = True
     for item in items:
+        gfs = item.get("gfs") if isinstance(item, dict) else None
+        for g in gfs if isinstance(gfs, list) else ():
+            if isinstance(g, dict):
+                _check_numerator(g.get("num"))
         thm = theorem_from_json(item)
         order = sum(g.order for g in thm.gfs)
         if order > MAX_VERIFY_ORDER:

@@ -178,7 +178,7 @@ def find_form(
     base_rows = comb(d + degree - 1, degree) + 4
     names = tuple(f"X{i+1}" for i in range(d))
     bindings = dict(zip(names, seqs))
-    cert_rows = certificate_bound([g.den for g in seqs], degree)
+    cert_rows = certificate_bound(seqs, degree)
     row_plans = [base_rows]
     if cert_rows > base_rows:
         row_plans.append(cert_rows)

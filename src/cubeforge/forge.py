@@ -122,7 +122,8 @@ def theorem_from_json(data) -> CubicTheorem:
 def certify_theorem(thm: CubicTheorem) -> Certificate:
     """Re-certify a theorem from its generating functions alone: certify_zero
     on a*A^3 + a*B^3 + b*C^3 - c*(+-1)^n, which with r the degree of the lcm
-    of the three denominators checks n < C(r+3, 3) + 2."""
+    of the three denominators and s the largest preperiod checks
+    n < s + C(r+3, 3) + 2."""
     cubic = MultiPoly(
         ("A", "B", "C"), {(3, 0, 0): thm.a, (0, 3, 0): thm.a, (0, 0, 3): thm.b}
     )

@@ -5,11 +5,17 @@ Everything is pure and immutable.  Coefficients are Python ints (arbitrary
 precision); matrix entries are ``fractions.Fraction``.  Monomials are ordered
 graded-lexicographically by the declared variable list, which fixes canonical
 printing and the leading term used for exact division.
+
+The inner loops of multiplication, exact division, Bareiss elimination and
+substitution run on packed monomials (see ``_Packing``): each exponent
+vector becomes one int, so that a monomial product is one int addition and
+the graded-lex comparison is an int comparison.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -54,6 +60,16 @@ class MultiPoly:
         self.terms = clean
         self._key = None
 
+    @classmethod
+    def _make(cls, variables: tuple[str, ...], terms: dict[tuple[int, ...], int]) -> "MultiPoly":
+        # for terms the kernel built itself: nonzero int coefficients and
+        # nonnegative exponent tuples matching ``variables``
+        p = cls.__new__(cls)
+        p.variables = variables
+        p.terms = terms
+        p._key = None
+        return p
+
     # --- constructors ---
 
     @classmethod
@@ -78,9 +94,7 @@ class MultiPoly:
         return not self.terms
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(ev) for ev in self.terms)
+        return _degree(self.terms)
 
     def degree_in(self, var: str) -> int:
         if var not in self.variables:
@@ -174,12 +188,12 @@ class MultiPoly:
                 out[ev] = s
             else:
                 out.pop(ev, None)
-        return MultiPoly(vs, out)
+        return MultiPoly._make(vs, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.variables, {ev: -c for ev, c in self.terms.items()})
+        return MultiPoly._make(self.variables, {ev: -c for ev, c in self.terms.items()})
 
     def __sub__(self, other) -> "MultiPoly":
         if isinstance(other, int):
@@ -192,37 +206,29 @@ class MultiPoly:
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, int):
             if other == 0:
-                return MultiPoly(self.variables, {})
-            return MultiPoly(
+                return MultiPoly._make(self.variables, {})
+            return MultiPoly._make(
                 self.variables, {ev: c * other for ev, c in self.terms.items()}
             )
         vs, a, b = self._aligned(other)
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[tuple[int, ...], int] = {}
-        for ev1, c1 in a.items():
-            for ev2, c2 in b.items():
-                ev = tuple(x + y for x, y in zip(ev1, ev2))
-                s = out.get(ev, 0) + c1 * c2
-                if s:
-                    out[ev] = s
-                else:
-                    del out[ev]
-        return MultiPoly(vs, out)
+        pk = _Packing(len(vs), _degree(a) + _degree(b))
+        return MultiPoly._make(vs, pk.unpack(_nonzero(_pmul(pk.pack(a), pk.pack(b), {}))))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.constant(1, self.variables)
-        base = self
+        pk = _Packing(len(self.variables), n * self.total_degree())
+        result = {0: 1}
+        base = pk.pack(self.terms)
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = _nonzero(_pmul(result, base, {}))
+            if n > 1:
+                base = _nonzero(_pmul(base, base, {}))
             n >>= 1
-        return result
+        return MultiPoly._make(self.variables, pk.unpack(result))
 
     # --- evaluation and substitution ---
 
@@ -254,26 +260,33 @@ class MultiPoly:
                 if v not in result_vars:
                     result_vars.append(v)
         vs = tuple(result_vars)
-        out = MultiPoly(vs, {})
-        powers: dict[tuple[str, int], MultiPoly] = {}
-
-        def power_of(name: str, e: int) -> MultiPoly:
-            key = (name, e)
-            if key not in powers:
-                powers[key] = subs[name] ** e
-            return powers[key]
-
+        # each variable's image over vs: its substitute, or the variable itself
+        images = [
+            _remap(subs[v], vs) if v in subs else {tuple(int(u == v) for u in vs): 1}
+            for v in self.variables
+        ]
+        weights = [_degree(img) for img in images]
+        degree = max(
+            [0, *weights] + [sum(w * e for w, e in zip(weights, ev)) for ev in self.terms]
+        )
+        pk = _Packing(len(vs), degree)
+        packed = [pk.pack(img) for img in images]
+        powers: list[list[dict[int, int]]] = [[{0: 1}] for _ in images]
+        out: dict[int, int] = {}
         for ev, c in self.terms.items():
-            term = MultiPoly.constant(c, vs)
-            for v, e in zip(self.variables, ev):
-                if not e:
-                    continue
-                if v in subs:
-                    term = term * power_of(v, e)
-                else:
-                    term = term * MultiPoly(vs, {tuple(e if u == v else 0 for u in vs): 1})
-            out = out + term
-        return out
+            prod = {0: c}
+            factors = []
+            for i, e in enumerate(ev):
+                if e:
+                    table = powers[i]
+                    while len(table) <= e:
+                        table.append(_nonzero(_pmul(table[-1], packed[i], {})))
+                    factors.append(table[e])
+            last = factors.pop() if factors else {0: 1}
+            for f in factors:
+                prod = _pmul(prod, f, {})
+            _pmul(prod, last, out)
+        return MultiPoly._make(vs, pk.unpack(_nonzero(out)))
 
     # --- views ---
 
@@ -328,7 +341,9 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-def _remap(p: MultiPoly, vs: tuple[str, ...]) -> dict[tuple[int, ...], int]:
+def _remap(p: MultiPoly, vs: tuple[str, ...]) -> Mapping[tuple[int, ...], int]:
+    if p.variables == vs:
+        return p.terms
     pos = [vs.index(v) for v in p.variables]
     out = {}
     for ev, c in p.terms.items():
@@ -337,6 +352,113 @@ def _remap(p: MultiPoly, vs: tuple[str, ...]) -> dict[tuple[int, ...], int]:
             new[pos[i]] = e
         out[tuple(new)] = c
     return out
+
+
+def _degree(terms: Mapping[tuple[int, ...], int]) -> int:
+    return max((sum(ev) for ev in terms), default=0)
+
+
+# --- packed monomials ---
+
+class _Packing:
+    """One int per monomial, for an operation whose total degrees are all at
+    most ``degree`` (Monagan & Pearce, "Polynomial division using dynamic
+    arrays, heaps, and packed exponent vectors", CASC 2007).
+
+    A monomial over k variables becomes k + 1 fields of ``bits`` value bits
+    and one guard bit above them: the total degree in the top field, then the
+    exponents in variable order.  ``bits`` is the bit length of ``degree``,
+    so every field of every monomial the operation meets is below 2**bits
+    (an exponent is at most the total degree).  While that holds:
+
+    - the product of two monomials is the sum of their ints, because a sum
+      of two fields that stays below 2**bits never reaches the guard bit,
+      let alone the next field;
+    - int order is graded-lex order (``_monomial_key``), because the fields
+      are compared from the top and the total degree is the top field;
+    - u divides w exactly when d = w - u has no guard bit set and d >= 0:
+      the lowest field where w is smaller borrows, which sets that field's
+      guard bit, or makes d negative when it is the top field, and fields
+      below it are untouched; without a borrow every field of d is
+      w_i - u_i < 2**bits.
+    """
+
+    __slots__ = ("stride", "shifts", "mask", "guard")
+
+    def __init__(self, nvars: int, degree: int):
+        bits = max(degree, 1).bit_length()
+        self.stride = bits + 1
+        self.mask = (1 << bits) - 1
+        self.shifts = tuple(self.stride * (nvars - 1 - i) for i in range(nvars))
+        self.guard = sum(1 << (self.stride * i + bits) for i in range(nvars + 1))
+
+    def pack(self, terms: Mapping[tuple[int, ...], int]) -> dict[int, int]:
+        stride = self.stride
+        out = {}
+        for ev, c in terms.items():
+            key = sum(ev)
+            for e in ev:
+                key = (key << stride) | e
+            out[key] = c
+        return out
+
+    def unpack(self, packed: Mapping[int, int]) -> dict[tuple[int, ...], int]:
+        shifts, mask = self.shifts, self.mask
+        return {tuple((key >> s) & mask for s in shifts): c for key, c in packed.items()}
+
+
+def _pmul(a: Mapping[int, int], b: Mapping[int, int], acc: dict[int, int]) -> dict[int, int]:
+    """Add a*b into acc and return it.  Coefficients that cancel stay in acc
+    as zeros; ``_nonzero`` drops them."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = acc.get
+    bitems = list(b.items())
+    for ma, ca in a.items():
+        for mb, cb in bitems:
+            m = ma + mb
+            acc[m] = get(m, 0) + ca * cb
+    return acc
+
+
+def _nonzero(terms: Mapping[int, int]) -> dict[int, int]:
+    return {m: c for m, c in terms.items() if c}
+
+
+def _pdiv(num: Mapping[int, int], den: Mapping[int, int], guard: int) -> dict[int, int] | None:
+    """Exact quotient num/den of packed polynomials (den nonzero, with no
+    zero coefficient), or None.  Leading-term reduction in graded-lex
+    order; the leading remainder term comes off a max-heap that holds each
+    remainder monomial exactly once."""
+    lm = max(den)
+    lc = den[lm]
+    rest = [(m, c) for m, c in den.items() if m != lm]
+    quot: dict[int, int] = {}
+    rem = dict(num)
+    heap = [-m for m in rem]
+    heapify(heap)
+    while heap:
+        m = -heappop(heap)
+        c = rem.pop(m)
+        if not c:
+            continue
+        q = m - lm
+        if q < 0 or q & guard:
+            return None
+        qc, leftover = divmod(c, lc)
+        if leftover:
+            return None
+        quot[q] = qc
+        # every q + t is below m, so it has not left the heap yet
+        for t, tc in rest:
+            tgt = q + t
+            old = rem.get(tgt)
+            if old is None:
+                rem[tgt] = -qc * tc
+                heappush(heap, -tgt)
+            else:
+                rem[tgt] = old - qc * tc
+    return quot
 
 
 # --- content and primitive part ---
@@ -361,40 +483,9 @@ def try_exact_div(num: MultiPoly, den: MultiPoly) -> MultiPoly | None:
     if den.is_zero:
         raise ZeroPolynomial("division by the zero polynomial")
     vs, a, b = num._aligned(den)
-    num = MultiPoly(vs, a)
-    den = MultiPoly(vs, b)
-    if num.is_zero:
-        return num
-    if den.is_constant():
-        d = den.constant_value()
-        out = {}
-        for ev, c in num.terms.items():
-            q, r = divmod(c, d)
-            if r:
-                return None
-            out[ev] = q
-        return MultiPoly(vs, out)
-    lev, lc = den.leading()
-    quot: dict[tuple[int, ...], int] = {}
-    rem = dict(num.terms)
-    while rem:
-        rev = max(rem, key=_monomial_key)
-        rc = rem[rev]
-        qev = tuple(a - b for a, b in zip(rev, lev))
-        if any(e < 0 for e in qev):
-            return None
-        qc, leftover = divmod(rc, lc)
-        if leftover:
-            return None
-        quot[qev] = qc
-        for ev, c in den.terms.items():
-            tgt = tuple(a + b for a, b in zip(qev, ev))
-            s = rem.get(tgt, 0) - qc * c
-            if s:
-                rem[tgt] = s
-            else:
-                rem.pop(tgt, None)
-    return MultiPoly(vs, quot)
+    pk = _Packing(len(vs), max(_degree(a), _degree(b)))
+    quot = _pdiv(pk.pack(a), pk.pack(b), pk.guard)
+    return None if quot is None else MultiPoly._make(vs, pk.unpack(quot))
 
 
 def exact_div(num: MultiPoly, den: MultiPoly) -> MultiPoly:
@@ -432,33 +523,56 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
         rows.append([zero] * r + desc_p + [zero] * (n - r - dp - 1))
     for r in range(dp):
         rows.append([zero] * r + desc_q + [zero] * (n - r - dq - 1))
-    det = _bareiss_determinant(rows, MultiPoly.constant(1, vs), zero)
-    return det
+    return _bareiss_determinant(rows, MultiPoly.constant(1, vs), zero)
 
 
 def _bareiss_determinant(m: list[list[MultiPoly]], one: MultiPoly, zero: MultiPoly) -> MultiPoly:
+    """Determinant of the square matrix m by fraction-free (Bareiss)
+    elimination, over the variables of ``one``, ``zero`` and the entries.
+    The entries are packed once: every entry Bareiss computes is a minor of
+    m, of total degree at most S, the sum over rows of the largest entry
+    degree, so every product it forms has degree at most 2S, the packing
+    bound.  ``m`` is left as it was given."""
+    names: list[str] = []
+    for p in (one, zero, *(p for row in m for p in row)):
+        for v in p.variables:
+            if v not in names:
+                names.append(v)
+    vs = tuple(names)
+    bound = 2 * sum(max(p.total_degree() for p in row) for row in m)
+    pk = _Packing(len(vs), bound)
+    rows = [[pk.pack(_remap(p, vs)) for p in row] for row in m]
+    return MultiPoly._make(vs, pk.unpack(_bareiss_packed(rows, pk.guard)))
+
+
+def _bareiss_packed(m: list[list[dict[int, int]]], guard: int) -> dict[int, int]:
     n = len(m)
     sign = 1
-    prev = one
+    prev = {0: 1}
     for k in range(n - 1):
-        if m[k][k].is_zero:
+        if not m[k][k]:
             for i in range(k + 1, n):
-                if not m[i][k].is_zero:
+                if m[i][k]:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
-                return zero
+                return {}
         pivot = m[k][k]
+        row_k = m[k]
         for i in range(k + 1, n):
-            mik = m[i][k]
+            row_i = m[i]
+            neg_ik = {t: -c for t, c in row_i[k].items()}
             for j in range(k + 1, n):
-                num = pivot * m[i][j] - mik * m[k][j]
-                m[i][j] = exact_div(num, prev)
-            m[i][k] = zero
+                acc = _pmul(neg_ik, row_k[j], _pmul(pivot, row_i[j], {}))
+                quot = _pdiv(_nonzero(acc), prev, guard)
+                if quot is None:
+                    raise InexactDivision("a Bareiss step is not exact")
+                row_i[j] = quot
+            row_i[k] = {}
         prev = pivot
     det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
+    return det if sign > 0 else {t: -c for t, c in det.items()}
 
 
 # --- exact rational linear algebra ---

@@ -179,6 +179,44 @@ class TestCertifyZero:
         with pytest.raises(ValueError):
             certify_zero(expr, {"m": RationalGF((1,), (1, -2))}, sign_symbol="s")
 
+    def test_improper_gf_refuted(self):
+        # x^50/1 is 1 at n = 50 only; its recurrence (order 0) holds from
+        # the preperiod s = 51 on, so the depth is 51 + C(0+1, 1) + 2
+        cert = certify_zero(var("X"), {"X": RationalGF((0,) * 50 + (1,), (1,))})
+        assert cert.bound == 54
+        assert cert.witness == 50
+
+    def test_preperiod_at_the_bound(self):
+        # a(n) = 1 for n <= s and 2^(n-s) after: num = 1 - t - ... - t^s over
+        # 1 - 2t, preperiod s.  X - 1 is zero at n = 0..s and first nonzero at
+        # n = s + 1 = s + C(r+D, D) - 1 (r = D = 1), the last index at which
+        # the proof allows a first failure; without s the depth would be 4
+        s = 10
+        g = RationalGF((1,) + (-1,) * s, (1, -2))
+        assert taylor_coefficients(g, s + 3) == [1] * (s + 1) + [2, 4]
+        cert = certify_zero(var("X") - 1, {"X": g})
+        assert cert.bound == s + 2 + 2
+        assert cert.witness == s + 1
+
+    def test_refutation_stops_at_the_witness(self, monkeypatch):
+        import cubeforge.cfinite as cf
+
+        expanded = []
+        series = cf.taylor_series
+
+        def counting(g):
+            for value in series(g):
+                expanded.append(value)
+                yield value
+
+        monkeypatch.setattr(cf, "taylor_series", counting)
+        # 1/(1-t)^10 is C(n+9, 9): X^2 - 55 first fails at n = 0, depth
+        # C(10+2, 2) + 2
+        den = (1, -10, 45, -120, 210, -252, 210, -120, 45, -10, 1)
+        cert = certify_zero(var("X") ** 2 - 55, {"X": RationalGF((1,), den)})
+        assert (cert.bound, cert.witness) == (68, 0)
+        assert len(expanded) == 1
+
     def test_unbound_symbol(self, alternating_triple):
         with pytest.raises(UnboundSymbol):
             certify_zero(var("A") + var("Q"), {"A": alternating_triple[0]})

@@ -245,6 +245,48 @@ class TestCliCommands:
         assert main(["verify", "--file", str(path)]) == 1
         assert "refuted at n=0 (checked depth 288)" in capsys.readouterr().err
 
+    @staticmethod
+    def _improper_theorem(k):
+        # A = t^k (1 at n = k only), B = 2, C = -1: A^3 + B^3 + C^3 = 7 but
+        # at n = k, where it is 8
+        return {
+            "a": 1,
+            "b": 1,
+            "c": 7,
+            "rhs_kind": "constant",
+            "gfs": [
+                {"num": [0] * k + [1], "den": [1]},
+                {"num": [2], "den": [1, -1]},
+                {"num": [-1], "den": [1, -1]},
+            ],
+        }
+
+    @pytest.mark.parametrize("k", [20, cli.MAX_NUMERATOR_LENGTH - 1])
+    def test_verify_improper_gf_refuted(self, tmp_path, capsys, k):
+        # depth s + C(1+3, 3) + 2 with preperiod s = k + 1; k + 1 coefficients
+        # is at the numerator cap for the second case
+        path = tmp_path / "theorem.json"
+        path.write_text(json.dumps(self._improper_theorem(k)))
+        assert main(["verify", "--file", str(path)]) == 1
+        assert f"refuted at n={k} (checked depth {k + 7})" in capsys.readouterr().err
+
+    def test_verify_numerator_over_cap(self, tmp_path, capsys):
+        cap = cli.MAX_NUMERATOR_LENGTH
+        path = tmp_path / "theorem.json"
+        path.write_text(json.dumps(self._improper_theorem(cap)))
+        assert main(["verify", "--file", str(path)]) == 2
+        assert f"has {cap + 1} coefficients, which exceeds the cap {cap}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("length, code", [(31, 0), (32, 2)])
+    def test_findform_numerator_cap(self, capsys, length, code):
+        assert length in (cli.MAX_NUMERATOR_LENGTH, cli.MAX_NUMERATOR_LENGTH + 1)
+        # t^(length-1) and 1/(1-t): X2^2 = 1 is the form found under the cap
+        num = ",".join(["0"] * (length - 1) + ["1"])
+        argv = ["findform", "--degree", "2", "--gf", f"{num};1", "--gf", "1;1,-1"]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert ("exceeds the cap" in err) == (code == 2)
+
     def test_forge_json_is_verifiable(self, tmp_path, capsys):
         assert main(["forge", "--a", "1", "--b", "-1", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -4,6 +4,8 @@ from itertools import permutations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubeforge import (
     MultiPoly,
@@ -14,6 +16,7 @@ from cubeforge import (
     resultant,
 )
 from cubeforge.errors import DegenerateInput, InexactDivision, ZeroPolynomial
+from cubeforge.kernel import _monomial_key, _Packing, try_exact_div
 from cubeforge.parsing import parse_poly
 
 
@@ -46,6 +49,93 @@ def naive_det(rows):
             prod = prod * rows[i][perm[i]]
         total = total + prod
     return total
+
+
+def sylvester_rows(p, q, var):
+    vs = p._aligned(q)[0]
+    zero = MultiPoly(vs, {})
+    dp, dq = p.degree_in(var), q.degree_in(var)
+    cp = list(reversed((p + zero).coefficients_in(var)))
+    cq = list(reversed((q + zero).coefficients_in(var)))
+    rows = []
+    for r in range(dq):
+        rows.append([zero] * r + cp + [zero] * (dq - r - 1))
+    for r in range(dp):
+        rows.append([zero] * r + cq + [zero] * (dp - r - 1))
+    return rows
+
+
+# --- oracle: exact division by the plain leading-term loop, which rescans
+# the remainder for its graded-lex maximum at every step ---
+
+def reference_exact_div(num, den):
+    vs, a, b = num._aligned(den)
+    num = MultiPoly(vs, a)
+    den = MultiPoly(vs, b)
+    if num.is_zero:
+        return num
+    if den.is_constant():
+        d = den.constant_value()
+        out = {}
+        for ev, c in num.terms.items():
+            q, r = divmod(c, d)
+            if r:
+                return None
+            out[ev] = q
+        return MultiPoly(vs, out)
+    lev, lc = den.leading()
+    quot = {}
+    rem = dict(num.terms)
+    while rem:
+        rev = max(rem, key=_monomial_key)
+        rc = rem[rev]
+        qev = tuple(a - b for a, b in zip(rev, lev))
+        if any(e < 0 for e in qev):
+            return None
+        qc, leftover = divmod(rc, lc)
+        if leftover:
+            return None
+        quot[qev] = qc
+        for ev, c in den.terms.items():
+            tgt = tuple(a + b for a, b in zip(qev, ev))
+            s = rem.get(tgt, 0) - qc * c
+            if s:
+                rem[tgt] = s
+            else:
+                rem.pop(tgt, None)
+    return MultiPoly(vs, quot)
+
+
+# --- hypothesis strategies: exponent vectors and polynomials in up to five
+# variables, with total degrees up to 2^k - 1, the top of a k-bit field ---
+
+VARS = ("a", "b", "c", "d", "e")
+
+
+@st.composite
+def exponents(draw, nvars, degree):
+    """An exponent vector of total degree at most ``degree``."""
+    left = draw(st.integers(0, degree))
+    ev = []
+    for _ in range(nvars - 1):
+        e = draw(st.integers(0, left))
+        ev.append(e)
+        left -= e
+    ev.append(left)
+    return tuple(draw(st.permutations(ev)))
+
+
+@st.composite
+def polys(draw, variables, degree, max_terms=4):
+    """A polynomial of total degree exactly ``degree`` whose leading term is
+    the pure power of the first variable, plus up to max_terms - 1 terms."""
+    nvars = len(variables)
+    lead = (degree,) + (0,) * (nvars - 1)
+    terms = {lead: draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))}
+    for ev in draw(st.lists(exponents(nvars, degree), max_size=max_terms - 1)):
+        if ev != lead:
+            terms[ev] = draw(st.integers(-5, 5))
+    return MultiPoly(variables, terms)
 
 
 def naive_rank(matrix):
@@ -90,6 +180,18 @@ class TestMultiPoly:
         assert q.evaluate({"m": Fraction(1, 2), "n": 0}) == Fraction(1, 4)
         s = q.substitute({"m": P("m + n"), "n": P("n")})
         assert s == P("m^2 + 2*m*n - n^2")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_substitute_matches_evaluation(self, data):
+        # images of degree up to 3 in a polynomial of degree up to 3: the
+        # output degree, up to 9, is what the packing must hold
+        p = data.draw(polys(("x", "y", "z"), data.draw(st.integers(0, 3))))
+        names = data.draw(st.sampled_from([("x", "y", "z"), ("x", "y"), ("y",)]))
+        images = {v: data.draw(polys(("m", "n"), data.draw(st.integers(0, 3)))) for v in names}
+        point = {v: data.draw(st.integers(-4, 4)) for v in ("m", "n", "x", "y", "z")}
+        values = {v: images[v].evaluate(point) if v in images else point[v] for v in "xyz"}
+        assert p.substitute(images).evaluate(point) == p.evaluate(values)
 
     def test_str_round_trip(self):
         rng = random.Random(5)
@@ -160,16 +262,20 @@ class TestResultant:
             dp, dq = p.degree_in("m"), q.degree_in("m")
             if dp == 0 or dq == 0 or dp + dq > 4:
                 continue
-            vs = ("m", "x")
-            zero = MultiPoly(vs, {})
-            cp = list(reversed((p + zero).coefficients_in("m")))
-            cq = list(reversed((q + zero).coefficients_in("m")))
-            rows = []
-            for r in range(dq):
-                rows.append([zero] * r + cp + [zero] * (dq - r - 1))
-            for r in range(dp):
-                rows.append([zero] * r + cq + [zero] * (dp - r - 1))
-            assert resultant(p, q, "m") == naive_det(rows)
+            assert resultant(p, q, "m") == naive_det(sylvester_rows(p, q, "m"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_naive_sylvester_determinant(self, data):
+        # three variables, degree 1 or 2 in m, entries of degree up to 3
+        vs = ("m", "x", "y")
+        dp = data.draw(st.integers(1, 2))
+        dq = data.draw(st.integers(1, 3 - dp + 1))
+        p = data.draw(polys(vs, dp, max_terms=4))
+        q = data.draw(polys(vs, dq, max_terms=4))
+        p = p + data.draw(polys(("x", "y"), 3, max_terms=3))
+        q = q + data.draw(polys(("y", "x"), 2, max_terms=3))
+        assert resultant(p, q, "m") == naive_det(sylvester_rows(p, q, "m"))
 
     def test_shared_root_vanishes(self):
         rng = random.Random(31)
@@ -212,6 +318,76 @@ class TestExactDivision:
             assert exact_div(a * b, b) == a
 
 
+class TestPackedExponents:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_order_product_divisibility_round_trip(self, data):
+        nvars = data.draw(st.integers(1, 5))
+        degree = 2 ** data.draw(st.integers(1, 6)) - 1
+        evs = data.draw(st.lists(exponents(nvars, degree), min_size=2, max_size=12))
+        top = data.draw(st.integers(0, nvars - 1))
+        evs.append(tuple(degree if i == top else 0 for i in range(nvars)))
+        evs = list(dict.fromkeys(evs))
+        pk = _Packing(nvars, degree)
+        key = {ev: next(iter(pk.pack({ev: 1}))) for ev in evs}
+        assert pk.unpack({key[ev]: 1 for ev in evs}) == {ev: 1 for ev in evs}
+        assert sorted(evs, key=_monomial_key) == sorted(evs, key=key.get)
+        for u in evs:
+            for w in evs:
+                prod = tuple(x + y for x, y in zip(u, w))
+                if sum(prod) <= degree:
+                    assert {key[u] + key[w]: 1} == pk.pack({prod: 1})
+                d = key[w] - key[u]
+                divides_w = all(x >= y for x, y in zip(w, u))
+                assert (d >= 0 and not d & pk.guard) == divides_w
+
+    def test_pure_powers_at_the_top_of_a_field(self):
+        x, y = P("m", ("m", "n")), P("n", ("m", "n"))
+        for k in range(1, 7):
+            top = 2**k - 1
+            for num, den in [
+                (x**top - y**top, x - y),
+                (x**top + y**top, x + y),
+                (x**top - y**top, x + y),
+                (x**top, x ** (top - 1) * y),
+                (x**top * y, y**2),
+                (x ** (top - 1) * y, x**top),
+                # Laurent quotients x/y: a borrow into the x field is the
+                # only sign that the leading monomial does not divide
+                (x**top * (y + 1), x ** (top - 1) * y * (y + 1)),
+                (x * (x + y) ** (top - 1), y * (x + y) ** (top - 1)),
+            ]:
+                got = try_exact_div(num, den)
+                assert got == reference_exact_div(num, den)
+                if got is not None:
+                    assert got * den == num
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_exact_division_matches_reference(self, data):
+        nvars = data.draw(st.integers(1, 5))
+        vs = VARS[:nvars]
+        top = 2 ** data.draw(st.integers(1, 4)) - 1
+        dd = data.draw(st.integers(0, top))
+        den = data.draw(polys(vs, dd))
+        quot = data.draw(polys(vs, top - dd))
+        num = den * quot
+        change = data.draw(st.sampled_from(["none", "add", "laurent"]))
+        if change == "add":
+            num = num + data.draw(polys(vs, data.draw(st.integers(0, top))))
+        elif change == "laurent" and nvars > 1:
+            # num/den = (v/w) * quot, not a polynomial unless w divides quot
+            v, w = data.draw(st.permutations(vs))[:2]
+            num = num * MultiPoly.variable(v, vs)
+            den = den * MultiPoly.variable(w, vs)
+        got = try_exact_div(num, den)
+        assert got == reference_exact_div(num, den)
+        if got is not None:
+            assert got * den == num
+        if not num.is_zero:
+            assert try_exact_div(den, num) == reference_exact_div(den, num)
+
+
 class TestBareiss:
     def test_random_matrices_match_naive_det(self):
         from cubeforge.kernel import _bareiss_determinant
@@ -232,6 +408,33 @@ class TestBareiss:
             expected = naive_det(rows)
             got = _bareiss_determinant([row[:] for row in rows], one, zero)
             assert got == expected
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_degree_bound_at_the_top_of_a_field(self, data):
+        # row degrees summing to S = 2^k - 1, each row led by a pure power
+        # of x: the products Bareiss forms reach x-degrees near 2S
+        from cubeforge.kernel import _bareiss_determinant
+
+        vs = ("x", "y")
+        n = data.draw(st.integers(2, 4))
+        total = data.draw(st.sampled_from([s for s in (3, 7) if n <= s <= 3 * n]))
+        degrees = data.draw(
+            st.lists(st.integers(1, 3), min_size=n, max_size=n).filter(
+                lambda ds: sum(ds) == total
+            )
+        )
+        rows = []
+        for d in degrees:
+            row = [
+                data.draw(st.one_of(st.just(MultiPoly(vs, {})), polys(vs, data.draw(st.integers(0, d)), 2)))
+                for _ in range(n)
+            ]
+            row[data.draw(st.integers(0, n - 1))] = data.draw(polys(vs, d, 2))
+            rows.append(row)
+        one, zero = MultiPoly.constant(1, vs), MultiPoly(vs, {})
+        assert _bareiss_determinant([row[:] for row in rows], one, zero) == naive_det(rows)
 
 
 class TestNullspace:
