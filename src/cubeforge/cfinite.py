@@ -17,7 +17,7 @@ from math import comb, gcd, lcm
 from typing import Iterator, Mapping, Sequence
 
 from .errors import GuessFailed, NonIntegralGF, PoleAtOrigin, UnboundSymbol
-from .kernel import MultiPoly, rational_solve
+from .kernel import MultiPoly, rational_solve, scale_to_integers
 
 Coeffs = tuple[int, ...]
 
@@ -206,7 +206,7 @@ class Certificate:
         return self.witness is None
 
 
-def _fit_recurrence(seqs: Sequence[Sequence[Fraction]], order: int):
+def _fit_recurrence(seqs: Sequence[Sequence[int]], order: int):
     """Shared coefficients e1..e_order with s(n+r) = e1 s(n+r-1) + ... + e_r s(n)
     across every sequence and every window, or None."""
     rows = []
@@ -220,8 +220,10 @@ def _fit_recurrence(seqs: Sequence[Sequence[Fraction]], order: int):
     sol = rational_solve(rows, rhs)
     if sol is None:
         return None
+    den = lcm(*(e.denominator for e in sol))
+    num = [e.numerator * (den // e.denominator) for e in sol]
     for row, b in zip(rows, rhs):
-        if sum(c * x for c, x in zip(row, sol)) != b:
+        if sum(c * x for c, x in zip(row, num)) != b * den:
             return None
     return sol
 
@@ -246,9 +248,10 @@ def joint_guess_recurrence(seqs: Sequence[Sequence], max_order: int, surplus: in
     Order r needs every sequence to have at least r terms and at least
     r + surplus equations in total.  For one sequence of L terms there are
     L - r equations, so the default surplus 2 is the rule of 2r+2 terms and
-    surplus 1 the rule of 2r+1 terms.
+    surplus 1 the rule of 2r+1 terms.  Each sequence is scaled to integers
+    by the lcm of its denominators, which keeps its recurrences.
     """
-    data = [[Fraction(t) for t in s] for s in seqs]
+    data = [scale_to_integers(s) for s in seqs]
     if not data or any(not s for s in data):
         return None
     for r in range(1, max_order + 1):

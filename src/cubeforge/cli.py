@@ -53,6 +53,10 @@ MAX_GUESS_ORDER = 8
 # a gcd over Fraction whose cost grows fast with the numerator degree.
 MAX_VERIFY_ORDER = 30
 MAX_NUMERATOR_LENGTH = MAX_VERIFY_ORDER + 1
+# eliminate's resultants grow fast with the degree of its inputs: m^3 + n,
+# m*n^2 - 1, m + n^3 takes about 1.5 s, and its degree-4 analogue did not
+# finish in 100 s.  The library implicitize stays uncapped.
+MAX_ELIMINATE_DEGREE = 3
 
 _EMPTY_ERRORS = (EmptySeedSet, NoOrbitFound, NoForm, NoTargetedForm, EliminationCollapse)
 _INPUT_ERRORS = (
@@ -171,11 +175,14 @@ def _cmd_pell(args) -> int:
 
 
 def _cmd_eliminate(args) -> int:
-    p = parse_poly(args.x, ("m", "n"))
-    q = parse_poly(args.y, ("m", "n"))
-    r = parse_poly(args.z, ("m", "n"))
-    s = implicitize(p, q, r)
-    print(str(s))
+    polys = [parse_poly(text, ("m", "n")) for text in (args.x, args.y, args.z)]
+    for option, p in zip(("--x", "--y", "--z"), polys):
+        degree = p.total_degree()
+        if degree > MAX_ELIMINATE_DEGREE:
+            raise ValueError(
+                f"{option} has total degree {degree}, which exceeds the cap {MAX_ELIMINATE_DEGREE}"
+            )
+    print(str(implicitize(*polys)))
     return EXIT_OK
 
 

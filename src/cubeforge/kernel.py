@@ -2,9 +2,11 @@
 Sylvester resultants, exact division, and rational nullspaces.
 
 Everything is pure and immutable.  Coefficients are Python ints (arbitrary
-precision); matrix entries are ``fractions.Fraction``.  Monomials are ordered
-graded-lexicographically by the declared variable list, which fixes canonical
-printing and the leading term used for exact division.
+precision).  Linear systems may have ``Fraction`` entries; they are solved
+fraction-free on integers, and only the answer is built from Fractions.
+Monomials are ordered graded-lexicographically by the declared variable
+list, which fixes canonical printing and the leading term used for exact
+division.
 
 The inner loops of multiplication, exact division, Bareiss elimination and
 substitution run on packed monomials (see ``_Packing``): each exponent
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import DegenerateInput, InexactDivision, ZeroPolynomial
@@ -575,54 +577,80 @@ def _bareiss_packed(m: list[list[dict[int, int]]], guard: int) -> dict[int, int]
     return det if sign > 0 else {t: -c for t, c in det.items()}
 
 
-# --- exact rational linear algebra ---
+# --- exact rational linear algebra, fraction-free on integers ---
 
-def _rref(matrix: Sequence[Sequence[Scalar]]) -> tuple[list[list[Fraction]], list[int]]:
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+def scale_to_integers(values: Sequence[Scalar]) -> list[int]:
+    """The values times the lcm of their denominators, as ints.  A row of
+    ints comes back unchanged; scaling a row of a linear system, or a whole
+    sequence under a homogeneous linear recurrence, keeps its solutions."""
+    if all(isinstance(x, int) for x in values):
+        return list(values)
+    q = [Fraction(x) for x in values]
+    scale = lcm(*(x.denominator for x in q))
+    return [x.numerator * (scale // x.denominator) for x in q]
+
+
+def _primitive(row: list[int]) -> list[int]:
+    # divided by the gcd of its entries, first nonzero entry positive
+    g = gcd(*row)
+    if next(x for x in row if x) < 0:
+        g = -g
+    return row if g == 1 else [x // g for x in row]
+
+
+def _eliminate(row: list[int], s: list[int], p: int) -> list[int]:
+    # b * row - a * s, with a = row[p] and b = s[p] over their gcd: zero at p
+    a, b = row[p], s[p]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    return [b * x - a * y for x, y in zip(row, s)]
+
+
+def _reduced_echelon(
+    rows: Iterable[Sequence[Scalar]], stop: int | None = None
+) -> dict[int, list[int]] | None:
+    """Reduced row-echelon basis of the row space, in integers: a map from
+    each pivot column to a primitive integer row whose first nonzero entry,
+    positive, sits in that column, with zeros in every other pivot column.
+    Returns None as soon as a row reduces to one that starts in column
+    ``stop``.
+
+    Rows enter one at a time, each scaled to integers.  An incoming row is
+    reduced against the stored rows in the order they were stored: with a
+    its entry in a stored row's pivot column and b that pivot, both over
+    their gcd, it becomes b * row - a * stored, which clears the column
+    without fractions.  Each stored row is zero in the pivot columns stored
+    before it, so columns cleared earlier stay clear, and what is left is
+    zero in every pivot column.  A nonzero remainder is stored, divided by
+    its content, under its first nonzero column.  After the last row, the
+    stored rows are cleared in the pivot columns stored after them the same
+    way, newest pivot first.
+
+    The pivot set is the rref's whatever the row order: a basis whose
+    first nonzero columns differ has, as first nonzero columns of its
+    combinations, exactly its own, and the rref's pivots are the first
+    nonzero columns of the row space.
+    """
+    stored: dict[int, list[int]] = {}
+    for row in rows:
+        row = scale_to_integers(row)
+        for p, s in stored.items():
+            if row[p]:
+                row = _eliminate(row, s, p)
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def _normalize_vector(vec: Sequence[Fraction]) -> list[int]:
-    from math import lcm
-
-    denoms = [x.denominator for x in vec]
-    scale = 1
-    for d in denoms:
-        scale = lcm(scale, d)
-    ints = [int(x * scale) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x:
-            if x < 0:
-                ints = [-v for v in ints]
-            break
-    return ints
+        if lead == stop:
+            return None
+        stored[lead] = _primitive(row)
+    pivots = list(stored)
+    for i in range(len(pivots) - 1, 0, -1):
+        p = pivots[i]
+        s = stored[p]
+        for q in pivots[:i]:
+            if stored[q][p]:
+                stored[q] = _primitive(_eliminate(stored[q], s, p))
+    return stored
 
 
 def rational_nullspace(
@@ -630,7 +658,11 @@ def rational_nullspace(
 ) -> list[list[int]]:
     """Basis of the right nullspace over the rationals, each vector scaled to
     coprime integers with positive first nonzero entry.  An empty matrix has
-    the full space as nullspace (``ncols`` must then be given)."""
+    the full space as nullspace (``ncols`` must then be given).
+
+    The vectors are those of the rref (free column f set to 1, pivot
+    column p to minus the rref's entry at f), scaled; the rref is unique,
+    so they do not depend on how it was computed."""
     rows = [list(row) for row in matrix]
     if rows:
         widths = {len(r) for r in rows}
@@ -639,24 +671,17 @@ def rational_nullspace(
         ncols = widths.pop()
     elif ncols is None:
         raise ValueError("empty matrix needs an explicit column count")
-    if ncols == 0:
-        return []
-    if not rows:
-        basis = []
-        for i in range(ncols):
-            v = [0] * ncols
-            v[i] = 1
-            basis.append(v)
-        return basis
-    rref, pivots = _rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    echelon = _reduced_echelon(rows)
+    scale = lcm(*(row[p] for p, row in echelon.items()))
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -rref[r][f]
-        basis.append(_normalize_vector(v))
+    for f in range(ncols):
+        if f in echelon:
+            continue
+        v = [0] * ncols
+        v[f] = scale
+        for p, row in echelon.items():
+            v[p] = -row[f] * (scale // row[p])
+        basis.append(_primitive(v))
     return basis
 
 
@@ -664,15 +689,26 @@ def rational_solve(
     matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]
 ) -> list[Fraction] | None:
     """One exact solution of matrix * x = rhs (free unknowns set to 0), or
-    None when the system is inconsistent."""
+    None when the system is inconsistent.
+
+    The augmented rows go through ``_reduced_echelon`` one at a time, and
+    the first row that reduces to [0 ... 0 | nonzero] ends the call: the
+    system is inconsistent exactly when the rhs column is a pivot of the
+    augmented rref.  Otherwise every pivot is an unknown, and the pivot
+    columns of a reduced echelon form are the leftmost independent columns
+    whatever the row order, so setting the free unknowns to 0 and each
+    pivot unknown to its row's rhs over its pivot gives the same solution
+    as the rref of the whole system.  Only this last step uses Fractions.
+    """
     if not matrix:
         return []
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
     ncols = len(matrix[0])
-    rref, pivots = _rref(aug)
-    if ncols in pivots:
+    echelon = _reduced_echelon(
+        (list(row) + [b] for row, b in zip(matrix, rhs)), stop=ncols
+    )
+    if echelon is None:
         return None
     x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = rref[r][ncols]
+    for p, row in echelon.items():
+        x[p] = Fraction(row[ncols], row[p])
     return x

@@ -88,6 +88,28 @@ class TestCliExitCodes:
         assert main(command + [option, str(cap + 1)]) == 2
         assert f"{option} {cap + 1} exceeds the cap {cap}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", ["--x", "--y", "--z"])
+    def test_eliminate_degree_over_cap(self, capsys, option):
+        cap = cli.MAX_ELIMINATE_DEGREE
+        argv = {"--x": "m^3 + n", "--y": "m*n^2 - 1", "--z": "m + n^3"}
+        argv[option] = f"m*n^{cap} - 1"
+        assert main(["eliminate", *(w for item in argv.items() for w in item)]) == 2
+        err = capsys.readouterr().err
+        assert f"{option} has total degree {cap + 1}, which exceeds the cap {cap}" in err
+
+    @pytest.mark.parametrize(
+        "argv, implicit",
+        [
+            (["--x", "m^3 + n", "--y", "m", "--z", "n"], "-y^3 + x - z"),
+            (["--x", "m", "--y", "n^3 - m*n", "--z", "n"], "z^3 - x*z - y"),
+            (["--x", "m", "--y", "n", "--z", "m*n^2 + 1"], "x*y^2 - z + 1"),
+        ],
+    )
+    def test_eliminate_degree_at_cap(self, capsys, argv, implicit):
+        assert cli.MAX_ELIMINATE_DEGREE == 3
+        assert main(["eliminate", *argv]) == 0
+        assert capsys.readouterr().out.strip() == implicit
+
     def test_pell_bound_at_cap(self, capsys):
         assert main(["pell", "--form", "m^2 - 2*n^2", "--bound", str(cli.MAX_PELL_BOUND)]) == 0
 

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +15,9 @@ from cubeforge import (
     rational_nullspace,
     resultant,
 )
+from cubeforge.cfinite import joint_guess_recurrence
 from cubeforge.errors import DegenerateInput, InexactDivision, ZeroPolynomial
-from cubeforge.kernel import _monomial_key, _Packing, try_exact_div
+from cubeforge.kernel import _monomial_key, _Packing, rational_solve, try_exact_div
 from cubeforge.parsing import parse_poly
 
 
@@ -138,27 +139,197 @@ def polys(draw, variables, degree, max_terms=4):
     return MultiPoly(variables, terms)
 
 
-def naive_rank(matrix):
+def reference_rref(matrix):
+    """Gauss-Jordan over Fraction: the reduced rows and the pivot columns.
+    The oracle for the fraction-free elimination in the kernel."""
     rows = [[Fraction(x) for x in row] for row in matrix]
-    rank = 0
+    pivots = []
+    r = 0
     ncols = len(rows[0]) if rows else 0
     for c in range(ncols):
-        pivot = None
-        for i in range(rank, len(rows)):
+        pivot_row = None
+        for i in range(r, len(rows)):
             if rows[i][c]:
-                pivot = i
+                pivot_row = i
                 break
-        if pivot is None:
+        if pivot_row is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][c]
-        rows[rank] = [x / pv for x in rows[rank]]
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
         for i in range(len(rows)):
-            if i != rank and rows[i][c]:
+            if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def naive_rank(matrix):
+    return len(reference_rref(matrix)[1])
+
+
+def reference_solve(matrix, rhs):
+    if not matrix:
+        return []
+    ncols = len(matrix[0])
+    rref, pivots = reference_rref([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = rref[r][ncols]
+    return x
+
+
+def reference_nullspace(matrix):
+    ncols = len(matrix[0])
+    rref, pivots = reference_rref(matrix)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -rref[r][f]
+        scale = lcm(*(x.denominator for x in v))
+        ints = [int(x * scale) for x in v]
+        g = gcd(*ints)
+        if next(x for x in ints if x) < 0:
+            g = -g
+        basis.append([x // g for x in ints])
+    return basis
+
+
+def reference_joint_guess(seqs, max_order, surplus=2):
+    data = [[Fraction(t) for t in s] for s in seqs]
+    if not data or any(not s for s in data):
+        return None
+    for r in range(1, max_order + 1):
+        if min(len(s) for s in data) < r:
+            break
+        if sum(max(0, len(s) - r) for s in data) < r + surplus:
+            break
+        rows = [[s[n + r - 1 - i] for i in range(r)] for s in data for n in range(len(s) - r)]
+        rhs = [s[n + r] for s in data for n in range(len(s) - r)]
+        sol = reference_solve(rows, rhs)
+        if sol is not None:
+            return sol
+    return None
+
+
+ENTRIES = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+)
+
+
+@st.composite
+def matrices(draw):
+    """Tall, wide, one-row, rank-deficient (a product of thin factors) and
+    zero-row matrices, with int or Fraction entries."""
+    nrows = draw(st.integers(1, 7))
+    ncols = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["dense", "low-rank", "zero-rows"]))
+    if kind == "low-rank":
+        rank = draw(st.integers(0, min(nrows, ncols)))
+        left = [[draw(ENTRIES) for _ in range(rank)] for _ in range(nrows)]
+        right = [[draw(ENTRIES) for _ in range(ncols)] for _ in range(rank)]
+        return [
+            [sum((left[i][k] * right[k][j] for k in range(rank)), 0) for j in range(ncols)]
+            for i in range(nrows)
+        ]
+    matrix = [[draw(ENTRIES) for _ in range(ncols)] for _ in range(nrows)]
+    if kind == "zero-rows":
+        for i in draw(st.lists(st.integers(0, nrows - 1), min_size=1)):
+            matrix[i] = [0] * ncols
+    return matrix
+
+
+def c_finite(coeffs, initial, length):
+    seq = list(initial)
+    while len(seq) < length:
+        seq.append(sum(e * seq[-1 - i] for i, e in enumerate(coeffs)))
+    return seq[:length]
+
+
+class TestFractionFreeElimination:
+    """rational_solve, rational_nullspace and joint_guess_recurrence against
+    the Fraction Gauss-Jordan oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices(), st.data())
+    def test_solve_matches_reference(self, matrix, data):
+        ncols = len(matrix[0])
+        kind = data.draw(st.sampled_from(["random", "consistent", "last-row-inconsistent"]))
+        if kind == "random":
+            rhs = [data.draw(ENTRIES) for _ in matrix]
+        else:
+            x0 = [data.draw(ENTRIES) for _ in range(ncols)]
+            rhs = [sum((c * x for c, x in zip(row, x0)), 0) for row in matrix]
+            if kind == "last-row-inconsistent":
+                # a combination of the rows above, with its rhs off by one
+                weights = [data.draw(ENTRIES) for _ in matrix]
+                matrix = matrix + [
+                    [sum((w * row[j] for w, row in zip(weights, matrix)), 0) for j in range(ncols)]
+                ]
+                rhs = rhs + [sum((w * b for w, b in zip(weights, rhs)), 0) + 1]
+        expected = reference_solve(matrix, rhs)
+        got = rational_solve(matrix, rhs)
+        assert got == expected
+        if kind == "consistent":
+            assert got is not None
+        if kind == "last-row-inconsistent":
+            assert got is None
+            assert rational_solve(matrix[:-1], rhs[:-1]) is not None
+
+    def test_solve_free_unknowns_are_zero(self):
+        # x1 and x3 are free; the pivots are the leftmost independent columns
+        matrix = [[0, 2, 4, 0], [0, 1, 2, 1], [0, 3, 6, 1]]
+        assert rational_solve(matrix, [2, 3, 5]) == [0, 1, 0, 2]
+        assert rational_solve(matrix[::-1], [5, 3, 2]) == [0, 1, 0, 2]
+
+    def test_solve_inconsistent_first_rows(self):
+        assert rational_solve([[1, 1], [1, 1], [1, 0]], [1, 2, 0]) is None
+        assert rational_solve([[0, 0]], [Fraction(1, 3)]) is None
+        assert rational_solve([[0, 0]], [0]) == [0, 0]
+
+    def test_solve_fraction_rows(self):
+        # the first row is 3x + 2y = 1 once scaled, the second 3x + 2y = rhs
+        matrix = [[Fraction(1, 2), Fraction(1, 3)], [3, 2], [Fraction(2, 5), 1]]
+        assert rational_solve(matrix, [Fraction(1, 6), 1, Fraction(7, 5)]) == [
+            Fraction(-9, 11), Fraction(19, 11)
+        ]
+        assert rational_solve(matrix, [Fraction(1, 6), 2, 1]) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices())
+    def test_nullspace_matches_reference(self, matrix):
+        assert rational_nullspace(matrix) == reference_nullspace(matrix)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_joint_guess_matches_reference(self, data):
+        order = data.draw(st.integers(1, 4))
+        coeffs = [data.draw(st.integers(-3, 3)) for _ in range(order)]
+        seqs = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            initial = [data.draw(st.integers(-5, 5)) for _ in range(order)]
+            seq = c_finite(coeffs, initial, data.draw(st.integers(1, 14)))
+            scale = data.draw(st.sampled_from([1, 1, -2, Fraction(1, 3), Fraction(-5, 4)]))
+            seq = [t * scale for t in seq]
+            if data.draw(st.booleans()):
+                i = data.draw(st.integers(0, len(seq) - 1))
+                seq[i] += data.draw(st.sampled_from([1, -1, Fraction(1, 2)]))
+            seqs.append(seq)
+        max_order = data.draw(st.integers(1, 6))
+        surplus = data.draw(st.integers(1, 2))
+        expected = reference_joint_guess(seqs, max_order, surplus)
+        assert joint_guess_recurrence(seqs, max_order, surplus) == expected
 
 
 class TestMultiPoly:
