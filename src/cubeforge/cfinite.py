@@ -10,10 +10,12 @@ for all of them, because the left side is itself C-finite of bounded order.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, repeat
 from math import comb, gcd, lcm
+from operator import mul
 from typing import Iterator, Mapping, Sequence
 
 from .errors import GuessFailed, NonIntegralGF, PoleAtOrigin, UnboundSymbol
@@ -45,103 +47,87 @@ def _mul(a, b):
     return _trim(out)
 
 
-def _divmod_q(a, b):
-    """Polynomial division over the rationals; returns (quotient, remainder)."""
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        while a and not a[-1]:
-            a.pop()
-        if len(a) < len(b):
-            break
-        f = a[-1] / b[-1]
-        k = len(a) - len(b)
-        q[k] = f
-        for i, y in enumerate(b):
-            a[k + i] -= f * y
-        a.pop()
-    return _trim(q), _trim(a)
+def _primitive(a: Coeffs) -> Coeffs:
+    """a (nonzero) divided by its content, leading coefficient positive."""
+    g = gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return tuple(c // g for c in a)
+
+
+def _prem(a: Coeffs, b: Coeffs) -> Coeffs:
+    """A pseudo-remainder of a by b (nonzero) over the integers: k*a - q*b
+    for an integer k != 0 and some q, of lower degree than b."""
+    r = list(a)
+    while len(r) >= len(b):
+        f, h = r[-1], b[-1]
+        g = gcd(f, h)
+        f, h = f // g, h // g
+        k = len(r) - len(b)
+        r = [h * x for x in r[:k]] + [h * x - f * y for x, y in zip(r[k:], b)]
+        while r and not r[-1]:
+            r.pop()
+    return tuple(r)
+
+
+def _exact_quo(a: Coeffs, b: Coeffs) -> Coeffs:
+    """a / b for integer polynomials with b dividing a in Z[t]."""
+    r = list(a)
+    q = [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + len(b) - 1] // b[-1]
+        if c:
+            for i, y in enumerate(b):
+                r[k + i] -= c * y
+    assert not any(r), "inexact polynomial division"
+    return _trim(q)
 
 
 def _poly_gcd(a: Coeffs, b: Coeffs) -> Coeffs:
-    """Monic-free integer gcd: primitive with positive leading coefficient."""
+    """Integer gcd, primitive with positive leading coefficient, by the
+    primitive pseudo-remainder sequence (Knuth, TAOCP vol. 2, 4.6.1): the
+    primitive part of a pseudo-remainder differs from the remainder over
+    the rationals only by a rational factor, so the sequence ends at the
+    gcd over the rationals, times a constant."""
     x, y = _trim(a), _trim(b)
     while y:
-        _, r = _divmod_q(x, y)
-        x, y = y, r
-    if not x:
-        return ()
-    scale = lcm(*(Fraction(c).denominator for c in x)) if x else 1
-    ints = [int(Fraction(c) * scale) for c in x]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
+        r = _prem(x, y)
+        x, y = y, (_primitive(r) if r else ())
+    return _primitive(x) if x else ()
 
 
 def _poly_lcm(a: Coeffs, b: Coeffs) -> Coeffs:
-    g = _poly_gcd(a, b)
-    q, r = _divmod_q(a, g)
-    assert not r
-    prod = _mul(_trim(q), _trim(b))
-    scale = lcm(*(Fraction(c).denominator for c in prod)) if prod else 1
-    return _trim(tuple(int(Fraction(c) * scale) for c in prod))
-
-
-def _content(a) -> int:
-    g = 0
-    for c in a:
-        g = gcd(g, int(c))
-    return g
+    # the gcd is primitive, so by Gauss's lemma a / gcd is integral
+    return _mul(_exact_quo(_trim(a), _poly_gcd(a, b)), _trim(b))
 
 
 class RationalGF:
     """Ratio of two integer polynomials with den(0) != 0, in lowest terms.
 
-    Coefficients are stored ascending.  Construction reduces the polynomial
-    gcd, clears any common rational scale, and makes den(0) positive (it is
-    1 whenever the normalization allows integer coefficients).
+    Coefficients are stored ascending.  Construction scales num and den
+    jointly to integers, divides both by their primitive polynomial gcd and
+    then by the gcd of all their coefficients, and makes den(0) positive.
+    This normal form is unique, and it is computed without Fractions for
+    integer input.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Sequence, den: Sequence):
-        num_q = [Fraction(x) for x in num]
-        den_q = [Fraction(x) for x in den]
-        den_t = _trim(den_q)
+        num, den = list(num), list(den)
+        ints = scale_to_integers(num + den)
+        num_t, den_t = _trim(ints[: len(num)]), _trim(ints[len(num) :])
         if not den_t or den_t[0] == 0:
             raise PoleAtOrigin("denominator vanishes at the origin")
-        num_t = _trim(num_q)
         if num_t:
-            g = _poly_gcd(
-                tuple(x * lcm(*(c.denominator for c in num_t)) for x in num_t),
-                tuple(x * lcm(*(c.denominator for c in den_t)) for x in den_t),
-            )
+            g = _poly_gcd(num_t, den_t)
             if len(g) > 1:
-                qn, rn = _divmod_q(num_t, g)
-                qd, rd = _divmod_q(den_t, g)
-                assert not rn and not rd
-                num_t, den_t = qn, qd
-        scale = 1
-        for c in list(num_t) + list(den_t):
-            scale = lcm(scale, Fraction(c).denominator)
-        num_i = [int(Fraction(c) * scale) for c in num_t]
-        den_i = [int(Fraction(c) * scale) for c in den_t]
-        common = gcd(_content(num_i), _content(den_i))
-        if common == 0:
-            common = _content(den_i)
-        sign = -1 if den_i[0] < 0 else 1
-        common *= sign
-        num_i = [c // common for c in num_i]
-        den_i = [c // common for c in den_i]
-        object.__setattr__(self, "num", tuple(num_i))
-        object.__setattr__(self, "den", tuple(den_i))
+                num_t, den_t = _exact_quo(num_t, g), _exact_quo(den_t, g)
+        common = gcd(*num_t, *den_t)
+        if den_t[0] < 0:
+            common = -common
+        object.__setattr__(self, "num", tuple(c // common for c in num_t))
+        object.__setattr__(self, "den", tuple(c // common for c in den_t))
 
     def __setattr__(self, *a):
         raise AttributeError("RationalGF is immutable")
@@ -171,20 +157,29 @@ class RationalGF:
 
 def taylor_series(g: RationalGF) -> Iterator[int | Fraction]:
     """The Taylor coefficients of g at the origin, exact, one at a time and
-    without end.  Values are ints whenever integral, Fractions otherwise."""
+    without end.  Values are ints whenever integral, Fractions otherwise.
+
+    With d0 = den[0], the loop runs on the integers N_n = a(n) * d0^(n+1):
+    multiplying d0*a(n) = num_n - sum_i den_i a(n-i) by d0^n gives
+    N_n = num_n d0^n - sum_i den_i d0^(i-1) N_(n-i).  When d0 == 1 (every
+    integer sequence, by the normalisation) N_n is a(n) and no Fraction is
+    built."""
     num, den = g.num, g.den
     if not den or den[0] == 0:
         raise PoleAtOrigin("denominator vanishes at the origin")
     d0 = den[0]
-    out = []
-    while True:
-        n = len(out)
-        acc = Fraction(num[n]) if n < len(num) else Fraction(0)
-        for i in range(1, min(n, len(den) - 1) + 1):
-            acc -= den[i] * out[n - i]
-        acc /= d0
-        out.append(acc)
-        yield int(acc) if acc.denominator == 1 else acc
+    weights = [c * d0**i for i, c in enumerate(den[1:])]
+    past = deque(maxlen=len(weights))  # N_(n-1), N_(n-2), ...
+    power = 1  # d0^n
+    for c in chain(num, repeat(0)):
+        acc = c * power - sum(map(mul, weights, past))
+        past.appendleft(acc)
+        power *= d0
+        if d0 == 1:
+            yield acc
+        else:
+            value = Fraction(acc, power)
+            yield value.numerator if value.denominator == 1 else value
 
 
 def taylor_coefficients(g: RationalGF, count: int):

@@ -8,8 +8,12 @@ stdout, diagnostics to stderr.  Exit codes: 0 at least one certified result,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from decimal import Decimal, InvalidOperation
+from fractions import Fraction
+from math import gcd
 
 from .concoct import find_form, implicitize, twist_no_solution
 from .cubic import WeightedQuadruple
@@ -49,10 +53,19 @@ MAX_GUESS_ORDER = 8
 # verify checks s + C(r+3, 3) + 2 indices, where r <= the sum of the three
 # denominator orders and the preperiod s is below the numerator length; a
 # theorem forged at --guess-order 4 or less stays within both caps.  The
-# numerator length is checked before parsing, because RationalGF reduces by
-# a gcd over Fraction whose cost grows fast with the numerator degree.
+# numerator length is checked on the raw input, before RationalGF runs its
+# polynomial gcd, whose cost grows with the numerator degree.
 MAX_VERIFY_ORDER = 30
 MAX_NUMERATOR_LENGTH = MAX_VERIFY_ORDER + 1
+# The orders alone do not bound the work, because every expanded term carries
+# more digits as the coefficients grow: at the order cap, A = X, B = -X,
+# C = 1/(1-t) with X of order 14 certifies at depth 818 in about 2 s with
+# 20-digit coefficients and 16 s with 60-digit ones (one Xeon core).  Digits
+# are counted on the raw input, before RationalGF runs its gcd.  Forged
+# theorems have at most 4-digit coefficients and the classical triples at
+# most 6; the 59-digit binomials of (1-t)^200 stay below the cap, so such a
+# theorem is still refused for its order.
+MAX_COEFFICIENT_DIGITS = 60
 # eliminate's resultants grow fast with the degree of its inputs: m^3 + n,
 # m*n^2 - 1, m + n^3 takes about 1.5 s, and its degree-4 analogue did not
 # finish in 100 s.  The library implicitize stays uncapped.
@@ -90,14 +103,64 @@ def _check_numerator(num) -> None:
         )
 
 
+def _coefficient_digits(value) -> int:
+    """Decimal digits of the larger of the numerator and denominator of a raw
+    coefficient, or 0 for a value that RationalGF refuses anyway.  A decimal
+    string is measured from its digits and its exponent, so that
+    "1e999999999" is counted without building the number."""
+    if isinstance(value, int):
+        return len(str(abs(value)))
+    if isinstance(value, str):
+        mantissa, _, shift = value.lower().partition("e")
+        try:
+            _, digits, exp = Decimal(mantissa).as_tuple()
+            exp += int(shift or 0)
+        except (InvalidOperation, TypeError, ValueError):
+            pass  # "n/d", which is as long as its text, or not a number
+        else:
+            text = "".join(map(str, digits)).lstrip("0")
+            c = text.rstrip("0")
+            if not c:
+                return 1
+            exp += len(text) - len(c)
+            if exp >= 0:
+                return len(c) + exp
+            # c / 10^k in lowest terms: c has fewer than 4*len(c) factors 2
+            # or 5, so gcd(c, 10^k) = gcd(c, 10^j)
+            k = -exp
+            j = min(k, 4 * len(c))
+            g = gcd(int(c), 10**j)
+            return max(len(str(int(c) // g)), len(str(10**j // g)) + k - j)
+    try:
+        q = Fraction(value)
+    except (TypeError, ValueError, ArithmeticError):
+        return 0
+    return len(str(max(abs(q.numerator), q.denominator)))
+
+
+def _check_coefficients(values) -> None:
+    """Reject a raw coefficient list with an entry of more than
+    MAX_COEFFICIENT_DIGITS digits, before RationalGF sees it."""
+    if not isinstance(values, list):
+        return
+    digits = max(map(_coefficient_digits, values), default=0)
+    if digits > MAX_COEFFICIENT_DIGITS:
+        raise ValueError(
+            f"a coefficient has {digits} digits, which exceeds the cap "
+            f"{MAX_COEFFICIENT_DIGITS}"
+        )
+
+
 def _parse_gf(text: str) -> RationalGF:
     parts = text.split(";")
     if len(parts) != 2:
         raise ValueError(f"generating function must be 'num;den', got {text!r}")
     num = [c for c in parts[0].split(",") if c.strip() != ""]
     _check_numerator(num)
+    num = [int(c) for c in num]
     den = [int(c) for c in parts[1].split(",") if c.strip() != ""]
-    return RationalGF([int(c) for c in num], den)
+    _check_coefficients(num + den)
+    return RationalGF(num, den)
 
 
 def _parse_matrix(text: str) -> list[list[int]]:
@@ -210,6 +273,8 @@ def _cmd_verify(args) -> int:
         for g in gfs if isinstance(gfs, list) else ():
             if isinstance(g, dict):
                 _check_numerator(g.get("num"))
+                _check_coefficients(g.get("num"))
+                _check_coefficients(g.get("den"))
         thm = theorem_from_json(item)
         order = sum(g.order for g in thm.gfs)
         if order > MAX_VERIFY_ORDER:
@@ -291,10 +356,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call, not at import.  parse_args leaves the parser
+    # unchanged (each call starts from a fresh namespace, and the append
+    # action copies its list), so one tree serves every call.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:

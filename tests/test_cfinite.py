@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import comb, gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubeforge import (
     MultiPoly,
@@ -11,7 +14,8 @@ from cubeforge import (
     seq_from_terms,
     taylor_coefficients,
 )
-from cubeforge.cfinite import joint_guess_recurrence
+from cubeforge import cfinite
+from cubeforge.cfinite import certificate_bound, joint_guess_recurrence, taylor_series
 from cubeforge.errors import (
     GuessFailed,
     NonIntegralGF,
@@ -22,6 +26,232 @@ from cubeforge.errors import (
 
 def var(name):
     return MultiPoly.variable(name)
+
+
+# --- the rational helpers that cfinite replaced with integer ones, kept as
+# the oracle: division, gcd and lcm over Fraction, the Fraction
+# normalisation of RationalGF, and the Fraction Taylor recurrence ---
+
+
+def _trim(c):
+    c = list(c)
+    while c and not c[-1]:
+        c.pop()
+    return tuple(c)
+
+
+def _mul(a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _content(a):
+    g = 0
+    for c in a:
+        g = gcd(g, int(c))
+    return g
+
+
+def reference_divmod_q(a, b):
+    a = [Fraction(x) for x in a]
+    b = [Fraction(x) for x in b]
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b) and any(a):
+        while a and not a[-1]:
+            a.pop()
+        if len(a) < len(b):
+            break
+        f = a[-1] / b[-1]
+        k = len(a) - len(b)
+        q[k] = f
+        for i, y in enumerate(b):
+            a[k + i] -= f * y
+        a.pop()
+    return _trim(q), _trim(a)
+
+
+def reference_poly_gcd(a, b):
+    x, y = _trim(a), _trim(b)
+    while y:
+        _, r = reference_divmod_q(x, y)
+        x, y = y, r
+    if not x:
+        return ()
+    scale = lcm(*(Fraction(c).denominator for c in x))
+    ints = [int(Fraction(c) * scale) for c in x]
+    g = 0
+    for c in ints:
+        g = gcd(g, c)
+    ints = [c // g for c in ints]
+    if ints[-1] < 0:
+        ints = [-c for c in ints]
+    return tuple(ints)
+
+
+def reference_poly_lcm(a, b):
+    g = reference_poly_gcd(a, b)
+    q, r = reference_divmod_q(a, g)
+    assert not r
+    prod = _mul(_trim(q), _trim(b))
+    scale = lcm(*(Fraction(c).denominator for c in prod)) if prod else 1
+    return _trim(tuple(int(Fraction(c) * scale) for c in prod))
+
+
+def reference_normal_form(num, den):
+    """(num, den) as the Fraction RationalGF normalised them."""
+    num_q = [Fraction(x) for x in num]
+    den_q = [Fraction(x) for x in den]
+    den_t = _trim(den_q)
+    if not den_t or den_t[0] == 0:
+        raise PoleAtOrigin("denominator vanishes at the origin")
+    num_t = _trim(num_q)
+    if num_t:
+        g = reference_poly_gcd(
+            tuple(x * lcm(*(c.denominator for c in num_t)) for x in num_t),
+            tuple(x * lcm(*(c.denominator for c in den_t)) for x in den_t),
+        )
+        if len(g) > 1:
+            qn, rn = reference_divmod_q(num_t, g)
+            qd, rd = reference_divmod_q(den_t, g)
+            assert not rn and not rd
+            num_t, den_t = qn, qd
+    scale = 1
+    for c in list(num_t) + list(den_t):
+        scale = lcm(scale, Fraction(c).denominator)
+    num_i = [int(Fraction(c) * scale) for c in num_t]
+    den_i = [int(Fraction(c) * scale) for c in den_t]
+    common = gcd(_content(num_i), _content(den_i))
+    if common == 0:
+        common = _content(den_i)
+    sign = -1 if den_i[0] < 0 else 1
+    common *= sign
+    return tuple(c // common for c in num_i), tuple(c // common for c in den_i)
+
+
+def reference_taylor(num, den, count):
+    out = []
+    for n in range(count):
+        acc = Fraction(num[n]) if n < len(num) else Fraction(0)
+        for i in range(1, min(n, len(den) - 1) + 1):
+            acc -= den[i] * out[n - i]
+        out.append(acc / den[0])
+    return [int(x) if x.denominator == 1 else x for x in out]
+
+
+def reference_certificate_bound(dens, nums, degree):
+    l, s = (1,), 0
+    for num, den in zip(nums, dens):
+        l = reference_poly_lcm(l, den)
+        s = max(s, len(num) - len(den) + 1)
+    return s + comb(len(l) - 1 + degree, degree) + 2
+
+
+small = st.integers(-9, 9)
+polys = st.lists(small, min_size=0, max_size=5)
+nonzero_polys = polys.filter(any)
+
+
+def _as_fractions(values, denominators):
+    return [Fraction(x, d) for x, d in zip(values, denominators)]
+
+
+class TestIntegerLayerOracle:
+    """The integer gcd, lcm, normalisation and Taylor recurrence against the
+    Fraction versions they replaced, compared exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(nonzero_polys, nonzero_polys, nonzero_polys)
+    def test_gcd_and_lcm(self, a, b, shared):
+        a, b = _mul(a, shared), _mul(b, shared)
+        assert cfinite._poly_gcd(a, b) == reference_poly_gcd(a, b)
+        assert cfinite._poly_lcm(a, b) == reference_poly_lcm(a, b)
+
+    @settings(max_examples=400, deadline=None)
+    @given(polys, polys, polys, small, st.sampled_from([None, "num", "den", "both"]), st.data())
+    def test_normal_form(self, num, den, shared, scale, fractions, data):
+        # products with a shared factor, scaled by any integer (negative,
+        # zero or one), with Fraction entries on either side; den[0] may be
+        # zero (PoleAtOrigin) or negative, and num may be zero
+        num = [scale * c for c in _mul(num, shared)] + [0] * data.draw(st.integers(0, 2))
+        den = list(_mul(den, shared)) + [0] * data.draw(st.integers(0, 2))
+        dens = st.lists(st.integers(1, 12), min_size=len(num) + len(den), max_size=len(num) + len(den))
+        d = data.draw(dens)
+        if fractions in ("num", "both"):
+            num = _as_fractions(num, d)
+        if fractions in ("den", "both"):
+            den = _as_fractions(den, d[len(num):])
+        try:
+            expected = reference_normal_form(num, den)
+        except PoleAtOrigin:
+            with pytest.raises(PoleAtOrigin):
+                RationalGF(num, den)
+            return
+        g = RationalGF(num, den)
+        assert (g.num, g.den) == expected
+        assert all(type(c) is int for c in g.num + g.den)
+
+    @settings(max_examples=300, deadline=None)
+    @given(polys, st.lists(small, min_size=0, max_size=4), st.sampled_from([1, 2, 3, 6]),
+           st.integers(1, 25))
+    def test_taylor_terms(self, num, tail, d0, count):
+        g = RationalGF(num, [d0] + tail)
+        expected = reference_taylor(g.num, g.den, count)
+        got = taylor_coefficients(g, count)
+        assert got == expected
+        assert [type(x) for x in got] == [type(x) for x in expected]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(polys, polys, polys), min_size=1, max_size=3), st.integers(1, 4))
+    def test_certificate_bound(self, specs, degree):
+        # one to three denominators, which share factors with each other
+        # through the common third polynomial
+        gfs = []
+        for num, den, shared in specs:
+            gfs.append(RationalGF(num, _mul((1,) + tuple(den), (1,) + tuple(shared))))
+        expected = reference_certificate_bound([g.den for g in gfs], [g.num for g in gfs], degree)
+        assert certificate_bound(gfs, degree) == expected
+
+    def test_pole_at_origin(self):
+        for den in ((), (0,), (0, 0, 1), (Fraction(0), 3)):
+            with pytest.raises(PoleAtOrigin):
+                RationalGF((1,), den)
+
+    def test_integer_input_builds_no_fraction(self, monkeypatch, alternating_triple):
+        # normalisation, the lcm, and the expansion when den[0] == 1 run on
+        # the ints alone
+        from cubeforge import kernel
+
+        monkeypatch.setattr(cfinite, "Fraction", None)
+        monkeypatch.setattr(kernel, "Fraction", None)
+        g = RationalGF(_mul((1, 53, 9), (2, -4)), _mul((1, -82, -82, 1), (2, -4)))
+        assert (g.num, g.den) == ((1, 53, 9), (1, -82, -82, 1))
+        assert certificate_bound(alternating_triple, 3) == 22
+        assert [x for _, x in zip(range(4), taylor_series(g))] == [1, 135, 11161, 926271]
+
+    def test_prs_keeps_coefficients_small(self, monkeypatch):
+        # Each pseudo-remainder is divided by its content; without that the
+        # coefficients of the remainder sequence grow exponentially with the
+        # degree.  Two coprime degree-12 polynomials with digits 1..9.
+        sizes = []
+        prem = cfinite._prem
+
+        def recording(a, b):
+            sizes.append(max(abs(c) for c in a + b).bit_length())
+            return prem(a, b)
+
+        monkeypatch.setattr(cfinite, "_prem", recording)
+        rng = random.Random(5)
+        a = tuple(rng.randint(1, 9) for _ in range(13))
+        b = tuple(rng.randint(1, 9) for _ in range(13))
+        assert cfinite._poly_gcd(a, b) == reference_poly_gcd(a, b) == (1,)
+        assert max(sizes) < 200
 
 
 class TestRationalGF:

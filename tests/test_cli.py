@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -309,6 +313,65 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert ("exceeds the cap" in err) == (code == 2)
 
+    @staticmethod
+    def _cancelling_theorem(coefficient, where):
+        # A = -B, C = 1: A^3 + B^3 + C^3 = 1 for any A; the coefficient sits
+        # in A's numerator (A = N/(1-t)) or denominator (A = 1/(1-N t))
+        gf = {"num": [coefficient], "den": [1, -1]}
+        if where == "den":
+            gf = {"num": [1], "den": [1, -coefficient]}
+        neg = {"num": [f"-{x}" if isinstance(x, str) else -x for x in gf["num"]], "den": gf["den"]}
+        return {
+            "a": 1,
+            "b": 1,
+            "c": 1,
+            "rhs_kind": "constant",
+            "gfs": [gf, neg, {"num": [1], "den": [1, -1]}],
+        }
+
+    @pytest.mark.parametrize("where, depth", [("num", 6), ("den", 12)])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_verify_coefficient_cap(self, tmp_path, capsys, where, depth, extra):
+        cap = cli.MAX_COEFFICIENT_DIGITS
+        theorem = self._cancelling_theorem(-(10 ** (cap - 1 + extra)) - 7, where)
+        path = tmp_path / "theorem.json"
+        path.write_text(json.dumps(theorem))
+        code = main(["verify", "--file", str(path)])
+        out, err = capsys.readouterr()
+        if extra:
+            assert code == 2
+            assert f"a coefficient has {cap + 1} digits, which exceeds the cap {cap}" in err
+        else:
+            assert code == 0
+            assert out.strip() == f"certified, depth {depth}"
+
+    @pytest.mark.parametrize(
+        "coefficient, digits",
+        [("1e999999999", 10**9), ("2.5E-999999999", 10**9 - 1), (1e300, 301), ("1/3", 1)],
+    )
+    def test_verify_coefficient_digits_of_other_values(self, tmp_path, capsys, coefficient, digits):
+        # a string exponent is counted without building the number; a
+        # Fraction string under the cap passes on to the certificate
+        path = tmp_path / "theorem.json"
+        path.write_text(json.dumps(self._cancelling_theorem(coefficient, "num")))
+        code = main(["verify", "--file", str(path)])
+        err = capsys.readouterr().err
+        if digits > cli.MAX_COEFFICIENT_DIGITS:
+            assert code == 2
+            assert f"a coefficient has {digits} digits" in err
+        else:
+            assert code == 0
+
+    @pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)])
+    def test_findform_coefficient_cap(self, capsys, extra, code):
+        # N/(1-t) and 1/(1-t): X1 = N X2, so X1^2 - N^2 X2^2 = 0 and
+        # X2^2 = 1 is the form found under the cap
+        n = 10 ** (cli.MAX_COEFFICIENT_DIGITS - 1 + extra)
+        argv = ["findform", "--degree", "2", "--gf", f"{n};1,-1", "--gf", "1;1,-1"]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert ("exceeds the cap" in err) == (code == 2)
+
     def test_forge_json_is_verifiable(self, tmp_path, capsys):
         assert main(["forge", "--a", "1", "--b", "-1", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -329,3 +392,31 @@ class TestCliCommands:
             ["forge", "--a", "1", "--b", "-1", "--seed-file", str(path)]
         )
         assert code == 0
+
+
+class TestParserReuse:
+    FINDFORM = ["findform", "--degree", "2", "--gf", "1;1,-3,1", "--gf", "0,1;1,-3,1"]
+    BAD = ["findform", "--degree", "two", "--gf", "1;1,-1"]
+
+    @staticmethod
+    def _fresh(argv):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", "from cubeforge.cli import entrypoint; entrypoint()", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys):
+        # main() builds its parser once per process; --gf appends, so a list
+        # leaking from one call into the next would change the second result
+        results = []
+        for argv in (self.FINDFORM, self.BAD, self.FINDFORM):
+            code = main(list(argv))
+            out, err = capsys.readouterr()
+            results.append((code, out, err))
+        assert results[1][0] == 2
+        assert results[0] == results[2]
+        for argv, got in zip((self.FINDFORM, self.BAD), results):
+            assert got == self._fresh(argv)
