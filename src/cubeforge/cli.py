@@ -52,11 +52,19 @@ MAX_TARGET_CAP = 200
 MAX_GUESS_ORDER = 8
 # verify checks s + C(r+3, 3) + 2 indices, where r <= the sum of the three
 # denominator orders and the preperiod s is below the numerator length; a
-# theorem forged at --guess-order 4 or less stays within both caps.  The
-# numerator length is checked on the raw input, before RationalGF runs its
-# polynomial gcd, whose cost grows with the numerator degree.
+# theorem forged at --guess-order 4 or less stays within both caps.  Both are
+# checked on the raw input, the orders as raw lengths - 1, before RationalGF
+# runs its polynomial gcd, whose cost grows with both degrees (three
+# 3000-entry denominators took seconds to reach a check after it); the gcd
+# only lowers an order.
 MAX_VERIFY_ORDER = 30
 MAX_NUMERATOR_LENGTH = MAX_VERIFY_ORDER + 1
+# findform certifies at depth s + C(r+D, D) + 2 (cfinite.certificate_bound),
+# r <= the sum of the --gf denominator orders and D = --degree.  With that sum
+# capped at MAX_VERIFY_ORDER, D <= 3 keeps the depth within verify's at its
+# cap, s + C(33, 3) + 2 = s + 5458; D = 4 would allow s + C(34, 4) + 2 =
+# s + 46378.
+MAX_FINDFORM_DEGREE = 3
 # The orders alone do not bound the work, because every expanded term carries
 # more digits as the coefficients grow: at the order cap, A = X, B = -X,
 # C = 1/(1-t) with X of order 14 certifies at depth 818 in about 2 s with
@@ -100,6 +108,17 @@ def _check_numerator(num) -> None:
         raise ValueError(
             f"a numerator has {len(num)} coefficients, which exceeds the cap "
             f"{MAX_NUMERATOR_LENGTH}"
+        )
+
+
+def _check_orders(dens) -> None:
+    """Reject raw denominators (lists, or any other sized JSON values) whose
+    orders, their lengths - 1, sum to more than MAX_VERIFY_ORDER, before
+    RationalGF sees them."""
+    order = sum(max(len(d) - 1, 0) for d in dens if isinstance(d, (list, str, dict)))
+    if order > MAX_VERIFY_ORDER:
+        raise ValueError(
+            f"denominator orders sum to {order}, which exceeds the cap {MAX_VERIFY_ORDER}"
         )
 
 
@@ -151,7 +170,9 @@ def _check_coefficients(values) -> None:
         )
 
 
-def _parse_gf(text: str) -> RationalGF:
+def _split_gf(text: str) -> tuple[list[int], list[int]]:
+    """The raw numerator and denominator of "num;den", numerator length and
+    coefficient digits checked."""
     parts = text.split(";")
     if len(parts) != 2:
         raise ValueError(f"generating function must be 'num;den', got {text!r}")
@@ -160,7 +181,7 @@ def _parse_gf(text: str) -> RationalGF:
     num = [int(c) for c in num]
     den = [int(c) for c in parts[1].split(",") if c.strip() != ""]
     _check_coefficients(num + den)
-    return RationalGF(num, den)
+    return num, den
 
 
 def _parse_matrix(text: str) -> list[list[int]]:
@@ -257,8 +278,10 @@ def _cmd_twist(args) -> int:
 
 
 def _cmd_findform(args) -> int:
-    seqs = [_parse_gf(text) for text in args.gf]
-    result = find_form(seqs, args.degree, args.target)
+    _check_caps(args, {"--degree": MAX_FINDFORM_DEGREE})
+    raw = [_split_gf(text) for text in args.gf]
+    _check_orders([den for _, den in raw])
+    result = find_form([RationalGF(num, den) for num, den in raw], args.degree, args.target)
     print(json.dumps(result.to_json(), indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -270,17 +293,13 @@ def _cmd_verify(args) -> int:
     all_ok = True
     for item in items:
         gfs = item.get("gfs") if isinstance(item, dict) else None
-        for g in gfs if isinstance(gfs, list) else ():
-            if isinstance(g, dict):
-                _check_numerator(g.get("num"))
-                _check_coefficients(g.get("num"))
-                _check_coefficients(g.get("den"))
+        gfs = [g for g in gfs if isinstance(g, dict)] if isinstance(gfs, list) else []
+        for g in gfs:
+            _check_numerator(g.get("num"))
+            _check_coefficients(g.get("num"))
+            _check_coefficients(g.get("den"))
+        _check_orders([g.get("den") for g in gfs])
         thm = theorem_from_json(item)
-        order = sum(g.order for g in thm.gfs)
-        if order > MAX_VERIFY_ORDER:
-            raise ValueError(
-                f"denominator orders sum to {order}, which exceeds the cap {MAX_VERIFY_ORDER}"
-            )
         cert = certify_theorem(thm)
         if cert.certified:
             print(f"certified, depth {cert.bound}")

@@ -1,30 +1,60 @@
-"""Binary quadratic forms: solution enumeration, Pell-like orbit discovery
-with generating-function output, and the explicit constant-value form
-constructors for shared-denominator sequence pairs.
+"""Binary quadratic forms: solution enumeration by reduction theory,
+Pell-like orbit discovery with generating-function output, and the explicit
+constant-value form constructors for shared-denominator sequence pairs.
 
 Orbits are found from data: enumerate small solutions, guess one linear
 recurrence for both coordinate sequences, rebuild generating functions, and
-certify the resulting infinite family by a finite check.  No reduction theory
-of forms is used anywhere.
+certify the resulting infinite family by a finite check.
 
-Enumeration is one windowed pass over m.  With D = qb^2 - 4*qa*qc and
-t = 2*qc*n + qb*m, completing the square gives 4*qc*Q(m, n) = t^2 - D*m^2, so
-|Q| <= cap holds exactly when D*m^2 - 4|qc|*cap <= t^2 <= D*m^2 + 4|qc|*cap.
-Two isqrt calls per m bound the window for |t|, and only the t in it with
-t = qb*m (mod 2|qc|) give an integer n = (t - qb*m) / (2*qc).  For D > 0 the
-two windows t and -t hold about 1 + 4*cap / (sqrt(D)*m) such t, so every
-target with |e| <= cap comes out of one scan in O(bound + cap*log(bound))
-steps, where a scan per target costs one isqrt per m and target.  When
-qc = 0 the form is m*(qa*m + qb*n) and the window is
-|qa*m + qb*n| <= cap // m.
+Enumeration lists the solutions of Q(m, n) = e in the box 1 <= m <= bound,
+0 <= n <= bound.  With content k and Q = k*f, f primitive of discriminant
+D' = D/k^2, it takes one of two paths.
+
+Non-square D (so qa*qc != 0; D < 0 or D > 0).  A solution with
+gcd(m, n) = g is g times a primitive representation of e' = e/(k*g^2) by f.
+A primitive representation (x, y) is the first column of some M in SL2(Z),
+and f∘M = (e', B, C) with B^2 = D' (mod 4|e'|); B mod 2|e'| is fixed by
+(x, y).  So for each such B the representations belonging to it are the
+first columns of the M with f∘M = f_B = (e', B, (B^2 - D')/4e'): none unless
+f_B is properly equivalent to f, and otherwise one orbit of the proper
+automorphs of f (Cohen, A Course in Computational Algebraic Number Theory,
+GTM 138, 5.2 and 5.6; Buchmann & Vollmer, Binary Quadratic Forms, ch. 6).
+Equivalence is decided by reduction with the SL2 transform carried along: a
+definite form reduces to the one reduced form of its class, whose finitely
+many automorphs give the whole orbit.  An indefinite form reduces to a form
+on the cycle of reduced forms of its class under rho, and the positions of
+that form on the cycle, P_j * z with f∘P_j = g_j, run through the orbit, one
+per power of the fundamental automorph.  Only a window of positions can
+reach the box (proved in ``_Classes``), so only the window is explored, from
+both sides of the reduction of f; a huge unit, or a long cycle, costs no
+more than a small one.  When 2|e'| < sqrt(D') the forms f_B of the class
+are read off the cycle directly (Lagrange).  The square roots of D' mod
+4|e'| come from the factorisation of e' by trial division, Tonelli-Shanks and
+Hensel lifting per odd prime power, bit-by-bit lifting for powers of 2, and
+the Chinese remainder theorem.
+
+Square D (D = 0, qa = 0 or qc = 0).  Q = k'*L1*L2 with primitive integer
+linear forms L1, L2 (Gauss's lemma), so a solution pairs a divisor p of
+e/k' with L1 = p, L2 = e/(k'*p), or lies on one of the lines L1 = 0, L2 = 0
+(e = 0) or L1 = +-p (D = 0, L2 = +-L1).
+
+Cost.  Per form, one reduction and the window: the positions j where
+|L+-| of the first column of P_j stay within the box's bound times
+sqrt(D') |z| / |e'|, O(log(bound * D' * |z|)) positions, as those grow
+geometrically along the cycle.  Per target, O(min(sqrt|e|, bound)) for the
+square divisors g^2 and, when 2|e'| >= sqrt(D'), trial division of e' in
+O(sqrt|e'|); then per root B O(1 + log(|e'|/sqrt(D'))) reduction steps, and
+O(1) per position found.  The work follows the number of classes and
+solutions, not ``bound``; targets beyond (|qa| + |qb| + |qc|) * bound^2,
+which bounds |Q| on the box, cost nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-from typing import Iterable, Sequence
+from math import gcd, isqrt
+from typing import Iterable, Iterator, Sequence
 
 from .cfinite import (
     SIGN_SYMBOL,
@@ -115,77 +145,455 @@ class PellOrbit:
         }
 
 
+def _factor(n: int) -> dict[int, int]:
+    """{p: k} with n = prod p^k, for n >= 1, by trial division."""
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _divisors(factors: dict[int, int]) -> list[int]:
+    divs = [1]
+    for p, k in factors.items():
+        divs = [d * p**i for d in divs for i in range(k + 1)]
+    return divs
+
+
+def _sqrt_mod_prime(a: int, p: int) -> int | None:
+    """A square root of the unit a modulo the odd prime p, or None when a is
+    a non-residue (Tonelli-Shanks)."""
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _sqrts_mod_prime_power(d: int, p: int, k: int) -> list[int]:
+    """Every x mod p^k with x^2 = d (mod p^k).  With d = p^v * d', d' a unit
+    and v < k, x = p^(v/2) * y where y^2 = d' (mod p^(k-v)): the unit roots
+    come from Tonelli-Shanks and Hensel lifting (p odd) or bit by bit (p = 2),
+    and each has p^(v/2) lifts modulo p^(k-v/2)."""
+    q = p**k
+    d %= q
+    if d == 0:
+        return list(range(0, q, p ** ((k + 1) // 2)))
+    v = 0
+    while d % p == 0:
+        d //= p
+        v += 1
+    if v % 2:
+        return []
+    h, j = p ** (v // 2), k - v
+    pj = p**j
+    if p == 2:
+        ys = [1]
+        for i in range(1, j):  # the roots mod 2^i lift to y or y + 2^i
+            ys = [y + t for y in ys for t in (0, 1 << i) if ((y + t) ** 2 - d) % (2 << i) == 0]
+    else:
+        y = _sqrt_mod_prime(d % p, p)
+        if y is None:
+            return []
+        pi = p
+        for _ in range(1, j):
+            pi *= p
+            y = (y - (y * y - d) * pow(2 * y, -1, pi)) % pi
+        ys = [y, pj - y]
+    return [h * (y + i * pj) for y in ys for i in range(h)]
+
+
+def _sqrts_mod(d: int, factors: dict[int, int], memo: dict) -> list[int]:
+    """Every x mod N = prod p^k over ``factors`` with x^2 = d (mod N): the
+    roots per prime power, memoised in ``memo`` by (p, k), joined by the
+    Chinese remainder theorem."""
+    xs, mod = [0], 1
+    for p, k in factors.items():
+        q = p**k
+        roots = memo.get((p, k))
+        if roots is None:
+            roots = memo[p, k] = _sqrts_mod_prime_power(d, p, k)
+        if not roots:
+            return []
+        inv = pow(mod, -1, q)
+        xs = [x + mod * ((r - x) * inv % q) for x in xs for r in roots]
+        mod *= q
+    return xs
+
+
+# 2x2 integer matrices are tuples (p, q, r, s) = [[p, q], [r, s]] acting on
+# column vectors; a form f transformed by M is f∘M, (f∘M)(v) = f(M v).
+
+
+def _automorph(f, t: int, u: int):
+    """The proper automorph of f = (a, b, c) belonging to t^2 - D*u^2 = 4."""
+    a, b, c = f
+    return ((t - b * u) // 2, -c * u, a * u, (t + b * u) // 2)
+
+
+def _reduce_definite(f):
+    """(g, M) with g = f∘M the unique reduced form (|b| <= a <= c, b >= 0
+    when |b| = a or a = c) of the class of the positive definite form f."""
+    a, b, c = f
+    m = (1, 0, 0, 1)
+    while True:
+        t = (a - b) // (2 * a)  # b + 2at in (-a, a]
+        if t:
+            b, c = b + 2 * a * t, (a * t + b) * t + c
+            m = (m[0], m[0] * t + m[1], m[2], m[2] * t + m[3])
+        if a < c or (a == c and b >= 0):
+            return (a, b, c), m
+        a, b, c = c, -b, a  # f∘[[0, -1], [1, 0]]
+        m = (m[1], -m[0], m[3], -m[2])
+
+
+def _rho(f, disc: int, root: int):
+    """Cohen's reduction operator on an indefinite form of non-square
+    discriminant disc, root = isqrt(disc) (GTM 138, Def. 5.6.4): f∘[[0, -1],
+    [1, t]] = (c, r, (r^2 - disc)/4c) with r = -b (mod 2|c|) in (-|c|, |c|]
+    when |c| > sqrt(disc) and in (sqrt(disc) - 2|c|, sqrt(disc)) otherwise.
+    Returns the new form and t."""
+    _, b, c = f
+    two_c = 2 * abs(c)
+    if abs(c) > root:
+        r = -b % two_c
+        if r > abs(c):
+            r -= two_c
+    else:
+        r = root - (root + b) % two_c
+    return (c, r, (r * r - disc) // (4 * c)), (r + b) // (2 * c)
+
+
+def _reduce_indefinite(f, disc: int, root: int):
+    """(g, M) with g = f∘M reduced, |sqrt(disc) - 2|a|| < b < sqrt(disc)
+    (irrational sqrt, so in integers 0 < b <= root and
+    root - b < 2|a| <= root + b).  rho reaches such a form from any form
+    (Cohen, Prop. 5.6.6)."""
+    m = (1, 0, 0, 1)
+    while not (0 < f[1] <= root and root - f[1] < 2 * abs(f[0]) <= root + f[1]):
+        f, t = _rho(f, disc, root)
+        m = (m[1], m[1] * t - m[0], m[3], m[3] * t - m[2])
+    return f, m
+
+
+class _Classes:
+    """The enumeration data of a form Q = scale * f of non-square
+    discriminant, f = (a, b, c) primitive of discriminant disc (positive
+    definite when disc < 0).
+
+    ``positions`` maps each reduced form properly equivalent to f to the
+    matrices P with f∘P equal to it that are needed.  When disc < 0 that is
+    the one reduced form and one P, and the automorphs are the finitely many
+    solutions (t, u) of t^2 - disc*u^2 = 4.
+
+    When disc > 0 the reduced forms of the class make one cycle under rho.
+    Number its positions j in Z from f0 = f∘P_0, the reduction of f:
+    g_(j+1) = rho(g_j) = g_j∘M_j with M_j = [[0, -1], [1, t_j]], and
+    P_(j+1) = P_j * M_j, so f∘P_j = g_j; a period later P_(j+l) = eps * P_j
+    for the fundamental automorph eps.  Every proper automorph of f is
+    +-eps^k, so the representations that belong to one class of B (see
+    _bases) are +-P_j z over all j with g_j = g, for one reduced g and one z.
+    Only a window of positions can give a point of the box; _extend
+    explores it from both ends, and ``leading`` maps the first coefficient
+    of each explored g_j to the first columns of its P_j.
+
+    The window.  With L+-(x, y) = 2a*x + (b +- sqrt(disc))*y on f and
+    likewise on g_j, L+-^f(P_j w) = mu+-_j * L+-^(g_j)(w), where mu+-_j =
+    L+-^f(v_j) / (2 a_j), v_j the first column of P_j.  One rho step
+    multiplies mu+ by (b_j + sqrt(disc)) / (2 c_j) and mu- by
+    (b_j - sqrt(disc)) / (2 c_j).  A reduced form has sqrt(disc) - b <
+    2|a| < sqrt(disc) + b, so 2|c| = (disc - b^2) / 2|a| lies in the same
+    interval: |mu+| grows and |mu-| shrinks strictly along the cycle.  A
+    point of the box P_j z with g_j(z) = e1 has |L+-^f| <= K, and
+    L+^(g_j)(z) * L-^(g_j)(z) = 4 a_j e1 with |L+-^(g_j)(z)| < 2|a_j z1| +
+    2 sqrt(disc) |z2|, so |mu+-_j| < K (|z1| + sqrt(disc) |z2|) / (2|e1|).
+    Positions outside the interval of j where both bounds hold give no
+    point of the box.  Over two steps |mu+| grows by (sqrt(disc) + b_j) /
+    (sqrt(disc) - b_(j+1)) > 3/2, as b_j + b_(j+1) is a positive multiple of
+    2|c_j| > sqrt(disc) - b_j, so the interval holds O(log(x)) positions for
+    the bound x, however long the cycle and however large the unit."""
+
+    def __init__(self, qa: int, qb: int, qc: int, k: int):
+        disc = (qb * qb - 4 * qa * qc) // (k * k)
+        sign = -1 if disc < 0 and qa < 0 else 1
+        self.scale = sign * k
+        self.f = f = (sign * qa // k, sign * qb // k, sign * qc // k)
+        self.disc = disc
+        self.leading: dict[int, list[tuple[int, int]]] = {}
+        self._root_memo: dict[int, set[int]] = {}
+        self._prime_power_roots: dict[tuple[int, int], list[int]] = {}
+        if disc < 0:
+            self.root = 0
+            f0, p0 = _reduce_definite(f)
+            self.positions = {f0: [p0]}
+            # one of each pair +-A; points() adds the negatives
+            units = [(2, 0)]
+            if disc == -4:
+                units.append((0, 1))
+            if disc == -3:
+                units += [(1, 1), (-1, 1)]
+            self.automorphs = [_automorph(f, t, u) for t, u in units]
+            return
+        self.root = root = isqrt(disc)
+        self.positions = {}
+        self.reach = 2 * abs(f[0]) + abs(f[1]) + root + 1  # |L+-^f| < reach * limit
+        f0, p0 = _reduce_indefinite(f, disc, root)
+        self._ahead = (f0, p0)  # the next positions to explore, j = 0 and -1
+        self._behind = self._back(f0, p0)
+        self._reached = 0
+
+    def _back(self, g, p):
+        """Position j - 1 from position j: rho^-1 is tau rho tau with
+        tau(a, b, c) = (c, b, a), and the same t."""
+        h, t = _rho((g[2], g[1], g[0]), self.disc, self.root)
+        return (h[2], h[1], h[0]), (p[0] * t - p[1], p[0], p[2] * t - p[3], p[2])
+
+    def _beyond(self, g, p, side: int, x: int) -> bool:
+        """Whether |mu+_j| (side 0) or |mu-_j| (side 1) exceeds x for
+        certain at the position with form g = f∘p.  v = (p[0], p[2]) has
+        f(v) = a_j = g[0], y*sqrt(disc) lies in [r, r + 1], so L+^f(v) lies
+        in [w + r, w + r + 1] and L-^f(v) in [w - r - 1, w - r]; the other
+        factor bounds |L| from below through L+ * L- = 4a * a_j."""
+        x0, y0 = p[0], p[2]
+        r = isqrt(self.disc * y0 * y0)
+        if y0 < 0:
+            r = -r - 1
+        w = 2 * self.f[0] * x0 + self.f[1] * y0
+        here, other = (w + r, w - r - 1) if side == 0 else (w - r - 1, w + r)
+        low = here if here > 0 else (-here - 1 if here < -1 else 0)
+        big = 2 * abs(g[0]) * x
+        return low > big or abs(4 * self.f[0] * g[0]) > big * (abs(other) + 1)
+
+    def _extend(self, x: int) -> None:
+        """Explore forward until |mu+_j| > x and backward until |mu-_j| > x,
+        so that every position with both |mu+-_j| <= x is known.  Both
+        grow geometrically away from the window, by the unit per period."""
+        if x <= self._reached:
+            return
+        self._reached = x
+        disc, root = self.disc, self.root
+        g, p = self._ahead
+        while not self._beyond(g, p, 0, x):
+            self._add(g, p)
+            g, t = _rho(g, disc, root)
+            p = (p[1], p[1] * t - p[0], p[3], p[3] * t - p[2])
+        self._ahead = (g, p)
+        g, p = self._behind
+        while not self._beyond(g, p, 1, x):
+            self._add(g, p)
+            g, p = self._back(g, p)
+        self._behind = (g, p)
+
+    def _add(self, g, p) -> None:
+        self.positions.setdefault(g, []).append(p)
+        self.leading.setdefault(g[0], []).append((p[0], p[2]))
+
+    def points(self, e: int, bound: int) -> list[tuple[int, int]]:
+        if e % self.scale:
+            return []
+        n = e // self.scale
+        if n == 0 or (self.disc < 0 and n < 0):
+            return []
+        out = []
+        # a solution with gcd(m, n) = g is g times a primitive one of n / g^2
+        for g in range(1, min(isqrt(abs(n)), bound) + 1):
+            if n % (g * g):
+                continue
+            limit = bound // g
+            e1 = n // (g * g)
+            # disc > 0: explore the window up to K (|z1| + sqrt(disc) |z2|) / (2|e1|)
+            if 2 * abs(e1) <= self.root:
+                self._extend(self.reach * limit // (2 * abs(e1)) + 1)  # z = (1, 0)
+                found = self.leading.get(e1, ())
+            else:
+                found = []
+                for reduced, z in self._bases(e1):
+                    if self.disc > 0:
+                        width = abs(z[0]) + (self.root + 1) * abs(z[1])
+                        self._extend(self.reach * limit * width // (2 * abs(e1)) + 1)
+                    found += [
+                        (p[0] * z[0] + p[1] * z[1], p[2] * z[0] + p[3] * z[1])
+                        for p in self.positions.get(reduced, ())
+                    ]
+            for v in found:
+                if self.disc < 0:
+                    orbit = [(a[0] * v[0] + a[1] * v[1], a[2] * v[0] + a[3] * v[1])
+                             for a in self.automorphs]
+                else:
+                    orbit = [v]
+                for x, y in orbit:
+                    if x < 0:
+                        x, y = -x, -y
+                    if 0 < x <= limit and 0 <= y <= limit:
+                        out.append((g * x, g * y))
+        return out
+
+    def _bases(self, e1: int) -> list[tuple[tuple[int, int, int], tuple[int, int]]]:
+        """(g, z) for each B mod 2|e1| with B^2 = disc (mod 4|e1|): g the
+        reduction f_B∘N of f_B = (e1, B, (B^2 - disc)/4e1) and z = N^-1 e_1,
+        so g(z) = e1.  When f∘P = g, f∘(P N^-1) = f_B and P z represents e1.
+
+        B is taken in (-|e1|, |e1|] when disc < 0 and in (sqrt(disc) - 2|e1|,
+        sqrt(disc)) when disc > 0.  In the second case f_B is already reduced
+        when 2|e1| < sqrt(disc), so the f_B of the class are exactly the
+        cycle forms with first coefficient e1 (Lagrange's criterion):
+        points() reads those from ``leading``, with no square roots and no
+        reduction.  The roots B are memoised per |e1|, which +-e1 share."""
+        disc, root = self.disc, self.root
+        two_e = 2 * abs(e1)
+        roots = self._root_memo.get(two_e)
+        if roots is None:
+            modulus = _factor(2 * two_e)  # 4|e1|
+            roots = {x % two_e for x in _sqrts_mod(disc, modulus, self._prime_power_roots)}
+            self._root_memo[two_e] = roots
+        out = []
+        for x in roots:
+            if disc < 0:
+                b = x - two_e if 2 * x > two_e else x
+                reduced, m = _reduce_definite((e1, b, (b * b - disc) // (4 * e1)))
+            else:
+                b = root - (root - x) % two_e
+                reduced, m = _reduce_indefinite(
+                    (e1, b, (b * b - disc) // (4 * e1)), disc, root
+                )
+            out.append((reduced, (m[3], -m[2])))
+        return out
+
+
+def _t_range(c0: int, c1: int, lo: int, hi: int, t_lo: int, t_hi: int) -> tuple[int, int]:
+    """[t_lo, t_hi] narrowed to the t with lo <= c0 + c1*t <= hi."""
+    if c1 == 0:
+        return (t_lo, t_hi) if lo <= c0 <= hi else (1, 0)
+    if c1 < 0:
+        c0, c1, lo, hi = -c0, -c1, -hi, -lo
+    return max(t_lo, -((c0 - lo) // c1)), min(t_hi, (hi - c0) // c1)
+
+
+def _line_points(r: int, s: int, p: int, bound: int) -> list[tuple[int, int]]:
+    """The (m, n) of the box on the line r*m + s*n = p, gcd(r, s) = 1: the
+    points (m0 + s*t, n0 - r*t) for one solution (m0, n0)."""
+    if s:
+        m0 = p * pow(r, -1, abs(s))  # r*m0 = p (mod s)
+        n0 = (p - r * m0) // s
+    else:
+        m0, n0 = p * r, 0  # r = +-1
+    wide = abs(m0) + abs(n0) + bound
+    lo, hi = _t_range(m0, s, 1, bound, -wide, wide)
+    lo, hi = _t_range(n0, -r, 0, bound, lo, hi)
+    return [(m0 + s * t, n0 - r * t) for t in range(lo, hi + 1)]
+
+
+class _Factored:
+    """The enumeration data of a form of square discriminant d^2: Q = scale
+    * L1 * L2 with primitive integer linear forms L1 = (r1, s1), L2 = (r2,
+    s2).  For f = Q/k primitive with a != 0, 4a*f = (2a*m + (b + d)*n) *
+    (2a*m + (b - d)*n); dividing out the contents g1, g2 leaves primitive
+    L1, L2, and by Gauss's lemma f = (g1*g2 / 4a) * L1 * L2 with
+    g1*g2 / 4a = +-1.  With a = 0, f = n * (b*m + c*n)."""
+
+    def __init__(self, qa: int, qb: int, qc: int, k: int):
+        a, b, c = qa // k, qb // k, qc // k
+        if a:
+            d = isqrt(b * b - 4 * a * c)
+            g1, g2 = gcd(2 * a, b + d), gcd(2 * a, b - d)
+            self.l1 = (2 * a // g1, (b + d) // g1)
+            self.l2 = (2 * a // g2, (b - d) // g2)
+            self.scale = k * g1 * g2 // (4 * a)
+        else:
+            self.l1, self.l2, self.scale = (0, 1), (b, c), k
+
+    def points(self, e: int, bound: int) -> list[tuple[int, int]]:
+        if e % self.scale:
+            return []
+        n = e // self.scale  # L1 * L2 = n
+        (r1, s1), (r2, s2) = self.l1, self.l2
+        det = r1 * s2 - r2 * s1
+        if n == 0:
+            lines = [(r1, s1, 0)] + ([(r2, s2, 0)] if det else [])
+        elif det == 0:
+            # D = 0: L2 = +-L1, so L1^2 = +-n and the solutions lie on L1 = +-p
+            sq = n if self.l2 == self.l1 else -n
+            p = isqrt(sq) if sq > 0 else 0
+            if p * p != sq or not p:
+                return []
+            lines = [(r1, s1, p), (r1, s1, -p)]
+        else:
+            out = []
+            for d in _divisors(_factor(abs(n))):
+                for p in (d, -d):
+                    q = n // p
+                    m, r = divmod(s2 * p - s1 * q, det)
+                    k, w = divmod(r1 * q - r2 * p, det)
+                    if not r and not w and 1 <= m <= bound and 0 <= k <= bound:
+                        out.append((m, k))
+            return out
+        return [pt for line in lines for pt in _line_points(*line, bound)]
+
+
+class PreparedForm:
+    """What enumerate_solutions needs of a form besides the targets and the
+    bound, kept across calls: the content, and either the reduced forms of
+    the class with their transforms, the explored window of the cycle and
+    the square roots found so far (non-square discriminant) or the linear
+    factors (square discriminant)."""
+
+    def __init__(self, form: QuadForm):
+        qa, qb, qc = form.qa, form.qb, form.qc
+        k = gcd(gcd(qa, qb), qc)
+        disc = form.discriminant // (k * k)
+        square = disc >= 0 and isqrt(disc) ** 2 == disc
+        self.reach = abs(qa) + abs(qb) + abs(qc)  # |Q| <= reach * bound^2 on the box
+        self.kind = (_Factored if square else _Classes)(qa, qb, qc, k)
+
+
 def enumerate_solutions(
-    form: QuadForm, targets: Iterable[int], bound: int
+    form: QuadForm,
+    targets: Iterable[int],
+    bound: int,
+    *,
+    prepared: PreparedForm | None = None,
 ) -> list[tuple[int, int, int]]:
     """All (m, n, Q(m, n)) with 1 <= m <= bound, 0 <= n <= bound and value in
     ``targets``, sorted by m then n.  The quarter-plane quotients the global
     (m, n) <-> (-m, -n) symmetry and fixes the orientation every orbit guess
     relies on.
 
-    One pass over m visits only the (m, n) with |Q(m, n)| <= max |target|,
-    using the window derived in the module docstring, clipped to the n range.
+    The solutions of each target come from reduction theory or from the
+    linear factors, as set out in the module docstring; a target beyond
+    (|qa| + |qb| + |qc|) * bound^2, which bounds |Q| on the box, is dropped
+    at once.  ``prepared`` is ``PreparedForm(form)``, which a caller that
+    enumerates one form many times computes once.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    tset = set(int(t) for t in targets)
-    if not tset:
-        return []
-    cap = max(abs(t) for t in tset)
-    qa, qb, qc = form.qa, form.qb, form.qc
-    out: list[tuple[int, int, int]] = []
-    if qc == 0 and qb == 0:
-        for m in range(1, bound + 1):
-            v = qa * m * m
-            if v in tset:
-                out.extend((m, n, v) for n in range(bound + 1))
-        return out
-    if qc == 0:
-        # Q = m*u with u = qa*m + qb*n, so |Q| <= cap forces |u| <= cap // m
-        step = abs(qb)
-        lo_off, hi_off = min(0, qb * bound), max(0, qb * bound)
-        for m in range(1, bound + 1):
-            u0 = qa * m
-            w = cap // m
-            lo, hi = max(-w, u0 + lo_off), min(w, u0 + hi_off)
-            hits = []
-            for u in range(lo + (u0 - lo) % step, hi + 1, step):
-                if m * u in tset:
-                    hits.append(((u - u0) // qb, m * u))
-            if hits:
-                hits.sort()
-                out.extend([(m, n, v) for n, v in hits])
-        return out
-    disc = form.discriminant
-    slack = 4 * abs(qc) * cap
-    step = 2 * abs(qc)
-    two_qc, four_qc = 2 * qc, 4 * qc
-    # t = 2*qc*n + qb*m runs over [qb*m + lo_off, qb*m + hi_off] for n in [0, bound]
-    lo_off, hi_off = min(0, two_qc * bound), max(0, two_qc * bound)
-    for m in range(1, bound + 1):
-        centre = disc * m * m
-        if centre + slack < 0:
-            continue
-        s_hi = isqrt(centre + slack)
-        s_lo = isqrt(centre - slack - 1) + 1 if centre > slack else 0
-        if s_lo > s_hi:
-            continue
-        t0 = qb * m
-        t_min, t_max = t0 + lo_off, t0 + hi_off
-        hits = []
-        # |t| in [s_lo, s_hi], counting t = 0 once
-        for lo, hi in ((s_lo, s_hi), (-s_hi, -s_lo if s_lo else -1)):
-            if lo < t_min:
-                lo = t_min
-            if hi > t_max:
-                hi = t_max
-            for t in range(lo + (t0 - lo) % step, hi + 1, step):
-                v = (t * t - centre) // four_qc
-                if v in tset:
-                    hits.append(((t - t0) // two_qc, v))
-        if hits:
-            hits.sort()
-            out.extend([(m, n, v) for n, v in hits])
+    if prepared is None:
+        prepared = PreparedForm(form)
+    cap = prepared.reach * bound * bound
+    points = prepared.kind.points
+    out = []
+    for e in {int(t) for t in targets}:
+        if -cap <= e <= cap:
+            out += [(m, n, e) for m, n in points(e, bound)]
+    out.sort()
     return out
 
 
@@ -231,6 +639,16 @@ def _orbit_from_solutions(
     return PellOrbit(gf_m=gf_m, gf_n=gf_n, target=target, kind=kind, certificate=cert)
 
 
+def _by_magnitude(
+    form: QuadForm, bound: int, target_cap: int
+) -> Iterator[list[tuple[int, int, int]]]:
+    """The solutions of Q = +-mag for mag = 1, 2, ..., target_cap, one
+    magnitude at a time, from one PreparedForm."""
+    prepared = PreparedForm(form)
+    for mag in range(1, target_cap + 1):
+        yield enumerate_solutions(form, (mag, -mag), bound, prepared=prepared)
+
+
 def sol_quad(
     form: QuadForm,
     guess_order: int = 4,
@@ -240,9 +658,11 @@ def sol_quad(
 ) -> PellOrbit:
     """Find a certified Pell-like orbit for the form.
 
-    Target magnitudes |e| are scanned upward from 1; one enumeration gathers
-    the solutions of every magnitude up to ``target_cap`` at once.  Inside one
-    magnitude class the candidate solution lists are tried in a fixed ladder:
+    Target magnitudes |e| are scanned upward from 1 to ``target_cap``, one
+    enumeration of Q = +-|e| per magnitude from a generator that computes the
+    per-form data (content, reduced forms, transforms, automorph) once; the
+    scan stops at the winning magnitude, so only one magnitude's solutions
+    are held at a time.  Inside one magnitude class the candidate solution lists are tried in a fixed ladder:
     the full sorted list, the even- and odd-indexed subsequences (interleaved
     orbits are common), then each sign class of the achieved value.  Among
     the certified candidates of the winning class, a constant-kind orbit
@@ -277,12 +697,7 @@ def sol_quad(
     )
     if form.qb == 0 and form.qa * form.qc == 0:
         raise NoOrbitFound(no_orbit)
-    targets = [e for mag in range(1, target_cap + 1) for e in (mag, -mag)]
-    by_magnitude: dict[int, list[tuple[int, int, int]]] = {}
-    for sol in enumerate_solutions(form, targets, bound):
-        by_magnitude.setdefault(abs(sol[2]), []).append(sol)
-    for mag in range(1, target_cap + 1):
-        sols = by_magnitude.get(mag, [])
+    for sols in _by_magnitude(form, bound, target_cap):
         if len(sols) < 3:
             continue
         ladder = [

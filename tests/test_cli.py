@@ -117,6 +117,12 @@ class TestCliExitCodes:
     def test_pell_bound_at_cap(self, capsys):
         assert main(["pell", "--form", "m^2 - 2*n^2", "--bound", str(cli.MAX_PELL_BOUND)]) == 0
 
+    def test_pell_huge_regulator(self, capsys):
+        # a cycle of reduced forms far too long to walk, and a unit with
+        # tens of thousands of digits: only the window near the box is read
+        assert main(["pell", "--form", "m^2 - 1000000000039*n^2"]) == 1
+        assert "NoOrbitFound" in capsys.readouterr().err
+
 
 class TestCliCommands:
     def test_eliminate_pythagorean(self, capsys):
@@ -312,6 +318,80 @@ class TestCliCommands:
         assert main(argv) == code
         err = capsys.readouterr().err
         assert ("exceeds the cap" in err) == (code == 2)
+
+    @staticmethod
+    def _binomial_den(k):
+        # (1-t)^k, ascending
+        den = [1]
+        for _ in range(k):
+            den = [x - y for x, y in zip(den + [0], [0] + den)]
+        return den
+
+    @pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)])
+    def test_verify_raw_denominator_orders_cap(self, tmp_path, capsys, extra, code):
+        # A = (1-t)^2/(1-t)^(15+extra) and B = -(1-t)/(1-t)^14 are +-1/(1-t)^13
+        # once reduced, C = 1/(1-t): A^3 + B^3 + C^3 = 1.  The raw orders
+        # 15 + extra, 14 and 1 sum to the cap or one over it.
+        theorem = {
+            "a": 1,
+            "b": 1,
+            "c": 1,
+            "rhs_kind": "constant",
+            "gfs": [
+                {"num": self._binomial_den(2), "den": self._binomial_den(15 + extra)},
+                {"num": [-1, 1], "den": self._binomial_den(14)},
+                {"num": [1], "den": [1, -1]},
+            ],
+        }
+        assert 15 + extra + 14 + 1 == cli.MAX_VERIFY_ORDER + extra
+        path = tmp_path / "theorem.json"
+        path.write_text(json.dumps(theorem))
+        assert main(["verify", "--file", str(path)]) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert f"sum to {cli.MAX_VERIFY_ORDER + 1}, which exceeds the cap" in captured.err
+        else:
+            assert captured.out.startswith("certified")
+
+    def test_verify_long_denominators_refused_before_reduction(self, tmp_path, capsys):
+        # three 3000-entry denominators are refused on their raw lengths,
+        # before RationalGF reduces them
+        theorem = {
+            "a": 1,
+            "b": 1,
+            "c": 1,
+            "rhs_kind": "constant",
+            "gfs": [{"num": [1] * 31, "den": [1] + [(i % 9) - 4 for i in range(2999)]}] * 3,
+        }
+        path = tmp_path / "theorem.json"
+        path.write_text(json.dumps(theorem))
+        assert main(["verify", "--file", str(path)]) == 2
+        assert "denominator orders sum to 8997" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)])
+    def test_findform_orders_cap(self, capsys, extra, code):
+        # 1/(1-t)^(29+extra) and 1/(1-t): X2^2 = 1 is the form found under
+        # the cap, certified at depth C(30+2, 2) + 2 = 498
+        den = ",".join(map(str, self._binomial_den(29 + extra)))
+        argv = ["findform", "--degree", "2", "--gf", f"1;{den}", "--gf", "1;1,-1"]
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert f"sum to {cli.MAX_VERIFY_ORDER + 1}, which exceeds the cap" in err
+        else:
+            assert json.loads(out)["coeffs"] == [[[0, 2], 1]]
+
+    @pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)])
+    def test_findform_degree_cap(self, capsys, extra, code):
+        # a cubic form constant along three sequences of order 3 (a job of
+        # the certify benchmark)
+        degree = cli.MAX_FINDFORM_DEGREE + extra
+        argv = ["findform", "--degree", str(degree), "--target", "constant",
+                "--gf", "0,-2,3;1,2,-3,-1", "--gf", "0,3,4;1,2,-3,-1",
+                "--gf", "1,-4,2;1,2,-3,-1"]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert (f"--degree {degree} exceeds the cap" in err) == (code == 2)
 
     @staticmethod
     def _cancelling_theorem(coefficient, where):

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import cubeforge.quadform as quadform
 from cubeforge import (
     QuadForm,
     enumerate_solutions,
@@ -12,15 +15,89 @@ from cubeforge import (
     sol_quad,
     taylor_coefficients,
 )
+from cubeforge.cubic import morph, search_quadruples
 from cubeforge.errors import (
     DefiniteForm,
     DegenerateInitialVectors,
+    DegenerateMorph,
     InvalidForm,
     NoOrbitFound,
     ZeroB,
 )
 from cubeforge.parsing import parse_poly
 from cubeforge.quadform import _orbit_from_solutions
+
+# the weight pairs of the forge workloads of perfbench/run.py
+FORGE_WEIGHTS = [(1, -1), (1, 1), (1, 3), (1, -3), (1, 2), (2, 1), (1, -2), (2, -1)]
+
+
+def reference_enumerate_solutions(form, targets, bound):
+    """The windowed scan over m that the library used before reduction
+    theory: with D = qb^2 - 4*qa*qc and t = 2*qc*n + qb*m,
+    4*qc*Q(m, n) = t^2 - D*m^2, so |Q| <= cap confines t to two windows per m
+    found by two isqrt calls; when qc = 0, |qa*m + qb*n| <= cap // m.  Its
+    cost is O(bound + cap*log(bound)) whatever the targets."""
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
+    tset = set(int(t) for t in targets)
+    if not tset:
+        return []
+    cap = max(abs(t) for t in tset)
+    qa, qb, qc = form.qa, form.qb, form.qc
+    out: list[tuple[int, int, int]] = []
+    if qc == 0 and qb == 0:
+        for m in range(1, bound + 1):
+            v = qa * m * m
+            if v in tset:
+                out.extend((m, n, v) for n in range(bound + 1))
+        return out
+    if qc == 0:
+        # Q = m*u with u = qa*m + qb*n, so |Q| <= cap forces |u| <= cap // m
+        step = abs(qb)
+        lo_off, hi_off = min(0, qb * bound), max(0, qb * bound)
+        for m in range(1, bound + 1):
+            u0 = qa * m
+            w = cap // m
+            lo, hi = max(-w, u0 + lo_off), min(w, u0 + hi_off)
+            hits = []
+            for u in range(lo + (u0 - lo) % step, hi + 1, step):
+                if m * u in tset:
+                    hits.append(((u - u0) // qb, m * u))
+            if hits:
+                hits.sort()
+                out.extend([(m, n, v) for n, v in hits])
+        return out
+    disc = form.discriminant
+    slack = 4 * abs(qc) * cap
+    step = 2 * abs(qc)
+    two_qc, four_qc = 2 * qc, 4 * qc
+    # t = 2*qc*n + qb*m runs over [qb*m + lo_off, qb*m + hi_off] for n in [0, bound]
+    lo_off, hi_off = min(0, two_qc * bound), max(0, two_qc * bound)
+    for m in range(1, bound + 1):
+        centre = disc * m * m
+        if centre + slack < 0:
+            continue
+        s_hi = isqrt(centre + slack)
+        s_lo = isqrt(centre - slack - 1) + 1 if centre > slack else 0
+        if s_lo > s_hi:
+            continue
+        t0 = qb * m
+        t_min, t_max = t0 + lo_off, t0 + hi_off
+        hits = []
+        # |t| in [s_lo, s_hi], counting t = 0 once
+        for lo, hi in ((s_lo, s_hi), (-s_hi, -s_lo if s_lo else -1)):
+            if lo < t_min:
+                lo = t_min
+            if hi > t_max:
+                hi = t_max
+            for t in range(lo + (t0 - lo) % step, hi + 1, step):
+                v = (t * t - centre) // four_qc
+                if v in tset:
+                    hits.append(((t - t0) // two_qc, v))
+        if hits:
+            hits.sort()
+            out.extend([(m, n, v) for n, v in hits])
+    return out
 
 
 def naive_enumerate(form, targets, bound):
@@ -34,12 +111,12 @@ def naive_enumerate(form, targets, bound):
 
 
 def reference_sol_quad(form, guess_order, bound, target_cap):
-    """The per-magnitude search: one enumeration per target magnitude and no
-    shortcut for one-variable forms."""
+    """The per-magnitude search: one reference enumeration per target
+    magnitude and no shortcut for one-variable forms."""
     if form.discriminant < 0:
         raise DefiniteForm(f"{form} is definite")
     for mag in range(1, target_cap + 1):
-        sols = enumerate_solutions(form, {mag, -mag}, bound)
+        sols = reference_enumerate_solutions(form, {mag, -mag}, bound)
         if len(sols) < 3:
             continue
         ladder = [
@@ -159,6 +236,141 @@ class TestEnumerate:
         assert enumerate_solutions(QuadForm(1, 0, 1), {4}, 5) == [(2, 0, 4)]
 
 
+@st.composite
+def forms_of_every_class(draw):
+    """A form of one of the classes the enumerator treats apart, times a
+    random content and sign."""
+    kind = draw(
+        st.sampled_from(
+            ["D<0", "D'=-3", "D'=-4", "D=0", "square D>0", "D>0", "qa=0", "qc=0"]
+        )
+    )
+    small = st.integers(-6, 6)
+    if kind == "D<0":
+        a, c = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        w = isqrt(4 * a * c - 1)
+        coeffs = (a, draw(st.integers(-w, w)), c)
+    elif kind in ("D'=-3", "D'=-4"):
+        # the classes of x^2 + xy + y^2 and x^2 + y^2, moved by SL2(Z)
+        a, b, c = (1, 1, 1) if kind == "D'=-3" else (1, 0, 1)
+        for j in draw(st.lists(st.integers(-3, 3), max_size=4)):
+            # f∘[[0, -1], [1, j]]
+            a, b, c = c, -b + 2 * c * j, a - b * j + c * j * j
+        coeffs = (a, b, c)
+    elif kind == "D=0":
+        r, s = draw(small), draw(small)
+        coeffs = (r * r, 2 * r * s, s * s)
+    elif kind == "square D>0":
+        r1, s1, r2, s2 = (draw(small) for _ in range(4))
+        assume(r1 * s2 != r2 * s1)
+        coeffs = (r1 * r2, r1 * s2 + r2 * s1, s1 * s2)
+    elif kind == "D>0":
+        coeffs = tuple(draw(small) for _ in range(3))
+        d = coeffs[1] ** 2 - 4 * coeffs[0] * coeffs[2]
+        assume(d > 0 and isqrt(d) ** 2 != d)
+    elif kind == "qa=0":
+        coeffs = (0, draw(small), draw(small))
+    else:
+        coeffs = (draw(small), draw(small), 0)
+    assume(any(coeffs))
+    k = draw(st.integers(1, 4)) * draw(st.sampled_from([1, -1]))
+    return QuadForm(*(k * x for x in coeffs))
+
+
+def _content(form):
+    return gcd(gcd(form.qa, form.qb), form.qc)
+
+
+def _fundamental_u(disc):
+    """u of the fundamental solution of t^2 - disc*u^2 = 4: the first
+    convergent h/k of the continued fraction of w = (b + sqrt(disc))/2,
+    b = disc mod 2, with (2h - b*k)^2 - disc*k^2 = 4, u = k."""
+    b, root = disc % 2, isqrt(disc)
+    p, q = b, 2  # the complete quotient (p + sqrt(disc))/q
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    while True:
+        a = (p + root) // q
+        h0, h1 = h1, a * h1 + h0
+        k0, k1 = k1, a * k1 + k0
+        if (2 * h1 - b * k1) ** 2 - disc * k1 * k1 == 4:
+            return k1
+        p = a * q - p
+        q = (disc - p * p) // q
+
+
+def _forge_forms():
+    """Every form forge meets on the benchmark weight pairs."""
+    forms = set()
+    for a, b in FORGE_WEIGHTS:
+        for seed in search_quadruples(a, b, 12):
+            try:
+                quadruple = morph(seed)
+            except DegenerateMorph:
+                continue
+            for poly in quadruple.polys:
+                try:
+                    forms.add(QuadForm.from_poly(poly))
+                except InvalidForm:
+                    pass
+    return sorted(forms, key=lambda f: (f.qa, f.qb, f.qc))
+
+
+class TestReductionTheory:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        forms_of_every_class(),
+        st.lists(st.integers(-80, 80), min_size=1, max_size=6),
+        st.booleans(),
+        st.integers(1, 300),
+    )
+    def test_matches_reference_scan(self, form, targets, with_zero, bound):
+        if with_zero:
+            targets.append(0)
+        assert enumerate_solutions(form, targets, bound) == reference_enumerate_solutions(
+            form, targets, bound
+        )
+
+    def test_forge_forms_match_reference_scan(self):
+        targets = [e for mag in range(1, 31) for e in (mag, -mag)]
+        forms = _forge_forms()
+        for form in forms:
+            assert enumerate_solutions(form, targets, 2000) == reference_enumerate_solutions(
+                form, targets, 2000
+            ), form
+        huge_units = {
+            d for d in {form.discriminant // _content(form) ** 2 for form in forms}
+            if d > 0 and isqrt(d) ** 2 != d and _fundamental_u(d) > 2 * 10**5
+        }
+        assert len(forms) > 200 and len(huge_units) >= 4
+
+    @pytest.mark.parametrize("target", [999983, 2**19])
+    def test_large_target_matches_reference_scan(self, target):
+        # 999983 is a prime = 7 (mod 8), so m^2 - 2n^2 represents it
+        form = QuadForm(1, 0, -2)
+        got = enumerate_solutions(form, {target}, 2000)
+        assert got and got == reference_enumerate_solutions(form, {target}, 2000)
+
+    def test_target_beyond_the_box_is_dropped(self):
+        # |m^2 - 2n^2| <= 3 * 2000^2 < 10^9 on the box
+        assert enumerate_solutions(QuadForm(1, 0, -2), {10**9}, 2000) == []
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            QuadForm(1, 0, -10000000019),
+            QuadForm(3, 7, -1000000000007),
+            QuadForm(-123457, 98765, 10**9 + 7),
+            QuadForm(2, 1, -(10**17 + 3)),
+        ],
+    )
+    def test_huge_regulators_match_reference_scan(self, form):
+        # long cycles and huge units: only the window near the box is explored
+        targets = [e for mag in range(0, 31) for e in (mag, -mag)]
+        targets += [form.value(m, n) for m, n in ((1, 1), (7, 3), (250, 1))]
+        assert enumerate_solutions(form, targets, 300) == reference_enumerate_solutions(
+            form, targets, 300
+        )
+
 class TestSolQuad:
     def test_classic_pell(self):
         orbit = sol_quad(QuadForm(1, 0, -2), 3)
@@ -180,6 +392,18 @@ class TestSolQuad:
         # (2m - n)(m + n): every target has finitely many representations
         with pytest.raises(NoOrbitFound):
             sol_quad(QuadForm(2, 1, -1), 4, target_cap=5)
+
+    def test_stops_at_the_winning_magnitude(self, monkeypatch):
+        asked = []
+        enumerate_magnitude = quadform.enumerate_solutions
+
+        def counting(form, targets, bound, **kwargs):
+            asked.append(sorted(targets))
+            return enumerate_magnitude(form, targets, bound, **kwargs)
+
+        monkeypatch.setattr(quadform, "enumerate_solutions", counting)
+        assert sol_quad(QuadForm(1, 0, -2)).target == 1
+        assert asked == [[-1, 1]]
 
     def test_matches_per_magnitude_reference(self):
         rng = random.Random(79)
