@@ -152,7 +152,14 @@ class RationalGF:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "RationalGF":
-        return cls(data["num"], data["den"])
+        """The interchange form: two lists of ints (bools are not ints)."""
+        num, den = data["num"], data["den"]
+        if not (isinstance(num, list) and isinstance(den, list)):
+            raise TypeError("num and den must be lists")
+        for c in num + den:
+            if type(c) is not int:
+                raise TypeError(f"a coefficient is a {type(c).__name__}, not an int")
+        return cls(num, den)
 
 
 def taylor_series(g: RationalGF) -> Iterator[int | Fraction]:
@@ -329,20 +336,17 @@ def rhs_poly(c: int, kind: str) -> MultiPoly:
     return MultiPoly.constant(c)
 
 
-def certify_zero(
-    expr: MultiPoly,
-    seqs: Mapping[str, RationalGF],
-    sign_symbol: str | None = None,
-) -> Certificate:
+def certify_zero(expr: MultiPoly, seqs: Mapping[str, RationalGF]) -> Certificate:
     """Prove or refute that ``expr`` vanishes for all n when each symbol is
-    replaced by its sequence value (and ``sign_symbol``, if named, by (-1)^n).
+    replaced by its sequence value and SIGN_SYMBOL by (-1)^n.
 
-    The sign symbol may only occur in one pure linear term k*sign_symbol;
-    any other use raises ValueError.  Write expr = P + k*(-1)^n with P free
-    of the sign symbol and of total degree <= D, and let r be the degree of
-    the lcm L of the denominators.  A sequence num/den obeys the recurrence
-    of den only from its preperiod s = max(0, len(num) - len(den) + 1) on
-    (see certificate_bound); let s be the largest over the sequences.  From
+    SIGN_SYMBOL always stands for (-1)^n: binding a sequence to it raises
+    ValueError, and so does any use other than one pure linear term
+    k*SIGN_SYMBOL.  Write expr = P + k*(-1)^n with P free of the sign
+    symbol and of total degree <= D, and let r be the degree of the lcm L
+    of the denominators.  A sequence num/den obeys the recurrence of den
+    only from its preperiod s = max(0, len(num) - len(den) + 1) on (see
+    certificate_bound); let s be the largest over the sequences.  From
     n = s on every sequence is annihilated by L, so the values of P at
     n >= s lie in the span of products of at most D solutions of L: a
     shift-invariant space of dimension at most C(r+D, D).  Adjoining
@@ -351,30 +355,30 @@ def certify_zero(
     order d, so d zeros at n = s, ..., s + d - 1 force it to vanish from s
     on, and n < s is checked directly; the bound
     B = s + C(r+D, D) + 2 >= s + d checks is therefore a full proof.  A
-    term such as sign_symbol*X^k would multiply the whole space by (-1)^n,
+    term such as SIGN_SYMBOL*X^k would multiply the whole space by (-1)^n,
     which the +2 does not cover.
 
     The sequences are expanded while the identity is checked, so a refuted
     identity stops at its first nonzero value, the witness.
     """
-    if sign_symbol in expr.variables:
-        i = expr.variables.index(sign_symbol)
+    if SIGN_SYMBOL in seqs:
+        raise ValueError(f"{SIGN_SYMBOL!r} stands for (-1)^n and cannot be bound")
+    if SIGN_SYMBOL in expr.variables:
+        i = expr.variables.index(SIGN_SYMBOL)
         if any(ev[i] and sum(ev) != 1 for ev in expr.terms):
             raise ValueError(
-                f"{sign_symbol!r} may only occur in a linear term k*{sign_symbol}"
+                f"{SIGN_SYMBOL!r} may only occur in a linear term k*{SIGN_SYMBOL}"
             )
-    for v in expr.used_variables():
-        if v == sign_symbol:
-            continue
+    used = [v for v in expr.used_variables() if v != SIGN_SYMBOL]
+    for v in used:
         if v not in seqs:
             raise UnboundSymbol(f"no sequence bound to symbol {v!r}")
     degree = expr.total_degree()
     bound = certificate_bound(list(seqs.values()), degree)
-    series = {v: taylor_series(seqs[v]) for v in expr.used_variables() if v != sign_symbol}
+    series = {v: taylor_series(seqs[v]) for v in used}
     for n in range(bound):
         env = {name: next(values) for name, values in series.items()}
-        if sign_symbol is not None:
-            env[sign_symbol] = -1 if n % 2 else 1
+        env[SIGN_SYMBOL] = -1 if n % 2 else 1
         if expr.evaluate(env) != 0:
             return Certificate(bound=bound, witness=n)
     return Certificate(bound=bound)

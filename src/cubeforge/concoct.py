@@ -12,7 +12,6 @@ from math import comb
 from typing import Sequence
 
 from .cfinite import (
-    SIGN_SYMBOL,
     Certificate,
     RationalGF,
     certificate_bound,
@@ -226,7 +225,7 @@ def find_form(
         if not coeffs:
             raise NoForm("nullspace vector has no monomial support")
         expr = MultiPoly(names, coeffs) - rhs_poly(constant, target)
-        cert = certify_zero(expr, bindings, sign_symbol=SIGN_SYMBOL)
+        cert = certify_zero(expr, bindings)
         if cert.certified:
             return FormResult(
                 degree=degree,

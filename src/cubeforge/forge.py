@@ -5,19 +5,19 @@ sequences come from rational generating functions.
 Pipeline: brute-force numeric seeds, morph each against (m, -m, n, -n) into a
 parametric quadruple, solve one of the four quadratics as a Pell-like orbit,
 evaluate the remaining three along the orbit, reconstruct their generating
-functions, and certify the cubic identity on the orbit data itself.  Every
-emitted theorem also re-certifies from its serialized form alone.
+functions, and certify the emitted cubic identity with certify_theorem.  Every
+CubicTheorem built here, forged or parsed, gets its certificate that way, so
+verify re-checks a forged theorem's JSON at the depth forge recorded.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 from .cfinite import (
-    SIGN_SYMBOL,
     Certificate,
     RationalGF,
     certify_zero,
@@ -81,13 +81,16 @@ def theorem_to_json(thm: CubicTheorem) -> dict:
 
 
 def theorem_from_json(data) -> CubicTheorem:
+    """Parse the interchange JSON and certify it with certify_theorem; an
+    input "certified_depth" is ignored.  a, b, c and the coefficients must
+    be ints (not bools): a weight 1.9 read as 1 would certify another
+    statement."""
     try:
-        a = int(data["a"])
-        b = int(data["b"])
-        c = int(data["c"])
+        a, b, c = data["a"], data["b"], data["c"]
+        if any(type(x) is not int for x in (a, b, c)):
+            raise TypeError("a, b and c must be ints")
         kind = data["rhs_kind"]
         gf_list = data["gfs"]
-        depth = int(data.get("certified_depth", 0))
         provenance = dict(data.get("provenance", {}))
         if kind not in RHS_KINDS:
             raise MalformedTheorem(f"bad rhs_kind {kind!r}")
@@ -106,32 +109,26 @@ def theorem_from_json(data) -> CubicTheorem:
         raise MalformedTheorem("right-hand constant must be nonzero")
     if any(not g.num for g in gfs):
         raise MalformedTheorem("a sequence is identically zero")
-    return CubicTheorem(
-        a=a,
-        b=b,
-        c=c,
-        rhs_kind=kind,
-        gf_a=gfs[0],
-        gf_b=gfs[1],
-        gf_c=gfs[2],
-        certificate=Certificate(bound=depth),
-        provenance=provenance,
-    )
+    return _certified_theorem(a, b, c, kind, gfs, provenance)
+
+
+def _certified_theorem(a, b, c, rhs_kind, gfs, provenance) -> CubicTheorem:
+    """The one constructor of CubicTheorem in this package: the certificate
+    is always certify_theorem on the theorem's own generating functions."""
+    thm = CubicTheorem(a, b, c, rhs_kind, *gfs, certificate=None, provenance=provenance)
+    return replace(thm, certificate=certify_theorem(thm))
 
 
 def certify_theorem(thm: CubicTheorem) -> Certificate:
-    """Re-certify a theorem from its generating functions alone: certify_zero
+    """Certify a theorem from its generating functions alone: certify_zero
     on a*A^3 + a*B^3 + b*C^3 - c*(+-1)^n, which with r the degree of the lcm
     of the three denominators and s the largest preperiod checks
     n < s + C(r+3, 3) + 2."""
     cubic = MultiPoly(
         ("A", "B", "C"), {(3, 0, 0): thm.a, (0, 3, 0): thm.a, (0, 0, 3): thm.b}
     )
-    return certify_zero(
-        cubic - rhs_poly(thm.c, thm.rhs_kind),
-        dict(zip("ABC", thm.gfs)),
-        sign_symbol=SIGN_SYMBOL,
-    )
+    expr = cubic - rhs_poly(thm.c, thm.rhs_kind)
+    return certify_zero(expr, dict(zip("ABC", thm.gfs)))
 
 
 def _poly_json(p: MultiPoly) -> list:
@@ -247,20 +244,6 @@ def _build_theorem(seed, quadruple, weights, j, orbit) -> CubicTheorem | None:
     except (GuessFailed, NonIntegralGF) as exc:
         log.debug("seed %s, index %d: reconstruction failed: %s", seed, j + 1, exc)
         return None
-    # certify on orbit data: degree-6 identity in the orbit sequences
-    pa, pb, pc_poly = (quadruple.polys[i] for i in ordered)
-    expr = thm_a * pa**3 + thm_a * pb**3 + thm_b * pc_poly**3 - rhs_poly(c, rhs_kind)
-    cert = certify_zero(
-        expr, {"m": orbit.gf_m, "n": orbit.gf_n}, sign_symbol=SIGN_SYMBOL
-    )
-    if not cert.certified:
-        log.warning(
-            "seed %s, index %d: orbit certificate refuted at n=%s",
-            seed,
-            j + 1,
-            cert.witness,
-        )
-        return None
     provenance = {
         "seed": list(seed.coords),
         "weights": [a, b],
@@ -269,17 +252,16 @@ def _build_theorem(seed, quadruple, weights, j, orbit) -> CubicTheorem | None:
         "solved_weight": weights[j],
         "orbit": orbit.to_json(),
     }
-    return CubicTheorem(
-        a=thm_a,
-        b=thm_b,
-        c=c,
-        rhs_kind=rhs_kind,
-        gf_a=gfs[0],
-        gf_b=gfs[1],
-        gf_c=gfs[2],
-        certificate=cert,
-        provenance=provenance,
-    )
+    thm = _certified_theorem(thm_a, thm_b, c, rhs_kind, gfs, provenance)
+    if not thm.certificate.certified:
+        log.warning(
+            "seed %s, index %d: certificate refuted at n=%s",
+            seed,
+            j + 1,
+            thm.certificate.witness,
+        )
+        return None
+    return thm
 
 
 # --- rendering ---
@@ -330,6 +312,7 @@ def render(thm: CubicTheorem, fmt: str = "text") -> str:
     if thm.rhs_kind == "alternating":
         rhs_val = f"{thm.c}*(-1)^n"
     if fmt == "text":
+        cert = thm.certificate
         lines = [
             "Theorem: define integer sequences A(n), B(n), C(n) by",
             f"  sum_(n>=0) A(n) t^n = {_gf_text(thm.gf_a)}",
@@ -338,7 +321,9 @@ def render(thm: CubicTheorem, fmt: str = "text") -> str:
             "then for all n >= 0",
             f"  {_weight_prefix(thm.a)}A(n)^3 + {_weight_prefix(thm.a)}B(n)^3 "
             f"+ {_weight_prefix(thm.b)}C(n)^3 = {rhs_val}",
-            f"(certified by checking n = 0 .. {thm.certificate.bound - 1})",
+            f"(certified by checking n = 0 .. {cert.bound - 1})"
+            if cert.certified
+            else f"(refuted at n = {cert.witness})",
         ]
         return "\n".join(lines)
     if fmt == "latex":

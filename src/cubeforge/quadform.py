@@ -57,7 +57,6 @@ from math import gcd, isqrt
 from typing import Iterable, Iterator, Sequence
 
 from .cfinite import (
-    SIGN_SYMBOL,
     Certificate,
     RationalGF,
     certify_zero,
@@ -633,7 +632,7 @@ def _orbit_from_solutions(
         # reduction split the shared denominator; treat as a failed candidate
         return None
     expr = form.to_poly() - rhs_poly(target, kind)
-    cert = certify_zero(expr, {"m": gf_m, "n": gf_n}, sign_symbol=SIGN_SYMBOL)
+    cert = certify_zero(expr, {"m": gf_m, "n": gf_n})
     if not cert.certified:
         return None
     return PellOrbit(gf_m=gf_m, gf_n=gf_n, target=target, kind=kind, certificate=cert)

@@ -15,7 +15,12 @@ from cubeforge import (
     taylor_coefficients,
 )
 from cubeforge import cfinite
-from cubeforge.cfinite import certificate_bound, joint_guess_recurrence, taylor_series
+from cubeforge.cfinite import (
+    SIGN_SYMBOL,
+    certificate_bound,
+    joint_guess_recurrence,
+    taylor_series,
+)
 from cubeforge.errors import (
     GuessFailed,
     NonIntegralGF,
@@ -380,10 +385,8 @@ class TestSeqFromTerms:
 class TestCertifyZero:
     def test_alternating_cubic_identity(self, alternating_triple):
         gf_a, gf_b, gf_c = alternating_triple
-        expr = var("A") ** 3 + var("B") ** 3 - var("C") ** 3 - var("s")
-        cert = certify_zero(
-            expr, {"A": gf_a, "B": gf_b, "C": gf_c}, sign_symbol="s"
-        )
+        expr = var("A") ** 3 + var("B") ** 3 - var("C") ** 3 - var(SIGN_SYMBOL)
+        cert = certify_zero(expr, {"A": gf_a, "B": gf_b, "C": gf_c})
         assert cert.certified
         assert cert.bound == 22
 
@@ -403,11 +406,17 @@ class TestCertifyZero:
         # with m = 2^n, (s - 1)(m - 2)(m - 8)(m - 32) vanishes at n = 0..6:
         # s - 1 is zero at even n and m hits a root at n = 1, 3, 5.  That is
         # the whole depth 7 for r = 1, D = 4, yet the value at n = 7 is not 0
-        m, s = var("m"), var("s")
+        m, s = var("m"), var(SIGN_SYMBOL)
         expr = (s - 1) * (m - 2) * (m - 8) * (m - 32)
-        assert expr.evaluate({"m": 2**7, "s": -1}) == -2903040
+        assert expr.evaluate({"m": 2**7, SIGN_SYMBOL: -1}) == -2903040
         with pytest.raises(ValueError):
-            certify_zero(expr, {"m": RationalGF((1,), (1, -2))}, sign_symbol="s")
+            certify_zero(expr, {"m": RationalGF((1,), (1, -2))})
+
+    def test_sign_symbol_cannot_be_bound(self):
+        # SIGN_SYMBOL always means (-1)^n: bound to the all-ones sequence it
+        # would make the false sgn - 1 = 0 look true
+        with pytest.raises(ValueError):
+            certify_zero(var(SIGN_SYMBOL) - 1, {SIGN_SYMBOL: RationalGF((1,), (1, -1))})
 
     def test_improper_gf_refuted(self):
         # x^50/1 is 1 at n = 50 only; its recurrence (order 0) holds from
@@ -453,8 +462,8 @@ class TestCertifyZero:
 
     def test_soundness_beyond_bound(self, alternating_triple):
         gf_a, gf_b, gf_c = alternating_triple
-        expr = var("A") ** 3 + var("B") ** 3 - var("C") ** 3 - var("s")
-        cert = certify_zero(expr, {"A": gf_a, "B": gf_b, "C": gf_c}, sign_symbol="s")
+        expr = var("A") ** 3 + var("B") ** 3 - var("C") ** 3 - var(SIGN_SYMBOL)
+        cert = certify_zero(expr, {"A": gf_a, "B": gf_b, "C": gf_c})
         assert cert.certified
         rng = random.Random(59)
         depth = 40 * cert.bound

@@ -393,6 +393,25 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert (f"--degree {degree} exceeds the cap" in err) == (code == 2)
 
+    @pytest.mark.parametrize("extra, code", [(0, 1), (1, 2)])
+    def test_findform_sequences_cap(self, capsys, extra, code):
+        # 1/(1-k t) for k = 2, 3, ...: at the cap every cubic relation among
+        # them is homogeneous (X2 X3 = X6), so no constant form exists
+        count = cli.MAX_FINDFORM_SEQUENCES + extra
+        argv = ["findform", "--degree", "3"]
+        for k in range(2, 2 + count):
+            argv += ["--gf", f"1;1,-{k}"]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert f"{count} --gf sequences exceed the cap {cli.MAX_FINDFORM_SEQUENCES}" in err
+        else:
+            assert "NoTargetedForm" in err
+
+    @pytest.mark.parametrize("value", ["1/3", "1.5", "True"])
+    def test_findform_non_integer_coefficient(self, capsys, value):
+        assert main(["findform", "--degree", "2", "--gf", f"{value};1,-1", "--gf", "1;1,-1"]) == 2
+
     @staticmethod
     def _cancelling_theorem(coefficient, where):
         # A = -B, C = 1: A^3 + B^3 + C^3 = 1 for any A; the coefficient sits
@@ -430,17 +449,16 @@ class TestCliCommands:
         [("1e999999999", 10**9), ("2.5E-999999999", 10**9 - 1), (1e300, 301), ("1/3", 1)],
     )
     def test_verify_coefficient_digits_of_other_values(self, tmp_path, capsys, coefficient, digits):
-        # a string exponent is counted without building the number; a
-        # Fraction string under the cap passes on to the certificate
+        # coefficients are JSON integers only: a float or a string is refused
+        # for its type, before its digits (as many as `digits` written out)
+        # are counted or the number is built
         path = tmp_path / "theorem.json"
         path.write_text(json.dumps(self._cancelling_theorem(coefficient, "num")))
         code = main(["verify", "--file", str(path)])
         err = capsys.readouterr().err
-        if digits > cli.MAX_COEFFICIENT_DIGITS:
-            assert code == 2
-            assert f"a coefficient has {digits} digits" in err
-        else:
-            assert code == 0
+        assert code == 2
+        assert f"a coefficient is a {type(coefficient).__name__}, not an integer" in err
+        assert f"{digits} digits" not in err
 
     @pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)])
     def test_findform_coefficient_cap(self, capsys, extra, code):
@@ -462,8 +480,8 @@ class TestCliCommands:
         path.write_text(json.dumps(payload))
         assert main(["verify", "--file", str(path)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == len(payload)
-        assert all(line.startswith("certified, depth ") for line in lines)
+        # forge records the depth that verify checks
+        assert lines == [f"certified, depth {item['certified_depth']}" for item in payload]
 
     def test_forge_seed_file(self, tmp_path, capsys):
         path = tmp_path / "seeds.json"

@@ -91,6 +91,31 @@ class TestSerialization:
                 }
             )
 
+    def test_input_depth_is_not_trusted(self):
+        # 1 + 1 + 1 = 5 is false at n = 0, whatever depth the input claims
+        ones = {"num": [1], "den": [1, -1]}
+        data = {"a": 1, "b": 1, "c": 5, "rhs_kind": "constant", "gfs": [ones] * 3,
+                "certified_depth": 7}
+        thm = theorem_from_json(data)
+        assert thm.certificate.certified is False
+        assert thm.certificate.witness == 0
+        text = render(thm, "text")
+        assert "certified by checking" not in text
+        assert "(refuted at n = 0)" in text
+
+    @pytest.mark.parametrize("value", [1.9, "1", "1/3", True, None])
+    @pytest.mark.parametrize("where", ["a", "num"])
+    def test_non_integer_rejected(self, value, where):
+        # with a = 1.9 read as 1, 1 + 1 + 1 = 3 would be certified
+        ones = {"num": [1], "den": [1, -1]}
+        data = {"a": 1, "b": 1, "c": 3, "rhs_kind": "constant", "gfs": [ones] * 3}
+        if where == "a":
+            data["a"] = value
+        else:
+            data["gfs"] = [{"num": [value], "den": [1, -1]}, ones, ones]
+        with pytest.raises(MalformedTheorem):
+            theorem_from_json(data)
+
     def test_render_text_contains_constant(self, constant_triple_6859):
         gf_a, gf_b, gf_c = constant_triple_6859
         thm = make_theorem(2, 1, 6859, "constant", (gf_b, gf_c, gf_a), depth=22)
