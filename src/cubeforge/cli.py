@@ -75,9 +75,11 @@ MAX_FINDFORM_SEQUENCES = 8
 # most 6; the 59-digit binomials of (1-t)^200 stay below the cap, so such a
 # theorem is still refused for its order.
 MAX_COEFFICIENT_DIGITS = 60
-# eliminate's resultants grow fast with the degree of its inputs: m^3 + n,
-# m*n^2 - 1, m + n^3 takes about 1.5 s, and its degree-4 analogue did not
-# finish in 100 s.  The library implicitize stays uncapped.
+# eliminate's resultants grow fast with the degree of its inputs.  At degree
+# 3, m^3 + n, m*n^2 - 1, m + n^3 takes about 0.2 s, and the dense inputs
+# with constant terms tried take up to 8 s (m^3 + n^3 + m + n + 1,
+# m^3 - n^3 + m*n, m^2*n + m*n^2 + 1 about 3 s); the degree-4 analogue of
+# the first did not finish in 100 s.  The library implicitize stays uncapped.
 MAX_ELIMINATE_DEGREE = 3
 
 _EMPTY_ERRORS = (EmptySeedSet, NoOrbitFound, NoForm, NoTargetedForm, EliminationCollapse)

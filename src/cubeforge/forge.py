@@ -308,35 +308,43 @@ def render(thm: CubicTheorem, fmt: str = "text") -> str:
     """Render a theorem as plain text, LaTeX, or the interchange JSON."""
     if fmt == "json":
         return json.dumps(theorem_to_json(thm), indent=2, sort_keys=True)
-    rhs_val = str(thm.c)
-    if thm.rhs_kind == "alternating":
-        rhs_val = f"{thm.c}*(-1)^n"
+    cert = thm.certificate
     if fmt == "text":
-        cert = thm.certificate
+        rhs_val = str(thm.c) if thm.rhs_kind == "constant" else f"{thm.c}*(-1)^n"
+        wa, wb = _weight_prefix(thm.a), _weight_prefix(thm.b)
+        if cert.certified:
+            head, link = "Theorem", "then for all n >= 0"
+            verdict = f"(certified by checking n = 0 .. {cert.bound - 1})"
+        else:
+            head, link, verdict = "Refuted", "then the identity", f"fails at n = {cert.witness}"
         lines = [
-            "Theorem: define integer sequences A(n), B(n), C(n) by",
+            f"{head}: define integer sequences A(n), B(n), C(n) by",
             f"  sum_(n>=0) A(n) t^n = {_gf_text(thm.gf_a)}",
             f"  sum_(n>=0) B(n) t^n = {_gf_text(thm.gf_b)}",
             f"  sum_(n>=0) C(n) t^n = {_gf_text(thm.gf_c)}",
-            "then for all n >= 0",
-            f"  {_weight_prefix(thm.a)}A(n)^3 + {_weight_prefix(thm.a)}B(n)^3 "
-            f"+ {_weight_prefix(thm.b)}C(n)^3 = {rhs_val}",
-            f"(certified by checking n = 0 .. {cert.bound - 1})"
-            if cert.certified
-            else f"(refuted at n = {cert.witness})",
+            link,
+            f"  {wa}A(n)^3 + {wa}B(n)^3 + {wb}C(n)^3 = {rhs_val}",
+            verdict,
         ]
         return "\n".join(lines)
     if fmt == "latex":
         rhs_tex = str(thm.c) if thm.rhs_kind == "constant" else f"{thm.c}\\,(-1)^n"
         wa = "" if thm.a == 1 else f"{thm.a}\\,"
         wb = "" if thm.b == 1 else f"{thm.b}\\,"
+        if cert.certified:
+            relation = rf"&= {rhs_tex} \quad (n \ge 0)"
+            verdict = rf"Certified by checking $n = 0, \dots, {cert.bound - 1}$."
+        else:
+            relation = rf"&\ne {rhs_tex} \quad (n = {cert.witness})"
+            verdict = rf"Refuted: the identity fails at $n = {cert.witness}$."
         lines = [
             r"\begin{align*}",
             rf"\sum_{{n \ge 0}} A_n t^n &= {_gf_latex(thm.gf_a)} \\",
             rf"\sum_{{n \ge 0}} B_n t^n &= {_gf_latex(thm.gf_b)} \\",
             rf"\sum_{{n \ge 0}} C_n t^n &= {_gf_latex(thm.gf_c)} \\",
-            rf"{wa}A_n^3 + {wa}B_n^3 + {wb}C_n^3 &= {rhs_tex}",
+            rf"{wa}A_n^3 + {wa}B_n^3 + {wb}C_n^3 {relation}",
             r"\end{align*}",
+            verdict,
         ]
         return "\n".join(lines)
     raise ValueError(f"unknown format {fmt!r}")

@@ -8,10 +8,12 @@ Monomials are ordered graded-lexicographically by the declared variable
 list, which fixes canonical printing and the leading term used for exact
 division.
 
-The inner loops of multiplication, exact division, Bareiss elimination and
+The inner loops of multiplication, exact division, determinants and
 substitution run on packed monomials (see ``_Packing``): each exponent
 vector becomes one int, so that a monomial product is one int addition and
-the graded-lex comparison is an int comparison.
+the graded-lex comparison is an int comparison.  A determinant is taken by
+fraction-free elimination on integer pivots followed by expansion by minors
+of the trailing block (see ``resultant``); substitution is nested Horner.
 """
 
 from __future__ import annotations
@@ -272,22 +274,8 @@ class MultiPoly:
             [0, *weights] + [sum(w * e for w, e in zip(weights, ev)) for ev in self.terms]
         )
         pk = _Packing(len(vs), degree)
-        packed = [pk.pack(img) for img in images]
-        powers: list[list[dict[int, int]]] = [[{0: 1}] for _ in images]
-        out: dict[int, int] = {}
-        for ev, c in self.terms.items():
-            prod = {0: c}
-            factors = []
-            for i, e in enumerate(ev):
-                if e:
-                    table = powers[i]
-                    while len(table) <= e:
-                        table.append(_nonzero(_pmul(table[-1], packed[i], {})))
-                    factors.append(table[e])
-            last = factors.pop() if factors else {0: 1}
-            for f in factors:
-                prod = _pmul(prod, f, {})
-            _pmul(prod, last, out)
+        powers = [[{0: 1}, pk.pack(img)] for img in images]
+        out = _horner(list(self.terms.items()), 0, powers)
         return MultiPoly._make(vs, pk.unpack(_nonzero(out)))
 
     # --- views ---
@@ -463,6 +451,45 @@ def _pdiv(num: Mapping[int, int], den: Mapping[int, int], guard: int) -> dict[in
     return quot
 
 
+def _horner(
+    terms: list[tuple[tuple[int, ...], int]], i: int, powers: list[list[dict[int, int]]]
+) -> dict[int, int]:
+    """Sum over the terms (ev, c) of c times the product of the packed
+    images X_j**ev[j] for j >= i, nested Horner in X_i, X_i+1, ...: with
+    e_1 > ... > e_r the exponents of X_i and H_k the inner sum of the
+    terms with exponent e_k, the sum is
+    (...(H_1 X_i**(e_1 - e_2) + H_2) X_i**(e_2 - e_3) + ... + H_r) X_i**e_r.
+    Each partial result is a sum of images of terms divided by a power of
+    X_i, so no product has a larger degree than the largest image of a term,
+    the bound ``substitute`` packs for.  ``powers[j][d]`` is X_j**d,
+    extended as needed."""
+    if i == len(powers):
+        return {0: c for _, c in terms}
+    groups: dict[int, list] = {}
+    for term in terms:
+        groups.setdefault(term[0][i], []).append(term)
+    table = powers[i]
+    acc: dict[int, int] = {}
+    last = 0
+    for e in sorted(groups, reverse=True):
+        if acc:
+            acc = _nonzero(_pmul(_power(table, last - e), acc, {}))
+        inner = _horner(groups[e], i + 1, powers)
+        for m, c in inner.items():
+            acc[m] = acc.get(m, 0) + c
+        last = e
+    if last:
+        acc = _pmul(_power(table, last), acc, {})
+    return acc
+
+
+def _power(table: list[dict[int, int]], d: int) -> dict[int, int]:
+    # table[d], with table[1] the base, filled in up to d
+    while len(table) <= d:
+        table.append(_nonzero(_pmul(table[-1], table[1], {})))
+    return table[d]
+
+
 # --- content and primitive part ---
 
 def content_primitive(p: MultiPoly) -> tuple[int, MultiPoly]:
@@ -504,9 +531,55 @@ def divides(den: MultiPoly, num: MultiPoly) -> bool:
 # --- resultants ---
 
 def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
-    """Sylvester resultant of p and q with respect to ``var``, computed by
-    fraction-free (Bareiss) elimination.  Vanishes exactly when p and q share
-    a root in ``var``; the result does not involve ``var``."""
+    """Sylvester resultant of p and q with respect to ``var``: the
+    determinant of their n x n Sylvester matrix M.  Vanishes exactly when p
+    and q share a root in ``var``; the result does not involve ``var``.
+
+    The determinant is taken in three stages (``_det_packed``).  Write
+    M[X; Y] for the submatrix on rows X and columns Y, K for rows and
+    columns 0..k-1, d_i for the largest total degree in row i of M and D_X
+    for the sum of d_i over X, so that S = D_all.
+
+    1. Integer pivots.  Fraction-free (Bareiss) elimination runs while some
+       row has an integer constant in the pivot column; the one of least
+       absolute value is swapped up, and each swap flips the sign.  After k
+       steps the entry at (i, j), i, j >= k, is the minor
+       B_ij = det M[K + i; K + j] of the swapped M, and the last pivot is
+       prev = det M[K; K] (1 when k = 0) (Bareiss, Math. Comp. 22, 1968).
+       Step k forms B_kk B_ij - B_ik B_kj, which by Sylvester's identity on
+       M[K + k + i; K + k + j] equals prev times the next minor
+       det M[K + k + i; K + k + j].  That minor has integer coefficients,
+       so dividing by the integer prev is exact, coefficient by coefficient.
+    2. Minor expansion.  When no row has an integer constant in column k,
+       the trailing t x t block B (t = n - k) is expanded by minors, Laplace
+       along its rows (``_expand_by_minors``).  The minor on rows R and
+       columns C, with r the row of R used last, is the sum over j in C of
+       (-1)^(pos(r, R) + pos(j, C)) B_rj det B[R - r; C - j], pos counting
+       the members before it.  The rows are used in a fixed order and r is
+       the last of R in it, so pos(r, R) = |C| - 1 and the sign is (-1) to
+       the number of columns of C after j.  Using the rows of B in another
+       order than B's own multiplies the result by the sign of that
+       reordering, which is divided out.
+    3. Scale back.  Sylvester's identity gives det B = prev^(t - 1) det M,
+       so det M is det B divided exactly by the integer prev^(t - 1), times
+       the sign of the swaps.
+
+    Expansion by minors costs up to 2^t products.  When the block is larger
+    than ``_MINOR_BLOCK_MAX``, or prev is not an integer, elimination goes
+    on instead, with the first nonzero entry of the column as pivot when no
+    integer is there, dividing exactly by the polynomial prev; step 1's
+    identities hold for any nonzero pivots, so stage 2 is entered later
+    whenever the block is small enough and prev an integer.
+
+    Packing bound.  A minor of M on rows X has degree at most D_X <= S.
+    Every entry of every elimination step is such a minor, so each product
+    a step forms has degree at most 2S.  In stage 2, prev is an integer,
+    and by Sylvester's identity a minor of B on rows R is prev^(|R| - 1)
+    det M[K + R; K + C], of degree at most D_K + D_R.  So the product
+    B_rj det B[R - r; C - j] has degree at most
+    (D_K + d_r) + (D_K + D_R - d_r) = D_K + D_(K + R) <= 2S.  The entries
+    are packed once, for degree 2S.
+    """
     dp = p.degree_in(var)
     dq = q.degree_in(var)
     if dp == 0 or dq == 0:
@@ -525,16 +598,14 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
         rows.append([zero] * r + desc_p + [zero] * (n - r - dp - 1))
     for r in range(dp):
         rows.append([zero] * r + desc_q + [zero] * (n - r - dq - 1))
-    return _bareiss_determinant(rows, MultiPoly.constant(1, vs), zero)
+    return _determinant(rows, MultiPoly.constant(1, vs), zero)
 
 
-def _bareiss_determinant(m: list[list[MultiPoly]], one: MultiPoly, zero: MultiPoly) -> MultiPoly:
-    """Determinant of the square matrix m by fraction-free (Bareiss)
-    elimination, over the variables of ``one``, ``zero`` and the entries.
-    The entries are packed once: every entry Bareiss computes is a minor of
-    m, of total degree at most S, the sum over rows of the largest entry
-    degree, so every product it forms has degree at most 2S, the packing
-    bound.  ``m`` is left as it was given."""
+def _determinant(m: list[list[MultiPoly]], one: MultiPoly, zero: MultiPoly) -> MultiPoly:
+    """Determinant of the square matrix m over the variables of ``one``,
+    ``zero`` and the entries, by the stages argued in ``resultant``.  The
+    entries are packed once, for total degrees up to 2S, S being the sum
+    over rows of the largest entry degree.  ``m`` is left as it was given."""
     names: list[str] = []
     for p in (one, zero, *(p for row in m for p in row)):
         for v in p.variables:
@@ -544,37 +615,117 @@ def _bareiss_determinant(m: list[list[MultiPoly]], one: MultiPoly, zero: MultiPo
     bound = 2 * sum(max(p.total_degree() for p in row) for row in m)
     pk = _Packing(len(vs), bound)
     rows = [[pk.pack(_remap(p, vs)) for p in row] for row in m]
-    return MultiPoly._make(vs, pk.unpack(_bareiss_packed(rows, pk.guard)))
+    return MultiPoly._make(vs, pk.unpack(_det_packed(rows, pk.guard)))
 
 
-def _bareiss_packed(m: list[list[dict[int, int]]], guard: int) -> dict[int, int]:
+# the largest trailing block expanded by minors, at a cost of up to 2**t
+# products for a t x t block; a larger one is eliminated further
+_MINOR_BLOCK_MAX = 10
+
+
+def _integer(p: dict[int, int]) -> int | None:
+    # the value of a packed nonzero constant, else None
+    return p[0] if len(p) == 1 and 0 in p else None
+
+
+def _det_packed(m: list[list[dict[int, int]]], guard: int) -> dict[int, int]:
     n = len(m)
     sign = 1
-    prev = {0: 1}
+    prev = 1  # the last pivot: an int, or a packed nonconstant polynomial
     for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
+        pick = None
+        for i in range(k, n):
+            c = _integer(m[i][k])
+            if c is not None and (pick is None or abs(c) < abs(m[pick][k][0])):
+                pick = i
+        if pick is None:
+            if isinstance(prev, int) and n - k <= _MINOR_BLOCK_MAX:
+                det = _expand_by_minors([row[k:] for row in m[k:]])
+                return _div_int(det, sign * prev ** (n - k - 1))
+            pick = next((i for i in range(k, n) if m[i][k]), None)
+            if pick is None:
                 return {}
+        if pick != k:
+            m[k], m[pick] = m[pick], m[k]
+            sign = -sign
         pivot = m[k][k]
         row_k = m[k]
         for i in range(k + 1, n):
             row_i = m[i]
             neg_ik = {t: -c for t, c in row_i[k].items()}
             for j in range(k + 1, n):
-                acc = _pmul(neg_ik, row_k[j], _pmul(pivot, row_i[j], {}))
-                quot = _pdiv(_nonzero(acc), prev, guard)
-                if quot is None:
-                    raise InexactDivision("a Bareiss step is not exact")
-                row_i[j] = quot
+                acc = _nonzero(_pmul(neg_ik, row_k[j], _pmul(pivot, row_i[j], {})))
+                if isinstance(prev, int):
+                    row_i[j] = _div_int(acc, prev)
+                else:
+                    quot = _pdiv(acc, prev, guard)
+                    if quot is None:
+                        raise InexactDivision("a Bareiss step is not exact")
+                    row_i[j] = quot
             row_i[k] = {}
-        prev = pivot
+        c = _integer(pivot)
+        prev = pivot if c is None else c
     det = m[n - 1][n - 1]
     return det if sign > 0 else {t: -c for t, c in det.items()}
+
+
+def _div_int(p: dict[int, int], d: int) -> dict[int, int]:
+    # p / d for a nonzero int d that must divide every coefficient
+    if d == 1:
+        return p
+    out = {}
+    for t, c in p.items():
+        q, r = divmod(c, d)
+        if r:
+            raise InexactDivision("a determinant step is not exact")
+        out[t] = q
+    return out
+
+
+def _expand_by_minors(block: list[list[dict[int, int]]]) -> dict[int, int]:
+    """Determinant of a square block of packed polynomials by Laplace
+    expansion along its rows (Gentleman & Johnson, ACM TOMS 2(3), 1976).
+    After row r, ``minors`` maps each set of r + 1 columns, as a bit mask,
+    to the nonzero minor on rows 0..r and those columns; each minor is
+    formed once and shared by every larger minor that expands into it."""
+    # rows with fewer terms first, which keeps the early minors small; the
+    # reordering's sign is the parity of its inversions
+    order = sorted(range(len(block)), key=lambda r: sum(len(e) for e in block[r]))
+    block = [block[r] for r in order]
+    t = len(block)
+    odd = sum(a > b for i, a in enumerate(order) for b in order[i + 1:]) & 1
+    full = (1 << t) - 1
+    # the columns with a nonzero entry in row r or below
+    reach = [0] * (t + 1)
+    for r in range(t - 1, -1, -1):
+        reach[r] = reach[r + 1] | sum(1 << j for j, e in enumerate(block[r]) if e)
+    minors: dict[int, dict[int, int]] = {0: {0: 1}}
+    for r, row in enumerate(block):
+        entries = [(j, 1 << j, e, {m: -c for m, c in e.items()}) for j, e in enumerate(row) if e]
+        later = reach[r + 1]
+        nxt: dict[int, dict[int, int]] = {}
+        for mask, minor in minors.items():
+            for j, bit, e, neg in entries:
+                if mask & bit:
+                    continue
+                cols = mask | bit
+                if full & ~cols & ~later:
+                    continue  # a column that no later row can fill
+                acc = nxt.get(cols)
+                if acc is None:
+                    acc = nxt[cols] = {}
+                # the sign of the entry's place in the last row of the minor
+                # is (-1) to the number of its columns right of j
+                _pmul(neg if bin(mask >> j).count("1") & 1 else e, minor, acc)
+        minors = {}
+        for cols, acc in nxt.items():
+            acc = _nonzero(acc)
+            if acc:
+                minors[cols] = acc
+        if not minors:
+            return {}
+    det = minors[full]
+    return {m: -c for m, c in det.items()} if odd else det
 
 
 # --- exact rational linear algebra, fraction-free on integers ---

@@ -100,8 +100,12 @@ class TestSerialization:
         assert thm.certificate.certified is False
         assert thm.certificate.witness == 0
         text = render(thm, "text")
-        assert "certified by checking" not in text
-        assert "(refuted at n = 0)" in text
+        assert text.startswith("Refuted:")
+        assert "for all n" not in text and "certified by checking" not in text
+        assert text.endswith("fails at n = 0")
+        latex = render(thm, "latex")
+        assert r"&\ne 5 \quad (n = 0)" in latex
+        assert latex.endswith("Refuted: the identity fails at $n = 0$.")
 
     @pytest.mark.parametrize("value", [1.9, "1", "1/3", True, None])
     @pytest.mark.parametrize("where", ["a", "num"])
@@ -121,8 +125,12 @@ class TestSerialization:
         thm = make_theorem(2, 1, 6859, "constant", (gf_b, gf_c, gf_a), depth=22)
         text = render(thm, "text")
         assert "= 6859" in text
+        assert text.startswith("Theorem:") and "then for all n >= 0" in text
+        assert text.endswith(f"(certified by checking n = 0 .. {thm.certificate.bound - 1})")
         latex = render(thm, "latex")
         assert r"\frac" in latex
+        assert r"&= 6859 \quad (n \ge 0)" in latex
+        assert latex.endswith(f"Certified by checking $n = 0, \\dots, {thm.certificate.bound - 1}$.")
 
 
 class TestForge:

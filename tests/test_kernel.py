@@ -1,4 +1,5 @@
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations
 from math import gcd, lcm
@@ -12,12 +13,24 @@ from cubeforge import (
     content_primitive,
     divides,
     exact_div,
+    implicitize,
+    kernel,
     rational_nullspace,
     resultant,
 )
 from cubeforge.cfinite import joint_guess_recurrence
 from cubeforge.errors import DegenerateInput, InexactDivision, ZeroPolynomial
-from cubeforge.kernel import _monomial_key, _Packing, rational_solve, try_exact_div
+from cubeforge.kernel import (
+    _degree,
+    _monomial_key,
+    _nonzero,
+    _Packing,
+    _pdiv,
+    _pmul,
+    _remap,
+    rational_solve,
+    try_exact_div,
+)
 from cubeforge.parsing import parse_poly
 
 
@@ -64,6 +77,101 @@ def sylvester_rows(p, q, var):
     for r in range(dp):
         rows.append([zero] * r + cq + [zero] * (dp - r - 1))
     return rows
+
+
+# --- oracle: the determinant by packed Bareiss elimination alone, first
+# nonzero pivot, as resultant computed it before expansion by minors ---
+
+def bareiss_det(rows):
+    vs = tuple(dict.fromkeys(v for row in rows for p in row for v in p.variables))
+    bound = 2 * sum(max(p.total_degree() for p in row) for row in rows)
+    pk = _Packing(len(vs), bound)
+    m = [[pk.pack(_remap(p, vs)) for p in row] for row in rows]
+    n = len(m)
+    sign = 1
+    prev = {0: 1}
+    for k in range(n - 1):
+        if not m[k][k]:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return MultiPoly(vs, {})
+        pivot = m[k][k]
+        row_k = m[k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            neg_ik = {t: -c for t, c in row_i[k].items()}
+            for j in range(k + 1, n):
+                acc = _pmul(neg_ik, row_k[j], _pmul(pivot, row_i[j], {}))
+                quot = _pdiv(_nonzero(acc), prev, pk.guard)
+                assert quot is not None
+                row_i[j] = quot
+            row_i[k] = {}
+        prev = pivot
+    det = pk.unpack(m[n - 1][n - 1])
+    return MultiPoly(vs, {ev: sign * c for ev, c in det.items()})
+
+
+# --- oracle: substitution term by term, each term's image the product of
+# power tables of the images ---
+
+def reference_substitute(p, values):
+    subs = {}
+    result_vars = [v for v in p.variables if v not in values]
+    for name, val in values.items():
+        q = MultiPoly.constant(val) if isinstance(val, int) else val
+        subs[name] = q
+        for v in q.variables:
+            if v not in result_vars:
+                result_vars.append(v)
+    vs = tuple(result_vars)
+    images = [
+        _remap(subs[v], vs) if v in subs else {tuple(int(u == v) for u in vs): 1}
+        for v in p.variables
+    ]
+    weights = [_degree(img) for img in images]
+    degree = max([0, *weights] + [sum(w * e for w, e in zip(weights, ev)) for ev in p.terms])
+    pk = _Packing(len(vs), degree)
+    packed = [pk.pack(img) for img in images]
+    powers = [[{0: 1}] for _ in images]
+    out = {}
+    for ev, c in p.terms.items():
+        prod = {0: c}
+        factors = []
+        for i, e in enumerate(ev):
+            if e:
+                table = powers[i]
+                while len(table) <= e:
+                    table.append(_nonzero(_pmul(table[-1], packed[i], {})))
+                factors.append(table[e])
+        last = factors.pop() if factors else {0: 1}
+        for f in factors:
+            prod = _pmul(prod, f, {})
+        _pmul(prod, last, out)
+    return MultiPoly(vs, pk.unpack(_nonzero(out)))
+
+
+@contextmanager
+def determinant_paths(block_max=None):
+    """Record the size of every block the determinant expands by minors,
+    optionally with another largest block size."""
+    sizes = []
+    expand, saved = kernel._expand_by_minors, kernel._MINOR_BLOCK_MAX
+
+    def spy(block):
+        sizes.append(len(block))
+        return expand(block)
+
+    kernel._expand_by_minors = spy
+    if block_max is not None:
+        kernel._MINOR_BLOCK_MAX = block_max
+    try:
+        yield sizes
+    finally:
+        kernel._expand_by_minors, kernel._MINOR_BLOCK_MAX = expand, saved
 
 
 # --- oracle: exact division by the plain leading-term loop, which rescans
@@ -364,6 +472,39 @@ class TestMultiPoly:
         values = {v: images[v].evaluate(point) if v in images else point[v] for v in "xyz"}
         assert p.substitute(images).evaluate(point) == p.evaluate(values)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_substitute_matches_per_term_reference(self, data):
+        # nested Horner gives the same polynomial over the same variables as
+        # the per-term product of power tables, for any mix of images
+        p = data.draw(polys(("x", "y", "z"), data.draw(st.integers(0, 4)), max_terms=8))
+        names = data.draw(st.sampled_from([("x", "y", "z"), ("x", "z"), ("y",), ()]))
+        values = {}
+        for v in names:
+            kind = data.draw(st.sampled_from(["poly", "int", "self"]))
+            if kind == "int":
+                values[v] = data.draw(st.integers(-3, 3))
+            elif kind == "self":
+                values[v] = MultiPoly.variable(data.draw(st.sampled_from(("x", "n"))))
+            else:
+                values[v] = data.draw(polys(("m", "n"), data.draw(st.integers(0, 3))))
+        got = p.substitute(values)
+        want = reference_substitute(p, values)
+        assert got.variables == want.variables
+        assert got.terms == want.terms
+        assert str(got) == str(want)
+
+    def test_substitute_dense_implicit_check(self):
+        # the vanishing check of an eliminate input with constant terms, and
+        # the same polynomial plus 1, in both methods
+        ps = [P(t) for t in ("m^2 + n^2 + m + 1", "m^2 - n^2 + m*n", "m*n + n + 1")]
+        s = implicitize(*ps)
+        images = dict(zip("xyz", ps))
+        assert s.substitute(images).is_zero
+        assert reference_substitute(s, images).is_zero
+        shifted = s + MultiPoly.constant(1, s.variables)
+        assert shifted.substitute(images).terms == reference_substitute(shifted, images).terms
+
     def test_str_round_trip(self):
         rng = random.Random(5)
         for _ in range(40):
@@ -447,6 +588,31 @@ class TestResultant:
         p = p + data.draw(polys(("x", "y"), 3, max_terms=3))
         q = q + data.draw(polys(("y", "x"), 2, max_terms=3))
         assert resultant(p, q, "m") == naive_det(sylvester_rows(p, q, "m"))
+
+    def test_matches_bareiss_on_implicitize_parametrizations(self):
+        # the resultants implicitize takes, for seeded random parametrizations
+        # of degree up to 3, against the Bareiss-only determinant
+        rng = random.Random(97)
+        vs = ("m", "n", "x", "y", "z")
+        monomials = [(i, d - i) for d in (1, 2, 3) for i in range(d + 1)]
+        checked = 0
+        while checked < 8:
+            degree = rng.choice((2, 3))
+            comps = []
+            for target in "xyz":
+                pick = rng.sample([mo for mo in monomials if sum(mo) <= degree], rng.choice((2, 3)))
+                terms = {(i, j, 0, 0, 0): rng.choice((-3, -2, -1, 1, 2, 3)) for i, j in pick}
+                comps.append(MultiPoly.variable(target, vs) - MultiPoly(vs, terms))
+            a, b, c = comps
+            if min(p.degree_in("m") for p in comps) == 0:
+                continue
+            r1, r2 = resultant(a, b, "m"), resultant(a, c, "m")
+            assert r1 == bareiss_det(sylvester_rows(a, b, "m"))
+            assert r2 == bareiss_det(sylvester_rows(a, c, "m"))
+            if r1.degree_in("n") == 0 or r2.degree_in("n") == 0:
+                continue
+            assert resultant(r1, r2, "n") == bareiss_det(sylvester_rows(r1, r2, "n"))
+            checked += 1
 
     def test_shared_root_vanishes(self):
         rng = random.Random(31)
@@ -561,7 +727,7 @@ class TestPackedExponents:
 
 class TestBareiss:
     def test_random_matrices_match_naive_det(self):
-        from cubeforge.kernel import _bareiss_determinant
+        from cubeforge.kernel import _determinant as _bareiss_determinant
 
         rng = random.Random(53)
         vs = ("x", "y")
@@ -586,7 +752,7 @@ class TestBareiss:
     def test_degree_bound_at_the_top_of_a_field(self, data):
         # row degrees summing to S = 2^k - 1, each row led by a pure power
         # of x: the products Bareiss forms reach x-degrees near 2S
-        from cubeforge.kernel import _bareiss_determinant
+        from cubeforge.kernel import _determinant as _bareiss_determinant
 
         vs = ("x", "y")
         n = data.draw(st.integers(2, 4))
@@ -606,6 +772,184 @@ class TestBareiss:
             rows.append(row)
         one, zero = MultiPoly.constant(1, vs), MultiPoly(vs, {})
         assert _bareiss_determinant([row[:] for row in rows], one, zero) == naive_det(rows)
+
+
+def lu_matrix(rng, diag_l, diag_u, vs=("x", "y")):
+    """L * U with the given diagonals, nonconstant entries below the
+    diagonal of L and polynomial entries above the diagonal of U."""
+    n = len(diag_l)
+    lower = [[MultiPoly(vs, {}) for _ in range(n)] for _ in range(n)]
+    upper = [[MultiPoly(vs, {}) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        d = diag_l[i]
+        lower[i][i] = d if isinstance(d, MultiPoly) else MultiPoly.constant(d, vs)
+        upper[i][i] = MultiPoly.constant(diag_u[i], vs)
+        for j in range(i):
+            lower[i][j] = MultiPoly(
+                vs, {(1, 0): rng.choice((-2, -1, 1, 2)), (0, 0): rng.randint(-2, 2)}
+            )
+        for j in range(i + 1, n):
+            upper[i][j] = random_poly(rng, vs, max_degree=1, max_coeff=3, terms=2)
+    return [
+        [sum((lower[i][k] * upper[k][j] for k in range(n)), MultiPoly(vs, {})) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def no_constant_poly(rng, vs, max_degree=1, terms=2):
+    """A nonzero polynomial with no constant term."""
+    out = MultiPoly(vs, {})
+    while out.is_zero:
+        for _ in range(terms):
+            ev = tuple(rng.randint(0, max_degree) for _ in vs)
+            if any(ev):
+                out = out + MultiPoly(vs, {ev: rng.choice((-3, -2, -1, 1, 2, 3))})
+    return out
+
+
+def det(rows):
+    vs = rows[0][0].variables
+    one, zero = MultiPoly.constant(1, vs), MultiPoly(vs, {})
+    return kernel._determinant([row[:] for row in rows], one, zero)
+
+
+class TestDeterminant:
+    """Every path of the determinant: integer pivots, expansion by minors,
+    scale-back, polynomial pivots past the largest block, zeros and swaps."""
+
+    def test_integer_pivots_only(self):
+        # the leading minors of L * U are the products of the diagonals, so
+        # each step has an integer pivot, and only in the pivot row
+        rng = random.Random(61)
+        for n in range(2, 6):
+            for diag in ([2, -3, 1, -1, 2], [1, 1, -1, 1, -1], [-3, 2, 2, -3, 1]):
+                rows = lu_matrix(rng, diag[:n], [rng.choice((1, -1, 2)) for _ in range(n)])
+                with determinant_paths() as sizes:
+                    got = det(rows)
+                assert sizes == []
+                assert got == naive_det(rows)
+
+    def test_non_unit_pivots_scale_back(self):
+        # pivots 2 and -3 (times U's diagonal), then a trailing block with no
+        # constant entry: it is expanded and divided by a pivot^(t-1) != 1
+        rng = random.Random(67)
+        vs = ("x", "y")
+        for n in range(4, 6):
+            for _ in range(4):
+                tail = [
+                    MultiPoly(vs, {(0, 1): 1, (1, 0): rng.choice((-1, 1))}) for _ in range(n - 2)
+                ]
+                rows = lu_matrix(rng, [2, -3, *tail], [1, rng.choice((1, 2, -1))] + [1] * (n - 2))
+                with determinant_paths() as sizes:
+                    got = det(rows)
+                assert sizes == [n - 2]
+                assert got == naive_det(rows)
+
+    def test_resultant_with_leading_coefficients_2_and_minus_3(self):
+        # integer pivots to the end, or a 2 x 2 block scaled back by 4
+        vs = ("m", "x", "y")
+        cases = [
+            ("2*m^2 + x*m + y", "-3*m^2 + y*m + x^2", [2]),
+            ("2*m^3 + (x - y)*m + 1", "-3*m + x*y", []),
+            ("2*m^2 - x", "-3*m^2 + x*m - y^2 + 2", [2]),
+        ]
+        for p_text, q_text, expanded in cases:
+            p, q = parse_poly(p_text, vs), parse_poly(q_text, vs)
+            with determinant_paths() as sizes:
+                got = resultant(p, q, "m")
+            assert sizes == expanded
+            assert got == naive_det(sylvester_rows(p, q, "m"))
+            assert got == bareiss_det(sylvester_rows(p, q, "m"))
+
+    def test_no_constant_pivot(self):
+        rng = random.Random(71)
+        vs = ("x", "y")
+        for n in range(1, 6):
+            for _ in range(4):
+                rows = [[no_constant_poly(rng, vs) for _ in range(n)] for _ in range(n)]
+                with determinant_paths() as sizes:
+                    got = det(rows)
+                assert sizes == ([n] if n > 1 else [])
+                assert got == naive_det(rows)
+
+    @pytest.mark.parametrize("block_max", [2, 3, 4])
+    def test_blocks_just_below_and_above_the_largest(self, block_max):
+        # with no constant entry, a block of block_max rows is expanded and
+        # one row more is eliminated with polynomial pivots instead
+        rng = random.Random(73 + block_max)
+        vs = ("x", "y")
+        for n, expanded in ((block_max, [block_max]), (block_max + 1, [])):
+            for _ in range(3):
+                rows = [[no_constant_poly(rng, vs) for _ in range(n)] for _ in range(n)]
+                with determinant_paths(block_max) as sizes:
+                    got = det(rows)
+                assert sizes == expanded
+                assert got == naive_det(rows)
+
+    def test_blocks_at_the_largest_size(self):
+        rng = random.Random(79)
+        vs = ("x", "y")
+        size = kernel._MINOR_BLOCK_MAX
+        for n, expanded in ((size, [size]), (size + 1, [])):
+            rows = [[no_constant_poly(rng, vs, terms=1) for _ in range(n)] for _ in range(n)]
+            with determinant_paths() as sizes:
+                got = det(rows)
+            assert sizes == expanded
+            assert got == bareiss_det(rows)
+
+    def test_zero_determinant(self):
+        rng = random.Random(83)
+        vs = ("x", "y")
+        zero = MultiPoly(vs, {})
+        for n in range(2, 6):
+            # a zero column, and a row that is a combination of two others
+            rows = [[no_constant_poly(rng, vs) for _ in range(n)] for _ in range(n)]
+            col = rng.randrange(n)
+            cleared = [[zero if j == col else e for j, e in enumerate(row)] for row in rows]
+            assert det(cleared).is_zero
+            f = random_poly(rng, vs, max_degree=1, max_coeff=3, terms=2)
+
+            def dependent(rows):
+                if n == 2:
+                    return [rows[0], [f * a for a in rows[0]]]
+                return rows[:-1] + [[f * a + 3 * b for a, b in zip(rows[0], rows[1])]]
+
+            assert det(dependent(rows)).is_zero
+            assert naive_det(dependent(rows)).is_zero
+            # the same through integer pivots
+            assert det(dependent(lu_matrix(rng, [2] * n, [1] * n))).is_zero
+
+    def test_row_swaps(self):
+        # an integer below the diagonal of each column but the last, and no
+        # other constant: the integer pivots come with row swaps
+        rng = random.Random(89)
+        vs = ("x", "y")
+        for n in range(2, 6):
+            for _ in range(4):
+                rows = [[no_constant_poly(rng, vs) for _ in range(n)] for _ in range(n)]
+                for k in range(n - 1):
+                    c = rng.choice((1, -1, 2, -3))
+                    rows[rng.randrange(k + 1, n)][k] = MultiPoly.constant(c, vs)
+                rows[0][0] = rng.choice((MultiPoly(vs, {}), rows[0][0]))
+                assert det(rows) == naive_det(rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mixed_entries_match_naive_det(self, data):
+        # constants, zeros and polynomials, with the largest block drawn too:
+        # polynomial pivots followed by integer ones reach every stage
+        vs = ("x", "y")
+        n = data.draw(st.integers(1, 5))
+        entry = st.one_of(
+            st.just(MultiPoly(vs, {})),
+            st.integers(-3, 3).map(lambda c: MultiPoly.constant(c, vs)),
+            polys(vs, 1, max_terms=2),
+            polys(vs, 2, max_terms=2),
+        )
+        rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+        with determinant_paths(data.draw(st.integers(0, 5))):
+            got = det(rows)
+        assert got == naive_det(rows)
 
 
 class TestNullspace:
