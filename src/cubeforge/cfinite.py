@@ -308,6 +308,33 @@ def seq_from_terms(terms: Sequence[int], max_order: int) -> RationalGF:
     return gf
 
 
+def _symmetric_square(den: Coeffs) -> Coeffs:
+    """The polynomial prod_(i <= j) (1 - a_i a_j t) of degree C(r+1, 2),
+    for den = prod_i (1 - a_i t) of degree r with den[0] = 1.
+
+    Multiplying den by sum_(k >= 1) p_k t^k, p_k = sum_i a_i^k, gives
+    -t den'(t) (Newton's identities), so p_k = -k c_k - sum_(i<k) c_i p_(k-i)
+    with c_k = den[k], zero past r.  The power sums of the products a_i a_j,
+    i <= j, are q_k = (p_k^2 + p_(2k)) / 2, and the same identities run
+    backwards give the coefficients: k d_k = -q_k - sum_(i<k) d_i q_(k-i).
+    Every d_k is an integer symmetric function of the a_i, so both
+    divisions are exact."""
+    assert den and den[0] == 1, "den[0] must be 1"
+    r = len(den) - 1
+    rho = comb(r + 1, 2)
+    c = list(den) + [0] * (2 * rho)
+    p = [0]
+    for k in range(1, 2 * rho + 1):
+        p.append(-k * c[k] - sum(c[i] * p[k - i] for i in range(1, k)))
+    q = [0] + [(p[k] * p[k] + p[2 * k]) // 2 for k in range(1, rho + 1)]
+    d = [1]
+    for k in range(1, rho + 1):
+        acc = -q[k] - sum(d[i] * q[k - i] for i in range(1, k))
+        assert acc % k == 0, "inexact symmetric-square coefficient"
+        d.append(acc // k)
+    return tuple(d)
+
+
 def certificate_bound(gfs: Sequence[RationalGF], degree: int) -> int:
     """s + C(r + D, D) + 2, where r is the degree of the lcm of the
     denominators and s the largest preperiod max(0, len(num) - len(den) + 1).

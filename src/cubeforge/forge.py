@@ -4,10 +4,12 @@ sequences come from rational generating functions.
 
 Pipeline: brute-force numeric seeds, morph each against (m, -m, n, -n) into a
 parametric quadruple, solve one of the four quadratics as a Pell-like orbit,
-evaluate the remaining three along the orbit, reconstruct their generating
-functions, and certify the emitted cubic identity with certify_theorem.  Every
-CubicTheorem built here, forged or parsed, gets its certificate that way, so
-verify re-checks a forged theorem's JSON at the depth forge recorded.
+evaluate the remaining three along the orbit, build their generating
+functions exactly over the symmetric square of the orbit's denominator (no
+recurrence is guessed there), and certify the emitted cubic identity with
+certify_theorem.  Every CubicTheorem built here, forged or parsed, gets its
+certificate that way, so verify re-checks a forged theorem's JSON at the
+depth forge recorded.
 """
 
 from __future__ import annotations
@@ -15,14 +17,13 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, replace
-from math import comb
 
 from .cfinite import (
     Certificate,
     RationalGF,
+    _symmetric_square,
     certify_zero,
     rhs_poly,
-    seq_from_terms,
     taylor_coefficients,
 )
 from .cubic import WeightedQuadruple, morph, search_quadruples
@@ -30,11 +31,9 @@ from .errors import (
     DefiniteForm,
     DegenerateMorph,
     EmptySeedSet,
-    GuessFailed,
     InvalidForm,
     MalformedTheorem,
     NoOrbitFound,
-    NonIntegralGF,
     PoleAtOrigin,
 )
 from .kernel import MultiPoly
@@ -211,16 +210,53 @@ def forge(
     return result[:max_theorems]
 
 
+def _value_gfs(polys, gf_m, gf_n) -> list[RationalGF] | None:
+    """The generating functions of the values of the homogeneous quadratics
+    ``polys`` along the orbit (gf_m, gf_n), or None when one of the value
+    sequences vanishes identically.
+
+    They are built, not guessed.  Orbit generating functions come from
+    gf_from_recurrence: they share one denominator den = prod_i (1 - a_i t)
+    of order r with den[0] = 1, and are proper, so m_k = sum_i p_i(k) a_i^k
+    for every k >= 0 with deg p_i < mu_i, the multiplicity of a_i; the same
+    holds for n_k.  So each value sequence v is a sum of products m_k^2,
+    m_k n_k, n_k^2, whose terms are polynomials of degree
+    <= mu_i + mu_j - 2 times (a_i a_j)^k.  den2 = _symmetric_square(den), of
+    degree rho = C(r+1, 2), holds the factor (1 - a_i a_j t) at least
+    C(mu+1, 2) >= 2mu - 1 times for a_i = a_j of multiplicity mu, and at
+    least mu*nu >= mu + nu - 1 times for distinct roots of multiplicities
+    mu and nu, so it annihilates v from k = 0 on: v has the proper
+    generating function num/den2 with num_j = sum_(i <= j) den2_i v_(j-i)
+    for j < rho, and v vanishes identically exactly when num is zero.
+
+    This is the rational function that reconstruction by guessing finds
+    (seq_from_terms with orders up to rho + 1 on 2(rho + 1) + 6 terms):
+    v obeys its lowest-terms denominator, of degree d <= rho, so the guess
+    stops at an order r' <= d and rebuilds a proper sequence u that agrees
+    with v on 2 rho + 8 terms.  u - v is proper with a denominator of degree
+    <= r' + d <= 2 rho, so it is zero, and RationalGF's normal form of one
+    rational function is unique."""
+    den = gf_m.den
+    assert den == gf_n.den and len(gf_m.num) < len(den) and len(gf_n.num) < len(den)
+    den2 = _symmetric_square(den)
+    rho = len(den2) - 1
+    ms = taylor_coefficients(gf_m, rho)
+    ns = taylor_coefficients(gf_n, rho)
+    gfs = []
+    for p in polys:
+        v = [p.evaluate({"m": mv, "n": nv}) for mv, nv in zip(ms, ns)]
+        num = [sum(den2[k] * v[t - k] for k in range(t + 1)) for t in range(rho)]
+        if not any(num):
+            return None
+        gfs.append(RationalGF(num, den2))
+    return gfs
+
+
 def _build_theorem(seed, quadruple, weights, j, orbit) -> CubicTheorem | None:
     a, b = quadruple.a, quadruple.b
     e = orbit.target
     c = -weights[j] * e**3
     rhs_kind = orbit.kind
-    r = len(orbit.gf_m.den) - 1
-    order_cap = comb(r + 1, 2) + 1
-    count = 2 * order_cap + 6
-    ms = taylor_coefficients(orbit.gf_m, count)
-    ns = taylor_coefficients(orbit.gf_n, count)
     # the two surviving polynomials of one weight class become A and B, the
     # odd one out becomes C: solving an a-slot leaves (b, b, a) and vice versa
     if j in (0, 1):
@@ -232,17 +268,9 @@ def _build_theorem(seed, quadruple, weights, j, orbit) -> CubicTheorem | None:
     if thm_a < 0:
         # negate the whole equation so the paired weight is positive
         thm_a, thm_b, c = -thm_a, -thm_b, -c
-    value_seqs = []
-    for i in ordered:
-        p = quadruple.polys[i]
-        value_seqs.append([p.evaluate({"m": mv, "n": nv}) for mv, nv in zip(ms, ns)])
-    if any(all(v == 0 for v in s) for s in value_seqs):
+    gfs = _value_gfs([quadruple.polys[i] for i in ordered], orbit.gf_m, orbit.gf_n)
+    if gfs is None:
         log.debug("seed %s, index %d: a sequence vanishes identically", seed, j + 1)
-        return None
-    try:
-        gfs = [seq_from_terms(s, order_cap) for s in value_seqs]
-    except (GuessFailed, NonIntegralGF) as exc:
-        log.debug("seed %s, index %d: reconstruction failed: %s", seed, j + 1, exc)
         return None
     provenance = {
         "seed": list(seed.coords),
@@ -304,6 +332,14 @@ def _weight_prefix(w: int) -> str:
     return f"({w})*" if w < 0 else f"{w}*"
 
 
+def _latex_term(w: int, body: str, first: bool) -> str:
+    """w*body as one summand: "-3\\,C_n^3", or " - 3\\,C_n^3" after another."""
+    coeff = "" if abs(w) == 1 else f"{abs(w)}\\,"
+    if first:
+        return f"{'-' if w < 0 else ''}{coeff}{body}"
+    return f" {'-' if w < 0 else '+'} {coeff}{body}"
+
+
 def render(thm: CubicTheorem, fmt: str = "text") -> str:
     """Render a theorem as plain text, LaTeX, or the interchange JSON."""
     if fmt == "json":
@@ -329,8 +365,10 @@ def render(thm: CubicTheorem, fmt: str = "text") -> str:
         return "\n".join(lines)
     if fmt == "latex":
         rhs_tex = str(thm.c) if thm.rhs_kind == "constant" else f"{thm.c}\\,(-1)^n"
-        wa = "" if thm.a == 1 else f"{thm.a}\\,"
-        wb = "" if thm.b == 1 else f"{thm.b}\\,"
+        lhs = "".join(
+            _latex_term(w, f"{v}_n^3", i == 0)
+            for i, (w, v) in enumerate(((thm.a, "A"), (thm.a, "B"), (thm.b, "C")))
+        )
         if cert.certified:
             relation = rf"&= {rhs_tex} \quad (n \ge 0)"
             verdict = rf"Certified by checking $n = 0, \dots, {cert.bound - 1}$."
@@ -342,7 +380,7 @@ def render(thm: CubicTheorem, fmt: str = "text") -> str:
             rf"\sum_{{n \ge 0}} A_n t^n &= {_gf_latex(thm.gf_a)} \\",
             rf"\sum_{{n \ge 0}} B_n t^n &= {_gf_latex(thm.gf_b)} \\",
             rf"\sum_{{n \ge 0}} C_n t^n &= {_gf_latex(thm.gf_c)} \\",
-            rf"{wa}A_n^3 + {wa}B_n^3 + {wb}C_n^3 {relation}",
+            rf"{lhs} {relation}",
             r"\end{align*}",
             verdict,
         ]

@@ -666,7 +666,8 @@ def sol_quad(
     orbits are common), then each sign class of the achieved value.  Among
     the certified candidates of the winning class, a constant-kind orbit
     beats an alternating one; remaining ties go to the earliest ladder
-    position.
+    position.  So the ladder stops at its first certified constant
+    candidate, and runs to its end only when no constant one certifies.
 
     Forms in one variable (qb == 0 and qa*qc == 0) raise NoOrbitFound before
     any enumeration, because no ladder candidate can pass.  For Q = qa*m^2
@@ -707,17 +708,19 @@ def sol_quad(
             [s for s in sols if s[2] < 0],
         ]
         seen: list = []
-        candidates: list[PellOrbit] = []
+        alternating = None
         for cand in ladder:
             if cand in seen:
                 continue
             seen.append(cand)
             orbit = _orbit_from_solutions(form, cand, guess_order)
-            if orbit is not None:
-                candidates.append(orbit)
-        if candidates:
-            constant = [o for o in candidates if o.kind == "constant"]
-            return constant[0] if constant else candidates[0]
+            if orbit is None:
+                continue
+            if orbit.kind == "constant":
+                return orbit
+            alternating = alternating or orbit
+        if alternating is not None:
+            return alternating
     raise NoOrbitFound(no_orbit)
 
 

@@ -1,19 +1,27 @@
 import random
+from math import comb
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from cubeforge import (
     Certificate,
     CubicTheorem,
+    MultiPoly,
     RationalGF,
     certify_theorem,
     forge,
     parse_theorem,
     render,
+    seq_from_terms,
+    taylor_coefficients,
     theorem_from_json,
     theorem_to_json,
 )
+from cubeforge.cfinite import _mul, _symmetric_square
 from cubeforge.errors import EmptySeedSet, MalformedTheorem
+from cubeforge.forge import _value_gfs
 
 
 def make_theorem(a, b, c, kind, gfs, depth=0):
@@ -193,3 +201,146 @@ class TestForge:
         for thm in forge(1, 1):
             for seq in thm.sequences(12):
                 assert any(v != 0 for v in seq)
+
+
+def reference_value_gfs(polys, gf_m, gf_n):
+    """The reconstruction by guessing that forge used before the symmetric
+    square: expand 2*(C(r+1, 2) + 1) + 6 terms of the orbit, evaluate the
+    quadratics there and guess each value sequence with seq_from_terms up to
+    order C(r+1, 2) + 1; None when a value sequence vanishes on every term."""
+    r = len(gf_m.den) - 1
+    order_cap = comb(r + 1, 2) + 1
+    count = 2 * order_cap + 6
+    ms = taylor_coefficients(gf_m, count)
+    ns = taylor_coefficients(gf_n, count)
+    seqs = [[p.evaluate({"m": mv, "n": nv}) for mv, nv in zip(ms, ns)] for p in polys]
+    if any(all(v == 0 for v in s) for s in seqs):
+        return None
+    return [seq_from_terms(s, order_cap) for s in seqs]
+
+
+def quadratic(qa, qb, qc):
+    return MultiPoly(("m", "n"), {(2, 0): qa, (1, 1): qb, (0, 2): qc})
+
+
+# factors of orbit denominators, each with constant term 1: roots 1, -1, 2,
+# -3 and 3 +- 2*sqrt(2) (Pell), (3 +- sqrt(5))/2, 1 +- sqrt(2), (1 +- sqrt(5))/2
+DEN_FACTORS = [(1, -1), (1, 1), (1, -2), (1, 3), (1, -6, 1), (1, -3, 1), (1, -2, -1), (1, -1, -1)]
+
+
+@st.composite
+def orbit_dens(draw):
+    """A product of DEN_FACTORS (repeats allowed) of order 1 to 4."""
+    den, order = (1,), draw(st.integers(1, 4))
+    while len(den) - 1 < order:
+        factor = draw(st.sampled_from(DEN_FACTORS))
+        if len(den) - 1 + len(factor) - 1 <= order:
+            den = _mul(den, factor)
+        elif len(den) - 1 == order - 1:
+            den = _mul(den, draw(st.sampled_from(DEN_FACTORS[:4])))
+    return den
+
+
+@st.composite
+def orbit_pairs(draw):
+    """Proper integer generating functions gf_m, gf_n in lowest terms with
+    one shared denominator, as sol_quad builds them."""
+    den = draw(orbit_dens())
+    nums = st.lists(st.integers(-5, 5), min_size=len(den) - 1, max_size=len(den) - 1)
+    gf_m, gf_n = RationalGF(draw(nums), den), RationalGF(draw(nums), den)
+    assume(gf_m.den == den and gf_n.den == den)
+    return gf_m, gf_n
+
+
+forms = st.builds(quadratic, *[st.integers(-4, 4)] * 3)
+
+
+class TestValueGFs:
+    # examples: (1-t)^2, (1+t)^2(1-3t+t^2), roots 1 and -1 with n = 0 and
+    # n = 2m, and a quadratic that is zero
+    @settings(max_examples=300, deadline=None)
+    @given(orbit_pairs(), st.lists(forms, min_size=1, max_size=3))
+    @example((RationalGF((1, 0), (1, -2, 1)), RationalGF((0, 1), (1, -2, 1))),
+             [quadratic(1, 0, 0), quadratic(0, 1, 0), quadratic(2, -3, 1)])
+    @example((RationalGF((1, 0, 0, 0), (1, -1, -4, -1, 1)),
+              RationalGF((0, 1, 0, 0), (1, -1, -4, -1, 1))),
+             [quadratic(1, 0, -1), quadratic(3, 1, 2)])
+    @example((RationalGF((1,), (1, -1)), RationalGF((0,), (1, -1))), [quadratic(1, 0, 0)])
+    @example((RationalGF((1,), (1, 1)), RationalGF((2,), (1, 1))), [quadratic(1, 1, -1)])
+    @example((RationalGF((1, -3), (1, -6, 1)), RationalGF((0, 2), (1, -6, 1))),
+             [quadratic(1, 0, 1), quadratic(0, 0, 0)])
+    def test_matches_the_guess(self, pair, polys):
+        assert _value_gfs(polys, *pair) == reference_value_gfs(polys, *pair)
+
+    @settings(max_examples=100, deadline=None)
+    @given(orbit_pairs(), st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
+    def test_vanishing_value_sequence(self, pair, k, x, y):
+        # n = k*m makes (k*m - n)(x*m + y*n) vanish along the whole orbit
+        gf_m, _ = pair
+        gf_n = RationalGF([k * c for c in gf_m.num], gf_m.den)
+        assume(gf_n.den == gf_m.den)
+        vanishing = MultiPoly(("m", "n"), {(2, 0): k * x, (1, 1): k * y - x, (0, 2): -y})
+        polys = [quadratic(1, 0, 1), vanishing]
+        assert _value_gfs(polys, gf_m, gf_n) is None
+        assert reference_value_gfs(polys, gf_m, gf_n) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(orbit_pairs())
+    def test_symmetric_square_annihilates_products(self, pair):
+        gf_m, gf_n = pair
+        den2 = _symmetric_square(gf_m.den)
+        rho = comb(len(gf_m.den), 2)
+        assert len(den2) == rho + 1
+        ms = taylor_coefficients(gf_m, 3 * rho)
+        ns = taylor_coefficients(gf_n, 3 * rho)
+        for v in ([x * x for x in ms], [x * y for x, y in zip(ms, ns)], [y * y for y in ns]):
+            for k in range(rho, 3 * rho):
+                assert sum(den2[i] * v[k - i] for i in range(rho + 1)) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-3, 3).filter(bool), min_size=1, max_size=4))
+    def test_symmetric_square_of_integer_roots(self, roots):
+        den = (1,)
+        for a in roots:
+            den = _mul(den, (1, -a))
+        expected = (1,)
+        for i, a in enumerate(roots):
+            for b in roots[i:]:
+                expected = _mul(expected, (1, -a * b))
+        assert _symmetric_square(den) == expected
+
+    def test_degree_reaches_the_bound(self):
+        # the tribonacci roots a_i have six distinct products a_i a_j, so a
+        # value sequence can need the whole symmetric square: degree 6 = rho
+        den = (1, -1, -1, -1)
+        gf_m, gf_n = RationalGF((1,), den), RationalGF((0, 1, 1), den)
+        polys = [quadratic(1, 0, 0), quadratic(1, 1, 0), quadratic(2, -1, 3)]
+        gfs = _value_gfs(polys, gf_m, gf_n)
+        assert [len(g.den) - 1 for g in gfs] == [6, 6, 6]
+        assert all(g.den == _symmetric_square(den) for g in gfs)
+        assert gfs == reference_value_gfs(polys, gf_m, gf_n)
+
+
+class TestLatexWeights:
+    @pytest.mark.parametrize(
+        "b, term", [(-1, "A_n^3 + B_n^3 - C_n^3 "), (-3, r"A_n^3 + B_n^3 - 3\,C_n^3 ")]
+    )
+    def test_negative_b(self, alternating_triple, b, term):
+        thm = make_theorem(1, b, 1, "alternating", alternating_triple, depth=22)
+        latex = render(thm, "latex")
+        assert term in latex and "+ -" not in latex
+        # the text format is unchanged
+        assert f"A(n)^3 + B(n)^3 + ({b})*C(n)^3" in render(thm, "text")
+
+    @pytest.mark.parametrize(
+        "a, term", [(-1, "-A_n^3 - B_n^3 + C_n^3 "), (-2, r"-2\,A_n^3 - 2\,B_n^3 + C_n^3 ")]
+    )
+    def test_negative_a_from_json(self, alternating_triple, a, term):
+        data = {"a": a, "b": 1, "c": -1, "rhs_kind": "alternating",
+                "gfs": [g.to_json() for g in alternating_triple]}
+        latex = render(theorem_from_json(data), "latex")
+        assert term in latex and "+ -" not in latex
+
+    def test_forged_negative_weight(self):
+        latex = "\n".join(render(t, "latex") for t in forge(1, -1))
+        assert r"A_n^3 + B_n^3 - C_n^3 &=" in latex and "+ -" not in latex

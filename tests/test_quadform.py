@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 from math import gcd, isqrt
 
 import pytest
@@ -110,13 +111,15 @@ def naive_enumerate(form, targets, bound):
     return out
 
 
-def reference_sol_quad(form, guess_order, bound, target_cap):
-    """The per-magnitude search: one reference enumeration per target
-    magnitude and no shortcut for one-variable forms."""
+def reference_sol_quad(form, guess_order, bound, target_cap, enumerator=None):
+    """The per-magnitude search: one enumeration per target magnitude
+    (reference_enumerate_solutions unless another is given), no shortcut for
+    one-variable forms, and every ladder candidate tried."""
+    enumerator = enumerator or reference_enumerate_solutions
     if form.discriminant < 0:
         raise DefiniteForm(f"{form} is definite")
     for mag in range(1, target_cap + 1):
-        sols = reference_enumerate_solutions(form, {mag, -mag}, bound)
+        sols = enumerator(form, {mag, -mag}, bound)
         if len(sols) < 3:
             continue
         ladder = [
@@ -404,6 +407,57 @@ class TestSolQuad:
         monkeypatch.setattr(quadform, "enumerate_solutions", counting)
         assert sol_quad(QuadForm(1, 0, -2)).target == 1
         assert asked == [[-1, 1]]
+
+    def _counting_ladder(self, monkeypatch):
+        calls = []
+        orbit_from_solutions = quadform._orbit_from_solutions
+
+        def counting(form, cand, guess_order):
+            orbit = orbit_from_solutions(form, cand, guess_order)
+            calls.append((cand, orbit and orbit.kind))
+            return orbit
+
+        monkeypatch.setattr(quadform, "_orbit_from_solutions", counting)
+        return calls
+
+    @staticmethod
+    def _ladder(form, mag):
+        sols = enumerate_solutions(form, (mag, -mag), 2000)
+        ladder = []
+        for cand in (sols, sols[0::2], sols[1::2], [s for s in sols if s[2] > 0],
+                     [s for s in sols if s[2] < 0]):
+            if cand not in ladder:
+                ladder.append(cand)
+        return ladder
+
+    def test_ladder_stops_at_first_constant(self, monkeypatch):
+        # m^2 - 2n^2 = +-1: the full list certifies as alternating, the even
+        # subsequence as constant, and the odd one is never tried
+        calls = self._counting_ladder(monkeypatch)
+        form = QuadForm(1, 0, -2)
+        orbit = sol_quad(form)
+        assert orbit.kind == "constant"
+        ladder = self._ladder(form, 1)
+        assert [cand for cand, _ in calls] == ladder[:2] and len(ladder) == 3
+        assert [kind for _, kind in calls] == ["alternating", "constant"]
+
+    @pytest.mark.parametrize("form", [QuadForm(-1, 9, 1), QuadForm(1, 0, -5)])
+    def test_ladder_runs_to_the_end_without_constant(self, monkeypatch, form):
+        calls = self._counting_ladder(monkeypatch)
+        orbit = sol_quad(form)
+        assert orbit.kind == "alternating"
+        assert [cand for cand, _ in calls] == self._ladder(form, abs(orbit.target))
+        assert "constant" not in [kind for _, kind in calls]
+
+    def test_forge_forms_match_reference(self):
+        # enumeration on these forms is pinned by
+        # test_forge_forms_match_reference_scan, so the library enumerator
+        # stands in for the slow reference scan here
+        for form in _forge_forms():
+            got = _outcome(sol_quad, form, 4, 2000, 30)
+            assert got == _outcome(
+                partial(reference_sol_quad, enumerator=enumerate_solutions), form, 4, 2000, 30
+            ), form
 
     def test_matches_per_magnitude_reference(self):
         rng = random.Random(79)
