@@ -172,6 +172,7 @@ def forge(
         )
     theorems: list[CubicTheorem] = []
     orbit_cache: dict[QuadForm, object] = {}
+    tables: dict = {}  # sol_quad's class data per discriminant, for this call only
     for seed in seeds:
         try:
             quadruple = morph(seed)
@@ -188,7 +189,8 @@ def forge(
             if form not in orbit_cache:
                 try:
                     orbit_cache[form] = sol_quad(
-                        form, guess_order, bound=orbit_bound, target_cap=target_cap
+                        form, guess_order, bound=orbit_bound, target_cap=target_cap,
+                        _tables=tables,
                     )
                 except (DefiniteForm, NoOrbitFound) as exc:
                     orbit_cache[form] = exc

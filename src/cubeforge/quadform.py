@@ -29,24 +29,36 @@ reach the box (proved in ``_Classes``), so only the window is explored, from
 both sides of the reduction of f; a huge unit, or a long cycle, costs no
 more than a small one.  When 2|e'| < sqrt(D') the forms f_B of the class
 are read off the cycle directly (Lagrange).  The square roots of D' mod
-4|e'| come from the factorisation of e' by trial division, Tonelli-Shanks and
-Hensel lifting per odd prime power, bit-by-bit lifting for powers of 2, and
-the Chinese remainder theorem.
+4|e'| come from the factorisation of e' (Pollard-Brent rho with
+Miller-Rabin, ``_factor``), Tonelli-Shanks and Hensel lifting per odd prime
+power, bit-by-bit lifting for powers of 2, and the Chinese remainder
+theorem.  The roots and the reduced forms f_B depend only on (D', e'), so
+they live in a ``_DiscTable`` per D' that every form of that discriminant
+shares.
 
 Square D (D = 0, qa = 0 or qc = 0).  Q = k'*L1*L2 with primitive integer
 linear forms L1, L2 (Gauss's lemma), so a solution pairs a divisor p of
 e/k' with L1 = p, L2 = e/(k'*p), or lies on one of the lines L1 = 0, L2 = 0
 (e = 0) or L1 = +-p (D = 0, L2 = +-L1).
 
-Cost.  Per form, one reduction and the window: the positions j where
-|L+-| of the first column of P_j stay within the box's bound times
-sqrt(D') |z| / |e'|, O(log(bound * D' * |z|)) positions, as those grow
-geometrically along the cycle.  Per target, O(min(sqrt|e|, bound)) for the
-square divisors g^2 and, when 2|e'| >= sqrt(D'), trial division of e' in
-O(sqrt|e'|); then per root B O(1 + log(|e'|/sqrt(D'))) reduction steps, and
-O(1) per position found.  The work follows the number of classes and
-solutions, not ``bound``; targets beyond (|qa| + |qb| + |qc|) * bound^2,
-which bounds |Q| on the box, cost nothing.
+Cost.  Per discriminant D', for each e' met: the factorisation of 4|e'|,
+expected O(|e'|^(1/4)) steps, the square roots, and O(1 +
+log(|e'|/sqrt(D'))) reduction steps per root B, computed once in the table
+(none when 2|e'| < sqrt(D')).  Per form, one reduction and the window: the
+positions j where |L+-| of the first column of P_j stay within the box's
+bound times sqrt(D') |z| / |e'|, O(log(bound * D' * |z|)) positions, as
+those grow geometrically along the cycle.  Per target, O(min(sqrt|e|,
+bound)) for the square divisors g^2, then O(1) per position found.  The
+work follows the number of classes and solutions, not ``bound``; targets
+beyond (|qa| + |qb| + |qc|) * bound^2, which bounds |Q| on the box, cost
+nothing.
+
+The magnitude sweep.  sol_quad needs the solutions of Q = +-mag for mag =
+1, 2, ... in turn.  It does not enumerate per target: ``_by_magnitude``
+lists the primitive representations of each e' = +-1, +-2, ... once and
+files g times each under the magnitude k*g^2*|e'| it solves, so every e'
+costs one lookup however many magnitudes it serves, and a ``forge`` call
+computes each table once for all its forms.
 """
 
 from __future__ import annotations
@@ -144,17 +156,90 @@ class PellOrbit:
         }
 
 
+# Miller-Rabin on these bases decides primality for every n below
+# _MR_PROVEN (Sorenson & Webster, Math. Comp. 86 (2017), psi_13)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n is prime, for 1 < n < _MR_PROVEN: Miller-Rabin on _MR_BASES."""
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper divisor of the odd composite n: Brent's cycle finding on
+    x -> x^2 + c (mod n), products of 128 differences per gcd, and one
+    step at a time again when a batch overshoots; the next c when a cycle
+    closes modulo every factor at once."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def _factor(n: int) -> dict[int, int]:
-    """{p: k} with n = prod p^k, for n >= 1, by trial division."""
+    """{p: k} with n = prod p^k, for n >= 1.  Trial division by the primes
+    below 64, and further for as long as the cofactor is at least
+    _MR_PROVEN; the cofactor left then splits by Pollard-Brent rho, its
+    parts tested by Miller-Rabin.  Expected O(n^(1/4)) steps below the
+    proven bound instead of O(n^(1/2))."""
     out: dict[int, int] = {}
     p = 2
-    while p * p <= n:
+    while p * p <= n and (p < 64 or n >= _MR_PROVEN):
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
         p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    if p * p > n:
+        if n > 1:
+            out[n] = out.get(n, 0) + 1
+        return out
+    parts = [n]
+    while parts:
+        m = parts.pop()
+        if _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _pollard_brent(m)
+            parts += [d, m // d]
     return out
 
 
@@ -294,10 +379,58 @@ def _reduce_indefinite(f, disc: int, root: int):
     return f, m
 
 
+class _DiscTable:
+    """The class data that depend only on the primitive discriminant disc,
+    so that every form of that discriminant can share them.
+
+    ``bases(e1)`` lists (g, z) for each B mod 2|e1| with B^2 = disc
+    (mod 4|e1|): g the reduction f_B∘N of f_B = (e1, B, (B^2 - disc)/4e1)
+    and z = N^-1 e_1, so g(z) = e1.  When f∘P = g for a form f of
+    discriminant disc, f∘(P N^-1) = f_B and P z represents e1 (see
+    _Classes).  B is taken in (-|e1|, |e1|] when disc < 0 and in
+    (sqrt(disc) - 2|e1|, sqrt(disc)) when disc > 0.
+
+    The list is memoised per e1, the roots B per |e1|, which +-e1 share,
+    and the roots modulo each prime power (p, k) of 4|e1| per (p, k).  A
+    table lives as long as its owner: one enumerate_solutions or sol_quad
+    call, or one forge call for all the forms it meets."""
+
+    def __init__(self, disc: int):
+        self.disc = disc
+        self.root = isqrt(disc) if disc > 0 else 0
+        self._bases: dict[int, list] = {}
+        self._roots: dict[int, set[int]] = {}
+        self._prime_power_roots: dict[tuple[int, int], list[int]] = {}
+
+    def bases(self, e1: int) -> list[tuple[tuple[int, int, int], tuple[int, int]]]:
+        out = self._bases.get(e1)
+        if out is not None:
+            return out
+        disc, root = self.disc, self.root
+        two_e = 2 * abs(e1)
+        roots = self._roots.get(two_e)
+        if roots is None:
+            modulus = _factor(2 * two_e)  # 4|e1|
+            roots = {x % two_e for x in _sqrts_mod(disc, modulus, self._prime_power_roots)}
+            self._roots[two_e] = roots
+        out = self._bases[e1] = []
+        for x in roots:
+            if disc < 0:
+                b = x - two_e if 2 * x > two_e else x
+                reduced, m = _reduce_definite((e1, b, (b * b - disc) // (4 * e1)))
+            else:
+                b = root - (root - x) % two_e
+                reduced, m = _reduce_indefinite(
+                    (e1, b, (b * b - disc) // (4 * e1)), disc, root
+                )
+            out.append((reduced, (m[3], -m[2])))
+        return out
+
+
 class _Classes:
     """The enumeration data of a form Q = scale * f of non-square
     discriminant, f = (a, b, c) primitive of discriminant disc (positive
-    definite when disc < 0).
+    definite when disc < 0), over the _DiscTable of disc.
 
     ``positions`` maps each reduced form properly equivalent to f to the
     matrices P with f∘P equal to it that are needed.  When disc < 0 that is
@@ -310,8 +443,8 @@ class _Classes:
     P_(j+1) = P_j * M_j, so f∘P_j = g_j; a period later P_(j+l) = eps * P_j
     for the fundamental automorph eps.  Every proper automorph of f is
     +-eps^k, so the representations that belong to one class of B (see
-    _bases) are +-P_j z over all j with g_j = g, for one reduced g and one z.
-    Only a window of positions can give a point of the box; _extend
+    _DiscTable) are +-P_j z over all j with g_j = g, for one reduced g and
+    one z.  Only a window of positions can give a point of the box; _extend
     explores it from both ends, and ``leading`` maps the first coefficient
     of each explored g_j to the first columns of its P_j.
 
@@ -329,22 +462,31 @@ class _Classes:
     point of the box.  Over two steps |mu+| grows by (sqrt(disc) + b_j) /
     (sqrt(disc) - b_(j+1)) > 3/2, as b_j + b_(j+1) is a positive multiple of
     2|c_j| > sqrt(disc) - b_j, so the interval holds O(log(x)) positions for
-    the bound x, however long the cycle and however large the unit."""
+    the bound x, however long the cycle and however large the unit.  The
+    explored window only grows, so positions outside the current box's
+    interval may be known; the box test of ``primitive`` drops them.
 
-    def __init__(self, qa: int, qb: int, qc: int, k: int):
-        disc = (qb * qb - 4 * qa * qc) // (k * k)
+    No point is listed twice, even up to sign.  A representation and its
+    negative fix the same B mod 2|e1|, so distinct B give disjoint sets.
+    Inside one class, points P z = +-P' z with f∘P = f∘P' = g make
+    P'^-1 P an automorph of g with eigenvalue +-1, so P' = +-P: the
+    automorphs other than +-1 have eigenvalues u^(+-i) with u > 1 when
+    disc > 0 and non-real roots of unity when disc < 0.  P' = -P does
+    not occur, because the P listed for g are eps^i P_k when disc > 0, and
+    one of each pair +-A times P_0 when disc < 0."""
+
+    def __init__(self, qa: int, qb: int, qc: int, k: int, table: _DiscTable):
+        self.disc = disc = table.disc
+        self.root = table.root
+        self.table = table
         sign = -1 if disc < 0 and qa < 0 else 1
         self.scale = sign * k
         self.f = f = (sign * qa // k, sign * qb // k, sign * qc // k)
-        self.disc = disc
         self.leading: dict[int, list[tuple[int, int]]] = {}
-        self._root_memo: dict[int, set[int]] = {}
-        self._prime_power_roots: dict[tuple[int, int], list[int]] = {}
         if disc < 0:
-            self.root = 0
             f0, p0 = _reduce_definite(f)
             self.positions = {f0: [p0]}
-            # one of each pair +-A; points() adds the negatives
+            # one of each pair +-A; primitive() adds the negatives
             units = [(2, 0)]
             if disc == -4:
                 units.append((0, 1))
@@ -352,10 +494,9 @@ class _Classes:
                 units += [(1, 1), (-1, 1)]
             self.automorphs = [_automorph(f, t, u) for t, u in units]
             return
-        self.root = root = isqrt(disc)
         self.positions = {}
-        self.reach = 2 * abs(f[0]) + abs(f[1]) + root + 1  # |L+-^f| < reach * limit
-        f0, p0 = _reduce_indefinite(f, disc, root)
+        self.reach = 2 * abs(f[0]) + abs(f[1]) + self.root + 1  # |L+-^f| < reach * limit
+        f0, p0 = _reduce_indefinite(f, disc, self.root)
         self._ahead = (f0, p0)  # the next positions to explore, j = 0 and -1
         self._behind = self._back(f0, p0)
         self._reached = 0
@@ -406,75 +547,53 @@ class _Classes:
         self.positions.setdefault(g, []).append(p)
         self.leading.setdefault(g[0], []).append((p[0], p[2]))
 
+    def primitive(self, e1: int, limit: int) -> list[tuple[int, int]]:
+        """Every primitive representation (x, y) of e1 != 0 by f with
+        1 <= x <= limit and 0 <= y <= limit.
+
+        For each (g, z) of table.bases(e1), the points P z over the P of
+        ``positions`` that take f to g.  When disc > 0 and 2|e1| <
+        sqrt(disc), f_B is already reduced, so the f_B of the class are
+        exactly the cycle forms with first coefficient e1 (Lagrange's
+        criterion) and z = (1, 0): those are read from ``leading``, with no
+        square roots and no reduction."""
+        disc = self.disc
+        if disc < 0 and e1 < 0:
+            return []
+        # disc > 0: explore the window up to K (|z1| + sqrt(disc) |z2|) / (2|e1|)
+        if 2 * abs(e1) <= self.root:
+            self._extend(self.reach * limit // (2 * abs(e1)) + 1)  # z = (1, 0)
+            found = self.leading.get(e1, ())
+        else:
+            found = []
+            for reduced, z in self.table.bases(e1):
+                if disc > 0:
+                    width = abs(z[0]) + (self.root + 1) * abs(z[1])
+                    self._extend(self.reach * limit * width // (2 * abs(e1)) + 1)
+                found += [
+                    (p[0] * z[0] + p[1] * z[1], p[2] * z[0] + p[3] * z[1])
+                    for p in self.positions.get(reduced, ())
+                ]
+        if disc < 0:
+            found = [(a[0] * v[0] + a[1] * v[1], a[2] * v[0] + a[3] * v[1])
+                     for v in found for a in self.automorphs]
+        out = []
+        for x, y in found:
+            if x < 0:
+                x, y = -x, -y
+            if 0 < x <= limit and 0 <= y <= limit:
+                out.append((x, y))
+        return out
+
     def points(self, e: int, bound: int) -> list[tuple[int, int]]:
         if e % self.scale:
             return []
         n = e // self.scale
-        if n == 0 or (self.disc < 0 and n < 0):
-            return []
         out = []
         # a solution with gcd(m, n) = g is g times a primitive one of n / g^2
         for g in range(1, min(isqrt(abs(n)), bound) + 1):
-            if n % (g * g):
-                continue
-            limit = bound // g
-            e1 = n // (g * g)
-            # disc > 0: explore the window up to K (|z1| + sqrt(disc) |z2|) / (2|e1|)
-            if 2 * abs(e1) <= self.root:
-                self._extend(self.reach * limit // (2 * abs(e1)) + 1)  # z = (1, 0)
-                found = self.leading.get(e1, ())
-            else:
-                found = []
-                for reduced, z in self._bases(e1):
-                    if self.disc > 0:
-                        width = abs(z[0]) + (self.root + 1) * abs(z[1])
-                        self._extend(self.reach * limit * width // (2 * abs(e1)) + 1)
-                    found += [
-                        (p[0] * z[0] + p[1] * z[1], p[2] * z[0] + p[3] * z[1])
-                        for p in self.positions.get(reduced, ())
-                    ]
-            for v in found:
-                if self.disc < 0:
-                    orbit = [(a[0] * v[0] + a[1] * v[1], a[2] * v[0] + a[3] * v[1])
-                             for a in self.automorphs]
-                else:
-                    orbit = [v]
-                for x, y in orbit:
-                    if x < 0:
-                        x, y = -x, -y
-                    if 0 < x <= limit and 0 <= y <= limit:
-                        out.append((g * x, g * y))
-        return out
-
-    def _bases(self, e1: int) -> list[tuple[tuple[int, int, int], tuple[int, int]]]:
-        """(g, z) for each B mod 2|e1| with B^2 = disc (mod 4|e1|): g the
-        reduction f_B∘N of f_B = (e1, B, (B^2 - disc)/4e1) and z = N^-1 e_1,
-        so g(z) = e1.  When f∘P = g, f∘(P N^-1) = f_B and P z represents e1.
-
-        B is taken in (-|e1|, |e1|] when disc < 0 and in (sqrt(disc) - 2|e1|,
-        sqrt(disc)) when disc > 0.  In the second case f_B is already reduced
-        when 2|e1| < sqrt(disc), so the f_B of the class are exactly the
-        cycle forms with first coefficient e1 (Lagrange's criterion):
-        points() reads those from ``leading``, with no square roots and no
-        reduction.  The roots B are memoised per |e1|, which +-e1 share."""
-        disc, root = self.disc, self.root
-        two_e = 2 * abs(e1)
-        roots = self._root_memo.get(two_e)
-        if roots is None:
-            modulus = _factor(2 * two_e)  # 4|e1|
-            roots = {x % two_e for x in _sqrts_mod(disc, modulus, self._prime_power_roots)}
-            self._root_memo[two_e] = roots
-        out = []
-        for x in roots:
-            if disc < 0:
-                b = x - two_e if 2 * x > two_e else x
-                reduced, m = _reduce_definite((e1, b, (b * b - disc) // (4 * e1)))
-            else:
-                b = root - (root - x) % two_e
-                reduced, m = _reduce_indefinite(
-                    (e1, b, (b * b - disc) // (4 * e1)), disc, root
-                )
-            out.append((reduced, (m[3], -m[2])))
+            if n % (g * g) == 0:
+                out += [(g * x, g * y) for x, y in self.primitive(n // (g * g), bound // g)]
         return out
 
 
@@ -547,29 +666,35 @@ class _Factored:
             return out
         return [pt for line in lines for pt in _line_points(*line, bound)]
 
+    def primitive(self, e1: int, limit: int) -> list[tuple[int, int]]:
+        """Every representation (x, y) of e1 by L1 * L2 with gcd(x, y) = 1,
+        1 <= x <= limit and 0 <= y <= limit."""
+        return [v for v in self.points(self.scale * e1, limit) if gcd(*v) == 1]
 
-class PreparedForm:
-    """What enumerate_solutions needs of a form besides the targets and the
-    bound, kept across calls: the content, and either the reduced forms of
-    the class with their transforms, the explored window of the cycle and
-    the square roots found so far (non-square discriminant) or the linear
-    factors (square discriminant)."""
 
-    def __init__(self, form: QuadForm):
-        qa, qb, qc = form.qa, form.qb, form.qc
-        k = gcd(gcd(qa, qb), qc)
-        disc = form.discriminant // (k * k)
-        square = disc >= 0 and isqrt(disc) ** 2 == disc
-        self.reach = abs(qa) + abs(qb) + abs(qc)  # |Q| <= reach * bound^2 on the box
-        self.kind = (_Factored if square else _Classes)(qa, qb, qc, k)
+def _prepare(form: QuadForm, tables: dict[int, _DiscTable]) -> _Factored | _Classes:
+    """The enumeration data of the form: its linear factors when its
+    discriminant is a square, otherwise its classes over the _DiscTable of
+    its primitive discriminant D' = D/k^2, k the content, taken from
+    ``tables`` (keyed by D') or added to it."""
+    qa, qb, qc = form.qa, form.qb, form.qc
+    k = gcd(gcd(qa, qb), qc)
+    disc = form.discriminant // (k * k)
+    if disc >= 0 and isqrt(disc) ** 2 == disc:
+        return _Factored(qa, qb, qc, k)
+    table = tables.get(disc)
+    if table is None:
+        table = tables[disc] = _DiscTable(disc)
+    return _Classes(qa, qb, qc, k, table)
+
+
+def _box_cap(form: QuadForm, bound: int) -> int:
+    """(|qa| + |qb| + |qc|) * bound^2, which bounds |Q| on the box."""
+    return (abs(form.qa) + abs(form.qb) + abs(form.qc)) * bound * bound
 
 
 def enumerate_solutions(
-    form: QuadForm,
-    targets: Iterable[int],
-    bound: int,
-    *,
-    prepared: PreparedForm | None = None,
+    form: QuadForm, targets: Iterable[int], bound: int
 ) -> list[tuple[int, int, int]]:
     """All (m, n, Q(m, n)) with 1 <= m <= bound, 0 <= n <= bound and value in
     ``targets``, sorted by m then n.  The quarter-plane quotients the global
@@ -579,19 +704,16 @@ def enumerate_solutions(
     The solutions of each target come from reduction theory or from the
     linear factors, as set out in the module docstring; a target beyond
     (|qa| + |qb| + |qc|) * bound^2, which bounds |Q| on the box, is dropped
-    at once.  ``prepared`` is ``PreparedForm(form)``, which a caller that
-    enumerates one form many times computes once.
+    at once.  The class data are computed afresh for each call.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    if prepared is None:
-        prepared = PreparedForm(form)
-    cap = prepared.reach * bound * bound
-    points = prepared.kind.points
+    kind = _prepare(form, {})
+    cap = _box_cap(form, bound)
     out = []
     for e in {int(t) for t in targets}:
         if -cap <= e <= cap:
-            out += [(m, n, e) for m, n in points(e, bound)]
+            out += [(m, n, e) for m, n in kind.points(e, bound)]
     out.sort()
     return out
 
@@ -639,13 +761,54 @@ def _orbit_from_solutions(
 
 
 def _by_magnitude(
-    form: QuadForm, bound: int, target_cap: int
+    form: QuadForm, bound: int, target_cap: int, tables: dict[int, _DiscTable]
 ) -> Iterator[list[tuple[int, int, int]]]:
-    """The solutions of Q = +-mag for mag = 1, 2, ..., target_cap, one
-    magnitude at a time, from one PreparedForm."""
-    prepared = PreparedForm(form)
-    for mag in range(1, target_cap + 1):
-        yield enumerate_solutions(form, (mag, -mag), bound, prepared=prepared)
+    """For mag = 1, 2, ..., target_cap in turn, the list
+    enumerate_solutions(form, (mag, -mag), bound), computed lazily by one
+    sweep over |e1| = 1, 2, ... with the class data of ``tables``.
+
+    Let Q = s * f with s = kind.scale, f primitive (_Classes) or the
+    product of the linear factors (_Factored).  A solution (m, n) of
+    Q = +-mag with gcd(m, n) = g is g times a primitive representation v
+    of e1 = +-mag / (s g^2) by f, and v lies in the box of bound // g.
+    So for each e1 = +-a the sweep takes the primitive representations in
+    the box of ``bound`` once, from kind.primitive, and files them under
+    magnitude |s| g^2 a for every g with |s| g^2 a <= target_cap; the list
+    of a magnitude is the g * v of its entries with v in the box of
+    bound // g.  It is exact: the window kind.primitive explores for the
+    box of ``bound`` contains the window of every smaller box, and
+    positions outside a box's window give no point in it (_Classes), so
+    the box test removes them.  Nothing is listed twice: points of
+    distinct (g, e1) differ in gcd or value, and kind.primitive lists each
+    representation once.  After a, every magnitude <= |s| a has all its
+    entries, so its list is built, sorted and yielded then; a consumer
+    that stops at a magnitude stops the sweep there.  Magnitudes beyond
+    (|qa| + |qb| + |qc|) * bound^2 have no point in the box and are
+    yielded empty without any work."""
+    kind = _prepare(form, tables)
+    scale = abs(kind.scale)
+    top = min(target_cap, _box_cap(form, bound))
+    # magnitude -> (g, value, primitive representations of value / (s g^2))
+    pending: dict[int, list[tuple[int, int, list[tuple[int, int]]]]] = {}
+    done = 0
+    for a in range(1, top // scale + 1):
+        for e1 in (a, -a):
+            reps = kind.primitive(e1, bound)
+            g = 1
+            while reps and scale * g * g * a <= top:
+                value = kind.scale * g * g * e1
+                pending.setdefault(scale * g * g * a, []).append((g, value, reps))
+                g += 1
+        while done < scale * a:
+            done += 1
+            yield sorted(
+                (g * x, g * y, value)
+                for g, value, reps in pending.pop(done, ())
+                for x, y in reps
+                if g * x <= bound and g * y <= bound
+            )
+    for _ in range(done, target_cap):
+        yield []
 
 
 def sol_quad(
@@ -654,20 +817,23 @@ def sol_quad(
     *,
     bound: int = 2000,
     target_cap: int = 30,
+    _tables: dict | None = None,
 ) -> PellOrbit:
     """Find a certified Pell-like orbit for the form.
 
-    Target magnitudes |e| are scanned upward from 1 to ``target_cap``, one
-    enumeration of Q = +-|e| per magnitude from a generator that computes the
-    per-form data (content, reduced forms, transforms, automorph) once; the
-    scan stops at the winning magnitude, so only one magnitude's solutions
-    are held at a time.  Inside one magnitude class the candidate solution lists are tried in a fixed ladder:
-    the full sorted list, the even- and odd-indexed subsequences (interleaved
-    orbits are common), then each sign class of the achieved value.  Among
-    the certified candidates of the winning class, a constant-kind orbit
-    beats an alternating one; remaining ties go to the earliest ladder
-    position.  So the ladder stops at its first certified constant
-    candidate, and runs to its end only when no constant one certifies.
+    Target magnitudes |e| are scanned upward from 1 to ``target_cap``; the
+    solutions of Q = +-|e| come from one lazy sweep over the primitive
+    representations (_by_magnitude), and the scan stops at the winning
+    magnitude.  The class data of each primitive discriminant are computed
+    once per call, or once per forge call, which passes its own ``_tables``
+    (private).  Inside one magnitude class the candidate solution lists are
+    tried in a fixed ladder: the full sorted list, the even- and odd-indexed
+    subsequences (interleaved orbits are common), then each sign class of
+    the achieved value.  Among the certified candidates of the winning
+    class, a constant-kind orbit beats an alternating one; remaining ties go
+    to the earliest ladder position.  So the ladder stops at its first
+    certified constant candidate, and runs to its end only when no constant
+    one certifies.
 
     Forms in one variable (qb == 0 and qa*qc == 0) raise NoOrbitFound before
     any enumeration, because no ladder candidate can pass.  For Q = qa*m^2
@@ -691,13 +857,17 @@ def sol_quad(
             f"{form} has negative discriminant {form.discriminant}; "
             "every target admits only finitely many solutions"
         )
-    no_orbit = (
-        f"no certified orbit for {form} with |target| <= {target_cap}, "
-        f"enumeration bound {bound}, guess order {guess_order}"
-    )
+
+    def no_orbit() -> NoOrbitFound:
+        return NoOrbitFound(
+            f"no certified orbit for {form} with |target| <= {target_cap}, "
+            f"enumeration bound {bound}, guess order {guess_order}"
+        )
+
     if form.qb == 0 and form.qa * form.qc == 0:
-        raise NoOrbitFound(no_orbit)
-    for sols in _by_magnitude(form, bound, target_cap):
+        raise no_orbit()
+    tables = {} if _tables is None else _tables
+    for sols in _by_magnitude(form, bound, target_cap, tables):
         if len(sols) < 3:
             continue
         ladder = [
@@ -721,7 +891,7 @@ def sol_quad(
             alternating = alternating or orbit
         if alternating is not None:
             return alternating
-    raise NoOrbitFound(no_orbit)
+    raise no_orbit()
 
 
 def general_quadform(

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from functools import partial
 from math import gcd, isqrt
@@ -374,6 +375,111 @@ class TestReductionTheory:
             form, targets, 300
         )
 
+
+def _per_magnitude(form, bound, target_cap):
+    return [enumerate_solutions(form, (mag, -mag), bound) for mag in range(1, target_cap + 1)]
+
+
+class TestMagnitudeSweep:
+    def test_forge_forms_match_enumeration(self):
+        forms = _forge_forms()
+        for form in forms:
+            assert list(quadform._by_magnitude(form, 2000, 30, {})) == _per_magnitude(
+                form, 2000, 30
+            ), form
+        assert len(forms) == 241
+
+    @settings(max_examples=300, deadline=None)
+    @given(forms_of_every_class(), st.integers(1, 300), st.integers(1, 60))
+    def test_matches_enumeration(self, form, bound, target_cap):
+        # contents up to 4 with caps that are no multiples of them, square
+        # discriminants, and bounds small enough to cut orbits
+        assert list(quadform._by_magnitude(form, bound, target_cap, {})) == _per_magnitude(
+            form, bound, target_cap
+        )
+
+    def test_shared_table_matches_fresh(self):
+        forms = _forge_forms()
+        fresh = {form: list(quadform._by_magnitude(form, 2000, 30, {})) for form in forms}
+        for order in (forms, forms[::-1]):
+            tables = {}
+            for form in order:
+                assert list(quadform._by_magnitude(form, 2000, 30, tables)) == fresh[form], form
+        # the 241 forms have far fewer primitive discriminants than forms
+        assert len(tables) < len(forms) // 2
+
+    def test_content_spreads_magnitudes(self):
+        # 3*(m^2 - 2n^2): only multiples of 3; 12 = 3 * 2^2 * 1 holds the
+        # doubled points of |e1| = 1, as +-4 has no primitive representation
+        form = QuadForm(3, 0, -6)
+        sweep = list(quadform._by_magnitude(form, 100, 13, {}))
+        assert [mag for mag, sols in enumerate(sweep, 1) if sols] == [3, 6, 12]
+        assert (2, 0, 12) in sweep[11] and (6, 4, 12) in sweep[11]
+        assert sweep == _per_magnitude(form, 100, 13)
+
+
+def trial_factor(n):
+    """{p: k} with n = prod p^k by trial division: the oracle for _factor."""
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+class TestFactor:
+    def test_matches_trial_division(self):
+        rng = random.Random(83)
+        for n in list(range(1, 3000)) + [rng.randint(1, 10**12) for _ in range(100)]:
+            assert quadform._factor(n) == trial_factor(n), n
+
+    def test_semiprimes_and_prime_powers(self):
+        rng = random.Random(89)
+        candidates = (rng.randint(10**5, 10**6) for _ in range(400))
+        primes = sorted({p for p in candidates if trial_factor(p) == {p: 1}})
+        assert len(primes) > 20
+        for p, q in zip(primes, primes[1:]):
+            assert quadform._factor(p * q) == {p: 1, q: 1}
+            assert quadform._factor(p * p * q) == {p: 2, q: 1}
+            assert quadform._factor(p**3) == {p: 3}
+
+    def test_large_semiprime(self):
+        p, q = 1000000007, 100000007
+        assert quadform._factor(4 * p * q) == {2: 2, p: 1, q: 1}
+        assert quadform._factor(p * p) == {p: 2}
+
+    def test_miller_rabin_bases_at_their_limit(self):
+        # psi_12, the least strong pseudoprime to the bases 2..37, falls to
+        # base 41; psi_13, the least one to 2..41, passes them all, so
+        # Miller-Rabin decides primality exactly below it (Sorenson & Webster)
+        assert not quadform._is_prime(318665857834031151167461)
+        psi_13 = 3317044064679887385961981
+        assert quadform._is_prime(psi_13) and psi_13 == quadform._MR_PROVEN
+
+    def test_trial_division_above_the_proven_bound(self, monkeypatch):
+        tested = []
+        is_prime = quadform._is_prime
+        monkeypatch.setattr(quadform, "_is_prime", lambda n: tested.append(n) or is_prime(n))
+        # 67^14 > _MR_PROVEN: trial division goes on to 67, and only the
+        # cofactor below the bound meets Miller-Rabin
+        assert quadform._factor(67**14 * 1000003) == {67: 14, 1000003: 1}
+        assert tested == [1000003]
+
+    def test_huge_targets_end_in_time(self):
+        # the large targets lie near 10^17: trial division of them took 21 s
+        form = QuadForm(-443522816873, -982260105182, 930848578435)
+        targets = [-37824618397980917, -34748209332988136, -25, -6, -2, 41247816907507579]
+        start = time.perf_counter()
+        got = enumerate_solutions(form, targets, 300)
+        assert time.perf_counter() - start < 2
+        assert got == reference_enumerate_solutions(form, targets, 300) and len(got) == 3
+
+
 class TestSolQuad:
     def test_classic_pell(self):
         orbit = sol_quad(QuadForm(1, 0, -2), 3)
@@ -397,16 +503,17 @@ class TestSolQuad:
             sol_quad(QuadForm(2, 1, -1), 4, target_cap=5)
 
     def test_stops_at_the_winning_magnitude(self, monkeypatch):
+        # m^2 - 2n^2 wins at |e| = 1, so the sweep handles only |e1| = 1
         asked = []
-        enumerate_magnitude = quadform.enumerate_solutions
+        primitive = quadform._Classes.primitive
 
-        def counting(form, targets, bound, **kwargs):
-            asked.append(sorted(targets))
-            return enumerate_magnitude(form, targets, bound, **kwargs)
+        def counting(self, e1, limit):
+            asked.append(e1)
+            return primitive(self, e1, limit)
 
-        monkeypatch.setattr(quadform, "enumerate_solutions", counting)
+        monkeypatch.setattr(quadform._Classes, "primitive", counting)
         assert sol_quad(QuadForm(1, 0, -2)).target == 1
-        assert asked == [[-1, 1]]
+        assert asked == [1, -1]
 
     def _counting_ladder(self, monkeypatch):
         calls = []
@@ -452,9 +559,11 @@ class TestSolQuad:
     def test_forge_forms_match_reference(self):
         # enumeration on these forms is pinned by
         # test_forge_forms_match_reference_scan, so the library enumerator
-        # stands in for the slow reference scan here
+        # stands in for the slow reference scan here; the forms share their
+        # class data as in forge
+        tables = {}
         for form in _forge_forms():
-            got = _outcome(sol_quad, form, 4, 2000, 30)
+            got = _outcome(partial(sol_quad, _tables=tables), form, 4, 2000, 30)
             assert got == _outcome(
                 partial(reference_sol_quad, enumerator=enumerate_solutions), form, 4, 2000, 30
             ), form
