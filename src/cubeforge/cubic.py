@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import DegenerateMorph, InvalidQuadruple, ZeroResult
-from .kernel import MultiPoly, content_primitive
+from .kernel import MultiPoly
 
 
 @dataclass(frozen=True)
@@ -166,33 +166,63 @@ def verify_param(pq: ParamQuadruple) -> bool:
     return total.is_zero
 
 
+def _cube(u: int, v: int, w: int) -> tuple[int, ...]:
+    """The coefficients of m^6, m^5 n, ..., n^6 in (u m^2 + v mn + w n^2)^3."""
+    return (
+        u * u * u,
+        3 * u * u * v,
+        3 * u * (u * w + v * v),
+        v * (v * v + 6 * u * w),
+        3 * w * (u * w + v * v),
+        3 * v * w * w,
+        w * w * w,
+    )
+
+
 def morph(s: WeightedQuadruple) -> ParamQuadruple:
     """Combine a nontrivial numeric solution with the symbolic solution
     (m, -m, n, -n); the result is a parametric quadruple of quadratics with
-    common content 1, verified symbolically before returning."""
+    common content 1, verified symbolically before returning.
+
+    The quadratics are worked out as coefficient triples (m^2, mn, n^2):
+    with c = c0 m^2 + c2 n^2 and d = d0 m + d1 n, c*x + d*m is
+    (c0 x + d0, d1, c2 x), and so on.  The identity is checked by expanding
+    the 7 coefficients of the binary sextic a P1^3 + a P2^3 + b P3^3 + b P4^3,
+    a full symbolic expansion on triples; MultiPolys are built only for the
+    result."""
     if s.trivial:
         raise ValueError("cannot morph a trivial quadruple")
     a, b = s.a, s.b
     x, y, z, w = s.coords
-    m = MultiPoly.variable("m", ("m", "n"))
-    n = MultiPoly.variable("n", ("m", "n"))
-    c = a * (x + y) * m * m + b * (z + w) * n * n
-    d = -(a * (x * x - y * y) * m + b * (z * z - w * w) * n)
-    polys = [c * x + d * m, c * y - d * m, c * z + d * n, c * w - d * n]
-    if all(p.is_zero for p in polys):
-        raise DegenerateMorph("morph collapsed to zero")
-    if (polys[0] + polys[1]).is_zero and (polys[2] + polys[3]).is_zero:
-        raise DegenerateMorph("morph is proportional to the trivial pattern")
-    if any(p.is_zero for p in polys):
-        raise DegenerateMorph("morph produced a vanishing component")
-    common = 0
-    for p in polys:
-        common = gcd(common, content_primitive(p)[0])
-    polys = [
-        MultiPoly(p.variables, {ev: coeff // common for ev, coeff in p.terms.items()})
-        for p in polys
+    c0, c2 = a * (x + y), b * (z + w)
+    d0, d1 = -a * (x * x - y * y), -b * (z * z - w * w)
+    triples = [
+        (c0 * x + d0, d1, c2 * x),
+        (c0 * y - d0, -d1, c2 * y),
+        (c0 * z, d0, c2 * z + d1),
+        (c0 * w, -d0, c2 * w - d1),
     ]
-    pq = ParamQuadruple(a, b, *polys)
-    if not verify_param(pq):
+    if not any(any(t) for t in triples):
+        raise DegenerateMorph("morph collapsed to zero")
+    if all(u + v == 0 for u, v in zip(triples[0] + triples[2], triples[1] + triples[3])):
+        raise DegenerateMorph("morph is proportional to the trivial pattern")
+    if not all(any(t) for t in triples):
+        raise DegenerateMorph("morph produced a vanishing component")
+    common = gcd(*(c for t in triples for c in t))
+    return _param_from_triples(a, b, [tuple(c // common for c in t) for t in triples])
+
+
+def _param_from_triples(a: int, b: int, triples) -> ParamQuadruple:
+    """The ParamQuadruple of four quadratics given as (m^2, mn, n^2)
+    coefficient triples, once a P1^3 + a P2^3 + b P3^3 + b P4^3 = 0 is
+    checked on all 7 coefficients of the binary sextic; AssertionError
+    otherwise."""
+    cubes = [_cube(*t) for t in triples]
+    if any(a * (p1 + p2) + b * (p3 + p4) for p1, p2, p3, p4 in zip(*cubes)):
         raise AssertionError("morph output fails the cubic identity")
-    return pq
+    # nonzero int coefficients on valid exponents: the kernel's unchecked path
+    polys = [
+        MultiPoly._make(("m", "n"), {ev: c for ev, c in zip(((2, 0), (1, 1), (0, 2)), t) if c})
+        for t in triples
+    ]
+    return ParamQuadruple(a, b, *polys)

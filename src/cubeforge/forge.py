@@ -3,10 +3,10 @@ statements a*A_n^3 + a*B_n^3 + b*C_n^3 = c (or c*(-1)^n) where the three
 sequences come from rational generating functions.
 
 Pipeline: brute-force numeric seeds, morph each against (m, -m, n, -n) into a
-parametric quadruple, solve one of the four quadratics as a Pell-like orbit,
-evaluate the remaining three along the orbit, build their generating
-functions exactly over the symmetric square of the orbit's denominator (no
-recurrence is guessed there), and certify the emitted cubic identity with
+parametric quadruple, solve one of the four quadratics as a Pell-like orbit
+(its recurrence read off a unit, see quadform), evaluate the remaining three
+along the orbit, build their generating functions exactly over the symmetric
+square of the orbit's denominator, and certify the emitted cubic identity with
 certify_theorem.  Every CubicTheorem built here, forged or parsed, gets its
 certificate that way, so verify re-checks a forged theorem's JSON at the
 depth forge recorded.
@@ -158,6 +158,10 @@ def forge(
     seed exists within the search bound."""
     if a == 0 or b == 0:
         raise ValueError("weights must be nonzero")
+    if max_theorems < 1:
+        raise ValueError("max_theorems must be at least 1")
+    if target_cap < 1:
+        raise ValueError("target_cap must be at least 1")
     seeds = search_quadruples(a, b, search_bound)
     if extra_seeds:
         for seed in extra_seeds:

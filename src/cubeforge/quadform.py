@@ -2,9 +2,15 @@
 Pell-like orbit discovery with generating-function output, and the explicit
 constant-value form constructors for shared-denominator sequence pairs.
 
-Orbits are found from data: enumerate small solutions, guess one linear
-recurrence for both coordinate sequences, rebuild generating functions, and
-certify the resulting infinite family by a finite check.
+Orbits are found from data: enumerate small solutions, read the recurrence
+of a unit off them, rebuild generating functions, and certify the resulting
+infinite family by a finite check.  A Pell-like orbit steps from one
+solution to the next by an automorph of the form; its eigenvalues are a unit
+(t + s*sqrt(D'))/2 of norm N = +-1 and its conjugate (Cohen, GTM 138, 5.6
+and 5.7), so both coordinate sequences obey x_(k+2p) = t*x_(k+p) - N*x_k,
+the denominator 1 - t*z^p + N*z^(2p), where p > 1 when p orbits interleave
+in the sorted list.  N follows from the value pattern, and t is read off as
+one integer on every window; nothing is fitted.
 
 Enumeration lists the solutions of Q(m, n) = e in the box 1 <= m <= bound,
 0 <= n <= bound.  With content k and Q = k*f, f primitive of discriminant
@@ -73,7 +79,6 @@ from .cfinite import (
     RationalGF,
     certify_zero,
     gf_from_recurrence,
-    joint_guess_recurrence,
     rhs_poly,
     taylor_coefficients,
 )
@@ -82,7 +87,6 @@ from .errors import (
     DegenerateInitialVectors,
     InvalidForm,
     NoOrbitFound,
-    NonIntegralGF,
     ZeroB,
 )
 from .kernel import MultiPoly
@@ -698,7 +702,7 @@ def enumerate_solutions(
 ) -> list[tuple[int, int, int]]:
     """All (m, n, Q(m, n)) with 1 <= m <= bound, 0 <= n <= bound and value in
     ``targets``, sorted by m then n.  The quarter-plane quotients the global
-    (m, n) <-> (-m, -n) symmetry and fixes the orientation every orbit guess
+    (m, n) <-> (-m, -n) symmetry and fixes the orientation every orbit read-off
     relies on.
 
     The solutions of each target come from reduction theory or from the
@@ -731,6 +735,51 @@ def _value_pattern(values: Sequence[int]) -> tuple[str, int] | None:
     return None
 
 
+def _unit_recurrence(
+    seqs: Sequence[Sequence[int]], kind: str, guess_order: int
+) -> list[int] | None:
+    """The recurrence [e1..e2p] of den = 1 - t*z^p + N*z^(2p), read off the
+    sequences for the least p <= guess_order // 2 that fits, or None.
+
+    N is the norm of the unit that steps an orbit p places on: along each
+    residue class mod p the value is multiplied by N, so N = 1 for constant
+    values and N = (-1)^p for alternating ones.  t must be one integer with
+    x_(k+2p) + N*x_k = t*x_(k+p) on every window of every sequence.  Order
+    2p is tried only on at least 3p + 1 points, the margin that
+    joint_guess_recurrence (surplus 2) demands of two sequences at order 2p:
+    2(3p + 1 - 2p) = 2p + 2 equations for 2p unknowns.  That guess, kept as
+    the oracle in the tests, gives the same orbits except where it fits a
+    recurrence of another shape: a shifted one (the list's first points off
+    the orbit) or one of odd order, which needs fewer points."""
+    length = min(len(x) for x in seqs)
+    for p in range(1, guess_order // 2 + 1):
+        if length < 3 * p + 1:
+            break
+        sign = 1 if kind == "constant" else (-1) ** p
+        t = _unit_trace(seqs, p, sign)
+        if t is not None:
+            return [0] * (p - 1) + [t] + [0] * (p - 1) + [-sign]
+    return None
+
+
+def _unit_trace(seqs: Sequence[Sequence[int]], p: int, sign: int) -> int | None:
+    """The one integer t with x_(k+2p) + sign*x_k = t*x_(k+p) on every
+    window of every sequence, or None; a window with x_(k+p) = 0 must have
+    x_(k+2p) + sign*x_k = 0 and fixes nothing."""
+    t = None
+    for x in seqs:
+        for k in range(len(x) - 2 * p):
+            outer, mid = x[k + 2 * p] + sign * x[k], x[k + p]
+            if mid == 0:
+                if outer:
+                    return None
+            elif outer % mid or (t is not None and outer // mid != t):
+                return None
+            else:
+                t = outer // mid
+    return t
+
+
 def _orbit_from_solutions(
     form: QuadForm, sols: Sequence[tuple[int, int, int]], guess_order: int
 ) -> PellOrbit | None:
@@ -742,14 +791,11 @@ def _orbit_from_solutions(
     kind, target = pattern
     mseq = [m for m, _, _ in sols]
     nseq = [n for _, n, _ in sols]
-    coeffs = joint_guess_recurrence([mseq, nseq], guess_order)
+    coeffs = _unit_recurrence((mseq, nseq), kind, guess_order)
     if coeffs is None:
         return None
-    try:
-        gf_m = gf_from_recurrence(mseq, coeffs)
-        gf_n = gf_from_recurrence(nseq, coeffs)
-    except NonIntegralGF:
-        return None
+    gf_m = gf_from_recurrence(mseq, coeffs)
+    gf_n = gf_from_recurrence(nseq, coeffs)
     if gf_m.den != gf_n.den:
         # reduction split the shared denominator; treat as a failed candidate
         return None
@@ -835,23 +881,30 @@ def sol_quad(
     certified constant candidate, and runs to its end only when no constant
     one certifies.
 
+    ``guess_order`` bounds the orbit order 2p of the read-off
+    (_unit_recurrence): p runs from 1 to guess_order // 2.
+
     Forms in one variable (qb == 0 and qa*qc == 0) raise NoOrbitFound before
     any enumeration, because no ladder candidate can pass.  For Q = qa*m^2
     and |e| >= 1 there is at most one m = k with qa*k^2 = +-|e|, so a class
     is the single line (k, 0), (k, 1), ..., (k, bound) and every candidate
     with at least three points pairs the constant sequence k with a
-    non-constant arithmetic one.  A recurrence fitted jointly to both holds
-    for both at every index: applied to a*i + b it leaves a polynomial of
-    degree <= 1 in i, which is zero on the at least two windows per sequence
-    that the pooled margin of joint_guess_recurrence demands.  So the rebuilt
-    generating functions are k/(1 - t) and (b + (a - b)*t)/(1 - t)^2 with
-    a != 0, both in lowest terms, and the "denominator split" check rejects
-    the pair.  Q = qc*n^2 is the same with the roles of m and n swapped.
+    non-constant arithmetic one a*i + b.  The values are constant, so N = 1.
+    A candidate of fewer than 4 points gets no read-off; on 4 or more, p = 1
+    gives t = 2 on every window of both sequences, as k + k = 2k and
+    (a*(i + 2) + b) + (a*i + b) = 2*(a*(i + 1) + b), where a zero middle
+    term comes with a zero outer sum.  So the read-off stops at p = 1 with
+    the denominator (1 - z)^2, the rebuilt generating functions are
+    k/(1 - z) and (b + (a - b)*z)/(1 - z)^2 with a != 0, both in lowest
+    terms, and the "denominator split" check rejects the pair.  Q = qc*n^2
+    is the same with the roles of m and n swapped.
     """
     if guess_order < 2:
         raise ValueError("guess_order must be at least 2")
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    if target_cap < 1:
+        raise ValueError("target_cap must be at least 1")
     if form.discriminant < 0:
         raise DefiniteForm(
             f"{form} has negative discriminant {form.discriminant}; "

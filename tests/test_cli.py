@@ -92,6 +92,20 @@ class TestCliExitCodes:
         assert main(command + [option, str(cap + 1)]) == 2
         assert f"{option} {cap + 1} exceeds the cap {cap}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["forge", "--a", "1", "--b", "-1", "--max-theorems", "0"], "max_theorems"),
+            (["forge", "--a", "1", "--b", "-1", "--max-theorems", "-1"], "max_theorems"),
+            (["forge", "--a", "1", "--b", "-1", "--target-cap", "0"], "target_cap"),
+            (["pell", "--form", "m^2-2*n^2", "--target-cap", "0"], "target_cap"),
+            (["pell", "--form", "m^2-2*n^2", "--target-cap", "-5"], "target_cap"),
+        ],
+    )
+    def test_work_option_below_one(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert f"ValueError: {message} must be at least 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("option", ["--x", "--y", "--z"])
     def test_eliminate_degree_over_cap(self, capsys, option):
         cap = cli.MAX_ELIMINATE_DEGREE

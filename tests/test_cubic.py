@@ -1,6 +1,8 @@
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubeforge import (
     MultiPoly,
@@ -11,7 +13,9 @@ from cubeforge import (
     search_quadruples,
     verify_param,
 )
-from cubeforge.errors import InvalidQuadruple, ZeroResult
+from cubeforge.cubic import _param_from_triples
+from cubeforge.errors import DegenerateMorph, InvalidQuadruple, ZeroResult
+from cubeforge.kernel import content_primitive
 from cubeforge.parsing import parse_poly
 
 
@@ -55,6 +59,64 @@ def naive_search(a, b, bound):
                         continue
                     sols.add((x, y, z, w))
     return sols
+
+
+def reference_morph(s):
+    """morph built with MultiPoly arithmetic and checked by verify_param:
+    the oracle for the coefficient-triple morph."""
+    a, b = s.a, s.b
+    x, y, z, w = s.coords
+    m = MultiPoly.variable("m", ("m", "n"))
+    n = MultiPoly.variable("n", ("m", "n"))
+    c = a * (x + y) * m * m + b * (z + w) * n * n
+    d = -(a * (x * x - y * y) * m + b * (z * z - w * w) * n)
+    polys = [c * x + d * m, c * y - d * m, c * z + d * n, c * w - d * n]
+    if all(p.is_zero for p in polys):
+        raise DegenerateMorph("morph collapsed to zero")
+    if (polys[0] + polys[1]).is_zero and (polys[2] + polys[3]).is_zero:
+        raise DegenerateMorph("morph is proportional to the trivial pattern")
+    if any(p.is_zero for p in polys):
+        raise DegenerateMorph("morph produced a vanishing component")
+    common = 0
+    for p in polys:
+        common = gcd(common, content_primitive(p)[0])
+    polys = [
+        MultiPoly(p.variables, {ev: coeff // common for ev, coeff in p.terms.items()})
+        for p in polys
+    ]
+    pq = ParamQuadruple(a, b, *polys)
+    assert verify_param(pq)
+    return pq
+
+
+def _morph_outcome(morpher, seed):
+    try:
+        return morpher(seed).polys
+    except DegenerateMorph as exc:
+        return str(exc)
+
+
+QUADRATIC = ((2, 0), (1, 1), (0, 2))
+
+
+def _triples(pq):
+    return [[p.terms.get(ev, 0) for ev in QUADRATIC] for p in pq.polys]
+
+
+def _param(a, b, triples):
+    polys = [MultiPoly(("m", "n"), dict(zip(QUADRATIC, t))) for t in triples]
+    return ParamQuadruple(a, b, *polys)
+
+
+def _sextic_holds(a, b, triples):
+    try:
+        _param_from_triples(a, b, triples)
+    except AssertionError:
+        return False
+    return True
+
+
+SEEDS = [seed for a, b in ((1, 1), (1, -1), (2, 3), (3, -5)) for seed in search_quadruples(a, b, 8)]
 
 
 def expand_orbit(t):
@@ -192,6 +254,52 @@ class TestMorph:
                     for c in p.terms.values():
                         g = gcd(g, c)
                 assert g == 1
+
+
+    def test_matches_reference_on_sixty_pairs(self):
+        seeds = 0
+        for a in range(1, 6):
+            for b in range(-6, 7):
+                if b == 0:
+                    continue
+                for seed in search_quadruples(a, b, 12):
+                    assert _morph_outcome(morph, seed) == _morph_outcome(reference_morph, seed)
+                    seeds += 1
+        assert seeds == 452
+
+    def test_off_by_one_coefficient_fails(self):
+        seed = WeightedQuadruple(1, 1, -9, 12, -10, 1)
+        triples = _triples(morph(seed))
+        assert _sextic_holds(1, 1, triples)
+        for i in range(4):
+            for j in range(3):
+                for delta in (1, -1):
+                    broken = [list(t) for t in triples]
+                    broken[i][j] += delta
+                    with pytest.raises(AssertionError):
+                        _param_from_triples(1, 1, broken)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(SEEDS),
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(-2, 2)), max_size=2),
+    )
+    def test_sextic_decides_like_verify_param_near_morphs(self, seed, nudges):
+        triples = _triples(morph(seed))
+        for i, j, delta in nudges:
+            triples[i][j] += delta
+        assert _sextic_holds(seed.a, seed.b, triples) == verify_param(
+            _param(seed.a, seed.b, triples)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(-5, 5).filter(bool),
+        st.integers(-5, 5).filter(bool),
+        st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=4, max_size=4),
+    )
+    def test_sextic_decides_like_verify_param(self, a, b, triples):
+        assert _sextic_holds(a, b, triples) == verify_param(_param(a, b, triples))
 
 
 class TestVerifyParam:

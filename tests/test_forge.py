@@ -190,6 +190,20 @@ class TestForge:
         full = forge(1, 1)
         assert forge(1, 1, max_theorems=1) == full[:1]
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            ({"max_theorems": 0}, "max_theorems must be at least 1"),
+            ({"max_theorems": -1}, "max_theorems must be at least 1"),
+            ({"target_cap": 0}, "target_cap must be at least 1"),
+            ({"target_cap": -5}, "target_cap must be at least 1"),
+        ],
+    )
+    def test_work_option_below_one_rejected(self, option, message):
+        # max_theorems=-1 used to drop the last theorem through result[:-1]
+        with pytest.raises(ValueError, match=message):
+            forge(1, -1, **option)
+
     def test_extra_seed_accepted(self):
         from cubeforge import WeightedQuadruple
 

@@ -17,6 +17,7 @@ from cubeforge import (
     sol_quad,
     taylor_coefficients,
 )
+from cubeforge.cfinite import certify_zero, gf_from_recurrence, joint_guess_recurrence, rhs_poly
 from cubeforge.cubic import morph, search_quadruples
 from cubeforge.errors import (
     DefiniteForm,
@@ -24,10 +25,11 @@ from cubeforge.errors import (
     DegenerateMorph,
     InvalidForm,
     NoOrbitFound,
+    NonIntegralGF,
     ZeroB,
 )
 from cubeforge.parsing import parse_poly
-from cubeforge.quadform import _orbit_from_solutions
+from cubeforge.quadform import PellOrbit, _orbit_from_solutions, _value_pattern
 
 # the weight pairs of the forge workloads of perfbench/run.py
 FORGE_WEIGHTS = [(1, -1), (1, 1), (1, 3), (1, -3), (1, 2), (2, 1), (1, -2), (2, -1)]
@@ -143,6 +145,34 @@ def reference_sol_quad(form, guess_order, bound, target_cap, enumerator=None):
             constant = [o for o in candidates if o.kind == "constant"]
             return constant[0] if constant else candidates[0]
     raise NoOrbitFound(f"no certified orbit for {form}")
+
+
+def reference_orbit_from_solutions(form, sols, guess_order):
+    """The guessed orbit: one recurrence of order <= guess_order fitted to
+    both coordinate sequences by joint_guess_recurrence, then the same
+    rebuild, denominator check and certificate as _orbit_from_solutions."""
+    if len(sols) < 3:
+        return None
+    pattern = _value_pattern([v for _, _, v in sols])
+    if pattern is None:
+        return None
+    kind, target = pattern
+    mseq = [m for m, _, _ in sols]
+    nseq = [n for _, n, _ in sols]
+    coeffs = joint_guess_recurrence([mseq, nseq], guess_order)
+    if coeffs is None:
+        return None
+    try:
+        gf_m = gf_from_recurrence(mseq, coeffs)
+        gf_n = gf_from_recurrence(nseq, coeffs)
+    except NonIntegralGF:
+        return None
+    if gf_m.den != gf_n.den:
+        return None
+    cert = certify_zero(form.to_poly() - rhs_poly(target, kind), {"m": gf_m, "n": gf_n})
+    if not cert.certified:
+        return None
+    return PellOrbit(gf_m=gf_m, gf_n=gf_n, target=target, kind=kind, certificate=cert)
 
 
 def _outcome(search, form, guess_order, bound, target_cap):
@@ -418,6 +448,106 @@ class TestMagnitudeSweep:
         assert sweep == _per_magnitude(form, 100, 13)
 
 
+def _met_candidates(forms, guess_order, bound=2000, target_cap=30):
+    """Every ladder candidate sol_quad hands to _orbit_from_solutions on the
+    forms, as (form, candidate) pairs, the forms sharing their class data as
+    in forge."""
+    met = []
+
+    def recording(form, cand, order):
+        met.append((form, cand))
+        return _orbit_from_solutions(form, cand, order)
+
+    quadform._orbit_from_solutions = recording
+    try:
+        tables = {}
+        for form in forms:
+            try:
+                sol_quad(form, guess_order, bound=bound, target_cap=target_cap, _tables=tables)
+            except (DefiniteForm, NoOrbitFound):
+                pass
+    finally:
+        quadform._orbit_from_solutions = _orbit_from_solutions
+    return met
+
+
+def _orbit_key(orbit):
+    return None if orbit is None else (orbit.gf_m, orbit.gf_n, orbit.kind, orbit.target)
+
+
+class TestUnitReadOff:
+    def test_forge_forms_match_guess(self):
+        forms = _forge_forms()
+        for order in (2, 4, 8):
+            met = _met_candidates(forms, order)
+            certified = 0
+            for form, cand in met:
+                got = _orbit_from_solutions(form, cand, order)
+                assert _orbit_key(got) == _orbit_key(
+                    reference_orbit_from_solutions(form, cand, order)
+                ), (form, cand[:4], order)
+                certified += got is not None
+            # 777 candidates, 32 of them certified, at each order
+            assert len(met) > 700 and certified > 30
+
+    @settings(max_examples=500, deadline=None)
+    @given(forms_of_every_class(), st.integers(1, 300), st.integers(1, 40), st.integers(2, 8))
+    def test_drawn_forms_match_guess(self, form, bound, target_cap, guess_order):
+        for _, cand in _met_candidates([form], guess_order, bound, target_cap):
+            got = _orbit_from_solutions(form, cand, guess_order)
+            ref = reference_orbit_from_solutions(form, cand, guess_order)
+            if _orbit_key(got) != _orbit_key(ref):
+                # the guess also fits recurrences of another shape: a shifted
+                # one (an improper generating function, the list's first
+                # points off the orbit) or one of odd order, e.g. on two
+                # parallel lines of a D = 0 form from fewer than 3p + 1
+                # points; the read-off leaves those candidates out
+                assert got is None
+                gfs = (ref.gf_m, ref.gf_n)
+                assert any(len(g.num) >= len(g.den) for g in gfs) or len(ref.gf_m.den) % 2 == 0
+
+    def test_unit_trace(self):
+        assert quadform._unit_trace(([1, 3, 17, 99], [0, 2, 12, 70]), 1, 1) == 6
+        # t must be one integer on every window
+        assert quadform._unit_trace(([1, 3, 17, 99], [0, 2, 12, 71]), 1, 1) is None
+        assert quadform._unit_trace(([2, 3, 5],), 1, 1) is None
+        # a zero middle term needs a zero outer sum, and fixes no t
+        assert quadform._unit_trace(([1, 0, 1, 0, 1],), 1, 1) is None
+        assert quadform._unit_trace(([1, 0, -1, 0, 1],), 1, 1) == 0
+        assert quadform._unit_trace(([1, 0, -1], [1, 2, 3]), 1, 1) == 2
+
+    def test_margin_is_three_p_plus_one(self):
+        form = QuadForm(1, 0, -2)
+        sols = [(1, 0, 1), (3, 2, 1), (17, 12, 1)]
+        assert _orbit_from_solutions(form, sols, 4) is None
+        orbit = _orbit_from_solutions(form, sols + [(99, 70, 1)], 4)
+        assert orbit.gf_m.den == (1, -6, 1) and orbit.gf_n.den == (1, -6, 1)
+
+    def test_interleaved_orbit(self):
+        # forge(1, -6) meets 5m^2 + 6mn - 3n^2 = 5 on two interleaved orbits of
+        # the unit 5 + 2*sqrt(6): seven points, just 3p + 1 for p = 2
+        form = QuadForm(5, 6, -3)
+        sols = enumerate_solutions(form, (5, -5), 2000)
+        assert len(sols) == 7
+        orbit = _orbit_from_solutions(form, sols, 4)
+        assert orbit.gf_m.den == (1, 0, -10, 0, 1) and orbit.kind == "constant"
+        assert orbit.gf_m.num == (1, 1, -8, -2) and orbit.gf_n.num == (0, 2, 5, 1)
+        assert _orbit_from_solutions(form, sols[:6], 4) is None
+        assert _orbit_from_solutions(form, sols, 3) is None
+        assert sol_quad(form, 4).to_json() == orbit.to_json()
+
+    def test_interleaved_alternating_orbit_has_norm_one(self):
+        # 7m^2 - 5mn - 7n^2 = +-7 alternates along the full list, two orbits
+        # of the norm-1 unit (15 + sqrt(221))/2 interleaved: after p = 2
+        # steps the value is back, so N = (-1)^2 = 1, not -1
+        form = QuadForm(7, -5, -7)
+        sols = enumerate_solutions(form, (7, -7), 3000)
+        assert len(sols) == 7 and [v for _, _, v in sols[:3]] == [7, -7, 7]
+        orbit = _orbit_from_solutions(form, sols, 4)
+        assert orbit.kind == "alternating" and orbit.gf_m.den == (1, 0, -15, 0, 1)
+        assert _orbit_key(orbit) == _orbit_key(reference_orbit_from_solutions(form, sols, 4))
+
+
 def trial_factor(n):
     """{p: k} with n = prod p^k by trial division: the oracle for _factor."""
     out = {}
@@ -496,6 +626,11 @@ class TestSolQuad:
     def test_definite_rejected(self):
         with pytest.raises(DefiniteForm):
             sol_quad(QuadForm(1, 0, 1), 3)
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_target_cap_below_one_rejected(self, cap):
+        with pytest.raises(ValueError, match="target_cap must be at least 1"):
+            sol_quad(QuadForm(1, 0, -2), target_cap=cap)
 
     def test_no_orbit_for_factorable_form(self):
         # (2m - n)(m + n): every target has finitely many representations
