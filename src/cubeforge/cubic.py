@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import DegenerateMorph, InvalidQuadruple, ZeroResult
+from .errors import InvalidQuadruple, ZeroResult
 from .kernel import MultiPoly
 
 
@@ -181,15 +181,29 @@ def _cube(u: int, v: int, w: int) -> tuple[int, ...]:
 
 def morph(s: WeightedQuadruple) -> ParamQuadruple:
     """Combine a nontrivial numeric solution with the symbolic solution
-    (m, -m, n, -n); the result is a parametric quadruple of quadratics with
-    common content 1, verified symbolically before returning.
+    (m, -m, n, -n); the result is a parametric quadruple of four nonzero
+    quadratics with common content 1, verified symbolically before returning.
 
     The quadratics are worked out as coefficient triples (m^2, mn, n^2):
     with c = c0 m^2 + c2 n^2 and d = d0 m + d1 n, c*x + d*m is
     (c0 x + d0, d1, c2 x), and so on.  The identity is checked by expanding
     the 7 coefficients of the binary sextic a P1^3 + a P2^3 + b P3^3 + b P4^3,
     a full symbolic expansion on triples; MultiPolys are built only for the
-    result."""
+    result.
+
+    No component vanishes.  Here c0 = a(x+y), c2 = b(z+w),
+    d0 = -a(x-y)(x+y) and d1 = -b(z-w)(z+w), so
+        P1 = (a(x+y)y, d1, b(z+w)x),   P2 = (a(x+y)x, -d1, b(z+w)y),
+        P3 = (a(x+y)z, d0, b(z+w)w),   P4 = (a(x+y)w, -d0, b(z+w)z).
+    If P1 = 0 then d1 = 0, so z = w or z = -w (b != 0).  With z = -w the
+    equation leaves a(x^3 + y^3) = 0, so y = -x and the seed is trivial.
+    With z = w != 0, c2 = 2bz != 0 and c2 x = 0 force x = 0, then
+    a(x+y)y = a y^2 = 0 forces y = 0, and the equation leaves 2b z^3 = 0,
+    which is false.  P2 is the same argument with x and y exchanged, P3
+    with the pairs (x, y) and (z, w) exchanged, P4 with both.  Nor is the
+    result the trivial pattern (u, -u, v, -v):
+    P1 + P2 = (a(x+y)^2, 0, b(z+w)(x+y)) = 0 forces y = -x and then w = -z,
+    again a trivial seed."""
     if s.trivial:
         raise ValueError("cannot morph a trivial quadruple")
     a, b = s.a, s.b
@@ -202,12 +216,6 @@ def morph(s: WeightedQuadruple) -> ParamQuadruple:
         (c0 * z, d0, c2 * z + d1),
         (c0 * w, -d0, c2 * w - d1),
     ]
-    if not any(any(t) for t in triples):
-        raise DegenerateMorph("morph collapsed to zero")
-    if all(u + v == 0 for u, v in zip(triples[0] + triples[2], triples[1] + triples[3])):
-        raise DegenerateMorph("morph is proportional to the trivial pattern")
-    if not all(any(t) for t in triples):
-        raise DegenerateMorph("morph produced a vanishing component")
     common = gcd(*(c for t in triples for c in t))
     return _param_from_triples(a, b, [tuple(c // common for c in t) for t in triples])
 

@@ -73,10 +73,6 @@ class ZeroResult(CubeforgeError):
     """Combining two solutions produced the zero quadruple."""
 
 
-class DegenerateMorph(CubeforgeError):
-    """Morphing collapsed onto the trivial pattern."""
-
-
 # --- forge ---
 
 class EmptySeedSet(CubeforgeError):

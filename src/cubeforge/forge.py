@@ -29,9 +29,7 @@ from .cfinite import (
 from .cubic import WeightedQuadruple, morph, search_quadruples
 from .errors import (
     DefiniteForm,
-    DegenerateMorph,
     EmptySeedSet,
-    InvalidForm,
     MalformedTheorem,
     NoOrbitFound,
     PoleAtOrigin,
@@ -149,7 +147,6 @@ def forge(
     guess_order: int = 4,
     target_cap: int = 30,
     max_theorems: int = 10,
-    orbit_bound: int = 2000,
     extra_seeds: list[WeightedQuadruple] | None = None,
 ) -> list[CubicTheorem]:
     """Discover certified theorems a*A^3 + a*B^3 + b*C^3 = c for the given
@@ -162,6 +159,8 @@ def forge(
         raise ValueError("max_theorems must be at least 1")
     if target_cap < 1:
         raise ValueError("target_cap must be at least 1")
+    if guess_order < 2:
+        raise ValueError("guess_order must be at least 2")
     seeds = search_quadruples(a, b, search_bound)
     if extra_seeds:
         for seed in extra_seeds:
@@ -178,23 +177,14 @@ def forge(
     orbit_cache: dict[QuadForm, object] = {}
     tables: dict = {}  # sol_quad's class data per discriminant, for this call only
     for seed in seeds:
-        try:
-            quadruple = morph(seed)
-        except DegenerateMorph as exc:
-            log.debug("seed %s: %s", seed, exc)
-            continue
+        quadruple = morph(seed)
         weights = quadruple.weights
         for j in range(4):
-            try:
-                form = QuadForm.from_poly(quadruple.polys[j])
-            except InvalidForm as exc:
-                log.debug("seed %s, index %d: %s", seed, j + 1, exc)
-                continue
+            form = QuadForm.from_poly(quadruple.polys[j])
             if form not in orbit_cache:
                 try:
                     orbit_cache[form] = sol_quad(
-                        form, guess_order, bound=orbit_bound, target_cap=target_cap,
-                        _tables=tables,
+                        form, guess_order, target_cap=target_cap, _tables=tables
                     )
                 except (DefiniteForm, NoOrbitFound) as exc:
                     orbit_cache[form] = exc

@@ -106,6 +106,18 @@ class TestCliExitCodes:
         assert main(argv) == 2
         assert f"ValueError: {message} must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # no seed exists at search bound 2: the order is refused before the search
+            ["forge", "--a", "1", "--b", "1", "--search-bound", "2", "--guess-order", "1"],
+            ["pell", "--form", "m^2-2*n^2", "--guess-order", "1"],
+        ],
+    )
+    def test_guess_order_below_two(self, capsys, argv):
+        assert main(argv) == 2
+        assert "ValueError: guess_order must be at least 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("option", ["--x", "--y", "--z"])
     def test_eliminate_degree_over_cap(self, capsys, option):
         cap = cli.MAX_ELIMINATE_DEGREE

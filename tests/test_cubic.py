@@ -1,7 +1,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubeforge import (
@@ -14,7 +14,7 @@ from cubeforge import (
     verify_param,
 )
 from cubeforge.cubic import _param_from_triples
-from cubeforge.errors import DegenerateMorph, InvalidQuadruple, ZeroResult
+from cubeforge.errors import InvalidQuadruple, ZeroResult
 from cubeforge.kernel import content_primitive
 from cubeforge.parsing import parse_poly
 
@@ -63,7 +63,9 @@ def naive_search(a, b, bound):
 
 def reference_morph(s):
     """morph built with MultiPoly arithmetic and checked by verify_param:
-    the oracle for the coefficient-triple morph."""
+    the oracle for the coefficient-triple morph.  The degeneracies that
+    morph's docstring rules out for nontrivial seeds are asserted, so the
+    oracle checks that proof on every seed it sees."""
     a, b = s.a, s.b
     x, y, z, w = s.coords
     m = MultiPoly.variable("m", ("m", "n"))
@@ -71,12 +73,11 @@ def reference_morph(s):
     c = a * (x + y) * m * m + b * (z + w) * n * n
     d = -(a * (x * x - y * y) * m + b * (z * z - w * w) * n)
     polys = [c * x + d * m, c * y - d * m, c * z + d * n, c * w - d * n]
-    if all(p.is_zero for p in polys):
-        raise DegenerateMorph("morph collapsed to zero")
-    if (polys[0] + polys[1]).is_zero and (polys[2] + polys[3]).is_zero:
-        raise DegenerateMorph("morph is proportional to the trivial pattern")
-    if any(p.is_zero for p in polys):
-        raise DegenerateMorph("morph produced a vanishing component")
+    assert not all(p.is_zero for p in polys), "morph collapsed to zero"
+    assert not ((polys[0] + polys[1]).is_zero and (polys[2] + polys[3]).is_zero), (
+        "morph is proportional to the trivial pattern"
+    )
+    assert not any(p.is_zero for p in polys), "morph produced a vanishing component"
     common = 0
     for p in polys:
         common = gcd(common, content_primitive(p)[0])
@@ -87,13 +88,6 @@ def reference_morph(s):
     pq = ParamQuadruple(a, b, *polys)
     assert verify_param(pq)
     return pq
-
-
-def _morph_outcome(morpher, seed):
-    try:
-        return morpher(seed).polys
-    except DegenerateMorph as exc:
-        return str(exc)
 
 
 QUADRATIC = ((2, 0), (1, 1), (0, 2))
@@ -117,6 +111,16 @@ def _sextic_holds(a, b, triples):
 
 
 SEEDS = [seed for a, b in ((1, 1), (1, -1), (2, 3), (3, -5)) for seed in search_quadruples(a, b, 8)]
+
+
+@st.composite
+def wide_seeds(draw):
+    """A seed of search_quadruples(a, b, 12) for weights |a| <= 9, |b| <= 15."""
+    a = draw(st.integers(-9, 9).filter(bool))
+    b = draw(st.integers(-15, 15).filter(bool))
+    seeds = search_quadruples(a, b, 12)
+    assume(seeds)
+    return draw(st.sampled_from(seeds))
 
 
 def expand_orbit(t):
@@ -263,9 +267,14 @@ class TestMorph:
                 if b == 0:
                     continue
                 for seed in search_quadruples(a, b, 12):
-                    assert _morph_outcome(morph, seed) == _morph_outcome(reference_morph, seed)
+                    assert morph(seed).polys == reference_morph(seed).polys
                     seeds += 1
         assert seeds == 452
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_seeds())
+    def test_matches_reference_on_wide_weights(self, seed):
+        assert morph(seed).polys == reference_morph(seed).polys
 
     def test_off_by_one_coefficient_fails(self):
         seed = WeightedQuadruple(1, 1, -9, 12, -10, 1)

@@ -22,7 +22,6 @@ from cubeforge.cubic import morph, search_quadruples
 from cubeforge.errors import (
     DefiniteForm,
     DegenerateInitialVectors,
-    DegenerateMorph,
     InvalidForm,
     NoOrbitFound,
     NonIntegralGF,
@@ -337,15 +336,7 @@ def _forge_forms():
     forms = set()
     for a, b in FORGE_WEIGHTS:
         for seed in search_quadruples(a, b, 12):
-            try:
-                quadruple = morph(seed)
-            except DegenerateMorph:
-                continue
-            for poly in quadruple.polys:
-                try:
-                    forms.add(QuadForm.from_poly(poly))
-                except InvalidForm:
-                    pass
+            forms.update(QuadForm.from_poly(poly) for poly in morph(seed).polys)
     return sorted(forms, key=lambda f: (f.qa, f.qb, f.qc))
 
 
