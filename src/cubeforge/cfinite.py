@@ -172,8 +172,6 @@ def taylor_series(g: RationalGF) -> Iterator[int | Fraction]:
     integer sequence, by the normalisation) N_n is a(n) and no Fraction is
     built."""
     num, den = g.num, g.den
-    if not den or den[0] == 0:
-        raise PoleAtOrigin("denominator vanishes at the origin")
     d0 = den[0]
     weights = [c * d0**i for i, c in enumerate(den[1:])]
     past = deque(maxlen=len(weights))  # N_(n-1), N_(n-2), ...
@@ -268,23 +266,26 @@ def joint_guess_recurrence(seqs: Sequence[Sequence], max_order: int, surplus: in
     return None
 
 
+def gf_from_den(terms: Sequence[int], den: Sequence[int]) -> RationalGF:
+    """num/den for a sequence known to obey den from its first term on:
+    num = (den * series) truncated below r = deg den, read off the first r
+    terms (at least r are needed).  The package's one numerator rule."""
+    r = len(den) - 1
+    if len(terms) < r:
+        raise ValueError(f"a denominator of degree {r} needs at least {r} terms")
+    num = [sum(den[i] * terms[j - i] for i in range(j + 1)) for j in range(r)]
+    return RationalGF(num, den)
+
+
 def gf_from_recurrence(terms: Sequence[int], coeffs: Sequence[Fraction]) -> RationalGF:
     """Build num/den from a recurrence known to hold on the terms:
-    den = 1 - e1 t - ... - er t^r, num = (den * series) truncated below r."""
+    den = 1 - e1 t - ... - er t^r, then gf_from_den (at least r terms)."""
     if any(Fraction(e).denominator != 1 for e in coeffs):
         raise NonIntegralGF("recurrence coefficients are not integers")
     if any(Fraction(t).denominator != 1 for t in terms):
         raise NonIntegralGF("terms are not integers")
-    r = len(coeffs)
     den = (1,) + tuple(-int(e) for e in coeffs)
-    num = []
-    for j in range(min(r, len(terms))):
-        acc = 0
-        for i in range(0, j + 1):
-            if i < len(den):
-                acc += den[i] * int(terms[j - i])
-        num.append(acc)
-    return RationalGF(num, den)
+    return gf_from_den([int(t) for t in terms[: len(coeffs)]], den)
 
 
 def seq_from_terms(terms: Sequence[int], max_order: int) -> RationalGF:

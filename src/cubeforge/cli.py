@@ -93,7 +93,6 @@ _INPUT_ERRORS = (
     InvalidQuadruple,
     ValueError,
     OSError,
-    json.JSONDecodeError,
     KeyError,
 )
 

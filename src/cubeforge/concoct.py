@@ -49,7 +49,9 @@ def implicitize(p: MultiPoly, q: MultiPoly, r: MultiPoly) -> MultiPoly:
     """Implicit equation S(x, y, z) with S(P, Q, R) identically zero, for the
     parametrization x = P(m, n), y = Q(m, n), z = R(m, n).
 
-    S is the primitive part of res_n(res_m(x - P, y - Q), res_m(x - P, z - R)).
+    S is the primitive part of res_n(res_m(x - P, y - Q), res_m(x - P, z - R)),
+    where the first of x - P, y - Q, z - R that involves m takes the place of
+    x - P: an m-free shared equation is both m-resultants, and res_n vanishes.
     It may carry extraneous factors; minimality is not promised, only that the
     substitution vanishes (asserted before returning).
     """
@@ -61,15 +63,10 @@ def implicitize(p: MultiPoly, q: MultiPoly, r: MultiPoly) -> MultiPoly:
             raise ValueError(f"parametrization must use only m and n, found {extra}")
     vs = ("m", "n", "x", "y", "z")
     zero = MultiPoly(vs, {})
-
-    def lifted(poly: MultiPoly, target: str) -> MultiPoly:
-        return MultiPoly.variable(target, vs) - (poly + zero)
-
-    a = lifted(p, "x")
-    b = lifted(q, "y")
-    c = lifted(r, "z")
-    r1 = _eliminate(a, b, "m")
-    r2 = _eliminate(a, c, "m")
+    eqs = [MultiPoly.variable(v, vs) - (poly + zero) for poly, v in zip((p, q, r), "xyz")]
+    shared = eqs.pop(next((i for i, e in enumerate(eqs) if e.degree_in("m")), 0))
+    r1 = _eliminate(shared, eqs[0], "m")
+    r2 = _eliminate(shared, eqs[1], "m")
     if r1.is_zero or r2.is_zero:
         raise EliminationCollapse("shared component while eliminating m")
     s0 = _eliminate(r1, r2, "n")

@@ -23,6 +23,7 @@ from .cfinite import (
     RationalGF,
     _symmetric_square,
     certify_zero,
+    gf_from_den,
     rhs_poly,
     taylor_coefficients,
 )
@@ -174,27 +175,18 @@ def forge(
             f"for weights ({a}, {b})"
         )
     theorems: list[CubicTheorem] = []
-    orbit_cache: dict[QuadForm, object] = {}
     tables: dict = {}  # sol_quad's class data per discriminant, for this call only
     for seed in seeds:
         quadruple = morph(seed)
-        weights = quadruple.weights
-        for j in range(4):
-            form = QuadForm.from_poly(quadruple.polys[j])
-            if form not in orbit_cache:
-                try:
-                    orbit_cache[form] = sol_quad(
-                        form, guess_order, target_cap=target_cap, _tables=tables
-                    )
-                except (DefiniteForm, NoOrbitFound) as exc:
-                    orbit_cache[form] = exc
-            orbit = orbit_cache[form]
-            if not hasattr(orbit, "target"):
-                log.debug("seed %s, index %d: %s", seed, j + 1, orbit)
+        for j, poly in enumerate(quadruple.polys):
+            try:
+                orbit = sol_quad(
+                    QuadForm.from_poly(poly), guess_order, target_cap=target_cap, _tables=tables
+                )
+            except (DefiniteForm, NoOrbitFound) as exc:
+                log.debug("seed %s, index %d: %s", seed, j + 1, exc)
                 continue
-            thm = _build_theorem(seed, quadruple, weights, j, orbit)
-            if thm is not None:
-                theorems.append(thm)
+            theorems.append(_build_theorem(seed, quadruple, j, orbit))
     unique: dict[tuple, CubicTheorem] = {}
     for thm in theorems:
         unique.setdefault((thm.a, thm.b, thm.c, thm.rhs_kind, thm.gfs), thm)
@@ -212,7 +204,7 @@ def _value_gfs(polys, gf_m, gf_n) -> list[RationalGF] | None:
     sequences vanishes identically.
 
     They are built, not guessed.  Orbit generating functions come from
-    gf_from_recurrence: they share one denominator den = prod_i (1 - a_i t)
+    gf_from_den: they share one denominator den = prod_i (1 - a_i t)
     of order r with den[0] = 1, and are proper, so m_k = sum_i p_i(k) a_i^k
     for every k >= 0 with deg p_i < mu_i, the multiplicity of a_i; the same
     holds for n_k.  So each value sequence v is a sum of products m_k^2,
@@ -222,8 +214,8 @@ def _value_gfs(polys, gf_m, gf_n) -> list[RationalGF] | None:
     C(mu+1, 2) >= 2mu - 1 times for a_i = a_j of multiplicity mu, and at
     least mu*nu >= mu + nu - 1 times for distinct roots of multiplicities
     mu and nu, so it annihilates v from k = 0 on: v has the proper
-    generating function num/den2 with num_j = sum_(i <= j) den2_i v_(j-i)
-    for j < rho, and v vanishes identically exactly when num is zero.
+    generating function gf_from_den(v, den2) = num/den2, and v vanishes
+    identically exactly when num is zero.
 
     This is the rational function that reconstruction by guessing finds
     (seq_from_terms with orders up to rho + 1 on 2(rho + 1) + 6 terms):
@@ -240,19 +232,33 @@ def _value_gfs(polys, gf_m, gf_n) -> list[RationalGF] | None:
     ns = taylor_coefficients(gf_n, rho)
     gfs = []
     for p in polys:
-        v = [p.evaluate({"m": mv, "n": nv}) for mv, nv in zip(ms, ns)]
-        num = [sum(den2[k] * v[t - k] for k in range(t + 1)) for t in range(rho)]
-        if not any(num):
+        g = gf_from_den([p.evaluate({"m": mv, "n": nv}) for mv, nv in zip(ms, ns)], den2)
+        if not g.num:
             return None
-        gfs.append(RationalGF(num, den2))
+        gfs.append(g)
     return gfs
 
 
-def _build_theorem(seed, quadruple, weights, j, orbit) -> CubicTheorem | None:
+def _build_theorem(seed, quadruple, j, orbit) -> CubicTheorem:
+    """The theorem of slot j of ``quadruple`` solved along ``orbit``.  It is
+    never dropped: both failures below are impossible, and raise
+    AssertionError.
+
+    No value sequence vanishes.  The orbit's terms v_0, v_p, v_2p are points
+    of the list sol_quad's read-off checked (gf_from_den rebuilds it):
+    distinct box points with m >= 1 and |Q| = |e| >= 1 for the solved Q.
+    Two of them on one line through the origin, w' = l w, would give
+    l^2 = 1, so l = 1 as m >= 1: the same point.  A nonzero quadratic form
+    (each morph component is one) vanishes on at most two lines through the
+    origin, so not at all three.
+
+    No theorem is refuted.  morph's identity a P1^3 + a P2^3 + b P3^3 +
+    b P4^3 = 0, the orbit's certificate Q(m_k, n_k) = e s_k with s_k = 1 or
+    (-1)^k, and the exact value sequences of _value_gfs make the emitted
+    identity (c = -w_j e^3, as s_k^3 = s_k) hold for every n, and
+    certify_zero returns a witness only where it fails."""
     a, b = quadruple.a, quadruple.b
-    e = orbit.target
-    c = -weights[j] * e**3
-    rhs_kind = orbit.kind
+    c = -quadruple.weights[j] * orbit.target**3
     # the two surviving polynomials of one weight class become A and B, the
     # odd one out becomes C: solving an a-slot leaves (b, b, a) and vice versa
     if j in (0, 1):
@@ -266,25 +272,20 @@ def _build_theorem(seed, quadruple, weights, j, orbit) -> CubicTheorem | None:
         thm_a, thm_b, c = -thm_a, -thm_b, -c
     gfs = _value_gfs([quadruple.polys[i] for i in ordered], orbit.gf_m, orbit.gf_n)
     if gfs is None:
-        log.debug("seed %s, index %d: a sequence vanishes identically", seed, j + 1)
-        return None
+        raise AssertionError(f"seed {seed}, index {j + 1}: a value sequence vanishes")
     provenance = {
         "seed": list(seed.coords),
         "weights": [a, b],
         "quadruple": [_poly_json(p) for p in quadruple.polys],
         "solved_index": j + 1,
-        "solved_weight": weights[j],
+        "solved_weight": quadruple.weights[j],
         "orbit": orbit.to_json(),
     }
-    thm = _certified_theorem(thm_a, thm_b, c, rhs_kind, gfs, provenance)
+    thm = _certified_theorem(thm_a, thm_b, c, orbit.kind, gfs, provenance)
     if not thm.certificate.certified:
-        log.warning(
-            "seed %s, index %d: certificate refuted at n=%s",
-            seed,
-            j + 1,
-            thm.certificate.witness,
+        raise AssertionError(
+            f"seed {seed}, index {j + 1}: refuted at n = {thm.certificate.witness}"
         )
-        return None
     return thm
 
 

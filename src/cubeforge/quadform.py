@@ -78,7 +78,7 @@ from .cfinite import (
     Certificate,
     RationalGF,
     certify_zero,
-    gf_from_recurrence,
+    gf_from_den,
     rhs_poly,
     taylor_coefficients,
 )
@@ -726,8 +726,6 @@ def _value_pattern(values: Sequence[int]) -> tuple[str, int] | None:
     """"constant" when all values agree, "alternating" when they flip sign
     with constant magnitude; None otherwise."""
     first = values[0]
-    if first == 0:
-        return None
     if all(v == first for v in values):
         return "constant", first
     if all(values[i] == first * (-1) ** i for i in range(len(values))):
@@ -737,9 +735,9 @@ def _value_pattern(values: Sequence[int]) -> tuple[str, int] | None:
 
 def _unit_recurrence(
     seqs: Sequence[Sequence[int]], kind: str, guess_order: int
-) -> list[int] | None:
-    """The recurrence [e1..e2p] of den = 1 - t*z^p + N*z^(2p), read off the
-    sequences for the least p <= guess_order // 2 that fits, or None.
+) -> tuple[int, ...] | None:
+    """The denominator 1 - t*z^p + N*z^(2p), read off the sequences for the
+    least p <= guess_order // 2 that fits, or None.
 
     N is the norm of the unit that steps an orbit p places on: along each
     residue class mod p the value is multiplied by N, so N = 1 for constant
@@ -758,7 +756,7 @@ def _unit_recurrence(
         sign = 1 if kind == "constant" else (-1) ** p
         t = _unit_trace(seqs, p, sign)
         if t is not None:
-            return [0] * (p - 1) + [t] + [0] * (p - 1) + [-sign]
+            return (1,) + (0,) * (p - 1) + (-t,) + (0,) * (p - 1) + (sign,)
     return None
 
 
@@ -791,11 +789,11 @@ def _orbit_from_solutions(
     kind, target = pattern
     mseq = [m for m, _, _ in sols]
     nseq = [n for _, n, _ in sols]
-    coeffs = _unit_recurrence((mseq, nseq), kind, guess_order)
-    if coeffs is None:
+    den = _unit_recurrence((mseq, nseq), kind, guess_order)
+    if den is None:
         return None
-    gf_m = gf_from_recurrence(mseq, coeffs)
-    gf_n = gf_from_recurrence(nseq, coeffs)
+    gf_m = gf_from_den(mseq, den)
+    gf_n = gf_from_den(nseq, den)
     if gf_m.den != gf_n.den:
         # reduction split the shared denominator; treat as a failed candidate
         return None

@@ -382,6 +382,25 @@ class TestSeqFromTerms:
             done += 1
 
 
+class TestGfFromDen:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+        st.lists(st.integers(-50, 50), max_size=8),
+        st.data(),
+    )
+    def test_matches_gf_from_recurrence(self, coeffs, extra, data):
+        r = len(coeffs)
+        terms = data.draw(st.lists(st.integers(-50, 50), min_size=r, max_size=r)) + extra
+        den = (1,) + tuple(-e for e in coeffs)
+        assert cfinite.gf_from_den(terms, den) == cfinite.gf_from_recurrence(terms, coeffs)
+
+    def test_needs_deg_den_terms(self):
+        assert cfinite.gf_from_den([1, 3], (1, -6, 1)) == RationalGF((1, -3), (1, -6, 1))
+        with pytest.raises(ValueError):
+            cfinite.gf_from_den([1], (1, -6, 1))
+
+
 class TestCertifyZero:
     def test_alternating_cubic_identity(self, alternating_triple):
         gf_a, gf_b, gf_c = alternating_triple

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cubeforge import MultiPoly, certify_theorem, theorem_from_json
+from cubeforge import Certificate, MultiPoly, certify_theorem, theorem_from_json
 from cubeforge import cli
 from cubeforge.cli import main
 from cubeforge.errors import ParseError
@@ -148,6 +149,24 @@ class TestCliExitCodes:
         # tens of thousands of digits: only the window near the box is read
         assert main(["pell", "--form", "m^2 - 1000000000039*n^2"]) == 1
         assert "NoOrbitFound" in capsys.readouterr().err
+
+
+class TestForgeInvariants:
+    """A vanishing value sequence or a refuted forged theorem is an internal
+    error (exit 3), never a silently dropped branch."""
+
+    @pytest.mark.parametrize(
+        "name, replacement",
+        [
+            ("_value_gfs", lambda *args: None),
+            ("certify_theorem", lambda thm: Certificate(bound=22, witness=3)),
+        ],
+    )
+    def test_violation_exits_3(self, monkeypatch, capsys, name, replacement):
+        # the package's ``forge`` attribute is the function, not the module
+        monkeypatch.setattr(importlib.import_module("cubeforge.forge"), name, replacement)
+        assert main(["forge", "--a", "1", "--b", "-1"]) == 3
+        assert "internal invariant violated" in capsys.readouterr().err
 
 
 class TestCliCommands:

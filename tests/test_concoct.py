@@ -67,6 +67,22 @@ class TestImplicitize:
             assert s.substitute({"x": ps[0], "y": ps[1], "z": ps[2]}).is_zero
             done += 1
 
+    # x - P is free of m, so the m-eliminations share y - Q instead
+    M_FREE_X = {"x": "3*n^3 - 2", "y": "-m*n - 3*m^2*n", "z": "3*m^2 + n^2 + 2 + 2*n^3"}
+
+    def test_m_free_first_component(self):
+        ps = {v: P(text) for v, text in self.M_FREE_X.items()}
+        s = implicitize(ps["x"], ps["y"], ps["z"])
+        assert not s.is_constant() and s.substitute(ps).is_zero
+
+    def test_m_free_first_component_cli(self, capsys):
+        from cubeforge.cli import main
+
+        argv = [w for v, text in self.M_FREE_X.items() for w in (f"--{v}", text)]
+        assert main(["eliminate", *argv]) == 0
+        s = XYZ(capsys.readouterr().out.strip())
+        assert s == implicitize(*(P(text) for text in self.M_FREE_X.values()))
+
 
 class TestTwist:
     def test_paper_coefficients(self):

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 from math import comb
 
@@ -20,8 +22,9 @@ from cubeforge import (
     theorem_to_json,
 )
 from cubeforge.cfinite import _mul, _symmetric_square
-from cubeforge.errors import EmptySeedSet, MalformedTheorem
+from cubeforge.errors import EmptySeedSet, MalformedTheorem, NoOrbitFound
 from cubeforge.forge import _value_gfs
+from cubeforge.quadform import QuadForm, sol_quad
 
 
 def make_theorem(a, b, c, kind, gfs, depth=0):
@@ -269,6 +272,20 @@ def orbit_pairs(draw):
 forms = st.builds(quadratic, *[st.integers(-4, 4)] * 3)
 
 
+@functools.cache
+def solved_small_orbits():
+    """The orbits sol_quad finds, at forge's options, for the indefinite
+    forms with coefficients in [-6, 6] (448 of 1388 forms)."""
+    orbits, tables = [], {}
+    for coeffs in itertools.product(range(-6, 7), repeat=3):
+        if coeffs[1] ** 2 > 4 * coeffs[0] * coeffs[2]:
+            try:
+                orbits.append(sol_quad(QuadForm(*coeffs), 4, _tables=tables))
+            except NoOrbitFound:
+                pass
+    return orbits
+
+
 class TestValueGFs:
     # examples: (1-t)^2, (1+t)^2(1-3t+t^2), roots 1 and -1 with n = 0 and
     # n = 2m, and a quadratic that is zero
@@ -297,6 +314,15 @@ class TestValueGFs:
         polys = [quadratic(1, 0, 1), vanishing]
         assert _value_gfs(polys, gf_m, gf_n) is None
         assert reference_value_gfs(polys, gf_m, gf_n) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), forms.filter(lambda p: not p.is_zero))
+    def test_solved_orbit_values_never_vanish(self, data, poly):
+        # _build_theorem's proof: the orbit holds three points of |Q| = |e|
+        # on three distinct lines through the origin, and a nonzero
+        # quadratic vanishes on at most two such lines
+        orbit = data.draw(st.sampled_from(solved_small_orbits()))
+        assert _value_gfs([poly], orbit.gf_m, orbit.gf_n) is not None
 
     @settings(max_examples=200, deadline=None)
     @given(orbit_pairs())
