@@ -143,10 +143,6 @@ class RationalGF:
     def __repr__(self) -> str:
         return f"RationalGF(num={list(self.num)}, den={list(self.den)})"
 
-    @property
-    def order(self) -> int:
-        return len(self.den) - 1
-
     def to_json(self) -> dict:
         return {"num": list(self.num), "den": list(self.den)}
 

@@ -44,14 +44,14 @@ EXIT_INTERNAL = 3
 MAX_PELL_BOUND = 20_000
 MAX_SEARCH_BOUND = 100
 MAX_TARGET_CAP = 200
-MAX_GUESS_ORDER = 8
 # verify checks s + C(r+3, 3) + 2 indices, where r <= the sum of the three
-# denominator orders and the preperiod s is below the numerator length; a
-# theorem forged at --guess-order 4 or less stays within both caps.  Both are
-# checked on the raw input, the orders as raw lengths - 1, before RationalGF
-# runs its polynomial gcd, whose cost grows with both degrees (three
-# 3000-entry denominators took seconds to reach a check after it); the gcd
-# only lowers an order.
+# denominator orders and the preperiod s is below the numerator length.  Every
+# forged theorem is within both caps: its orbit has order at most 4, so its
+# orders sum to at most 3 * C(5, 2) = 30 (quadform._unit_recurrence).  Both
+# are checked on the raw input, the orders as raw lengths - 1, before
+# RationalGF runs its polynomial gcd, whose cost grows with both degrees
+# (three 3000-entry denominators took seconds to reach a check after it); the
+# gcd only lowers an order.
 MAX_VERIFY_ORDER = 30
 MAX_NUMERATOR_LENGTH = MAX_VERIFY_ORDER + 1
 # findform certifies at depth s + C(r+D, D) + 2 (cfinite.certificate_bound),
@@ -146,14 +146,21 @@ def _parse_matrix(text: str) -> list[list[int]]:
 
 
 def _load_seeds(path: str, a: int, b: int) -> list[WeightedQuadruple]:
+    """The seeds of a JSON list whose entries are lists of four ints or
+    {"coords": [...]} objects holding one.  Anything else raises ValueError,
+    a bool, float or string coordinate too: 9.5 read as 9 would forge from
+    another seed."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, list):
+        raise ValueError("a seed file must hold a JSON list of seeds")
     seeds = []
     for entry in data:
-        coords = entry["coords"] if isinstance(entry, dict) else entry
-        if len(coords) != 4:
-            raise ValueError(f"seed {entry!r} does not have four coordinates")
-        seeds.append(WeightedQuadruple(a, b, *(int(c) for c in coords)))
+        coords = entry.get("coords") if isinstance(entry, dict) else entry
+        if not (isinstance(coords, list) and len(coords) == 4
+                and all(type(c) is int for c in coords)):
+            raise ValueError(f"seed {entry!r} is not a list of four integers")
+        seeds.append(WeightedQuadruple(a, b, *coords))
     return seeds
 
 
@@ -165,20 +172,12 @@ def _check_caps(args, caps: dict[str, int]) -> None:
 
 
 def _cmd_forge(args) -> int:
-    _check_caps(
-        args,
-        {
-            "--search-bound": MAX_SEARCH_BOUND,
-            "--target-cap": MAX_TARGET_CAP,
-            "--guess-order": MAX_GUESS_ORDER,
-        },
-    )
+    _check_caps(args, {"--search-bound": MAX_SEARCH_BOUND, "--target-cap": MAX_TARGET_CAP})
     extra = _load_seeds(args.seed_file, args.a, args.b) if args.seed_file else None
     theorems = forge(
         args.a,
         args.b,
         search_bound=args.search_bound,
-        guess_order=args.guess_order,
         target_cap=args.target_cap,
         max_theorems=args.max_theorems,
         extra_seeds=extra,
@@ -196,18 +195,9 @@ def _cmd_forge(args) -> int:
 
 
 def _cmd_pell(args) -> int:
-    _check_caps(
-        args,
-        {
-            "--bound": MAX_PELL_BOUND,
-            "--target-cap": MAX_TARGET_CAP,
-            "--guess-order": MAX_GUESS_ORDER,
-        },
-    )
+    _check_caps(args, {"--bound": MAX_PELL_BOUND, "--target-cap": MAX_TARGET_CAP})
     form = _parse_form(args.form)
-    orbit = sol_quad(
-        form, args.guess_order, bound=args.bound, target_cap=args.target_cap
-    )
+    orbit = sol_quad(form, bound=args.bound, target_cap=args.target_cap)
     payload = {"form": str(form)}
     payload.update(orbit.to_json())
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -279,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_forge.add_argument("--a", type=int, required=True)
     p_forge.add_argument("--b", type=int, required=True)
     p_forge.add_argument("--search-bound", type=int, default=12)
-    p_forge.add_argument("--guess-order", type=int, default=4)
     p_forge.add_argument("--target-cap", type=int, default=30)
     p_forge.add_argument("--max-theorems", type=int, default=10)
     p_forge.add_argument("--format", choices=("text", "latex", "json"), default="text")
@@ -288,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pell = sub.add_parser("pell", help="solve a binary quadratic form")
     p_pell.add_argument("--form", required=True, help="polynomial in m and n")
-    p_pell.add_argument("--guess-order", type=int, default=4)
     p_pell.add_argument("--bound", type=int, default=2000)
     p_pell.add_argument("--target-cap", type=int, default=30)
     p_pell.set_defaults(func=_cmd_pell)

@@ -145,7 +145,6 @@ def forge(
     b: int,
     *,
     search_bound: int = 12,
-    guess_order: int = 4,
     target_cap: int = 30,
     max_theorems: int = 10,
     extra_seeds: list[WeightedQuadruple] | None = None,
@@ -160,8 +159,6 @@ def forge(
         raise ValueError("max_theorems must be at least 1")
     if target_cap < 1:
         raise ValueError("target_cap must be at least 1")
-    if guess_order < 2:
-        raise ValueError("guess_order must be at least 2")
     seeds = search_quadruples(a, b, search_bound)
     if extra_seeds:
         for seed in extra_seeds:
@@ -180,9 +177,7 @@ def forge(
         quadruple = morph(seed)
         for j, poly in enumerate(quadruple.polys):
             try:
-                orbit = sol_quad(
-                    QuadForm.from_poly(poly), guess_order, target_cap=target_cap, _tables=tables
-                )
+                orbit = sol_quad(QuadForm.from_poly(poly), target_cap=target_cap, _tables=tables)
             except (DefiniteForm, NoOrbitFound) as exc:
                 log.debug("seed %s, index %d: %s", seed, j + 1, exc)
                 continue

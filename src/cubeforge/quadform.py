@@ -733,11 +733,9 @@ def _value_pattern(values: Sequence[int]) -> tuple[str, int] | None:
     return None
 
 
-def _unit_recurrence(
-    seqs: Sequence[Sequence[int]], kind: str, guess_order: int
-) -> tuple[int, ...] | None:
+def _unit_recurrence(seqs: Sequence[Sequence[int]], kind: str) -> tuple[int, ...] | None:
     """The denominator 1 - t*z^p + N*z^(2p), read off the sequences for the
-    least p <= guess_order // 2 that fits, or None.
+    least p in (1, 2) that fits, or None.
 
     N is the norm of the unit that steps an orbit p places on: along each
     residue class mod p the value is multiplied by N, so N = 1 for constant
@@ -748,9 +746,19 @@ def _unit_recurrence(
     2(3p + 1 - 2p) = 2p + 2 equations for 2p unknowns.  That guess, kept as
     the oracle in the tests, gives the same orbits except where it fits a
     recurrence of another shape: a shifted one (the list's first points off
-    the orbit) or one of odd order, which needs fewer points."""
+    the orbit) or one of odd order, which needs fewer points.
+
+    p stops at 2 so that every theorem forge builds on the orbit passes
+    verify's two order caps.  An orbit denominator of order 2p <= 4 gives
+    value denominators den2 = _symmetric_square(den) of degree at most
+    C(5, 2) = 10 (forge._value_gfs), so the three generating functions of a
+    forged theorem have denominator orders summing to at most 30, which is
+    cli.MAX_VERIFY_ORDER, and numerators of at most 10 < 31 coefficients
+    (gf_from_den keeps deg den2 of them; the normal form only lowers both).
+    At p = 3 one value denominator can reach degree C(7, 2) = 21, and the
+    sum 63."""
     length = min(len(x) for x in seqs)
-    for p in range(1, guess_order // 2 + 1):
+    for p in (1, 2):
         if length < 3 * p + 1:
             break
         sign = 1 if kind == "constant" else (-1) ** p
@@ -779,7 +787,7 @@ def _unit_trace(seqs: Sequence[Sequence[int]], p: int, sign: int) -> int | None:
 
 
 def _orbit_from_solutions(
-    form: QuadForm, sols: Sequence[tuple[int, int, int]], guess_order: int
+    form: QuadForm, sols: Sequence[tuple[int, int, int]]
 ) -> PellOrbit | None:
     if len(sols) < 3:
         return None
@@ -789,7 +797,7 @@ def _orbit_from_solutions(
     kind, target = pattern
     mseq = [m for m, _, _ in sols]
     nseq = [n for _, n, _ in sols]
-    den = _unit_recurrence((mseq, nseq), kind, guess_order)
+    den = _unit_recurrence((mseq, nseq), kind)
     if den is None:
         return None
     gf_m = gf_from_den(mseq, den)
@@ -857,7 +865,6 @@ def _by_magnitude(
 
 def sol_quad(
     form: QuadForm,
-    guess_order: int = 4,
     *,
     bound: int = 2000,
     target_cap: int = 30,
@@ -879,9 +886,6 @@ def sol_quad(
     certified constant candidate, and runs to its end only when no constant
     one certifies.
 
-    ``guess_order`` bounds the orbit order 2p of the read-off
-    (_unit_recurrence): p runs from 1 to guess_order // 2.
-
     Forms in one variable (qb == 0 and qa*qc == 0) raise NoOrbitFound before
     any enumeration, because no ladder candidate can pass.  For Q = qa*m^2
     and |e| >= 1 there is at most one m = k with qa*k^2 = +-|e|, so a class
@@ -897,8 +901,6 @@ def sol_quad(
     terms, and the "denominator split" check rejects the pair.  Q = qc*n^2
     is the same with the roles of m and n swapped.
     """
-    if guess_order < 2:
-        raise ValueError("guess_order must be at least 2")
     if bound < 1:
         raise ValueError("bound must be at least 1")
     if target_cap < 1:
@@ -912,7 +914,7 @@ def sol_quad(
     def no_orbit() -> NoOrbitFound:
         return NoOrbitFound(
             f"no certified orbit for {form} with |target| <= {target_cap}, "
-            f"enumeration bound {bound}, guess order {guess_order}"
+            f"enumeration bound {bound}"
         )
 
     if form.qb == 0 and form.qa * form.qc == 0:
@@ -934,7 +936,7 @@ def sol_quad(
             if cand in seen:
                 continue
             seen.append(cand)
-            orbit = _orbit_from_solutions(form, cand, guess_order)
+            orbit = _orbit_from_solutions(form, cand)
             if orbit is None:
                 continue
             if orbit.kind == "constant":

@@ -90,7 +90,7 @@ def test_criterion_3():
 
 @criterion("4 (alternating unit orbit at bound 2000)", budget=5.0)
 def test_criterion_4():
-    orbit = sol_quad(QuadForm(-1, 9, 1), 4, bound=2000)
+    orbit = sol_quad(QuadForm(-1, 9, 1), bound=2000)
     assert orbit.kind == "alternating"
     assert orbit.pairs(5) == [(1, 0), (9, 1), (82, 9), (747, 82), (6805, 747)]
     form = QuadForm(-1, 9, 1)

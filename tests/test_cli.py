@@ -83,10 +83,8 @@ class TestCliExitCodes:
         [
             (["pell", "--form", "m^2 - 2*n^2"], "--bound", cli.MAX_PELL_BOUND),
             (["pell", "--form", "m^2 - 2*n^2"], "--target-cap", cli.MAX_TARGET_CAP),
-            (["pell", "--form", "m^2 - 2*n^2"], "--guess-order", cli.MAX_GUESS_ORDER),
             (["forge", "--a", "1", "--b", "1"], "--search-bound", cli.MAX_SEARCH_BOUND),
             (["forge", "--a", "1", "--b", "1"], "--target-cap", cli.MAX_TARGET_CAP),
-            (["forge", "--a", "1", "--b", "1"], "--guess-order", cli.MAX_GUESS_ORDER),
         ],
     )
     def test_work_option_over_cap(self, capsys, command, option, cap):
@@ -110,14 +108,15 @@ class TestCliExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            # no seed exists at search bound 2: the order is refused before the search
-            ["forge", "--a", "1", "--b", "1", "--search-bound", "2", "--guess-order", "1"],
-            ["pell", "--form", "m^2-2*n^2", "--guess-order", "1"],
+            ["forge", "--a", "1", "--b", "-1", "--guess-order", "4"],
+            ["pell", "--form", "m^2-2*n^2", "--guess-order", "4"],
         ],
     )
-    def test_guess_order_below_two(self, capsys, argv):
+    def test_guess_order_is_not_an_option(self, capsys, argv):
+        # the orbit read-off always tries p = 1 and 2: the option is refused,
+        # not accepted and ignored
         assert main(argv) == 2
-        assert "ValueError: guess_order must be at least 2" in capsys.readouterr().err
+        assert "unrecognized arguments: --guess-order 4" in capsys.readouterr().err
 
     @pytest.mark.parametrize("option", ["--x", "--y", "--z"])
     def test_eliminate_degree_over_cap(self, capsys, option):
@@ -535,6 +534,38 @@ class TestCliCommands:
             ["forge", "--a", "1", "--b", "-1", "--seed-file", str(path)]
         )
         assert code == 0
+
+    def test_forge_seed_file_entry_forms(self, tmp_path, capsys):
+        outputs = []
+        for seeds in ([[9, 10, -1, -12]], [{"coords": [9, 10, -1, -12]}]):
+            path = tmp_path / "seeds.json"
+            path.write_text(json.dumps(seeds))
+            assert main(["forge", "--a", "1", "--b", "1", "--seed-file", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [
+            {"coords": [9, 10, -1, -12]},
+            [5],
+            [None],
+            # each of these used to be read as the taxicab seed (9, 10, -1, -12)
+            [[9.5, 10, -1, -12]],
+            [["9", "10", "-1", "-12"]],
+            [[9, 10, -1, -12.7]],
+            # and this one as (1, -1, 0, 0)
+            [[True, -1, 0, 0]],
+            [[9, 10, -1]],
+            [{"coords": [9, 10, -1, -12.0]}],
+            [{"seed": [9, 10, -1, -12]}],
+        ],
+    )
+    def test_forge_seed_file_rejected(self, tmp_path, capsys, seeds):
+        path = tmp_path / "seeds.json"
+        path.write_text(json.dumps(seeds))
+        assert main(["forge", "--a", "1", "--b", "1", "--seed-file", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("ValueError: ")
 
 
 class TestParserReuse:

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import random
 from math import comb
 
@@ -21,6 +22,7 @@ from cubeforge import (
     theorem_from_json,
     theorem_to_json,
 )
+from cubeforge import cli
 from cubeforge.cfinite import _mul, _symmetric_square
 from cubeforge.errors import EmptySeedSet, MalformedTheorem, NoOrbitFound
 from cubeforge.forge import _value_gfs
@@ -219,6 +221,26 @@ class TestForge:
             for seq in thm.sequences(12):
                 assert any(v != 0 for v in seq)
 
+    def test_golden_pairs_within_verify_caps(self, tmp_path, capsys):
+        # the orbit read-off stops at p = 2, so every forged theorem passes
+        # verify's caps (quadform._unit_recurrence) and verify re-certifies
+        # it at the depth forge recorded; the pairs of tests/test_golden.py
+        payload = []
+        for a, b in itertools.product(range(1, 6), range(-6, 7)):
+            if b:
+                try:
+                    payload += [theorem_to_json(t) for t in forge(a, b)]
+                except EmptySeedSet:
+                    pass
+        assert len(payload) > 100
+        for item in payload:
+            cli._check_raw_gfs([(g["num"], g["den"]) for g in item["gfs"]])
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["verify", "--file", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"certified, depth {item['certified_depth']}" for item in payload]
+
 
 def reference_value_gfs(polys, gf_m, gf_n):
     """The reconstruction by guessing that forge used before the symmetric
@@ -280,7 +302,7 @@ def solved_small_orbits():
     for coeffs in itertools.product(range(-6, 7), repeat=3):
         if coeffs[1] ** 2 > 4 * coeffs[0] * coeffs[2]:
             try:
-                orbits.append(sol_quad(QuadForm(*coeffs), 4, _tables=tables))
+                orbits.append(sol_quad(QuadForm(*coeffs), _tables=tables))
             except NoOrbitFound:
                 pass
     return orbits

@@ -113,7 +113,7 @@ def naive_enumerate(form, targets, bound):
     return out
 
 
-def reference_sol_quad(form, guess_order, bound, target_cap, enumerator=None):
+def reference_sol_quad(form, bound, target_cap, enumerator=None):
     """The per-magnitude search: one enumeration per target magnitude
     (reference_enumerate_solutions unless another is given), no shortcut for
     one-variable forms, and every ladder candidate tried."""
@@ -137,7 +137,7 @@ def reference_sol_quad(form, guess_order, bound, target_cap, enumerator=None):
             if cand in seen:
                 continue
             seen.append(cand)
-            orbit = _orbit_from_solutions(form, cand, guess_order)
+            orbit = _orbit_from_solutions(form, cand)
             if orbit is not None:
                 candidates.append(orbit)
         if candidates:
@@ -146,10 +146,11 @@ def reference_sol_quad(form, guess_order, bound, target_cap, enumerator=None):
     raise NoOrbitFound(f"no certified orbit for {form}")
 
 
-def reference_orbit_from_solutions(form, sols, guess_order):
-    """The guessed orbit: one recurrence of order <= guess_order fitted to
-    both coordinate sequences by joint_guess_recurrence, then the same
-    rebuild, denominator check and certificate as _orbit_from_solutions."""
+def reference_orbit_from_solutions(form, sols):
+    """The guessed orbit: one recurrence of order <= 4, the largest the
+    read-off builds, fitted to both coordinate sequences by
+    joint_guess_recurrence, then the same rebuild, denominator check and
+    certificate as _orbit_from_solutions."""
     if len(sols) < 3:
         return None
     pattern = _value_pattern([v for _, _, v in sols])
@@ -158,7 +159,7 @@ def reference_orbit_from_solutions(form, sols, guess_order):
     kind, target = pattern
     mseq = [m for m, _, _ in sols]
     nseq = [n for _, n, _ in sols]
-    coeffs = joint_guess_recurrence([mseq, nseq], guess_order)
+    coeffs = joint_guess_recurrence([mseq, nseq], 4)
     if coeffs is None:
         return None
     try:
@@ -174,9 +175,9 @@ def reference_orbit_from_solutions(form, sols, guess_order):
     return PellOrbit(gf_m=gf_m, gf_n=gf_n, target=target, kind=kind, certificate=cert)
 
 
-def _outcome(search, form, guess_order, bound, target_cap):
+def _outcome(search, form, bound, target_cap):
     try:
-        return search(form, guess_order, bound=bound, target_cap=target_cap).to_json()
+        return search(form, bound=bound, target_cap=target_cap).to_json()
     except (DefiniteForm, NoOrbitFound) as exc:
         return type(exc)
 
@@ -439,22 +440,22 @@ class TestMagnitudeSweep:
         assert sweep == _per_magnitude(form, 100, 13)
 
 
-def _met_candidates(forms, guess_order, bound=2000, target_cap=30):
+def _met_candidates(forms, bound=2000, target_cap=30):
     """Every ladder candidate sol_quad hands to _orbit_from_solutions on the
     forms, as (form, candidate) pairs, the forms sharing their class data as
     in forge."""
     met = []
 
-    def recording(form, cand, order):
+    def recording(form, cand):
         met.append((form, cand))
-        return _orbit_from_solutions(form, cand, order)
+        return _orbit_from_solutions(form, cand)
 
     quadform._orbit_from_solutions = recording
     try:
         tables = {}
         for form in forms:
             try:
-                sol_quad(form, guess_order, bound=bound, target_cap=target_cap, _tables=tables)
+                sol_quad(form, bound=bound, target_cap=target_cap, _tables=tables)
             except (DefiniteForm, NoOrbitFound):
                 pass
     finally:
@@ -468,25 +469,23 @@ def _orbit_key(orbit):
 
 class TestUnitReadOff:
     def test_forge_forms_match_guess(self):
-        forms = _forge_forms()
-        for order in (2, 4, 8):
-            met = _met_candidates(forms, order)
-            certified = 0
-            for form, cand in met:
-                got = _orbit_from_solutions(form, cand, order)
-                assert _orbit_key(got) == _orbit_key(
-                    reference_orbit_from_solutions(form, cand, order)
-                ), (form, cand[:4], order)
-                certified += got is not None
-            # 777 candidates, 32 of them certified, at each order
-            assert len(met) > 700 and certified > 30
+        met = _met_candidates(_forge_forms())
+        certified = 0
+        for form, cand in met:
+            got = _orbit_from_solutions(form, cand)
+            assert _orbit_key(got) == _orbit_key(
+                reference_orbit_from_solutions(form, cand)
+            ), (form, cand[:4])
+            certified += got is not None
+        # 777 candidates, 32 of them certified
+        assert len(met) > 700 and certified > 30
 
     @settings(max_examples=500, deadline=None)
-    @given(forms_of_every_class(), st.integers(1, 300), st.integers(1, 40), st.integers(2, 8))
-    def test_drawn_forms_match_guess(self, form, bound, target_cap, guess_order):
-        for _, cand in _met_candidates([form], guess_order, bound, target_cap):
-            got = _orbit_from_solutions(form, cand, guess_order)
-            ref = reference_orbit_from_solutions(form, cand, guess_order)
+    @given(forms_of_every_class(), st.integers(1, 300), st.integers(1, 40))
+    def test_drawn_forms_match_guess(self, form, bound, target_cap):
+        for _, cand in _met_candidates([form], bound, target_cap):
+            got = _orbit_from_solutions(form, cand)
+            ref = reference_orbit_from_solutions(form, cand)
             if _orbit_key(got) != _orbit_key(ref):
                 # the guess also fits recurrences of another shape: a shifted
                 # one (an improper generating function, the list's first
@@ -510,8 +509,8 @@ class TestUnitReadOff:
     def test_margin_is_three_p_plus_one(self):
         form = QuadForm(1, 0, -2)
         sols = [(1, 0, 1), (3, 2, 1), (17, 12, 1)]
-        assert _orbit_from_solutions(form, sols, 4) is None
-        orbit = _orbit_from_solutions(form, sols + [(99, 70, 1)], 4)
+        assert _orbit_from_solutions(form, sols) is None
+        orbit = _orbit_from_solutions(form, sols + [(99, 70, 1)])
         assert orbit.gf_m.den == (1, -6, 1) and orbit.gf_n.den == (1, -6, 1)
 
     def test_interleaved_orbit(self):
@@ -520,12 +519,11 @@ class TestUnitReadOff:
         form = QuadForm(5, 6, -3)
         sols = enumerate_solutions(form, (5, -5), 2000)
         assert len(sols) == 7
-        orbit = _orbit_from_solutions(form, sols, 4)
+        orbit = _orbit_from_solutions(form, sols)
         assert orbit.gf_m.den == (1, 0, -10, 0, 1) and orbit.kind == "constant"
         assert orbit.gf_m.num == (1, 1, -8, -2) and orbit.gf_n.num == (0, 2, 5, 1)
-        assert _orbit_from_solutions(form, sols[:6], 4) is None
-        assert _orbit_from_solutions(form, sols, 3) is None
-        assert sol_quad(form, 4).to_json() == orbit.to_json()
+        assert _orbit_from_solutions(form, sols[:6]) is None
+        assert sol_quad(form).to_json() == orbit.to_json()
 
     def test_interleaved_alternating_orbit_has_norm_one(self):
         # 7m^2 - 5mn - 7n^2 = +-7 alternates along the full list, two orbits
@@ -534,9 +532,9 @@ class TestUnitReadOff:
         form = QuadForm(7, -5, -7)
         sols = enumerate_solutions(form, (7, -7), 3000)
         assert len(sols) == 7 and [v for _, _, v in sols[:3]] == [7, -7, 7]
-        orbit = _orbit_from_solutions(form, sols, 4)
+        orbit = _orbit_from_solutions(form, sols)
         assert orbit.kind == "alternating" and orbit.gf_m.den == (1, 0, -15, 0, 1)
-        assert _orbit_key(orbit) == _orbit_key(reference_orbit_from_solutions(form, sols, 4))
+        assert _orbit_key(orbit) == _orbit_key(reference_orbit_from_solutions(form, sols))
 
 
 def trial_factor(n):
@@ -603,20 +601,20 @@ class TestFactor:
 
 class TestSolQuad:
     def test_classic_pell(self):
-        orbit = sol_quad(QuadForm(1, 0, -2), 3)
+        orbit = sol_quad(QuadForm(1, 0, -2))
         assert orbit.gf_m.num == (1, -3) and orbit.gf_m.den == (1, -6, 1)
         assert orbit.gf_n.num == (0, 2) and orbit.gf_n.den == (1, -6, 1)
         assert orbit.target == 1 and orbit.kind == "constant"
 
     def test_alternating_orbit(self):
-        orbit = sol_quad(QuadForm(-1, 9, 1), 3)
+        orbit = sol_quad(QuadForm(-1, 9, 1))
         assert orbit.gf_m.num == (1,) and orbit.gf_m.den == (1, -9, -1)
         assert orbit.gf_n.num == (0, 1) and orbit.gf_n.den == (1, -9, -1)
         assert orbit.target == -1 and orbit.kind == "alternating"
 
     def test_definite_rejected(self):
         with pytest.raises(DefiniteForm):
-            sol_quad(QuadForm(1, 0, 1), 3)
+            sol_quad(QuadForm(1, 0, 1))
 
     @pytest.mark.parametrize("cap", [0, -5])
     def test_target_cap_below_one_rejected(self, cap):
@@ -626,7 +624,7 @@ class TestSolQuad:
     def test_no_orbit_for_factorable_form(self):
         # (2m - n)(m + n): every target has finitely many representations
         with pytest.raises(NoOrbitFound):
-            sol_quad(QuadForm(2, 1, -1), 4, target_cap=5)
+            sol_quad(QuadForm(2, 1, -1), target_cap=5)
 
     def test_stops_at_the_winning_magnitude(self, monkeypatch):
         # m^2 - 2n^2 wins at |e| = 1, so the sweep handles only |e1| = 1
@@ -645,8 +643,8 @@ class TestSolQuad:
         calls = []
         orbit_from_solutions = quadform._orbit_from_solutions
 
-        def counting(form, cand, guess_order):
-            orbit = orbit_from_solutions(form, cand, guess_order)
+        def counting(form, cand):
+            orbit = orbit_from_solutions(form, cand)
             calls.append((cand, orbit and orbit.kind))
             return orbit
 
@@ -689,9 +687,9 @@ class TestSolQuad:
         # class data as in forge
         tables = {}
         for form in _forge_forms():
-            got = _outcome(partial(sol_quad, _tables=tables), form, 4, 2000, 30)
+            got = _outcome(partial(sol_quad, _tables=tables), form, 2000, 30)
             assert got == _outcome(
-                partial(reference_sol_quad, enumerator=enumerate_solutions), form, 4, 2000, 30
+                partial(reference_sol_quad, enumerator=enumerate_solutions), form, 2000, 30
             ), form
 
     def test_matches_per_magnitude_reference(self):
@@ -703,25 +701,24 @@ class TestSolQuad:
                 forms.append(form)
         found = 0
         for form in forms:
-            got = _outcome(sol_quad, form, 3, 120, 12)
-            assert got == _outcome(reference_sol_quad, form, 3, 120, 12), form
+            got = _outcome(sol_quad, form, 120, 12)
+            assert got == _outcome(reference_sol_quad, form, 120, 12), form
             found += isinstance(got, dict)
         assert 0 < found < len(forms)
 
     @pytest.mark.parametrize("text", ["m^2", "-3*m^2", "n^2", "-n^2"])
     def test_one_variable_form_rejected(self, text):
         form = QuadForm.from_poly(parse_poly(text, ("m", "n")))
-        for order in (2, 3, 4):
-            with pytest.raises(NoOrbitFound):
-                sol_quad(form, order)
-            assert _outcome(reference_sol_quad, form, order, 60, 30) is NoOrbitFound
+        with pytest.raises(NoOrbitFound):
+            sol_quad(form)
+        assert _outcome(reference_sol_quad, form, 60, 30) is NoOrbitFound
 
     @pytest.mark.parametrize(
         "form",
         [QuadForm(1, 0, -2), QuadForm(-1, 9, 1), QuadForm(1, 1, -1), QuadForm(1, 0, -5)],
     )
     def test_orbit_pattern_holds_to_fifty(self, form):
-        orbit = sol_quad(form, 4)
+        orbit = sol_quad(form)
         pairs = orbit.pairs(50)
         for i, (m, n) in enumerate(pairs):
             expected = orbit.target * ((-1) ** i if orbit.kind == "alternating" else 1)
