@@ -8,7 +8,6 @@ from .cfinite import (
     Certificate,
     RationalGF,
     certify_zero,
-    guess_recurrence,
     seq_from_terms,
     taylor_coefficients,
 )
@@ -16,7 +15,6 @@ from .concoct import FormResult, find_form, implicitize, twist_no_solution
 from .cubic import (
     ParamQuadruple,
     WeightedQuadruple,
-    combine,
     morph,
     search_quadruples,
     verify_param,
@@ -25,7 +23,6 @@ from .forge import (
     CubicTheorem,
     certify_theorem,
     forge,
-    parse_theorem,
     render,
     theorem_from_json,
     theorem_to_json,
@@ -38,7 +35,7 @@ from .kernel import (
     rational_nullspace,
     resultant,
 )
-from .parsing import parse_poly, print_poly
+from .parsing import parse_poly
 from .quadform import (
     PellConstruction,
     PellOrbit,
@@ -64,7 +61,6 @@ __all__ = [
     "WeightedQuadruple",
     "certify_theorem",
     "certify_zero",
-    "combine",
     "content_primitive",
     "divides",
     "enumerate_solutions",
@@ -72,13 +68,10 @@ __all__ = [
     "find_form",
     "forge",
     "general_quadform",
-    "guess_recurrence",
     "implicitize",
     "morph",
     "parse_poly",
-    "parse_theorem",
     "pell_special",
-    "print_poly",
     "rational_nullspace",
     "render",
     "resultant",

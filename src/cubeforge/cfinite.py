@@ -2,10 +2,13 @@
 
 A sequence is stored as num(t)/den(t) with integer coefficients and
 den(0) != 0; its terms are the Taylor coefficients at the origin.  The module
-provides exact expansion, recurrence guessing from data, reconstruction of a
-generating function from terms, and finite-check certification: a polynomial
-identity among C-finite sequences that holds for enough initial indices holds
-for all of them, because the left side is itself C-finite of bounded order.
+provides exact expansion, the one numerator rule ``gf_from_den``, and
+finite-check certification: a polynomial identity among C-finite sequences
+that holds for enough initial indices holds for all of them, because the
+left side is itself C-finite of bounded order.  The pipeline builds its
+denominators (quadform._unit_recurrence, forge._value_gfs); guessing a
+recurrence from data, ``joint_guess_recurrence`` and ``seq_from_terms``, is
+kept for library callers.
 """
 
 from __future__ import annotations
@@ -224,20 +227,6 @@ def _fit_recurrence(seqs: Sequence[Sequence[int]], order: int):
     return sol
 
 
-def guess_recurrence(terms: Sequence, max_order: int):
-    """Minimal-order constant-coefficient recurrence fitting all the terms.
-
-    Order r is only accepted when at least 2r+2 terms are available, a plain
-    over-determination margin; callers that need rigor re-certify downstream.
-    Returns [e1..er] as Fractions, or None.
-    """
-    if not terms:
-        raise ValueError("terms must be nonempty")
-    if max_order < 1:
-        raise ValueError("max_order must be at least 1")
-    return joint_guess_recurrence([terms], max_order)
-
-
 def joint_guess_recurrence(seqs: Sequence[Sequence], max_order: int, surplus: int = 2):
     """Minimal-order recurrence [e1..er] that fits every sequence, or None.
 
@@ -273,24 +262,15 @@ def gf_from_den(terms: Sequence[int], den: Sequence[int]) -> RationalGF:
     return RationalGF(num, den)
 
 
-def gf_from_recurrence(terms: Sequence[int], coeffs: Sequence[Fraction]) -> RationalGF:
-    """Build num/den from a recurrence known to hold on the terms:
-    den = 1 - e1 t - ... - er t^r, then gf_from_den (at least r terms)."""
-    if any(Fraction(e).denominator != 1 for e in coeffs):
-        raise NonIntegralGF("recurrence coefficients are not integers")
-    if any(Fraction(t).denominator != 1 for t in terms):
-        raise NonIntegralGF("terms are not integers")
-    den = (1,) + tuple(-int(e) for e in coeffs)
-    return gf_from_den([int(t) for t in terms[: len(coeffs)]], den)
-
-
 def seq_from_terms(terms: Sequence[int], max_order: int) -> RationalGF:
     """Reconstruct a generating function whose expansion reproduces every
     given term, by guessing a recurrence of order <= max_order.
 
     Reconstruction needs only one surplus equation (2r+1 terms for order r)
-    instead of guess_recurrence's two, because the re-expansion check below
-    validates the result against every input term anyway.
+    instead of the default two, because the re-expansion check below
+    validates the result against every input term anyway.  The recurrence
+    [e1..er] gives den = 1 - e1 t - ... - er t^r, and gf_from_den the
+    numerator.
     """
     if not terms:
         raise ValueError("terms must be nonempty")
@@ -299,7 +279,11 @@ def seq_from_terms(terms: Sequence[int], max_order: int) -> RationalGF:
         raise GuessFailed(
             f"no recurrence of order <= {max_order} fits {len(terms)} terms"
         )
-    gf = gf_from_recurrence(list(terms), coeffs)
+    if any(e.denominator != 1 for e in coeffs):
+        raise NonIntegralGF("recurrence coefficients are not integers")
+    if any(Fraction(t).denominator != 1 for t in terms):
+        raise NonIntegralGF("terms are not integers")
+    gf = gf_from_den([int(t) for t in terms], (1,) + tuple(-int(e) for e in coeffs))
     check = taylor_coefficients(gf, len(terms))
     assert all(a == b for a, b in zip(check, terms)), "reconstruction mismatch"
     return gf

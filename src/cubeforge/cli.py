@@ -81,6 +81,15 @@ MAX_COEFFICIENT_DIGITS = 60
 # m^3 - n^3 + m*n, m^2*n + m*n^2 + 1 about 3 s); the degree-4 analogue of
 # the first did not finish in 100 s.  The library implicitize stays uncapped.
 MAX_ELIMINATE_DEGREE = 3
+# Polynomial text is parsed under a degree cap (parse_poly's max_degree), so
+# that no power is expanded before it is refused: 2 for pell, whose form is
+# quadratic, MAX_ELIMINATE_DEGREE for eliminate and this one for twist's
+# --base.  Uncapped, twist --base "x^3000" with the matrix 1,1,0;0,1,1;1,0,1
+# took 7 s and 1.4 GB.  At 12 the dense (x+y+z+1)^12 twists in about 0.03 s;
+# with a 4000-digit constant instead of 1 it runs about 2 s before exiting 2
+# (Python will not print an int of over 4300 digits).  At 20 those take 0.3 s
+# and 35 s (one Xeon core).
+MAX_TWIST_DEGREE = 12
 
 _EMPTY_ERRORS = (EmptySeedSet, NoOrbitFound, NoForm, NoTargetedForm, EliminationCollapse)
 _INPUT_ERRORS = (
@@ -98,7 +107,7 @@ _INPUT_ERRORS = (
 
 
 def _parse_form(text: str) -> QuadForm:
-    return QuadForm.from_poly(parse_poly(text, ("m", "n")))
+    return QuadForm.from_poly(parse_poly(text, ("m", "n"), max_degree=2))
 
 
 def _check_raw_gfs(pairs) -> None:
@@ -205,20 +214,17 @@ def _cmd_pell(args) -> int:
 
 
 def _cmd_eliminate(args) -> int:
-    polys = [parse_poly(text, ("m", "n")) for text in (args.x, args.y, args.z)]
-    for option, p in zip(("--x", "--y", "--z"), polys):
-        degree = p.total_degree()
-        if degree > MAX_ELIMINATE_DEGREE:
-            raise ValueError(
-                f"{option} has total degree {degree}, which exceeds the cap {MAX_ELIMINATE_DEGREE}"
-            )
+    polys = [
+        parse_poly(text, ("m", "n"), max_degree=MAX_ELIMINATE_DEGREE)
+        for text in (args.x, args.y, args.z)
+    ]
     print(str(implicitize(*polys)))
     return EXIT_OK
 
 
 def _cmd_twist(args) -> int:
     matrix = _parse_matrix(args.matrix)
-    base = parse_poly(args.base, ("x", "y", "z"))
+    base = parse_poly(args.base, ("x", "y", "z"), max_degree=MAX_TWIST_DEGREE)
     print(str(twist_no_solution(base, matrix)))
     return EXIT_OK
 

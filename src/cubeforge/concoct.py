@@ -126,9 +126,6 @@ class FormResult:
     def homogeneous_vanishing(self) -> bool:
         return self.constant == 0
 
-    def as_poly(self, names: Sequence[str]) -> MultiPoly:
-        return MultiPoly(tuple(names), dict(self.coefficients))
-
     def to_json(self) -> dict:
         ordered = sorted(
             self.coefficients.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True
@@ -162,6 +159,19 @@ def find_form(
     (omitted for target "none") and C(d+D-1, D) + 4 rows.  If the certifier
     rejects a candidate, the matrix is rebuilt once with as many rows as the
     certification bound, which makes a second rejection impossible.
+
+    Two outcomes are invariants, and AssertionError if broken:
+    - The chosen vector has monomial support.  It is a nonzero nullspace
+      vector.  For target "none" every entry is a monomial's.  Otherwise,
+      were every monomial entry zero, the matrix would map the vector to
+      its target entry times the target column, whose entries are +-1, so
+      that entry would be zero too.
+    - The last row plan certifies.  It has at least
+      certificate_bound(seqs, D) rows, and certify_zero checks exactly that
+      many indices for this candidate: it binds every sequence, and the
+      candidate's total degree is D (the target term has degree <= 1 < D).
+      The candidate vanishes on every row of the matrix, where it is
+      evaluated at the same terms, so it vanishes at every checked index.
     """
     d = len(seqs)
     if d < 2:
@@ -220,7 +230,7 @@ def find_form(
             coeffs = {ev: c for ev, c in zip(monomials, chosen[:-1]) if c}
             constant = -chosen[-1]
         if not coeffs:
-            raise NoForm("nullspace vector has no monomial support")
+            raise AssertionError("nullspace vector has no monomial support")
         expr = MultiPoly(names, coeffs) - rhs_poly(constant, target)
         cert = certify_zero(expr, bindings)
         if cert.certified:
@@ -231,4 +241,4 @@ def find_form(
                 target=target,
                 certificate=cert,
             )
-    raise NoForm("candidate relations failed certification")
+    raise AssertionError("a candidate relation failed certification at its depth")

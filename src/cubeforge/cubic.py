@@ -1,14 +1,14 @@
 """Weighted four-cube machinery: numeric solutions of
-a*X^3 + a*Y^3 + b*Z^3 + b*W^3 = 0, the bilinear combination of two solutions
-into a third, and the morph of a numeric solution against the symbolic
-solution (m, -m, n, -n) into four homogeneous quadratics.
+a*X^3 + a*Y^3 + b*Z^3 + b*W^3 = 0, and the morph of a numeric solution
+against the symbolic solution (m, -m, n, -n) into four homogeneous
+quadratics.
 
-Combining (x, y, z, w) and (x', y', z', w') uses the multipliers
+Morphing is the bilinear combination of two solutions (x, y, z, w) and
+(x', y', z', w') = (m, -m, n, -n) with the multipliers
     c = a(x x'^2 + y y'^2) + b(z z'^2 + w w'^2)
     d = -(a(x^2 x' + y^2 y') + b(z^2 z' + w^2 w'))
 which make the mixed cubic cross terms cancel, so (cx + dx', ...) solves the
-same equation.  Morphing is the special case (x', y', z', w') = (m, -m, n, -n)
-with c, d read as polynomials in m and n.
+same equation; here c and d are polynomials in m and n.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import InvalidQuadruple, ZeroResult
+from .errors import InvalidQuadruple
 from .kernel import MultiPoly
 
 
@@ -112,25 +112,6 @@ def search_quadruples(a: int, b: int, bound: int) -> list[WeightedQuadruple]:
                 found.append(t)
     found.sort(key=lambda t: (max(abs(c) for c in t), t))
     return [WeightedQuadruple(a, b, *t) for t in found]
-
-
-def combine(s1: WeightedQuadruple, s2: WeightedQuadruple) -> WeightedQuadruple:
-    """Third solution from two with equal weights, via the cross-term
-    cancelling multipliers c and d.  The result is reduced to primitive form
-    without changing its orientation, so combine(s2, s1) is exactly the
-    negation of combine(s1, s2)."""
-    if (s1.a, s1.b) != (s2.a, s2.b):
-        raise ValueError("weights differ")
-    a, b = s1.a, s1.b
-    x, y, z, w = s1.coords
-    xp, yp, zp, wp = s2.coords
-    c = a * (x * xp * xp + y * yp * yp) + b * (z * zp * zp + w * wp * wp)
-    d = -(a * (x * x * xp + y * y * yp) + b * (z * z * zp + w * w * wp))
-    vec = (c * x + d * xp, c * y + d * yp, c * z + d * zp, c * w + d * wp)
-    if all(v == 0 for v in vec):
-        raise ZeroResult("the combination is the zero quadruple")
-    g = gcd(gcd(abs(vec[0]), abs(vec[1])), gcd(abs(vec[2]), abs(vec[3])))
-    return WeightedQuadruple(a, b, *(v // g for v in vec))
 
 
 @dataclass(frozen=True)

@@ -69,10 +69,6 @@ class InvalidQuadruple(CubeforgeError):
     """Numbers fail the weighted cubic equation or the primitivity invariant."""
 
 
-class ZeroResult(CubeforgeError):
-    """Combining two solutions produced the zero quadruple."""
-
-
 # --- forge ---
 
 class EmptySeedSet(CubeforgeError):

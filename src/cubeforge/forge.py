@@ -379,7 +379,3 @@ def render(thm: CubicTheorem, fmt: str = "text") -> str:
         return "\n".join(lines)
     raise ValueError(f"unknown format {fmt!r}")
 
-
-def parse_theorem(text: str) -> CubicTheorem:
-    """Inverse of render(..., "json")."""
-    return theorem_from_json(json.loads(text))

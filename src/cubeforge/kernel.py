@@ -4,6 +4,8 @@ Sylvester resultants, exact division, and rational nullspaces.
 Everything is pure and immutable.  Coefficients are Python ints (arbitrary
 precision).  Linear systems may have ``Fraction`` entries; they are solved
 fraction-free on integers, and only the answer is built from Fractions.
+One elimination loop (``_reduced_echelon``) serves both: ``rational_solve``
+reads its solution off the nullspace of the augmented matrix.
 Monomials are ordered graded-lexicographically by the declared variable
 list, which fixes canonical printing and the leading term used for exact
 division.
@@ -295,12 +297,6 @@ class MultiPoly:
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items(), key=lambda kv: _monomial_key(kv[0]), reverse=True)
-
-    def leading(self) -> tuple[tuple[int, ...], int]:
-        if not self.terms:
-            raise ZeroPolynomial("zero polynomial has no leading term")
-        ev = max(self.terms, key=_monomial_key)
-        return ev, self.terms[ev]
 
     # --- printing ---
 
@@ -757,14 +753,10 @@ def _eliminate(row: list[int], s: list[int], p: int) -> list[int]:
     return [b * x - a * y for x, y in zip(row, s)]
 
 
-def _reduced_echelon(
-    rows: Iterable[Sequence[Scalar]], stop: int | None = None
-) -> dict[int, list[int]] | None:
+def _reduced_echelon(rows: Iterable[Sequence[Scalar]]) -> dict[int, list[int]]:
     """Reduced row-echelon basis of the row space, in integers: a map from
     each pivot column to a primitive integer row whose first nonzero entry,
     positive, sits in that column, with zeros in every other pivot column.
-    Returns None as soon as a row reduces to one that starts in column
-    ``stop``.
 
     Rows enter one at a time, each scaled to integers.  An incoming row is
     reduced against the stored rows in the order they were stored: with a
@@ -791,8 +783,6 @@ def _reduced_echelon(
         lead = next((c for c, x in enumerate(row) if x), None)
         if lead is None:
             continue
-        if lead == stop:
-            return None
         stored[lead] = _primitive(row)
     pivots = list(stored)
     for i in range(len(pivots) - 1, 0, -1):
@@ -842,24 +832,20 @@ def rational_solve(
     """One exact solution of matrix * x = rhs (free unknowns set to 0), or
     None when the system is inconsistent.
 
-    The augmented rows go through ``_reduced_echelon`` one at a time, and
-    the first row that reduces to [0 ... 0 | nonzero] ends the call: the
-    system is inconsistent exactly when the rhs column is a pivot of the
-    augmented rref.  Otherwise every pivot is an unknown, and the pivot
-    columns of a reduced echelon form are the leftmost independent columns
-    whatever the row order, so setting the free unknowns to 0 and each
-    pivot unknown to its row's rhs over its pivot gives the same solution
-    as the rref of the whole system.  Only this last step uses Fractions.
+    x = v[:-1] / v[-1] for the vector v of rational_nullspace([A | -rhs])
+    that is nonzero in the last column.  That basis vector is the one of
+    the free column -rhs (every other basis vector is zero there), so the
+    free unknowns come out 0 and each pivot unknown as its rref row's rhs
+    over its pivot.  When -rhs is a pivot column, the system is
+    inconsistent: its rref row is zero on every unknown, so every basis
+    vector is zero in the last column and None is returned.  Only this last
+    step uses Fractions.
     """
     if not matrix:
         return []
     ncols = len(matrix[0])
-    echelon = _reduced_echelon(
-        (list(row) + [b] for row, b in zip(matrix, rhs)), stop=ncols
-    )
-    if echelon is None:
+    basis = rational_nullspace([list(row) + [-b] for row, b in zip(matrix, rhs)])
+    v = next((v for v in basis if v[ncols]), None)
+    if v is None:
         return None
-    x = [Fraction(0)] * ncols
-    for p, row in echelon.items():
-        x[p] = Fraction(row[ncols], row[p])
-    return x
+    return [Fraction(x, v[ncols]) for x in v[:ncols]]

@@ -1,4 +1,4 @@
-"""Polynomial text parsing and printing.
+"""Polynomial text parsing; str(MultiPoly) is the canonical text it inverts.
 
 Grammar: integer literals, declared variable names, + - * ^ with the usual
 precedence, parentheses, unary minus.  Juxtaposition is not multiplication
@@ -48,10 +48,13 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, src: str, variables: Sequence[str]):
+    def __init__(self, src: str, variables: Sequence[str], max_degree: int | None):
         self.tokens = _tokenize(src)
         self.pos = 0
         self.variables = tuple(variables)
+        self.max_degree = max_degree
+        # the product of the nested exponents inside the factor being parsed
+        self.power = 1
 
     def peek(self):
         return self.tokens[self.pos]
@@ -76,11 +79,17 @@ class _Parser:
             left = left + right if op == "+" else left - right
         return left
 
+    def check_degree(self, degree: int, pos: int, what: str) -> None:
+        if self.max_degree is not None and degree > self.max_degree:
+            raise ParseError(pos, f"{what} {degree} exceeds the degree cap {self.max_degree}")
+
     def term(self) -> MultiPoly:
         left = self.factor()
         while self.peek()[0] == "*":
-            self.advance()
-            left = left * self.factor()
+            pos = self.advance()[2]
+            right = self.factor()
+            self.check_degree(left.total_degree() + right.total_degree(), pos, "product of total degree")
+            left = left * right
         return left
 
     def factor(self) -> MultiPoly:
@@ -88,9 +97,10 @@ class _Parser:
         if tok[0] == "-":
             self.advance()
             return -self.factor()
+        outer, self.power = self.power, 1
         base = self.atom()
         if self.peek()[0] == "^":
-            self.advance()
+            pos = self.advance()[2]
             exp_tok = self.peek()
             if exp_tok[0] != "int":
                 raise ParseError(
@@ -98,7 +108,13 @@ class _Parser:
                     "exponent must be a nonnegative integer literal",
                 )
             self.advance()
-            return base ** int(exp_tok[1])
+            exp = int(exp_tok[1])
+            self.power *= exp
+            nested = "exponent" if self.power == exp else "nested exponent product"
+            self.check_degree(self.power, pos, nested)
+            self.check_degree(base.total_degree() * exp, pos, "power of total degree")
+            base = base**exp
+        self.power = max(outer, self.power)
         return base
 
     def atom(self) -> MultiPoly:
@@ -120,11 +136,16 @@ class _Parser:
         raise ParseError(pos, f"expected number, variable, or '(', found {text or 'end of input'!r}")
 
 
-def parse_poly(src: str, variables: Sequence[str]) -> MultiPoly:
-    """Parse polynomial text over the given variables."""
-    return _Parser(src, variables).parse()
+def parse_poly(
+    src: str, variables: Sequence[str], max_degree: int | None = None
+) -> MultiPoly:
+    """Parse polynomial text over the given variables.
 
-
-def print_poly(p: MultiPoly) -> str:
-    """Canonical text of a polynomial; parse_poly inverts it."""
-    return str(p)
+    With ``max_degree`` set, the work is bounded before any arithmetic
+    runs: a ``*`` whose operands' total degrees sum past the cap, a ``^``
+    whose exponent, times the exponents inside its base, exceeds it, and a
+    ``^`` whose result would exceed it raise ParseError at the operator.
+    The nesting rule bounds constants too: ((9^2)^2)^2 ... would square
+    their digits at every level without raising a degree.  None, the
+    default, leaves the text uncapped."""
+    return _Parser(src, variables, max_degree).parse()

@@ -789,6 +789,26 @@ def _unit_trace(seqs: Sequence[Sequence[int]], p: int, sign: int) -> int | None:
 def _orbit_from_solutions(
     form: QuadForm, sols: Sequence[tuple[int, int, int]]
 ) -> PellOrbit | None:
+    """The certified orbit through the listed points, or None when their
+    values fit no pattern, no unit read-off fits, or the rebuilt generating
+    functions do not share their denominator.
+
+    Once those pass, the certificate cannot refute, so a refutation raises
+    AssertionError.  The read-off fits den = 1 - t*z^p + N*z^(2p) on at
+    least 3p + 1 points, so each residue class j mod p holds the three
+    listed points j, j + p, j + 2p.  Every window of the list obeys den, so
+    the rebuilt gf_m and gf_n agree with the listed terms and obey den
+    throughout: along a class, u_i = m_(j+pi) and v_i = n_(j+pi) are
+    annihilated by 1 - t*y + N*y^2.  With alpha, beta its roots,
+    alpha*beta = N, each value Q(u_i, v_i) lies in the 3-dimensional space
+    spanned by alpha^(2i), N^i and beta^(2i) (generalised powers when
+    alpha = beta), which the symmetric square of 1 - t*y + N*y^2, monic of
+    order 3, annihilates.  The target along the class is c*N^i: constant
+    values have N = 1, and alternating ones give (-1)^(j+pi) = (-1)^j N^i
+    as N = (-1)^p.  So Q(u_i, v_i) - c*N^i lies in that space and vanishes
+    at i = 0, 1, 2, where _value_pattern checked the listed values; an
+    order-3 recurrence then makes it zero for every i.  The identity is
+    true, and certify_zero, which evaluates it exactly, certifies it."""
     if len(sols) < 3:
         return None
     pattern = _value_pattern([v for _, _, v in sols])
@@ -808,7 +828,7 @@ def _orbit_from_solutions(
     expr = form.to_poly() - rhs_poly(target, kind)
     cert = certify_zero(expr, {"m": gf_m, "n": gf_n})
     if not cert.certified:
-        return None
+        raise AssertionError(f"{form}: a read-off orbit was refuted at n={cert.witness}")
     return PellOrbit(gf_m=gf_m, gf_n=gf_n, target=target, kind=kind, certificate=cert)
 
 

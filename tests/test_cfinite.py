@@ -10,7 +10,6 @@ from cubeforge import (
     MultiPoly,
     RationalGF,
     certify_zero,
-    guess_recurrence,
     seq_from_terms,
     taylor_coefficients,
 )
@@ -298,19 +297,19 @@ class TestTaylor:
 
 class TestGuess:
     def test_order_two(self):
-        assert guess_recurrence([0, 1, 9, 82, 747, 6805], 3) == [9, 1]
+        assert joint_guess_recurrence([[0, 1, 9, 82, 747, 6805]], 3) == [9, 1]
 
     def test_constant(self):
-        assert guess_recurrence([1, 1, 1, 1, 1, 1], 2) == [1]
+        assert joint_guess_recurrence([[1, 1, 1, 1, 1, 1]], 2) == [1]
 
     def test_no_fit(self):
         # hand-check: order 1 forces e=2 then fails at 9; order 2 forces
         # 4 = 2 e1 + e2 and 9 = 4 e1 + 2 e2, but 9 != 2 * 4
-        assert guess_recurrence([1, 2, 4, 9, 17, 35, 60], 2) is None
+        assert joint_guess_recurrence([[1, 2, 4, 9, 17, 35, 60]], 2) is None
 
     def test_margin_rule(self):
         # five terms are not enough for order 2 (2r+2 = 6)
-        assert guess_recurrence([0, 1, 9, 82, 747], 3) is None
+        assert joint_guess_recurrence([[0, 1, 9, 82, 747]], 3) is None
 
     def test_minimality(self):
         rng = random.Random(3)
@@ -321,7 +320,7 @@ class TestGuess:
             seq = [rng.randint(-5, 5) for _ in range(r)]
             while len(seq) < 2 * 4 + 2:
                 seq.append(sum(c * seq[-1 - i] for i, c in enumerate(coeffs)))
-            guessed = guess_recurrence(seq, 4)
+            guessed = joint_guess_recurrence([seq], 4)
             assert guessed is not None and len(guessed) <= r
 
 
@@ -390,10 +389,16 @@ class TestGfFromDen:
         st.data(),
     )
     def test_matches_gf_from_recurrence(self, coeffs, extra, data):
+        # the generating function of s(n) = e1 s(n-1) + ... + er s(n-r) with
+        # the given first r terms: those come back unchanged, the rest follow
+        # the recurrence, and terms past the first r are not read
         r = len(coeffs)
         terms = data.draw(st.lists(st.integers(-50, 50), min_size=r, max_size=r)) + extra
         den = (1,) + tuple(-e for e in coeffs)
-        assert cfinite.gf_from_den(terms, den) == cfinite.gf_from_recurrence(terms, coeffs)
+        series = taylor_coefficients(cfinite.gf_from_den(terms, den), r + 6)
+        assert series[:r] == terms[:r]
+        for n in range(r, r + 6):
+            assert series[n] == sum(e * series[n - i] for i, e in enumerate(coeffs, 1))
 
     def test_needs_deg_den_terms(self):
         assert cfinite.gf_from_den([1, 3], (1, -6, 1)) == RationalGF((1, -3), (1, -6, 1))

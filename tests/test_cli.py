@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from cubeforge import Certificate, MultiPoly, certify_theorem, theorem_from_json
 from cubeforge import cli
 from cubeforge.cli import main
 from cubeforge.errors import ParseError
-from cubeforge.parsing import parse_poly, print_poly
+from cubeforge.parsing import parse_poly
 
 
 class TestParsePoly:
@@ -51,7 +52,7 @@ class TestParsePoly:
         for text in texts:
             variables = ("m", "n", "x", "y", "z")
             p = parse_poly(text, variables)
-            assert parse_poly(print_poly(p), variables) == p
+            assert parse_poly(str(p), variables) == p
 
 
 class TestCliExitCodes:
@@ -125,7 +126,35 @@ class TestCliExitCodes:
         argv[option] = f"m*n^{cap} - 1"
         assert main(["eliminate", *(w for item in argv.items() for w in item)]) == 2
         err = capsys.readouterr().err
-        assert f"{option} has total degree {cap + 1}, which exceeds the cap {cap}" in err
+        # refused at the "*", before the product is expanded
+        assert f"product of total degree {cap + 1} exceeds the degree cap {cap} at position 2" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["twist", "--matrix", "1,1,0;0,1,1;1,0,1", "--base", "x^3000"],
+            ["pell", "--form", "(m+n+1)^400"],
+            ["eliminate", "--x", "(m+n+1)^300", "--y", "m", "--z", "n"],
+            ["pell", "--form", "m^2 - 2^10000000*n^2"],
+            ["pell", "--form", "(m+n)^3000"],
+            # nested squares of a constant: 9^(2^28) has 2^28 * log10(9) digits
+            ["pell", "--form", "m^2 - " + "(" * 28 + "9" + "^2)" * 28 + "*n^2"],
+        ],
+    )
+    def test_polynomial_over_degree_cap_refused_in_time(self, capsys, argv):
+        # parse_poly refuses the power at its "^" before expanding it
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("ParseError: ") and "exceeds the degree cap" in err
+        assert len(err) < 200
+
+    def test_twist_base_at_degree_cap(self, capsys):
+        cap = cli.MAX_TWIST_DEGREE
+        assert main(["twist", "--matrix", "1,0,0;0,1,0;0,0,1", "--base", f"x^{cap}"]) == 0
+        assert capsys.readouterr().out.strip() == f"x^{cap}"
+        assert main(["twist", "--matrix", "1,0,0;0,1,0;0,0,1", "--base", f"x^{cap}*y"]) == 2
 
     @pytest.mark.parametrize(
         "argv, implicit",
@@ -165,6 +194,25 @@ class TestForgeInvariants:
         # the package's ``forge`` attribute is the function, not the module
         monkeypatch.setattr(importlib.import_module("cubeforge.forge"), name, replacement)
         assert main(["forge", "--a", "1", "--b", "-1"]) == 3
+        assert "internal invariant violated" in capsys.readouterr().err
+
+
+class TestCertificateInvariants:
+    """Certificates that a proof in the docstring says cannot refute: a
+    refutation is an internal error (exit 3), not a clean no-result."""
+
+    @pytest.mark.parametrize(
+        "module, argv",
+        [
+            ("cubeforge.quadform", ["pell", "--form", "m^2-2*n^2"]),
+            ("cubeforge.concoct",
+             ["findform", "--degree", "2", "--gf", "1;1,-3,1", "--gf", "0,1;1,-3,1"]),
+        ],
+    )
+    def test_refutation_exits_3(self, monkeypatch, capsys, module, argv):
+        refute = lambda expr, seqs: Certificate(bound=8, witness=3)
+        monkeypatch.setattr(importlib.import_module(module), "certify_zero", refute)
+        assert main(argv) == 3
         assert "internal invariant violated" in capsys.readouterr().err
 
 

@@ -224,7 +224,7 @@ class TestFindForm:
             r = find_form(gfs, 3, "constant")
             assert r.certificate.certified and r.coefficients
             seqs = [taylor_coefficients(g, 31) for g in gfs]
-            poly = r.as_poly(("X1", "X2", "X3"))
+            poly = MultiPoly(("X1", "X2", "X3"), r.coefficients)
             for n in range(31):
                 value = poly.evaluate(
                     {"X1": seqs[0][n], "X2": seqs[1][n], "X3": seqs[2][n]}

@@ -8,13 +8,12 @@ from cubeforge import (
     MultiPoly,
     ParamQuadruple,
     WeightedQuadruple,
-    combine,
     morph,
     search_quadruples,
     verify_param,
 )
 from cubeforge.cubic import _param_from_triples
-from cubeforge.errors import InvalidQuadruple, ZeroResult
+from cubeforge.errors import InvalidQuadruple
 from cubeforge.kernel import content_primitive
 from cubeforge.parsing import parse_poly
 
@@ -182,43 +181,6 @@ class TestSearch:
             assert not (orbit & covered), f"orbit of {q.coords} listed twice"
             covered |= orbit
         assert covered == oracle
-
-
-class TestCombine:
-    def test_famous_pair(self):
-        s1 = WeightedQuadruple(1, 1, 3, 4, 5, -6)
-        s2 = WeightedQuadruple(1, 1, 9, 10, -1, -12)
-        out = combine(s1, s2)
-        assert out.coords == (1, 1, -1, -1)
-        assert out.trivial
-
-    def test_self_combination_vanishes(self):
-        s = WeightedQuadruple(1, 1, 3, 4, 5, -6)
-        with pytest.raises(ZeroResult):
-            combine(s, s)
-
-    def test_negated_projective_duplicate(self):
-        s = WeightedQuadruple(1, -1, 9, 10, 12, 1)
-        with pytest.raises(ZeroResult):
-            combine(s, s.negated())
-
-    @pytest.mark.parametrize("a,b,bound", [(1, 1, 9), (1, -1, 10)])
-    def test_antisymmetry_and_closure(self, a, b, bound):
-        seeds = search_quadruples(a, b, bound)
-        for s1 in seeds:
-            for s2 in seeds:
-                try:
-                    fwd = combine(s1, s2)
-                except ZeroResult:
-                    with pytest.raises(ZeroResult):
-                        combine(s2, s1)
-                    continue
-                bwd = combine(s2, s1)
-                assert bwd.coords == tuple(-c for c in fwd.coords)
-                # construction re-verified the weighted equation already;
-                # check it once more with independent arithmetic
-                x, y, z, w = fwd.coords
-                assert a * (x**3 + y**3) + b * (z**3 + w**3) == 0
 
 
 class TestMorph:

@@ -192,7 +192,8 @@ def reference_exact_div(num, den):
                 return None
             out[ev] = q
         return MultiPoly(vs, out)
-    lev, lc = den.leading()
+    lev = max(den.terms, key=_monomial_key)
+    lc = den.terms[lev]
     quot = {}
     rem = dict(num.terms)
     while rem:

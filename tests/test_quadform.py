@@ -17,14 +17,13 @@ from cubeforge import (
     sol_quad,
     taylor_coefficients,
 )
-from cubeforge.cfinite import certify_zero, gf_from_recurrence, joint_guess_recurrence, rhs_poly
+from cubeforge.cfinite import certify_zero, gf_from_den, joint_guess_recurrence, rhs_poly
 from cubeforge.cubic import morph, search_quadruples
 from cubeforge.errors import (
     DefiniteForm,
     DegenerateInitialVectors,
     InvalidForm,
     NoOrbitFound,
-    NonIntegralGF,
     ZeroB,
 )
 from cubeforge.parsing import parse_poly
@@ -162,11 +161,11 @@ def reference_orbit_from_solutions(form, sols):
     coeffs = joint_guess_recurrence([mseq, nseq], 4)
     if coeffs is None:
         return None
-    try:
-        gf_m = gf_from_recurrence(mseq, coeffs)
-        gf_n = gf_from_recurrence(nseq, coeffs)
-    except NonIntegralGF:
+    if any(e.denominator != 1 for e in coeffs):
         return None
+    den = (1,) + tuple(-int(e) for e in coeffs)
+    gf_m = gf_from_den(mseq, den)
+    gf_n = gf_from_den(nseq, den)
     if gf_m.den != gf_n.den:
         return None
     cert = certify_zero(form.to_poly() - rhs_poly(target, kind), {"m": gf_m, "n": gf_n})
