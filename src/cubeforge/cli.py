@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
+from typing import Iterable
 
 from .concoct import find_form, implicitize, twist_no_solution
 from .cubic import WeightedQuadruple
@@ -85,10 +87,9 @@ MAX_ELIMINATE_DEGREE = 3
 # that no power is expanded before it is refused: 2 for pell, whose form is
 # quadratic, MAX_ELIMINATE_DEGREE for eliminate and this one for twist's
 # --base.  Uncapped, twist --base "x^3000" with the matrix 1,1,0;0,1,1;1,0,1
-# took 7 s and 1.4 GB.  At 12 the dense (x+y+z+1)^12 twists in about 0.03 s;
-# with a 4000-digit constant instead of 1 it runs about 2 s before exiting 2
-# (Python will not print an int of over 4300 digits).  At 20 those take 0.3 s
-# and 35 s (one Xeon core).
+# took 7 s and 1.4 GB.  At 12 the dense (x+y+z+1)^12 twists in about 0.03 s,
+# and at 20 in 0.3 s (one Xeon core).  twist's --matrix entries and --base
+# literals are held to MAX_COEFFICIENT_DIGITS before either is read.
 MAX_TWIST_DEGREE = 12
 
 _EMPTY_ERRORS = (EmptySeedSet, NoOrbitFound, NoForm, NoTargetedForm, EliminationCollapse)
@@ -127,16 +128,19 @@ def _check_raw_gfs(pairs) -> None:
         for c in num + den:
             if type(c) is not int:
                 raise ValueError(f"a coefficient is a {type(c).__name__}, not an integer")
-        digits = max((len(str(abs(c))) for c in num + den), default=0)
-        if digits > MAX_COEFFICIENT_DIGITS:
-            raise ValueError(
-                f"a coefficient has {digits} digits, which exceeds the cap "
-                f"{MAX_COEFFICIENT_DIGITS}"
-            )
+        _check_digits(str(abs(c)) for c in num + den)
     order = sum(max(len(den) - 1, 0) for _, den in pairs)
     if order > MAX_VERIFY_ORDER:
         raise ValueError(
             f"denominator orders sum to {order}, which exceeds the cap {MAX_VERIFY_ORDER}"
+        )
+
+
+def _check_digits(numerals: Iterable[str]) -> None:
+    digits = max(map(len, numerals), default=0)
+    if digits > MAX_COEFFICIENT_DIGITS:
+        raise ValueError(
+            f"a coefficient has {digits} digits, which exceeds the cap {MAX_COEFFICIENT_DIGITS}"
         )
 
 
@@ -223,6 +227,8 @@ def _cmd_eliminate(args) -> int:
 
 
 def _cmd_twist(args) -> int:
+    # int() also reads a matrix entry written with underscores
+    _check_digits(re.findall(r"\d+", args.matrix.replace("_", "") + " " + args.base))
     matrix = _parse_matrix(args.matrix)
     base = parse_poly(args.base, ("x", "y", "z"), max_degree=MAX_TWIST_DEGREE)
     print(str(twist_no_solution(base, matrix)))
@@ -246,6 +252,8 @@ def _cmd_verify(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     items = data if isinstance(data, list) else [data]
+    if not items:
+        raise ValueError("the file holds no theorem")
     all_ok = True
     for item in items:
         gfs = item.get("gfs") if isinstance(item, dict) else None

@@ -61,9 +61,6 @@ class WeightedQuadruple:
             or (t1 == -t4 and t2 == -t3)
         )
 
-    def negated(self) -> "WeightedQuadruple":
-        return WeightedQuadruple(self.a, self.b, -self.x, -self.y, -self.z, -self.w)
-
     def __str__(self) -> str:
         return f"({self.x}, {self.y}, {self.z}, {self.w})"
 

@@ -560,17 +560,10 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
        so det M is det B divided exactly by the integer prev^(t - 1), times
        the sign of the swaps.
 
-    Expansion by minors costs up to 2^t products.  When the block is larger
-    than ``_MINOR_BLOCK_MAX``, or prev is not an integer, elimination goes
-    on instead, with the first nonzero entry of the column as pivot when no
-    integer is there, dividing exactly by the polynomial prev; step 1's
-    identities hold for any nonzero pivots, so stage 2 is entered later
-    whenever the block is small enough and prev an integer.
-
     Packing bound.  A minor of M on rows X has degree at most D_X <= S.
     Every entry of every elimination step is such a minor, so each product
     a step forms has degree at most 2S.  In stage 2, prev is an integer,
-    and by Sylvester's identity a minor of B on rows R is prev^(|R| - 1)
+    so by Sylvester's identity a minor of B on rows R is prev^(|R| - 1)
     det M[K + R; K + C], of degree at most D_K + D_R.  So the product
     B_rj det B[R - r; C - j] has degree at most
     (D_K + d_r) + (D_K + D_R - d_r) = D_K + D_(K + R) <= 2S.  The entries
@@ -611,36 +604,19 @@ def _determinant(m: list[list[MultiPoly]], one: MultiPoly, zero: MultiPoly) -> M
     bound = 2 * sum(max(p.total_degree() for p in row) for row in m)
     pk = _Packing(len(vs), bound)
     rows = [[pk.pack(_remap(p, vs)) for p in row] for row in m]
-    return MultiPoly._make(vs, pk.unpack(_det_packed(rows, pk.guard)))
+    return MultiPoly._make(vs, pk.unpack(_det_packed(rows)))
 
 
-# the largest trailing block expanded by minors, at a cost of up to 2**t
-# products for a t x t block; a larger one is eliminated further
-_MINOR_BLOCK_MAX = 10
-
-
-def _integer(p: dict[int, int]) -> int | None:
-    # the value of a packed nonzero constant, else None
-    return p[0] if len(p) == 1 and 0 in p else None
-
-
-def _det_packed(m: list[list[dict[int, int]]], guard: int) -> dict[int, int]:
+def _det_packed(m: list[list[dict[int, int]]]) -> dict[int, int]:
     n = len(m)
     sign = 1
-    prev = 1  # the last pivot: an int, or a packed nonconstant polynomial
+    prev = 1  # the last pivot
     for k in range(n - 1):
-        pick = None
-        for i in range(k, n):
-            c = _integer(m[i][k])
-            if c is not None and (pick is None or abs(c) < abs(m[pick][k][0])):
-                pick = i
-        if pick is None:
-            if isinstance(prev, int) and n - k <= _MINOR_BLOCK_MAX:
-                det = _expand_by_minors([row[k:] for row in m[k:]])
-                return _div_int(det, sign * prev ** (n - k - 1))
-            pick = next((i for i in range(k, n) if m[i][k]), None)
-            if pick is None:
-                return {}
+        ints = [(abs(m[i][k][0]), i) for i in range(k, n) if m[i][k].keys() == {0}]
+        if not ints:
+            det = _expand_by_minors([row[k:] for row in m[k:]])
+            return _div_int(det, sign * prev ** (n - k - 1))
+        pick = min(ints)[1]  # the least integer constant in column k
         if pick != k:
             m[k], m[pick] = m[pick], m[k]
             sign = -sign
@@ -651,18 +627,10 @@ def _det_packed(m: list[list[dict[int, int]]], guard: int) -> dict[int, int]:
             neg_ik = {t: -c for t, c in row_i[k].items()}
             for j in range(k + 1, n):
                 acc = _nonzero(_pmul(neg_ik, row_k[j], _pmul(pivot, row_i[j], {})))
-                if isinstance(prev, int):
-                    row_i[j] = _div_int(acc, prev)
-                else:
-                    quot = _pdiv(acc, prev, guard)
-                    if quot is None:
-                        raise InexactDivision("a Bareiss step is not exact")
-                    row_i[j] = quot
+                row_i[j] = _div_int(acc, prev)
             row_i[k] = {}
-        c = _integer(pivot)
-        prev = pivot if c is None else c
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else {t: -c for t, c in det.items()}
+        prev = pivot[0]
+    return _div_int(m[n - 1][n - 1], sign)
 
 
 def _div_int(p: dict[int, int], d: int) -> dict[int, int]:
@@ -681,47 +649,85 @@ def _div_int(p: dict[int, int], d: int) -> dict[int, int]:
 def _expand_by_minors(block: list[list[dict[int, int]]]) -> dict[int, int]:
     """Determinant of a square block of packed polynomials by Laplace
     expansion along its rows (Gentleman & Johnson, ACM TOMS 2(3), 1976).
-    After row r, ``minors`` maps each set of r + 1 columns, as a bit mask,
-    to the nonzero minor on rows 0..r and those columns; each minor is
-    formed once and shared by every larger minor that expands into it."""
-    # rows with fewer terms first, which keeps the early minors small; the
-    # reordering's sign is the parity of its inversions
-    order = sorted(range(len(block)), key=lambda r: sum(len(e) for e in block[r]))
-    block = [block[r] for r in order]
+    After each row, ``minors`` maps each live set of columns, as a bit
+    mask, to the nonzero minor on the rows used so far and those columns;
+    each minor is formed once and shared by every larger minor that expands
+    into it.  A set is live while the rows still to come reach every column
+    outside it.
+
+    Band order: by first nonzero column, fewer terms first among equals.
+    After the rows that start at or before column c are used, every live
+    set contains all columns left of the next row's start s, as no later
+    row reaches them, and lies inside the columns the used rows reach.  In
+    a Sylvester block of degrees dp and dq a row starting at c ends by
+    column c + max(dp, dq), and s >= c, so the live sets differ only within
+    those max(dp, dq) + 1 columns: at most 2^(max(dp, dq) + 1) per row,
+    not 2^t.
+
+    Lightest first, which keeps the early minors small, is band order on a
+    dense block.  After integer pivots a block can hold light banded rows
+    beside heavy rows that start in column 0; band order then uses the
+    heavy rows mid-expansion, where live sets are most numerous.  So both
+    orders are costed by ``_live_sets`` and the cheaper runs, band order on
+    a tie."""
     t = len(block)
+    size = [sum(len(e) for e in row) for row in block]
+    light = sorted(range(t), key=size.__getitem__)
+    order = sorted(light, key=lambda r: next((j for j, e in enumerate(block[r]) if e), t))
+    live, cost = _live_sets([block[r] for r in order], None)
+    if light != order:
+        light_live, light_cost = _live_sets([block[r] for r in light], cost)
+        if light_cost < cost:
+            order, live = light, light_live
+    # the reordering's sign is the parity of its inversions
     odd = sum(a > b for i, a in enumerate(order) for b in order[i + 1:]) & 1
-    full = (1 << t) - 1
-    # the columns with a nonzero entry in row r or below
-    reach = [0] * (t + 1)
-    for r in range(t - 1, -1, -1):
-        reach[r] = reach[r + 1] | sum(1 << j for j, e in enumerate(block[r]) if e)
     minors: dict[int, dict[int, int]] = {0: {0: 1}}
-    for r, row in enumerate(block):
-        entries = [(j, 1 << j, e, {m: -c for m, c in e.items()}) for j, e in enumerate(row) if e]
-        later = reach[r + 1]
+    for r, sets in zip(order, live):
+        entries = [(j, 1 << j, e, {m: -c for m, c in e.items()}) for j, e in enumerate(block[r]) if e]
         nxt: dict[int, dict[int, int]] = {}
-        for mask, minor in minors.items():
+        for cols in sets:
+            acc: dict[int, int] = {}
             for j, bit, e, neg in entries:
-                if mask & bit:
-                    continue
-                cols = mask | bit
-                if full & ~cols & ~later:
-                    continue  # a column that no later row can fill
-                acc = nxt.get(cols)
-                if acc is None:
-                    acc = nxt[cols] = {}
-                # the sign of the entry's place in the last row of the minor
-                # is (-1) to the number of its columns right of j
-                _pmul(neg if bin(mask >> j).count("1") & 1 else e, minor, acc)
-        minors = {}
-        for cols, acc in nxt.items():
+                minor = minors.get(cols ^ bit) if cols & bit else None
+                if minor:
+                    # the sign of the entry's place in the last row of the
+                    # minor is (-1) to the number of its columns right of j
+                    _pmul(neg if bin(cols >> j + 1).count("1") & 1 else e, minor, acc)
             acc = _nonzero(acc)
             if acc:
-                minors[cols] = acc
-        if not minors:
+                nxt[cols] = acc
+        if not nxt:
             return {}
-    det = minors[full]
-    return {m: -c for m, c in det.items()} if odd else det
+        minors = nxt
+    return _div_int(minors[(1 << t) - 1], -1 if odd else 1)
+
+
+def _live_sets(rows: list[list[dict[int, int]]], limit: int | None) -> tuple[list[set[int]], int]:
+    """The column sets live after each row when ``_expand_by_minors`` uses
+    the rows in this order, and the cost of its products, each counted by
+    the terms of its entry (every minor taken as nonzero).  Stops once the
+    cost is past ``limit``."""
+    full = (1 << len(rows)) - 1
+    # reach[r]: the columns with a nonzero entry in row r or below
+    reach = [0] * (len(rows) + 1)
+    for r in range(len(rows) - 1, -1, -1):
+        reach[r] = reach[r + 1] | sum(1 << j for j, e in enumerate(rows[r]) if e)
+    live, cost = [{0}], 0
+    for r, row in enumerate(rows):
+        entries = [(1 << j, len(e)) for j, e in enumerate(row) if e]
+        later = reach[r + 1]
+        nxt = set()
+        for mask in live[-1]:
+            for bit, terms in entries:
+                cols = mask | bit
+                # live while the later rows reach every column outside it
+                if cols != mask and not full & ~cols & ~later:
+                    nxt.add(cols)
+                    cost += terms
+            if limit is not None and cost > limit:
+                return live[1:], cost
+        live.append(nxt)
+    return live[1:], cost
 
 
 # --- exact rational linear algebra, fraction-free on integers ---

@@ -562,6 +562,50 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert ("exceeds the cap" in err) == (code == 2)
 
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_twist_coefficient_cap(self, capsys, extra):
+        cap = cli.MAX_COEFFICIENT_DIGITS
+        n = 10 ** (cap - 1 + extra) + 7
+        for argv in (
+            ["twist", "--matrix", f"{n},1,0;0,1,1;1,0,1"],
+            ["twist", "--matrix", "1,0,0;0,1,0;0,0,1", "--base", f"x^3 + y^3 - {n}*z^3"],
+        ):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            if extra:
+                assert code == 2 and out == ""
+                assert f"a coefficient has {cap + 1} digits, which exceeds the cap {cap}" in err
+            else:
+                assert code == 0 and err == "" and out.strip()
+
+    @pytest.mark.parametrize(
+        "argv, digits",
+        [
+            (["--matrix", "9" * 2000 + ",1,0;0,1,1;1,0,1"], 2000),
+            (["--matrix", "1,1,0;0,1,1;1,0,1", "--base", f"(x+y+z+{'9' * 4000})^12"], 4000),
+            (["--matrix", "1_" + "2" * 60 + ",1,0;0,1,1;1,0,1"], 61),
+        ],
+    )
+    def test_twist_digits_refused_before_reading(self, capsys, argv, digits):
+        # refused on the raw text, before any substitution and before Python's
+        # own limit on int conversion is reached
+        start = time.perf_counter()
+        assert main(["twist", *argv]) == 2
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert err.strip() == (
+            f"ValueError: a coefficient has {digits} digits, which exceeds the cap "
+            f"{cli.MAX_COEFFICIENT_DIGITS}"
+        )
+
+    def test_verify_empty_array(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text("[]")
+        assert main(["verify", "--file", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.strip() == "ValueError: the file holds no theorem"
+
     def test_forge_json_is_verifiable(self, tmp_path, capsys):
         assert main(["forge", "--a", "1", "--b", "-1", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)

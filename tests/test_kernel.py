@@ -155,23 +155,20 @@ def reference_substitute(p, values):
 
 
 @contextmanager
-def determinant_paths(block_max=None):
-    """Record the size of every block the determinant expands by minors,
-    optionally with another largest block size."""
+def determinant_paths():
+    """Record the size of every block the determinant expands by minors."""
     sizes = []
-    expand, saved = kernel._expand_by_minors, kernel._MINOR_BLOCK_MAX
+    expand = kernel._expand_by_minors
 
     def spy(block):
         sizes.append(len(block))
         return expand(block)
 
     kernel._expand_by_minors = spy
-    if block_max is not None:
-        kernel._MINOR_BLOCK_MAX = block_max
     try:
         yield sizes
     finally:
-        kernel._expand_by_minors, kernel._MINOR_BLOCK_MAX = expand, saved
+        kernel._expand_by_minors = expand
 
 
 # --- oracle: exact division by the plain leading-term loop, which rescans
@@ -816,7 +813,7 @@ def det(rows):
 
 class TestDeterminant:
     """Every path of the determinant: integer pivots, expansion by minors,
-    scale-back, polynomial pivots past the largest block, zeros and swaps."""
+    scale-back, zeros and swaps."""
 
     def test_integer_pivots_only(self):
         # the leading minors of L * U are the products of the diagonals, so
@@ -873,30 +870,97 @@ class TestDeterminant:
                 assert sizes == ([n] if n > 1 else [])
                 assert got == naive_det(rows)
 
-    @pytest.mark.parametrize("block_max", [2, 3, 4])
-    def test_blocks_just_below_and_above_the_largest(self, block_max):
-        # with no constant entry, a block of block_max rows is expanded and
-        # one row more is eliminated with polynomial pivots instead
-        rng = random.Random(73 + block_max)
-        vs = ("x", "y")
-        for n, expanded in ((block_max, [block_max]), (block_max + 1, [])):
-            for _ in range(3):
-                rows = [[no_constant_poly(rng, vs) for _ in range(n)] for _ in range(n)]
-                with determinant_paths(block_max) as sizes:
-                    got = det(rows)
-                assert sizes == expanded
-                assert got == naive_det(rows)
-
-    def test_blocks_at_the_largest_size(self):
+    def test_large_blocks_are_expanded_whole(self):
+        # with no constant entry there is no pivot, and the whole block is
+        # expanded by minors whatever its size
         rng = random.Random(79)
         vs = ("x", "y")
-        size = kernel._MINOR_BLOCK_MAX
-        for n, expanded in ((size, [size]), (size + 1, [])):
+        for n in (11, 12):
             rows = [[no_constant_poly(rng, vs, terms=1) for _ in range(n)] for _ in range(n)]
             with determinant_paths() as sizes:
                 got = det(rows)
-            assert sizes == expanded
+            assert sizes == [n]
             assert got == bareiss_det(rows)
+
+    def test_eliminate_n_resultant_is_one_block(self):
+        # the n-resultant of an eliminate input whose two m-resultants have
+        # no integer constant in n: its 12 x 12 Sylvester block is expanded
+        # whole
+        vs = ("m", "n", "x", "y", "z")
+        x, y, z = (MultiPoly.variable(v, vs) for v in "xyz")
+        p = x - parse_poly("-2*m^2*n + m^3 - 3*m*n", vs)
+        r1 = resultant(p, y - parse_poly("-2*m*n^2 + 3*m*n", vs), "m")
+        r2 = resultant(p, z - parse_poly("2*m*n + 3*m*n^2 + 2*m^2*n", vs), "m")
+        with determinant_paths() as sizes:
+            got = resultant(r1, r2, "n")
+        assert sizes == [12]
+        assert got == bareiss_det(sylvester_rows(r1, r2, "n"))
+
+    def test_band_order_products(self, monkeypatch):
+        # every coefficient in m is c*n + d, so there is no integer pivot and
+        # the 19 x 19 Sylvester block is expanded whole.  Band order keeps
+        # at most 2^11 live column sets per row and forms 8446 products;
+        # the rows taken lightest first form 1043120.
+        rng = random.Random(97)
+        vs = ("m", "n")
+
+        def linear_in_n(d):
+            return MultiPoly(vs, {
+                (i, e): rng.choice((-3, -2, -1, 1, 2, 3)) for i in range(d + 1) for e in (0, 1)
+            })
+
+        p, q = linear_in_n(10), linear_in_n(9)
+        calls = [0]
+        pmul = kernel._pmul
+
+        def counted(a, b, acc):
+            calls[0] += 1
+            return pmul(a, b, acc)
+
+        monkeypatch.setattr(kernel, "_pmul", counted)
+        with determinant_paths() as sizes:
+            got = resultant(p, q, "m")
+        monkeypatch.undo()
+        assert sizes == [19]
+        assert calls[0] <= 20_000
+        assert got == bareiss_det(sylvester_rows(p, q, "m"))
+
+    def test_mixed_block_takes_the_cheaper_order(self, monkeypatch):
+        # three light banded rows beside five heavy rows that start in
+        # column 0, as integer pivots can leave them: band order would use
+        # the heavy rows in the middle, lightest first leaves them to the end
+        rng = random.Random(101)
+        vs = ("x", "y")
+        t = 8
+        zero = MultiPoly(vs, {})
+        rows = [
+            [no_constant_poly(rng, vs, terms=1) if s <= j < s + 6 else zero for j in range(t)]
+            for s in range(3)
+        ]
+        rows += [[no_constant_poly(rng, vs, max_degree=2, terms=4) for _ in range(t)]
+                 for _ in range(t - 3)]
+        pk = _Packing(len(vs), 40)
+        m = [[pk.pack(_remap(p, vs)) for p in row] for row in rows]
+        size = [sum(len(e) for e in row) for row in m]
+        start = [next(j for j, e in enumerate(row) if e) for row in m]
+        band = sorted(range(t), key=lambda r: (start[r], size[r]))
+        light = sorted(range(t), key=size.__getitem__)
+        band_cost = kernel._live_sets([m[r] for r in band], None)[1]
+        light_cost = kernel._live_sets([m[r] for r in light], None)[1]
+        assert light_cost < band_cost
+        # the expansion's products, each counted by the terms of its entry
+        formed = [0]
+        pmul = kernel._pmul
+
+        def counted(a, b, acc):
+            formed[0] += len(a)
+            return pmul(a, b, acc)
+
+        monkeypatch.setattr(kernel, "_pmul", counted)
+        got = det(rows)
+        monkeypatch.undo()
+        assert formed[0] <= light_cost
+        assert got == bareiss_det(rows)
 
     def test_zero_determinant(self):
         rng = random.Random(83)
@@ -937,8 +1001,8 @@ class TestDeterminant:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_mixed_entries_match_naive_det(self, data):
-        # constants, zeros and polynomials, with the largest block drawn too:
-        # polynomial pivots followed by integer ones reach every stage
+        # constants, zeros and polynomials: integer pivots, then a trailing
+        # block of any size, reach every stage
         vs = ("x", "y")
         n = data.draw(st.integers(1, 5))
         entry = st.one_of(
@@ -948,9 +1012,7 @@ class TestDeterminant:
             polys(vs, 2, max_terms=2),
         )
         rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
-        with determinant_paths(data.draw(st.integers(0, 5))):
-            got = det(rows)
-        assert got == naive_det(rows)
+        assert det(rows) == naive_det(rows)
 
 
 class TestNullspace:
