@@ -2,13 +2,15 @@
 
 A sequence is stored as num(t)/den(t) with integer coefficients and
 den(0) != 0; its terms are the Taylor coefficients at the origin.  The module
-provides exact expansion, the one numerator rule ``gf_from_den``, and
-finite-check certification: a polynomial identity among C-finite sequences
-that holds for enough initial indices holds for all of them, because the
-left side is itself C-finite of bounded order.  The pipeline builds its
-denominators (quadform._unit_recurrence, forge._value_gfs); guessing a
-recurrence from data, ``joint_guess_recurrence`` and ``seq_from_terms``, is
-kept for library callers.
+provides exact expansion, the one numerator rule ``gf_from_den``, the one
+reader of serialized generating functions ``read_gfs`` with the caps that
+bound their certification, and finite-check certification: a polynomial
+identity among C-finite sequences that holds for enough initial indices
+holds for all of them, because the left side is itself C-finite of bounded
+order.  The pipeline builds its denominators (quadform._unit_recurrence,
+forge._value_gfs); guessing a recurrence from data,
+``joint_guess_recurrence`` and ``seq_from_terms``, is kept for library
+callers.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import mul
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GuessFailed, NonIntegralGF, PoleAtOrigin, UnboundSymbol
 from .kernel import MultiPoly, rational_solve, scale_to_integers
@@ -149,16 +151,63 @@ class RationalGF:
     def to_json(self) -> dict:
         return {"num": list(self.num), "den": list(self.den)}
 
-    @classmethod
-    def from_json(cls, data: Mapping) -> "RationalGF":
-        """The interchange form: two lists of ints (bools are not ints)."""
-        num, den = data["num"], data["den"]
+
+# verify checks s + C(r+3, 3) + 2 indices, where r <= the sum of the three
+# denominator orders and the preperiod s is below the numerator length.  Every
+# forged theorem is within both caps: its orbit has order at most 4, so its
+# orders sum to at most 3 * C(5, 2) = 30 (quadform._unit_recurrence).  Both
+# are checked on the raw input, the orders as raw lengths - 1, before
+# RationalGF runs its polynomial gcd, whose cost grows with both degrees
+# (three 3000-entry denominators took seconds to reach a check after it); the
+# gcd only lowers an order.
+MAX_VERIFY_ORDER = 30
+MAX_NUMERATOR_LENGTH = MAX_VERIFY_ORDER + 1
+# The orders alone do not bound the work, because every expanded term carries
+# more digits as the coefficients grow: at the order cap, A = X, B = -X,
+# C = 1/(1-t) with X of order 14 certifies at depth 818 in about 2 s with
+# 20-digit coefficients and 16 s with 60-digit ones (one Xeon core).  Digits
+# are counted on the raw input, before RationalGF runs its gcd.  Forged
+# theorems have at most 4-digit coefficients and the classical triples at
+# most 6; the 59-digit binomials of (1-t)^200 stay below the cap, so such a
+# theorem is still refused for its order.
+MAX_COEFFICIENT_DIGITS = 60
+
+
+def check_digits(numerals: Iterable[str]) -> None:
+    """ValueError when a numeral is longer than MAX_COEFFICIENT_DIGITS."""
+    digits = max(map(len, numerals), default=0)
+    if digits > MAX_COEFFICIENT_DIGITS:
+        raise ValueError(
+            f"a coefficient has {digits} digits, which exceeds the cap {MAX_COEFFICIENT_DIGITS}"
+        )
+
+
+def read_gfs(pairs: Iterable) -> list[RationalGF]:
+    """The one reader of raw (num, den) coefficient lists from outside the
+    program.  Before RationalGF reduces anything, each must be two lists of
+    ints (a bool is not one), each numerator at most MAX_NUMERATOR_LENGTH
+    long, each coefficient at most MAX_COEFFICIENT_DIGITS digits, and the
+    orders, raw lengths - 1, must sum to at most MAX_VERIFY_ORDER, or
+    ValueError is raised."""
+    pairs = list(pairs)
+    for num, den in pairs:
         if not (isinstance(num, list) and isinstance(den, list)):
-            raise TypeError("num and den must be lists")
+            raise ValueError("a generating function must be two lists of integers")
+        if len(num) > MAX_NUMERATOR_LENGTH:
+            raise ValueError(
+                f"a numerator has {len(num)} coefficients, which exceeds the cap "
+                f"{MAX_NUMERATOR_LENGTH}"
+            )
         for c in num + den:
             if type(c) is not int:
-                raise TypeError(f"a coefficient is a {type(c).__name__}, not an int")
-        return cls(num, den)
+                raise ValueError(f"a coefficient is a {type(c).__name__}, not an integer")
+        check_digits(str(abs(c)) for c in num + den)
+    order = sum(max(len(den) - 1, 0) for _, den in pairs)
+    if order > MAX_VERIFY_ORDER:
+        raise ValueError(
+            f"denominator orders sum to {order}, which exceeds the cap {MAX_VERIFY_ORDER}"
+        )
+    return [RationalGF(num, den) for num, den in pairs]
 
 
 def taylor_series(g: RationalGF) -> Iterator[int | Fraction]:
@@ -207,7 +256,9 @@ class Certificate:
 
 def _fit_recurrence(seqs: Sequence[Sequence[int]], order: int):
     """Shared coefficients e1..e_order with s(n+r) = e1 s(n+r-1) + ... + e_r s(n)
-    across every sequence and every window, or None."""
+    across every sequence and every window, or None.  rational_solve reads x
+    off a nullspace vector v of [A | -b] with v[-1] != 0, so A x = b holds
+    exactly and needs no re-check."""
     rows = []
     rhs = []
     for s in seqs:
@@ -216,15 +267,7 @@ def _fit_recurrence(seqs: Sequence[Sequence[int]], order: int):
             rhs.append(s[n + order])
     if not rows:
         return None
-    sol = rational_solve(rows, rhs)
-    if sol is None:
-        return None
-    den = lcm(*(e.denominator for e in sol))
-    num = [e.numerator * (den // e.denominator) for e in sol]
-    for row, b in zip(rows, rhs):
-        if sum(c * x for c, x in zip(row, num)) != b * den:
-            return None
-    return sol
+    return rational_solve(rows, rhs)
 
 
 def joint_guess_recurrence(seqs: Sequence[Sequence], max_order: int, surplus: int = 2):
@@ -267,10 +310,10 @@ def seq_from_terms(terms: Sequence[int], max_order: int) -> RationalGF:
     given term, by guessing a recurrence of order <= max_order.
 
     Reconstruction needs only one surplus equation (2r+1 terms for order r)
-    instead of the default two, because the re-expansion check below
-    validates the result against every input term anyway.  The recurrence
-    [e1..er] gives den = 1 - e1 t - ... - er t^r, and gf_from_den the
-    numerator.
+    instead of the default two: the recurrence [e1..er], which gives
+    den = 1 - e1 t - ... - er t^r, holds exactly on every window of the
+    terms (rational_solve), and gf_from_den matches the first r of them, so
+    the expansion reproduces every given term.
     """
     if not terms:
         raise ValueError("terms must be nonempty")
@@ -283,10 +326,7 @@ def seq_from_terms(terms: Sequence[int], max_order: int) -> RationalGF:
         raise NonIntegralGF("recurrence coefficients are not integers")
     if any(Fraction(t).denominator != 1 for t in terms):
         raise NonIntegralGF("terms are not integers")
-    gf = gf_from_den([int(t) for t in terms], (1,) + tuple(-int(e) for e in coeffs))
-    check = taylor_coefficients(gf, len(terms))
-    assert all(a == b for a, b in zip(check, terms)), "reconstruction mismatch"
-    return gf
+    return gf_from_den([int(t) for t in terms], (1,) + tuple(-int(e) for e in coeffs))
 
 
 def _symmetric_square(den: Coeffs) -> Coeffs:

@@ -3,6 +3,8 @@
 Subcommands: forge, pell, eliminate, twist, findform, verify.  Results go to
 stdout, diagnostics to stderr.  Exit codes: 0 at least one certified result,
 1 clean no-result, 2 input or parse error, 3 internal invariant violation.
+Serialized generating functions (verify, findform --gf) are read under the
+caps of cfinite.read_gfs; the caps on options and polynomial text are here.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import functools
 import json
 import re
 import sys
-from typing import Iterable
 
 from .concoct import find_form, implicitize, twist_no_solution
 from .cubic import WeightedQuadruple
@@ -31,7 +32,7 @@ from .errors import (
     PoleAtOrigin,
     SingularSubstitution,
 )
-from .cfinite import RationalGF
+from .cfinite import check_digits, read_gfs
 from .forge import forge, render, theorem_from_json, theorem_to_json
 from .parsing import parse_poly
 from .quadform import QuadForm, sol_quad
@@ -46,21 +47,11 @@ EXIT_INTERNAL = 3
 MAX_PELL_BOUND = 20_000
 MAX_SEARCH_BOUND = 100
 MAX_TARGET_CAP = 200
-# verify checks s + C(r+3, 3) + 2 indices, where r <= the sum of the three
-# denominator orders and the preperiod s is below the numerator length.  Every
-# forged theorem is within both caps: its orbit has order at most 4, so its
-# orders sum to at most 3 * C(5, 2) = 30 (quadform._unit_recurrence).  Both
-# are checked on the raw input, the orders as raw lengths - 1, before
-# RationalGF runs its polynomial gcd, whose cost grows with both degrees
-# (three 3000-entry denominators took seconds to reach a check after it); the
-# gcd only lowers an order.
-MAX_VERIFY_ORDER = 30
-MAX_NUMERATOR_LENGTH = MAX_VERIFY_ORDER + 1
 # findform certifies at depth s + C(r+D, D) + 2 (cfinite.certificate_bound),
 # r <= the sum of the --gf denominator orders and D = --degree.  With that sum
-# capped at MAX_VERIFY_ORDER, D <= 3 keeps the depth within verify's at its
-# cap, s + C(33, 3) + 2 = s + 5458; D = 4 would allow s + C(34, 4) + 2 =
-# s + 46378.
+# capped at cfinite.MAX_VERIFY_ORDER, D <= 3 keeps the depth within verify's
+# at its cap, s + C(33, 3) + 2 = s + 5458; D = 4 would allow
+# s + C(34, 4) + 2 = s + 46378.
 MAX_FINDFORM_DEGREE = 3
 # The number d of --gf sequences sets the width C(d+D-1, D) of the
 # evaluation matrix that find_form takes the nullspace of, and the caps above
@@ -68,15 +59,6 @@ MAX_FINDFORM_DEGREE = 3
 # ..., 6 of them take 0.04 s, 8 take 0.2 s, 10 take 2 s and 14 took 105 s
 # (one Xeon core).
 MAX_FINDFORM_SEQUENCES = 8
-# The orders alone do not bound the work, because every expanded term carries
-# more digits as the coefficients grow: at the order cap, A = X, B = -X,
-# C = 1/(1-t) with X of order 14 certifies at depth 818 in about 2 s with
-# 20-digit coefficients and 16 s with 60-digit ones (one Xeon core).  Digits
-# are counted on the raw input, before RationalGF runs its gcd.  Forged
-# theorems have at most 4-digit coefficients and the classical triples at
-# most 6; the 59-digit binomials of (1-t)^200 stay below the cap, so such a
-# theorem is still refused for its order.
-MAX_COEFFICIENT_DIGITS = 60
 # eliminate's resultants grow fast with the degree of its inputs.  At degree
 # 3, m^3 + n, m*n^2 - 1, m + n^3 takes about 0.2 s, and the dense inputs
 # with constant terms tried take up to 8 s (m^3 + n^3 + m + n + 1,
@@ -89,7 +71,7 @@ MAX_ELIMINATE_DEGREE = 3
 # --base.  Uncapped, twist --base "x^3000" with the matrix 1,1,0;0,1,1;1,0,1
 # took 7 s and 1.4 GB.  At 12 the dense (x+y+z+1)^12 twists in about 0.03 s,
 # and at 20 in 0.3 s (one Xeon core).  twist's --matrix entries and --base
-# literals are held to MAX_COEFFICIENT_DIGITS before either is read.
+# literals are held to cfinite.MAX_COEFFICIENT_DIGITS before either is read.
 MAX_TWIST_DEGREE = 12
 
 _EMPTY_ERRORS = (EmptySeedSet, NoOrbitFound, NoForm, NoTargetedForm, EliminationCollapse)
@@ -111,39 +93,6 @@ def _parse_form(text: str) -> QuadForm:
     return QuadForm.from_poly(parse_poly(text, ("m", "n"), max_degree=2))
 
 
-def _check_raw_gfs(pairs) -> None:
-    """Reject raw (num, den) coefficient lists before RationalGF sees them:
-    each coefficient must be an int (a bool is not one) of at most
-    MAX_COEFFICIENT_DIGITS digits, each numerator at most
-    MAX_NUMERATOR_LENGTH long, and the orders, the denominator lengths - 1,
-    must sum to at most MAX_VERIFY_ORDER."""
-    for num, den in pairs:
-        if not (isinstance(num, list) and isinstance(den, list)):
-            raise ValueError("a generating function must be two lists of integers")
-        if len(num) > MAX_NUMERATOR_LENGTH:
-            raise ValueError(
-                f"a numerator has {len(num)} coefficients, which exceeds the cap "
-                f"{MAX_NUMERATOR_LENGTH}"
-            )
-        for c in num + den:
-            if type(c) is not int:
-                raise ValueError(f"a coefficient is a {type(c).__name__}, not an integer")
-        _check_digits(str(abs(c)) for c in num + den)
-    order = sum(max(len(den) - 1, 0) for _, den in pairs)
-    if order > MAX_VERIFY_ORDER:
-        raise ValueError(
-            f"denominator orders sum to {order}, which exceeds the cap {MAX_VERIFY_ORDER}"
-        )
-
-
-def _check_digits(numerals: Iterable[str]) -> None:
-    digits = max(map(len, numerals), default=0)
-    if digits > MAX_COEFFICIENT_DIGITS:
-        raise ValueError(
-            f"a coefficient has {digits} digits, which exceeds the cap {MAX_COEFFICIENT_DIGITS}"
-        )
-
-
 def _split_gf(text: str) -> tuple[list[int], list[int]]:
     """The raw numerator and denominator of "num;den"."""
     parts = text.split(";")
@@ -158,13 +107,21 @@ def _parse_matrix(text: str) -> list[list[int]]:
     return [[int(c) for c in row.split(",")] for row in rows]
 
 
+def _load_json(path: str):
+    """The JSON value in a file; nesting too deep to decode raises ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("the JSON nests too deeply to be read") from None
+
+
 def _load_seeds(path: str, a: int, b: int) -> list[WeightedQuadruple]:
     """The seeds of a JSON list whose entries are lists of four ints or
     {"coords": [...]} objects holding one.  Anything else raises ValueError,
     a bool, float or string coordinate too: 9.5 read as 9 would forge from
     another seed."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _load_json(path)
     if not isinstance(data, list):
         raise ValueError("a seed file must hold a JSON list of seeds")
     seeds = []
@@ -228,7 +185,7 @@ def _cmd_eliminate(args) -> int:
 
 def _cmd_twist(args) -> int:
     # int() also reads a matrix entry written with underscores
-    _check_digits(re.findall(r"\d+", args.matrix.replace("_", "") + " " + args.base))
+    check_digits(re.findall(r"\d+", args.matrix.replace("_", "") + " " + args.base))
     matrix = _parse_matrix(args.matrix)
     base = parse_poly(args.base, ("x", "y", "z"), max_degree=MAX_TWIST_DEGREE)
     print(str(twist_no_solution(base, matrix)))
@@ -241,24 +198,19 @@ def _cmd_findform(args) -> int:
         raise ValueError(
             f"{len(args.gf)} --gf sequences exceed the cap {MAX_FINDFORM_SEQUENCES}"
         )
-    raw = [_split_gf(text) for text in args.gf]
-    _check_raw_gfs(raw)
-    result = find_form([RationalGF(num, den) for num, den in raw], args.degree, args.target)
+    gfs = read_gfs(_split_gf(text) for text in args.gf)
+    result = find_form(gfs, args.degree, args.target)
     print(json.dumps(result.to_json(), indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _load_json(args.file)
     items = data if isinstance(data, list) else [data]
     if not items:
         raise ValueError("the file holds no theorem")
     all_ok = True
     for item in items:
-        gfs = item.get("gfs") if isinstance(item, dict) else None
-        if isinstance(gfs, list):
-            _check_raw_gfs([(g.get("num"), g.get("den")) for g in gfs if isinstance(g, dict)])
         cert = theorem_from_json(item).certificate
         if cert.certified:
             print(f"certified, depth {cert.bound}")

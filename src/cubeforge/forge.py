@@ -24,6 +24,7 @@ from .cfinite import (
     _symmetric_square,
     certify_zero,
     gf_from_den,
+    read_gfs,
     rhs_poly,
     taylor_coefficients,
 )
@@ -82,7 +83,8 @@ def theorem_from_json(data) -> CubicTheorem:
     """Parse the interchange JSON and certify it with certify_theorem; an
     input "certified_depth" is ignored.  a, b, c and the coefficients must
     be ints (not bools): a weight 1.9 read as 1 would certify another
-    statement."""
+    statement.  The generating functions go through cfinite.read_gfs, so a
+    theorem over its caps is refused before any reduction or expansion."""
     try:
         a, b, c = data["a"], data["b"], data["c"]
         if any(type(x) is not int for x in (a, b, c)):
@@ -94,9 +96,7 @@ def theorem_from_json(data) -> CubicTheorem:
             raise MalformedTheorem(f"bad rhs_kind {kind!r}")
         if len(gf_list) != 3:
             raise MalformedTheorem("expected exactly three generating functions")
-        gfs = [RationalGF.from_json(g) for g in gf_list]
-    except MalformedTheorem:
-        raise
+        gfs = read_gfs((g["num"], g["den"]) for g in gf_list)
     except PoleAtOrigin as exc:
         raise MalformedTheorem(str(exc)) from exc
     except (KeyError, TypeError, ValueError) as exc:

@@ -3,7 +3,9 @@
 Grammar: integer literals, declared variable names, + - * ^ with the usual
 precedence, parentheses, unary minus.  Juxtaposition is not multiplication
 (write 2*m, not 2m) and exponents are nonnegative integer literals.  Errors
-carry the 1-based character position of the offending token.
+carry the 1-based character position of the offending token.  Parentheses
+and unary minus nest at most MAX_NESTING deep: at four parser frames per
+level, 100 levels stay far inside Python's limit of 1000 frames.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from .errors import ParseError
 from .kernel import MultiPoly
 
 _OPS = set("+-*^()")
+MAX_NESTING = 100
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
@@ -71,11 +74,12 @@ class _Parser:
             raise ParseError(tok[2], f"unexpected {tok[1]!r}")
         return poly
 
-    def expression(self) -> MultiPoly:
-        left = self.term()
+    # depth counts the parentheses and unary minuses around the current token
+    def expression(self, depth: int = 0) -> MultiPoly:
+        left = self.term(depth)
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
-            right = self.term()
+            right = self.term(depth)
             left = left + right if op == "+" else left - right
         return left
 
@@ -83,22 +87,24 @@ class _Parser:
         if self.max_degree is not None and degree > self.max_degree:
             raise ParseError(pos, f"{what} {degree} exceeds the degree cap {self.max_degree}")
 
-    def term(self) -> MultiPoly:
-        left = self.factor()
+    def term(self, depth: int) -> MultiPoly:
+        left = self.factor(depth)
         while self.peek()[0] == "*":
             pos = self.advance()[2]
-            right = self.factor()
+            right = self.factor(depth)
             self.check_degree(left.total_degree() + right.total_degree(), pos, "product of total degree")
             left = left * right
         return left
 
-    def factor(self) -> MultiPoly:
+    def factor(self, depth: int) -> MultiPoly:
         tok = self.peek()
+        if tok[0] in ("-", "(") and depth == MAX_NESTING:
+            raise ParseError(tok[2], f"nesting exceeds the depth cap {MAX_NESTING}")
         if tok[0] == "-":
             self.advance()
-            return -self.factor()
+            return -self.factor(depth + 1)
         outer, self.power = self.power, 1
-        base = self.atom()
+        base = self.atom(depth)
         if self.peek()[0] == "^":
             pos = self.advance()[2]
             exp_tok = self.peek()
@@ -117,7 +123,7 @@ class _Parser:
         self.power = max(outer, self.power)
         return base
 
-    def atom(self) -> MultiPoly:
+    def atom(self, depth: int) -> MultiPoly:
         tok = self.advance()
         kind, text, pos = tok
         if kind == "int":
@@ -127,7 +133,7 @@ class _Parser:
                 raise ParseError(pos, f"unknown variable {text!r}")
             return MultiPoly.variable(text, self.variables)
         if kind == "(":
-            inner = self.expression()
+            inner = self.expression(depth + 1)
             closing = self.peek()
             if closing[0] != ")":
                 raise ParseError(closing[2], "expected ')'")

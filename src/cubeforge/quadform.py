@@ -753,7 +753,7 @@ def _unit_recurrence(seqs: Sequence[Sequence[int]], kind: str) -> tuple[int, ...
     value denominators den2 = _symmetric_square(den) of degree at most
     C(5, 2) = 10 (forge._value_gfs), so the three generating functions of a
     forged theorem have denominator orders summing to at most 30, which is
-    cli.MAX_VERIFY_ORDER, and numerators of at most 10 < 31 coefficients
+    cfinite.MAX_VERIFY_ORDER, and numerators of at most 10 < 31 coefficients
     (gf_from_den keeps deg den2 of them; the normal form only lowers both).
     At p = 3 one value denominator can reach degree C(7, 2) = 21, and the
     sum 63."""

@@ -1,9 +1,10 @@
+import json
 import random
 from fractions import Fraction
 from math import comb, gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cubeforge import (
@@ -15,9 +16,13 @@ from cubeforge import (
 )
 from cubeforge import cfinite
 from cubeforge.cfinite import (
+    MAX_COEFFICIENT_DIGITS,
+    MAX_NUMERATOR_LENGTH,
+    MAX_VERIFY_ORDER,
     SIGN_SYMBOL,
     certificate_bound,
     joint_guess_recurrence,
+    read_gfs,
     taylor_series,
 )
 from cubeforge.errors import (
@@ -258,6 +263,9 @@ class TestIntegerLayerOracle:
         assert max(sizes) < 200
 
 
+_CAPPED_INT = st.integers(-(10**MAX_COEFFICIENT_DIGITS) + 1, 10**MAX_COEFFICIENT_DIGITS - 1)
+
+
 class TestRationalGF:
     def test_normalization(self):
         g = RationalGF((2, 2), (2, -2))
@@ -272,9 +280,18 @@ class TestRationalGF:
         with pytest.raises(PoleAtOrigin):
             RationalGF((1,), (0, 1))
 
-    def test_json_round_trip(self):
-        g = RationalGF((1, 53, 9), (1, -82, -82, 1))
-        assert RationalGF.from_json(g.to_json()) == g
+    @settings(max_examples=200, deadline=None)
+    @given(
+        num=st.lists(_CAPPED_INT, max_size=MAX_NUMERATOR_LENGTH),
+        den=st.lists(_CAPPED_INT, min_size=1, max_size=MAX_VERIFY_ORDER + 1),
+    )
+    def test_json_round_trip(self, num, den):
+        # a generating function within the caps comes back from its JSON
+        assume(den[0] != 0)
+        g = RationalGF(num, den)
+        assume(all(len(str(abs(c))) <= MAX_COEFFICIENT_DIGITS for c in g.num + g.den))
+        data = json.loads(json.dumps(g.to_json()))
+        assert read_gfs([(data["num"], data["den"])]) == [g]
 
 
 class TestTaylor:

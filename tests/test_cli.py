@@ -1,18 +1,20 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from cubeforge import Certificate, MultiPoly, certify_theorem, theorem_from_json
-from cubeforge import cli
+from cubeforge import cfinite, cli
 from cubeforge.cli import main
-from cubeforge.errors import ParseError
-from cubeforge.parsing import parse_poly
+from cubeforge.errors import MalformedTheorem, ParseError
+from cubeforge.parsing import MAX_NESTING, parse_poly
 
 
 class TestParsePoly:
@@ -53,6 +55,17 @@ class TestParsePoly:
             variables = ("m", "n", "x", "y", "z")
             p = parse_poly(text, variables)
             assert parse_poly(str(p), variables) == p
+
+    @pytest.mark.parametrize("opener, closer", [("(", ")"), ("-", ""), ("-(", ")")])
+    def test_nesting_cap(self, opener, closer):
+        # MAX_NESTING levels of parentheses and unary minus parse; the opener
+        # of one more is refused before the recursion nears Python's limit
+        k = MAX_NESTING // len(opener)
+        assert parse_poly(opener * k + "m" + closer * k, ("m",)) == parse_poly("m", ("m",))
+        with pytest.raises(ParseError) as info:
+            parse_poly(opener * (k + 1) + "m" + closer * (k + 1), ("m",))
+        assert info.value.position == MAX_NESTING + 1
+        assert f"nesting exceeds the depth cap {MAX_NESTING}" in str(info.value)
 
 
 class TestCliExitCodes:
@@ -168,6 +181,29 @@ class TestCliExitCodes:
         assert cli.MAX_ELIMINATE_DEGREE == 3
         assert main(["eliminate", *argv]) == 0
         assert capsys.readouterr().out.strip() == implicit
+
+    @pytest.mark.parametrize(
+        "form",
+        ["(" * 260 + "m^2-2*n^2" + ")" * 260, "-" * 2000 + "m^2-2*n^2"],
+        ids=["parentheses", "unary-minus"],
+    )
+    def test_deeply_nested_form_is_input_error(self, capsys, form):
+        assert main(["pell", f"--form={form}"]) == 2
+        assert "nesting exceeds the depth cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("depth", [1100, 100_000])
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--file"], ["forge", "--a", "1", "--b", "1", "--seed-file"]],
+        ids=["verify", "seed-file"],
+    )
+    def test_deeply_nested_json_is_input_error(self, tmp_path, capsys, argv, depth):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * depth + "]" * depth)
+        assert main([*argv, str(path)]) == 2
+        err = capsys.readouterr().err
+        if depth == 100_000:
+            assert err.strip() == "ValueError: the JSON nests too deeply to be read"
 
     def test_pell_bound_at_cap(self, capsys):
         assert main(["pell", "--form", "m^2 - 2*n^2", "--bound", str(cli.MAX_PELL_BOUND)]) == 0
@@ -354,16 +390,16 @@ class TestCliCommands:
     @pytest.mark.parametrize("orders", [(200, 1, 1), (11, 10, 10)])
     def test_verify_order_over_cap(self, tmp_path, capsys, orders):
         # at r = 200 the depth would be C(203, 3) + 2 = 1373703
-        assert sum(orders) > cli.MAX_VERIFY_ORDER
+        assert sum(orders) > cfinite.MAX_VERIFY_ORDER
         path = tmp_path / "theorem.json"
         path.write_text(json.dumps(self._power_theorem(orders)))
         assert main(["verify", "--file", str(path)]) == 2
         err = capsys.readouterr().err
-        assert f"sum to {sum(orders)}, which exceeds the cap {cli.MAX_VERIFY_ORDER}" in err
+        assert f"sum to {sum(orders)}, which exceeds the cap {cfinite.MAX_VERIFY_ORDER}" in err
 
     def test_verify_order_at_cap(self, tmp_path, capsys):
         orders = (10, 10, 10)
-        assert sum(orders) == cli.MAX_VERIFY_ORDER
+        assert sum(orders) == cfinite.MAX_VERIFY_ORDER
         path = tmp_path / "theorem.json"
         path.write_text(json.dumps(self._power_theorem(orders)))
         assert main(["verify", "--file", str(path)]) == 1
@@ -385,7 +421,7 @@ class TestCliCommands:
             ],
         }
 
-    @pytest.mark.parametrize("k", [20, cli.MAX_NUMERATOR_LENGTH - 1])
+    @pytest.mark.parametrize("k", [20, cfinite.MAX_NUMERATOR_LENGTH - 1])
     def test_verify_improper_gf_refuted(self, tmp_path, capsys, k):
         # depth s + C(1+3, 3) + 2 with preperiod s = k + 1; k + 1 coefficients
         # is at the numerator cap for the second case
@@ -395,7 +431,7 @@ class TestCliCommands:
         assert f"refuted at n={k} (checked depth {k + 7})" in capsys.readouterr().err
 
     def test_verify_numerator_over_cap(self, tmp_path, capsys):
-        cap = cli.MAX_NUMERATOR_LENGTH
+        cap = cfinite.MAX_NUMERATOR_LENGTH
         path = tmp_path / "theorem.json"
         path.write_text(json.dumps(self._improper_theorem(cap)))
         assert main(["verify", "--file", str(path)]) == 2
@@ -403,7 +439,7 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("length, code", [(31, 0), (32, 2)])
     def test_findform_numerator_cap(self, capsys, length, code):
-        assert length in (cli.MAX_NUMERATOR_LENGTH, cli.MAX_NUMERATOR_LENGTH + 1)
+        assert length in (cfinite.MAX_NUMERATOR_LENGTH, cfinite.MAX_NUMERATOR_LENGTH + 1)
         # t^(length-1) and 1/(1-t): X2^2 = 1 is the form found under the cap
         num = ",".join(["0"] * (length - 1) + ["1"])
         argv = ["findform", "--degree", "2", "--gf", f"{num};1", "--gf", "1;1,-1"]
@@ -435,13 +471,13 @@ class TestCliCommands:
                 {"num": [1], "den": [1, -1]},
             ],
         }
-        assert 15 + extra + 14 + 1 == cli.MAX_VERIFY_ORDER + extra
+        assert 15 + extra + 14 + 1 == cfinite.MAX_VERIFY_ORDER + extra
         path = tmp_path / "theorem.json"
         path.write_text(json.dumps(theorem))
         assert main(["verify", "--file", str(path)]) == code
         captured = capsys.readouterr()
         if code == 2:
-            assert f"sum to {cli.MAX_VERIFY_ORDER + 1}, which exceeds the cap" in captured.err
+            assert f"sum to {cfinite.MAX_VERIFY_ORDER + 1}, which exceeds the cap" in captured.err
         else:
             assert captured.out.startswith("certified")
 
@@ -469,7 +505,7 @@ class TestCliCommands:
         assert main(argv) == code
         out, err = capsys.readouterr()
         if code == 2:
-            assert f"sum to {cli.MAX_VERIFY_ORDER + 1}, which exceeds the cap" in err
+            assert f"sum to {cfinite.MAX_VERIFY_ORDER + 1}, which exceeds the cap" in err
         else:
             assert json.loads(out)["coeffs"] == [[[0, 2], 1]]
 
@@ -523,7 +559,7 @@ class TestCliCommands:
     @pytest.mark.parametrize("where, depth", [("num", 6), ("den", 12)])
     @pytest.mark.parametrize("extra", [0, 1])
     def test_verify_coefficient_cap(self, tmp_path, capsys, where, depth, extra):
-        cap = cli.MAX_COEFFICIENT_DIGITS
+        cap = cfinite.MAX_COEFFICIENT_DIGITS
         theorem = self._cancelling_theorem(-(10 ** (cap - 1 + extra)) - 7, where)
         path = tmp_path / "theorem.json"
         path.write_text(json.dumps(theorem))
@@ -556,7 +592,7 @@ class TestCliCommands:
     def test_findform_coefficient_cap(self, capsys, extra, code):
         # N/(1-t) and 1/(1-t): X1 = N X2, so X1^2 - N^2 X2^2 = 0 and
         # X2^2 = 1 is the form found under the cap
-        n = 10 ** (cli.MAX_COEFFICIENT_DIGITS - 1 + extra)
+        n = 10 ** (cfinite.MAX_COEFFICIENT_DIGITS - 1 + extra)
         argv = ["findform", "--degree", "2", "--gf", f"{n};1,-1", "--gf", "1;1,-1"]
         assert main(argv) == code
         err = capsys.readouterr().err
@@ -564,7 +600,7 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_twist_coefficient_cap(self, capsys, extra):
-        cap = cli.MAX_COEFFICIENT_DIGITS
+        cap = cfinite.MAX_COEFFICIENT_DIGITS
         n = 10 ** (cap - 1 + extra) + 7
         for argv in (
             ["twist", "--matrix", f"{n},1,0;0,1,1;1,0,1"],
@@ -595,7 +631,7 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert err.strip() == (
             f"ValueError: a coefficient has {digits} digits, which exceeds the cap "
-            f"{cli.MAX_COEFFICIENT_DIGITS}"
+            f"{cfinite.MAX_COEFFICIENT_DIGITS}"
         )
 
     def test_verify_empty_array(self, tmp_path, capsys):
@@ -658,6 +694,67 @@ class TestCliCommands:
         path.write_text(json.dumps(seeds))
         assert main(["forge", "--a", "1", "--b", "1", "--seed-file", str(path)]) == 2
         assert capsys.readouterr().err.startswith("ValueError: ")
+
+
+class TestTheoremFromJsonCaps:
+    """The library parser holds verify's caps: it refuses what verify
+    refuses, with the message verify prints, and accepts what is at a cap."""
+
+    CASES = [
+        (TestCliCommands._improper_theorem(30), None),
+        (
+            TestCliCommands._improper_theorem(31),
+            "a numerator has 32 coefficients, which exceeds the cap 31",
+        ),
+        (TestCliCommands._power_theorem((10, 10, 10)), None),
+        (
+            TestCliCommands._power_theorem((11, 10, 10)),
+            "denominator orders sum to 31, which exceeds the cap 30",
+        ),
+        (TestCliCommands._cancelling_theorem(-(10**59) - 7, "num"), None),
+        (
+            TestCliCommands._cancelling_theorem(-(10**60) - 7, "den"),
+            "a coefficient has 61 digits, which exceeds the cap 60",
+        ),
+        (TestCliCommands._cancelling_theorem(True, "num"), "a coefficient is a bool, not an integer"),
+        (TestCliCommands._cancelling_theorem(1.5, "den"), "a coefficient is a float, not an integer"),
+        (TestCliCommands._cancelling_theorem("7", "num"), "a coefficient is a str, not an integer"),
+    ]
+
+    def test_caps(self):
+        caps = (cfinite.MAX_NUMERATOR_LENGTH, cfinite.MAX_VERIFY_ORDER, cfinite.MAX_COEFFICIENT_DIGITS)
+        assert caps == (31, 30, 60)
+
+    @pytest.mark.parametrize("theorem, message", CASES)
+    def test_same_verdict_as_verify(self, tmp_path, capsys, theorem, message):
+        path = tmp_path / "theorem.json"
+        path.write_text(json.dumps(theorem))
+        code = main(["verify", "--file", str(path)])
+        err = capsys.readouterr().err
+        if message is None:
+            assert code in (0, 1)
+            assert theorem_from_json(theorem).certificate.bound > 0
+        else:
+            assert code == 2 and message in err
+            with pytest.raises(MalformedTheorem, match=re.escape(message)):
+                theorem_from_json(theorem)
+
+    def test_over_cap_theorem_refused_at_once(self):
+        # A = 1/(1-2t)^100, B = -A, C = 1/(1-t): A^3 + B^3 + C^3 = 1 at depth
+        # C(104, 3) + 2.  Refused for its order sum before any reduction; with
+        # exponent 60 it used to certify in 30 to 40 s (one Xeon core).
+        den = [comb(100, k) * (-2) ** k for k in range(101)]
+        theorem = {
+            "a": 1,
+            "b": 1,
+            "c": 1,
+            "rhs_kind": "constant",
+            "gfs": [{"num": [1], "den": den}, {"num": [-1], "den": den}, {"num": [1], "den": [1, -1]}],
+        }
+        start = time.perf_counter()
+        with pytest.raises(MalformedTheorem, match="denominator orders sum to 201, which exceeds"):
+            theorem_from_json(theorem)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestParserReuse:

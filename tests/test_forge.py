@@ -22,7 +22,7 @@ from cubeforge import (
     theorem_to_json,
 )
 from cubeforge import cli
-from cubeforge.cfinite import _mul, _symmetric_square
+from cubeforge.cfinite import _mul, _symmetric_square, read_gfs
 from cubeforge.errors import EmptySeedSet, MalformedTheorem, NoOrbitFound
 from cubeforge.forge import _value_gfs
 from cubeforge.quadform import QuadForm, sol_quad
@@ -224,16 +224,17 @@ class TestForge:
         # the orbit read-off stops at p = 2, so every forged theorem passes
         # verify's caps (quadform._unit_recurrence) and verify re-certifies
         # it at the depth forge recorded; the pairs of tests/test_golden.py
-        payload = []
+        theorems = []
         for a, b in itertools.product(range(1, 6), range(-6, 7)):
             if b:
                 try:
-                    payload += [theorem_to_json(t) for t in forge(a, b)]
+                    theorems += forge(a, b)
                 except EmptySeedSet:
                     pass
+        payload = [theorem_to_json(t) for t in theorems]
         assert len(payload) > 100
-        for item in payload:
-            cli._check_raw_gfs([(g["num"], g["den"]) for g in item["gfs"]])
+        for thm, item in zip(theorems, payload):
+            assert read_gfs((g["num"], g["den"]) for g in item["gfs"]) == list(thm.gfs)
         path = tmp_path / "forged.json"
         path.write_text(json.dumps(payload))
         assert cli.main(["verify", "--file", str(path)]) == 0
