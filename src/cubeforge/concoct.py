@@ -27,6 +27,7 @@ from .errors import (
 )
 from .kernel import (
     MultiPoly,
+    _monomial_key,
     content_primitive,
     rational_nullspace,
     resultant,
@@ -128,7 +129,7 @@ class FormResult:
 
     def to_json(self) -> dict:
         ordered = sorted(
-            self.coefficients.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True
+            self.coefficients.items(), key=lambda kv: _monomial_key(kv[0]), reverse=True
         )
         return {
             "degree": self.degree,

@@ -91,7 +91,7 @@ def search_quadruples(a: int, b: int, bound: int) -> list[WeightedQuadruple]:
     for z in range(-bound, bound + 1):
         for w in range(-bound, z + 1):
             by_value.setdefault(b * (cubes[z] + cubes[w]), []).append((z, w))
-    found: list[tuple[int, int, int, int]] = []
+    found: list[WeightedQuadruple] = []
     for x in range(-bound, bound + 1):
         for y in range(x, bound + 1):
             s = a * (cubes[x] + cubes[y])
@@ -104,11 +104,10 @@ def search_quadruples(a: int, b: int, bound: int) -> list[WeightedQuadruple]:
                 if t < _canonical_twin(t):
                     continue
                 q = WeightedQuadruple(a, b, x, y, z, w)
-                if q.trivial:
-                    continue
-                found.append(t)
-    found.sort(key=lambda t: (max(abs(c) for c in t), t))
-    return [WeightedQuadruple(a, b, *t) for t in found]
+                if not q.trivial:
+                    found.append(q)
+    found.sort(key=lambda q: (max(abs(c) for c in q.coords), q.coords))
+    return found
 
 
 @dataclass(frozen=True)

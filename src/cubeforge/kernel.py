@@ -128,10 +128,10 @@ class MultiPoly:
                     used[i] = True
         return tuple(v for v, u in zip(self.variables, used) if u)
 
-    def restricted(self, variables: Iterable[str] | None = None) -> "MultiPoly":
-        """Re-express over ``variables`` (default: the used ones).  Every
-        dropped variable must have exponent zero throughout."""
-        vs = tuple(variables) if variables is not None else self.used_variables()
+    def restricted(self, variables: Iterable[str]) -> "MultiPoly":
+        """Re-express over ``variables``.  Every dropped variable must have
+        exponent zero throughout."""
+        vs = tuple(variables)
         idx = []
         for v in vs:
             if v not in self.variables:

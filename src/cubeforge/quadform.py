@@ -1,6 +1,6 @@
-"""Binary quadratic forms: solution enumeration by reduction theory,
-Pell-like orbit discovery with generating-function output, and the explicit
-constant-value form constructors for shared-denominator sequence pairs.
+"""Binary quadratic forms: solution enumeration, Pell-like orbit discovery
+with generating-function output, and the explicit constant-value form
+constructors for shared-denominator sequence pairs.
 
 Orbits are found from data: enumerate small solutions, read the recurrence
 of a unit off them, rebuild generating functions, and certify the resulting
@@ -14,9 +14,14 @@ one integer on every window; nothing is fitted.
 
 Enumeration lists the solutions of Q(m, n) = e in the box 1 <= m <= bound,
 0 <= n <= bound.  With content k and Q = k*f, f primitive of discriminant
-D' = D/k^2, it takes one of two paths.
+D' = D/k^2, it takes one of three paths.
 
-Non-square D (so qa*qc != 0; D < 0 or D > 0).  A solution with
+Definite D (D < 0).  4c*f(m, y) = (2c*y + b*m)^2 - D'*m^2 for f = (a, b, c),
+so a scan over m = 1, 2, ... reads the y with f(m, y) = e/k off one isqrt
+of D'*m^2 + 4c*e/k per m, and stops at the first m where that is negative,
+or at ``bound``.
+
+Indefinite non-square D (D > 0, so qa*qc != 0).  A solution with
 gcd(m, n) = g is g times a primitive representation of e' = e/(k*g^2) by f.
 A primitive representation (x, y) is the first column of some M in SL2(Z),
 and f∘M = (e', B, C) with B^2 = D' (mod 4|e'|); B mod 2|e'| is fixed by
@@ -25,39 +30,38 @@ first columns of the M with f∘M = f_B = (e', B, (B^2 - D')/4e'): none unless
 f_B is properly equivalent to f, and otherwise one orbit of the proper
 automorphs of f (Cohen, A Course in Computational Algebraic Number Theory,
 GTM 138, 5.2 and 5.6; Buchmann & Vollmer, Binary Quadratic Forms, ch. 6).
-Equivalence is decided by reduction with the SL2 transform carried along: a
-definite form reduces to the one reduced form of its class, whose finitely
-many automorphs give the whole orbit.  An indefinite form reduces to a form
-on the cycle of reduced forms of its class under rho, and the positions of
-that form on the cycle, P_j * z with f∘P_j = g_j, run through the orbit, one
-per power of the fundamental automorph.  Only a window of positions can
-reach the box (proved in ``_Classes``), so only the window is explored, from
-both sides of the reduction of f; a huge unit, or a long cycle, costs no
-more than a small one.  When 2|e'| < sqrt(D') the forms f_B of the class
-are read off the cycle directly (Lagrange).  The square roots of D' mod
-4|e'| come from the factorisation of e' (Pollard-Brent rho with
-Miller-Rabin, ``_factor``), Tonelli-Shanks and Hensel lifting per odd prime
-power, bit-by-bit lifting for powers of 2, and the Chinese remainder
-theorem.  The roots and the reduced forms f_B depend only on (D', e'), so
-they live in a ``_DiscTable`` per D' that every form of that discriminant
-shares.
+Equivalence is decided by reduction with the SL2 transform carried along:
+the form reduces to a form on the cycle of reduced forms of its class under
+rho, and the positions of that form on the cycle, P_j * z with f∘P_j = g_j,
+run through the orbit, one per power of the fundamental automorph.  Only a
+window of positions can reach the box (proved in ``_Classes``), so only the
+window is explored, from both sides of the reduction of f; a huge unit, or
+a long cycle, costs no more than a small one.  When 2|e'| < sqrt(D') the
+forms f_B of the class are read off the cycle directly (Lagrange).  The
+square roots of D' mod 4|e'| come from the factorisation of e'
+(Pollard-Brent rho with Miller-Rabin, ``_factor``), Tonelli-Shanks and
+Hensel lifting per odd prime power, bit-by-bit lifting for powers of 2, and
+the Chinese remainder theorem.  The roots and the reduced forms f_B depend
+only on (D', e'), so they live in a ``_DiscTable`` per D' that every form of
+that discriminant shares.
 
 Square D (D = 0, qa = 0 or qc = 0).  Q = k'*L1*L2 with primitive integer
 linear forms L1, L2 (Gauss's lemma), so a solution pairs a divisor p of
 e/k' with L1 = p, L2 = e/(k'*p), or lies on one of the lines L1 = 0, L2 = 0
 (e = 0) or L1 = +-p (D = 0, L2 = +-L1).
 
-Cost.  Per discriminant D', for each e' met: the factorisation of 4|e'|,
-expected O(|e'|^(1/4)) steps, the square roots, and O(1 +
-log(|e'|/sqrt(D'))) reduction steps per root B, computed once in the table
-(none when 2|e'| < sqrt(D')).  Per form, one reduction and the window: the
-positions j where |L+-| of the first column of P_j stay within the box's
-bound times sqrt(D') |z| / |e'|, O(log(bound * D' * |z|)) positions, as
-those grow geometrically along the cycle.  Per target, O(min(sqrt|e|,
-bound)) for the square divisors g^2, then O(1) per position found.  The
-work follows the number of classes and solutions, not ``bound``; targets
-beyond (|qa| + |qb| + |qc|) * bound^2, which bounds |Q| on the box, cost
-nothing.
+Cost.  Definite: per target, at most min(bound, sqrt(4c*|e/k| / |D'|)) + 1
+isqrt calls.  Indefinite, per discriminant D', for each e' met: the
+factorisation of 4|e'|, expected O(|e'|^(1/4)) steps, the square roots, and
+O(1 + log(|e'|/sqrt(D'))) reduction steps per root B, computed once in the
+table (none when 2|e'| < sqrt(D')).  Per form, one reduction and the window:
+the positions j where |L+-| of the first column of P_j stay within the
+box's bound times sqrt(D') |z| / |e'|, O(log(bound * D' * |z|)) positions,
+as those grow geometrically along the cycle.  Per target, O(min(sqrt|e|,
+bound)) steps for the square divisors g^2, then O(1) per position found;
+beyond those steps the work follows the number of classes and solutions,
+not ``bound``.  On every path, targets beyond (|qa| + |qb| + |qc|) *
+bound^2, which bounds |Q| on the box, cost nothing.
 
 The magnitude sweep.  sol_quad needs the solutions of Q = +-mag for mag =
 1, 2, ... in turn.  It does not enumerate per target: ``_by_magnitude``
@@ -111,11 +115,8 @@ class QuadForm:
     def value(self, m: int, n: int) -> int:
         return self.qa * m * m + self.qb * m * n + self.qc * n * n
 
-    def to_poly(self, variables: Sequence[str] = ("m", "n")) -> MultiPoly:
-        u, v = variables
-        return MultiPoly(
-            (u, v), {(2, 0): self.qa, (1, 1): self.qb, (0, 2): self.qc}
-        )
+    def to_poly(self) -> MultiPoly:
+        return MultiPoly(("m", "n"), {(2, 0): self.qa, (1, 1): self.qb, (0, 2): self.qc})
 
     @classmethod
     def from_poly(cls, p: MultiPoly) -> "QuadForm":
@@ -332,28 +333,6 @@ def _sqrts_mod(d: int, factors: dict[int, int], memo: dict) -> list[int]:
 # column vectors; a form f transformed by M is f∘M, (f∘M)(v) = f(M v).
 
 
-def _automorph(f, t: int, u: int):
-    """The proper automorph of f = (a, b, c) belonging to t^2 - D*u^2 = 4."""
-    a, b, c = f
-    return ((t - b * u) // 2, -c * u, a * u, (t + b * u) // 2)
-
-
-def _reduce_definite(f):
-    """(g, M) with g = f∘M the unique reduced form (|b| <= a <= c, b >= 0
-    when |b| = a or a = c) of the class of the positive definite form f."""
-    a, b, c = f
-    m = (1, 0, 0, 1)
-    while True:
-        t = (a - b) // (2 * a)  # b + 2at in (-a, a]
-        if t:
-            b, c = b + 2 * a * t, (a * t + b) * t + c
-            m = (m[0], m[0] * t + m[1], m[2], m[2] * t + m[3])
-        if a < c or (a == c and b >= 0):
-            return (a, b, c), m
-        a, b, c = c, -b, a  # f∘[[0, -1], [1, 0]]
-        m = (m[1], -m[0], m[3], -m[2])
-
-
 def _rho(f, disc: int, root: int):
     """Cohen's reduction operator on an indefinite form of non-square
     discriminant disc, root = isqrt(disc) (GTM 138, Def. 5.6.4): f∘[[0, -1],
@@ -385,14 +364,14 @@ def _reduce_indefinite(f, disc: int, root: int):
 
 class _DiscTable:
     """The class data that depend only on the primitive discriminant disc,
-    so that every form of that discriminant can share them.
+    positive and not a square, so that every form of that discriminant can
+    share them.
 
     ``bases(e1)`` lists (g, z) for each B mod 2|e1| with B^2 = disc
     (mod 4|e1|): g the reduction f_B∘N of f_B = (e1, B, (B^2 - disc)/4e1)
     and z = N^-1 e_1, so g(z) = e1.  When f∘P = g for a form f of
     discriminant disc, f∘(P N^-1) = f_B and P z represents e1 (see
-    _Classes).  B is taken in (-|e1|, |e1|] when disc < 0 and in
-    (sqrt(disc) - 2|e1|, sqrt(disc)) when disc > 0.
+    _Classes).  B is taken in (sqrt(disc) - 2|e1|, sqrt(disc)).
 
     The list is memoised per e1, the roots B per |e1|, which +-e1 share,
     and the roots modulo each prime power (p, k) of 4|e1| per (p, k).  A
@@ -401,7 +380,7 @@ class _DiscTable:
 
     def __init__(self, disc: int):
         self.disc = disc
-        self.root = isqrt(disc) if disc > 0 else 0
+        self.root = isqrt(disc)
         self._bases: dict[int, list] = {}
         self._roots: dict[int, set[int]] = {}
         self._prime_power_roots: dict[tuple[int, int], list[int]] = {}
@@ -419,36 +398,26 @@ class _DiscTable:
             self._roots[two_e] = roots
         out = self._bases[e1] = []
         for x in roots:
-            if disc < 0:
-                b = x - two_e if 2 * x > two_e else x
-                reduced, m = _reduce_definite((e1, b, (b * b - disc) // (4 * e1)))
-            else:
-                b = root - (root - x) % two_e
-                reduced, m = _reduce_indefinite(
-                    (e1, b, (b * b - disc) // (4 * e1)), disc, root
-                )
+            b = root - (root - x) % two_e
+            reduced, m = _reduce_indefinite((e1, b, (b * b - disc) // (4 * e1)), disc, root)
             out.append((reduced, (m[3], -m[2])))
         return out
 
 
 class _Classes:
-    """The enumeration data of a form Q = scale * f of non-square
-    discriminant, f = (a, b, c) primitive of discriminant disc (positive
-    definite when disc < 0), over the _DiscTable of disc.
+    """The enumeration data of a form Q = scale * f of positive non-square
+    discriminant, f = (a, b, c) primitive of discriminant disc, over the
+    _DiscTable of disc.
 
     ``positions`` maps each reduced form properly equivalent to f to the
-    matrices P with f∘P equal to it that are needed.  When disc < 0 that is
-    the one reduced form and one P, and the automorphs are the finitely many
-    solutions (t, u) of t^2 - disc*u^2 = 4.
-
-    When disc > 0 the reduced forms of the class make one cycle under rho.
-    Number its positions j in Z from f0 = f∘P_0, the reduction of f:
-    g_(j+1) = rho(g_j) = g_j∘M_j with M_j = [[0, -1], [1, t_j]], and
-    P_(j+1) = P_j * M_j, so f∘P_j = g_j; a period later P_(j+l) = eps * P_j
-    for the fundamental automorph eps.  Every proper automorph of f is
-    +-eps^k, so the representations that belong to one class of B (see
-    _DiscTable) are +-P_j z over all j with g_j = g, for one reduced g and
-    one z.  Only a window of positions can give a point of the box; _extend
+    matrices P with f∘P equal to it that are needed.  The reduced forms of
+    the class make one cycle under rho.  Number its positions j in Z from
+    f0 = f∘P_0, the reduction of f: g_(j+1) = rho(g_j) = g_j∘M_j with
+    M_j = [[0, -1], [1, t_j]], and P_(j+1) = P_j * M_j, so f∘P_j = g_j; a
+    period later P_(j+l) = eps * P_j for the fundamental automorph eps.
+    Every proper automorph of f is +-eps^k, so the representations that
+    belong to one class of B (see _DiscTable) are +-P_j z over all j with
+    g_j = g, for one reduced g and one z.  Only a window of positions can give a point of the box; _extend
     explores it from both ends, and ``leading`` maps the first coefficient
     of each explored g_j to the first columns of its P_j.
 
@@ -474,30 +443,16 @@ class _Classes:
     negative fix the same B mod 2|e1|, so distinct B give disjoint sets.
     Inside one class, points P z = +-P' z with f∘P = f∘P' = g make
     P'^-1 P an automorph of g with eigenvalue +-1, so P' = +-P: the
-    automorphs other than +-1 have eigenvalues u^(+-i) with u > 1 when
-    disc > 0 and non-real roots of unity when disc < 0.  P' = -P does
-    not occur, because the P listed for g are eps^i P_k when disc > 0, and
-    one of each pair +-A times P_0 when disc < 0."""
+    automorphs other than +-1 have eigenvalues u^(+-i) with u > 1.  P' = -P
+    does not occur, because the P listed for g are eps^i P_k."""
 
     def __init__(self, qa: int, qb: int, qc: int, k: int, table: _DiscTable):
         self.disc = disc = table.disc
         self.root = table.root
         self.table = table
-        sign = -1 if disc < 0 and qa < 0 else 1
-        self.scale = sign * k
-        self.f = f = (sign * qa // k, sign * qb // k, sign * qc // k)
+        self.scale = k
+        self.f = f = (qa // k, qb // k, qc // k)
         self.leading: dict[int, list[tuple[int, int]]] = {}
-        if disc < 0:
-            f0, p0 = _reduce_definite(f)
-            self.positions = {f0: [p0]}
-            # one of each pair +-A; primitive() adds the negatives
-            units = [(2, 0)]
-            if disc == -4:
-                units.append((0, 1))
-            if disc == -3:
-                units += [(1, 1), (-1, 1)]
-            self.automorphs = [_automorph(f, t, u) for t, u in units]
-            return
         self.positions = {}
         self.reach = 2 * abs(f[0]) + abs(f[1]) + self.root + 1  # |L+-^f| < reach * limit
         f0, p0 = _reduce_indefinite(f, disc, self.root)
@@ -556,31 +511,24 @@ class _Classes:
         1 <= x <= limit and 0 <= y <= limit.
 
         For each (g, z) of table.bases(e1), the points P z over the P of
-        ``positions`` that take f to g.  When disc > 0 and 2|e1| <
-        sqrt(disc), f_B is already reduced, so the f_B of the class are
-        exactly the cycle forms with first coefficient e1 (Lagrange's
-        criterion) and z = (1, 0): those are read from ``leading``, with no
-        square roots and no reduction."""
-        disc = self.disc
-        if disc < 0 and e1 < 0:
-            return []
-        # disc > 0: explore the window up to K (|z1| + sqrt(disc) |z2|) / (2|e1|)
+        ``positions`` that take f to g.  When 2|e1| < sqrt(disc), f_B is
+        already reduced, so the f_B of the class are exactly the cycle forms
+        with first coefficient e1 (Lagrange's criterion) and z = (1, 0):
+        those are read from ``leading``, with no square roots and no
+        reduction."""
+        # explore the window up to K (|z1| + sqrt(disc) |z2|) / (2|e1|)
         if 2 * abs(e1) <= self.root:
             self._extend(self.reach * limit // (2 * abs(e1)) + 1)  # z = (1, 0)
             found = self.leading.get(e1, ())
         else:
             found = []
             for reduced, z in self.table.bases(e1):
-                if disc > 0:
-                    width = abs(z[0]) + (self.root + 1) * abs(z[1])
-                    self._extend(self.reach * limit * width // (2 * abs(e1)) + 1)
+                width = abs(z[0]) + (self.root + 1) * abs(z[1])
+                self._extend(self.reach * limit * width // (2 * abs(e1)) + 1)
                 found += [
                     (p[0] * z[0] + p[1] * z[1], p[2] * z[0] + p[3] * z[1])
                     for p in self.positions.get(reduced, ())
                 ]
-        if disc < 0:
-            found = [(a[0] * v[0] + a[1] * v[1], a[2] * v[0] + a[3] * v[1])
-                     for v in found for a in self.automorphs]
         out = []
         for x, y in found:
             if x < 0:
@@ -598,6 +546,46 @@ class _Classes:
         for g in range(1, min(isqrt(abs(n)), bound) + 1):
             if n % (g * g) == 0:
                 out += [(g * x, g * y) for x, y in self.primitive(n // (g * g), bound // g)]
+        return out
+
+
+class _Direct:
+    """A kind whose ``points`` lists every solution, primitive or not."""
+
+    def primitive(self, e1: int, limit: int) -> list[tuple[int, int]]:
+        """Every representation (x, y) of e1 by Q / scale with gcd(x, y) = 1,
+        1 <= x <= limit and 0 <= y <= limit."""
+        return [v for v in self.points(self.scale * e1, limit) if gcd(*v) == 1]
+
+
+class _Definite(_Direct):
+    """The enumeration data of a definite form Q = scale * f, f = (a, b, c)
+    primitive of discriminant disc < 0, so c != 0.  As 4c*f(m, y) =
+    (2c*y + b*m)^2 - disc*m^2, f(m, y) = n holds exactly when
+    2c*y + b*m = +-s with s^2 = disc*m^2 + 4c*n.  That radicand falls as m
+    grows, so no m beyond the first one where it is negative gives a
+    point."""
+
+    def __init__(self, qa: int, qb: int, qc: int, k: int):
+        self.scale, self.b, self.c = k, qb // k, qc // k
+        self.disc = (qb * qb - 4 * qa * qc) // (k * k)
+
+    def points(self, e: int, bound: int) -> list[tuple[int, int]]:
+        if e % self.scale:
+            return []
+        b, two_c, disc = self.b, 2 * self.c, self.disc
+        rest = 2 * two_c * (e // self.scale)  # 4c*n
+        out = []
+        for m in range(1, bound + 1):
+            square = disc * m * m + rest
+            if square < 0:
+                break
+            s = isqrt(square)
+            if s * s == square:
+                for t in ((-s, s) if s else (0,)):
+                    y, r = divmod(t - b * m, two_c)
+                    if not r and 0 <= y <= bound:
+                        out.append((m, y))
         return out
 
 
@@ -624,7 +612,7 @@ def _line_points(r: int, s: int, p: int, bound: int) -> list[tuple[int, int]]:
     return [(m0 + s * t, n0 - r * t) for t in range(lo, hi + 1)]
 
 
-class _Factored:
+class _Factored(_Direct):
     """The enumeration data of a form of square discriminant d^2: Q = scale
     * L1 * L2 with primitive integer linear forms L1 = (r1, s1), L2 = (r2,
     s2).  For f = Q/k primitive with a != 0, 4a*f = (2a*m + (b + d)*n) *
@@ -670,21 +658,20 @@ class _Factored:
             return out
         return [pt for line in lines for pt in _line_points(*line, bound)]
 
-    def primitive(self, e1: int, limit: int) -> list[tuple[int, int]]:
-        """Every representation (x, y) of e1 by L1 * L2 with gcd(x, y) = 1,
-        1 <= x <= limit and 0 <= y <= limit."""
-        return [v for v in self.points(self.scale * e1, limit) if gcd(*v) == 1]
 
-
-def _prepare(form: QuadForm, tables: dict[int, _DiscTable]) -> _Factored | _Classes:
-    """The enumeration data of the form: its linear factors when its
-    discriminant is a square, otherwise its classes over the _DiscTable of
-    its primitive discriminant D' = D/k^2, k the content, taken from
-    ``tables`` (keyed by D') or added to it."""
+def _prepare(
+    form: QuadForm, tables: dict[int, _DiscTable]
+) -> _Definite | _Factored | _Classes:
+    """The enumeration data of the form: the scan when it is definite, its
+    linear factors when its discriminant is a square, otherwise its classes
+    over the _DiscTable of its primitive discriminant D' = D/k^2, k the
+    content, taken from ``tables`` (keyed by D') or added to it."""
     qa, qb, qc = form.qa, form.qb, form.qc
     k = gcd(gcd(qa, qb), qc)
     disc = form.discriminant // (k * k)
-    if disc >= 0 and isqrt(disc) ** 2 == disc:
+    if disc < 0:
+        return _Definite(qa, qb, qc, k)
+    if isqrt(disc) ** 2 == disc:
         return _Factored(qa, qb, qc, k)
     table = tables.get(disc)
     if table is None:
@@ -705,17 +692,22 @@ def enumerate_solutions(
     (m, n) <-> (-m, -n) symmetry and fixes the orientation every orbit read-off
     relies on.
 
-    The solutions of each target come from reduction theory or from the
-    linear factors, as set out in the module docstring; a target beyond
+    The solutions of each target come from the scan, reduction theory or
+    the linear factors, as set out in the module docstring; a target beyond
     (|qa| + |qb| + |qc|) * bound^2, which bounds |Q| on the box, is dropped
-    at once.  The class data are computed afresh for each call.
+    at once.  The class data are computed afresh for each call.  The
+    bound and the targets must be ints (not bools): a target 1.5 read as 1
+    would list the solutions of another value.
     """
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
+    if type(bound) is not int or bound < 1:
+        raise ValueError("bound must be an int of at least 1")
+    targets = list(targets)
+    if any(type(t) is not int for t in targets):
+        raise ValueError("targets must be ints")
     kind = _prepare(form, {})
     cap = _box_cap(form, bound)
     out = []
-    for e in {int(t) for t in targets}:
+    for e in set(targets):
         if -cap <= e <= cap:
             out += [(m, n, e) for m, n in kind.points(e, bound)]
     out.sort()
@@ -839,8 +831,8 @@ def _by_magnitude(
     enumerate_solutions(form, (mag, -mag), bound), computed lazily by one
     sweep over |e1| = 1, 2, ... with the class data of ``tables``.
 
-    Let Q = s * f with s = kind.scale, f primitive (_Classes) or the
-    product of the linear factors (_Factored).  A solution (m, n) of
+    Let Q = s * f with s = kind.scale, f primitive (_Classes, _Definite) or
+    the product of the linear factors (_Factored).  A solution (m, n) of
     Q = +-mag with gcd(m, n) = g is g times a primitive representation v
     of e1 = +-mag / (s g^2) by f, and v lies in the box of bound // g.
     So for each e1 = +-a the sweep takes the primitive representations in

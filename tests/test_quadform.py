@@ -210,6 +210,17 @@ class TestEnumerate:
     def test_unrepresentable(self):
         assert enumerate_solutions(QuadForm(1, 0, 1), {3}, 50) == []
 
+    @pytest.mark.parametrize("targets", [{1.5}, {True}, [1, 1.0]])
+    def test_non_int_targets_rejected(self, targets):
+        # read as 1, each would list the solutions of Q = 1 under another value
+        with pytest.raises(ValueError, match="targets must be ints"):
+            enumerate_solutions(QuadForm(1, 0, -2), targets, 20)
+
+    @pytest.mark.parametrize("bound", [20.5, True])
+    def test_non_int_bound_rejected(self, bound):
+        with pytest.raises(ValueError, match="bound must be an int"):
+            enumerate_solutions(QuadForm(1, 0, 1), {1}, bound)
+
     def test_matches_naive_oracle(self):
         rng = random.Random(61)
         forms = [
@@ -269,15 +280,15 @@ class TestEnumerate:
         assert enumerate_solutions(QuadForm(1, 0, 1), {4}, 5) == [(2, 0, 4)]
 
 
+FORM_CLASSES = ("D<0", "D'=-3", "D'=-4", "D=0", "square D>0", "D>0", "qa=0", "qc=0")
+DEFINITE_CLASSES = ("D<0", "D'=-3", "D'=-4")
+
+
 @st.composite
-def forms_of_every_class(draw):
+def forms_of_every_class(draw, classes=FORM_CLASSES):
     """A form of one of the classes the enumerator treats apart, times a
     random content and sign."""
-    kind = draw(
-        st.sampled_from(
-            ["D<0", "D'=-3", "D'=-4", "D=0", "square D>0", "D>0", "qa=0", "qc=0"]
-        )
-    )
+    kind = draw(st.sampled_from(classes))
     small = st.integers(-6, 6)
     if kind == "D<0":
         a, c = draw(st.integers(1, 8)), draw(st.integers(1, 8))
@@ -354,6 +365,19 @@ class TestReductionTheory:
         assert enumerate_solutions(form, targets, bound) == reference_enumerate_solutions(
             form, targets, bound
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(forms_of_every_class(DEFINITE_CLASSES), st.integers(1, 300), st.data())
+    def test_definite_large_targets_match_reference_scan(self, form, bound, data):
+        # values at points of the box, up to (|qa| + |qb| + |qc|) * bound^2;
+        # their negatives are not represented, as the form is definite
+        box = st.tuples(st.integers(1, bound), st.integers(0, bound))
+        values = [form.value(m, n) for m, n in data.draw(st.lists(box, min_size=1, max_size=4))]
+        targets = values + [-v for v in values] + [v + 1 for v in values]
+        got = enumerate_solutions(form, targets, bound)
+        assert got == reference_enumerate_solutions(form, targets, bound)
+        assert {v for _, _, v in got} >= set(values)
+        assert not {v for _, _, v in got} & {-v for v in values}
 
     def test_forge_forms_match_reference_scan(self):
         targets = [e for mag in range(1, 31) for e in (mag, -mag)]
