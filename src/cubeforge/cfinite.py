@@ -152,8 +152,9 @@ class RationalGF:
         return {"num": list(self.num), "den": list(self.den)}
 
 
-# verify checks s + C(r+3, 3) + 2 indices, where r <= the sum of the three
-# denominator orders and the preperiod s is below the numerator length.  Every
+# verify checks s + C(r+2, 3) + 1 indices (forge.certify_theorem), where
+# r <= the sum of the three denominator orders and the preperiod s is at most
+# the numerator length, so at most 31 + C(32, 3) + 1 = 4992 at the caps.  Every
 # forged theorem is within both caps: its orbit has order at most 4, so its
 # orders sum to at most 3 * C(5, 2) = 30 (quadform._unit_recurrence).  Both
 # are checked on the raw input, the orders as raw lengths - 1, before
@@ -164,8 +165,8 @@ MAX_VERIFY_ORDER = 30
 MAX_NUMERATOR_LENGTH = MAX_VERIFY_ORDER + 1
 # The orders alone do not bound the work, because every expanded term carries
 # more digits as the coefficients grow: at the order cap, A = X, B = -X,
-# C = 1/(1-t) with X of order 14 certifies at depth 818 in about 2 s with
-# 20-digit coefficients and 16 s with 60-digit ones (one Xeon core).  Digits
+# C = 1/(1-t) with X of order 14 certifies at depth 681 in about 1.4 s with
+# 20-digit coefficients and 6.4 s with 60-digit ones (one Xeon core).  Digits
 # are counted on the raw input, before RationalGF runs its gcd.  Forged
 # theorems have at most 4-digit coefficients and the classical triples at
 # most 6; the 59-digit binomials of (1-t)^200 stay below the cap, so such a
@@ -356,24 +357,55 @@ def _symmetric_square(den: Coeffs) -> Coeffs:
     return tuple(d)
 
 
-def certificate_bound(gfs: Sequence[RationalGF], degree: int) -> int:
-    """s + C(r + D, D) + 2, where r is the degree of the lcm of the
-    denominators and s the largest preperiod max(0, len(num) - len(den) + 1).
+def certificate_bound(expr: MultiPoly, seqs: Mapping[str, RationalGF]) -> int:
+    """The number of initial indices whose zeros prove that ``expr`` vanishes
+    for all n, each used symbol replaced by its sequence and SIGN_SYMBOL by
+    (-1)^n: B = s + sum of C(r+d-1, d) over the support, a d = 0 pair
+    counting 1.
 
-    den * A = num gives sum_j den_j a(n - j) = num_n for every n, and num_n
-    is 0 from n = len(num) on, so a(n + s) obeys the recurrence of den from
-    n = 0 on once s + order >= len(num).  Monomials of degree <= D in
-    sequences annihilated by an operator of order r span a space of
-    dimension at most C(r+D, D); the +2 adjoins the constant and alternating
-    targets.  Deliberately conservative.
+    The support is the set of pairs (d, p) over the terms of expr, with d
+    the total degree without SIGN_SYMBOL and p its exponent mod 2, as
+    (-1)^(2n) = 1.  r is the degree of the lcm L of the denominators of the
+    sequences expr uses, and s their largest preperiod
+    max(0, len(num) - len(den) + 1); a bound but unused sequence counts for
+    neither.  UnboundSymbol is raised for a used symbol with no sequence.
+
+    Proof.  den * A = num gives sum_j den_j a(n - j) = num_n, and num_n = 0
+    from n = len(num) on, so a(n + s) obeys the recurrence of den, and of its
+    multiple L, from n = 0 on.  Let V be the r-dimensional space of solutions
+    of L; the shift S maps V into itself.  Products of exactly d elements of
+    V factor through Sym^d V, so they span a space W_d of dimension at most
+    C(r+d-1, d), and W_d is shift-invariant, as S(uv) = S(u) S(v).  W_0 is
+    the constants, of dimension 1; for r = 0 every sequence vanishes from s
+    on, and C(d-1, d) = 0 for d >= 1 is right.  (-1)^n W_d is
+    shift-invariant too, as S((-1)^n w) = -(-1)^n S(w).  So from n = s on the
+    values of expr lie in the sum U of (-1)^(pn) W_d over the support (the
+    sign (-1)^s of the shift is a constant factor), a shift-invariant space
+    of dimension N <= B - s.  The minimal polynomial of S on U is monic of
+    degree k <= N, so every u in U obeys u(n + k) = -sum_(i<k) c_i u(n + i)
+    and k zeros from its start force u = 0.  With n < s checked directly,
+    zeros at every n < B prove that expr vanishes for all n.
     """
-    l: Coeffs = (1,)
+    sign = expr.variables.index(SIGN_SYMBOL) if SIGN_SYMBOL in expr.variables else None
+    support = set()
+    for ev in expr.terms:
+        p = 0 if sign is None else ev[sign]
+        support.add((sum(ev) - p, p % 2))
+    dens = set()
     s = 0
-    for g in gfs:
-        l = _poly_lcm(l, g.den)
+    for v in expr.used_variables():
+        if v == SIGN_SYMBOL:
+            continue
+        if v not in seqs:
+            raise UnboundSymbol(f"no sequence bound to symbol {v!r}")
+        g = seqs[v]
+        dens.add(g.den)
         s = max(s, len(g.num) - len(g.den) + 1)
+    l: Coeffs = (1,)
+    for den in dens:  # the sequences of a theorem or an orbit mostly share one
+        l = _poly_lcm(l, den) if len(l) > 1 else den
     r = len(l) - 1
-    return s + comb(r + degree, degree) + 2
+    return s + sum(comb(r + d - 1, d) if d else 1 for d, _ in support)
 
 
 def rhs_poly(c: int, kind: str) -> MultiPoly:
@@ -386,44 +418,18 @@ def rhs_poly(c: int, kind: str) -> MultiPoly:
 
 def certify_zero(expr: MultiPoly, seqs: Mapping[str, RationalGF]) -> Certificate:
     """Prove or refute that ``expr`` vanishes for all n when each symbol is
-    replaced by its sequence value and SIGN_SYMBOL by (-1)^n.
+    replaced by its sequence value and SIGN_SYMBOL by (-1)^n, by checking
+    n < certificate_bound(expr, seqs), which carries the proof.
 
-    SIGN_SYMBOL always stands for (-1)^n: binding a sequence to it raises
-    ValueError, and so does any use other than one pure linear term
-    k*SIGN_SYMBOL.  Write expr = P + k*(-1)^n with P free of the sign
-    symbol and of total degree <= D, and let r be the degree of the lcm L
-    of the denominators.  A sequence num/den obeys the recurrence of den
-    only from its preperiod s = max(0, len(num) - len(den) + 1) on (see
-    certificate_bound); let s be the largest over the sequences.  From
-    n = s on every sequence is annihilated by L, so the values of P at
-    n >= s lie in the span of products of at most D solutions of L: a
-    shift-invariant space of dimension at most C(r+D, D).  Adjoining
-    (-1)^n keeps it shift-invariant and adds one dimension.  A sequence in a
-    shift-invariant space of dimension d satisfies a monic recurrence of
-    order d, so d zeros at n = s, ..., s + d - 1 force it to vanish from s
-    on, and n < s is checked directly; the bound
-    B = s + C(r+D, D) + 2 >= s + d checks is therefore a full proof.  A
-    term such as SIGN_SYMBOL*X^k would multiply the whole space by (-1)^n,
-    which the +2 does not cover.
-
-    The sequences are expanded while the identity is checked, so a refuted
-    identity stops at its first nonzero value, the witness.
+    SIGN_SYMBOL always stands for (-1)^n, in any power and any term: binding
+    a sequence to it raises ValueError.  The sequences are expanded while the
+    identity is checked, so a refuted identity stops at its first nonzero
+    value, the witness.
     """
     if SIGN_SYMBOL in seqs:
         raise ValueError(f"{SIGN_SYMBOL!r} stands for (-1)^n and cannot be bound")
-    if SIGN_SYMBOL in expr.variables:
-        i = expr.variables.index(SIGN_SYMBOL)
-        if any(ev[i] and sum(ev) != 1 for ev in expr.terms):
-            raise ValueError(
-                f"{SIGN_SYMBOL!r} may only occur in a linear term k*{SIGN_SYMBOL}"
-            )
-    used = [v for v in expr.used_variables() if v != SIGN_SYMBOL]
-    for v in used:
-        if v not in seqs:
-            raise UnboundSymbol(f"no sequence bound to symbol {v!r}")
-    degree = expr.total_degree()
-    bound = certificate_bound(list(seqs.values()), degree)
-    series = {v: taylor_series(seqs[v]) for v in used}
+    bound = certificate_bound(expr, seqs)
+    series = {v: taylor_series(seqs[v]) for v in expr.used_variables() if v != SIGN_SYMBOL}
     for n in range(bound):
         env = {name: next(values) for name, values in series.items()}
         env[SIGN_SYMBOL] = -1 if n % 2 else 1

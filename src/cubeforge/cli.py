@@ -47,11 +47,12 @@ EXIT_INTERNAL = 3
 MAX_PELL_BOUND = 20_000
 MAX_SEARCH_BOUND = 100
 MAX_TARGET_CAP = 200
-# findform certifies at depth s + C(r+D, D) + 2 (cfinite.certificate_bound),
-# r <= the sum of the --gf denominator orders and D = --degree.  With that sum
-# capped at cfinite.MAX_VERIFY_ORDER, D <= 3 keeps the depth within verify's
-# at its cap, s + C(33, 3) + 2 = s + 5458; D = 4 would allow
-# s + C(34, 4) + 2 = s + 46378.
+# findform certifies at depth at most s + C(r+D-1, D) + 1
+# (cfinite.certificate_bound on a degree-D form and its target), r <= the sum
+# of the --gf denominator orders and D = --degree.  With that sum capped at
+# cfinite.MAX_VERIFY_ORDER, D <= 3 keeps the depth within verify's at its
+# cap, s + C(32, 3) + 1 = s + 4961; D = 4 would allow
+# s + C(33, 4) + 1 = s + 40921.
 MAX_FINDFORM_DEGREE = 3
 # The number d of --gf sequences sets the width C(d+D-1, D) of the
 # evaluation matrix that find_form takes the nullspace of, and the caps above

@@ -167,12 +167,13 @@ def find_form(
       were every monomial entry zero, the matrix would map the vector to
       its target entry times the target column, whose entries are +-1, so
       that entry would be zero too.
-    - The last row plan certifies.  It has at least
-      certificate_bound(seqs, D) rows, and certify_zero checks exactly that
-      many indices for this candidate: it binds every sequence, and the
-      candidate's total degree is D (the target term has degree <= 1 < D).
-      The candidate vanishes on every row of the matrix, where it is
-      evaluated at the same terms, so it vanishes at every checked index.
+    - The last row plan certifies.  It has at least as many rows as
+      certificate_bound gives for the sum of every degree-D monomial and the
+      target term, and certify_zero checks at most that many indices for
+      the candidate: its support and the sequences it uses are among that
+      sum's, and the bound grows with both.  The candidate vanishes on every
+      row of the matrix, where it is evaluated at the same terms, so it
+      vanishes at every checked index.
     """
     d = len(seqs)
     if d < 2:
@@ -185,7 +186,10 @@ def find_form(
     base_rows = comb(d + degree - 1, degree) + 4
     names = tuple(f"X{i+1}" for i in range(d))
     bindings = dict(zip(names, seqs))
-    cert_rows = certificate_bound(seqs, degree)
+    generic = MultiPoly(names, dict.fromkeys(monomials, 1))
+    if target != "none":
+        generic -= rhs_poly(1, target)
+    cert_rows = certificate_bound(generic, bindings)
     row_plans = [base_rows]
     if cert_rows > base_rows:
         row_plans.append(cert_rows)

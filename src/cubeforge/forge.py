@@ -37,7 +37,7 @@ from .errors import (
     PoleAtOrigin,
 )
 from .kernel import MultiPoly
-from .quadform import QuadForm, sol_quad
+from .quadform import QuadForm, check_work_option, sol_quad
 
 log = logging.getLogger(__name__)
 
@@ -119,9 +119,10 @@ def _certified_theorem(a, b, c, rhs_kind, gfs, provenance) -> CubicTheorem:
 
 def certify_theorem(thm: CubicTheorem) -> Certificate:
     """Certify a theorem from its generating functions alone: certify_zero
-    on a*A^3 + a*B^3 + b*C^3 - c*(+-1)^n, which with r the degree of the lcm
-    of the three denominators and s the largest preperiod checks
-    n < s + C(r+3, 3) + 2."""
+    on a*A^3 + a*B^3 + b*C^3 - c*(+-1)^n, whose support is one degree-3 pair
+    and one degree-0 pair, so with r the degree of the lcm of the three
+    denominators and s the largest preperiod it checks
+    n < s + C(r+2, 3) + 1."""
     cubic = MultiPoly(
         ("A", "B", "C"), {(3, 0, 0): thm.a, (0, 3, 0): thm.a, (0, 0, 3): thm.b}
     )
@@ -155,10 +156,9 @@ def forge(
     seed exists within the search bound."""
     if a == 0 or b == 0:
         raise ValueError("weights must be nonzero")
-    if max_theorems < 1:
-        raise ValueError("max_theorems must be at least 1")
-    if target_cap < 1:
-        raise ValueError("target_cap must be at least 1")
+    check_work_option("search_bound", search_bound)
+    check_work_option("target_cap", target_cap)
+    check_work_option("max_theorems", max_theorems)
     seeds = search_quadruples(a, b, search_bound)
     if extra_seeds:
         for seed in extra_seeds:

@@ -684,6 +684,16 @@ def _box_cap(form: QuadForm, bound: int) -> int:
     return (abs(form.qa) + abs(form.qb) + abs(form.qc)) * bound * bound
 
 
+def check_work_option(name: str, value) -> None:
+    """ValueError unless a work option (a bound, a cap, a count) is an int,
+    not a bool, of at least 1.  A float would reach range arithmetic and box
+    tests as a float limit, and True would read as 1."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, not {type(value).__name__}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
 def enumerate_solutions(
     form: QuadForm, targets: Iterable[int], bound: int
 ) -> list[tuple[int, int, int]]:
@@ -699,8 +709,7 @@ def enumerate_solutions(
     bound and the targets must be ints (not bools): a target 1.5 read as 1
     would list the solutions of another value.
     """
-    if type(bound) is not int or bound < 1:
-        raise ValueError("bound must be an int of at least 1")
+    check_work_option("bound", bound)
     targets = list(targets)
     if any(type(t) is not int for t in targets):
         raise ValueError("targets must be ints")
@@ -913,10 +922,8 @@ def sol_quad(
     terms, and the "denominator split" check rejects the pair.  Q = qc*n^2
     is the same with the roles of m and n swapped.
     """
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
-    if target_cap < 1:
-        raise ValueError("target_cap must be at least 1")
+    check_work_option("bound", bound)
+    check_work_option("target_cap", target_cap)
     if form.discriminant < 0:
         raise DefiniteForm(
             f"{form} has negative discriminant {form.discriminant}; "

@@ -1,7 +1,8 @@
 import json
 import random
 from fractions import Fraction
-from math import comb, gcd, lcm
+from itertools import accumulate
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,6 +21,7 @@ from cubeforge.cfinite import (
     MAX_NUMERATOR_LENGTH,
     MAX_VERIFY_ORDER,
     SIGN_SYMBOL,
+    Certificate,
     certificate_bound,
     joint_guess_recurrence,
     read_gfs,
@@ -154,12 +156,30 @@ def reference_taylor(num, den, count):
     return [int(x) if x.denominator == 1 else x for x in out]
 
 
-def reference_certificate_bound(dens, nums, degree):
+def reference_certificate_bound(expr, seqs):
+    # s over the used sequences, plus, per (degree, sign parity) pair of the
+    # terms, the number of multisets of d elements of r: the dimension of
+    # Sym^d of the r-dimensional solution space
+    exponents = [dict(zip(expr.variables, ev)) for ev in expr.terms]
+    used = [v for v in expr.variables if v != SIGN_SYMBOL and any(e[v] for e in exponents)]
     l, s = (1,), 0
-    for num, den in zip(nums, dens):
-        l = reference_poly_lcm(l, den)
-        s = max(s, len(num) - len(den) + 1)
-    return s + comb(len(l) - 1 + degree, degree) + 2
+    for v in used:
+        l = reference_poly_lcm(l, seqs[v].den)
+        s = max(s, len(seqs[v].num) - len(seqs[v].den) + 1)
+    r = len(l) - 1
+    support = set()
+    for e in exponents:
+        sign = e.get(SIGN_SYMBOL, 0)
+        support.add((sum(e.values()) - sign, sign % 2))
+    return s + sum(_multisets(r, d) for d, _ in support)
+
+
+def _multisets(r, d):
+    # the coefficient of x^d in (1 + x + x^2 + ...)^r, by repeated prefix sums
+    ways = [1] + [0] * d
+    for _ in range(r):
+        ways = list(accumulate(ways))
+    return ways[d]
 
 
 small = st.integers(-9, 9)
@@ -217,15 +237,25 @@ class TestIntegerLayerOracle:
         assert [type(x) for x in got] == [type(x) for x in expected]
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(polys, polys, polys), min_size=1, max_size=3), st.integers(1, 4))
-    def test_certificate_bound(self, specs, degree):
+    @given(
+        st.lists(st.tuples(polys, polys, polys), min_size=1, max_size=3),
+        st.lists(st.tuples(st.lists(st.integers(0, 3), min_size=4, max_size=4), small), max_size=5),
+    )
+    def test_certificate_bound(self, specs, terms):
         # one to three denominators, which share factors with each other
-        # through the common third polynomial
+        # through the common third polynomial; the expression's terms in
+        # X1, X2, X3 and the sign symbol use only the bound sequences, and
+        # perhaps not all of them
         gfs = []
         for num, den, shared in specs:
             gfs.append(RationalGF(num, _mul((1,) + tuple(den), (1,) + tuple(shared))))
-        expected = reference_certificate_bound([g.den for g in gfs], [g.num for g in gfs], degree)
-        assert certificate_bound(gfs, degree) == expected
+        names = ("X1", "X2", "X3")
+        seqs = dict(zip(names, gfs))
+        expr = MultiPoly(
+            names + (SIGN_SYMBOL,),
+            {tuple(e if i < len(gfs) or i == 3 else 0 for i, e in enumerate(ev)): c for ev, c in terms},
+        )
+        assert certificate_bound(expr, seqs) == reference_certificate_bound(expr, seqs)
 
     def test_pole_at_origin(self):
         for den in ((), (0,), (0, 0, 1), (Fraction(0), 3)):
@@ -241,7 +271,8 @@ class TestIntegerLayerOracle:
         monkeypatch.setattr(kernel, "Fraction", None)
         g = RationalGF(_mul((1, 53, 9), (2, -4)), _mul((1, -82, -82, 1), (2, -4)))
         assert (g.num, g.den) == ((1, 53, 9), (1, -82, -82, 1))
-        assert certificate_bound(alternating_triple, 3) == 22
+        cubic = var("A") ** 3 + var("B") ** 3 - var("C") ** 3 - var(SIGN_SYMBOL)
+        assert certificate_bound(cubic, dict(zip("ABC", alternating_triple))) == 11
         assert [x for _, x in zip(range(4), taylor_series(g))] == [1, 135, 11161, 926271]
 
     def test_prs_keeps_coefficients_small(self, monkeypatch):
@@ -429,12 +460,44 @@ class TestCertifyZero:
         expr = var("A") ** 3 + var("B") ** 3 - var("C") ** 3 - var(SIGN_SYMBOL)
         cert = certify_zero(expr, {"A": gf_a, "B": gf_b, "C": gf_c})
         assert cert.certified
-        assert cert.bound == 22
+        # r = 3: C(5, 3) for the cubes and 1 for the sign term
+        assert cert.bound == 11
 
     def test_identically_zero(self, alternating_triple):
         expr = var("A") - var("A")
         cert = certify_zero(expr, {"A": alternating_triple[0]})
         assert cert.certified
+
+    def test_no_terms(self, alternating_triple):
+        # an empty support uses no sequence: nothing is left to check
+        for seqs in ({}, {"A": alternating_triple[0]}):
+            assert certify_zero(MultiPoly.constant(0), seqs) == Certificate(bound=0)
+
+    def test_even_sign_power(self):
+        # sgn^2 = 1 for every n: the pair (0, 0), one index, and no
+        # sequence, so r = 0 takes the d = 0 count rather than C(-1, 0)
+        assert certify_zero(var(SIGN_SYMBOL) ** 2 - 1, {}) == Certificate(bound=1)
+        # sgn^3 is sgn, the pair (0, 1): sgn^3 - 1 needs both indices
+        assert certify_zero(var(SIGN_SYMBOL) ** 3 - 1, {}) == Certificate(bound=2, witness=1)
+        assert certify_zero(var(SIGN_SYMBOL) ** 3 - var(SIGN_SYMBOL), {}) == Certificate(bound=1)
+
+    def test_finite_sequences(self):
+        # r = 0: X = 2 + 3t and Y = 2 vanish from their preperiods 2 and 1
+        # on, so only s = 2 and the d = 0 pair count, as C(d-1, d) = 0 for
+        # d >= 1
+        seqs = {"X": RationalGF((2, 3), (1,)), "Y": RationalGF((2,), (1,))}
+        x, y = var("X"), var("Y")
+        assert certify_zero((x - 2) * y, seqs) == Certificate(bound=2)
+        assert certify_zero(x * y - 2 * x, seqs) == Certificate(bound=2, witness=1)
+        # zero at n = 0, 1 and -12 from n = 2 on: refuted at the last index
+        assert certify_zero(x * y + 4 * x - 12, seqs) == Certificate(bound=3, witness=2)
+
+    def test_unused_sequence_leaves_the_depth(self, alternating_triple):
+        # a bound but unused sequence adds neither to r nor to s
+        expr = var("A") ** 3 + var("B") ** 3 - var("C") ** 3 - var(SIGN_SYMBOL)
+        seqs = dict(zip("ABC", alternating_triple))
+        wide = dict(seqs, Z=RationalGF((0,) * 20 + (1,), (1, -1, -1, 1, 5, 7)))
+        assert certify_zero(expr, wide) == certify_zero(expr, seqs) == Certificate(bound=11)
 
     def test_missing_sign_refuted(self, alternating_triple):
         gf_a, gf_b, gf_c = alternating_triple
@@ -444,14 +507,18 @@ class TestCertifyZero:
         assert cert.witness == 0
 
     def test_sign_symbol_only_linear(self):
-        # with m = 2^n, (s - 1)(m - 2)(m - 8)(m - 32) vanishes at n = 0..6:
-        # s - 1 is zero at even n and m hits a root at n = 1, 3, 5.  That is
-        # the whole depth 7 for r = 1, D = 4, yet the value at n = 7 is not 0
+        # The sign symbol was once allowed only in one linear term, because
+        # the depth did not cover (-1)^n times products; it now counts each
+        # (degree, sign parity) pair.  With m = 2^n,
+        # (s - 1)(m - 2)(m - 8)(m - 32) vanishes at n = 0..6: s - 1 is zero at
+        # even n and m hits a root at n = 1, 3, 5.  Its support is every
+        # (d, p) with d <= 3, eight pairs of C(d, d) = 1 each at r = 1, so the
+        # depth is 8 and n = 7 is the last index checked
         m, s = var("m"), var(SIGN_SYMBOL)
         expr = (s - 1) * (m - 2) * (m - 8) * (m - 32)
         assert expr.evaluate({"m": 2**7, SIGN_SYMBOL: -1}) == -2903040
-        with pytest.raises(ValueError):
-            certify_zero(expr, {"m": RationalGF((1,), (1, -2))})
+        cert = certify_zero(expr, {"m": RationalGF((1,), (1, -2))})
+        assert cert == Certificate(bound=8, witness=7)
 
     def test_sign_symbol_cannot_be_bound(self):
         # SIGN_SYMBOL always means (-1)^n: bound to the all-ones sequence it
@@ -461,21 +528,23 @@ class TestCertifyZero:
 
     def test_improper_gf_refuted(self):
         # x^50/1 is 1 at n = 50 only; its recurrence (order 0) holds from
-        # the preperiod s = 51 on, so the depth is 51 + C(0+1, 1) + 2
+        # the preperiod s = 51 on, so the depth is 51 + C(0, 1) = 51 and the
+        # witness is the last index checked
         cert = certify_zero(var("X"), {"X": RationalGF((0,) * 50 + (1,), (1,))})
-        assert cert.bound == 54
+        assert cert.bound == 51
         assert cert.witness == 50
 
     def test_preperiod_at_the_bound(self):
         # a(n) = 1 for n <= s and 2^(n-s) after: num = 1 - t - ... - t^s over
         # 1 - 2t, preperiod s.  X - 1 is zero at n = 0..s and first nonzero at
-        # n = s + 1 = s + C(r+D, D) - 1 (r = D = 1), the last index at which
-        # the proof allows a first failure; without s the depth would be 4
+        # n = s + 1, the last index checked: the depth is s + C(1, 1) + 1
+        # (r = 1, one pair of degree 1 and one of degree 0), and without s
+        # it would be 2
         s = 10
         g = RationalGF((1,) + (-1,) * s, (1, -2))
         assert taylor_coefficients(g, s + 3) == [1] * (s + 1) + [2, 4]
         cert = certify_zero(var("X") - 1, {"X": g})
-        assert cert.bound == s + 2 + 2
+        assert cert.bound == s + 2
         assert cert.witness == s + 1
 
     def test_refutation_stops_at_the_witness(self, monkeypatch):
@@ -491,10 +560,10 @@ class TestCertifyZero:
 
         monkeypatch.setattr(cf, "taylor_series", counting)
         # 1/(1-t)^10 is C(n+9, 9): X^2 - 55 first fails at n = 0, depth
-        # C(10+2, 2) + 2
+        # C(10+1, 2) + 1
         den = (1, -10, 45, -120, 210, -252, 210, -120, 45, -10, 1)
         cert = certify_zero(var("X") ** 2 - 55, {"X": RationalGF((1,), den)})
-        assert (cert.bound, cert.witness) == (68, 0)
+        assert (cert.bound, cert.witness) == (56, 0)
         assert len(expanded) == 1
 
     def test_unbound_symbol(self, alternating_triple):

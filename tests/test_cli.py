@@ -330,7 +330,9 @@ class TestCliCommands:
         path = tmp_path / "theorem.json"
         path.write_text(json.dumps(theorem))
         assert main(["verify", "--file", str(path)]) == 0
-        assert capsys.readouterr().out.strip() == "certified, depth 22"
+        # r = 3: C(5, 3) for the cubes and 1 for the sign term; the input
+        # depth is ignored
+        assert capsys.readouterr().out.strip() == "certified, depth 11"
 
     def test_verify_refuted(self, tmp_path, capsys):
         theorem = {
@@ -389,7 +391,7 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("orders", [(200, 1, 1), (11, 10, 10)])
     def test_verify_order_over_cap(self, tmp_path, capsys, orders):
-        # at r = 200 the depth would be C(203, 3) + 2 = 1373703
+        # at r = 200 the depth would be C(202, 3) + 1 = 1353401
         assert sum(orders) > cfinite.MAX_VERIFY_ORDER
         path = tmp_path / "theorem.json"
         path.write_text(json.dumps(self._power_theorem(orders)))
@@ -403,7 +405,8 @@ class TestCliCommands:
         path = tmp_path / "theorem.json"
         path.write_text(json.dumps(self._power_theorem(orders)))
         assert main(["verify", "--file", str(path)]) == 1
-        assert "refuted at n=0 (checked depth 288)" in capsys.readouterr().err
+        # r = 10: C(12, 3) + 1
+        assert "refuted at n=0 (checked depth 221)" in capsys.readouterr().err
 
     @staticmethod
     def _improper_theorem(k):
@@ -423,12 +426,12 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("k", [20, cfinite.MAX_NUMERATOR_LENGTH - 1])
     def test_verify_improper_gf_refuted(self, tmp_path, capsys, k):
-        # depth s + C(1+3, 3) + 2 with preperiod s = k + 1; k + 1 coefficients
+        # depth s + C(1+2, 3) + 1 with preperiod s = k + 1; k + 1 coefficients
         # is at the numerator cap for the second case
         path = tmp_path / "theorem.json"
         path.write_text(json.dumps(self._improper_theorem(k)))
         assert main(["verify", "--file", str(path)]) == 1
-        assert f"refuted at n={k} (checked depth {k + 7})" in capsys.readouterr().err
+        assert f"refuted at n={k} (checked depth {k + 3})" in capsys.readouterr().err
 
     def test_verify_numerator_over_cap(self, tmp_path, capsys):
         cap = cfinite.MAX_NUMERATOR_LENGTH
@@ -556,7 +559,8 @@ class TestCliCommands:
             "gfs": [gf, neg, {"num": [1], "den": [1, -1]}],
         }
 
-    @pytest.mark.parametrize("where, depth", [("num", 6), ("den", 12)])
+    # r = 1 and 2: C(3, 3) + 1 and C(4, 3) + 1
+    @pytest.mark.parametrize("where, depth", [("num", 2), ("den", 5)])
     @pytest.mark.parametrize("extra", [0, 1])
     def test_verify_coefficient_cap(self, tmp_path, capsys, where, depth, extra):
         cap = cfinite.MAX_COEFFICIENT_DIGITS

@@ -46,14 +46,14 @@ class TestCertifyTheorem:
     def test_alternating_classic(self, alternating_triple):
         thm = make_theorem(1, -1, 1, "alternating", alternating_triple)
         cert = certify_theorem(thm)
-        assert cert.certified and cert.bound == 22
+        assert cert.certified and cert.bound == 11
 
     def test_constant_6859(self, constant_triple_6859):
         gf_a, gf_b, gf_c = constant_triple_6859
         # weights (1, 2, 2): the paired sequences carry weight 2
         thm = make_theorem(2, 1, 6859, "constant", (gf_b, gf_c, gf_a))
         cert = certify_theorem(thm)
-        assert cert.certified and cert.bound == 22
+        assert cert.certified and cert.bound == 11
 
     def test_mutated_numerator_refuted(self, alternating_triple):
         broken = (
@@ -68,7 +68,7 @@ class TestCertifyTheorem:
 
 class TestSerialization:
     def test_round_trip(self, alternating_triple):
-        thm = make_theorem(1, -1, 1, "alternating", alternating_triple, depth=22)
+        thm = make_theorem(1, -1, 1, "alternating", alternating_triple, depth=11)
         assert theorem_from_json(json.loads(render(thm, "json"))) == thm
 
     def test_schema_fields(self, alternating_triple):
@@ -207,6 +207,21 @@ class TestForge:
         # max_theorems=-1 used to drop the last theorem through result[:-1]
         with pytest.raises(ValueError, match=message):
             forge(1, -1, **option)
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("max_theorems", True),
+            ("max_theorems", 2.0),
+            ("target_cap", 30.5),
+            ("search_bound", 12.0),
+            ("search_bound", None),
+        ],
+    )
+    def test_work_option_not_an_int_rejected(self, option, value):
+        # max_theorems=True used to run as 1
+        with pytest.raises(ValueError, match=f"{option} must be an int, not {type(value).__name__}"):
+            forge(1, -1, **{option: value})
 
     def test_extra_seed_accepted(self):
         from cubeforge import WeightedQuadruple

@@ -1,33 +1,55 @@
-"""Golden digest of `forge --format json` over 60 weight pairs.
+"""Golden digests of `forge --format json` over 60 weight pairs.
 
-The digest is the sha256 of, per pair (a, b) with a = 1..5 and
+Each digest is the sha256 of, per pair (a, b) with a = 1..5 and
 b = -6..6, b != 0, the line "a b exit-code" followed by the captured
-stdout.  It was recorded before the magnitude sweep of sol_quad replaced
-one enumeration per magnitude, and it pins the forge output byte for byte
-across changes that claim to leave it alone.  forge then took a guess
-order that bounded the unit period p of the orbit read-off by order // 2;
-orders 4 (the default) and 8 both gave this digest, and the read-off now
-always tries p = 1 and 2, as order 4 did.
+stdout.  DIGEST pins the forge output byte for byte across changes that
+claim to leave it alone.  MASKED_DIGEST hashes the same output with every
+`"certified_depth": N` replaced by a placeholder, so it pins everything but
+the certificate depths.  It was recorded before the depth formula was
+sharpened to the (degree, sign) support of the checked expression, and it
+was unchanged by that change, which re-recorded DIGEST: only depths moved.
 """
 
 import contextlib
 import hashlib
 import io
+import re
+
+import pytest
 
 from cubeforge.cli import main
 
 PAIRS = [(a, b) for a in range(1, 6) for b in range(-6, 7) if b]
 
-DIGEST = "9c2f9a96d9662e317ce5661951b14f288ec67187a6956930bdbe14145e878053"
+DIGEST = "ceef0656702e64aa4d68863fcbd80083ba9d22a0e9c8536a6ec8853c72254da2"
+MASKED_DIGEST = "afe739d0af213c80945c58a1a215acb4c007d945325cfb3cd21a781095a140e3"
+
+DEPTH = re.compile(r'"certified_depth": \d+')
 
 
-def test_forge_json_digest():
-    digest = hashlib.sha256()
+@pytest.fixture(scope="module")
+def forged():
+    runs = []
     for a, b in PAIRS:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             rc = main(["forge", "--a", str(a), "--b", str(b), "--format", "json"])
-        digest.update(f"{a} {b} {rc}\n".encode())
-        digest.update(out.getvalue().encode())
-    assert len(PAIRS) == 60
-    assert digest.hexdigest() == DIGEST
+        runs.append((f"{a} {b} {rc}\n", out.getvalue()))
+    assert len(runs) == 60
+    return runs
+
+
+def _digest(runs, mask=lambda text: text):
+    digest = hashlib.sha256()
+    for header, text in runs:
+        digest.update(header.encode())
+        digest.update(mask(text).encode())
+    return digest.hexdigest()
+
+
+def test_forge_json_digest(forged):
+    assert _digest(forged) == DIGEST
+
+
+def test_forge_json_digest_without_depths(forged):
+    assert _digest(forged, lambda text: DEPTH.sub('"certified_depth": N', text)) == MASKED_DIGEST

@@ -644,6 +644,16 @@ class TestSolQuad:
         with pytest.raises(ValueError, match="target_cap must be at least 1"):
             sol_quad(QuadForm(1, 0, -2), target_cap=cap)
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("bound", 100.5), ("bound", True), ("target_cap", 2.0), ("target_cap", True), ("bound", "9")],
+    )
+    def test_work_option_not_an_int_rejected(self, option, value):
+        # bound=100.5 used to return the orbit of target 1, and a float
+        # target_cap raised TypeError deep in the sweep
+        with pytest.raises(ValueError, match=f"{option} must be an int, not {type(value).__name__}"):
+            sol_quad(QuadForm(1, 0, -2), **{option: value})
+
     def test_no_orbit_for_factorable_form(self):
         # (2m - n)(m + n): every target has finitely many representations
         with pytest.raises(NoOrbitFound):
