@@ -112,6 +112,7 @@ class RationalGF:
     Coefficients are stored ascending.  Construction scales num and den
     jointly to integers, divides both by their primitive polynomial gcd and
     then by the gcd of all their coefficients, and makes den(0) positive.
+    A zero numerator takes the denominator (1,), as gcd(0, den) = den.
     This normal form is unique, and it is computed without Fractions for
     integer input.
     """
@@ -124,7 +125,9 @@ class RationalGF:
         num_t, den_t = _trim(ints[: len(num)]), _trim(ints[len(num) :])
         if not den_t or den_t[0] == 0:
             raise PoleAtOrigin("denominator vanishes at the origin")
-        if num_t:
+        if not num_t:
+            den_t = (1,)  # the zero sequence
+        else:
             g = _poly_gcd(num_t, den_t)
             if len(g) > 1:
                 num_t, den_t = _exact_quo(num_t, g), _exact_quo(den_t, g)

@@ -219,8 +219,10 @@ def _value_gfs(polys, gf_m, gf_n) -> list[RationalGF] | None:
     with v on 2 rho + 8 terms.  u - v is proper with a denominator of degree
     <= r' + d <= 2 rho, so it is zero, and RationalGF's normal form of one
     rational function is unique."""
-    den = gf_m.den
-    assert den == gf_n.den and len(gf_m.num) < len(den) and len(gf_n.num) < len(den)
+    # a zero sequence has the normal form 0/1 and obeys den too
+    den = max(gf_m.den, gf_n.den, key=len)
+    assert all(g.den == den or not g.num for g in (gf_m, gf_n))
+    assert len(gf_m.num) < len(den) and len(gf_n.num) < len(den)
     den2 = _symmetric_square(den)
     rho = len(den2) - 1
     ms = taylor_coefficients(gf_m, rho)

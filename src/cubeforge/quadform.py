@@ -61,14 +61,23 @@ as those grow geometrically along the cycle.  Per target, O(min(sqrt|e|,
 bound)) steps for the square divisors g^2, then O(1) per position found;
 beyond those steps the work follows the number of classes and solutions,
 not ``bound``.  On every path, targets beyond (|qa| + |qb| + |qc|) *
-bound^2, which bounds |Q| on the box, cost nothing.
+bound^2, which bounds |Q| on the box, cost nothing.  sol_quad's unit test
+costs up to 2 * (1 + isqrt(bound)) isqrt calls once per D': 90 at its
+default bound 2000 and 284 at the CLI's MAX_PELL_BOUND, but 2 * 10^5 at
+bound 10^10, where it outweighs the sweep it can save: on (4, 11, -21),
+D = 457, it took 94 ms against 1.1 ms for the whole sweep (one Xeon core,
+CPython 3.11), and 8 ms at bound 10^8.
 
 The magnitude sweep.  sol_quad needs the solutions of Q = +-mag for mag =
-1, 2, ... in turn.  It does not enumerate per target: ``_by_magnitude``
-lists the primitive representations of each e' = +-1, +-2, ... once and
-files g times each under the magnitude k*g^2*|e'| it solves, so every e'
-costs one lookup however many magnitudes it serves, and a ``forge`` call
-computes each table once for all its forms.
+1, 2, ... in turn.  Before any of them, it asks the field: a read-off
+orbit steps by a unit of trace t <= 1 + isqrt(bound) of Q(sqrt(D)), so
+when there is none (the test depends on D' and the bound only, and is kept
+in the table) the form has no orbit and nothing is enumerated.  Otherwise
+it does not enumerate per target: ``_by_magnitude`` lists the primitive
+representations of each e' = +-1, +-2, ... once and files g times each
+under the magnitude k*g^2*|e'| it solves, so every e' costs one lookup
+however many magnitudes it serves, and a ``forge`` call computes each
+table once for all its forms.
 """
 
 from __future__ import annotations
@@ -373,8 +382,12 @@ class _DiscTable:
     discriminant disc, f∘(P N^-1) = f_B and P z represents e1 (see
     _Classes).  B is taken in (sqrt(disc) - 2|e1|, sqrt(disc)).
 
+    ``has_unit(top)`` decides sol_quad's small-unit test, which depends on
+    nothing but disc and the bound.
+
     The list is memoised per e1, the roots B per |e1|, which +-e1 share,
-    and the roots modulo each prime power (p, k) of 4|e1| per (p, k).  A
+    the roots modulo each prime power (p, k) of 4|e1| per (p, k), and the
+    unit test by the traces it has scanned.  A
     table lives as long as its owner: one enumerate_solutions or sol_quad
     call, or one forge call for all the forms it meets."""
 
@@ -384,6 +397,23 @@ class _DiscTable:
         self._bases: dict[int, list] = {}
         self._roots: dict[int, set[int]] = {}
         self._prime_power_roots: dict[tuple[int, int], list[int]] = {}
+        self._traced = 0  # every trace up to this one is checked
+        self._least_trace: int | None = None
+
+    def has_unit(self, top: int) -> bool:
+        """Whether some t in 1..top makes (t^2 + 4)*disc, or (t^2 - 4)*disc
+        with t >= 3, a nonzero square: whether Q(sqrt(disc)) holds a unit
+        (t + sqrt(t^2 +- 4))/2 of norm -+1 and trace t in 1..top other than
+        the double root t = 2 (see sol_quad).  t^2 - 4 is negative or zero
+        below 3, which the sign test drops.  The scan resumes where the last
+        call stopped and ends at the least such t, so the verdicts for all
+        bounds cost one scan up to the largest top asked."""
+        while self._least_trace is None and self._traced < top:
+            self._traced = t = self._traced + 1
+            for w in ((t * t + 4) * self.disc, (t * t - 4) * self.disc):
+                if w > 0 and isqrt(w) ** 2 == w:
+                    self._least_trace = t
+        return self._least_trace is not None and self._least_trace <= top
 
     def bases(self, e1: int) -> list[tuple[tuple[int, int, int], tuple[int, int]]]:
         out = self._bases.get(e1)
@@ -834,11 +864,12 @@ def _orbit_from_solutions(
 
 
 def _by_magnitude(
-    form: QuadForm, bound: int, target_cap: int, tables: dict[int, _DiscTable]
+    form: QuadForm, kind: _Definite | _Factored | _Classes, bound: int, target_cap: int
 ) -> Iterator[list[tuple[int, int, int]]]:
     """For mag = 1, 2, ..., target_cap in turn, the list
     enumerate_solutions(form, (mag, -mag), bound), computed lazily by one
-    sweep over |e1| = 1, 2, ... with the class data of ``tables``.
+    sweep over |e1| = 1, 2, ... with the enumeration data ``kind`` that
+    _prepare made for the form.
 
     Let Q = s * f with s = kind.scale, f primitive (_Classes, _Definite) or
     the product of the linear factors (_Factored).  A solution (m, n) of
@@ -858,7 +889,6 @@ def _by_magnitude(
     that stops at a magnitude stops the sweep there.  Magnitudes beyond
     (|qa| + |qb| + |qc|) * bound^2 have no point in the box and are
     yielded empty without any work."""
-    kind = _prepare(form, tables)
     scale = abs(kind.scale)
     top = min(target_cap, _box_cap(form, bound))
     # magnitude -> (g, value, primitive representations of value / (s g^2))
@@ -884,6 +914,26 @@ def _by_magnitude(
         yield []
 
 
+def _ladder(sols: list[tuple[int, int, int]]) -> list[list[tuple[int, int, int]]]:
+    """The candidate lists sol_quad tries on the solutions of one magnitude,
+    in order and each once: the full sorted list, its even- and odd-indexed
+    subsequences (interleaved orbits are common), then each sign class of
+    the value.  An empty ladder for fewer than 3 solutions."""
+    if len(sols) < 3:
+        return []
+    out: list = []
+    for cand in (
+        sols,
+        sols[0::2],
+        sols[1::2],
+        [s for s in sols if s[2] > 0],
+        [s for s in sols if s[2] < 0],
+    ):
+        if cand not in out:
+            out.append(cand)
+    return out
+
+
 def sol_quad(
     form: QuadForm,
     *,
@@ -899,13 +949,11 @@ def sol_quad(
     magnitude.  The class data of each primitive discriminant are computed
     once per call, or once per forge call, which passes its own ``_tables``
     (private).  Inside one magnitude class the candidate solution lists are
-    tried in a fixed ladder: the full sorted list, the even- and odd-indexed
-    subsequences (interleaved orbits are common), then each sign class of
-    the achieved value.  Among the certified candidates of the winning
-    class, a constant-kind orbit beats an alternating one; remaining ties go
-    to the earliest ladder position.  So the ladder stops at its first
-    certified constant candidate, and runs to its end only when no constant
-    one certifies.
+    tried in a fixed ladder (_ladder).  Among the certified candidates of
+    the winning class, a constant-kind orbit beats an alternating one;
+    remaining ties go to the earliest ladder position.  So the ladder stops
+    at its first certified constant candidate, and runs to its end only
+    when no constant one certifies.
 
     Forms in one variable (qb == 0 and qa*qc == 0) raise NoOrbitFound before
     any enumeration, because no ladder candidate can pass.  For Q = qa*m^2
@@ -921,6 +969,47 @@ def sol_quad(
     k/(1 - z) and (b + (a - b)*z)/(1 - z)^2 with a != 0, both in lowest
     terms, and the "denominator split" check rejects the pair.  Q = qc*n^2
     is the same with the roles of m and n swapped.
+
+    Forms of positive non-square discriminant D raise NoOrbitFound before
+    any enumeration too when no t in 1..T, T = 1 + isqrt(bound), makes
+    (t^2 + 4)*D, or (t^2 - 4)*D with t >= 3, a nonzero square
+    (_DiscTable.has_unit, on D' = D/k^2, which is the same test).  Such a
+    form has no candidate that passes the read-off, so the sweep would end
+    in NoOrbitFound.  Proof.  Let a candidate pass with den = 1 - t*z^p +
+    N*z^(2p).  It is a subsequence of the solutions, sorted by m, with
+    m >= 1 and no point twice, and the read-off checked x_(k+2p) =
+    t*x_(k+p) - N*x_k on at least 3p + 1 points, so residue class 0 mod p
+    holds four points v_i = (u_i, w_i), i = 0..3, with 1 <= u_0 <= u_1 <=
+    u_2 <= u_3 <= bound, v_(i+2) = t*v_(i+1) - N*v_i and Q(v_i) = c*N^i for
+    a target c != 0 (N = 1 for constant values and N = (-1)^p for
+    alternating ones, so N = 1 when p = 2).
+    (1) The trace is bounded by the box.  If t <= 0 and N = 1, u_2 <=
+    -u_0 < 1.  If t <= 0 and N = -1, u_2 = t*u_1 + u_0 <= u_0 forces
+    u_0 = u_1 = u_2 and t = 0, so v_2 = v_0, a point listed twice.  If t = 1
+    and N = 1, u_2 = u_1 - u_0 < u_1.  Otherwise t >= 1, and u_(i+2) >=
+    t*u_(i+1) - u_i >= (t - 1)*u_(i+1) twice gives u_3 >= (t - 1)^2 * u_1
+    >= (t - 1)^2, so (t - 1)^2 <= bound and t <= T.
+    (2) The unit lies in the field.  Let alpha, beta be the roots of
+    y^2 - t*y + N, so alpha*beta = N.  If alpha != beta, v_i = A*alpha^i +
+    B*beta^i with A, B in Q(alpha)^2, and Q(v_i) = Q(A)*alpha^(2i) +
+    2*Q(A, B)*N^i + Q(B)*beta^(2i) with Q(., .) the polar form.  The nodes
+    alpha^2, N = alpha*beta and beta^2 are distinct, as t != 0, so the
+    Vandermonde system of i = 0, 1, 2 against c*N^i gives Q(A) = 0 and
+    2*Q(A, B) = c != 0, so A != 0 lies on an isotropic line of Q.  As D is
+    not a square, qa != 0, so a nonzero isotropic (x, y) has y != 0 and
+    x/y = (-qb +- sqrt(D))/(2*qa), which is irrational; A_1/A_2 lies in
+    Q(alpha), so sqrt(D) does, alpha is irrational and Q(alpha) =
+    Q(sqrt(t^2 - 4N)) = Q(sqrt(D)): (t^2 - 4N)*D is a nonzero square.  With
+    N = -1 that is (t^2 + 4)*D; with N = 1, t >= 2 and alpha != beta give
+    t >= 3.  If alpha = beta, then t = 2 and N = 1, v_i = A + i*B with
+    A = v_0 and B = v_1 - v_0 rational, and Q(v_i) = c at i = 0, 1, 2 gives
+    Q(B) = 0; a rational isotropic vector is 0, so v_1 = v_0, a point
+    listed twice.  So some t in 1..T passes the test.
+
+    The test costs at most 2T isqrt calls, memoised per D' in forge's
+    tables: 90 at the default bound 2000 and 284 at the CLI's
+    MAX_PELL_BOUND.  It covers the read-off ladder only: an orbit found
+    another way, through a unit of larger trace, is not excluded by it.
     """
     check_work_option("bound", bound)
     check_work_option("target_cap", target_cap)
@@ -938,23 +1027,12 @@ def sol_quad(
 
     if form.qb == 0 and form.qa * form.qc == 0:
         raise no_orbit()
-    tables = {} if _tables is None else _tables
-    for sols in _by_magnitude(form, bound, target_cap, tables):
-        if len(sols) < 3:
-            continue
-        ladder = [
-            sols,
-            sols[0::2],
-            sols[1::2],
-            [s for s in sols if s[2] > 0],
-            [s for s in sols if s[2] < 0],
-        ]
-        seen: list = []
+    kind = _prepare(form, {} if _tables is None else _tables)
+    if isinstance(kind, _Classes) and not kind.table.has_unit(1 + isqrt(bound)):
+        raise no_orbit()
+    for sols in _by_magnitude(form, kind, bound, target_cap):
         alternating = None
-        for cand in ladder:
-            if cand in seen:
-                continue
-            seen.append(cand)
+        for cand in _ladder(sols):
             orbit = _orbit_from_solutions(form, cand)
             if orbit is None:
                 continue

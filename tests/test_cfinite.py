@@ -123,7 +123,9 @@ def reference_normal_form(num, den):
     if not den_t or den_t[0] == 0:
         raise PoleAtOrigin("denominator vanishes at the origin")
     num_t = _trim(num_q)
-    if num_t:
+    if not num_t:
+        den_t = (Fraction(1),)  # the zero sequence: gcd(0, den) = den
+    else:
         g = reference_poly_gcd(
             tuple(x * lcm(*(c.denominator for c in num_t)) for x in num_t),
             tuple(x * lcm(*(c.denominator for c in den_t)) for x in den_t),
@@ -311,6 +313,13 @@ class TestRationalGF:
         with pytest.raises(PoleAtOrigin):
             RationalGF((1,), (0, 1))
 
+    @pytest.mark.parametrize("den", [(1,), (1, -3, 1), (-2, 5), (7,)])
+    def test_zero_sequence_has_one_normal_form(self, den):
+        # the zero numerator keeps no denominator, whatever it came with
+        g = RationalGF((0,), den)
+        assert g == RationalGF((), (1,)) and g.num == () and g.den == (1,)
+        assert hash(g) == hash(RationalGF((0, 0), (1, -1)))
+
     @settings(max_examples=200, deadline=None)
     @given(
         num=st.lists(_CAPPED_INT, max_size=MAX_NUMERATOR_LENGTH),
@@ -467,6 +476,14 @@ class TestCertifyZero:
         expr = var("A") - var("A")
         cert = certify_zero(expr, {"A": alternating_triple[0]})
         assert cert.certified
+
+    def test_zero_sequence_checks_depth_zero(self):
+        # X = 0/(1 - 3t + t^2) is the zero sequence: r = 0 and s = 0, so
+        # X^3 needs no index (C(2, 3) = 0), where its old denominator gave 4
+        x = var("X")
+        seqs = {"X": RationalGF((0,), (1, -3, 1))}
+        assert certify_zero(x**3, seqs) == Certificate(bound=0)
+        assert certify_zero(x**3 - 1, seqs) == Certificate(bound=1, witness=0)
 
     def test_no_terms(self, alternating_triple):
         # an empty support uses no sequence: nothing is left to check

@@ -5,7 +5,7 @@ from functools import partial
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import cubeforge.quadform as quadform
@@ -421,6 +421,12 @@ class TestReductionTheory:
         )
 
 
+def _sweep(form, bound, target_cap, tables=None):
+    """The lists of _by_magnitude, over class data from ``tables`` if given."""
+    kind = quadform._prepare(form, {} if tables is None else tables)
+    return list(quadform._by_magnitude(form, kind, bound, target_cap))
+
+
 def _per_magnitude(form, bound, target_cap):
     return [enumerate_solutions(form, (mag, -mag), bound) for mag in range(1, target_cap + 1)]
 
@@ -429,9 +435,7 @@ class TestMagnitudeSweep:
     def test_forge_forms_match_enumeration(self):
         forms = _forge_forms()
         for form in forms:
-            assert list(quadform._by_magnitude(form, 2000, 30, {})) == _per_magnitude(
-                form, 2000, 30
-            ), form
+            assert _sweep(form, 2000, 30) == _per_magnitude(form, 2000, 30), form
         assert len(forms) == 241
 
     @settings(max_examples=300, deadline=None)
@@ -439,17 +443,15 @@ class TestMagnitudeSweep:
     def test_matches_enumeration(self, form, bound, target_cap):
         # contents up to 4 with caps that are no multiples of them, square
         # discriminants, and bounds small enough to cut orbits
-        assert list(quadform._by_magnitude(form, bound, target_cap, {})) == _per_magnitude(
-            form, bound, target_cap
-        )
+        assert _sweep(form, bound, target_cap) == _per_magnitude(form, bound, target_cap)
 
     def test_shared_table_matches_fresh(self):
         forms = _forge_forms()
-        fresh = {form: list(quadform._by_magnitude(form, 2000, 30, {})) for form in forms}
+        fresh = {form: _sweep(form, 2000, 30) for form in forms}
         for order in (forms, forms[::-1]):
             tables = {}
             for form in order:
-                assert list(quadform._by_magnitude(form, 2000, 30, tables)) == fresh[form], form
+                assert _sweep(form, 2000, 30, tables) == fresh[form], form
         # the 241 forms have far fewer primitive discriminants than forms
         assert len(tables) < len(forms) // 2
 
@@ -457,32 +459,34 @@ class TestMagnitudeSweep:
         # 3*(m^2 - 2n^2): only multiples of 3; 12 = 3 * 2^2 * 1 holds the
         # doubled points of |e1| = 1, as +-4 has no primitive representation
         form = QuadForm(3, 0, -6)
-        sweep = list(quadform._by_magnitude(form, 100, 13, {}))
+        sweep = _sweep(form, 100, 13)
         assert [mag for mag, sols in enumerate(sweep, 1) if sols] == [3, 6, 12]
         assert (2, 0, 12) in sweep[11] and (6, 4, 12) in sweep[11]
         assert sweep == _per_magnitude(form, 100, 13)
 
 
 def _met_candidates(forms, bound=2000, target_cap=30):
-    """Every ladder candidate sol_quad hands to _orbit_from_solutions on the
-    forms, as (form, candidate) pairs, the forms sharing their class data as
-    in forge."""
+    """Every ladder candidate the magnitude sweep of sol_quad meets on the
+    forms when nothing is decided before it, as (form, candidate) pairs:
+    the ladders of _by_magnitude up to the first magnitude that certifies,
+    each cut after its first constant orbit, the forms sharing their class
+    data as in forge.  Definite and one-variable forms meet none."""
     met = []
-
-    def recording(form, cand):
-        met.append((form, cand))
-        return _orbit_from_solutions(form, cand)
-
-    quadform._orbit_from_solutions = recording
-    try:
-        tables = {}
-        for form in forms:
-            try:
-                sol_quad(form, bound=bound, target_cap=target_cap, _tables=tables)
-            except (DefiniteForm, NoOrbitFound):
-                pass
-    finally:
-        quadform._orbit_from_solutions = _orbit_from_solutions
+    tables = {}
+    for form in forms:
+        if form.discriminant < 0 or (form.qb == 0 and form.qa * form.qc == 0):
+            continue
+        kind = quadform._prepare(form, tables)
+        for sols in quadform._by_magnitude(form, kind, bound, target_cap):
+            found = None
+            for cand in quadform._ladder(sols):
+                met.append((form, cand))
+                orbit = _orbit_from_solutions(form, cand)
+                found = found or orbit
+                if orbit is not None and orbit.kind == "constant":
+                    break
+            if found:
+                break
     return met
 
 
@@ -738,6 +742,64 @@ class TestSolQuad:
             assert got == _outcome(reference_sol_quad, form, 120, 12), form
             found += isinstance(got, dict)
         assert 0 < found < len(forms)
+
+    @pytest.mark.parametrize(
+        "form, bound, points, den",
+        [
+            # D = 12: the unit 2 + sqrt(3) has trace 4 = 1 + isqrt(15)
+            (QuadForm(1, 2, -2), 15, [(1, 0), (1, 1), (3, 4), (11, 15)], (1, -4, 1)),
+            # D = 21: the unit (5 + sqrt(21))/2 has trace 5 = 1 + isqrt(24)
+            (QuadForm(1, 3, -3), 24, [(1, 0), (1, 1), (4, 5), (19, 24)], (1, -5, 1)),
+        ],
+    )
+    def test_unit_trace_at_the_bound(self, form, bound, points, den):
+        # the fourth point of the orbit is the last in the box, and the
+        # least trace of a unit of the field is the largest the test admits
+        orbit = sol_quad(form, bound=bound)
+        assert orbit.pairs(4) == points and orbit.gf_m.den == orbit.gf_n.den == den
+        assert (orbit.target, orbit.kind) == (1, "constant")
+        table = quadform._DiscTable(form.discriminant)
+        assert table.has_unit(1 + isqrt(bound)) and not table.has_unit(isqrt(bound))
+        with pytest.raises(NoOrbitFound, match=f"enumeration bound {bound - 1}$"):
+            sol_quad(form, bound=bound - 1)
+
+    def test_no_small_unit_enumerates_nothing(self, monkeypatch):
+        # D = 457 is prime and Q(sqrt(457)) has no unit of trace <= 45, so the
+        # form is refused before the sweep asks for a single representation
+        asked = []
+        monkeypatch.setattr(quadform._Classes, "primitive", lambda *args: asked.append(args))
+        form = QuadForm(4, 11, -21)
+        with pytest.raises(NoOrbitFound) as refused:
+            sol_quad(form)
+        assert asked == []
+        assert str(refused.value) == (
+            f"no certified orbit for {form} with |target| <= 30, enumeration bound 2000"
+        )
+
+    def test_unit_test_is_memoised_per_discriminant(self):
+        tables = {}
+        for form in (QuadForm(4, 11, -21), QuadForm(8, 22, -42), QuadForm(-4, 11, 21)):
+            with pytest.raises(NoOrbitFound):
+                sol_quad(form, _tables=tables)
+        # one table for D' = 457, scanned once up to 1 + isqrt(2000) = 45
+        assert list(tables) == [457] and tables[457]._traced == 45
+        # (1 + sqrt(5))/2 has trace 1 and norm -1, so the scan stops at t = 1
+        table = quadform._DiscTable(5)
+        assert table.has_unit(10**6) and table._traced == 1
+
+    @settings(deadline=None)
+    @given(forms_of_every_class(("D>0",)), st.integers(1, 400), st.integers(1, 40))
+    @example(QuadForm(4, 11, -21), 400, 40)
+    @example(QuadForm(2, 4, -4), 15, 2)
+    def test_matches_reference_with_unit_test(self, form, bound, target_cap):
+        # the reference enumerates every magnitude and knows no unit test
+        got = _outcome(sol_quad, form, bound, target_cap)
+        assert got == _outcome(reference_sol_quad, form, bound, target_cap)
+        kind = quadform._prepare(form, {})
+        if not kind.table.has_unit(1 + isqrt(bound)):
+            event("no small unit")
+        else:
+            event("orbit" if isinstance(got, dict) else "no orbit after the sweep")
 
     @pytest.mark.parametrize("text", ["m^2", "-3*m^2", "n^2", "-n^2"])
     def test_one_variable_form_rejected(self, text):
