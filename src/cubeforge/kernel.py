@@ -587,20 +587,15 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
         rows.append([zero] * r + desc_p + [zero] * (n - r - dp - 1))
     for r in range(dp):
         rows.append([zero] * r + desc_q + [zero] * (n - r - dq - 1))
-    return _determinant(rows, MultiPoly.constant(1, vs), zero)
+    return _determinant(rows)
 
 
-def _determinant(m: list[list[MultiPoly]], one: MultiPoly, zero: MultiPoly) -> MultiPoly:
-    """Determinant of the square matrix m over the variables of ``one``,
-    ``zero`` and the entries, by the stages argued in ``resultant``.  The
-    entries are packed once, for total degrees up to 2S, S being the sum
-    over rows of the largest entry degree.  ``m`` is left as it was given."""
-    names: list[str] = []
-    for p in (one, zero, *(p for row in m for p in row)):
-        for v in p.variables:
-            if v not in names:
-                names.append(v)
-    vs = tuple(names)
+def _determinant(m: list[list[MultiPoly]]) -> MultiPoly:
+    """Determinant of the square matrix m over the variables of its
+    entries, by the stages argued in ``resultant``.  The entries are packed
+    once, for total degrees up to 2S, S being the sum over rows of the
+    largest entry degree.  ``m`` is left as it was given."""
+    vs = tuple(dict.fromkeys(v for row in m for p in row for v in p.variables))
     bound = 2 * sum(max(p.total_degree() for p in row) for row in m)
     pk = _Packing(len(vs), bound)
     rows = [[pk.pack(_remap(p, vs)) for p in row] for row in m]

@@ -69,15 +69,17 @@ D = 457, it took 94 ms against 1.1 ms for the whole sweep (one Xeon core,
 CPython 3.11), and 8 ms at bound 10^8.
 
 The magnitude sweep.  sol_quad needs the solutions of Q = +-mag for mag =
-1, 2, ... in turn.  Before any of them, it asks the field: a read-off
-orbit steps by a unit of trace t <= 1 + isqrt(bound) of Q(sqrt(D)), so
-when there is none (the test depends on D' and the bound only, and is kept
-in the table) the form has no orbit and nothing is enumerated.  Otherwise
-it does not enumerate per target: ``_by_magnitude`` lists the primitive
-representations of each e' = +-1, +-2, ... once and files g times each
-under the magnitude k*g^2*|e'| it solves, so every e' costs one lookup
-however many magnitudes it serves, and a ``forge`` call computes each
-table once for all its forms.
+1, 2, ... in turn.  Before any of them, it asks whether an orbit can
+exist: a read-off orbit either runs along a line of a form with D = 0 and
+qb != 0, or steps by a unit of trace t <= 1 + isqrt(bound) of Q(sqrt(D))
+with D not a square.  A form of square D > 0, a form in one variable, and
+a form whose field has no such unit (the test depends on D' and the bound
+only, and is kept in the table) have no orbit, and nothing is enumerated.
+Otherwise it does not enumerate per target: ``_by_magnitude`` lists the
+primitive representations of each e' = +-1, +-2, ... once and files g
+times each under the magnitude k*g^2*|e'| it solves, so every e' costs one
+lookup however many magnitudes it serves, and a ``forge`` call computes
+each table once for all its forms.
 """
 
 from __future__ import annotations
@@ -955,34 +957,23 @@ def sol_quad(
     at its first certified constant candidate, and runs to its end only
     when no constant one certifies.
 
-    Forms in one variable (qb == 0 and qa*qc == 0) raise NoOrbitFound before
-    any enumeration, because no ladder candidate can pass.  For Q = qa*m^2
-    and |e| >= 1 there is at most one m = k with qa*k^2 = +-|e|, so a class
-    is the single line (k, 0), (k, 1), ..., (k, bound) and every candidate
-    with at least three points pairs the constant sequence k with a
-    non-constant arithmetic one a*i + b.  The values are constant, so N = 1.
-    A candidate of fewer than 4 points gets no read-off; on 4 or more, p = 1
-    gives t = 2 on every window of both sequences, as k + k = 2k and
-    (a*(i + 2) + b) + (a*i + b) = 2*(a*(i + 1) + b), where a zero middle
-    term comes with a zero outer sum.  So the read-off stops at p = 1 with
-    the denominator (1 - z)^2, the rebuilt generating functions are
-    k/(1 - z) and (b + (a - b)*z)/(1 - z)^2 with a != 0, both in lowest
-    terms, and the "denominator split" check rejects the pair.  Q = qc*n^2
-    is the same with the roles of m and n swapped.
-
-    Forms of positive non-square discriminant D raise NoOrbitFound before
-    any enumeration too when no t in 1..T, T = 1 + isqrt(bound), makes
-    (t^2 + 4)*D, or (t^2 - 4)*D with t >= 3, a nonzero square
-    (_DiscTable.has_unit, on D' = D/k^2, which is the same test).  Such a
-    form has no candidate that passes the read-off, so the sweep would end
-    in NoOrbitFound.  Proof.  Let a candidate pass with den = 1 - t*z^p +
-    N*z^(2p).  It is a subsequence of the solutions, sorted by m, with
-    m >= 1 and no point twice, and the read-off checked x_(k+2p) =
-    t*x_(k+p) - N*x_k on at least 3p + 1 points, so residue class 0 mod p
-    holds four points v_i = (u_i, w_i), i = 0..3, with 1 <= u_0 <= u_1 <=
-    u_2 <= u_3 <= bound, v_(i+2) = t*v_(i+1) - N*v_i and Q(v_i) = c*N^i for
-    a target c != 0 (N = 1 for constant values and N = (-1)^p for
-    alternating ones, so N = 1 when p = 2).
+    The sweep runs on two kinds of form only: D = 0 with qb != 0, a line of
+    the form off the axes, and D positive and not a square when some t in
+    1..T, T = 1 + isqrt(bound), makes (t^2 + 4)*D, or (t^2 - 4)*D with
+    t >= 3, a nonzero square (_DiscTable.has_unit, on D' = D/k^2, which is
+    the same test).  Every other form of D >= 0 raises NoOrbitFound before
+    any enumeration: it has no candidate that passes the read-off, so the
+    sweep would end in NoOrbitFound.  These are the forms of square D > 0,
+    the forms in one variable (D = 0 with qb = 0, so qa*qc = 0), and those
+    of non-square D whose field has no such unit.  Proof.  Let a candidate
+    pass with den = 1 - t*z^p + N*z^(2p).  It is a subsequence of the
+    solutions, sorted by m, with m >= 1 and no point twice, and the
+    read-off checked x_(k+2p) = t*x_(k+p) - N*x_k on at least 3p + 1
+    points, so residue class 0 mod p holds four points v_i = (u_i, w_i),
+    i = 0..3, with 1 <= u_0 <= u_1 <= u_2 <= u_3 <= bound, v_(i+2) =
+    t*v_(i+1) - N*v_i and Q(v_i) = c*N^i for a target c != 0 (N = 1 for
+    constant values and N = (-1)^p for alternating ones, so N = 1 when
+    p = 2).
     (1) The trace is bounded by the box.  If t <= 0 and N = 1, u_2 <=
     -u_0 < 1.  If t <= 0 and N = -1, u_2 = t*u_1 + u_0 <= u_0 forces
     u_0 = u_1 = u_2 and t = 0, so v_2 = v_0, a point listed twice.  If t = 1
@@ -995,16 +986,38 @@ def sol_quad(
     2*Q(A, B)*N^i + Q(B)*beta^(2i) with Q(., .) the polar form.  The nodes
     alpha^2, N = alpha*beta and beta^2 are distinct, as t != 0, so the
     Vandermonde system of i = 0, 1, 2 against c*N^i gives Q(A) = 0 and
-    2*Q(A, B) = c != 0, so A != 0 lies on an isotropic line of Q.  As D is
-    not a square, qa != 0, so a nonzero isotropic (x, y) has y != 0 and
-    x/y = (-qb +- sqrt(D))/(2*qa), which is irrational; A_1/A_2 lies in
-    Q(alpha), so sqrt(D) does, alpha is irrational and Q(alpha) =
-    Q(sqrt(t^2 - 4N)) = Q(sqrt(D)): (t^2 - 4N)*D is a nonzero square.  With
-    N = -1 that is (t^2 + 4)*D; with N = 1, t >= 2 and alpha != beta give
-    t >= 3.  If alpha = beta, then t = 2 and N = 1, v_i = A + i*B with
-    A = v_0 and B = v_1 - v_0 rational, and Q(v_i) = c at i = 0, 1, 2 gives
-    Q(B) = 0; a rational isotropic vector is 0, so v_1 = v_0, a point
-    listed twice.  So some t in 1..T passes the test.
+    2*Q(A, B) = c != 0, so A != 0 lies on an isotropic line of Q.  A
+    rational alpha is an integer dividing N, which with alpha != beta makes
+    {alpha, beta} = {1, -1} and t = 0, excluded by (1); so alpha is
+    irrational, and B = (v_1 - alpha*v_0)/(beta - alpha) is the conjugate
+    of A.  If D is a square, 0 included, the isotropic lines of Q are
+    rational: A is a multiple of a rational w, so B, its conjugate, is
+    too, every v_i lies on the line of w, and Q(v_i) = 0 != c.  If D is not a square, qa != 0,
+    so a nonzero isotropic (x, y) has y != 0 and x/y = (-qb +-
+    sqrt(D))/(2*qa), which is irrational; A_1/A_2 lies in Q(alpha), so
+    sqrt(D) does, and Q(alpha) = Q(sqrt(t^2 - 4N)) = Q(sqrt(D)):
+    (t^2 - 4N)*D is a nonzero square.  With N = -1 that is (t^2 + 4)*D;
+    with N = 1, t >= 2 and alpha != beta give t >= 3.  If alpha = beta,
+    then t = 2 and N = 1, v_i = A + i*B with A = v_0 and B = v_1 - v_0
+    rational, and Q(v_i) = c at i = 0, 1, 2 gives Q(B) = 0 and Q(A, B) = 0.
+    B != 0, or v_1 = v_0 is a point listed twice, so D is a square, as
+    Q has a rational isotropic vector.  If D != 0 the polar form is
+    nondegenerate and the vectors orthogonal to the isotropic B are its
+    multiples, so Q(A) = 0 != c.  So with D >= 0 either D is not a square
+    and some t in 1..T passes the test, or D = 0.
+    (3) The axes.  For Q = qa*m^2 and |e| >= 1 there is at most one m = k
+    with qa*k^2 = +-|e|, so a class is the single line (k, 0), (k, 1),
+    ..., (k, bound) and every candidate with at least three points pairs
+    the constant sequence k with a non-constant arithmetic one a*i + b.
+    The values are constant, so N = 1.  A candidate of fewer than 4 points
+    gets no read-off; on 4 or more, p = 1 gives t = 2 on every window of
+    both sequences, as k + k = 2k and (a*(i + 2) + b) + (a*i + b) =
+    2*(a*(i + 1) + b), where a zero middle term comes with a zero outer
+    sum.  So the read-off stops at p = 1 with the denominator (1 - z)^2,
+    the rebuilt generating functions are k/(1 - z) and (b + (a - b)*z)/(1 -
+    z)^2 with a != 0, both in lowest terms, and the "denominator split"
+    check rejects the pair.  Q = qc*n^2 is the same with the roles of m and
+    n swapped.
 
     The test costs at most 2T isqrt calls, memoised per D' in forge's
     tables: 90 at the default bound 2000 and 284 at the CLI's
@@ -1019,29 +1032,25 @@ def sol_quad(
             "every target admits only finitely many solutions"
         )
 
-    def no_orbit() -> NoOrbitFound:
-        return NoOrbitFound(
-            f"no certified orbit for {form} with |target| <= {target_cap}, "
-            f"enumeration bound {bound}"
-        )
-
-    if form.qb == 0 and form.qa * form.qc == 0:
-        raise no_orbit()
     kind = _prepare(form, {} if _tables is None else _tables)
-    if isinstance(kind, _Classes) and not kind.table.has_unit(1 + isqrt(bound)):
-        raise no_orbit()
-    for sols in _by_magnitude(form, kind, bound, target_cap):
-        alternating = None
-        for cand in _ladder(sols):
-            orbit = _orbit_from_solutions(form, cand)
-            if orbit is None:
-                continue
-            if orbit.kind == "constant":
-                return orbit
-            alternating = alternating or orbit
-        if alternating is not None:
-            return alternating
-    raise no_orbit()
+    if (form.discriminant == 0 and form.qb != 0) or (
+        isinstance(kind, _Classes) and kind.table.has_unit(1 + isqrt(bound))
+    ):
+        for sols in _by_magnitude(form, kind, bound, target_cap):
+            alternating = None
+            for cand in _ladder(sols):
+                orbit = _orbit_from_solutions(form, cand)
+                if orbit is None:
+                    continue
+                if orbit.kind == "constant":
+                    return orbit
+                alternating = alternating or orbit
+            if alternating is not None:
+                return alternating
+    raise NoOrbitFound(
+        f"no certified orbit for {form} with |target| <= {target_cap}, "
+        f"enumeration bound {bound}"
+    )
 
 
 def general_quadform(

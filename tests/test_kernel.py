@@ -729,7 +729,6 @@ class TestBareiss:
 
         rng = random.Random(53)
         vs = ("x", "y")
-        one = MultiPoly.constant(1, vs)
         zero = MultiPoly(vs, {})
         for _ in range(40):
             n = rng.randint(1, 4)
@@ -741,7 +740,7 @@ class TestBareiss:
             if rng.random() < 0.5:
                 rows[0][0] = zero
             expected = naive_det(rows)
-            got = _bareiss_determinant([row[:] for row in rows], one, zero)
+            got = _bareiss_determinant([row[:] for row in rows])
             assert got == expected
 
 
@@ -768,8 +767,7 @@ class TestBareiss:
             ]
             row[data.draw(st.integers(0, n - 1))] = data.draw(polys(vs, d, 2))
             rows.append(row)
-        one, zero = MultiPoly.constant(1, vs), MultiPoly(vs, {})
-        assert _bareiss_determinant([row[:] for row in rows], one, zero) == naive_det(rows)
+        assert _bareiss_determinant([row[:] for row in rows]) == naive_det(rows)
 
 
 def lu_matrix(rng, diag_l, diag_u, vs=("x", "y")):
@@ -806,9 +804,7 @@ def no_constant_poly(rng, vs, max_degree=1, terms=2):
 
 
 def det(rows):
-    vs = rows[0][0].variables
-    one, zero = MultiPoly.constant(1, vs), MultiPoly(vs, {})
-    return kernel._determinant([row[:] for row in rows], one, zero)
+    return kernel._determinant([row[:] for row in rows])
 
 
 class TestDeterminant:

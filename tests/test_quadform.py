@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 from functools import partial
 from math import gcd, isqrt
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, event, example, given, settings
@@ -798,6 +799,41 @@ class TestSolQuad:
         kind = quadform._prepare(form, {})
         if not kind.table.has_unit(1 + isqrt(bound)):
             event("no small unit")
+        else:
+            event("orbit" if isinstance(got, dict) else "no orbit after the sweep")
+
+    @settings(deadline=None)
+    @given(
+        forms_of_every_class(("square D>0", "D=0", "qa=0", "qc=0")),
+        st.integers(1, 300),
+        st.integers(1, 40),
+    )
+    @example(QuadForm(1, -2, 1), 60, 30)
+    @example(QuadForm(2, 5, 2), 300, 40)
+    @example(QuadForm(0, 1, 0), 300, 40)
+    def test_square_discriminants_match_reference(self, form, bound, target_cap):
+        # only a line of a D = 0 form off the axes can carry an orbit: every
+        # other form of square discriminant is refused before the sweep
+        # lists a single point, with the message the sweep would end in
+        asked = []
+        points = quadform._Factored.points
+
+        def recording(self, e, limit):
+            asked.append(e)
+            return points(self, e, limit)
+
+        with patch.object(quadform._Factored, "points", recording):
+            got = _outcome(sol_quad, form, bound, target_cap)
+        assert got == _outcome(reference_sol_quad, form, bound, target_cap)
+        if form.discriminant != 0 or form.qb == 0:
+            event("refused")
+            assert asked == []
+            with pytest.raises(NoOrbitFound) as refused:
+                sol_quad(form, bound=bound, target_cap=target_cap)
+            assert str(refused.value) == (
+                f"no certified orbit for {form} with |target| <= {target_cap}, "
+                f"enumeration bound {bound}"
+            )
         else:
             event("orbit" if isinstance(got, dict) else "no orbit after the sweep")
 
