@@ -65,17 +65,6 @@ class WeightedQuadruple:
         return f"({self.x}, {self.y}, {self.z}, {self.w})"
 
 
-def _canonical_twin(t: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-    """The other representative of t's symmetry orbit that also satisfies
-    x <= y and z >= w: negate, then reorder both pairs."""
-    x, y, z, w = (-c for c in t)
-    if x > y:
-        x, y = y, x
-    if z < w:
-        z, w = w, z
-    return (x, y, z, w)
-
-
 def search_quadruples(a: int, b: int, bound: int) -> list[WeightedQuadruple]:
     """All primitive nontrivial solutions with coordinates in [-bound, bound],
     one representative per orbit of the symmetries x<->y, z<->w and global
@@ -96,12 +85,9 @@ def search_quadruples(a: int, b: int, bound: int) -> list[WeightedQuadruple]:
         for y in range(x, bound + 1):
             s = a * (cubes[x] + cubes[y])
             for z, w in by_value.get(-s, ()):
-                t = (x, y, z, w)
-                if t == (0, 0, 0, 0):
-                    continue
-                if gcd(gcd(abs(x), abs(y)), gcd(abs(z), abs(w))) != 1:
-                    continue
-                if t < _canonical_twin(t):
+                # gcd 0 drops the zero tuple; with x <= y and z >= w, the
+                # other representative of the orbit is (-y, -x, -w, -z)
+                if gcd(x, y, z, w) != 1 or (x, y, z, w) < (-y, -x, -w, -z):
                     continue
                 q = WeightedQuadruple(a, b, x, y, z, w)
                 if not q.trivial:

@@ -13,8 +13,12 @@ in the sorted list.  N follows from the value pattern, and t is read off as
 one integer on every window; nothing is fitted.
 
 Enumeration lists the solutions of Q(m, n) = e in the box 1 <= m <= bound,
-0 <= n <= bound.  With content k and Q = k*f, f primitive of discriminant
-D' = D/k^2, it takes one of three paths.
+0 <= n <= bound.  ``_prepare`` divides the content out once: it computes
+the content k, the primitive part f = Q/k and its discriminant D' = D/k^2,
+and builds from them the enumeration data of one of three paths.  Each
+lists the solutions of its primitive part = e/k (e/k' for square D), so
+enumerate_solutions is the one place that divides a target by the scale,
+and a target the scale does not divide has no solution.
 
 Definite D (D < 0).  4c*f(m, y) = (2c*y + b*m)^2 - D'*m^2 for f = (a, b, c),
 so a scan over m = 1, 2, ... reads the y with f(m, y) = e/k off one isqrt
@@ -45,10 +49,10 @@ the Chinese remainder theorem.  The roots and the reduced forms f_B depend
 only on (D', e'), so they live in a ``_DiscTable`` per D' that every form of
 that discriminant shares.
 
-Square D (D = 0, qa = 0 or qc = 0).  Q = k'*L1*L2 with primitive integer
-linear forms L1, L2 (Gauss's lemma), so a solution pairs a divisor p of
-e/k' with L1 = p, L2 = e/(k'*p), or lies on one of the lines L1 = 0, L2 = 0
-(e = 0) or L1 = +-p (D = 0, L2 = +-L1).
+Square D (D = 0, qa = 0 or qc = 0).  Q = k'*L1*L2 with k' = +-k and
+primitive integer linear forms L1, L2 (Gauss's lemma), so a solution pairs
+a divisor p of e/k' with L1 = p, L2 = e/(k'*p), or lies on one of the lines
+L1 = 0, L2 = 0 (e = 0) or L1 = +-p (D = 0, L2 = +-L1).
 
 Cost.  Definite: per target, at most min(bound, sqrt(4c*|e/k| / |D'|)) + 1
 isqrt calls.  Indefinite, per discriminant D', for each e' met: the
@@ -75,11 +79,14 @@ qb != 0, or steps by a unit of trace t <= 1 + isqrt(bound) of Q(sqrt(D))
 with D not a square.  A form of square D > 0, a form in one variable, and
 a form whose field has no such unit (the test depends on D' and the bound
 only, and is kept in the table) have no orbit, and nothing is enumerated.
-Otherwise it does not enumerate per target: ``_by_magnitude`` lists the
-primitive representations of each e' = +-1, +-2, ... once and files g
-times each under the magnitude k*g^2*|e'| it solves, so every e' costs one
-lookup however many magnitudes it serves, and a ``forge`` call computes
-each table once for all its forms.
+A definite form is refused before ``_prepare`` sees it, so the sweep runs
+on the classes of a non-square D or the factors of D = 0 only, and those
+two paths alone list primitive representations.  The sweep does not
+enumerate per target: ``_by_magnitude`` lists the primitive
+representations of each e' = +-1, +-2, ... once and files g times each
+under the magnitude k'*g^2*|e'| it solves, so every e' costs one lookup
+however many magnitudes it serves, and a ``forge`` call computes each
+table once for all its forms.
 """
 
 from __future__ import annotations
@@ -478,12 +485,12 @@ class _Classes:
     automorphs other than +-1 have eigenvalues u^(+-i) with u > 1.  P' = -P
     does not occur, because the P listed for g are eps^i P_k."""
 
-    def __init__(self, qa: int, qb: int, qc: int, k: int, table: _DiscTable):
+    def __init__(self, f: tuple[int, int, int], k: int, table: _DiscTable):
         self.disc = disc = table.disc
         self.root = table.root
         self.table = table
         self.scale = k
-        self.f = f = (qa // k, qb // k, qc // k)
+        self.f = f
         self.leading: dict[int, list[tuple[int, int]]] = {}
         self.positions = {}
         self.reach = 2 * abs(f[0]) + abs(f[1]) + self.root + 1  # |L+-^f| < reach * limit
@@ -569,44 +576,32 @@ class _Classes:
                 out.append((x, y))
         return out
 
-    def points(self, e: int, bound: int) -> list[tuple[int, int]]:
-        if e % self.scale:
-            return []
-        n = e // self.scale
+    def points(self, n: int, bound: int) -> list[tuple[int, int]]:
+        """Every solution of the primitive part f = n in the box of
+        ``bound``: a solution with gcd g is g times a primitive
+        representation of n / g^2 in the box of bound // g."""
         out = []
-        # a solution with gcd(m, n) = g is g times a primitive one of n / g^2
         for g in range(1, min(isqrt(abs(n)), bound) + 1):
             if n % (g * g) == 0:
                 out += [(g * x, g * y) for x, y in self.primitive(n // (g * g), bound // g)]
         return out
 
 
-class _Direct:
-    """A kind whose ``points`` lists every solution, primitive or not."""
-
-    def primitive(self, e1: int, limit: int) -> list[tuple[int, int]]:
-        """Every representation (x, y) of e1 by Q / scale with gcd(x, y) = 1,
-        1 <= x <= limit and 0 <= y <= limit."""
-        return [v for v in self.points(self.scale * e1, limit) if gcd(*v) == 1]
-
-
-class _Definite(_Direct):
+class _Definite:
     """The enumeration data of a definite form Q = scale * f, f = (a, b, c)
-    primitive of discriminant disc < 0, so c != 0.  As 4c*f(m, y) =
-    (2c*y + b*m)^2 - disc*m^2, f(m, y) = n holds exactly when
-    2c*y + b*m = +-s with s^2 = disc*m^2 + 4c*n.  That radicand falls as m
-    grows, so no m beyond the first one where it is negative gives a
+    primitive of discriminant disc < 0, so c != 0.  ``points(n, bound)``
+    lists the solutions of the primitive part f = n in the box of ``bound``.
+    As 4c*f(m, y) = (2c*y + b*m)^2 - disc*m^2, f(m, y) = n holds exactly
+    when 2c*y + b*m = +-s with s^2 = disc*m^2 + 4c*n.  That radicand falls
+    as m grows, so no m beyond the first one where it is negative gives a
     point."""
 
-    def __init__(self, qa: int, qb: int, qc: int, k: int):
-        self.scale, self.b, self.c = k, qb // k, qc // k
-        self.disc = (qb * qb - 4 * qa * qc) // (k * k)
+    def __init__(self, f: tuple[int, int, int], k: int, disc: int):
+        self.scale, self.b, self.c, self.disc = k, f[1], f[2], disc
 
-    def points(self, e: int, bound: int) -> list[tuple[int, int]]:
-        if e % self.scale:
-            return []
+    def points(self, n: int, bound: int) -> list[tuple[int, int]]:
         b, two_c, disc = self.b, 2 * self.c, self.disc
-        rest = 2 * two_c * (e // self.scale)  # 4c*n
+        rest = 2 * two_c * n  # 4c*n
         out = []
         for m in range(1, bound + 1):
             square = disc * m * m + rest
@@ -644,16 +639,18 @@ def _line_points(r: int, s: int, p: int, bound: int) -> list[tuple[int, int]]:
     return [(m0 + s * t, n0 - r * t) for t in range(lo, hi + 1)]
 
 
-class _Factored(_Direct):
+class _Factored:
     """The enumeration data of a form of square discriminant d^2: Q = scale
     * L1 * L2 with primitive integer linear forms L1 = (r1, s1), L2 = (r2,
-    s2).  For f = Q/k primitive with a != 0, 4a*f = (2a*m + (b + d)*n) *
-    (2a*m + (b - d)*n); dividing out the contents g1, g2 leaves primitive
-    L1, L2, and by Gauss's lemma f = (g1*g2 / 4a) * L1 * L2 with
-    g1*g2 / 4a = +-1.  With a = 0, f = n * (b*m + c*n)."""
+    s2), scale = +-k.  ``points(n, bound)`` lists the solutions of the
+    primitive part L1 * L2 = n in the box of ``bound``.  For f = Q/k
+    primitive with a != 0, 4a*f = (2a*m + (b + d)*n) * (2a*m + (b - d)*n);
+    dividing out the contents g1, g2 leaves primitive L1, L2, and by
+    Gauss's lemma f = (g1*g2 / 4a) * L1 * L2 with g1*g2 / 4a = +-1.  With
+    a = 0, f = n * (b*m + c*n)."""
 
-    def __init__(self, qa: int, qb: int, qc: int, k: int):
-        a, b, c = qa // k, qb // k, qc // k
+    def __init__(self, f: tuple[int, int, int], k: int):
+        a, b, c = f
         if a:
             d = isqrt(b * b - 4 * a * c)
             g1, g2 = gcd(2 * a, b + d), gcd(2 * a, b - d)
@@ -663,10 +660,12 @@ class _Factored(_Direct):
         else:
             self.l1, self.l2, self.scale = (0, 1), (b, c), k
 
-    def points(self, e: int, bound: int) -> list[tuple[int, int]]:
-        if e % self.scale:
-            return []
-        n = e // self.scale  # L1 * L2 = n
+    def primitive(self, e1: int, limit: int) -> list[tuple[int, int]]:
+        """Every solution (x, y) of L1 * L2 = e1 with gcd(x, y) = 1 in the
+        box of ``limit``."""
+        return [v for v in self.points(e1, limit) if gcd(*v) == 1]
+
+    def points(self, n: int, bound: int) -> list[tuple[int, int]]:
         (r1, s1), (r2, s2) = self.l1, self.l2
         det = r1 * s2 - r2 * s1
         if n == 0:
@@ -694,21 +693,22 @@ class _Factored(_Direct):
 def _prepare(
     form: QuadForm, tables: dict[int, _DiscTable]
 ) -> _Definite | _Factored | _Classes:
-    """The enumeration data of the form: the scan when it is definite, its
-    linear factors when its discriminant is a square, otherwise its classes
-    over the _DiscTable of its primitive discriminant D' = D/k^2, k the
-    content, taken from ``tables`` (keyed by D') or added to it."""
-    qa, qb, qc = form.qa, form.qb, form.qc
-    k = gcd(gcd(qa, qb), qc)
+    """The enumeration data of the form, built from its content k > 0, its
+    primitive part f = Q/k and f's discriminant D' = D/k^2, which are
+    computed here and nowhere else: the scan when D' < 0, the linear factors
+    of f when D' is a square, otherwise f's classes over the _DiscTable of
+    D', taken from ``tables`` (keyed by D') or added to it."""
+    k = gcd(form.qa, form.qb, form.qc)
+    f = (form.qa // k, form.qb // k, form.qc // k)
     disc = form.discriminant // (k * k)
     if disc < 0:
-        return _Definite(qa, qb, qc, k)
+        return _Definite(f, k, disc)
     if isqrt(disc) ** 2 == disc:
-        return _Factored(qa, qb, qc, k)
+        return _Factored(f, k)
     table = tables.get(disc)
     if table is None:
         table = tables[disc] = _DiscTable(disc)
-    return _Classes(qa, qb, qc, k, table)
+    return _Classes(f, k, table)
 
 
 def _box_cap(form: QuadForm, bound: int) -> int:
@@ -749,8 +749,8 @@ def enumerate_solutions(
     cap = _box_cap(form, bound)
     out = []
     for e in set(targets):
-        if -cap <= e <= cap:
-            out += [(m, n, e) for m, n in kind.points(e, bound)]
+        if -cap <= e <= cap and e % kind.scale == 0:
+            out += [(m, n, e) for m, n in kind.points(e // kind.scale, bound)]
     out.sort()
     return out
 
@@ -866,14 +866,15 @@ def _orbit_from_solutions(
 
 
 def _by_magnitude(
-    form: QuadForm, kind: _Definite | _Factored | _Classes, bound: int, target_cap: int
+    form: QuadForm, kind: _Factored | _Classes, bound: int, target_cap: int
 ) -> Iterator[list[tuple[int, int, int]]]:
     """For mag = 1, 2, ..., target_cap in turn, the list
     enumerate_solutions(form, (mag, -mag), bound), computed lazily by one
     sweep over |e1| = 1, 2, ... with the enumeration data ``kind`` that
-    _prepare made for the form.
+    _prepare made for the form.  sol_quad sweeps forms of D >= 0 only, so
+    ``kind`` is never a _Definite.
 
-    Let Q = s * f with s = kind.scale, f primitive (_Classes, _Definite) or
+    Let Q = s * f with s = kind.scale, f the primitive part (_Classes) or
     the product of the linear factors (_Factored).  A solution (m, n) of
     Q = +-mag with gcd(m, n) = g is g times a primitive representation v
     of e1 = +-mag / (s g^2) by f, and v lies in the box of bound // g.

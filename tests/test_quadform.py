@@ -432,28 +432,34 @@ def _per_magnitude(form, bound, target_cap):
     return [enumerate_solutions(form, (mag, -mag), bound) for mag in range(1, target_cap + 1)]
 
 
+SWEPT_CLASSES = tuple(c for c in FORM_CLASSES if c not in DEFINITE_CLASSES)
+
+
 class TestMagnitudeSweep:
+    # sol_quad refuses definite forms before it sweeps, so the sweep is
+    # checked on forms of D >= 0 only
+
     def test_forge_forms_match_enumeration(self):
-        forms = _forge_forms()
+        forms = [form for form in _forge_forms() if form.discriminant >= 0]
         for form in forms:
             assert _sweep(form, 2000, 30) == _per_magnitude(form, 2000, 30), form
-        assert len(forms) == 241
+        assert len(forms) == 158
 
     @settings(max_examples=300, deadline=None)
-    @given(forms_of_every_class(), st.integers(1, 300), st.integers(1, 60))
+    @given(forms_of_every_class(SWEPT_CLASSES), st.integers(1, 300), st.integers(1, 60))
     def test_matches_enumeration(self, form, bound, target_cap):
         # contents up to 4 with caps that are no multiples of them, square
         # discriminants, and bounds small enough to cut orbits
         assert _sweep(form, bound, target_cap) == _per_magnitude(form, bound, target_cap)
 
     def test_shared_table_matches_fresh(self):
-        forms = _forge_forms()
+        forms = [form for form in _forge_forms() if form.discriminant >= 0]
         fresh = {form: _sweep(form, 2000, 30) for form in forms}
         for order in (forms, forms[::-1]):
             tables = {}
             for form in order:
                 assert _sweep(form, 2000, 30, tables) == fresh[form], form
-        # the 241 forms have far fewer primitive discriminants than forms
+        # the 158 forms have far fewer primitive discriminants than forms
         assert len(tables) < len(forms) // 2
 
     def test_content_spreads_magnitudes(self):
