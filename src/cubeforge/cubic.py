@@ -70,7 +70,11 @@ def search_quadruples(a: int, b: int, bound: int) -> list[WeightedQuadruple]:
     one representative per orbit of the symmetries x<->y, z<->w and global
     negation.  Representatives satisfy x <= y and z >= w, taking the
     lexicographically larger of the two candidates, and are sorted by largest
-    absolute coordinate, then lexicographically."""
+    absolute coordinate, then lexicographically.
+
+    No pair (z, w) of value 0 is listed: b(z^3 + w^3) = 0 forces w = -z, so
+    it could only meet a row with a(x^3 + y^3) = 0, that is y = -x, and the
+    quadruple (x, -x, z, -z) is trivial."""
     if a == 0 or b == 0:
         raise ValueError("weights must be nonzero")
     if bound < 1:
@@ -80,6 +84,7 @@ def search_quadruples(a: int, b: int, bound: int) -> list[WeightedQuadruple]:
     for z in range(-bound, bound + 1):
         for w in range(-bound, z + 1):
             by_value.setdefault(b * (cubes[z] + cubes[w]), []).append((z, w))
+    del by_value[0]
     found: list[WeightedQuadruple] = []
     for x in range(-bound, bound + 1):
         for y in range(x, bound + 1):

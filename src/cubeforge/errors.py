@@ -45,12 +45,24 @@ class InvalidForm(CubeforgeError):
     """Text or polynomial does not describe a binary quadratic form."""
 
 
-class DefiniteForm(CubeforgeError):
+class _DeferredText(CubeforgeError):
+    """An error whose text is formatted only when it is read: given more
+    than one argument, the text is ``args[0].format(*args[1:])``, so a
+    caller that catches the error and drops it formats nothing.  A single
+    argument is the text itself."""
+
+    def __str__(self) -> str:
+        if len(self.args) > 1:
+            return self.args[0].format(*self.args[1:])
+        return super().__str__()
+
+
+class DefiniteForm(_DeferredText):
     """The form has negative discriminant, so every target value has only
     finitely many representations and no infinite orbit exists."""
 
 
-class NoOrbitFound(CubeforgeError):
+class NoOrbitFound(_DeferredText):
     """Orbit search exhausted every target class without a certified orbit."""
 
 

@@ -13,9 +13,10 @@ in the sorted list.  N follows from the value pattern, and t is read off as
 one integer on every window; nothing is fitted.
 
 Enumeration lists the solutions of Q(m, n) = e in the box 1 <= m <= bound,
-0 <= n <= bound.  ``_prepare`` divides the content out once: it computes
-the content k, the primitive part f = Q/k and its discriminant D' = D/k^2,
-and builds from them the enumeration data of one of three paths.  Each
+0 <= n <= bound.  ``_primitive`` divides the content out once: it
+computes the content k, the primitive part f = Q/k and its discriminant
+D' = D/k^2, and the enumeration data of one of three paths are built from
+them (``_prepare``).  Each
 lists the solutions of its primitive part = e/k (e/k' for square D), so
 enumerate_solutions is the one place that divides a target by the scale,
 and a target the scale does not divide has no solution.
@@ -73,15 +74,20 @@ D = 457, it took 94 ms against 1.1 ms for the whole sweep (one Xeon core,
 CPython 3.11), and 8 ms at bound 10^8.
 
 The magnitude sweep.  sol_quad needs the solutions of Q = +-mag for mag =
-1, 2, ... in turn.  Before any of them, it asks whether an orbit can
-exist: a read-off orbit either runs along a line of a form with D = 0 and
-qb != 0, or steps by a unit of trace t <= 1 + isqrt(bound) of Q(sqrt(D))
-with D not a square.  A form of square D > 0, a form in one variable, and
-a form whose field has no such unit (the test depends on D' and the bound
-only, and is kept in the table) have no orbit, and nothing is enumerated.
-A definite form is refused before ``_prepare`` sees it, so the sweep runs
-on the classes of a non-square D or the factors of D = 0 only, and those
-two paths alone list primitive representations.  The sweep does not
+1, 2, ... in turn.  Before any of them, and before any enumeration data
+are built, it asks whether an orbit can exist.  The points of a read-off
+orbit have m <= M, where M = bound, or isqrt(target_cap // |qa|) when
+that is less and the coefficients share one sign, as then |Q| >=
+|qa|*m^2 on the box.  Such an orbit either runs along a line of a form
+with D = 0 and qb != 0, stepping at least |s| in m for Q =
+k'*(r*m + s*n)^2, or steps by a unit of trace t <= 1 + isqrt(M) of
+Q(sqrt(D)) with D not a square, of norm +1 when the coefficients share
+one sign.  A form of square D > 0, a form in one variable, a line too
+steep for M, and a form whose field has no such unit (the test depends
+on D' and M only, and is kept in the table) have no orbit, and nothing
+is enumerated.  So the sweep runs on the classes of a non-square
+D or the factors of D = 0 only, and those two paths alone list primitive
+representations.  The sweep does not
 enumerate per target: ``_by_magnitude`` lists the primitive
 representations of each e' = +-1, +-2, ... once and files g times each
 under the magnitude k'*g^2*|e'| it solves, so every e' costs one lookup
@@ -407,22 +413,40 @@ class _DiscTable:
         self._roots: dict[int, set[int]] = {}
         self._prime_power_roots: dict[tuple[int, int], list[int]] = {}
         self._traced = 0  # every trace up to this one is checked
-        self._least_trace: int | None = None
+        self._least_unit: tuple[int, int] | None = None  # (trace, norm)
 
-    def has_unit(self, top: int) -> bool:
+    def has_unit(self, top: int, norm_one: bool = False) -> bool:
         """Whether some t in 1..top makes (t^2 + 4)*disc, or (t^2 - 4)*disc
         with t >= 3, a nonzero square: whether Q(sqrt(disc)) holds a unit
         (t + sqrt(t^2 +- 4))/2 of norm -+1 and trace t in 1..top other than
         the double root t = 2 (see sol_quad).  t^2 - 4 is negative or zero
-        below 3, which the sign test drops.  The scan resumes where the last
-        call stopped and ends at the least such t, so the verdicts for all
-        bounds cost one scan up to the largest top asked."""
-        while self._least_trace is None and self._traced < top:
+        below 3, which the sign test drops.  With ``norm_one`` only the units
+        of norm +1 count.  The scan resumes where the last call stopped and
+        ends at the least such t, so the verdicts for all bounds cost one
+        scan up to the largest top asked.
+
+        The least t, t0, is all either verdict needs.  The t that pass are
+        the traces of the units eta > 1 of the ring of integers, eta =
+        (t + sqrt(t^2 - 4N))/2 of norm N: such an eta is an algebraic
+        integer of the field, and a unit eta > 1 of norm N has the trace
+        t = eta + N/eta >= 1 with t^2 - 4N = (eta - N/eta)^2 a nonzero square
+        of the field.  Those units are the powers eps^i, i >= 1, of the
+        fundamental unit eps, and among the units of one norm the trace
+        eta + N/eta grows with eta.  So t0 is the trace of eps.  If eps has
+        norm +1, every unit has, and the least norm +1 trace is t0; if it
+        has norm -1, the norm +1 units are the even powers, the least of
+        them eps^2, of trace t0^2 + 2 (the trace of eps^2 is t0^2 - 2N(eps))."""
+        while self._least_unit is None and self._traced < top:
             self._traced = t = self._traced + 1
-            for w in ((t * t + 4) * self.disc, (t * t - 4) * self.disc):
+            for norm, w in ((-1, (t * t + 4) * self.disc), (1, (t * t - 4) * self.disc)):
                 if w > 0 and isqrt(w) ** 2 == w:
-                    self._least_trace = t
-        return self._least_trace is not None and self._least_trace <= top
+                    self._least_unit = (t, norm)
+        if self._least_unit is None:
+            return False
+        t, norm = self._least_unit
+        if norm_one and norm == -1:
+            t = t * t + 2
+        return t <= top
 
     def bases(self, e1: int) -> list[tuple[tuple[int, int, int], tuple[int, int]]]:
         out = self._bases.get(e1)
@@ -690,25 +714,35 @@ class _Factored:
         return [pt for line in lines for pt in _line_points(*line, bound)]
 
 
+def _primitive(form: QuadForm) -> tuple[int, tuple[int, int, int], int]:
+    """(k, f, D'): the content k > 0 of the form, its primitive part
+    f = Q/k and f's discriminant D' = D/k^2, computed here and nowhere
+    else."""
+    k = gcd(form.qa, form.qb, form.qc)
+    return k, (form.qa // k, form.qb // k, form.qc // k), form.discriminant // (k * k)
+
+
+def _table(tables: dict[int, _DiscTable], disc: int) -> _DiscTable:
+    """The _DiscTable of disc from ``tables`` (keyed by disc), added to it
+    if missing."""
+    table = tables.get(disc)
+    if table is None:
+        table = tables[disc] = _DiscTable(disc)
+    return table
+
+
 def _prepare(
     form: QuadForm, tables: dict[int, _DiscTable]
 ) -> _Definite | _Factored | _Classes:
-    """The enumeration data of the form, built from its content k > 0, its
-    primitive part f = Q/k and f's discriminant D' = D/k^2, which are
-    computed here and nowhere else: the scan when D' < 0, the linear factors
-    of f when D' is a square, otherwise f's classes over the _DiscTable of
-    D', taken from ``tables`` (keyed by D') or added to it."""
-    k = gcd(form.qa, form.qb, form.qc)
-    f = (form.qa // k, form.qb // k, form.qc // k)
-    disc = form.discriminant // (k * k)
+    """The enumeration data of the form, built from _primitive(form): the
+    scan when D' < 0, the linear factors of f when D' is a square,
+    otherwise f's classes over the _DiscTable of D' in ``tables``."""
+    k, f, disc = _primitive(form)
     if disc < 0:
         return _Definite(f, k, disc)
     if isqrt(disc) ** 2 == disc:
         return _Factored(f, k)
-    table = tables.get(disc)
-    if table is None:
-        table = tables[disc] = _DiscTable(disc)
-    return _Classes(f, k, table)
+    return _Classes(f, k, _table(tables, disc))
 
 
 def _box_cap(form: QuadForm, bound: int) -> int:
@@ -870,9 +904,9 @@ def _by_magnitude(
 ) -> Iterator[list[tuple[int, int, int]]]:
     """For mag = 1, 2, ..., target_cap in turn, the list
     enumerate_solutions(form, (mag, -mag), bound), computed lazily by one
-    sweep over |e1| = 1, 2, ... with the enumeration data ``kind`` that
-    _prepare made for the form.  sol_quad sweeps forms of D >= 0 only, so
-    ``kind`` is never a _Definite.
+    sweep over |e1| = 1, 2, ... with the enumeration data ``kind`` of the
+    form.  sol_quad sweeps forms of D >= 0 only, so ``kind`` is never a
+    _Definite.
 
     Let Q = s * f with s = kind.scale, f the primitive part (_Classes) or
     the product of the linear factors (_Factored).  A solution (m, n) of
@@ -958,15 +992,23 @@ def sol_quad(
     at its first certified constant candidate, and runs to its end only
     when no constant one certifies.
 
-    The sweep runs on two kinds of form only: D = 0 with qb != 0, a line of
-    the form off the axes, and D positive and not a square when some t in
-    1..T, T = 1 + isqrt(bound), makes (t^2 + 4)*D, or (t^2 - 4)*D with
-    t >= 3, a nonzero square (_DiscTable.has_unit, on D' = D/k^2, which is
-    the same test).  Every other form of D >= 0 raises NoOrbitFound before
-    any enumeration: it has no candidate that passes the read-off, so the
+    The sweep runs on two kinds of form only, and only when a candidate
+    that passes the read-off fits the box of M, the largest first
+    coordinate its points can have.  M = bound, except on a one-sign form,
+    whose three coefficients are all >= 0 or all <= 0 with qa != 0: there
+    M = min(bound, isqrt(target_cap // |qa|)).  The two kinds are D = 0
+    with qb != 0, a line of the form off the axes, when 1 + 3|s| <= M for
+    Q = k'*(r*m + s*n)^2, gcd(r, s) = 1, so |s| = isqrt(|qc|/k) for the
+    content k; and D positive and not a square when some t in 1..T,
+    T = 1 + isqrt(M), makes (t^2 - 4)*D with t >= 3, or, on a form not of
+    one sign, (t^2 + 4)*D a nonzero square (_DiscTable.has_unit on
+    D' = D/k^2, which is the same test, with norm_one for one-sign forms).
+    Every other form of D >= 0 raises NoOrbitFound before any enumeration
+    data are built: it has no candidate that passes the read-off, so the
     sweep would end in NoOrbitFound.  These are the forms of square D > 0,
-    the forms in one variable (D = 0 with qb = 0, so qa*qc = 0), and those
-    of non-square D whose field has no such unit.  Proof.  Let a candidate
+    the forms in one variable (D = 0 with qb = 0, so qa*qc = 0), the D = 0
+    forms whose lines are too steep for the box, and those of non-square
+    D whose field has no such unit.  Proof.  Let a candidate
     pass with den = 1 - t*z^p + N*z^(2p).  It is a subsequence of the
     solutions, sorted by m, with m >= 1 and no point twice, and the
     read-off checked x_(k+2p) = t*x_(k+p) - N*x_k on at least 3p + 1
@@ -975,12 +1017,17 @@ def sol_quad(
     t*v_(i+1) - N*v_i and Q(v_i) = c*N^i for a target c != 0 (N = 1 for
     constant values and N = (-1)^p for alternating ones, so N = 1 when
     p = 2).
+    (0) One-sign forms.  On the box m >= 1, n >= 0 every term of Q is zero
+    or has the sign of qa, so Q(m, n) has that sign and |Q(m, n)| >=
+    |qa|*m^2 > 0.  The listed values share one sign, so they do not
+    alternate: the values are constant and N = 1.  And |qa|*u_i^2 <= |c|
+    <= target_cap, so u_i <= M.  On every other form u_i <= bound = M.
     (1) The trace is bounded by the box.  If t <= 0 and N = 1, u_2 <=
     -u_0 < 1.  If t <= 0 and N = -1, u_2 = t*u_1 + u_0 <= u_0 forces
     u_0 = u_1 = u_2 and t = 0, so v_2 = v_0, a point listed twice.  If t = 1
     and N = 1, u_2 = u_1 - u_0 < u_1.  Otherwise t >= 1, and u_(i+2) >=
     t*u_(i+1) - u_i >= (t - 1)*u_(i+1) twice gives u_3 >= (t - 1)^2 * u_1
-    >= (t - 1)^2, so (t - 1)^2 <= bound and t <= T.
+    >= (t - 1)^2, so (t - 1)^2 <= u_3 <= M and t <= T.
     (2) The unit lies in the field.  Let alpha, beta be the roots of
     y^2 - t*y + N, so alpha*beta = N.  If alpha != beta, v_i = A*alpha^i +
     B*beta^i with A, B in Q(alpha)^2, and Q(v_i) = Q(A)*alpha^(2i) +
@@ -1005,7 +1052,11 @@ def sol_quad(
     Q has a rational isotropic vector.  If D != 0 the polar form is
     nondegenerate and the vectors orthogonal to the isotropic B are its
     multiples, so Q(A) = 0 != c.  So with D >= 0 either D is not a square
-    and some t in 1..T passes the test, or D = 0.
+    and some t in 1..T passes the test, of norm N = 1 on a one-sign form
+    by (0), or D = 0.  Then, with qb != 0 (else see (3)), r and s are
+    nonzero, the isotropic vectors of Q are the multiples of (s, -r), and
+    the integer vector B is lambda*(s, -r) with lambda != 0.  The u_i
+    increase, so u_3 = u_0 + 3*|lambda*s| >= 1 + 3|s|, and 1 + 3|s| <= M.
     (3) The axes.  For Q = qa*m^2 and |e| >= 1 there is at most one m = k
     with qa*k^2 = +-|e|, so a class is the single line (k, 0), (k, 1),
     ..., (k, bound) and every candidate with at least three points pairs
@@ -1027,16 +1078,24 @@ def sol_quad(
     """
     check_work_option("bound", bound)
     check_work_option("target_cap", target_cap)
-    if form.discriminant < 0:
+    k, f, disc = _primitive(form)
+    if disc < 0:
         raise DefiniteForm(
-            f"{form} has negative discriminant {form.discriminant}; "
-            "every target admits only finitely many solutions"
+            "{} has negative discriminant {}; every target admits only finitely many solutions",
+            form,
+            form.discriminant,
         )
-
-    kind = _prepare(form, {} if _tables is None else _tables)
-    if (form.discriminant == 0 and form.qb != 0) or (
-        isinstance(kind, _Classes) and kind.table.has_unit(1 + isqrt(bound))
-    ):
+    one_sign = form.qa != 0 and form.qa * form.qb >= 0 and form.qa * form.qc >= 0
+    # M, the largest m a candidate that passes the read-off can reach
+    reach = min(bound, isqrt(target_cap // abs(form.qa))) if one_sign else bound
+    if isqrt(disc) ** 2 != disc:
+        table = _table({} if _tables is None else _tables, disc)
+        kind = _Classes(f, k, table) if table.has_unit(1 + isqrt(reach), one_sign) else None
+    elif disc == 0 and form.qb != 0 and 1 + 3 * isqrt(abs(form.qc) // k) <= reach:
+        kind = _Factored(f, k)
+    else:
+        kind = None
+    if kind is not None:
         for sols in _by_magnitude(form, kind, bound, target_cap):
             alternating = None
             for cand in _ladder(sols):
@@ -1049,8 +1108,10 @@ def sol_quad(
             if alternating is not None:
                 return alternating
     raise NoOrbitFound(
-        f"no certified orbit for {form} with |target| <= {target_cap}, "
-        f"enumeration bound {bound}"
+        "no certified orbit for {} with |target| <= {}, enumeration bound {}",
+        form,
+        target_cap,
+        bound,
     )
 
 

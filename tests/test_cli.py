@@ -214,6 +214,18 @@ class TestCliExitCodes:
         assert main(["pell", "--form", "m^2 - 1000000000039*n^2"]) == 1
         assert "NoOrbitFound" in capsys.readouterr().err
 
+    def test_pell_refusal_text(self, capsys):
+        assert main(["pell", "--form", "m^2+13*m*n+11*n^2", "--target-cap", "15"]) == 1
+        assert capsys.readouterr().err == (
+            "NoOrbitFound: no certified orbit for m^2 + 13*m*n + 11*n^2 with |target| <= 15, "
+            "enumeration bound 2000\n"
+        )
+        assert main(["pell", "--form", "m^2+n^2"]) == 2
+        assert capsys.readouterr().err == (
+            "DefiniteForm: m^2 + n^2 has negative discriminant -4; "
+            "every target admits only finitely many solutions\n"
+        )
+
 
 class TestForgeInvariants:
     """A vanishing value sequence or a refuted forged theorem is an internal

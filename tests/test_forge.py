@@ -1,4 +1,5 @@
 import functools
+import importlib
 import itertools
 import json
 import random
@@ -23,7 +24,8 @@ from cubeforge import (
 )
 from cubeforge import cli
 from cubeforge.cfinite import _mul, _symmetric_square, read_gfs
-from cubeforge.errors import EmptySeedSet, MalformedTheorem, NoOrbitFound
+from cubeforge.cubic import search_quadruples
+from cubeforge.errors import DefiniteForm, EmptySeedSet, MalformedTheorem, NoOrbitFound
 from cubeforge.forge import _value_gfs
 from cubeforge.quadform import QuadForm, sol_quad
 
@@ -171,6 +173,27 @@ class TestForge:
 
     def test_deterministic(self):
         assert forge(1, 1) == forge(1, 1)
+
+    def test_refusals_format_no_form(self, monkeypatch):
+        # every sol_quad call of forge(1, 3) is refused, and forge drops the
+        # error unread, so no form is ever printed
+        forge_module = importlib.import_module("cubeforge.forge")
+        printed, refused = [], []
+        to_text = QuadForm.__str__
+        monkeypatch.setattr(QuadForm, "__str__", lambda form: printed.append(form) or to_text(form))
+        solve = forge_module.sol_quad
+
+        def recording(form, **options):
+            try:
+                return solve(form, **options)
+            except (DefiniteForm, NoOrbitFound):
+                refused.append(form)
+                raise
+
+        monkeypatch.setattr(forge_module, "sol_quad", recording)
+        assert forge(1, 3) == []
+        assert len(refused) == 4 * len(search_quadruples(1, 3, 12)) > 0
+        assert printed == []
 
     def test_spot_checks_beyond_depth(self):
         rng = random.Random(7)

@@ -1,3 +1,5 @@
+import contextlib
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -281,7 +283,7 @@ class TestEnumerate:
         assert enumerate_solutions(QuadForm(1, 0, 1), {4}, 5) == [(2, 0, 4)]
 
 
-FORM_CLASSES = ("D<0", "D'=-3", "D'=-4", "D=0", "square D>0", "D>0", "qa=0", "qc=0")
+FORM_CLASSES = ("D<0", "D'=-3", "D'=-4", "D=0", "square D>0", "D>0", "qa=0", "qc=0", "one-sign")
 DEFINITE_CLASSES = ("D<0", "D'=-3", "D'=-4")
 
 
@@ -313,6 +315,11 @@ def forms_of_every_class(draw, classes=FORM_CLASSES):
         coeffs = tuple(draw(small) for _ in range(3))
         d = coeffs[1] ** 2 - 4 * coeffs[0] * coeffs[2]
         assume(d > 0 and isqrt(d) ** 2 != d)
+    elif kind == "one-sign":
+        # qa > 0, qb >= 0, qc >= 0 and D >= 0; the sign comes with k
+        a, c = draw(st.integers(1, 7)), draw(st.integers(0, 11))
+        b = draw(st.integers(isqrt(4 * a * c - 1) + 1 if c else 0, 24))
+        coeffs = (a, b, c)
     elif kind == "qa=0":
         coeffs = (0, draw(small), draw(small))
     else:
@@ -633,6 +640,23 @@ class TestFactor:
         assert got == reference_enumerate_solutions(form, targets, 300) and len(got) == 3
 
 
+@contextlib.contextmanager
+def _recording(*methods):
+    """The arguments of every call of the (class, name) methods made inside
+    the block, in one list."""
+    asked = []
+    with contextlib.ExitStack() as stack:
+        for cls, name in methods:
+            method = getattr(cls, name)
+
+            def recorded(self, *args, method=method):
+                asked.append(args)
+                return method(self, *args)
+
+            stack.enter_context(patch.object(cls, name, recorded))
+        yield asked
+
+
 class TestSolQuad:
     def test_classic_pell(self):
         orbit = sol_quad(QuadForm(1, 0, -2))
@@ -649,6 +673,18 @@ class TestSolQuad:
     def test_definite_rejected(self):
         with pytest.raises(DefiniteForm):
             sol_quad(QuadForm(1, 0, 1))
+
+    def test_refusal_text(self):
+        # the text is formatted when read, and reads as it always did (the
+        # NoOrbitFound text is pinned by the refusal tests below)
+        with pytest.raises(DefiniteForm) as definite:
+            sol_quad(QuadForm(1, 0, 1))
+        assert str(definite.value) == (
+            "m^2 + n^2 has negative discriminant -4; "
+            "every target admits only finitely many solutions"
+        )
+        # a single argument is the text itself, braces and all
+        assert str(NoOrbitFound("no {orbit}")) == "no {orbit}"
 
     @pytest.mark.parametrize("cap", [0, -5])
     def test_target_cap_below_one_rejected(self, cap):
@@ -821,14 +857,7 @@ class TestSolQuad:
         # only a line of a D = 0 form off the axes can carry an orbit: every
         # other form of square discriminant is refused before the sweep
         # lists a single point, with the message the sweep would end in
-        asked = []
-        points = quadform._Factored.points
-
-        def recording(self, e, limit):
-            asked.append(e)
-            return points(self, e, limit)
-
-        with patch.object(quadform._Factored, "points", recording):
+        with _recording((quadform._Factored, "points")) as asked:
             got = _outcome(sol_quad, form, bound, target_cap)
         assert got == _outcome(reference_sol_quad, form, bound, target_cap)
         if form.discriminant != 0 or form.qb == 0:
@@ -842,6 +871,96 @@ class TestSolQuad:
             )
         else:
             event("orbit" if isinstance(got, dict) else "no orbit after the sweep")
+
+    def test_one_sign_line_at_the_bound(self):
+        # (m + n)^2 = 16 holds (1, 3), (2, 2), (3, 1), (4, 0): the fourth
+        # point has m = isqrt(16) = M, and 1 + 3|s| = 4 <= M
+        form = QuadForm(1, 2, 1)
+        orbit = sol_quad(form, target_cap=16)
+        assert orbit.pairs(4) == [(1, 3), (2, 2), (3, 1), (4, 0)]
+        assert (orbit.target, orbit.kind) == (16, "constant")
+        # at 15, M = 3 < 4: refused before the factors list a point
+        with _recording((quadform._Factored, "points")) as asked:
+            with pytest.raises(NoOrbitFound) as refused:
+                sol_quad(form, target_cap=15)
+        assert asked == []
+        assert str(refused.value) == (
+            "no certified orbit for m^2 + 2*m*n + n^2 with |target| <= 15, enumeration bound 2000"
+        )
+
+    @pytest.mark.parametrize("cap, swept", [(16, True), (15, False)])
+    def test_one_sign_unit_at_the_bound(self, cap, swept):
+        # D = 125 lies in Q(sqrt(5)), whose least norm +1 unit, the square
+        # of (1 + sqrt(5))/2, has trace 3 = 1 + isqrt(4): at cap 16, M = 4
+        # and the form is swept; at 15, M = 3 and it is refused before the
+        # classes are asked anything.  Both end in the same message.
+        with _recording((quadform._Classes, "primitive")) as asked:
+            with pytest.raises(NoOrbitFound) as refused:
+                sol_quad(QuadForm(1, 13, 11), target_cap=cap)
+        assert bool(asked) == swept
+        assert str(refused.value) == (
+            f"no certified orbit for m^2 + 13*m*n + 11*n^2 with |target| <= {cap}, "
+            "enumeration bound 2000"
+        )
+
+    @pytest.mark.parametrize("disc, least, norm_one", [(5, 1, 3), (340, 9, 83)])
+    def test_norm_one_trace_closed_form(self, disc, least, norm_one):
+        # the fundamental units (1 + sqrt(5))/2 and (9 + sqrt(85))/2 have
+        # norm -1, so the least norm +1 trace is least^2 + 2, found by the
+        # scan that stopped at least
+        table = quadform._DiscTable(disc)
+        assert not table.has_unit(least - 1) and table.has_unit(least)
+        assert table.has_unit(norm_one, norm_one=True)
+        assert not table.has_unit(norm_one - 1, norm_one=True)
+        assert table._traced == least
+        squares = [(t * t - 4) * disc for t in range(3, norm_one + 1)]
+        assert [w for w in squares if isqrt(w) ** 2 == w] == [squares[-1]]
+
+    @settings(deadline=None)
+    @given(forms_of_every_class(("one-sign",)), st.integers(1, 400), st.integers(1, 80))
+    @example(QuadForm(1, 2, 1), 2000, 16)
+    @example(QuadForm(1, 2, 1), 3, 16)
+    @example(QuadForm(-1, -13, -11), 2000, 16)
+    @example(QuadForm(1, 4, 1), 60, 81)
+    @example(QuadForm(1, 4, 1), 60, 80)
+    @example(QuadForm(-3, -12, -3), 400, 243)
+    def test_one_sign_forms_match_reference(self, form, bound, target_cap):
+        # a one-sign form is swept only when a norm +1 unit, or the step of
+        # a D = 0 line, fits the box of M = min(bound, isqrt(cap // |qa|))
+        with _recording((quadform._Classes, "__init__"), (quadform._Factored, "__init__")) as built:
+            got = _outcome(sol_quad, form, bound, target_cap)
+        assert got == _outcome(reference_sol_quad, form, bound, target_cap)
+        d, k = form.discriminant, _content(form)
+        reach = min(bound, isqrt(target_cap // abs(form.qa)))
+        if isqrt(d) ** 2 != d:
+            squares = [(t * t - 4) * d for t in range(3, 2 + isqrt(reach))]
+            fits = any(isqrt(w) ** 2 == w for w in squares)
+        else:
+            fits = d == 0 and form.qb != 0 and 1 + 3 * isqrt(abs(form.qc) // k) <= reach
+        assert bool(built) == fits
+        if not fits:
+            event("refused")
+            assert got is NoOrbitFound
+        else:
+            event("orbit" if isinstance(got, dict) else "no orbit after the sweep")
+
+    @pytest.mark.parametrize(
+        "bound, target_cap", [(2000, 30), (60, 40), (15, 40), (400, 12), (8, 5)]
+    )
+    def test_small_one_sign_forms_match_reference(self, bound, target_cap):
+        # every one-sign form with |qa| <= 7, |qb| <= 14, |qc| <= 11 and
+        # D >= 0; the library enumerator stands in for the slow reference
+        # scan, as enumeration is pinned by TestReductionTheory
+        reference = partial(reference_sol_quad, enumerator=enumerate_solutions)
+        tables = {}
+        count = 0
+        for sign, a, b, c in itertools.product((1, -1), range(1, 8), range(15), range(12)):
+            form = QuadForm(sign * a, sign * b, sign * c)
+            if form.discriminant >= 0:
+                got = _outcome(partial(sol_quad, _tables=tables), form, bound, target_cap)
+                assert got == _outcome(reference, form, bound, target_cap), form
+                count += 1
+        assert count == 1102
 
     @pytest.mark.parametrize("text", ["m^2", "-3*m^2", "n^2", "-n^2"])
     def test_one_variable_form_rejected(self, text):
