@@ -1,7 +1,7 @@
 """Weighted four-cube machinery: numeric solutions of
 a*X^3 + a*Y^3 + b*Z^3 + b*W^3 = 0, and the morph of a numeric solution
-against the symbolic solution (m, -m, n, -n) into four homogeneous
-quadratics.
+against the symbolic solution (m, -m, n, -n) into four binary quadratic
+forms.
 
 Morphing is the bilinear combination of two solutions (x, y, z, w) and
 (x', y', z', w') = (m, -m, n, -n) with the multipliers
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import InvalidQuadruple
-from .kernel import MultiPoly
+from .quadform import QuadForm
 
 
 @dataclass(frozen=True)
@@ -103,19 +103,19 @@ def search_quadruples(a: int, b: int, bound: int) -> list[WeightedQuadruple]:
 
 @dataclass(frozen=True)
 class ParamQuadruple:
-    """Four homogeneous quadratics in (m, n) meant to satisfy
+    """Four binary quadratic forms in (m, n) meant to satisfy
     a*P1^3 + a*P2^3 + b*P3^3 + b*P4^3 = 0.  The container itself is
     permissive; use verify_param to check the identity."""
 
     a: int
     b: int
-    p1: MultiPoly
-    p2: MultiPoly
-    p3: MultiPoly
-    p4: MultiPoly
+    p1: QuadForm
+    p2: QuadForm
+    p3: QuadForm
+    p4: QuadForm
 
     @property
-    def polys(self) -> tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]:
+    def polys(self) -> tuple[QuadForm, QuadForm, QuadForm, QuadForm]:
         return (self.p1, self.p2, self.p3, self.p4)
 
     @property
@@ -124,14 +124,6 @@ class ParamQuadruple:
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(p) for p in self.polys) + ")"
-
-
-def verify_param(pq: ParamQuadruple) -> bool:
-    """Full symbolic expansion of the weighted cubic identity."""
-    total = MultiPoly.constant(0, ("m", "n"))
-    for weight, p in zip(pq.weights, pq.polys):
-        total = total + weight * p**3
-    return total.is_zero
 
 
 def _cube(u: int, v: int, w: int) -> tuple[int, ...]:
@@ -147,17 +139,22 @@ def _cube(u: int, v: int, w: int) -> tuple[int, ...]:
     )
 
 
+def verify_param(pq: ParamQuadruple) -> bool:
+    """Whether a*P1^3 + a*P2^3 + b*P3^3 + b*P4^3 = 0 identically: all 7
+    coefficients of that binary sextic vanish."""
+    cubes = [_cube(p.qa, p.qb, p.qc) for p in pq.polys]
+    return not any(pq.a * (c1 + c2) + pq.b * (c3 + c4) for c1, c2, c3, c4 in zip(*cubes))
+
+
 def morph(s: WeightedQuadruple) -> ParamQuadruple:
     """Combine a nontrivial numeric solution with the symbolic solution
     (m, -m, n, -n); the result is a parametric quadruple of four nonzero
-    quadratics with common content 1, verified symbolically before returning.
+    quadratic forms with common content 1, checked by verify_param before
+    returning (AssertionError if it fails).
 
-    The quadratics are worked out as coefficient triples (m^2, mn, n^2):
+    The forms are worked out as coefficient triples (m^2, mn, n^2):
     with c = c0 m^2 + c2 n^2 and d = d0 m + d1 n, c*x + d*m is
-    (c0 x + d0, d1, c2 x), and so on.  The identity is checked by expanding
-    the 7 coefficients of the binary sextic a P1^3 + a P2^3 + b P3^3 + b P4^3,
-    a full symbolic expansion on triples; MultiPolys are built only for the
-    result.
+    (c0 x + d0, d1, c2 x), and so on.
 
     No component vanishes.  Here c0 = a(x+y), c2 = b(z+w),
     d0 = -a(x-y)(x+y) and d1 = -b(z-w)(z+w), so
@@ -185,20 +182,7 @@ def morph(s: WeightedQuadruple) -> ParamQuadruple:
         (c0 * w, -d0, c2 * w - d1),
     ]
     common = gcd(*(c for t in triples for c in t))
-    return _param_from_triples(a, b, [tuple(c // common for c in t) for t in triples])
-
-
-def _param_from_triples(a: int, b: int, triples) -> ParamQuadruple:
-    """The ParamQuadruple of four quadratics given as (m^2, mn, n^2)
-    coefficient triples, once a P1^3 + a P2^3 + b P3^3 + b P4^3 = 0 is
-    checked on all 7 coefficients of the binary sextic; AssertionError
-    otherwise."""
-    cubes = [_cube(*t) for t in triples]
-    if any(a * (p1 + p2) + b * (p3 + p4) for p1, p2, p3, p4 in zip(*cubes)):
+    pq = ParamQuadruple(a, b, *(QuadForm(*(c // common for c in t)) for t in triples))
+    if not verify_param(pq):
         raise AssertionError("morph output fails the cubic identity")
-    # nonzero int coefficients on valid exponents: the kernel's unchecked path
-    polys = [
-        MultiPoly._make(("m", "n"), {ev: c for ev, c in zip(((2, 0), (1, 1), (0, 2)), t) if c})
-        for t in triples
-    ]
-    return ParamQuadruple(a, b, *polys)
+    return pq

@@ -130,8 +130,9 @@ def certify_theorem(thm: CubicTheorem) -> Certificate:
     return certify_zero(expr, dict(zip("ABC", thm.gfs)))
 
 
-def _poly_json(p: MultiPoly) -> list:
-    return [[list(ev), c] for ev, c in p.sorted_terms()]
+def _form_json(f: QuadForm) -> list:
+    """[[exponents of m and n], coefficient] per nonzero term, m^2 first."""
+    return [[ev, c] for ev, c in zip(([2, 0], [1, 1], [0, 2]), (f.qa, f.qb, f.qc)) if c]
 
 
 def _sort_key(thm: CubicTheorem) -> tuple:
@@ -175,9 +176,9 @@ def forge(
     tables: dict = {}  # sol_quad's class data per discriminant, for this call only
     for seed in seeds:
         quadruple = morph(seed)
-        for j, poly in enumerate(quadruple.polys):
+        for j, form in enumerate(quadruple.polys):
             try:
-                orbit = sol_quad(QuadForm.from_poly(poly), target_cap=target_cap, _tables=tables)
+                orbit = sol_quad(form, target_cap=target_cap, _tables=tables)
             except (DefiniteForm, NoOrbitFound) as exc:
                 log.debug("seed %s, index %d: %s", seed, j + 1, exc)
                 continue
@@ -193,9 +194,9 @@ def forge(
     return result[:max_theorems]
 
 
-def _value_gfs(polys, gf_m, gf_n) -> list[RationalGF] | None:
-    """The generating functions of the values of the homogeneous quadratics
-    ``polys`` along the orbit (gf_m, gf_n), or None when one of the value
+def _value_gfs(forms, gf_m, gf_n) -> list[RationalGF] | None:
+    """The generating functions of the values of the quadratic forms
+    ``forms`` along the orbit (gf_m, gf_n), or None when one of the value
     sequences vanishes identically.
 
     They are built, not guessed.  Orbit generating functions come from
@@ -228,8 +229,8 @@ def _value_gfs(polys, gf_m, gf_n) -> list[RationalGF] | None:
     ms = taylor_coefficients(gf_m, rho)
     ns = taylor_coefficients(gf_n, rho)
     gfs = []
-    for p in polys:
-        g = gf_from_den([p.evaluate({"m": mv, "n": nv}) for mv, nv in zip(ms, ns)], den2)
+    for f in forms:
+        g = gf_from_den([f.value(mv, nv) for mv, nv in zip(ms, ns)], den2)
         if not g.num:
             return None
         gfs.append(g)
@@ -273,7 +274,7 @@ def _build_theorem(seed, quadruple, j, orbit) -> CubicTheorem:
     provenance = {
         "seed": list(seed.coords),
         "weights": [a, b],
-        "quadruple": [_poly_json(p) for p in quadruple.polys],
+        "quadruple": [_form_json(f) for f in quadruple.polys],
         "solved_index": j + 1,
         "solved_weight": quadruple.weights[j],
         "orbit": orbit.to_json(),

@@ -144,8 +144,11 @@ class QuadForm:
 
     @classmethod
     def from_poly(cls, p: MultiPoly) -> "QuadForm":
-        if len(p.variables) != 2:
-            raise InvalidForm(f"{p} is not a polynomial in exactly two variables")
+        """The form of p, a polynomial over exactly the variables m and n, in
+        either order."""
+        if sorted(p.variables) != ["m", "n"]:
+            raise InvalidForm(f"{p} is not a polynomial in the variables m and n")
+        p = p.restricted(("m", "n"))
         coeffs = {(2, 0): 0, (1, 1): 0, (0, 2): 0}
         for ev, c in p.terms.items():
             if ev not in coeffs:

@@ -77,14 +77,13 @@ def test_criterion_2(constant_triple_6859):
 
 @criterion("3 (parametric quadruple symbolic identity)", budget=1.0)
 def test_criterion_3():
-    quadruple = ParamQuadruple(
-        1,
-        1,
-        P("m^2 + 7*m*n - 9*n^2"),
-        P("2*m^2 - 4*m*n + 12*n^2"),
-        P("-2*m^2 - 10*n^2"),
-        P("-(m^2) + 9*m*n + n^2"),
+    texts = (
+        "m^2 + 7*m*n - 9*n^2",
+        "2*m^2 - 4*m*n + 12*n^2",
+        "-2*m^2 - 10*n^2",
+        "-(m^2) + 9*m*n + n^2",
     )
+    quadruple = ParamQuadruple(1, 1, *(QuadForm.from_poly(P(t)) for t in texts))
     assert verify_param(quadruple)
 
 

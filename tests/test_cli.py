@@ -120,6 +120,21 @@ class TestCliExitCodes:
         assert f"ValueError: {message} must be at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["findform", "--degree", "2", "--gf", "1,2", "--gf", "0,1;1,-3,1"],
+             "ValueError: generating function must be 'num;den'"),
+            (["pell", "--form", "m$n"], "ParseError: unexpected character '$'"),
+            (["pell", "--form", "(m+n"], "ParseError: expected ')'"),
+            (["twist", "--matrix", "1,0;0,1"], "ValueError: substitution matrix must be 3x3"),
+            (["forge", "--a", "0", "--b", "1"], "ValueError: weights must be nonzero"),
+        ],
+    )
+    def test_malformed_argument_refused(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(message)
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["forge", "--a", "1", "--b", "-1", "--guess-order", "4"],
@@ -326,19 +341,7 @@ class TestCliCommands:
         assert code == 1
 
     def test_verify_certified(self, tmp_path, capsys):
-        theorem = {
-            "a": 1,
-            "b": -1,
-            "c": 1,
-            "rhs_kind": "alternating",
-            "gfs": [
-                {"num": [1, 53, 9], "den": [1, -82, -82, 1]},
-                {"num": [2, -26, -12], "den": [1, -82, -82, 1]},
-                {"num": [2, 8, -10], "den": [1, -82, -82, 1]},
-            ],
-            "certified_depth": 22,
-            "provenance": {},
-        }
+        theorem = self._forged_theorem(certified_depth=22, provenance={})
         path = tmp_path / "theorem.json"
         path.write_text(json.dumps(theorem))
         assert main(["verify", "--file", str(path)]) == 0
@@ -419,6 +422,22 @@ class TestCliCommands:
         assert main(["verify", "--file", str(path)]) == 1
         # r = 10: C(12, 3) + 1
         assert "refuted at n=0 (checked depth 221)" in capsys.readouterr().err
+
+    @staticmethod
+    def _forged_theorem(**changes):
+        # forge(1, -1)'s alternating theorem with c = 1
+        theorem = {
+            "a": 1,
+            "b": -1,
+            "c": 1,
+            "rhs_kind": "alternating",
+            "gfs": [
+                {"num": [1, 53, 9], "den": [1, -82, -82, 1]},
+                {"num": [2, -26, -12], "den": [1, -82, -82, 1]},
+                {"num": [2, 8, -10], "den": [1, -82, -82, 1]},
+            ],
+        }
+        return {**theorem, **changes}
 
     @staticmethod
     def _improper_theorem(k):
@@ -713,8 +732,9 @@ class TestCliCommands:
 
 
 class TestTheoremFromJsonCaps:
-    """The library parser holds verify's caps: it refuses what verify
-    refuses, with the message verify prints, and accepts what is at a cap."""
+    """The library parser holds verify's caps and schema: it refuses what
+    verify refuses, with the message verify prints, and accepts what is at a
+    cap."""
 
     CASES = [
         (TestCliCommands._improper_theorem(30), None),
@@ -735,6 +755,15 @@ class TestTheoremFromJsonCaps:
         (TestCliCommands._cancelling_theorem(True, "num"), "a coefficient is a bool, not an integer"),
         (TestCliCommands._cancelling_theorem(1.5, "den"), "a coefficient is a float, not an integer"),
         (TestCliCommands._cancelling_theorem("7", "num"), "a coefficient is a str, not an integer"),
+        (TestCliCommands._forged_theorem(), None),
+        (TestCliCommands._forged_theorem(rhs_kind="weird"), "bad rhs_kind"),
+        (TestCliCommands._forged_theorem(c=0), "right-hand constant must be nonzero"),
+        (
+            TestCliCommands._forged_theorem(
+                gfs=TestCliCommands._forged_theorem()["gfs"][:2] + [{"num": [0], "den": [1]}]
+            ),
+            "a sequence is identically zero",
+        ),
     ]
 
     def test_caps(self):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -7,19 +8,19 @@ from hypothesis import strategies as st
 from cubeforge import (
     MultiPoly,
     ParamQuadruple,
+    QuadForm,
     WeightedQuadruple,
     morph,
     search_quadruples,
     verify_param,
 )
-from cubeforge.cubic import _param_from_triples
 from cubeforge.errors import InvalidQuadruple
 from cubeforge.kernel import content_primitive
 from cubeforge.parsing import parse_poly
 
 
 def P(text):
-    return parse_poly(text, ("m", "n"))
+    return QuadForm.from_poly(parse_poly(text, ("m", "n")))
 
 
 CLASSIC = ParamQuadruple(
@@ -60,11 +61,24 @@ def naive_search(a, b, bound):
     return sols
 
 
+def expansion(pq):
+    """Independent oracle for verify_param: the full symbolic expansion of
+    a*P1^3 + a*P2^3 + b*P3^3 + b*P4^3 in MultiPoly arithmetic."""
+    total = MultiPoly.constant(0, ("m", "n"))
+    for weight, p in zip(pq.weights, pq.polys):
+        total = total + weight * p.to_poly() ** 3
+    return total
+
+
+def expansion_holds(pq):
+    return expansion(pq).is_zero
+
+
 def reference_morph(s):
-    """morph built with MultiPoly arithmetic and checked by verify_param:
-    the oracle for the coefficient-triple morph.  The degeneracies that
-    morph's docstring rules out for nontrivial seeds are asserted, so the
-    oracle checks that proof on every seed it sees."""
+    """morph built with MultiPoly arithmetic and checked by the full
+    expansion: the oracle for the coefficient-triple morph.  The
+    degeneracies that morph's docstring rules out for nontrivial seeds are
+    asserted, so the oracle checks that proof on every seed it sees."""
     a, b = s.a, s.b
     x, y, z, w = s.coords
     m = MultiPoly.variable("m", ("m", "n"))
@@ -80,33 +94,23 @@ def reference_morph(s):
     common = 0
     for p in polys:
         common = gcd(common, content_primitive(p)[0])
-    polys = [
-        MultiPoly(p.variables, {ev: coeff // common for ev, coeff in p.terms.items()})
+    forms = [
+        QuadForm.from_poly(
+            MultiPoly(p.variables, {ev: coeff // common for ev, coeff in p.terms.items()})
+        )
         for p in polys
     ]
-    pq = ParamQuadruple(a, b, *polys)
-    assert verify_param(pq)
+    pq = ParamQuadruple(a, b, *forms)
+    assert expansion_holds(pq)
     return pq
 
 
-QUADRATIC = ((2, 0), (1, 1), (0, 2))
-
-
 def _triples(pq):
-    return [[p.terms.get(ev, 0) for ev in QUADRATIC] for p in pq.polys]
+    return [[f.qa, f.qb, f.qc] for f in pq.polys]
 
 
 def _param(a, b, triples):
-    polys = [MultiPoly(("m", "n"), dict(zip(QUADRATIC, t))) for t in triples]
-    return ParamQuadruple(a, b, *polys)
-
-
-def _sextic_holds(a, b, triples):
-    try:
-        _param_from_triples(a, b, triples)
-    except AssertionError:
-        return False
-    return True
+    return ParamQuadruple(a, b, *(QuadForm(*t) for t in triples))
 
 
 SEEDS = [seed for a, b in ((1, 1), (1, -1), (2, 3), (3, -5)) for seed in search_quadruples(a, b, 8)]
@@ -215,11 +219,7 @@ class TestMorph:
             for seed in search_quadruples(a, b, 10):
                 pq = morph(seed)
                 assert verify_param(pq)
-                g = 0
-                for p in pq.polys:
-                    for c in p.terms.values():
-                        g = gcd(g, c)
-                assert g == 1
+                assert gcd(*(c for t in _triples(pq) for c in t)) == 1
 
 
     def test_matches_reference_on_sixty_pairs(self):
@@ -241,51 +241,66 @@ class TestMorph:
     def test_off_by_one_coefficient_fails(self):
         seed = WeightedQuadruple(1, 1, -9, 12, -10, 1)
         triples = _triples(morph(seed))
-        assert _sextic_holds(1, 1, triples)
+        assert verify_param(_param(1, 1, triples))
         for i in range(4):
             for j in range(3):
                 for delta in (1, -1):
                     broken = [list(t) for t in triples]
                     broken[i][j] += delta
-                    with pytest.raises(AssertionError):
-                        _param_from_triples(1, 1, broken)
+                    assert not verify_param(_param(1, 1, broken))
 
+
+class TestVerifyParam:
     @settings(max_examples=300, deadline=None)
     @given(
         st.sampled_from(SEEDS),
         st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(-2, 2)), max_size=2),
     )
-    def test_sextic_decides_like_verify_param_near_morphs(self, seed, nudges):
+    def test_decides_like_expansion_near_morphs(self, seed, nudges):
         triples = _triples(morph(seed))
         for i, j, delta in nudges:
             triples[i][j] += delta
-        assert _sextic_holds(seed.a, seed.b, triples) == verify_param(
-            _param(seed.a, seed.b, triples)
-        )
+        assume(all(any(t) for t in triples))
+        pq = _param(seed.a, seed.b, triples)
+        assert verify_param(pq) == expansion_holds(pq)
 
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(-5, 5).filter(bool),
         st.integers(-5, 5).filter(bool),
-        st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=4, max_size=4),
+        st.lists(
+            st.lists(st.integers(-3, 3), min_size=3, max_size=3).filter(any),
+            min_size=4,
+            max_size=4,
+        ),
     )
-    def test_sextic_decides_like_verify_param(self, a, b, triples):
-        assert _sextic_holds(a, b, triples) == verify_param(_param(a, b, triples))
+    def test_decides_like_expansion(self, a, b, triples):
+        pq = _param(a, b, triples)
+        assert verify_param(pq) == expansion_holds(pq)
 
+    # a = b = 1 quadruples whose sextic has the one term m^(6-k) n^k
+    @pytest.mark.parametrize(
+        "k, triples",
+        [
+            (0, [(-1, -1, 2), (-1, 1, 2), (0, 0, -2), (1, 0, -2)]),
+            (1, [(-1, -1, 0), (0, 1, 0), (0, 1, 0), (1, -1, 0)]),
+            (2, [(-1, -1, 0), (-1, 1, 0), (1, 0, 0), (1, 0, 0)]),
+            (3, [(-2, -2, -2), (0, -1, 0), (0, -1, 0), (2, 2, 2)]),
+            (4, [(-1, 0, -1), (-1, 0, 1), (1, 0, 0), (1, 0, 0)]),
+            (5, [(0, -1, -1), (0, -1, 1), (0, 1, 0), (0, 1, 0)]),
+            (6, [(-2, -1, 1), (-2, 1, 1), (2, 0, -1), (2, 0, 0)]),
+        ],
+    )
+    def test_every_coefficient_counts(self, k, triples):
+        pq = _param(1, 1, triples)
+        assert list(expansion(pq).terms) == [(6 - k, k)]
+        assert not verify_param(pq)
 
-class TestVerifyParam:
     def test_classic_quadruple(self):
         assert verify_param(CLASSIC)
 
     def test_perturbation_breaks_identity(self):
-        broken = ParamQuadruple(
-            1,
-            1,
-            CLASSIC.p1 + MultiPoly(("m", "n"), {(2, 0): 1}),
-            CLASSIC.p2,
-            CLASSIC.p3,
-            CLASSIC.p4,
-        )
+        broken = replace(CLASSIC, p1=replace(CLASSIC.p1, qa=CLASSIC.p1.qa + 1))
         assert not verify_param(broken)
 
     def test_morph_outputs_verify(self):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from cubeforge import (
     Certificate,
     CubicTheorem,
-    MultiPoly,
     RationalGF,
     certify_theorem,
     forge,
@@ -253,6 +252,19 @@ class TestForge:
         theorems = forge(1, -1, extra_seeds=[extra])
         assert all(certify_theorem(t).certified for t in theorems)
 
+    def test_extra_seed_outside_the_search_box(self):
+        # (-2, 4, -1, -3) lies beyond search_bound 3, which finds only
+        # (1, 1, 0, -1): the extra seed is appended and forged too
+        from cubeforge import WeightedQuadruple
+
+        assert len(forge(1, 2, search_bound=3, max_theorems=100)) == 2
+        extra = WeightedQuadruple(1, 2, -2, 4, -1, -3)
+        theorems = forge(1, 2, search_bound=3, max_theorems=100, extra_seeds=[extra])
+        assert len(theorems) == 4
+        seeds = [t.provenance["seed"] for t in theorems]
+        assert seeds.count([-2, 4, -1, -3]) == 2
+        assert all(t.certificate.certified for t in theorems)
+
     def test_sequences_never_identically_zero(self):
         for thm in forge(1, 1):
             for seq in thm.sequences(12):
@@ -280,7 +292,7 @@ class TestForge:
         assert lines == [f"certified, depth {item['certified_depth']}" for item in payload]
 
 
-def reference_value_gfs(polys, gf_m, gf_n):
+def reference_value_gfs(forms, gf_m, gf_n):
     """The reconstruction by guessing that forge used before the symmetric
     square: expand 2*(C(r+1, 2) + 1) + 6 terms of the orbit, evaluate the
     quadratics there and guess each value sequence with seq_from_terms up to
@@ -290,14 +302,10 @@ def reference_value_gfs(polys, gf_m, gf_n):
     count = 2 * order_cap + 6
     ms = taylor_coefficients(gf_m, count)
     ns = taylor_coefficients(gf_n, count)
-    seqs = [[p.evaluate({"m": mv, "n": nv}) for mv, nv in zip(ms, ns)] for p in polys]
+    seqs = [[f.value(mv, nv) for mv, nv in zip(ms, ns)] for f in forms]
     if any(all(v == 0 for v in s) for s in seqs):
         return None
     return [seq_from_terms(s, order_cap) for s in seqs]
-
-
-def quadratic(qa, qb, qc):
-    return MultiPoly(("m", "n"), {(2, 0): qa, (1, 1): qb, (0, 2): qc})
 
 
 # factors of orbit denominators, each with constant term 1: roots 1, -1, 2,
@@ -329,7 +337,7 @@ def orbit_pairs(draw):
     return gf_m, gf_n
 
 
-forms = st.builds(quadratic, *[st.integers(-4, 4)] * 3)
+forms = st.tuples(*[st.integers(-4, 4)] * 3).filter(any).map(lambda t: QuadForm(*t))
 
 
 @functools.cache
@@ -348,18 +356,18 @@ def solved_small_orbits():
 
 class TestValueGFs:
     # examples: (1-t)^2, (1+t)^2(1-3t+t^2), roots 1 and -1 with n = 0 and
-    # n = 2m, and a quadratic that is zero
+    # n = 2m, and m^2 - mn, which is zero along n = m
     @settings(max_examples=300, deadline=None)
     @given(orbit_pairs(), st.lists(forms, min_size=1, max_size=3))
     @example((RationalGF((1, 0), (1, -2, 1)), RationalGF((0, 1), (1, -2, 1))),
-             [quadratic(1, 0, 0), quadratic(0, 1, 0), quadratic(2, -3, 1)])
+             [QuadForm(1, 0, 0), QuadForm(0, 1, 0), QuadForm(2, -3, 1)])
     @example((RationalGF((1, 0, 0, 0), (1, -1, -4, -1, 1)),
               RationalGF((0, 1, 0, 0), (1, -1, -4, -1, 1))),
-             [quadratic(1, 0, -1), quadratic(3, 1, 2)])
-    @example((RationalGF((1,), (1, -1)), RationalGF((0,), (1, -1))), [quadratic(1, 0, 0)])
-    @example((RationalGF((1,), (1, 1)), RationalGF((2,), (1, 1))), [quadratic(1, 1, -1)])
-    @example((RationalGF((1, -3), (1, -6, 1)), RationalGF((0, 2), (1, -6, 1))),
-             [quadratic(1, 0, 1), quadratic(0, 0, 0)])
+             [QuadForm(1, 0, -1), QuadForm(3, 1, 2)])
+    @example((RationalGF((1,), (1, -1)), RationalGF((0,), (1, -1))), [QuadForm(1, 0, 0)])
+    @example((RationalGF((1,), (1, 1)), RationalGF((2,), (1, 1))), [QuadForm(1, 1, -1)])
+    @example((RationalGF((1, -3), (1, -6, 1)), RationalGF((1, -3), (1, -6, 1))),
+             [QuadForm(1, 0, 1), QuadForm(1, -1, 0)])
     def test_matches_the_guess(self, pair, polys):
         assert _value_gfs(polys, *pair) == reference_value_gfs(polys, *pair)
 
@@ -369,14 +377,14 @@ class TestValueGFs:
         # n = k*m makes (k*m - n)(x*m + y*n) vanish along the whole orbit
         gf_m, _ = pair
         gf_n = RationalGF([k * c for c in gf_m.num], gf_m.den)
-        assume(gf_n.den == gf_m.den)
-        vanishing = MultiPoly(("m", "n"), {(2, 0): k * x, (1, 1): k * y - x, (0, 2): -y})
-        polys = [quadratic(1, 0, 1), vanishing]
+        assume(gf_n.den == gf_m.den and (x, y) != (0, 0))
+        vanishing = QuadForm(k * x, k * y - x, -y)
+        polys = [QuadForm(1, 0, 1), vanishing]
         assert _value_gfs(polys, gf_m, gf_n) is None
         assert reference_value_gfs(polys, gf_m, gf_n) is None
 
     @settings(max_examples=300, deadline=None)
-    @given(st.data(), forms.filter(lambda p: not p.is_zero))
+    @given(st.data(), forms)
     def test_solved_orbit_values_never_vanish(self, data, poly):
         # _build_theorem's proof: the orbit holds three points of |Q| = |e|
         # on three distinct lines through the origin, and a nonzero
@@ -414,7 +422,7 @@ class TestValueGFs:
         # value sequence can need the whole symmetric square: degree 6 = rho
         den = (1, -1, -1, -1)
         gf_m, gf_n = RationalGF((1,), den), RationalGF((0, 1, 1), den)
-        polys = [quadratic(1, 0, 0), quadratic(1, 1, 0), quadratic(2, -1, 3)]
+        polys = [QuadForm(1, 0, 0), QuadForm(1, 1, 0), QuadForm(2, -1, 3)]
         gfs = _value_gfs(polys, gf_m, gf_n)
         assert [len(g.den) - 1 for g in gfs] == [6, 6, 6]
         assert all(g.den == _symmetric_square(den) for g in gfs)

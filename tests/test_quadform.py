@@ -193,6 +193,16 @@ class TestQuadForm:
         with pytest.raises(InvalidForm):
             QuadForm.from_poly(parse_poly("m^2 + 1", ("m", "n")))
 
+    def test_from_poly_reads_variables_by_name(self):
+        # exponents follow the names m and n, not the positions of the
+        # polynomial's variables
+        f = QuadForm.from_poly(parse_poly("n^2 - 2*m^2", ("n", "m")))
+        assert (f.qa, f.qb, f.qc) == (-2, 0, 1)
+
+    def test_from_poly_rejects_other_variables(self):
+        with pytest.raises(InvalidForm):
+            QuadForm.from_poly(parse_poly("x^2 + 3*x*y", ("x", "y")))
+
     def test_all_zero_rejected(self):
         with pytest.raises(InvalidForm):
             QuadForm(0, 0, 0)
@@ -355,7 +365,7 @@ def _forge_forms():
     forms = set()
     for a, b in FORGE_WEIGHTS:
         for seed in search_quadruples(a, b, 12):
-            forms.update(QuadForm.from_poly(poly) for poly in morph(seed).polys)
+            forms.update(morph(seed).polys)
     return sorted(forms, key=lambda f: (f.qa, f.qb, f.qc))
 
 
