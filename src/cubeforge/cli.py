@@ -33,7 +33,7 @@ from .errors import (
     SingularSubstitution,
 )
 from .cfinite import check_digits, read_gfs
-from .forge import forge, render, theorem_from_json, theorem_to_json
+from .forge import forge, json_text, render, theorem_from_json, theorem_to_json
 from .parsing import parse_poly
 from .quadform import QuadForm, sol_quad
 
@@ -157,7 +157,7 @@ def _cmd_forge(args) -> int:
         print("NoTheorem: every pipeline branch failed", file=sys.stderr)
         return EXIT_EMPTY
     if args.format == "json":
-        print(json.dumps([theorem_to_json(t) for t in theorems], indent=2, sort_keys=True))
+        print(json_text([theorem_to_json(t) for t in theorems]))
     else:
         print(
             "\n\n".join(render(t, args.format) for t in theorems)
@@ -171,7 +171,7 @@ def _cmd_pell(args) -> int:
     orbit = sol_quad(form, bound=args.bound, target_cap=args.target_cap)
     payload = {"form": str(form)}
     payload.update(orbit.to_json())
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json_text(payload))
     return EXIT_OK
 
 
@@ -201,7 +201,7 @@ def _cmd_findform(args) -> int:
         )
     gfs = read_gfs(_split_gf(text) for text in args.gf)
     result = find_form(gfs, args.degree, args.target)
-    print(json.dumps(result.to_json(), indent=2, sort_keys=True))
+    print(json_text(result.to_json()))
     return EXIT_OK
 
 

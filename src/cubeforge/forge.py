@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 
 from .cfinite import (
     Certificate,
@@ -335,10 +336,46 @@ def _latex_term(w: int, body: str, first: bool) -> str:
     return f" {'-' if w < 0 else '+'} {coeff}{body}"
 
 
+def json_text(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, the text of every JSON
+    result the CLI prints.  With ``indent`` set, CPython encodes in pure
+    Python; this writer builds the same text directly for dicts with str
+    keys, lists, tuples, str and int, and hands any other scalar (bool and
+    None among them) to ``json.dumps``, which writes it the same way with
+    or without ``indent``.  A key that is not a str raises TypeError."""
+    return _json(value, "\n")
+
+
+def _json(value, newline: str) -> str:
+    # newline: the line break and indent before a closing bracket
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        parts = [int.__repr__(v) if type(v) is int else _json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = []
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object key {key!r} is not a str")
+            items.append(encode_basestring_ascii(key) + ": " + _json(value[key], inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(value)
+
+
 def render(thm: CubicTheorem, fmt: str = "text") -> str:
     """Render a theorem as plain text, LaTeX, or the interchange JSON."""
     if fmt == "json":
-        return json.dumps(theorem_to_json(thm), indent=2, sort_keys=True)
+        return json_text(theorem_to_json(thm))
     cert = thm.certificate
     if fmt == "text":
         rhs_val = str(thm.c) if thm.rhs_kind == "constant" else f"{thm.c}*(-1)^n"

@@ -15,7 +15,9 @@ substitution run on packed monomials (see ``_Packing``): each exponent
 vector becomes one int, so that a monomial product is one int addition and
 the graded-lex comparison is an int comparison.  A determinant is taken by
 fraction-free elimination on integer pivots followed by expansion by minors
-of the trailing block (see ``resultant``); substitution is nested Horner.
+of the trailing block (see ``resultant``).  Substitution is nested Horner
+in every variable but the last, whose level adds scalar multiples of cached
+powers of its image (see ``_horner``).
 """
 
 from __future__ import annotations
@@ -129,8 +131,9 @@ class MultiPoly:
         return tuple(v for v, u in zip(self.variables, used) if u)
 
     def restricted(self, variables: Iterable[str]) -> "MultiPoly":
-        """Re-express over ``variables``.  Every dropped variable must have
-        exponent zero throughout."""
+        """Re-express over ``variables``, distinct variables of this
+        polynomial.  Every dropped variable must have exponent zero
+        throughout."""
         vs = tuple(variables)
         idx = []
         for v in vs:
@@ -143,7 +146,9 @@ class MultiPoly:
             if any(e and i not in keep for i, e in enumerate(ev)):
                 raise ValueError("polynomial involves a dropped variable")
             terms[tuple(ev[i] for i in idx)] = c
-        return MultiPoly(vs, terms)
+        if len(keep) != len(vs):
+            raise ValueError(f"duplicate variable in {vs!r}")
+        return MultiPoly._make(vs, terms)
 
     # --- equality / hashing across variable contexts ---
 
@@ -160,10 +165,7 @@ class MultiPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            return self.is_constant() and (
-                (not self.terms and other == 0)
-                or (self.terms and self.constant_value() == other)
-            )
+            return self.is_constant() and self.constant_value() == other
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self._canonical_key() == other._canonical_key()
@@ -293,7 +295,7 @@ class MultiPoly:
         for ev, c in self.terms.items():
             rest = ev[:i] + (0,) + ev[i + 1:]
             buckets[ev[i]][rest] = c
-        return [MultiPoly(self.variables, b) for b in buckets]
+        return [MultiPoly._make(self.variables, b) for b in buckets]
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.terms.items(), key=lambda kv: _monomial_key(kv[0]), reverse=True)
@@ -451,21 +453,50 @@ def _horner(
     terms: list[tuple[tuple[int, ...], int]], i: int, powers: list[list[dict[int, int]]]
 ) -> dict[int, int]:
     """Sum over the terms (ev, c) of c times the product of the packed
-    images X_j**ev[j] for j >= i, nested Horner in X_i, X_i+1, ...: with
+    images X_j**ev[j] for j >= i.  ``powers[j][d]`` is X_j**d, extended as
+    needed.
+
+    Every level but the last is nested Horner in its X_i: with
     e_1 > ... > e_r the exponents of X_i and H_k the inner sum of the
     terms with exponent e_k, the sum is
     (...(H_1 X_i**(e_1 - e_2) + H_2) X_i**(e_2 - e_3) + ... + H_r) X_i**e_r.
     Each partial result is a sum of images of terms divided by a power of
     X_i, so no product has a larger degree than the largest image of a term,
-    the bound ``substitute`` packs for.  ``powers[j][d]`` is X_j**d,
-    extended as needed."""
+    the bound ``substitute`` packs for.
+
+    At the last level each H_k is a scalar c_k, and the level returns
+    c_1 X**e_1 + ... + c_r X**e_r directly, adding a scalar multiple of
+    each cached power into one dict.  Packing bound: with w the degree of
+    X, X**e has degree w e, at most the weighted degree of its own term, so
+    neither it nor a table entry below it leaves the bound.  Cost: the
+    level forms no polynomial product.  A term with e > 0 costs |X**e|
+    scalar multiply-adds, and one with e = 0 an addition, as in Horner, so
+    one term costs what Horner's last step, c X**e, costs.  With more
+    terms, let e_s be the least positive exponent: Horner's product A X**e_s,
+    A = sum over e_k >= e_s of c_k X**(e_k - e_s), alone forms
+    |A| |X**e_s| products.  When distinct powers of X share no monomial, as
+    for a homogeneous X (the linear images of ``twist_no_solution``),
+    nothing in A cancels, |A| is the sum of the |X**(e_k - e_s)|, and
+    X**e_k = X**(e_k - e_s) X**e_s has at most |X**(e_k - e_s)| |X**e_s|
+    monomials, so that one product forms at least the products of this
+    level.  When the powers share monomials (X with a constant term) the
+    count is not bounded term by term: Horner's partial sums can cancel, as
+    (1 + y)**2 - 2 (1 + y) + 1 = y**2 does, and Horner then forms fewer.
+    The power table is shared by every call at this level, so its
+    extension is not counted per term."""
     if i == len(powers):
         return {0: c for _, c in terms}
+    table = powers[i]
+    acc: dict[int, int] = {}
+    if i == len(powers) - 1:
+        get = acc.get
+        for ev, c in terms:
+            for m, pc in _power(table, ev[i]).items():
+                acc[m] = get(m, 0) + c * pc
+        return acc
     groups: dict[int, list] = {}
     for term in terms:
         groups.setdefault(term[0][i], []).append(term)
-    table = powers[i]
-    acc: dict[int, int] = {}
     last = 0
     for e in sorted(groups, reverse=True):
         if acc:
@@ -496,7 +527,7 @@ def content_primitive(p: MultiPoly) -> tuple[int, MultiPoly]:
     g = 0
     for c in p.terms.values():
         g = gcd(g, c)
-    prim = MultiPoly(p.variables, {ev: c // g for ev, c in p.terms.items()})
+    prim = MultiPoly._make(p.variables, {ev: c // g for ev, c in p.terms.items()})
     return g, prim
 
 
@@ -574,11 +605,9 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     if dp == 0 or dq == 0:
         raise DegenerateInput(f"both polynomials must have positive degree in {var!r}")
     vs, a, b = p._aligned(q)
-    p = MultiPoly(vs, a)
-    q = MultiPoly(vs, b)
-    cp = p.coefficients_in(var)
-    cq = q.coefficients_in(var)
-    zero = MultiPoly(vs, {})
+    cp = MultiPoly._make(vs, a).coefficients_in(var)
+    cq = MultiPoly._make(vs, b).coefficients_in(var)
+    zero = MultiPoly._make(vs, {})
     n = dp + dq
     rows: list[list[MultiPoly]] = []
     desc_p = list(reversed(cp))

@@ -25,7 +25,7 @@ from cubeforge import cli
 from cubeforge.cfinite import _mul, _symmetric_square, read_gfs
 from cubeforge.cubic import search_quadruples
 from cubeforge.errors import DefiniteForm, EmptySeedSet, MalformedTheorem, NoOrbitFound
-from cubeforge.forge import _value_gfs
+from cubeforge.forge import _value_gfs, json_text
 from cubeforge.quadform import QuadForm, sol_quad
 
 
@@ -452,3 +452,49 @@ class TestLatexWeights:
     def test_forged_negative_weight(self):
         latex = "\n".join(render(t, "latex") for t in forge(1, -1))
         assert r"A_n^3 + B_n^3 - C_n^3 &=" in latex and "+ -" not in latex
+
+
+# JSON values the CLI can print: str keys, lists and tuples, str with
+# non-ASCII text, quotes, backslashes and control characters, ints of both
+# signs, and bools and None, also inside int lists
+_json_text_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.text(),
+    st.text(alphabet='"\\/\x00\x1f\x7f\n\t\u00e9\u20ac\U0001f600a'),
+)
+_json_text_values = st.recursive(
+    _json_text_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(st.one_of(st.integers(), st.booleans()), max_size=5),
+        st.dictionaries(st.text(), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestJsonText:
+    @settings(deadline=None)
+    @given(_json_text_values)
+    @example([])
+    @example({})
+    @example({"a": [], "b": {}, "c": ()})
+    @example([1, True, -2, False, None])
+    @example({"\u00e9\"\x01": "\U0001f600\\\n"})
+    def test_matches_json_dumps(self, value):
+        assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_other_scalars_fall_back_to_json_dumps(self):
+        value = {"x": [1.5, float("inf")]}
+        assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_non_str_key_is_refused(self):
+        with pytest.raises(TypeError):
+            json_text({"a": {1: 2}})
+
+    def test_forge_output_is_json_dumps(self):
+        value = [theorem_to_json(t) for t in forge(1, 2)]
+        assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)

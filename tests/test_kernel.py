@@ -473,7 +473,7 @@ class TestMultiPoly:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_substitute_matches_per_term_reference(self, data):
-        # nested Horner gives the same polynomial over the same variables as
+        # substitution gives the same polynomial over the same variables as
         # the per-term product of power tables, for any mix of images
         p = data.draw(polys(("x", "y", "z"), data.draw(st.integers(0, 4)), max_terms=8))
         names = data.draw(st.sampled_from([("x", "y", "z"), ("x", "z"), ("y",), ()]))
@@ -491,6 +491,77 @@ class TestMultiPoly:
         assert got.variables == want.variables
         assert got.terms == want.terms
         assert str(got) == str(want)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_last_variable_level_matches_reference(self, data):
+        # the last variable's level sums c * Z**e from the power table: up to
+        # three monomials in x, y, each with up to nine exponents of z, and
+        # z's image dense, the int 0, another int, a variable, or z itself
+        terms = {}
+        outer = st.tuples(st.integers(0, 2), st.integers(0, 2))
+        for a, b in data.draw(st.lists(outer, min_size=1, max_size=3, unique=True)):
+            for e in data.draw(st.sets(st.integers(0, 8), min_size=1, max_size=9)):
+                terms[a, b, e] = data.draw(st.integers(-5, 5).filter(bool))
+        p = MultiPoly(("x", "y", "z"), terms)
+        values = {}
+        kind = data.draw(st.sampled_from(["dense", "zero", "int", "variable", "self"]))
+        if kind == "dense":
+            degree = data.draw(st.integers(1, 3))
+            values["z"] = MultiPoly(("m", "n"), {
+                (a, b): data.draw(st.integers(-3, 3).filter(bool))
+                for a in range(degree + 1) for b in range(degree + 1 - a)
+            })
+        elif kind == "zero":
+            values["z"] = 0
+        elif kind == "int":
+            values["z"] = data.draw(st.integers(-3, 3).filter(bool))
+        elif kind == "variable":
+            values["z"] = MultiPoly.variable(data.draw(st.sampled_from(("x", "n"))))
+        for v in data.draw(st.sampled_from([(), ("x",), ("x", "y")])):
+            values[v] = data.draw(polys(("m", "n"), data.draw(st.integers(0, 2))))
+        got = p.substitute(values)
+        want = reference_substitute(p, values)
+        assert got.variables == want.variables
+        assert got.terms == want.terms
+
+    def test_last_variable_top_power_at_the_packing_bound(self):
+        # z**5 under a degree-3 image has degree 15, the largest weighted
+        # degree of a term, so substitute packs for exactly 15 = 2**4 - 1:
+        # the top power fills every value bit of its fields
+        z = P("m^3 + n^3 + m + n + 1")
+        p = MultiPoly(("x", "y", "z"), {(0, 0, 5): 1, (1, 1, 1): -2, (0, 1, 3): 3, (0, 0, 0): 7})
+        values = {"x": P("m"), "y": P("n - 1"), "z": z}
+        got = p.substitute(values)
+        assert _Packing(2, 15).mask == 15
+        assert got.total_degree() == 15
+        assert got.terms == reference_substitute(p, values).terms
+        assert got == z**5 - 2 * P("m") * P("n - 1") * z + 3 * P("n - 1") * z**3 + 7
+        for point in ({"m": 2, "n": -3}, {"m": -1, "n": 4}):
+            vals = {v: q.evaluate(point) for v, q in values.items()}
+            assert got.evaluate(point) == p.evaluate(vals)
+
+    def test_equality_with_int_is_a_bool(self):
+        zero = MultiPoly(("m",), {})
+        assert (zero == 5) is False
+        assert (zero == 0) is True
+        assert (P("m + 1") == 1) is False
+        assert (P("3", ("m",)) == 3) is True
+
+    def test_restricted_refuses_a_duplicate_variable(self):
+        p = MultiPoly(("x", "y"), {(2, 0): 1})
+        with pytest.raises(ValueError, match=r"^duplicate variable in \('x', 'x'\)$"):
+            p.restricted(("x", "x"))
+
+    def test_restricted_refuses_an_unknown_variable(self):
+        p = MultiPoly(("x", "y"), {(2, 0): 1})
+        with pytest.raises(ValueError, match=r"^'w' is not a variable of this polynomial$"):
+            p.restricted(("x", "w"))
+
+    def test_restricted_refuses_a_dropped_variable(self):
+        p = MultiPoly(("x", "y"), {(2, 1): 1})
+        with pytest.raises(ValueError, match=r"^polynomial involves a dropped variable$"):
+            p.restricted(("x",))
 
     def test_substitute_dense_implicit_check(self):
         # the vanishing check of an eliminate input with constant terms, and
