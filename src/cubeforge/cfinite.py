@@ -7,10 +7,13 @@ reader of serialized generating functions ``read_gfs`` with the caps that
 bound their certification, and finite-check certification: a polynomial
 identity among C-finite sequences that holds for enough initial indices
 holds for all of them, because the left side is itself C-finite of bounded
-order.  The pipeline builds its denominators (quadform._unit_recurrence,
-forge._value_gfs); guessing a recurrence from data,
-``joint_guess_recurrence`` and ``seq_from_terms``, is kept for library
-callers.
+order.  The normal form tests coprimality mod a prime before it takes a
+polynomial gcd (``_coprime_mod_p``), and the finite check compiles its
+expression once into a term plan that it evaluates on the expanding series
+(``certify_zero``).  The pipeline builds its denominators
+(quadform._unit_recurrence, forge._value_gfs); guessing a recurrence from
+data, ``joint_guess_recurrence`` and ``seq_from_terms``, is kept for
+library callers.
 """
 
 from __future__ import annotations
@@ -101,6 +104,43 @@ def _poly_gcd(a: Coeffs, b: Coeffs) -> Coeffs:
     return _primitive(x) if x else ()
 
 
+# The prime of the coprimality pre-test: its remainders stay below 2^61
+# whatever the digits of the input.
+_PRIME = (1 << 61) - 1
+
+
+def _coprime_mod_p(num: Coeffs, den: Coeffs) -> bool:
+    """True when Euclid mod _PRIME proves num and den (nonzero, trimmed)
+    coprime over the rationals; False when it cannot tell.
+
+    It needs p = _PRIME not to divide lc(den), and stops as soon as a
+    remainder is a nonzero constant.  Proof.  Let g be a primitive common
+    factor of num and den in Z[t].  Then g divides den in Z[t] (Gauss's
+    lemma), so lc(g) divides lc(den) and p does not divide lc(g).  So g mod
+    p keeps the degree of g and divides both reductions mod p; when Euclid
+    ends at a nonzero constant their gcd mod p is 1, so deg g = 0."""
+    p = _PRIME
+    if not den[-1] % p:
+        return False
+    # the inputs stay unreduced: each remainder is reduced as it is built
+    x, y = den, list(num)
+    while y and not y[-1] % p:
+        y.pop()
+    while y:
+        if len(y) == 1:
+            return True
+        # a pseudo-remainder of x by y mod p: a unit multiple of x mod y,
+        # without the modular inverse that costs more than the whole step
+        r, h = x, y[-1]
+        while len(r) >= len(y):
+            f, k = r[-1], len(r) - len(y)
+            r = [h * u % p for u in r[:k]] + [(h * u - f * v) % p for u, v in zip(r[k:], y)]
+            while r and not r[-1]:
+                r.pop()
+        x, y = y, r
+    return len(x) == 1
+
+
 def _poly_lcm(a: Coeffs, b: Coeffs) -> Coeffs:
     # the gcd is primitive, so by Gauss's lemma a / gcd is integral
     return _mul(_exact_quo(_trim(a), _poly_gcd(a, b)), _trim(b))
@@ -115,6 +155,14 @@ class RationalGF:
     A zero numerator takes the denominator (1,), as gcd(0, den) = den.
     This normal form is unique, and it is computed without Fractions for
     integer input.
+
+    Most pairs are coprime, so Euclid mod the prime p = 2^61 - 1
+    (_coprime_mod_p) runs first, and the primitive pseudo-remainder gcd only
+    when it cannot tell.  It proves coprimality when p does not divide
+    lc(den) and a remainder reaches a nonzero constant: a primitive common
+    factor g divides den in Z[t], so lc(g) divides lc(den) and p does not
+    divide lc(g); then g mod p keeps its degree and divides both
+    reductions, whose gcd mod p is 1, so deg g = 0.
     """
 
     __slots__ = ("num", "den")
@@ -127,7 +175,7 @@ class RationalGF:
             raise PoleAtOrigin("denominator vanishes at the origin")
         if not num_t:
             den_t = (1,)  # the zero sequence
-        else:
+        elif not _coprime_mod_p(num_t, den_t):
             g = _poly_gcd(num_t, den_t)
             if len(g) > 1:
                 num_t, den_t = _exact_quo(num_t, g), _exact_quo(den_t, g)
@@ -425,17 +473,34 @@ def certify_zero(expr: MultiPoly, seqs: Mapping[str, RationalGF]) -> Certificate
     n < certificate_bound(expr, seqs), which carries the proof.
 
     SIGN_SYMBOL always stands for (-1)^n, in any power and any term: binding
-    a sequence to it raises ValueError.  The sequences are expanded while the
-    identity is checked, so a refuted identity stops at its first nonzero
-    value, the witness.
+    a sequence to it raises ValueError.  The expression is compiled once
+    into a term plan: per term its coefficient, its (sequence slot,
+    exponent) pairs and the parity of its SIGN_SYMBOL exponent, which fixes
+    its sign at even and at odd n.  The sequences are expanded while the
+    plan is evaluated on them, so a refuted identity stops at its first
+    nonzero value, the witness.
     """
     if SIGN_SYMBOL in seqs:
         raise ValueError(f"{SIGN_SYMBOL!r} stands for (-1)^n and cannot be bound")
     bound = certificate_bound(expr, seqs)
-    series = {v: taylor_series(seqs[v]) for v in expr.used_variables() if v != SIGN_SYMBOL}
+    names = [v for v in expr.used_variables() if v != SIGN_SYMBOL]
+    # (place in an exponent vector, sequence slot) of each used sequence
+    places = [(expr.variables.index(v), i) for i, v in enumerate(names)]
+    sign = expr.variables.index(SIGN_SYMBOL) if SIGN_SYMBOL in expr.variables else None
+    # the plan, once with each term's sign at even n and once at odd n
+    even, odd = [], []
+    for ev, c in expr.terms.items():
+        factors = [(i, ev[k]) for k, i in places if ev[k]]
+        even.append((c, factors))
+        odd.append((-c if sign is not None and ev[sign] % 2 else c, factors))
+    series = [taylor_series(seqs[v]) for v in names]
     for n in range(bound):
-        env = {name: next(values) for name, values in series.items()}
-        env[SIGN_SYMBOL] = -1 if n % 2 else 1
-        if expr.evaluate(env) != 0:
+        values = list(map(next, series))
+        total = 0
+        for c, factors in odd if n & 1 else even:
+            for i, e in factors:
+                c *= values[i] ** e
+            total += c
+        if total:
             return Certificate(bound=bound, witness=n)
     return Certificate(bound=bound)

@@ -16,17 +16,18 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .cfinite import (
+    SIGN_SYMBOL,
     Certificate,
     RationalGF,
     _symmetric_square,
     certify_zero,
     gf_from_den,
     read_gfs,
-    rhs_poly,
     taylor_coefficients,
 )
 from .cubic import WeightedQuadruple, morph, search_quadruples
@@ -111,11 +112,22 @@ def theorem_from_json(data) -> CubicTheorem:
     return _certified_theorem(a, b, c, kind, gfs, provenance)
 
 
+class _Statement(NamedTuple):
+    """A theorem's statement without its certificate, as certify_theorem
+    reads it."""
+
+    a: int
+    b: int
+    c: int
+    rhs_kind: str
+    gfs: tuple[RationalGF, RationalGF, RationalGF]
+
+
 def _certified_theorem(a, b, c, rhs_kind, gfs, provenance) -> CubicTheorem:
     """The one constructor of CubicTheorem in this package: the certificate
     is always certify_theorem on the theorem's own generating functions."""
-    thm = CubicTheorem(a, b, c, rhs_kind, *gfs, certificate=None, provenance=provenance)
-    return replace(thm, certificate=certify_theorem(thm))
+    cert = certify_theorem(_Statement(a, b, c, rhs_kind, tuple(gfs)))
+    return CubicTheorem(a, b, c, rhs_kind, *gfs, certificate=cert, provenance=provenance)
 
 
 def certify_theorem(thm: CubicTheorem) -> Certificate:
@@ -123,11 +135,16 @@ def certify_theorem(thm: CubicTheorem) -> Certificate:
     on a*A^3 + a*B^3 + b*C^3 - c*(+-1)^n, whose support is one degree-3 pair
     and one degree-0 pair, so with r the degree of the lcm of the three
     denominators and s the largest preperiod it checks
-    n < s + C(r+2, 3) + 1."""
-    cubic = MultiPoly(
-        ("A", "B", "C"), {(3, 0, 0): thm.a, (0, 3, 0): thm.a, (0, 0, 3): thm.b}
-    )
-    expr = cubic - rhs_poly(thm.c, thm.rhs_kind)
+    n < s + C(r+2, 3) + 1.  Only a, b, c, rhs_kind and gfs of ``thm`` are
+    read."""
+    sign = 1 if thm.rhs_kind == "alternating" else 0
+    terms = {
+        (3, 0, 0, 0): thm.a,
+        (0, 3, 0, 0): thm.a,
+        (0, 0, 3, 0): thm.b,
+        (0, 0, 0, sign): -thm.c,
+    }
+    expr = MultiPoly._make(("A", "B", "C", SIGN_SYMBOL), {ev: w for ev, w in terms.items() if w})
     return certify_zero(expr, dict(zip("ABC", thm.gfs)))
 
 

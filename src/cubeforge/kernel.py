@@ -171,6 +171,9 @@ class MultiPoly:
         return self._canonical_key() == other._canonical_key()
 
     def __hash__(self) -> int:
+        # a polynomial equal to an int hashes like it
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash(self._canonical_key())
 
     # --- arithmetic ---

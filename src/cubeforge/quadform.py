@@ -993,7 +993,9 @@ def sol_quad(
     the winning class, a constant-kind orbit beats an alternating one;
     remaining ties go to the earliest ladder position.  So the ladder stops
     at its first certified constant candidate, and runs to its end only
-    when no constant one certifies.
+    when no constant one certifies; once it holds an alternating orbit, it
+    skips the candidates whose values are not all equal, as only constant
+    values give a constant orbit (_value_pattern).
 
     The sweep runs on two kinds of form only, and only when a candidate
     that passes the read-off fits the box of M, the largest first
@@ -1102,6 +1104,8 @@ def sol_quad(
         for sols in _by_magnitude(form, kind, bound, target_cap):
             alternating = None
             for cand in _ladder(sols):
+                if alternating is not None and any(v != cand[0][2] for _, _, v in cand):
+                    continue  # only a constant candidate can replace it
                 orbit = _orbit_from_solutions(form, cand)
                 if orbit is None:
                     continue

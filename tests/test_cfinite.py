@@ -5,7 +5,7 @@ from itertools import accumulate
 from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from cubeforge import (
@@ -184,7 +184,23 @@ def _multisets(r, d):
     return ways[d]
 
 
+def reference_certify_zero(expr, seqs):
+    """The finite check as it was before the term plan: at each n, an env
+    of the expanded values and (-1)^n, and MultiPoly.evaluate on it."""
+    if SIGN_SYMBOL in seqs:
+        raise ValueError(f"{SIGN_SYMBOL!r} stands for (-1)^n and cannot be bound")
+    bound = certificate_bound(expr, seqs)
+    series = {v: taylor_series(seqs[v]) for v in expr.used_variables() if v != SIGN_SYMBOL}
+    for n in range(bound):
+        env = {name: next(values) for name, values in series.items()}
+        env[SIGN_SYMBOL] = -1 if n % 2 else 1
+        if expr.evaluate(env) != 0:
+            return Certificate(bound=bound, witness=n)
+    return Certificate(bound=bound)
+
+
 small = st.integers(-9, 9)
+nonzero_small = st.integers(1, 9) | st.integers(-9, -1)
 polys = st.lists(small, min_size=0, max_size=5)
 nonzero_polys = polys.filter(any)
 
@@ -294,6 +310,85 @@ class TestIntegerLayerOracle:
         b = tuple(rng.randint(1, 9) for _ in range(13))
         assert cfinite._poly_gcd(a, b) == reference_poly_gcd(a, b) == (1,)
         assert max(sizes) < 200
+
+
+_P = (1 << 61) - 1  # the prime of the coprimality pre-test
+
+
+class TestCoprimePretest:
+    """RationalGF runs Euclid mod p = 2^61 - 1 first and skips the
+    primitive gcd only when that proves num and den coprime; each edge of
+    the proof gives the normal form of the Fraction oracle."""
+
+    def _check(self, num, den, proved):
+        assert cfinite._coprime_mod_p(_trim(num), _trim(den)) is proved
+        g = RationalGF(num, den)
+        assert (g.num, g.den) == reference_normal_form(num, den)
+        return g
+
+    def test_prime_divides_the_leading_denominator_coefficient(self):
+        # (1 + p t) divides both; mod p the numerator is the constant 1 and
+        # den drops a degree, so without the p-does-not-divide-lc(den) test
+        # Euclid would call the pair coprime
+        g = self._check((1, _P), _mul((1, _P), (1, -1)), False)
+        assert (g.num, g.den) == ((1,), (1, -1))
+
+    @pytest.mark.parametrize(
+        "num, den, proved",
+        [
+            ((_P, 2 * _P), (1, 3), False),  # coprime, found by the fallback
+            ((_P, 3 * _P), _mul((1, 3), (1, -1)), False),  # a shared 1 + 3t
+            ((_P, 2 * _P), (5,), True),  # a constant den is coprime to all
+        ],
+    )
+    def test_numerator_divisible_by_the_prime(self, num, den, proved):
+        self._check(num, den, proved)
+
+    def test_common_factor_mod_p_only(self):
+        # 1 + t and 1 + (1 + p) t are coprime over Q and equal mod p: the
+        # pre-test cannot tell, and the PRS still finds the gcd 1
+        g = self._check((1, 1), (1, 1 + _P), False)
+        assert cfinite._poly_gcd((1, 1), (1, 1 + _P)) == (1,)
+        assert (g.num, g.den) == ((1, 1), (1, 1 + _P))
+
+    @settings(deadline=None)
+    @given(polys, polys, nonzero_polys, st.sampled_from(["factor", "product"]), st.data())
+    def test_normal_form_near_the_prime(self, num, den, shared, lifted, data):
+        # Coefficients moved by +-p, each with probability 1/2, and a top
+        # zero that may become +-p: either in the shared factor, a common
+        # factor with huge coefficients, or in the products, which then
+        # share a factor mod p but mostly not over Q.  Every edge of the
+        # pre-test shows up: p | lc(den), num = 0 mod p, a factor mod p only.
+        def lift(coeffs):
+            signs = data.draw(st.lists(st.sampled_from([0, 0, 1, -1]),
+                                       min_size=len(coeffs) + 1, max_size=len(coeffs) + 1))
+            return [c + _P * k for c, k in zip(list(coeffs) + [0], signs)]
+
+        if lifted == "factor":
+            shared = lift(shared)
+        num, den = _mul(num, shared), _mul(den, shared)
+        if lifted == "product":
+            num, den = lift(num), lift(den)
+        try:
+            expected = reference_normal_form(num, den)
+        except PoleAtOrigin:
+            with pytest.raises(PoleAtOrigin):
+                RationalGF(num, den)
+            return
+        g = RationalGF(num, den)
+        assert (g.num, g.den) == expected
+
+    @pytest.mark.parametrize(
+        "num, den, form",
+        [
+            ((6,), (4,), ((3,), (2,))),
+            ((6,), (-4, 2), ((-3,), (2, -1))),
+            ((3, 6), (9,), ((1, 2), (3,))),
+        ],
+    )
+    def test_constant_numerator_or_denominator(self, num, den, form):
+        g = self._check(num, den, True)
+        assert (g.num, g.den) == form
 
 
 _CAPPED_INT = st.integers(-(10**MAX_COEFFICIENT_DIGITS) + 1, 10**MAX_COEFFICIENT_DIGITS - 1)
@@ -463,7 +558,57 @@ class TestGfFromDen:
             cfinite.gf_from_den([1], (1, -6, 1))
 
 
+@st.composite
+def checked_expressions(draw):
+    """(expr, seqs): one to three sequences X1.. (den[0] in +-1, 2, -3, so
+    some take Fraction values) and an expression in them and SIGN_SYMBOL,
+    at exponents 0..3, of one of four shapes.  "identity" is P(X1, ..) -
+    sgn^2 P(Y, ..) with Y bound to X1's sequence: zero for every n, so the
+    whole depth is checked, though it is not the zero polynomial.  "mutated"
+    binds Y to X1's sequence with one numerator coefficient moved, so the
+    identity fails from some index on; "free" is P alone; "zero" is the
+    zero polynomial."""
+    k = draw(st.integers(1, 3))
+    names = ("X1", "X2", "X3")[:k]
+    gfs = [
+        RationalGF(draw(st.lists(small, max_size=3)),
+                   [draw(st.sampled_from([1, -1, 2, -3]))] + draw(st.lists(small, max_size=2)))
+        for _ in names
+    ]
+    seqs = dict(zip(names, gfs))
+    variables = names + (SIGN_SYMBOL,)
+    exponents = st.tuples(*[st.integers(0, 2)] * k, st.integers(0, 3)).filter(
+        lambda ev: sum(ev[:-1]) <= 3
+    )
+    terms = draw(st.dictionaries(exponents, small, max_size=4))
+    shape = draw(st.sampled_from(["identity", "mutated", "free", "zero"]))
+    if shape == "zero":
+        return MultiPoly(variables, {}), seqs
+    if shape == "free":
+        return MultiPoly(variables, terms), seqs
+    # X1 takes part, so that a mutation of Y shows
+    terms[(1,) + (0,) * k] = terms.get((1,) + (0,) * k, 0) + draw(nonzero_small)
+    num = list(gfs[0].num) + [0] * draw(st.integers(0, 3))
+    if shape == "mutated" and num:
+        num[draw(st.integers(0, len(num) - 1))] += draw(nonzero_small)
+    seqs["Y"] = RationalGF(num, gfs[0].den)
+    # (-1)^(2n) = 1: Y's terms carry SIGN_SYMBOL two powers higher
+    shifted = {ev[:-1] + (ev[-1] + 2,): c for ev, c in terms.items()}
+    return MultiPoly(variables, terms) - MultiPoly(("Y",) + variables[1:], shifted), seqs
+
+
 class TestCertifyZero:
+    @settings(deadline=None)
+    @given(checked_expressions())
+    def test_compiled_check_matches_reference(self, case):
+        # the term plan against the per-n env and MultiPoly.evaluate it
+        # replaced: the same depth and the same first witness
+        expr, seqs = case
+        cert = certify_zero(expr, seqs)
+        assert cert == reference_certify_zero(expr, seqs)
+        event("certified" if cert.certified else f"witness {'0' if not cert.witness else '> 0'}")
+        event("Fraction values" if any(abs(g.den[0]) > 1 for g in seqs.values()) else "integers")
+
     def test_alternating_cubic_identity(self, alternating_triple):
         gf_a, gf_b, gf_c = alternating_triple
         expr = var("A") ** 3 + var("B") ** 3 - var("C") ** 3 - var(SIGN_SYMBOL)

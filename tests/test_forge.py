@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cubeforge import (
     Certificate,
     CubicTheorem,
+    MultiPoly,
     RationalGF,
     certify_theorem,
     forge,
@@ -22,7 +23,7 @@ from cubeforge import (
     theorem_to_json,
 )
 from cubeforge import cli
-from cubeforge.cfinite import _mul, _symmetric_square, read_gfs
+from cubeforge.cfinite import _mul, _symmetric_square, certify_zero, read_gfs, rhs_poly
 from cubeforge.cubic import search_quadruples
 from cubeforge.errors import DefiniteForm, EmptySeedSet, MalformedTheorem, NoOrbitFound
 from cubeforge.forge import _value_gfs, json_text
@@ -65,6 +66,19 @@ class TestCertifyTheorem:
         thm = make_theorem(1, -1, 1, "alternating", broken)
         cert = certify_theorem(thm)
         assert not cert.certified and cert.witness == 0
+
+    @pytest.mark.parametrize("kind", ["alternating", "constant", "other"])
+    @pytest.mark.parametrize("a, b, c", [(1, -1, 1), (1, -1, 0), (0, 2, 7), (3, 0, -1)])
+    def test_matches_the_expression_built_by_arithmetic(self, alternating_triple, kind, a, b, c):
+        # certify_theorem builds a*A^3 + a*B^3 + b*C^3 - c*sgn^k in one
+        # step and drops zero weights; the sum of polynomials gives the
+        # same certificate, zero weights and a kind other than
+        # "alternating" (a constant right side) included
+        A, B, C = (MultiPoly.variable(v) for v in "ABC")
+        expr = a * A**3 + a * B**3 + b * C**3 - rhs_poly(c, kind)
+        thm = make_theorem(a, b, c, kind, alternating_triple)
+        expected = certify_zero(expr, dict(zip("ABC", alternating_triple)))
+        assert certify_theorem(thm) == expected
 
 
 class TestSerialization:

@@ -548,6 +548,17 @@ class TestMultiPoly:
         assert (P("m + 1") == 1) is False
         assert (P("3", ("m",)) == 3) is True
 
+    def test_hash_agrees_with_equality_to_an_int(self):
+        # equal objects hash equal: a polynomial equal to an int is the
+        # same set member and dict key as that int
+        five = MultiPoly.constant(5, ("m",))
+        assert len({five, 5}) == 1
+        assert 5 in {five}
+        assert five in {5: "five"}
+        zero = MultiPoly(("m", "n"), {})
+        assert hash(zero) == hash(0) and 0 in {zero}
+        assert hash(P("m + 1")) == hash(P("1 + m", ("n", "m")))
+
     def test_restricted_refuses_a_duplicate_variable(self):
         p = MultiPoly(("x", "y"), {(2, 0): 1})
         with pytest.raises(ValueError, match=r"^duplicate variable in \('x', 'x'\)$"):

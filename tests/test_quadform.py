@@ -653,7 +653,8 @@ class TestFactor:
 @contextlib.contextmanager
 def _recording(*methods):
     """The arguments of every call of the (class, name) methods made inside
-    the block, in one list."""
+    the block, in one list.  A (module, name) function is recorded the same
+    way, without its first argument."""
     asked = []
     with contextlib.ExitStack() as stack:
         for cls, name in methods:
@@ -679,6 +680,23 @@ class TestSolQuad:
         assert orbit.gf_m.num == (1,) and orbit.gf_m.den == (1, -9, -1)
         assert orbit.gf_n.num == (0, 1) and orbit.gf_n.den == (1, -9, -1)
         assert orbit.target == -1 and orbit.kind == "alternating"
+
+    def test_ladder_skips_candidates_that_cannot_win(self):
+        # At |e| = 12 the even-indexed points certify an alternating orbit.
+        # The odd-indexed ones alternate too, so they could only tie, and
+        # the later ladder position loses a tie: they are not certified.
+        # The two constant sign classes are still tried (and fail the
+        # read-off), as a constant orbit would replace the held one.
+        with _recording((quadform, "certify_zero")) as asked:
+            orbit = sol_quad(QuadForm(12, -10, -5))
+        assert len(asked) == 1
+        assert orbit.to_json() == {
+            "gf_m": {"num": [1, -2], "den": [1, -9, -1]},
+            "gf_n": {"num": [0, 6], "den": [1, -9, -1]},
+            "target": 12,
+            "kind": "alternating",
+            "certified_depth": 4,
+        }
 
     def test_definite_rejected(self):
         with pytest.raises(DefiniteForm):
