@@ -68,35 +68,51 @@ class WeightedQuadruple:
 def search_quadruples(a: int, b: int, bound: int) -> list[WeightedQuadruple]:
     """All primitive nontrivial solutions with coordinates in [-bound, bound],
     one representative per orbit of the symmetries x<->y, z<->w and global
-    negation.  Representatives satisfy x <= y and z >= w, taking the
-    lexicographically larger of the two candidates, and are sorted by largest
-    absolute coordinate, then lexicographically.
+    negation.  Representatives satisfy x <= y, z >= w and x + y > 0, and are
+    sorted by largest absolute coordinate, then lexicographically.
 
-    No pair (z, w) of value 0 is listed: b(z^3 + w^3) = 0 forces w = -z, so
-    it could only meet a row with a(x^3 + y^3) = 0, that is y = -x, and the
-    quadruple (x, -x, z, -z) is trivial."""
+    Representatives.  With x <= y and z >= w, the other member of the
+    orbit in that shape is the negation (-y, -x, -w, -z).  No nontrivial
+    solution has x + y = 0: then a(x^3 + y^3) = 0, so b(z^3 + w^3) = 0
+    forces w = -z, and the quadruple (x, -x, z, -z) is trivial.  So exactly
+    one of the two has x + y > 0, and it is the lexicographically larger
+    one, as x > -y.  The rows run y from max(x, 1 - x).
+
+    The pairs.  u^3 + v^3 = (u + v)(u^2 - uv + v^2), and the second factor
+    is positive unless u = v = 0, so u^3 + v^3 has the sign of u + v.  A
+    row has x + y > 0, so a(x^3 + y^3) has the sign of a, and a matching
+    pair has b(z^3 + w^3) of the sign of -a: z + w has the sign of -ab.
+    Only the pairs (z, w), z >= w, with that sign of z + w are listed, half
+    of them, and none of value 0.
+
+    Trivial matches.  ``WeightedQuadruple.trivial`` asks, with
+    t1, t2, t3, t4 = a x^3, a y^3, b z^3, b w^3, whether t1 = -t2 and
+    t3 = -t4, or t1 = -t3 and t2 = -t4, or t1 = -t4 and t2 = -t3.  The
+    first clause needs x = -y, which no row has.  A match has
+    t1 + t2 + t3 + t4 = 0, so t1 = -t3 gives t2 = -t4 and t1 = -t4 gives
+    t2 = -t3: the test t1 = -t3 or t1 = -t4 is the same verdict, taken before
+    any quadruple is built.  Every kept match is still built, and so
+    validated, as a WeightedQuadruple."""
     if a == 0 or b == 0:
         raise ValueError("weights must be nonzero")
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    cubes = {v: v**3 for v in range(-bound, bound + 1)}
+    a_cubes = {v: a * v**3 for v in range(-bound, bound + 1)}
+    b_cubes = {v: b * v**3 for v in range(-bound, bound + 1)}
     by_value: dict[int, list[tuple[int, int]]] = {}
     for z in range(-bound, bound + 1):
-        for w in range(-bound, z + 1):
-            by_value.setdefault(b * (cubes[z] + cubes[w]), []).append((z, w))
-    del by_value[0]
+        # w <= z with z + w > 0 when ab < 0, z + w < 0 when ab > 0
+        ws = range(max(-bound, 1 - z), z + 1) if a * b < 0 else range(-bound, min(z, -1 - z) + 1)
+        for w in ws:
+            by_value.setdefault(b_cubes[z] + b_cubes[w], []).append((z, w))
     found: list[WeightedQuadruple] = []
     for x in range(-bound, bound + 1):
-        for y in range(x, bound + 1):
-            s = a * (cubes[x] + cubes[y])
-            for z, w in by_value.get(-s, ()):
-                # gcd 0 drops the zero tuple; with x <= y and z >= w, the
-                # other representative of the orbit is (-y, -x, -w, -z)
-                if gcd(x, y, z, w) != 1 or (x, y, z, w) < (-y, -x, -w, -z):
-                    continue
-                q = WeightedQuadruple(a, b, x, y, z, w)
-                if not q.trivial:
-                    found.append(q)
+        t1 = a_cubes[x]
+        for y in range(max(x, 1 - x), bound + 1):
+            for z, w in by_value.get(-t1 - a_cubes[y], ()):
+                # x + y > 0, so the gcd is never 0
+                if gcd(x, y, z, w) == 1 and -t1 != b_cubes[z] and -t1 != b_cubes[w]:
+                    found.append(WeightedQuadruple(a, b, x, y, z, w))
     found.sort(key=lambda q: (max(abs(c) for c in q.coords), q.coords))
     return found
 

@@ -103,11 +103,11 @@ from math import gcd, isqrt
 from typing import Iterable, Iterator, Sequence
 
 from .cfinite import (
+    SIGN_SYMBOL,
     Certificate,
     RationalGF,
     certify_zero,
     gf_from_den,
-    rhs_poly,
     taylor_coefficients,
 )
 from .errors import (
@@ -422,11 +422,13 @@ class _DiscTable:
         """Whether some t in 1..top makes (t^2 + 4)*disc, or (t^2 - 4)*disc
         with t >= 3, a nonzero square: whether Q(sqrt(disc)) holds a unit
         (t + sqrt(t^2 +- 4))/2 of norm -+1 and trace t in 1..top other than
-        the double root t = 2 (see sol_quad).  t^2 - 4 is negative or zero
-        below 3, which the sign test drops.  With ``norm_one`` only the units
-        of norm +1 count.  The scan resumes where the last call stopped and
-        ends at the least such t, so the verdicts for all bounds cost one
-        scan up to the largest top asked.
+        the double root t = 2 (see sol_quad).  With ``norm_one`` only the
+        units of norm +1 count.  The scan resumes where the last call
+        stopped and ends at the least such t, so the verdicts for all bounds
+        cost one scan up to the largest top asked.  Each trace tests norm -1
+        first, then norm +1 only where (t^2 - 4)*disc > 0, that is t >= 3.
+        No t >= 3 passes both: the product of the two would make
+        t^4 - 16 a square, and it lies strictly between (t^2 - 1)^2 and t^4.
 
         The least t, t0, is all either verdict needs.  The t that pass are
         the traces of the units eta > 1 of the ring of integers, eta =
@@ -439,11 +441,16 @@ class _DiscTable:
         norm +1, every unit has, and the least norm +1 trace is t0; if it
         has norm -1, the norm +1 units are the even powers, the least of
         them eps^2, of trace t0^2 + 2 (the trace of eps^2 is t0^2 - 2N(eps))."""
+        disc = self.disc
         while self._least_unit is None and self._traced < top:
             self._traced = t = self._traced + 1
-            for norm, w in ((-1, (t * t + 4) * self.disc), (1, (t * t - 4) * self.disc)):
-                if w > 0 and isqrt(w) ** 2 == w:
-                    self._least_unit = (t, norm)
+            w = (t * t + 4) * disc
+            if isqrt(w) ** 2 == w:
+                self._least_unit = (t, -1)
+            elif t > 2:
+                w = (t * t - 4) * disc
+                if isqrt(w) ** 2 == w:
+                    self._least_unit = (t, 1)
         if self._least_unit is None:
             return False
         t, norm = self._least_unit
@@ -584,17 +591,23 @@ class _Classes:
         reduction."""
         # explore the window up to K (|z1| + sqrt(disc) |z2|) / (2|e1|)
         if 2 * abs(e1) <= self.root:
-            self._extend(self.reach * limit // (2 * abs(e1)) + 1)  # z = (1, 0)
-            found = self.leading.get(e1, ())
+            x = self.reach * limit // (2 * abs(e1)) + 1  # z = (1, 0)
+            if x > self._reached:
+                self._extend(x)
+            found = self.leading.get(e1)
         else:
             found = []
             for reduced, z in self.table.bases(e1):
                 width = abs(z[0]) + (self.root + 1) * abs(z[1])
-                self._extend(self.reach * limit * width // (2 * abs(e1)) + 1)
+                x = self.reach * limit * width // (2 * abs(e1)) + 1
+                if x > self._reached:
+                    self._extend(x)
                 found += [
                     (p[0] * z[0] + p[1] * z[1], p[2] * z[0] + p[3] * z[1])
                     for p in self.positions.get(reduced, ())
                 ]
+        if not found:
+            return []
         out = []
         for x, y in found:
             if x < 0:
@@ -895,7 +908,11 @@ def _orbit_from_solutions(
     if gf_m.den != gf_n.den:
         # reduction split the shared denominator; treat as a failed candidate
         return None
-    expr = form.to_poly() - rhs_poly(target, kind)
+    # Q(m, n) - target*(+-1)^n in one step, as forge.certify_theorem builds
+    # its expression
+    sign = 1 if kind == "alternating" else 0
+    terms = {(2, 0, 0): form.qa, (1, 1, 0): form.qb, (0, 2, 0): form.qc, (0, 0, sign): -target}
+    expr = MultiPoly._make(("m", "n", SIGN_SYMBOL), {ev: c for ev, c in terms.items() if c})
     cert = certify_zero(expr, {"m": gf_m, "n": gf_n})
     if not cert.certified:
         raise AssertionError(f"{form}: a read-off orbit was refuted at n={cert.witness}")
@@ -925,7 +942,8 @@ def _by_magnitude(
     the box test removes them.  Nothing is listed twice: points of
     distinct (g, e1) differ in gcd or value, and kind.primitive lists each
     representation once.  After a, every magnitude <= |s| a has all its
-    entries, so its list is built, sorted and yielded then; a consumer
+    entries, so its list is built, sorted and yielded then (a magnitude
+    with no entry is yielded empty, with nothing built); a consumer
     that stops at a magnitude stops the sweep there.  Magnitudes beyond
     (|qa| + |qb| + |qc|) * bound^2 have no point in the box and are
     yielded empty without any work."""
@@ -944,9 +962,10 @@ def _by_magnitude(
                 g += 1
         while done < scale * a:
             done += 1
-            yield sorted(
+            entries = pending.pop(done, None)
+            yield [] if entries is None else sorted(
                 (g * x, g * y, value)
-                for g, value, reps in pending.pop(done, ())
+                for g, value, reps in entries
                 for x, y in reps
                 if g * x <= bound and g * y <= bound
             )
@@ -1102,6 +1121,8 @@ def sol_quad(
         kind = None
     if kind is not None:
         for sols in _by_magnitude(form, kind, bound, target_cap):
+            if len(sols) < 3:
+                continue  # _ladder has no candidate
             alternating = None
             for cand in _ladder(sols):
                 if alternating is not None and any(v != cand[0][2] for _, _, v in cand):

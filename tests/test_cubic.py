@@ -2,7 +2,7 @@ from dataclasses import replace
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cubeforge import (
@@ -59,6 +59,31 @@ def naive_search(a, b, bound):
                         continue
                     sols.add((x, y, z, w))
     return sols
+
+
+def reference_search_quadruples(a, b, bound):
+    """The search before representatives were fixed by x + y > 0: every
+    row x <= y, the lexicographic representative test against the
+    negation (-y, -x, -w, -z), and the trivial test on the built
+    quadruple."""
+    cubes = {v: v**3 for v in range(-bound, bound + 1)}
+    by_value = {}
+    for z in range(-bound, bound + 1):
+        for w in range(-bound, z + 1):
+            by_value.setdefault(b * (cubes[z] + cubes[w]), []).append((z, w))
+    del by_value[0]
+    found = []
+    for x in range(-bound, bound + 1):
+        for y in range(x, bound + 1):
+            s = a * (cubes[x] + cubes[y])
+            for z, w in by_value.get(-s, ()):
+                if gcd(x, y, z, w) != 1 or (x, y, z, w) < (-y, -x, -w, -z):
+                    continue
+                q = WeightedQuadruple(a, b, x, y, z, w)
+                if not q.trivial:
+                    found.append(q)
+    found.sort(key=lambda q: (max(abs(c) for c in q.coords), q.coords))
+    return found
 
 
 def expansion(pq):
@@ -171,7 +196,7 @@ class TestSearch:
         keys = [(max(abs(c) for c in q.coords), q.coords) for q in seeds]
         assert keys == sorted(keys)
         for q in seeds:
-            assert q.x <= q.y and q.z >= q.w
+            assert q.x <= q.y and q.z >= q.w and q.x + q.y > 0
 
     @pytest.mark.parametrize(
         "a,b,bound", [(1, 1, 15), (1, -1, 13), (1, 2, 10), (2, 3, 8)]
@@ -185,6 +210,24 @@ class TestSearch:
             assert not (orbit & covered), f"orbit of {q.coords} listed twice"
             covered |= orbit
         assert covered == oracle
+
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 9),
+        st.sampled_from([1, -1]),
+        st.sampled_from([b for b in range(-15, 16) if b]),
+        st.integers(1, 12),
+    )
+    @example(1, 1, 1, 12)
+    @example(1, -1, -1, 12)
+    @example(9, -1, 15, 12)
+    def test_matches_reference_search(self, a, sign, b, bound):
+        # one representative per negation pair, and the trivial matches
+        # dropped before any quadruple is built: the same list
+        seeds = search_quadruples(sign * a, b, bound)
+        assert seeds == reference_search_quadruples(sign * a, b, bound)
+        for q in seeds:
+            assert q.x + q.y > 0 and not q.trivial
 
 
 class TestMorph:

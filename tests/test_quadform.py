@@ -177,6 +177,49 @@ def reference_orbit_from_solutions(form, sols):
     return PellOrbit(gf_m=gf_m, gf_n=gf_n, target=target, kind=kind, certificate=cert)
 
 
+def reference_has_unit(table, top, norm_one=False):
+    """_DiscTable.has_unit as a two-norm scan: every trace builds the pair
+    of norm -1 and norm +1 candidates and tests each that is positive; a
+    later pass overwrites an earlier one.  It keeps its state on the table
+    it is given."""
+    while table._least_unit is None and table._traced < top:
+        table._traced = t = table._traced + 1
+        for norm, w in ((-1, (t * t + 4) * table.disc), (1, (t * t - 4) * table.disc)):
+            if w > 0 and isqrt(w) ** 2 == w:
+                table._least_unit = (t, norm)
+    if table._least_unit is None:
+        return False
+    t, norm = table._least_unit
+    if norm_one and norm == -1:
+        t = t * t + 2
+    return t <= top
+
+
+def _orbit_checks(form, bound, target_cap, tables=None):
+    """The outcome of sol_quad on the form and, for every certify_zero call
+    it made, the expression, its reference form.to_poly() - rhs_poly(c,
+    kind) and both certificates.  c and kind are read off the sequences:
+    the first value is c, and the second is c for a constant orbit and -c
+    for an alternating one."""
+    calls = []
+
+    def recording(expr, seqs):
+        cert = certify_zero(expr, seqs)
+        calls.append((expr, seqs, cert))
+        return cert
+
+    with patch.object(quadform, "certify_zero", recording):
+        got = _outcome(partial(sol_quad, _tables=tables), form, bound, target_cap)
+    checks = []
+    for expr, seqs, cert in calls:
+        (m0, m1), (n0, n1) = (taylor_coefficients(seqs[v], 2) for v in "mn")
+        c, second = form.value(m0, n0), form.value(m1, n1)
+        kind = "constant" if second == c else "alternating"
+        reference = form.to_poly() - rhs_poly(c, kind)
+        checks.append((kind, expr, reference, cert, certify_zero(reference, seqs)))
+    return got, checks
+
+
 def _outcome(search, form, bound, target_cap):
     try:
         return search(form, bound=bound, target_cap=target_cap).to_json()
@@ -337,6 +380,21 @@ def forms_of_every_class(draw, classes=FORM_CLASSES):
     assume(any(coeffs))
     k = draw(st.integers(1, 4)) * draw(st.sampled_from([1, -1]))
     return QuadForm(*(k * x for x in coeffs))
+
+
+@st.composite
+def pell_forms(draw):
+    """m^2 - d*n^2 or m^2 + m*n - d*n^2 for d in 2..40, moved by up to two
+    SL2(Z) steps, times a random content and sign: forms that often carry
+    an orbit of either kind in the box."""
+    d = draw(st.integers(2, 40))
+    a, b, c = (1, draw(st.integers(0, 1)), -d)
+    assume(isqrt(b * b + 4 * d) ** 2 != b * b + 4 * d)
+    for j in draw(st.lists(st.integers(-2, 2), max_size=2)):
+        # f∘[[0, -1], [1, j]]
+        a, b, c = c, -b + 2 * c * j, a - b * j + c * j * j
+    k = draw(st.integers(1, 3)) * draw(st.sampled_from([1, -1]))
+    return QuadForm(k * a, k * b, k * c)
 
 
 def _content(form):
@@ -943,6 +1001,52 @@ class TestSolQuad:
         assert table._traced == least
         squares = [(t * t - 4) * disc for t in range(3, norm_one + 1)]
         assert [w for w in squares if isqrt(w) ** 2 == w] == [squares[-1]]
+
+    def test_unit_scan_matches_reference(self):
+        # one table per D' keeps its scan across calls, so tops asked out
+        # of order test the resumed scan as well as the verdicts
+        tested = 0
+        for disc in range(2, 3000):
+            if isqrt(disc) ** 2 == disc:
+                continue
+            table, reference = quadform._DiscTable(disc), quadform._DiscTable(disc)
+            for top in (7, 3, 45, 1, 60):
+                for norm_one in (False, True):
+                    got = table.has_unit(top, norm_one)
+                    assert got == reference_has_unit(reference, top, norm_one), (disc, top)
+                    assert table._traced == reference._traced, (disc, top)
+                    assert table._least_unit == reference._least_unit, (disc, top)
+            tested += 1
+        assert tested == 2998 - 53
+
+    def test_orbit_check_on_forge_forms(self):
+        # the expression each orbit is certified on is built in one step;
+        # it and its certificate (bound and witness) are those of
+        # form.to_poly() - rhs_poly(c, kind)
+        forms = [form for form in _forge_forms() if form.discriminant >= 0]
+        tables = {}
+        kinds = set()
+        for form in forms:
+            got, checks = _orbit_checks(form, 2000, 30, tables)
+            assert isinstance(got, dict) == bool(checks), form
+            for kind, expr, reference, cert, reference_cert in checks:
+                assert expr == reference and cert == reference_cert, form
+                kinds.add(kind)
+        assert len(forms) == 158 and kinds == {"constant", "alternating"}
+
+    @settings(deadline=None)
+    @given(
+        st.one_of(pell_forms(), forms_of_every_class(("D>0", "D=0", "one-sign"))),
+        st.integers(30, 2000),
+        st.integers(1, 40),
+    )
+    @example(QuadForm(1, 0, -2), 2000, 30)
+    @example(QuadForm(1, -2, 1), 60, 30)
+    def test_orbit_check_matches_reference(self, form, bound, target_cap):
+        _, checks = _orbit_checks(form, bound, target_cap)
+        for kind, expr, reference, cert, reference_cert in checks:
+            event(kind)
+            assert expr == reference and cert == reference_cert
 
     @settings(deadline=None)
     @given(forms_of_every_class(("one-sign",)), st.integers(1, 400), st.integers(1, 80))
