@@ -157,12 +157,8 @@ class RationalGF:
     integer input.
 
     Most pairs are coprime, so Euclid mod the prime p = 2^61 - 1
-    (_coprime_mod_p) runs first, and the primitive pseudo-remainder gcd only
-    when it cannot tell.  It proves coprimality when p does not divide
-    lc(den) and a remainder reaches a nonzero constant: a primitive common
-    factor g divides den in Z[t], so lc(g) divides lc(den) and p does not
-    divide lc(g); then g mod p keeps its degree and divides both
-    reductions, whose gcd mod p is 1, so deg g = 0.
+    (_coprime_mod_p, which carries the proof) runs first, and the primitive
+    pseudo-remainder gcd only when it cannot tell.
     """
 
     __slots__ = ("num", "den")

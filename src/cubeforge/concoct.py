@@ -7,7 +7,7 @@ along tuples of C-finite sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 from typing import Sequence
 
@@ -113,15 +113,24 @@ def twist_no_solution(f: MultiPoly, matrix: Sequence[Sequence[int]]) -> MultiPol
 
 @dataclass(frozen=True)
 class FormResult:
-    """A homogeneous degree-D integer form P with P(a_1(n), ..., a_d(n)) equal
-    to C (target "constant"), C*(-1)^n ("alternating"), or identically zero
-    (target "none", C = 0)."""
+    """A homogeneous degree-D integer form P, in the variables X1, ..., Xd
+    bound to the sequences ``seqs``, with P(a_1(n), ..., a_d(n)) equal to C
+    (target "constant"), C*(-1)^n ("alternating"), or identically zero
+    (target "none", C = 0).  Its certificate is not an argument: it is
+    certify_zero on P(X) - C*(+-1)^n, computed when the result is built."""
 
+    seqs: tuple[RationalGF, ...]
     degree: int
     coefficients: dict
     constant: int
     target: str
-    certificate: Certificate
+    certificate: Certificate = field(init=False)
+
+    def __post_init__(self):
+        names = tuple(f"X{i+1}" for i in range(len(self.seqs)))
+        expr = MultiPoly(names, self.coefficients) - rhs_poly(self.constant, self.target)
+        cert = certify_zero(expr, dict(zip(names, self.seqs)))
+        object.__setattr__(self, "certificate", cert)
 
     @property
     def homogeneous_vanishing(self) -> bool:
@@ -154,7 +163,8 @@ def find_form(
 ) -> FormResult:
     """Search for a degree-``degree`` form constant (or alternating, or
     vanishing) on the sequence tuple, by exact nullspace computation on an
-    evaluation matrix, then certify the result before returning.
+    evaluation matrix.  Each candidate is built as a FormResult, which
+    certifies itself, and the first certified one is returned.
 
     The matrix has one column per degree-D monomial plus one target column
     (omitted for target "none") and C(d+D-1, D) + 4 rows.  If the certifier
@@ -219,7 +229,6 @@ def find_form(
             vec = min(basis, key=tuple)
             coeffs = {ev: c for ev, c in zip(monomials, vec) if c}
             constant = 0
-            chosen = vec
         else:
             targeted = [v for v in basis if v[-1] != 0]
             if not targeted:
@@ -236,14 +245,7 @@ def find_form(
             constant = -chosen[-1]
         if not coeffs:
             raise AssertionError("nullspace vector has no monomial support")
-        expr = MultiPoly(names, coeffs) - rhs_poly(constant, target)
-        cert = certify_zero(expr, bindings)
-        if cert.certified:
-            return FormResult(
-                degree=degree,
-                coefficients=coeffs,
-                constant=constant,
-                target=target,
-                certificate=cert,
-            )
+        result = FormResult(tuple(seqs), degree, coeffs, constant, target)
+        if result.certificate.certified:
+            return result
     raise AssertionError("a candidate relation failed certification at its depth")

@@ -17,13 +17,13 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import InvalidQuadruple
-from .quadform import QuadForm
+from .quadform import QuadForm, check_work_option
 
 
 @dataclass(frozen=True)
 class WeightedQuadruple:
-    """Integers with a*x^3 + a*y^3 + b*z^3 + b*w^3 = 0, primitive unless all
-    zero.  ``trivial`` flags solutions whose weighted cube terms cancel in
+    """Ints (a bool is not one) with a*x^3 + a*y^3 + b*z^3 + b*w^3 = 0,
+    primitive unless all zero.  ``trivial`` flags solutions whose weighted cube terms cancel in
     pairs; those generate nothing new under morphing."""
 
     a: int
@@ -34,6 +34,8 @@ class WeightedQuadruple:
     w: int
 
     def __post_init__(self):
+        if any(type(v) is not int for v in (self.a, self.b, *self.coords)):
+            raise InvalidQuadruple("weights and coordinates must be ints, not bools")
         if self.a == 0 or self.b == 0:
             raise InvalidQuadruple("weights must be nonzero")
         if self.a * (self.x**3 + self.y**3) + self.b * (self.z**3 + self.w**3) != 0:
@@ -92,11 +94,14 @@ def search_quadruples(a: int, b: int, bound: int) -> list[WeightedQuadruple]:
     t1 + t2 + t3 + t4 = 0, so t1 = -t3 gives t2 = -t4 and t1 = -t4 gives
     t2 = -t3: the test t1 = -t3 or t1 = -t4 is the same verdict, taken before
     any quadruple is built.  Every kept match is still built, and so
-    validated, as a WeightedQuadruple."""
-    if a == 0 or b == 0:
-        raise ValueError("weights must be nonzero")
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
+    validated, as a WeightedQuadruple.
+
+    The weights must be nonzero ints (a bool is not one) and ``bound`` a
+    work option (check_work_option), or ValueError is raised: True would
+    read as 1, and a float would reach range and gcd."""
+    if type(a) is not int or type(b) is not int or a == 0 or b == 0:
+        raise ValueError(f"weights must be nonzero ints, not {a!r} and {b!r}")
+    check_work_option("bound", bound)
     a_cubes = {v: a * v**3 for v in range(-bound, bound + 1)}
     b_cubes = {v: b * v**3 for v in range(-bound, bound + 1)}
     by_value: dict[int, list[tuple[int, int]]] = {}

@@ -7,18 +7,17 @@ parametric quadruple, solve one of the four quadratics as a Pell-like orbit
 (its recurrence read off a unit, see quadform), evaluate the remaining three
 along the orbit, build their generating functions exactly over the symmetric
 square of the orbit's denominator, and certify the emitted cubic identity with
-certify_theorem.  Every CubicTheorem built here, forged or parsed, gets its
-certificate that way, so verify re-checks a forged theorem's JSON at the
-depth forge recorded.
+certify_theorem.  A CubicTheorem certifies itself that way when it is
+built, forged, parsed or by hand, so verify re-checks a forged theorem's
+JSON at the depth forge recorded.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple
 
 from .cfinite import (
     SIGN_SYMBOL,
@@ -48,8 +47,10 @@ RHS_KINDS = ("constant", "alternating")
 
 @dataclass(frozen=True)
 class CubicTheorem:
-    """A certified statement a*A^3 + a*B^3 + b*C^3 = c (or c*(-1)^n) about
-    the Taylor coefficient sequences of three generating functions."""
+    """A statement a*A^3 + a*B^3 + b*C^3 = c (or c*(-1)^n) about the Taylor
+    coefficient sequences of three generating functions.  Its certificate
+    is not an argument: it is certify_theorem on the statement, computed
+    when the theorem is built (dataclasses.replace included)."""
 
     a: int
     b: int
@@ -58,8 +59,11 @@ class CubicTheorem:
     gf_a: RationalGF
     gf_b: RationalGF
     gf_c: RationalGF
-    certificate: Certificate
     provenance: dict
+    certificate: Certificate = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "certificate", certify_theorem(self))
 
     @property
     def gfs(self) -> tuple[RationalGF, RationalGF, RationalGF]:
@@ -82,11 +86,12 @@ def theorem_to_json(thm: CubicTheorem) -> dict:
 
 
 def theorem_from_json(data) -> CubicTheorem:
-    """Parse the interchange JSON and certify it with certify_theorem; an
-    input "certified_depth" is ignored.  a, b, c and the coefficients must
-    be ints (not bools): a weight 1.9 read as 1 would certify another
-    statement.  The generating functions go through cfinite.read_gfs, so a
-    theorem over its caps is refused before any reduction or expansion."""
+    """Parse the interchange JSON into a CubicTheorem, which certifies
+    itself; an input "certified_depth" is ignored.  a, b, c and the
+    coefficients must be ints (not bools): a weight 1.9 read as 1 would
+    certify another statement.  The generating functions go through
+    cfinite.read_gfs, so a theorem over its caps is refused before any
+    reduction or expansion."""
     try:
         a, b, c = data["a"], data["b"], data["c"]
         if any(type(x) is not int for x in (a, b, c)):
@@ -109,25 +114,7 @@ def theorem_from_json(data) -> CubicTheorem:
         raise MalformedTheorem("right-hand constant must be nonzero")
     if any(not g.num for g in gfs):
         raise MalformedTheorem("a sequence is identically zero")
-    return _certified_theorem(a, b, c, kind, gfs, provenance)
-
-
-class _Statement(NamedTuple):
-    """A theorem's statement without its certificate, as certify_theorem
-    reads it."""
-
-    a: int
-    b: int
-    c: int
-    rhs_kind: str
-    gfs: tuple[RationalGF, RationalGF, RationalGF]
-
-
-def _certified_theorem(a, b, c, rhs_kind, gfs, provenance) -> CubicTheorem:
-    """The one constructor of CubicTheorem in this package: the certificate
-    is always certify_theorem on the theorem's own generating functions."""
-    cert = certify_theorem(_Statement(a, b, c, rhs_kind, tuple(gfs)))
-    return CubicTheorem(a, b, c, rhs_kind, *gfs, certificate=cert, provenance=provenance)
+    return CubicTheorem(a, b, c, kind, *gfs, provenance)
 
 
 def certify_theorem(thm: CubicTheorem) -> Certificate:
@@ -136,7 +123,8 @@ def certify_theorem(thm: CubicTheorem) -> Certificate:
     and one degree-0 pair, so with r the degree of the lcm of the three
     denominators and s the largest preperiod it checks
     n < s + C(r+2, 3) + 1.  Only a, b, c, rhs_kind and gfs of ``thm`` are
-    read."""
+    read.  Every CubicTheorem holds this certificate of itself; calling it
+    again runs the same check afresh."""
     sign = 1 if thm.rhs_kind == "alternating" else 0
     terms = {
         (3, 0, 0, 0): thm.a,
@@ -172,9 +160,10 @@ def forge(
     """Discover certified theorems a*A^3 + a*B^3 + b*C^3 = c for the given
     weights.  Returns the canonically sorted, deduplicated list (empty when
     every pipeline branch fails); raises EmptySeedSet when not even a numeric
-    seed exists within the search bound."""
-    if a == 0 or b == 0:
-        raise ValueError("weights must be nonzero")
+    seed exists within the search bound.  ValueError unless each option is
+    an int of at least 1 (check_work_option) and the weights are nonzero
+    ints, which search_quadruples checks before any work; a bool is
+    neither."""
     check_work_option("search_bound", search_bound)
     check_work_option("target_cap", target_cap)
     check_work_option("max_theorems", max_theorems)
@@ -297,7 +286,7 @@ def _build_theorem(seed, quadruple, j, orbit) -> CubicTheorem:
         "solved_weight": quadruple.weights[j],
         "orbit": orbit.to_json(),
     }
-    thm = _certified_theorem(thm_a, thm_b, c, orbit.kind, gfs, provenance)
+    thm = CubicTheorem(thm_a, thm_b, c, orbit.kind, *gfs, provenance)
     if not thm.certificate.certified:
         raise AssertionError(
             f"seed {seed}, index {j + 1}: refuted at n = {thm.certificate.witness}"
@@ -307,11 +296,12 @@ def _build_theorem(seed, quadruple, j, orbit) -> CubicTheorem:
 
 # --- rendering ---
 
-def _gf_text(g: RationalGF, var: str = "t") -> str:
-    return f"({_poly_text(g.num, var)})/({_poly_text(g.den, var)})"
+def _gf_text(g: RationalGF) -> str:
+    return f"({_poly_text(g.num)})/({_poly_text(g.den)})"
 
 
-def _poly_text(coeffs, var: str) -> str:
+def _poly_text(coeffs) -> str:
+    """The polynomial in t with ascending ``coeffs``, as "1 - 3*t + t^2"."""
     if not coeffs:
         return "0"
     pieces = []
@@ -321,7 +311,7 @@ def _poly_text(coeffs, var: str) -> str:
         if i == 0:
             body = str(abs(c))
         else:
-            v = var if i == 1 else f"{var}^{i}"
+            v = "t" if i == 1 else f"t^{i}"
             body = v if abs(c) == 1 else f"{abs(c)}*{v}"
         pieces.append(("-" if c < 0 else "+", body))
     if not pieces:
@@ -333,9 +323,9 @@ def _poly_text(coeffs, var: str) -> str:
     return text
 
 
-def _gf_latex(g: RationalGF, var: str = "t") -> str:
-    num = _poly_text(g.num, var).replace("*", " ")
-    den = _poly_text(g.den, var).replace("*", " ")
+def _gf_latex(g: RationalGF) -> str:
+    num = _poly_text(g.num).replace("*", " ")
+    den = _poly_text(g.den).replace("*", " ")
     return rf"\frac{{{num}}}{{{den}}}"
 
 

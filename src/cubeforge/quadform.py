@@ -97,7 +97,7 @@ table once for all its forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Iterator, Sequence
@@ -122,13 +122,18 @@ from .kernel import MultiPoly
 
 @dataclass(frozen=True)
 class QuadForm:
-    """qa*m^2 + qb*m*n + qc*n^2 with integer coefficients, not all zero."""
+    """qa*m^2 + qb*m*n + qc*n^2 with int coefficients (a bool is not one),
+    not all zero.  A float would reach gcd and isqrt, and True would read
+    as 1."""
 
     qa: int
     qb: int
     qc: int
 
     def __post_init__(self):
+        for c in (self.qa, self.qb, self.qc):
+            if type(c) is not int:
+                raise InvalidForm(f"a coefficient is a {type(c).__name__}, not an integer")
         if self.qa == 0 and self.qb == 0 and self.qc == 0:
             raise InvalidForm("all three coefficients are zero")
 
@@ -162,16 +167,28 @@ class QuadForm:
 
 @dataclass(frozen=True)
 class PellOrbit:
-    """An infinite certified family of solutions of Q(m, n) = e (kind
-    "constant") or Q(m, n) = e * (-1)^i (kind "alternating"), given by the
+    """A family of solutions of Q(m, n) = e (kind "constant") or
+    Q(m, n) = e * (-1)^i (kind "alternating") of the form Q, given by the
     Taylor coefficient pairs of two generating functions with one
-    denominator."""
+    denominator.  Its certificate is not an argument: it is certify_zero
+    on Q(m, n) - e*(+-1)^n over the two sequences, computed when the orbit
+    is built."""
 
+    form: QuadForm
     gf_m: RationalGF
     gf_n: RationalGF
     target: int
     kind: str
-    certificate: Certificate
+    certificate: Certificate = field(init=False)
+
+    def __post_init__(self):
+        # Q(m, n) - target*(+-1)^n in one step, as forge.certify_theorem
+        # builds its expression
+        f, sign = self.form, 1 if self.kind == "alternating" else 0
+        terms = {(2, 0, 0): f.qa, (1, 1, 0): f.qb, (0, 2, 0): f.qc, (0, 0, sign): -self.target}
+        expr = MultiPoly._make(("m", "n", SIGN_SYMBOL), {ev: c for ev, c in terms.items() if c})
+        cert = certify_zero(expr, {"m": self.gf_m, "n": self.gf_n})
+        object.__setattr__(self, "certificate", cert)
 
     def pairs(self, count: int) -> list[tuple[int, int]]:
         ms = taylor_coefficients(self.gf_m, count)
@@ -908,15 +925,12 @@ def _orbit_from_solutions(
     if gf_m.den != gf_n.den:
         # reduction split the shared denominator; treat as a failed candidate
         return None
-    # Q(m, n) - target*(+-1)^n in one step, as forge.certify_theorem builds
-    # its expression
-    sign = 1 if kind == "alternating" else 0
-    terms = {(2, 0, 0): form.qa, (1, 1, 0): form.qb, (0, 2, 0): form.qc, (0, 0, sign): -target}
-    expr = MultiPoly._make(("m", "n", SIGN_SYMBOL), {ev: c for ev, c in terms.items() if c})
-    cert = certify_zero(expr, {"m": gf_m, "n": gf_n})
-    if not cert.certified:
-        raise AssertionError(f"{form}: a read-off orbit was refuted at n={cert.witness}")
-    return PellOrbit(gf_m=gf_m, gf_n=gf_n, target=target, kind=kind, certificate=cert)
+    orbit = PellOrbit(form, gf_m, gf_n, target, kind)
+    if not orbit.certificate.certified:
+        raise AssertionError(
+            f"{form}: a read-off orbit was refuted at n={orbit.certificate.witness}"
+        )
+    return orbit
 
 
 def _by_magnitude(
@@ -1096,9 +1110,9 @@ def sol_quad(
     n swapped.
 
     The test costs at most 2T isqrt calls, memoised per D' in forge's
-    tables: 90 at the default bound 2000 and 284 at the CLI's
-    MAX_PELL_BOUND.  It covers the read-off ladder only: an orbit found
-    another way, through a unit of larger trace, is not excluded by it.
+    tables (the module docstring's Cost paragraph counts them).  It covers
+    the read-off ladder only: an orbit found another way, through a unit of
+    larger trace, is not excluded by it.
     """
     check_work_option("bound", bound)
     check_work_option("target_cap", target_cap)
@@ -1169,7 +1183,10 @@ class PellConstruction:
     gf_a: RationalGF
     gf_b: RationalGF
     modulus: Fraction
-    integral: bool
+
+    @property
+    def integral(self) -> bool:
+        return self.modulus.denominator == 1
 
 
 def pell_special(k: int, b: int) -> PellConstruction:
@@ -1179,7 +1196,4 @@ def pell_special(k: int, b: int) -> PellConstruction:
         raise ZeroB("the scaling integer b must be nonzero")
     gf_a = RationalGF((1, -k), (1, -2 * k, 1))
     gf_b = RationalGF((0, b), (1, -2 * k, 1))
-    modulus = Fraction(k * k - 1, b * b)
-    return PellConstruction(
-        gf_a=gf_a, gf_b=gf_b, modulus=modulus, integral=modulus.denominator == 1
-    )
+    return PellConstruction(gf_a=gf_a, gf_b=gf_b, modulus=Fraction(k * k - 1, b * b))

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from cubeforge import (
+    Certificate,
+    FormResult,
     MultiPoly,
     RationalGF,
     divides,
@@ -134,6 +136,30 @@ class TestTwist:
             lhs = g.evaluate({"x": image[0], "y": image[1], "z": image[2]})
             rhs = det**3 * f.evaluate({"x": p[0], "y": p[1], "z": p[2]})
             assert lhs == rhs
+
+
+class TestFormResult:
+    """A FormResult's certificate is certify_zero on P(X) - C*(+-1)^n over
+    its own sequences, never an argument."""
+
+    SEQS = (RationalGF((1,), (1, -3, 1)), RationalGF((0, 1), (1, -3, 1)))
+    FORM = {(2, 0): 1, (1, 1): -3, (0, 2): 1}
+
+    def test_certificate_argument_rejected(self):
+        with pytest.raises(TypeError):
+            FormResult(self.SEQS, 2, self.FORM, 1, "constant", certificate=Certificate(bound=6))
+
+    def test_found_form_is_its_own_result(self):
+        r = find_form(list(self.SEQS), 2, "constant")
+        assert r == FormResult(self.SEQS, 2, self.FORM, 1, "constant")
+
+    @pytest.mark.parametrize("constant, target", [(2, "constant"), (1, "alternating"), (0, "none")])
+    def test_wrong_target_carries_a_witness(self, constant, target):
+        # X^2 - 3XY + Y^2 is 1 along the pair: another constant fails at
+        # n = 0, the alternating sign at n = 1
+        r = FormResult(self.SEQS, 2, self.FORM, constant, target)
+        assert not r.certificate.certified
+        assert r.certificate.witness == (1 if constant == 1 else 0)
 
 
 class TestFindForm:

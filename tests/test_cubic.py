@@ -170,6 +170,15 @@ class TestWeightedQuadruple:
         with pytest.raises(InvalidQuadruple):
             WeightedQuadruple(1, 1, 6, 8, 10, -12)
 
+    @pytest.mark.parametrize(
+        "values", [(True, -1, -4, 6, 5, 3), (1, -1.0, -4, 6, 5, 3), (1, -1, -4, 6, 5, 3.0)]
+    )
+    def test_not_ints_rejected(self, values):
+        # a seed of weight True passes forge(1, -1)'s weight test, as
+        # True == 1, and its theorems would carry a = True
+        with pytest.raises(InvalidQuadruple, match="must be ints"):
+            WeightedQuadruple(*values)
+
     def test_trivial_patterns(self):
         assert WeightedQuadruple(1, 1, 1, -1, 2, -2).trivial
         assert WeightedQuadruple(1, 1, 1, 1, -1, -1).trivial
@@ -190,6 +199,16 @@ class TestSearch:
 
     def test_empty_below_smallest_seed(self):
         assert search_quadruples(1, 1, 2) == []
+
+    @pytest.mark.parametrize(
+        "a, b, bound",
+        [(True, -1, 3), (1, True, 3), (1.5, 2, 3), (0, 1, 3), (1, -1, 2.5), (1, -1, True), (1, -1, 0)],
+    )
+    def test_weights_and_bound_not_ints_rejected(self, a, b, bound):
+        # a bound True would read as 1, and a float weight or bound would
+        # reach range
+        with pytest.raises(ValueError):
+            search_quadruples(a, b, bound)
 
     def test_sorted_and_canonical(self):
         seeds = search_quadruples(1, 1, 12)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import importlib
 import itertools
@@ -30,7 +31,7 @@ from cubeforge.forge import _value_gfs, json_text
 from cubeforge.quadform import QuadForm, sol_quad
 
 
-def make_theorem(a, b, c, kind, gfs, depth=0):
+def make_theorem(a, b, c, kind, gfs):
     return CubicTheorem(
         a=a,
         b=b,
@@ -39,7 +40,6 @@ def make_theorem(a, b, c, kind, gfs, depth=0):
         gf_a=gfs[0],
         gf_b=gfs[1],
         gf_c=gfs[2],
-        certificate=Certificate(bound=depth),
         provenance={},
     )
 
@@ -81,13 +81,42 @@ class TestCertifyTheorem:
         assert certify_theorem(thm) == expected
 
 
+class TestDerivedCertificate:
+    """A CubicTheorem's certificate is certify_theorem on its own
+    statement, never an argument."""
+
+    def test_certificate_argument_rejected(self, alternating_triple):
+        with pytest.raises(TypeError):
+            CubicTheorem(1, -1, 1, "alternating", *alternating_triple, {},
+                         certificate=Certificate(bound=11))
+
+    def test_hand_built_false_theorem_is_refuted(self):
+        # 1 + 1 + 1 = 5 fails at n = 0, however the theorem is built
+        g = RationalGF((1,), (1, -1))
+        thm = CubicTheorem(1, 1, 5, "constant", g, g, g, provenance={})
+        assert thm.certificate == Certificate(bound=2, witness=0)
+        text = render(thm, "text")
+        assert text.startswith("Refuted:") and text.endswith("fails at n = 0")
+        assert "certified by checking" not in text
+
+    def test_replace_recertifies(self, alternating_triple):
+        thm = make_theorem(1, -1, 1, "alternating", alternating_triple)
+        assert thm.certificate == Certificate(bound=11)
+        wrong = dataclasses.replace(thm, c=2)
+        assert wrong.certificate == certify_theorem(wrong)
+        assert not wrong.certificate.certified and wrong.certificate.witness == 0
+        assert dataclasses.replace(wrong, c=1) == thm
+        with pytest.raises(ValueError):
+            dataclasses.replace(thm, certificate=Certificate(bound=11))
+
+
 class TestSerialization:
     def test_round_trip(self, alternating_triple):
-        thm = make_theorem(1, -1, 1, "alternating", alternating_triple, depth=11)
+        thm = make_theorem(1, -1, 1, "alternating", alternating_triple)
         assert theorem_from_json(json.loads(render(thm, "json"))) == thm
 
     def test_schema_fields(self, alternating_triple):
-        thm = make_theorem(1, -1, 1, "alternating", alternating_triple, depth=22)
+        thm = make_theorem(1, -1, 1, "alternating", alternating_triple)
         data = theorem_to_json(thm)
         assert set(data) == {
             "a",
@@ -149,7 +178,7 @@ class TestSerialization:
 
     def test_render_text_contains_constant(self, constant_triple_6859):
         gf_a, gf_b, gf_c = constant_triple_6859
-        thm = make_theorem(2, 1, 6859, "constant", (gf_b, gf_c, gf_a), depth=22)
+        thm = make_theorem(2, 1, 6859, "constant", (gf_b, gf_c, gf_a))
         text = render(thm, "text")
         assert "= 6859" in text
         assert text.startswith("Theorem:") and "then for all n >= 0" in text
@@ -161,6 +190,24 @@ class TestSerialization:
 
 
 class TestForge:
+    @pytest.mark.parametrize(
+        "a, b, options",
+        [
+            (True, -1, {}),
+            (1, False, {}),
+            (1.5, 2, {}),
+            (1, 2.0, {}),
+            ("1", -1, {}),
+            (1, -1, {"search_bound": 2.5}),
+            (1, -1, {"search_bound": True}),
+        ],
+    )
+    def test_weights_and_bound_not_ints_rejected(self, a, b, options):
+        # a = True would be written "a": true, which verify refuses, and a
+        # float would reach range
+        with pytest.raises(ValueError):
+            forge(a, b, **options)
+
     def test_empty_seed_set(self):
         with pytest.raises(EmptySeedSet):
             forge(1, 1, search_bound=2)
@@ -448,7 +495,7 @@ class TestLatexWeights:
         "b, term", [(-1, "A_n^3 + B_n^3 - C_n^3 "), (-3, r"A_n^3 + B_n^3 - 3\,C_n^3 ")]
     )
     def test_negative_b(self, alternating_triple, b, term):
-        thm = make_theorem(1, b, 1, "alternating", alternating_triple, depth=22)
+        thm = make_theorem(1, b, 1, "alternating", alternating_triple)
         latex = render(thm, "latex")
         assert term in latex and "+ -" not in latex
         # the text format is unchanged

@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from math import gcd, isqrt
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 
 import cubeforge.quadform as quadform
 from cubeforge import (
+    Certificate,
     QuadForm,
+    RationalGF,
     enumerate_solutions,
     general_quadform,
     pell_special,
@@ -30,7 +33,7 @@ from cubeforge.errors import (
     ZeroB,
 )
 from cubeforge.parsing import parse_poly
-from cubeforge.quadform import PellOrbit, _orbit_from_solutions, _value_pattern
+from cubeforge.quadform import PellConstruction, PellOrbit, _orbit_from_solutions, _value_pattern
 
 # the weight pairs of the forge workloads of perfbench/run.py
 FORGE_WEIGHTS = [(1, -1), (1, 1), (1, 3), (1, -3), (1, 2), (2, 1), (1, -2), (2, -1)]
@@ -174,7 +177,9 @@ def reference_orbit_from_solutions(form, sols):
     cert = certify_zero(form.to_poly() - rhs_poly(target, kind), {"m": gf_m, "n": gf_n})
     if not cert.certified:
         return None
-    return PellOrbit(gf_m=gf_m, gf_n=gf_n, target=target, kind=kind, certificate=cert)
+    orbit = PellOrbit(form=form, gf_m=gf_m, gf_n=gf_n, target=target, kind=kind)
+    assert orbit.certificate == cert
+    return orbit
 
 
 def reference_has_unit(table, top, norm_one=False):
@@ -252,6 +257,40 @@ class TestQuadForm:
 
     def test_discriminant(self):
         assert QuadForm(-1, 9, 1).discriminant == 85
+
+    @pytest.mark.parametrize(
+        "coeffs", [(1.0, 0, -2), (True, 0, -2), (1, False, -2), (1, 0, Fraction(-2)), (1, 0, "-2")]
+    )
+    def test_coefficient_not_an_int_rejected(self, coeffs):
+        # a float would reach gcd, and True would be solved as 1
+        with pytest.raises(InvalidForm, match="not an integer"):
+            QuadForm(*coeffs)
+
+
+class TestPellOrbit:
+    """A PellOrbit's certificate is certify_zero on Q(m, n) - e*(+-1)^n
+    over its own sequences, never an argument."""
+
+    PELL = (QuadForm(1, 0, -2), RationalGF((1, -3), (1, -6, 1)), RationalGF((0, 2), (1, -6, 1)))
+
+    def test_certificate_argument_rejected(self):
+        with pytest.raises(TypeError):
+            PellOrbit(*self.PELL, 1, "constant", certificate=Certificate(bound=4))
+
+    def test_true_orbit_certified(self):
+        orbit = PellOrbit(*self.PELL, 1, "constant")
+        assert orbit.certificate == Certificate(bound=4)
+        assert orbit == sol_quad(QuadForm(1, 0, -2))
+        assert "form" not in orbit.to_json()
+
+    @pytest.mark.parametrize("target, kind", [(2, "constant"), (1, "alternating"), (-1, "constant")])
+    def test_wrong_target_carries_a_witness(self, target, kind):
+        # m^2 - 2n^2 is 1 at every point, so any other right side fails at
+        # n = 0 (value 1) or n = 1 (the sign of an alternating target)
+        orbit = PellOrbit(*self.PELL, target, kind)
+        assert not orbit.certificate.certified
+        assert orbit.certificate.witness == (1 if target == 1 else 0)
+        assert orbit.to_json()["certified_depth"] == orbit.certificate.bound
 
 
 class TestEnumerate:
@@ -1167,6 +1206,12 @@ class TestPellSpecial:
     def test_zero_b(self):
         with pytest.raises(ZeroB):
             pell_special(5, 0)
+
+    def test_integral_follows_the_modulus(self):
+        pc = pell_special(3, 2)
+        with pytest.raises(TypeError):
+            PellConstruction(pc.gf_a, pc.gf_b, pc.modulus, integral=False)
+        assert not replace(pc, modulus=Fraction(8, 9)).integral
 
     def test_rational_modulus(self):
         pc = pell_special(3, 3)
