@@ -153,8 +153,9 @@ class RationalGF:
     jointly to integers, divides both by their primitive polynomial gcd and
     then by the gcd of all their coefficients, and makes den(0) positive.
     A zero numerator takes the denominator (1,), as gcd(0, den) = den.
-    This normal form is unique, and it is computed without Fractions for
-    integer input.
+    This normal form is unique.  Sequences of ints (not bools) are taken as
+    they are: they skip the scaling and build no Fraction, and when the
+    gcd of their coefficients is 1 they are not divided.
 
     Most pairs are coprime, so Euclid mod the prime p = 2^61 - 1
     (_coprime_mod_p, which carries the proof) runs first, and the primitive
@@ -164,9 +165,13 @@ class RationalGF:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Sequence, den: Sequence):
-        num, den = list(num), list(den)
-        ints = scale_to_integers(num + den)
-        num_t, den_t = _trim(ints[: len(num)]), _trim(ints[len(num) :])
+        num, den = tuple(num), tuple(den)
+        exact = all(type(c) is int for c in chain(num, den))
+        if exact:
+            num_t, den_t = _trim(num), _trim(den)
+        else:
+            ints = scale_to_integers(num + den)
+            num_t, den_t = _trim(ints[: len(num)]), _trim(ints[len(num) :])
         if not den_t or den_t[0] == 0:
             raise PoleAtOrigin("denominator vanishes at the origin")
         if not num_t:
@@ -178,8 +183,11 @@ class RationalGF:
         common = gcd(*num_t, *den_t)
         if den_t[0] < 0:
             common = -common
-        object.__setattr__(self, "num", tuple(c // common for c in num_t))
-        object.__setattr__(self, "den", tuple(c // common for c in den_t))
+        if common != 1 or not exact:
+            num_t = tuple(c // common for c in num_t)
+            den_t = tuple(c // common for c in den_t)
+        object.__setattr__(self, "num", num_t)
+        object.__setattr__(self, "den", den_t)
 
     def __setattr__(self, *a):
         raise AttributeError("RationalGF is immutable")
@@ -219,6 +227,9 @@ MAX_NUMERATOR_LENGTH = MAX_VERIFY_ORDER + 1
 # most 6; the 59-digit binomials of (1-t)^200 stay below the cap, so such a
 # theorem is still refused for its order.
 MAX_COEFFICIENT_DIGITS = 60
+# an int has at most MAX_COEFFICIENT_DIGITS digits exactly when its absolute
+# value is below this
+_COEFFICIENT_BOUND = 10**MAX_COEFFICIENT_DIGITS
 
 
 def check_digits(numerals: Iterable[str]) -> None:
@@ -234,9 +245,10 @@ def read_gfs(pairs: Iterable) -> list[RationalGF]:
     """The one reader of raw (num, den) coefficient lists from outside the
     program.  Before RationalGF reduces anything, each must be two lists of
     ints (a bool is not one), each numerator at most MAX_NUMERATOR_LENGTH
-    long, each coefficient at most MAX_COEFFICIENT_DIGITS digits, and the
-    orders, raw lengths - 1, must sum to at most MAX_VERIFY_ORDER, or
-    ValueError is raised."""
+    long, each coefficient below 10^MAX_COEFFICIENT_DIGITS in absolute
+    value, that is of at most MAX_COEFFICIENT_DIGITS digits (they are
+    counted only to word a refusal), and the orders, raw lengths - 1, must
+    sum to at most MAX_VERIFY_ORDER, or ValueError is raised."""
     pairs = list(pairs)
     for num, den in pairs:
         if not (isinstance(num, list) and isinstance(den, list)):
@@ -246,10 +258,12 @@ def read_gfs(pairs: Iterable) -> list[RationalGF]:
                 f"a numerator has {len(num)} coefficients, which exceeds the cap "
                 f"{MAX_NUMERATOR_LENGTH}"
             )
-        for c in num + den:
+        coeffs = num + den
+        for c in coeffs:
             if type(c) is not int:
                 raise ValueError(f"a coefficient is a {type(c).__name__}, not an integer")
-        check_digits(str(abs(c)) for c in num + den)
+        if max(map(abs, coeffs), default=0) >= _COEFFICIENT_BOUND:
+            check_digits(str(abs(c)) for c in coeffs)
     order = sum(max(len(den) - 1, 0) for _, den in pairs)
     if order > MAX_VERIFY_ORDER:
         raise ValueError(
@@ -262,25 +276,28 @@ def taylor_series(g: RationalGF) -> Iterator[int | Fraction]:
     """The Taylor coefficients of g at the origin, exact, one at a time and
     without end.  Values are ints whenever integral, Fractions otherwise.
 
-    With d0 = den[0], the loop runs on the integers N_n = a(n) * d0^(n+1):
-    multiplying d0*a(n) = num_n - sum_i den_i a(n-i) by d0^n gives
-    N_n = num_n d0^n - sum_i den_i d0^(i-1) N_(n-i).  When d0 == 1 (every
-    integer sequence, by the normalisation) N_n is a(n) and no Fraction is
-    built."""
+    When d0 = den[0] is 1 (every integer sequence, by the normalisation) the
+    loop runs on the ints a(n) = num_n - sum_i den_i a(n-i) and builds no
+    Fraction and no power of d0.  Otherwise it runs on the integers
+    N_n = a(n) * d0^(n+1): multiplying d0*a(n) = num_n - sum_i den_i a(n-i)
+    by d0^n gives N_n = num_n d0^n - sum_i den_i d0^(i-1) N_(n-i)."""
     num, den = g.num, g.den
     d0 = den[0]
+    past = deque(maxlen=len(den) - 1)  # a(n-1), a(n-2), ... or N_(n-1), ...
+    if d0 == 1:
+        weights = den[1:]
+        for c in chain(num, repeat(0)):  # without end, as below
+            acc = c - sum(map(mul, weights, past))
+            past.appendleft(acc)
+            yield acc
     weights = [c * d0**i for i, c in enumerate(den[1:])]
-    past = deque(maxlen=len(weights))  # N_(n-1), N_(n-2), ...
     power = 1  # d0^n
     for c in chain(num, repeat(0)):
         acc = c * power - sum(map(mul, weights, past))
         past.appendleft(acc)
         power *= d0
-        if d0 == 1:
-            yield acc
-        else:
-            value = Fraction(acc, power)
-            yield value.numerator if value.denominator == 1 else value
+        value = Fraction(acc, power)
+        yield value.numerator if value.denominator == 1 else value
 
 
 def taylor_coefficients(g: RationalGF, count: int):

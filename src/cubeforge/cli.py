@@ -5,6 +5,12 @@ stdout, diagnostics to stderr.  Exit codes: 0 at least one certified result,
 1 clean no-result, 2 input or parse error, 3 internal invariant violation.
 Serialized generating functions (verify, findform --gf) are read under the
 caps of cfinite.read_gfs; the caps on options and polynomial text are here.
+
+argv is parsed once: when its first word names a verb, the rest goes to
+that verb's own parser, the one the top-level parser hands it to.  Only
+when argv names no verb, or the verb's parser leaves words over, does the
+top-level parser run, so that help, usage lines, error texts and exit
+codes are the ones it gives.
 """
 
 from __future__ import annotations
@@ -109,12 +115,17 @@ def _parse_matrix(text: str) -> list[list[int]]:
 
 
 def _load_json(path: str):
-    """The JSON value in a file; nesting too deep to decode raises ValueError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError("the JSON nests too deeply to be read") from None
+    """The JSON value in a UTF-8 file, its line ends read as a text-mode
+    open reads them, so that a decoding error gives the same position;
+    nesting too deep to decode raises ValueError."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("the JSON nests too deeply to be read") from None
 
 
 def _load_seeds(path: str, a: int, b: int) -> list[WeightedQuadruple]:
@@ -224,7 +235,8 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_EMPTY
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each verb's parser by name."""
     parser = argparse.ArgumentParser(
         prog="cubeforge",
         description="Discover and certify infinite families of solutions of "
@@ -282,20 +294,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--file", required=True)
     p_verify.set_defaults(func=_cmd_verify)
 
-    return parser
+    return parser, sub.choices
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # Built on the first call, not at import.  parse_args leaves the parser
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # Built on the first call, not at import.  Parsing leaves the parsers
     # unchanged (each call starts from a fresh namespace, and the append
     # action copies its list), so one tree serves every call.
     return build_parser()
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The namespace the top-level parser gives for argv, from one parse.
+    The top-level parser hands every word after the verb to the verb's
+    parser unchanged; with none left over it adds only the verb's name,
+    which nothing reads."""
+    parser, verbs = _parsers()
+    verb = verbs.get(argv[0]) if argv else None
+    if verb is not None:
+        args, rest = verb.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:

@@ -164,7 +164,9 @@ def find_form(
     """Search for a degree-``degree`` form constant (or alternating, or
     vanishing) on the sequence tuple, by exact nullspace computation on an
     evaluation matrix.  Each candidate is built as a FormResult, which
-    certifies itself, and the first certified one is returned.
+    certifies itself, and the first certified one is returned.  A degree
+    that is not an int, or is a bool, raises ValueError before any work, as
+    quadform.check_work_option does for the work options.
 
     The matrix has one column per degree-D monomial plus one target column
     (omitted for target "none") and C(d+D-1, D) + 4 rows.  If the certifier
@@ -188,6 +190,8 @@ def find_form(
     d = len(seqs)
     if d < 2:
         raise ValueError("need at least two sequences")
+    if type(degree) is not int:
+        raise ValueError(f"degree must be an int, not {type(degree).__name__}")
     if degree < 2:
         raise ValueError("degree must be at least 2")
     if target not in TARGETS:

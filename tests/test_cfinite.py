@@ -415,6 +415,25 @@ class TestRationalGF:
         assert g == RationalGF((), (1,)) and g.num == () and g.den == (1,)
         assert hash(g) == hash(RationalGF((0, 0), (1, -1)))
 
+    def test_bool_coefficients_come_out_as_ints(self):
+        g = RationalGF((True, False), (True, -1))
+        assert (g.num, g.den) == ((1,), (1, -1))
+        assert all(type(c) is int for c in g.num + g.den)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_read_gfs_coefficient_at_the_cap(self, sign):
+        # the cap is a magnitude: 10^60 - 1 has 60 digits and 10^60 has 61
+        cap = MAX_COEFFICIENT_DIGITS
+        edge = sign * (10**cap - 1)
+        assert read_gfs([([edge], [1, -1]), ([1], [1, edge])]) == [
+            RationalGF((edge,), (1, -1)),
+            RationalGF((1,), (1, edge)),
+        ]
+        for pair in (([sign * 10**cap], [1, -1]), ([1], [1, sign * 10**cap])):
+            with pytest.raises(ValueError) as info:
+                read_gfs([pair])
+            assert str(info.value) == f"a coefficient has {cap + 1} digits, which exceeds the cap {cap}"
+
     @settings(max_examples=200, deadline=None)
     @given(
         num=st.lists(_CAPPED_INT, max_size=MAX_NUMERATOR_LENGTH),

@@ -607,6 +607,24 @@ class TestCliCommands:
             assert code == 0
             assert out.strip() == f"certified, depth {depth}"
 
+    @pytest.mark.parametrize("where, depth", [("num", 2), ("den", 5)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_verify_coefficient_at_the_cap(self, tmp_path, capsys, where, depth, sign):
+        # the cap is a magnitude: 10^60 - 1 has 60 digits and 10^60 has 61
+        cap = cfinite.MAX_COEFFICIENT_DIGITS
+        path = tmp_path / "theorem.json"
+        path.write_text(json.dumps(self._cancelling_theorem(sign * (10**cap - 1), where)))
+        assert main(["verify", "--file", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == f"certified, depth {depth}"
+        path.write_text(json.dumps(self._cancelling_theorem(sign * 10**cap, where)))
+        assert main(["verify", "--file", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.strip() == (
+            f"MalformedTheorem: theorem schema violation: a coefficient has {cap + 1} digits, "
+            f"which exceeds the cap {cap}"
+        )
+
     @pytest.mark.parametrize(
         "coefficient, digits",
         [("1e999999999", 10**9), ("2.5E-999999999", 10**9 - 1), (1e300, 301), ("1/3", 1)],
@@ -828,3 +846,136 @@ class TestParserReuse:
         assert results[0] == results[2]
         for argv, got in zip((self.FINDFORM, self.BAD), results):
             assert got == self._fresh(argv)
+
+
+class TestOneParse:
+    """main parses argv once, with the verb's own parser, and gives what the
+    top-level parser gives: the same exit code, stdout and stderr."""
+
+    @staticmethod
+    def _run(argv, capsys):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_matches_the_top_level_parser(self, tmp_path, capsys, monkeypatch):
+        theorem = tmp_path / "theorem.json"
+        theorem.write_text(json.dumps(TestCliCommands._forged_theorem()))
+        file = str(theorem)
+        pell = ["pell", "--form", "m^2-2*n^2"]
+        table = [
+            ["forge", "--a", "1", "--b", "2", "--search-bound", "4"],
+            pell,
+            ["eliminate", "--x", "m^2-n^2", "--y", "2*m*n", "--z", "m^2+n^2"],
+            ["twist", "--matrix", "1,0,0;0,1,0;0,0,1"],
+            TestParserReuse.FINDFORM,
+            ["verify", "--file", file],
+            *([verb, "-h"] for verb in ("forge", "pell", "eliminate", "twist", "findform", "verify")),
+            ["-h"],
+            ["--help"],
+            ["-h", "verify"],
+            [],
+            ["frobnicate"],
+            ["frobnicate", "--file", file],
+            ["verify"],
+            ["forge", "--a", "1"],
+            ["forge", "--a", "x", "--b", "1"],
+            ["pell", "--form", "m^2-2*n^2", "--bound", "1.5"],
+            ["forge", "--a", "1", "--b", "2", "--search-bound", "4", "--fo", "json"],
+            ["forge", "--a=1", "--b=2", "--search-bound=4", "--format=latex"],
+            ["verify", "--file", file, "--bogus"],
+            [*pell, "extra"],
+            ["pell", "--form", "m^2-2*n^2", "--", "extra"],
+            ["verify", "--file", "-h"],
+            ["verify", "--", "--file", file],
+            ["findform", "--degree", "2", "--target", "sideways", "--gf", "1;1,-1"],
+            ["Verify", "--file", file],
+        ]
+        got = [self._run(argv, capsys) for argv in table]
+        parser, _ = cli.build_parser()
+        monkeypatch.setattr(cli, "_parse_args", parser.parse_args)
+        expected = [self._run(argv, capsys) for argv in table]
+        for argv, g, e in zip(table, got, expected):
+            assert g == e, argv
+        # the valid calls, then help and refusals
+        assert [code for code, _, _ in got[:6]] == [0] * 6
+        assert {code for code, _, _ in got[6:]} == {0, 2}
+
+    def test_valid_call_skips_the_top_level_parser(self, monkeypatch, capsys):
+        parser, _ = cli._parsers()
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return type(parser).parse_known_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_known_args", counting)
+        assert main(["pell", "--form", "m^2-2*n^2"]) == 0
+        assert calls == []
+        assert main(["pell", "--form", "m^2-2*n^2", "extra"]) == 2
+        assert len(calls) == 1
+        assert "usage: cubeforge [-h]" in capsys.readouterr().err
+
+    def test_reads_sys_argv_without_argv(self, monkeypatch, capsys):
+        argv = ["pell", "--form", "m^2-2*n^2"]
+        expected = self._run(argv, capsys)
+        monkeypatch.setattr(sys, "argv", ["cubeforge", *argv])
+        assert self._run(None, capsys) == expected
+        monkeypatch.setattr(sys, "argv", ["cubeforge", "frobnicate"])
+        code, out, err = self._run(None, capsys)
+        assert code == 2 and out == ""
+        assert "invalid choice: 'frobnicate'" in err
+
+
+class TestJsonBytes:
+    """The JSON reader decodes the file's bytes as UTF-8 and reads its line
+    ends as a text-mode open does, so a file gives the output, or the
+    error, it gave when it was read as text."""
+
+    @staticmethod
+    def _verify(path, capsys):
+        code = main(["verify", "--file", str(path)])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_crlf_theorem_certifies_alike(self, tmp_path, capsys):
+        assert main(["forge", "--a", "1", "--b", "-1", "--format", "json"]) == 0
+        text = capsys.readouterr().out
+        outputs = []
+        for name, data in (("lf.json", text), ("crlf.json", text.replace("\n", "\r\n"))):
+            path = tmp_path / name
+            path.write_bytes(data.encode())
+            outputs.append(self._verify(path, capsys))
+        assert b"\r\n" in (tmp_path / "crlf.json").read_bytes()
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0 and outputs[0][1].startswith("certified, depth ")
+
+    def test_crlf_seed_file_forges_alike(self, tmp_path, capsys):
+        outputs = []
+        for end in ("\n", "\r\n"):
+            path = tmp_path / "seeds.json"
+            path.write_bytes(f"[{end}  [9, 10, -1, -12]{end}]{end}".encode())
+            assert main(["forge", "--a", "1", "--b", "1", "--seed-file", str(path)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'\xef\xbb\xbf{"a": 1}',
+             "JSONDecodeError: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+            (b'{"a": 1, "b": "\xff"}',
+             "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 15: invalid start byte"),
+            (b'{"a":\r\n 1, "b": "\xc3',
+             "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xc3 in position 17: unexpected end of data"),
+            # positions count a CRLF or a lone CR as one character
+            (b"[\r\n  1,\r\n  x\r\n]", "JSONDecodeError: Expecting value: line 3 column 3 (char 9)"),
+            (b"[\r  1,\r  x\r]", "JSONDecodeError: Expecting value: line 3 column 3 (char 9)"),
+            (b'["\r\n"]', "JSONDecodeError: Invalid control character at: line 1 column 3 (char 2)"),
+        ],
+        ids=["bom", "invalid-utf8", "truncated-utf8", "crlf", "cr", "crlf-in-string"],
+    )
+    def test_refusals_read_as_text(self, tmp_path, capsys, data, message):
+        path = tmp_path / "theorem.json"
+        path.write_bytes(data)
+        assert self._verify(path, capsys) == (2, "", message + "\n")

@@ -190,6 +190,12 @@ class TestFindForm:
         scale = r.constant / -1
         assert all(c == scale * ref for c, ref in zip(coeffs, reference))
 
+    @pytest.mark.parametrize("degree", [2.0, True])
+    def test_degree_not_an_int_rejected(self, degree):
+        seqs = [RationalGF((1,), (1, -3, 1)), RationalGF((0, 1), (1, -3, 1))]
+        with pytest.raises(ValueError, match=f"degree must be an int, not {type(degree).__name__}"):
+            find_form(seqs, degree)
+
     def test_identical_sequences_not_targetable(self):
         g = RationalGF((1,), (1, -3, 1))
         with pytest.raises(NoTargetedForm) as info:
