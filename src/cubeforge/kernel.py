@@ -23,7 +23,6 @@ powers of its image (see ``_horner``).
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -46,7 +45,7 @@ class MultiPoly:
     when they denote the same polynomial, regardless of unused variables.
     """
 
-    __slots__ = ("variables", "terms", "_key")
+    __slots__ = ("variables", "terms")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[tuple[int, ...], int]):
         vs = tuple(variables)
@@ -66,7 +65,6 @@ class MultiPoly:
             clean[ev] = coeff
         self.variables = vs
         self.terms = clean
-        self._key = None
 
     @classmethod
     def _make(cls, variables: tuple[str, ...], terms: dict[tuple[int, ...], int]) -> "MultiPoly":
@@ -75,7 +73,6 @@ class MultiPoly:
         p = cls.__new__(cls)
         p.variables = variables
         p.terms = terms
-        p._key = None
         return p
 
     # --- constructors ---
@@ -153,15 +150,13 @@ class MultiPoly:
     # --- equality / hashing across variable contexts ---
 
     def _canonical_key(self) -> frozenset:
-        if self._key is None:
-            items = []
-            for ev, c in self.terms.items():
-                named = frozenset(
-                    (v, e) for v, e in zip(self.variables, ev) if e
-                )
-                items.append((named, c))
-            self._key = frozenset(items)
-        return self._key
+        items = []
+        for ev, c in self.terms.items():
+            named = frozenset(
+                (v, e) for v, e in zip(self.variables, ev) if e
+            )
+            items.append((named, c))
+        return frozenset(items)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -419,36 +414,27 @@ def _nonzero(terms: Mapping[int, int]) -> dict[int, int]:
 def _pdiv(num: Mapping[int, int], den: Mapping[int, int], guard: int) -> dict[int, int] | None:
     """Exact quotient num/den of packed polynomials (den nonzero, with no
     zero coefficient), or None.  Leading-term reduction in graded-lex
-    order; the leading remainder term comes off a max-heap that holds each
-    remainder monomial exactly once."""
+    order: the largest remainder monomial leads each step, and one whose
+    coefficient cancelled to zero is dropped when it comes up.  Finding it
+    scans the remainder, where a heap (Monagan & Pearce) would take a
+    logarithm; no CLI verb divides polynomials, so the loop stays plain."""
     lm = max(den)
     lc = den[lm]
     rest = [(m, c) for m, c in den.items() if m != lm]
     quot: dict[int, int] = {}
     rem = dict(num)
-    heap = [-m for m in rem]
-    heapify(heap)
-    while heap:
-        m = -heappop(heap)
+    while rem:
+        m = max(rem)
         c = rem.pop(m)
         if not c:
             continue
         q = m - lm
-        if q < 0 or q & guard:
-            return None
         qc, leftover = divmod(c, lc)
-        if leftover:
+        if q < 0 or q & guard or leftover:
             return None
         quot[q] = qc
-        # every q + t is below m, so it has not left the heap yet
         for t, tc in rest:
-            tgt = q + t
-            old = rem.get(tgt)
-            if old is None:
-                rem[tgt] = -qc * tc
-                heappush(heap, -tgt)
-            else:
-                rem[tgt] = old - qc * tc
+            rem[q + t] = rem.get(q + t, 0) - qc * tc
     return quot
 
 

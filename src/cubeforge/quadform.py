@@ -44,7 +44,7 @@ window is explored, from both sides of the reduction of f; a huge unit, or
 a long cycle, costs no more than a small one.  When 2|e'| < sqrt(D') the
 forms f_B of the class are read off the cycle directly (Lagrange).  The
 square roots of D' mod 4|e'| come from the factorisation of e'
-(Pollard-Brent rho with Miller-Rabin, ``_factor``), Tonelli-Shanks and
+(Pollard's rho with Miller-Rabin, ``_factor``), Tonelli-Shanks and
 Hensel lifting per odd prime power, bit-by-bit lifting for powers of 2, and
 the Chinese remainder theorem.  The roots and the reduced forms f_B depend
 only on (D', e'), so they live in a ``_DiscTable`` per D' that every form of
@@ -57,9 +57,14 @@ L1 = 0, L2 = 0 (e = 0) or L1 = +-p (D = 0, L2 = +-L1).
 
 Cost.  Definite: per target, at most min(bound, sqrt(4c*|e/k| / |D'|)) + 1
 isqrt calls.  Indefinite, per discriminant D', for each e' met: the
-factorisation of 4|e'|, expected O(|e'|^(1/4)) steps, the square roots, and
+factorisation of 4|e'|, the square roots, and
 O(1 + log(|e'|/sqrt(D'))) reduction steps per root B, computed once in the
-table (none when 2|e'| < sqrt(D')).  Per form, one reduction and the window:
+table (none when 2|e'| < sqrt(D')).  The factorisation is trial division
+by the primes below 64 when 4|e'| < 4225, as for every target the CLI
+allows (|e'| <= 200); larger 4|e'| below _MR_PROVEN take expected
+O(|e'|^(1/4)) steps of Pollard's rho with Floyd's cycle finding, three
+squarings and a gcd each; above _MR_PROVEN, trial division has no useful
+bound (see ``_factor``).  Per form, one reduction and the window:
 the positions j where |L+-| of the first column of P_j stay within the
 box's bound times sqrt(D') |z| / |e'|, O(log(bound * D' * |z|)) positions,
 as those grow geometrically along the cycle.  Per target, O(min(sqrt|e|,
@@ -233,33 +238,20 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_brent(n: int) -> int:
-    """A proper divisor of the odd composite n: Brent's cycle finding on
-    x -> x^2 + c (mod n), products of 128 differences per gcd, and one
-    step at a time again when a batch overshoots; the next c when a cycle
-    closes modulo every factor at once."""
+def _pollard_rho(n: int) -> int:
+    """A proper divisor of the odd composite n: Pollard's rho with Floyd's
+    cycle finding on x -> x^2 + c (mod n); the next c when a cycle closes
+    modulo every factor at once, so that the gcd is n."""
     c = 0
     while True:
         c += 1
-        y, r, q, g = 2, 1, 1, 1
+        x = y = 2
+        g = 1
         while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = gcd(x - y, n)
         if g != n:
             return g
 
@@ -267,9 +259,23 @@ def _pollard_brent(n: int) -> int:
 def _factor(n: int) -> dict[int, int]:
     """{p: k} with n = prod p^k, for n >= 1.  Trial division by the primes
     below 64, and further for as long as the cofactor is at least
-    _MR_PROVEN; the cofactor left then splits by Pollard-Brent rho, its
-    parts tested by Miller-Rabin.  Expected O(n^(1/4)) steps below the
-    proven bound instead of O(n^(1/2))."""
+    _MR_PROVEN; the cofactor left then splits by Pollard's rho, its parts
+    tested by Miller-Rabin.  Expected O(n^(1/4)) steps below the proven
+    bound instead of O(n^(1/2)).
+
+    Below 65^2 = 4225, trial division alone finishes: such an n is below
+    _MR_PROVEN, so the loop runs only while p < 64 and p * p <= n, and the
+    cofactor never exceeds n.  It ends at the first p with p * p > n, or at
+    p = 65, the candidate after 63, where p * p = 4225 > n as well.  Either
+    way p * p > n, so the cofactor, free of every factor below p, is 1 or
+    a prime, and neither Miller-Rabin nor rho runs.  The CLI caps every
+    target at MAX_TARGET_CAP = 200, so it factors only 4|e'| <= 800, and
+    |e/k'| <= 200 for square D, all inside this bound.
+
+    The work is unbounded above _MR_PROVEN: a cofactor at least that large
+    is trial-divided until it falls below it, so a product of two primes
+    near 10^13, such as (10^13 + 37) * (10^13 + 51), takes about 5 * 10^12
+    divisions, and _factor of it does not return in any useful time."""
     out: dict[int, int] = {}
     p = 2
     while p * p <= n and (p < 64 or n >= _MR_PROVEN):
@@ -287,7 +293,7 @@ def _factor(n: int) -> dict[int, int]:
         if _is_prime(m):
             out[m] = out.get(m, 0) + 1
         else:
-            d = _pollard_brent(m)
+            d = _pollard_rho(m)
             parts += [d, m // d]
     return out
 
@@ -574,10 +580,9 @@ class _Classes:
 
     def _extend(self, x: int) -> None:
         """Explore forward until |mu+_j| > x and backward until |mu-_j| > x,
-        so that every position with both |mu+-_j| <= x is known.  Both
-        grow geometrically away from the window, by the unit per period."""
-        if x <= self._reached:
-            return
+        so that every position with both |mu+-_j| <= x is known, for an x
+        above ``_reached``.  Both grow geometrically away from the window,
+        by the unit per period."""
         self._reached = x
         disc, root = self.disc, self.root
         g, p = self._ahead
@@ -807,6 +812,14 @@ def enumerate_solutions(
     at once.  The class data are computed afresh for each call.  The
     bound and the targets must be ints (not bools): a target 1.5 read as 1
     would list the solutions of another value.
+
+    A target inside the box is factored (``_factor`` of 4|e'|, or of |e/k'|
+    for square D), and that work has no useful bound once a cofactor is at
+    least _MR_PROVEN, about 3.3 * 10^24: the target
+    (10^13 + 37) * (10^13 + 51), a product of two primes, at bound
+    2 * 10^13 on (1, 0, -2) or on (0, 1, 0) does not return.  Only a
+    target passed here reaches that case; no CLI verb does, as the CLI
+    caps every target at 200.
     """
     check_work_option("bound", bound)
     targets = list(targets)

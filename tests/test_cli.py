@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from cubeforge import Certificate, MultiPoly, certify_theorem, theorem_from_json
-from cubeforge import cfinite, cli
+from cubeforge import cfinite, cli, kernel, quadform
 from cubeforge.cli import main
 from cubeforge.errors import MalformedTheorem, ParseError
 from cubeforge.parsing import MAX_NESTING, parse_poly
@@ -925,6 +925,57 @@ class TestOneParse:
         code, out, err = self._run(None, capsys)
         assert code == 2 and out == ""
         assert "invalid choice: 'frobnicate'" in err
+
+
+class _Reached(Exception):
+    pass
+
+
+class TestUnreachedHelpers:
+    """No CLI verb runs Pollard's rho, Miller-Rabin or the polynomial
+    division loop: with them replaced by functions that raise, every verb
+    gives the same exit code and stdout.  The CLI caps every target at
+    MAX_TARGET_CAP, so each factorisation ends in trial division (see
+    quadform._factor)."""
+
+    def test_verbs_give_the_same_output_without_them(self, tmp_path, capsys, monkeypatch):
+        cap = str(cli.MAX_TARGET_CAP)
+        forge = ["forge", "--a", "1", "--b", "-1", "--target-cap", cap, "--format", "json"]
+        assert main(forge) == 0
+        forged = tmp_path / "forged.json"
+        forged.write_text(capsys.readouterr().out)
+        table = [
+            forge,
+            *(
+                ["forge", "--a", a, "--b", b, "--target-cap", cap, "--format", "json"]
+                for a, b in [("1", "2"), ("2", "-1"), ("2", "3"), ("5", "-6")]
+            ),
+            ["pell", "--form", "m^2-2*n^2", "--bound", "20000", "--target-cap", cap],
+            TestParserReuse.FINDFORM,
+            ["verify", "--file", str(forged)],
+            ["eliminate", "--x", "m^3 + n", "--y", "m*n^2 - 1", "--z", "m + n^3"],
+            ["twist", "--matrix", "6,7,-9;6,-5,4;-8,-3,3"],
+        ]
+
+        def run(argv):
+            code = main(argv)
+            return code, capsys.readouterr().out
+
+        expected = [run(argv) for argv in table]
+
+        def unreached(*args):
+            raise _Reached(args)
+
+        monkeypatch.setattr(quadform, "_pollard_rho", unreached)
+        monkeypatch.setattr(quadform, "_is_prime", unreached)
+        monkeypatch.setattr(kernel, "_pdiv", unreached)
+        factored = []
+        factor = quadform._factor
+        monkeypatch.setattr(quadform, "_factor", lambda n: factored.append(n) or factor(n))
+        for argv, want in zip(table, expected):
+            assert run(argv) == want, argv
+        # the forge runs factor 4|e'| up to 4 * MAX_TARGET_CAP
+        assert factored and max(factored) <= 4 * cli.MAX_TARGET_CAP < 65 * 65
 
 
 class TestJsonBytes:

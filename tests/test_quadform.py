@@ -24,6 +24,7 @@ from cubeforge import (
     taylor_coefficients,
 )
 from cubeforge.cfinite import certify_zero, gf_from_den, joint_guess_recurrence, rhs_poly
+from cubeforge.cli import MAX_TARGET_CAP
 from cubeforge.cubic import morph, search_quadruples
 from cubeforge.errors import (
     DefiniteForm,
@@ -745,6 +746,40 @@ class TestFactor:
         got = enumerate_solutions(form, targets, 300)
         assert time.perf_counter() - start < 2
         assert got == reference_enumerate_solutions(form, targets, 300) and len(got) == 3
+
+    def test_trial_division_alone_below_65_squared(self, monkeypatch):
+        def unreached(n):
+            raise RuntimeError(f"reached with {n}")
+
+        monkeypatch.setattr(quadform, "_is_prime", unreached)
+        monkeypatch.setattr(quadform, "_pollard_rho", unreached)
+        # every CLI target gives 4|e'| <= 4 * MAX_TARGET_CAP, below the bound
+        assert 4 * MAX_TARGET_CAP < 65 * 65
+        for n in range(1, 65 * 65):
+            assert quadform._factor(n) == trial_factor(n), n
+        # 67^2 is the least n whose cofactor outlives trial division
+        with pytest.raises(RuntimeError):
+            quadform._factor(67 * 67)
+
+    def test_rho_retries_when_the_cycle_closes_modulo_n(self):
+        def first_gcd(n, c):
+            # the gcd the Floyd loop ends with for this c
+            x = y = 2
+            g = 1
+            while g == 1:
+                x = (x * x + c) % n
+                y = ((y * y + c) ** 2 + c) % n
+                g = gcd(x - y, n)
+            return g
+
+        # c = 1 closes the cycle modulo both factors at once on each; 2669
+        # fails with c = 2 as well
+        for n, p, q in [(21, 3, 7), (341, 11, 31), (2669, 17, 157)]:
+            assert first_gcd(n, 1) == n
+            assert quadform._pollard_rho(n) in (p, q)
+        assert first_gcd(2669, 2) == 2669
+        for p in (999999937, 1000000007):
+            assert quadform._pollard_rho(p * p) == p
 
 
 @contextlib.contextmanager
