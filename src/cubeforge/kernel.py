@@ -567,18 +567,29 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
        det M[K + k + i; K + k + j].  That minor has integer coefficients,
        so dividing by the integer prev is exact, coefficient by coefficient.
     2. Minor expansion.  When no row has an integer constant in column k,
-       the trailing t x t block B (t = n - k) is expanded by minors, Laplace
-       along its rows (``_expand_by_minors``).  The minor on rows R and
-       columns C, with r the row of R used last, is the sum over j in C of
-       (-1)^(pos(r, R) + pos(j, C)) B_rj det B[R - r; C - j], pos counting
+       one of two matrices is expanded by minors, Laplace along its rows
+       (``_expand_by_minors``): the trailing t x t block B (t = n - k), or,
+       when k > 0, M itself as it was before the pivots.  ``_minor_plan``
+       costs B by the products its expansion forms (``_live_sets``), then
+       costs M with B's cost as the limit, and M is expanded only when it
+       costs less.  The pivots can leave B denser than the banded M they
+       started from, and M can be dearer than B, hence the comparison.
+       Costing M stops once it passes B's cost, so it does at most about
+       the work of costing B; a matrix whose integer pivots reach the end,
+       such as one of integers only, never costs M at all.  Both routes are
+       exact, since an expansion forms only integer sums of products.  In
+       the matrix A expanded, the minor on rows R and columns C, with r the
+       row of R used last, is the sum over j in C of
+       (-1)^(pos(r, R) + pos(j, C)) A_rj det A[R - r; C - j], pos counting
        the members before it.  The rows are used in a fixed order and r is
        the last of R in it, so pos(r, R) = |C| - 1 and the sign is (-1) to
-       the number of columns of C after j.  Using the rows of B in another
-       order than B's own multiplies the result by the sign of that
-       reordering, which is divided out.
-    3. Scale back.  Sylvester's identity gives det B = prev^(t - 1) det M,
-       so det M is det B divided exactly by the integer prev^(t - 1), times
-       the sign of the swaps.
+       the number of columns of C after j.  Using the rows of A in another
+       order than A's own multiplies the result by the sign of that
+       reordering, which is divided out.  Expanding M gives det M, with no
+       swap sign and no stage 3.
+    3. Scale back.  When B is expanded, Sylvester's identity gives
+       det B = prev^(t - 1) det M, so det M is det B divided exactly by the
+       integer prev^(t - 1), times the sign of the swaps.
 
     Packing bound.  A minor of M on rows X has degree at most D_X <= S.
     Every entry of every elimination step is such a minor, so each product
@@ -586,8 +597,10 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     so by Sylvester's identity a minor of B on rows R is prev^(|R| - 1)
     det M[K + R; K + C], of degree at most D_K + D_R.  So the product
     B_rj det B[R - r; C - j] has degree at most
-    (D_K + d_r) + (D_K + D_R - d_r) = D_K + D_(K + R) <= 2S.  The entries
-    are packed once, for degree 2S.
+    (D_K + d_r) + (D_K + D_R - d_r) = D_K + D_(K + R) <= 2S.  When M
+    itself is expanded, the product M_rj det M[R - r; C - j] has degree at
+    most d_r + D_(R - r) = D_R <= S <= 2S.  The entries are packed once,
+    for degree 2S.
     """
     dp = p.degree_in(var)
     dq = q.degree_in(var)
@@ -622,12 +635,19 @@ def _determinant(m: list[list[MultiPoly]]) -> MultiPoly:
 
 def _det_packed(m: list[list[dict[int, int]]]) -> dict[int, int]:
     n = len(m)
+    raw = [list(row) for row in m]  # the steps replace entries, never change one
     sign = 1
     prev = 1  # the last pivot
     for k in range(n - 1):
         ints = [(abs(m[i][k][0]), i) for i in range(k, n) if m[i][k].keys() == {0}]
         if not ints:
-            det = _expand_by_minors([row[k:] for row in m[k:]])
+            block = [row[k:] for row in m[k:]]
+            cost, order, live = _minor_plan(block, None)
+            if k:
+                raw_cost, raw_order, raw_live = _minor_plan(raw, cost)
+                if raw_cost < cost:
+                    return _expand_by_minors(raw, raw_order, raw_live)
+            det = _expand_by_minors(block, order, live)
             return _div_int(det, sign * prev ** (n - k - 1))
         pick = min(ints)[1]  # the least integer constant in column k
         if pick != k:
@@ -659,14 +679,14 @@ def _div_int(p: dict[int, int], d: int) -> dict[int, int]:
     return out
 
 
-def _expand_by_minors(block: list[list[dict[int, int]]]) -> dict[int, int]:
-    """Determinant of a square block of packed polynomials by Laplace
-    expansion along its rows (Gentleman & Johnson, ACM TOMS 2(3), 1976).
-    After each row, ``minors`` maps each live set of columns, as a bit
-    mask, to the nonzero minor on the rows used so far and those columns;
-    each minor is formed once and shared by every larger minor that expands
-    into it.  A set is live while the rows still to come reach every column
-    outside it.
+def _minor_plan(
+    block: list[list[dict[int, int]]], limit: int | None
+) -> tuple[int, list[int], list[set[int]]]:
+    """The cost, row order and live sets with which ``_expand_by_minors``
+    expands a square block: band order or lightest first, whichever
+    ``_live_sets`` costs lower, band order on a tie.  Costing stops once it
+    passes ``limit``; a cost above ``limit`` comes with incomplete live sets
+    and must not be expanded.
 
     Band order: by first nonzero column, fewer terms first among equals.
     After the rows that start at or before column c are used, every live
@@ -680,18 +700,32 @@ def _expand_by_minors(block: list[list[dict[int, int]]]) -> dict[int, int]:
     Lightest first, which keeps the early minors small, is band order on a
     dense block.  After integer pivots a block can hold light banded rows
     beside heavy rows that start in column 0; band order then uses the
-    heavy rows mid-expansion, where live sets are most numerous.  So both
-    orders are costed by ``_live_sets`` and the cheaper runs, band order on
-    a tie."""
+    heavy rows mid-expansion, where live sets are most numerous."""
     t = len(block)
     size = [sum(len(e) for e in row) for row in block]
     light = sorted(range(t), key=size.__getitem__)
     order = sorted(light, key=lambda r: next((j for j, e in enumerate(block[r]) if e), t))
-    live, cost = _live_sets([block[r] for r in order], None)
+    live, cost = _live_sets([block[r] for r in order], limit)
     if light != order:
         light_live, light_cost = _live_sets([block[r] for r in light], cost)
         if light_cost < cost:
-            order, live = light, light_live
+            return light_cost, light, light_live
+    return cost, order, live
+
+
+def _expand_by_minors(
+    block: list[list[dict[int, int]]], order: list[int], live: list[set[int]]
+) -> dict[int, int]:
+    """Determinant of a square block of packed polynomials by Laplace
+    expansion along its rows (Gentleman & Johnson, ACM TOMS 2(3), 1976),
+    the rows used in ``order`` with the column sets ``live`` after each, as
+    ``_minor_plan`` chose them.  After each row, ``minors`` maps each live
+    set of columns, as a bit mask, to the nonzero minor on the rows used so
+    far and those columns; each minor is formed once and shared by every
+    larger minor that expands into it.  A set is live while the rows still
+    to come reach every column outside it.  The products formed, each
+    counted by the terms of its entry, add up to at most the plan's cost."""
+    t = len(block)
     # the reordering's sign is the parity of its inversions
     odd = sum(a > b for i, a in enumerate(order) for b in order[i + 1:]) & 1
     minors: dict[int, dict[int, int]] = {0: {0: 1}}
@@ -717,9 +751,12 @@ def _expand_by_minors(block: list[list[dict[int, int]]]) -> dict[int, int]:
 
 def _live_sets(rows: list[list[dict[int, int]]], limit: int | None) -> tuple[list[set[int]], int]:
     """The column sets live after each row when ``_expand_by_minors`` uses
-    the rows in this order, and the cost of its products, each counted by
-    the terms of its entry (every minor taken as nonzero).  Stops once the
-    cost is past ``limit``."""
+    the rows in this order, and the cost of its products.  Each product of
+    an entry and a minor costs the entry's number of terms, every minor
+    taken as nonzero, so the cost bounds the products formed, weighted by
+    the terms of their entries.  With ``limit`` not None, costing stops
+    once the cost passes ``limit``, checked after each set it extends; the
+    cost returned is then above ``limit`` and the live sets are incomplete."""
     full = (1 << len(rows)) - 1
     # reach[r]: the columns with a nonzero entry in row r or below
     reach = [0] * (len(rows) + 1)

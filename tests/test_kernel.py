@@ -160,15 +160,41 @@ def determinant_paths():
     sizes = []
     expand = kernel._expand_by_minors
 
-    def spy(block):
+    def spy(block, *plan):
         sizes.append(len(block))
-        return expand(block)
+        return expand(block, *plan)
 
     kernel._expand_by_minors = spy
     try:
         yield sizes
     finally:
         kernel._expand_by_minors = expand
+
+
+@contextmanager
+def minor_plans():
+    """Record (size, limit, cost) of every matrix the determinant costs."""
+    plans = []
+    plan = kernel._minor_plan
+
+    def spy(block, limit):
+        out = plan(block, limit)
+        plans.append((len(block), limit, out[0]))
+        return out
+
+    kernel._minor_plan = spy
+    try:
+        yield plans
+    finally:
+        kernel._minor_plan = plan
+
+
+def m_resultants(*components):
+    """The two polynomials whose n-resultant ``implicitize`` takes for the
+    parametrization (x, y, z) = components, each a text in m and n."""
+    vs = ("m", "n", "x", "y", "z")
+    x, y, z = (MultiPoly.variable(v, vs) - parse_poly(c, vs) for v, c in zip("xyz", components))
+    return resultant(x, y, "m"), resultant(x, z, "m")
 
 
 # --- oracle: exact division by the plain leading-term loop, which rescans
@@ -1039,6 +1065,68 @@ class TestDeterminant:
         monkeypatch.undo()
         assert formed[0] <= light_cost
         assert got == bareiss_det(rows)
+
+    def test_expands_the_cheaper_of_block_and_raw_matrix(self):
+        # n-resultants of two eliminate inputs.  The 1026-term input's 7 x 7
+        # block after integer pivots costs 2618 products and its raw 16 x 16
+        # Sylvester matrix 1860, so the raw matrix is expanded, with no scale
+        # back.  The homogeneous input's 9 x 9 block costs 210, below its raw
+        # 18 x 18 matrix, so the block is expanded.
+        cases = [
+            (("m^3 + n", "m*n^2 - 1", "m + n^3"), [16]),
+            (("m^3 - n^3", "m^2*n + m*n^2", "m^3 + n^3"), [9]),
+        ]
+        for components, expanded in cases:
+            r1, r2 = m_resultants(*components)
+            with determinant_paths() as sizes:
+                got = resultant(r1, r2, "n")
+            assert sizes == expanded
+            assert got == bareiss_det(sylvester_rows(r1, r2, "n"))
+
+    def test_integer_pivots_to_the_end_cost_nothing(self):
+        # a pure-integer resultant of degrees 18 and 17: the pivots reach the
+        # end, so no matrix is costed or expanded, and the work stays
+        # polynomial in the degree
+        rng = random.Random(103)
+        vs = ("m",)
+        p = MultiPoly(vs, {(i,): rng.choice((-9, -5, -2, -1, 1, 3, 7)) for i in range(19)})
+        q = MultiPoly(vs, {(i,): rng.choice((-8, -3, -1, 1, 2, 5, 9)) for i in range(18)})
+        with determinant_paths() as sizes, minor_plans() as plans:
+            got = resultant(p, q, "m")
+        assert sizes == [] and plans == []
+        assert got == bareiss_det(sylvester_rows(p, q, "m"))
+
+    def test_raw_matrix_expanded_only_when_cheaper(self):
+        # the n-resultants implicitize takes, for seeded random
+        # parametrizations and the two inputs above: after pivots stop at
+        # k > 0, the raw n x n matrix is costed with the t x t block's cost as
+        # its limit, and it is expanded exactly when it costs less than the
+        # block.  The values of both routes are checked above and in
+        # test_mixed_entries_match_naive_det; bareiss_det takes up to 40 s
+        # on some of these inputs.
+        rng = random.Random(107)
+        monomials = [(i, d - i) for d in (1, 2, 3) for i in range(d + 1)]
+        inputs = [("m^3 + n", "m*n^2 - 1", "m + n^3"), ("m^3 - n^3", "m^2*n + m*n^2", "m^3 + n^3")]
+        while len(inputs) < 14:
+            picks = [rng.sample(monomials, rng.choice((2, 3))) for _ in "xyz"]
+            if all(any(i for i, _ in pick) for pick in picks):
+                inputs.append(tuple(
+                    " + ".join(f"{rng.choice((-3, -2, -1, 1, 2, 3))}*m^{i}*n^{j}" for i, j in pick)
+                    for pick in picks
+                ))
+        routes = set()
+        for components in inputs:
+            r1, r2 = m_resultants(*components)
+            if r1.degree_in("n") == 0 or r2.degree_in("n") == 0:
+                continue
+            with determinant_paths() as sizes, minor_plans() as plans:
+                resultant(r1, r2, "n")
+            if len(plans) == 2:
+                (t, no_limit, block_cost), (n, limit, raw_cost) = plans
+                assert no_limit is None and limit == block_cost
+                assert sizes == ([n] if raw_cost < block_cost else [t])
+                routes.add(raw_cost < block_cost)
+        assert routes == {True, False}
 
     def test_zero_determinant(self):
         rng = random.Random(83)
