@@ -169,9 +169,15 @@ def find_form(
     quadform.check_work_option does for the work options.
 
     The matrix has one column per degree-D monomial plus one target column
-    (omitted for target "none") and C(d+D-1, D) + 4 rows.  If the certifier
-    rejects a candidate, the matrix is rebuilt once with as many rows as the
-    certification bound, which makes a second rejection impossible.
+    (omitted for target "none") and min(C(d+D-1, D) + 4, B) rows, B the
+    certificate_bound of the sum of every degree-D monomial and the target
+    term.  If the certifier rejects a candidate, the matrix is rebuilt once
+    with B rows, which makes a second rejection impossible.  Starting at B
+    when B is the smaller count changes no result: with at least B rows
+    every nullspace vector is a true relation (the second invariant below),
+    and every true relation is one, so the nullspace is exactly the set of
+    true relations.  A matrix with more rows has the same nullspace, so the
+    same rref basis, the same chosen vector and the same FormResult.
 
     Two outcomes are invariants, and AssertionError if broken:
     - The chosen vector has monomial support.  It is a nonzero nullspace
@@ -179,13 +185,11 @@ def find_form(
       were every monomial entry zero, the matrix would map the vector to
       its target entry times the target column, whose entries are +-1, so
       that entry would be zero too.
-    - The last row plan certifies.  It has at least as many rows as
-      certificate_bound gives for the sum of every degree-D monomial and the
-      target term, and certify_zero checks at most that many indices for
-      the candidate: its support and the sequences it uses are among that
-      sum's, and the bound grows with both.  The candidate vanishes on every
-      row of the matrix, where it is evaluated at the same terms, so it
-      vanishes at every checked index.
+    - The matrix of B rows certifies.  certify_zero checks at most B
+      indices for the candidate: its support and the sequences it uses are
+      among that sum's, and the bound grows with both.  The candidate
+      vanishes on every row of the matrix, where it is evaluated at the
+      same terms, so it vanishes at every checked index.
     """
     d = len(seqs)
     if d < 2:
@@ -204,11 +208,7 @@ def find_form(
     if target != "none":
         generic -= rhs_poly(1, target)
     cert_rows = certificate_bound(generic, bindings)
-    row_plans = [base_rows]
-    if cert_rows > base_rows:
-        row_plans.append(cert_rows)
-
-    for rows in row_plans:
+    for rows in sorted({base_rows, cert_rows}):
         terms = [taylor_coefficients(g, rows) for g in seqs]
         matrix = []
         for n in range(rows):

@@ -56,9 +56,9 @@ a divisor p of e/k' with L1 = p, L2 = e/(k'*p), or lies on one of the lines
 L1 = 0, L2 = 0 (e = 0) or L1 = +-p (D = 0, L2 = +-L1).
 
 Cost.  Definite: per target, at most min(bound, sqrt(4c*|e/k| / |D'|)) + 1
-isqrt calls.  Indefinite, per discriminant D', for each e' met: the
-factorisation of 4|e'|, the square roots, and
-O(1 + log(|e'|/sqrt(D'))) reduction steps per root B, computed once in the
+isqrt calls.  Indefinite, per discriminant D', for each |e'| met: the
+factorisation of 4|e'| and the square roots, then O(1 + log(|e'|/sqrt(D')))
+reduction steps per root B for each of e' and -e', computed once in the
 table (none when 2|e'| < sqrt(D')).  The factorisation is trial division
 by the primes below 64 when 4|e'| < 4225, as for every target the CLI
 allows (|e'| <= 200); larger 4|e'| below _MR_PROVEN take expected
@@ -68,7 +68,9 @@ bound (see ``_factor``).  Per form, one reduction and the window:
 the positions j where |L+-| of the first column of P_j stay within the
 box's bound times sqrt(D') |z| / |e'|, O(log(bound * D' * |z|)) positions,
 as those grow geometrically along the cycle.  Per target, O(min(sqrt|e|,
-bound)) steps for the square divisors g^2, then O(1) per position found;
+bound)) steps for the square divisors g^2, then O(1) per explored
+position whose form has the first coefficient e' or that of a reduced
+form of the table's bases;
 beyond those steps the work follows the number of classes and solutions,
 not ``bound``.  On every path, targets beyond (|qa| + |qb| + |qc|) *
 bound^2, which bounds |Q| on the box, cost nothing.  sol_quad's unit test
@@ -361,16 +363,13 @@ def _sqrts_mod_prime_power(d: int, p: int, k: int) -> list[int]:
     return [h * (y + i * pj) for y in ys for i in range(h)]
 
 
-def _sqrts_mod(d: int, factors: dict[int, int], memo: dict) -> list[int]:
+def _sqrts_mod(d: int, factors: dict[int, int]) -> list[int]:
     """Every x mod N = prod p^k over ``factors`` with x^2 = d (mod N): the
-    roots per prime power, memoised in ``memo`` by (p, k), joined by the
-    Chinese remainder theorem."""
+    roots per prime power joined by the Chinese remainder theorem."""
     xs, mod = [0], 1
     for p, k in factors.items():
         q = p**k
-        roots = memo.get((p, k))
-        if roots is None:
-            roots = memo[p, k] = _sqrts_mod_prime_power(d, p, k)
+        roots = _sqrts_mod_prime_power(d, p, k)
         if not roots:
             return []
         inv = pow(mod, -1, q)
@@ -426,18 +425,17 @@ class _DiscTable:
     ``has_unit(top)`` decides sol_quad's small-unit test, which depends on
     nothing but disc and the bound.
 
-    The list is memoised per e1, the roots B per |e1|, which +-e1 share,
-    the roots modulo each prime power (p, k) of 4|e1| per (p, k), and the
-    unit test by the traces it has scanned.  A
-    table lives as long as its owner: one enumerate_solutions or sol_quad
-    call, or one forge call for all the forms it meets."""
+    The lists are memoised per e1.  The roots B depend on |e1| only, so one
+    call factors 4|e1|, takes the roots once and fills the lists of e1 and
+    -e1 together; the sweep asks for both.  The unit test is memoised by
+    the traces it has scanned.  A table lives as long as its owner: one
+    enumerate_solutions or sol_quad call, or one forge call for all the
+    forms it meets."""
 
     def __init__(self, disc: int):
         self.disc = disc
         self.root = isqrt(disc)
         self._bases: dict[int, list] = {}
-        self._roots: dict[int, set[int]] = {}
-        self._prime_power_roots: dict[tuple[int, int], list[int]] = {}
         self._traced = 0  # every trace up to this one is checked
         self._least_unit: tuple[int, int] | None = None  # (trace, norm)
 
@@ -482,22 +480,17 @@ class _DiscTable:
         return t <= top
 
     def bases(self, e1: int) -> list[tuple[tuple[int, int, int], tuple[int, int]]]:
-        out = self._bases.get(e1)
-        if out is not None:
-            return out
-        disc, root = self.disc, self.root
-        two_e = 2 * abs(e1)
-        roots = self._roots.get(two_e)
-        if roots is None:
-            modulus = _factor(2 * two_e)  # 4|e1|
-            roots = {x % two_e for x in _sqrts_mod(disc, modulus, self._prime_power_roots)}
-            self._roots[two_e] = roots
-        out = self._bases[e1] = []
-        for x in roots:
-            b = root - (root - x) % two_e
-            reduced, m = _reduce_indefinite((e1, b, (b * b - disc) // (4 * e1)), disc, root)
-            out.append((reduced, (m[3], -m[2])))
-        return out
+        if e1 not in self._bases:
+            disc, root = self.disc, self.root
+            two_e = 2 * abs(e1)
+            roots = {x % two_e for x in _sqrts_mod(disc, _factor(2 * two_e))}  # 4|e1|
+            for e in (e1, -e1):
+                out = self._bases[e] = []
+                for x in roots:
+                    b = root - (root - x) % two_e
+                    reduced, m = _reduce_indefinite((e, b, (b * b - disc) // (4 * e)), disc, root)
+                    out.append((reduced, (m[3], -m[2])))
+        return self._bases[e1]
 
 
 class _Classes:
@@ -505,17 +498,17 @@ class _Classes:
     discriminant, f = (a, b, c) primitive of discriminant disc, over the
     _DiscTable of disc.
 
-    ``positions`` maps each reduced form properly equivalent to f to the
-    matrices P with f∘P equal to it that are needed.  The reduced forms of
-    the class make one cycle under rho.  Number its positions j in Z from
-    f0 = f∘P_0, the reduction of f: g_(j+1) = rho(g_j) = g_j∘M_j with
-    M_j = [[0, -1], [1, t_j]], and P_(j+1) = P_j * M_j, so f∘P_j = g_j; a
-    period later P_(j+l) = eps * P_j for the fundamental automorph eps.
+    ``positions`` maps a first coefficient a_j to the pairs (g_j, P_j) of
+    the explored positions whose reduced form g_j = f∘P_j starts with it.
+    The reduced forms of the class make one cycle under rho.  Number its
+    positions j in Z from f0 = f∘P_0, the reduction of f: g_(j+1) =
+    rho(g_j) = g_j∘M_j with M_j = [[0, -1], [1, t_j]], and P_(j+1) =
+    P_j * M_j, so f∘P_j = g_j; a period later P_(j+l) = eps * P_j for the
+    fundamental automorph eps.
     Every proper automorph of f is +-eps^k, so the representations that
     belong to one class of B (see _DiscTable) are +-P_j z over all j with
-    g_j = g, for one reduced g and one z.  Only a window of positions can give a point of the box; _extend
-    explores it from both ends, and ``leading`` maps the first coefficient
-    of each explored g_j to the first columns of its P_j.
+    g_j = g, for one reduced g and one z.  Only a window of positions can
+    give a point of the box; _extend explores it from both ends.
 
     The window.  With L+-(x, y) = 2a*x + (b +- sqrt(disc))*y on f and
     likewise on g_j, L+-^f(P_j w) = mu+-_j * L+-^(g_j)(w), where mu+-_j =
@@ -548,8 +541,7 @@ class _Classes:
         self.table = table
         self.scale = k
         self.f = f
-        self.leading: dict[int, list[tuple[int, int]]] = {}
-        self.positions = {}
+        self.positions: dict[int, list] = {}
         self.reach = 2 * abs(f[0]) + abs(f[1]) + self.root + 1  # |L+-^f| < reach * limit
         f0, p0 = _reduce_indefinite(f, disc, self.root)
         self._ahead = (f0, p0)  # the next positions to explore, j = 0 and -1
@@ -598,25 +590,24 @@ class _Classes:
         self._behind = (g, p)
 
     def _add(self, g, p) -> None:
-        self.positions.setdefault(g, []).append(p)
-        self.leading.setdefault(g[0], []).append((p[0], p[2]))
+        self.positions.setdefault(g[0], []).append((g, p))
 
     def primitive(self, e1: int, limit: int) -> list[tuple[int, int]]:
         """Every primitive representation (x, y) of e1 != 0 by f with
         1 <= x <= limit and 0 <= y <= limit.
 
         For each (g, z) of table.bases(e1), the points P z over the P of
-        ``positions`` that take f to g.  When 2|e1| < sqrt(disc), f_B is
-        already reduced, so the f_B of the class are exactly the cycle forms
-        with first coefficient e1 (Lagrange's criterion) and z = (1, 0):
-        those are read from ``leading``, with no square roots and no
-        reduction."""
+        ``positions[g[0]]`` that take f to g.  When 2|e1| < sqrt(disc), f_B
+        is already reduced, so the f_B of the class are exactly the cycle
+        forms with first coefficient e1 (Lagrange's criterion) and z =
+        (1, 0): the points are the first columns of ``positions[e1]``, with
+        no square roots and no reduction."""
         # explore the window up to K (|z1| + sqrt(disc) |z2|) / (2|e1|)
         if 2 * abs(e1) <= self.root:
             x = self.reach * limit // (2 * abs(e1)) + 1  # z = (1, 0)
             if x > self._reached:
                 self._extend(x)
-            found = self.leading.get(e1)
+            found = [(p[0], p[2]) for _, p in self.positions.get(e1, ())]
         else:
             found = []
             for reduced, z in self.table.bases(e1):
@@ -626,10 +617,9 @@ class _Classes:
                     self._extend(x)
                 found += [
                     (p[0] * z[0] + p[1] * z[1], p[2] * z[0] + p[3] * z[1])
-                    for p in self.positions.get(reduced, ())
+                    for g, p in self.positions.get(reduced[0], ())
+                    if g == reduced
                 ]
-        if not found:
-            return []
         out = []
         for x, y in found:
             if x < 0:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import cubeforge.concoct as concoct
 from cubeforge import (
     Certificate,
     FormResult,
@@ -263,6 +264,40 @@ class TestFindForm:
                 )
                 assert value == r.constant
             done += 1
+
+    @staticmethod
+    def _matrix_rows(monkeypatch):
+        """The row counts of the matrices find_form hands to
+        rational_nullspace, in order."""
+        rows = []
+        nullspace = concoct.rational_nullspace
+        monkeypatch.setattr(
+            concoct, "rational_nullspace", lambda m, *a: rows.append(len(m)) or nullspace(m, *a)
+        )
+        return rows
+
+    def test_certificate_bound_rows_when_below_the_base_count(self, monkeypatch):
+        # the README's findform input: bound 4 against C(3, 2) + 4 = 7 rows
+        seqs = [RationalGF((1,), (1, -3, 1)), RationalGF((0, 1), (1, -3, 1))]
+        rows = self._matrix_rows(monkeypatch)
+        r = find_form(seqs, 2, "constant")
+        assert rows == [4] and r.certificate.bound == 4
+        # a bound above the base count gives the base-first order: the same
+        # nullspace, vector and result from the 7-row matrix
+        rows.clear()
+        monkeypatch.setattr(concoct, "certificate_bound", lambda expr, bindings: 8)
+        assert find_form(seqs, 2, "constant") == r
+        assert rows == [7]
+
+    def test_base_rows_first_when_the_bound_exceeds_them(self, monkeypatch):
+        # denominators of order 4: the bound is C(5, 2) = 10 for target none,
+        # and 2*X1^2 - X1*X2 already certifies on the 7 base rows
+        den = (1, -1, -1, -1, -1)
+        seqs = [RationalGF((1, 2, 3, 4), den), RationalGF((2, 4, 6, 8), den)]
+        rows = self._matrix_rows(monkeypatch)
+        r = find_form(seqs, 2, "none")
+        assert rows == [7] and r.certificate.bound == 10
+        assert r.coefficients == {(2, 0): 2, (1, 1): -1}
 
     def test_serialization_shape(self):
         r = find_form(

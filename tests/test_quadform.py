@@ -587,6 +587,83 @@ class TestMagnitudeSweep:
         assert sweep == _per_magnitude(form, 100, 13)
 
 
+def _in_box(points, limit):
+    """The points of ``points`` in the box of ``limit``, each taken with the
+    sign that makes x positive, as _Classes.primitive lists them."""
+    out = []
+    for x, y in points:
+        if x < 0:
+            x, y = -x, -y
+        if 0 < x <= limit and 0 <= y <= limit:
+            out.append((x, y))
+    return sorted(out)
+
+
+class TestClassIndex:
+    """_Classes keeps one index of its explored cycle positions, keyed by
+    the first coefficient of their reduced form, and _DiscTable one memo,
+    the bases per target."""
+
+    def test_lagrange_read_off_matches_bases(self):
+        # when 2|e1| <= isqrt(disc) every f_B is reduced already, so the
+        # forms of the class with first coefficient e1 are the f_B
+        # (Lagrange's criterion): the read-off gives the points P z of the
+        # bases, with z = (1, 0)
+        checked = nonempty = 0
+        for form in _forge_forms():
+            if form.discriminant < 0:
+                continue
+            kind = quadform._prepare(form, {})
+            if not isinstance(kind, quadform._Classes):
+                continue
+            for a in range(1, 31):
+                if 2 * a > kind.root:
+                    break
+                for e1 in (a, -a):
+                    got = kind.primitive(e1, 2000)
+                    assert len(set(got)) == len(got)
+                    bases = kind.table.bases(e1)
+                    assert all(reduced[0] == e1 and z == (1, 0) for reduced, z in bases)
+                    from_bases = [
+                        (p[0] * z[0] + p[1] * z[1], p[2] * z[0] + p[3] * z[1])
+                        for reduced, z in bases
+                        for g, p in kind.positions.get(reduced[0], ())
+                        if g == reduced
+                    ]
+                    assert sorted(got) == _in_box(from_bases, 2000), (form, e1)
+                    checked += 1
+                    nonempty += bool(got)
+        # 136 forms of non-square discriminant; 415 of the 3028 targets have
+        # points in the box
+        assert (checked, nonempty) == (3028, 415)
+
+    def test_bases_of_both_signs_from_one_factorisation(self, monkeypatch):
+        discs = sorted(
+            {
+                quadform._primitive(form)[2]
+                for form in _forge_forms()
+                if isinstance(quadform._prepare(form, {}), quadform._Classes)
+            }
+        )[:8]
+        signed = [a if a % 3 else -a for a in range(1, 31)]
+        fresh = {
+            disc: {e: quadform._DiscTable(disc).bases(e) for a in signed for e in (a, -a)}
+            for disc in discs
+        }
+        factored = []
+        factor = quadform._factor
+        monkeypatch.setattr(quadform, "_factor", lambda n: factored.append(n) or factor(n))
+        for disc in discs:
+            table = quadform._DiscTable(disc)
+            factored.clear()
+            for e in signed:
+                assert table.bases(e) == fresh[disc][e]
+                # -e is held already: no second factorisation
+                assert table.bases(-e) == fresh[disc][-e]
+            assert factored == [4 * abs(e) for e in signed], disc
+        assert len(discs) == 8
+
+
 def _met_candidates(forms, bound=2000, target_cap=30):
     """Every ladder candidate the magnitude sweep of sol_quad meets on the
     forms when nothing is decided before it, as (form, candidate) pairs:
