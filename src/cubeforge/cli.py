@@ -71,6 +71,9 @@ MAX_FINDFORM_SEQUENCES = 8
 # with constant terms tried take up to 8 s (m^3 + n^3 + m + n + 1,
 # m^3 - n^3 + m*n, m^2*n + m*n^2 + 1 about 3 s); the degree-4 analogue of
 # the first did not finish in 100 s.  The library implicitize stays uncapped.
+# eliminate's literals are held to cfinite.MAX_COEFFICIENT_DIGITS before
+# they are read, as twist's are; that bounds the text, not the work: the
+# dense input above with 60-digit literals was still running after 120 s.
 MAX_ELIMINATE_DEGREE = 3
 # Polynomial text is parsed under a degree cap (parse_poly's max_degree), so
 # that no power is expanded before it is refused: 2 for pell, whose form is
@@ -187,10 +190,9 @@ def _cmd_pell(args) -> int:
 
 
 def _cmd_eliminate(args) -> int:
-    polys = [
-        parse_poly(text, ("m", "n"), max_degree=MAX_ELIMINATE_DEGREE)
-        for text in (args.x, args.y, args.z)
-    ]
+    texts = (args.x, args.y, args.z)
+    check_digits(re.findall(r"\d+", " ".join(texts)))
+    polys = [parse_poly(text, ("m", "n"), max_degree=MAX_ELIMINATE_DEGREE) for text in texts]
     print(str(implicitize(*polys)))
     return EXIT_OK
 

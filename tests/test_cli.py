@@ -667,6 +667,38 @@ class TestCliCommands:
             else:
                 assert code == 0 and err == "" and out.strip()
 
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_eliminate_coefficient_cap(self, capsys, extra):
+        # the literals of --x, --y and --z are held to the cap twist keeps;
+        # a 60-digit literal is read, a 61-digit one refused
+        cap = cfinite.MAX_COEFFICIENT_DIGITS
+        n = 10 ** (cap - 1 + extra) + 7
+        for texts in (
+            (f"{n}*m^2 - n^2", "2*m*n", "m^2 + n^2"),
+            ("m^2 - n^2", "2*m*n", f"m^2 + {n}*n^2"),
+        ):
+            code = main(["eliminate", "--x", texts[0], "--y", texts[1], "--z", texts[2]])
+            out, err = capsys.readouterr()
+            if extra:
+                assert code == 2 and out == ""
+                assert err.strip() == (
+                    f"ValueError: a coefficient has {cap + 1} digits, which exceeds the cap {cap}"
+                )
+            else:
+                assert code == 0 and err == "" and out.strip()
+
+    def test_eliminate_digits_refused_before_reading(self, capsys):
+        # a hundred nines, which twist refuses too, are refused before any
+        # resultant is taken
+        start = time.perf_counter()
+        argv = ["eliminate", "--x", "9" * 100 + "*m^2 - n^2", "--y", "2*m*n", "--z", "m^2 + n^2"]
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 0.5
+        assert capsys.readouterr().err.strip() == (
+            f"ValueError: a coefficient has 100 digits, which exceeds the cap "
+            f"{cfinite.MAX_COEFFICIENT_DIGITS}"
+        )
+
     @pytest.mark.parametrize(
         "argv, digits",
         [

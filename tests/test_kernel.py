@@ -3,6 +3,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations
 from math import gcd, lcm
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -551,6 +552,50 @@ class TestMultiPoly:
         assert got.variables == want.variables
         assert got.terms == want.terms
 
+    @settings(deadline=None)
+    @given(st.data())
+    def test_nesting_order_never_changes_the_result(self, data):
+        # up to twelve terms in x, y, z with exponents up to 3, so that inner
+        # groups hold several terms in every order; each of x, y, z goes to
+        # a dense image, the int 0, another int, a variable, or itself, as in
+        # the reference tests.  The six variable orders of the polynomial,
+        # the six nesting orders forced on _horner, and the orders the
+        # estimate picks with no term floor all give the reference result.
+        exps = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+        p = MultiPoly(("x", "y", "z"), {
+            ev: data.draw(st.integers(-5, 5).filter(bool))
+            for ev in data.draw(st.sets(exps, min_size=1, max_size=12))
+        })
+        values = {}
+        for v in ("x", "y", "z"):
+            kind = data.draw(st.sampled_from(["dense", "zero", "int", "variable", "self"]))
+            if kind == "dense":
+                degree = data.draw(st.integers(1, 2))
+                values[v] = MultiPoly(("m", "n"), {
+                    (a, b): data.draw(st.integers(-3, 3).filter(bool))
+                    for a in range(degree + 1) for b in range(degree + 1 - a)
+                })
+            elif kind == "zero":
+                values[v] = 0
+            elif kind == "int":
+                values[v] = data.draw(st.integers(-3, 3).filter(bool))
+            elif kind == "variable":
+                values[v] = MultiPoly.variable(data.draw(st.sampled_from(("x", "n"))))
+            else:
+                values[v] = MultiPoly.variable(v)
+        want = reference_substitute(p, values)
+        for order in permutations(("x", "y", "z")):
+            got = p.restricted(order).substitute(values)
+            assert got.variables == want.variables
+            assert got.terms == want.terms
+            assert str(got) == str(want)
+        for nesting in permutations(range(3)):
+            with patch.object(kernel, "_nesting_order", lambda cols, images: nesting):
+                assert p.substitute(values).terms == want.terms
+        with patch.object(kernel, "_NESTING_MIN_TERMS", 0):
+            for order in permutations(("x", "y", "z")):
+                assert p.restricted(order).substitute(values).terms == want.terms
+
     def test_last_variable_top_power_at_the_packing_bound(self):
         # z**5 under a degree-3 image has degree 15, the largest weighted
         # degree of a term, so substitute packs for exactly 15 = 2**4 - 1:
@@ -610,6 +655,55 @@ class TestMultiPoly:
         assert reference_substitute(s, images).is_zero
         shifted = s + MultiPoly.constant(1, s.variables)
         assert shifted.substitute(images).terms == reference_substitute(shifted, images).terms
+
+    def test_nesting_order_saves_products(self, monkeypatch):
+        # work counted, not timed: the term pairs _pmul multiplies, and the
+        # scalar multiply-adds of the innermost level, |X**e| for a term
+        # whose exponent of the innermost variable is e
+        def work(s, images, nesting=None):
+            pairs, chosen = [0], []
+            pmul, choose = kernel._pmul, kernel._nesting_order
+
+            def counted(a, b, acc):
+                pairs[0] += len(a) * len(b)
+                return pmul(a, b, acc)
+
+            def spy(cols, imgs):
+                chosen.append(choose(cols, imgs) if nesting is None else nesting)
+                return chosen[-1]
+
+            monkeypatch.setattr(kernel, "_pmul", counted)
+            monkeypatch.setattr(kernel, "_nesting_order", spy)
+            assert s.substitute(images).is_zero
+            monkeypatch.undo()
+            inner = chosen[0][-1]
+            image = images["xyz"[inner]]
+            sizes = {e: len((image ** e).terms) for e in {ev[inner] for ev in s.terms}}
+            return pairs[0], sum(sizes[ev[inner]] for ev in s.terms), chosen[0]
+
+        # the 1026-term check of eliminate m^3 + n, m*n^2 - 1, m + n^3: y,
+        # whose image has a constant term, goes innermost
+        images = dict(zip("xyz", (P("m^3 + n"), P("m*n^2 - 1"), P("m + n^3"))))
+        s = implicitize(*images.values())
+        assert len(s.terms) == 1026
+        pairs, scalar, order = work(s, images)
+        fixed_pairs, fixed_scalar, _ = work(s, images, (0, 1, 2))
+        assert order == (0, 2, 1)
+        assert (pairs, fixed_pairs) == (11016, 47628)
+        assert 2 * (pairs + scalar) <= fixed_pairs + fixed_scalar
+        # the 926-term check of the CI input whose n-resultant has no integer
+        # pivot: y innermost multiplies more term pairs in _pmul than
+        # (x, y, z), but far fewer at the innermost level, and less in all
+        images = dict(zip("xyz", (
+            P("-2*m^2*n + m^3 - 3*m*n"), P("-2*m*n^2 + 3*m*n"), P("2*m*n + 3*m*n^2 + 2*m^2*n")
+        )))
+        s = implicitize(*images.values())
+        assert len(s.terms) == 926
+        pairs, scalar, order = work(s, images)
+        fixed_pairs, fixed_scalar, _ = work(s, images, (0, 1, 2))
+        assert order == (0, 2, 1)
+        assert (pairs, scalar, fixed_pairs, fixed_scalar) == (83745, 8227, 64335, 44027)
+        assert pairs + scalar <= fixed_pairs + fixed_scalar
 
     def test_str_round_trip(self):
         rng = random.Random(5)

@@ -544,7 +544,15 @@ def _sweep(form, bound, target_cap, tables=None):
 
 
 def _per_magnitude(form, bound, target_cap):
-    return [enumerate_solutions(form, (mag, -mag), bound) for mag in range(1, target_cap + 1)]
+    """The solutions of each |value| = 1..target_cap from one run of the
+    windowed scan over all of them, split by |value|: an oracle that shares
+    no code with _Classes.primitive, which the sweep and
+    enumerate_solutions both run."""
+    out = [[] for _ in range(target_cap)]
+    targets = [sign * mag for mag in range(1, target_cap + 1) for sign in (1, -1)]
+    for sol in reference_enumerate_solutions(form, targets, bound):
+        out[abs(sol[2]) - 1].append(sol)
+    return out
 
 
 SWEPT_CLASSES = tuple(c for c in FORM_CLASSES if c not in DEFINITE_CLASSES)
@@ -552,7 +560,7 @@ SWEPT_CLASSES = tuple(c for c in FORM_CLASSES if c not in DEFINITE_CLASSES)
 
 class TestMagnitudeSweep:
     # sol_quad refuses definite forms before it sweeps, so the sweep is
-    # checked on forms of D >= 0 only
+    # checked on forms of D >= 0 only, against the windowed scan
 
     def test_forge_forms_match_enumeration(self):
         forms = [form for form in _forge_forms() if form.discriminant >= 0]
