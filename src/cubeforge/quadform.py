@@ -13,13 +13,19 @@ in the sorted list.  N follows from the value pattern, and t is read off as
 one integer on every window; nothing is fitted.
 
 Enumeration lists the solutions of Q(m, n) = e in the box 1 <= m <= bound,
-0 <= n <= bound.  ``_primitive`` divides the content out once: it
+0 <= n <= bound.  ``_slot_kind`` divides the content out once: it
 computes the content k, the primitive part f = Q/k and its discriminant
-D' = D/k^2, and the enumeration data of one of three paths are built from
-them (``_prepare``).  Each
-lists the solutions of its primitive part = e/k (e/k' for square D), so
-enumerate_solutions is the one place that divides a target by the scale,
-and a target the scale does not divide has no solution.
+D' = D/k^2, and names the kind of the form, the one place that tests the
+sign and squareness of a discriminant.  There are five kinds, and the
+enumeration data of each (``_prepare``):
+- "definite", D < 0: the scan (``_Definite``);
+- "pell", D > 0 and not a square: the classes of D' (``_Classes`` over a
+  ``_DiscTable``);
+- "square-disc", D a nonzero square; "line", D = 0 with qb != 0; and
+  "one-variable", D = 0 with qb = 0: the linear factors (``_Factored``).
+Each lists the solutions of its primitive part = e/k (e/k' for square D),
+so enumerate_solutions is the one place that divides a target by the
+scale, and a target the scale does not divide has no solution.
 
 Definite D (D < 0).  4c*f(m, y) = (2c*y + b*m)^2 - D'*m^2 for f = (a, b, c),
 so a scan over m = 1, 2, ... reads the y with f(m, y) = e/k off one isqrt
@@ -50,7 +56,8 @@ the Chinese remainder theorem.  The roots and the reduced forms f_B depend
 only on (D', e'), so they live in a ``_DiscTable`` per D' that every form of
 that discriminant shares.
 
-Square D (D = 0, qa = 0 or qc = 0).  Q = k'*L1*L2 with k' = +-k and
+Square D (D a square, zero included, which covers every form with qa = 0
+or qc = 0).  Q = k'*L1*L2 with k' = +-k and
 primitive integer linear forms L1, L2 (Gauss's lemma), so a solution pairs
 a divisor p of e/k' with L1 = p, L2 = e/(k'*p), or lies on one of the lines
 L1 = 0, L2 = 0 (e = 0) or L1 = +-p (D = 0, L2 = +-L1).
@@ -82,18 +89,18 @@ CPython 3.11), and 8 ms at bound 10^8.
 
 The magnitude sweep.  sol_quad needs the solutions of Q = +-mag for mag =
 1, 2, ... in turn.  Before any of them, and before any enumeration data
-are built, it asks whether an orbit can exist.  The points of a read-off
-orbit have m <= M, where M = bound, or isqrt(target_cap // |qa|) when
-that is less and the coefficients share one sign, as then |Q| >=
-|qa|*m^2 on the box.  Such an orbit either runs along a line of a form
-with D = 0 and qb != 0, stepping at least |s| in m for Q =
+are built, it asks whether an orbit can exist, by the kind of the form.
+The points of a read-off orbit have m <= M, where M = bound, or
+isqrt(target_cap // |qa|) when that is less and the coefficients share
+one sign, as then |Q| >= |qa|*m^2 on the box.  Such an orbit either runs
+along a line of a "line" form, stepping at least |s| in m for Q =
 k'*(r*m + s*n)^2, or steps by a unit of trace t <= 1 + isqrt(M) of
-Q(sqrt(D)) with D not a square, of norm +1 when the coefficients share
-one sign.  A form of square D > 0, a form in one variable, a line too
-steep for M, and a form whose field has no such unit (the test depends
-on D' and M only, and is kept in the table) have no orbit, and nothing
-is enumerated.  So the sweep runs on the classes of a non-square
-D or the factors of D = 0 only, and those two paths alone list primitive
+Q(sqrt(D)) on a "pell" form, of norm +1 when the coefficients share one
+sign.  A "square-disc" or "one-variable" form, a line too steep for M,
+and a "pell" form whose field has no such unit (the test depends on D'
+and M only, and is kept in the table) have no orbit, and nothing is
+enumerated.  So the sweep runs on the classes of a "pell" form or the
+factors of a "line" form only, and those two paths alone list primitive
 representations.  The sweep does not
 enumerate per target: ``_by_magnitude`` lists the primitive
 representations of each e' = +-1, +-2, ... once and files g times each
@@ -641,7 +648,7 @@ class _Classes:
 
 class _Definite:
     """The enumeration data of a definite form Q = scale * f, f = (a, b, c)
-    primitive of discriminant disc < 0, so c != 0.  ``points(n, bound)``
+    primitive of negative discriminant disc, so c != 0.  ``points(n, bound)``
     lists the solutions of the primitive part f = n in the box of ``bound``.
     As 4c*f(m, y) = (2c*y + b*m)^2 - disc*m^2, f(m, y) = n holds exactly
     when 2c*y + b*m = +-s with s^2 = disc*m^2 + 4c*n.  That radicand falls
@@ -742,12 +749,22 @@ class _Factored:
         return [pt for line in lines for pt in _line_points(*line, bound)]
 
 
-def _primitive(form: QuadForm) -> tuple[int, tuple[int, int, int], int]:
-    """(k, f, D'): the content k > 0 of the form, its primitive part
-    f = Q/k and f's discriminant D' = D/k^2, computed here and nowhere
-    else."""
+def _slot_kind(form: QuadForm) -> tuple[str, int, tuple[int, int, int], int]:
+    """(kind, k, f, D'): the kind of the form, its content k > 0, its
+    primitive part f = Q/k and f's discriminant D' = D/k^2, computed here
+    and nowhere else.  The kind is "definite" (D < 0), "pell" (D > 0, not
+    a square), "square-disc" (D a nonzero square), "line" (D = 0 with
+    qb != 0) or "one-variable" (D = 0 with qb = 0, so Q = qa*m^2 or
+    qc*n^2).  D' has the sign and squareness of D, so it decides them."""
     k = gcd(form.qa, form.qb, form.qc)
-    return k, (form.qa // k, form.qb // k, form.qc // k), form.discriminant // (k * k)
+    disc = form.discriminant // (k * k)
+    if disc < 0:
+        kind = "definite"
+    elif disc == 0:
+        kind = "line" if form.qb else "one-variable"
+    else:
+        kind = "square-disc" if isqrt(disc) ** 2 == disc else "pell"
+    return kind, k, (form.qa // k, form.qb // k, form.qc // k), disc
 
 
 def _table(tables: dict[int, _DiscTable], disc: int) -> _DiscTable:
@@ -762,15 +779,16 @@ def _table(tables: dict[int, _DiscTable], disc: int) -> _DiscTable:
 def _prepare(
     form: QuadForm, tables: dict[int, _DiscTable]
 ) -> _Definite | _Factored | _Classes:
-    """The enumeration data of the form, built from _primitive(form): the
-    scan when D' < 0, the linear factors of f when D' is a square,
-    otherwise f's classes over the _DiscTable of D' in ``tables``."""
-    k, f, disc = _primitive(form)
-    if disc < 0:
+    """The enumeration data of the form, by its _slot_kind: the scan for
+    "definite", f's classes over the _DiscTable of D' in ``tables`` for
+    "pell", and the linear factors of f for the three kinds of square D'
+    ("square-disc", "line", "one-variable")."""
+    kind, k, f, disc = _slot_kind(form)
+    if kind == "definite":
         return _Definite(f, k, disc)
-    if isqrt(disc) ** 2 == disc:
-        return _Factored(f, k)
-    return _Classes(f, k, _table(tables, disc))
+    if kind == "pell":
+        return _Classes(f, k, _table(tables, disc))
+    return _Factored(f, k)
 
 
 def _box_cap(form: QuadForm, bound: int) -> int:
@@ -815,12 +833,12 @@ def enumerate_solutions(
     targets = list(targets)
     if any(type(t) is not int for t in targets):
         raise ValueError("targets must be ints")
-    kind = _prepare(form, {})
+    data = _prepare(form, {})
     cap = _box_cap(form, bound)
     out = []
     for e in set(targets):
-        if -cap <= e <= cap and e % kind.scale == 0:
-            out += [(m, n, e) for m, n in kind.points(e // kind.scale, bound)]
+        if -cap <= e <= cap and e % data.scale == 0:
+            out += [(m, n, e) for m, n in data.points(e // data.scale, bound)]
     out.sort()
     return out
 
@@ -937,44 +955,44 @@ def _orbit_from_solutions(
 
 
 def _by_magnitude(
-    form: QuadForm, kind: _Factored | _Classes, bound: int, target_cap: int
+    form: QuadForm, data: _Factored | _Classes, bound: int, target_cap: int
 ) -> Iterator[list[tuple[int, int, int]]]:
     """For mag = 1, 2, ..., target_cap in turn, the list
     enumerate_solutions(form, (mag, -mag), bound), computed lazily by one
-    sweep over |e1| = 1, 2, ... with the enumeration data ``kind`` of the
-    form.  sol_quad sweeps forms of D >= 0 only, so ``kind`` is never a
-    _Definite.
+    sweep over |e1| = 1, 2, ... with the enumeration data ``data`` of the
+    form.  sol_quad sweeps a "line" or "pell" form only (_slot_kind), so
+    ``data`` is a _Factored or a _Classes.
 
-    Let Q = s * f with s = kind.scale, f the primitive part (_Classes) or
+    Let Q = s * f with s = data.scale, f the primitive part (_Classes) or
     the product of the linear factors (_Factored).  A solution (m, n) of
     Q = +-mag with gcd(m, n) = g is g times a primitive representation v
     of e1 = +-mag / (s g^2) by f, and v lies in the box of bound // g.
     So for each e1 = +-a the sweep takes the primitive representations in
-    the box of ``bound`` once, from kind.primitive, and files them under
+    the box of ``bound`` once, from data.primitive, and files them under
     magnitude |s| g^2 a for every g with |s| g^2 a <= target_cap; the list
     of a magnitude is the g * v of its entries with v in the box of
-    bound // g.  It is exact: the window kind.primitive explores for the
+    bound // g.  It is exact: the window data.primitive explores for the
     box of ``bound`` contains the window of every smaller box, and
     positions outside a box's window give no point in it (_Classes), so
     the box test removes them.  Nothing is listed twice: points of
-    distinct (g, e1) differ in gcd or value, and kind.primitive lists each
+    distinct (g, e1) differ in gcd or value, and data.primitive lists each
     representation once.  After a, every magnitude <= |s| a has all its
     entries, so its list is built, sorted and yielded then (a magnitude
     with no entry is yielded empty, with nothing built); a consumer
     that stops at a magnitude stops the sweep there.  Magnitudes beyond
     (|qa| + |qb| + |qc|) * bound^2 have no point in the box and are
     yielded empty without any work."""
-    scale = abs(kind.scale)
+    scale = abs(data.scale)
     top = min(target_cap, _box_cap(form, bound))
     # magnitude -> (g, value, primitive representations of value / (s g^2))
     pending: dict[int, list[tuple[int, int, list[tuple[int, int]]]]] = {}
     done = 0
     for a in range(1, top // scale + 1):
         for e1 in (a, -a):
-            reps = kind.primitive(e1, bound)
+            reps = data.primitive(e1, bound)
             g = 1
             while reps and scale * g * g * a <= top:
-                value = kind.scale * g * g * e1
+                value = data.scale * g * g * e1
                 pending.setdefault(scale * g * g * a, []).append((g, value, reps))
                 g += 1
         while done < scale * a:
@@ -1033,23 +1051,28 @@ def sol_quad(
     skips the candidates whose values are not all equal, as only constant
     values give a constant orbit (_value_pattern).
 
-    The sweep runs on two kinds of form only, and only when a candidate
-    that passes the read-off fits the box of M, the largest first
-    coordinate its points can have.  M = bound, except on a one-sign form,
-    whose three coefficients are all >= 0 or all <= 0 with qa != 0: there
-    M = min(bound, isqrt(target_cap // |qa|)).  The two kinds are D = 0
-    with qb != 0, a line of the form off the axes, when 1 + 3|s| <= M for
-    Q = k'*(r*m + s*n)^2, gcd(r, s) = 1, so |s| = isqrt(|qc|/k) for the
-    content k; and D positive and not a square when some t in 1..T,
-    T = 1 + isqrt(M), makes (t^2 - 4)*D with t >= 3, or, on a form not of
-    one sign, (t^2 + 4)*D a nonzero square (_DiscTable.has_unit on
-    D' = D/k^2, which is the same test, with norm_one for one-sign forms).
-    Every other form of D >= 0 raises NoOrbitFound before any enumeration
+    Each form has one kind (_slot_kind), and the kind alone decides
+    whether the sweep runs.  M is the largest first coordinate the points
+    of a candidate that passes the read-off can have: M = bound, except on
+    a one-sign form, whose three coefficients are all >= 0 or all <= 0
+    with qa != 0, where M = min(bound, isqrt(target_cap // |qa|)).  T =
+    1 + isqrt(M).  The rules, each with its part of the proof below:
+    - "definite" (D < 0) raises DefiniteForm: every target has finitely
+      many solutions.
+    - "square-disc" (D a nonzero square) raises NoOrbitFound at once, by
+      (2a) and (2b).
+    - "one-variable" (D = 0 with qb = 0, so qa*qc = 0) raises NoOrbitFound
+      at once, by (3).
+    - "line" (D = 0 with qb != 0, a line of the form off the axes) is swept
+      only when 1 + 3|s| <= M for Q = k'*(r*m + s*n)^2, gcd(r, s) = 1, so
+      |s| = isqrt(|qc|/k) for the content k, by (2b).
+    - "pell" (D > 0, not a square) is swept only when some t in 1..T makes
+      (t^2 - 4)*D with t >= 3, or, on a form not of one sign, (t^2 + 4)*D
+      a nonzero square (_DiscTable.has_unit on D' = D/k^2, which is the
+      same test, with norm_one for one-sign forms), by (2a).
+    A form refused by its rule raises NoOrbitFound before any enumeration
     data are built: it has no candidate that passes the read-off, so the
-    sweep would end in NoOrbitFound.  These are the forms of square D > 0,
-    the forms in one variable (D = 0 with qb = 0, so qa*qc = 0), the D = 0
-    forms whose lines are too steep for the box, and those of non-square
-    D whose field has no such unit.  Proof.  Let a candidate
+    sweep would end in NoOrbitFound.  Proof.  Let a candidate
     pass with den = 1 - t*z^p + N*z^(2p).  It is a subsequence of the
     solutions, sorted by m, with m >= 1 and no point twice, and the
     read-off checked x_(k+2p) = t*x_(k+p) - N*x_k on at least 3p + 1
@@ -1057,7 +1080,8 @@ def sol_quad(
     i = 0..3, with 1 <= u_0 <= u_1 <= u_2 <= u_3 <= bound, v_(i+2) =
     t*v_(i+1) - N*v_i and Q(v_i) = c*N^i for a target c != 0 (N = 1 for
     constant values and N = (-1)^p for alternating ones, so N = 1 when
-    p = 2).
+    p = 2).  Let alpha, beta be the roots of y^2 - t*y + N, so
+    alpha*beta = N.
     (0) One-sign forms.  On the box m >= 1, n >= 0 every term of Q is zero
     or has the sign of qa, so Q(m, n) has that sign and |Q(m, n)| >=
     |qa|*m^2 > 0.  The listed values share one sign, so they do not
@@ -1069,48 +1093,49 @@ def sol_quad(
     and N = 1, u_2 = u_1 - u_0 < u_1.  Otherwise t >= 1, and u_(i+2) >=
     t*u_(i+1) - u_i >= (t - 1)*u_(i+1) twice gives u_3 >= (t - 1)^2 * u_1
     >= (t - 1)^2, so (t - 1)^2 <= u_3 <= M and t <= T.
-    (2) The unit lies in the field.  Let alpha, beta be the roots of
-    y^2 - t*y + N, so alpha*beta = N.  If alpha != beta, v_i = A*alpha^i +
-    B*beta^i with A, B in Q(alpha)^2, and Q(v_i) = Q(A)*alpha^(2i) +
-    2*Q(A, B)*N^i + Q(B)*beta^(2i) with Q(., .) the polar form.  The nodes
-    alpha^2, N = alpha*beta and beta^2 are distinct, as t != 0, so the
-    Vandermonde system of i = 0, 1, 2 against c*N^i gives Q(A) = 0 and
-    2*Q(A, B) = c != 0, so A != 0 lies on an isotropic line of Q.  A
-    rational alpha is an integer dividing N, which with alpha != beta makes
-    {alpha, beta} = {1, -1} and t = 0, excluded by (1); so alpha is
-    irrational, and B = (v_1 - alpha*v_0)/(beta - alpha) is the conjugate
-    of A.  If D is a square, 0 included, the isotropic lines of Q are
-    rational: A is a multiple of a rational w, so B, its conjugate, is
-    too, every v_i lies on the line of w, and Q(v_i) = 0 != c.  If D is not a square, qa != 0,
-    so a nonzero isotropic (x, y) has y != 0 and x/y = (-qb +-
-    sqrt(D))/(2*qa), which is irrational; A_1/A_2 lies in Q(alpha), so
-    sqrt(D) does, and Q(alpha) = Q(sqrt(t^2 - 4N)) = Q(sqrt(D)):
-    (t^2 - 4N)*D is a nonzero square.  With N = -1 that is (t^2 + 4)*D;
-    with N = 1, t >= 2 and alpha != beta give t >= 3.  If alpha = beta,
-    then t = 2 and N = 1, v_i = A + i*B with A = v_0 and B = v_1 - v_0
-    rational, and Q(v_i) = c at i = 0, 1, 2 gives Q(B) = 0 and Q(A, B) = 0.
-    B != 0, or v_1 = v_0 is a point listed twice, so D is a square, as
-    Q has a rational isotropic vector.  If D != 0 the polar form is
-    nondegenerate and the vectors orthogonal to the isotropic B are its
-    multiples, so Q(A) = 0 != c.  So with D >= 0 either D is not a square
-    and some t in 1..T passes the test, of norm N = 1 on a one-sign form
-    by (0), or D = 0.  Then, with qb != 0 (else see (3)), r and s are
-    nonzero, the isotropic vectors of Q are the multiples of (s, -r), and
-    the integer vector B is lambda*(s, -r) with lambda != 0.  The u_i
+    (2a) alpha != beta: "pell" only, with a unit the test finds.  v_i =
+    A*alpha^i + B*beta^i with A, B in Q(alpha)^2, and Q(v_i) =
+    Q(A)*alpha^(2i) + 2*Q(A, B)*N^i + Q(B)*beta^(2i) with Q(., .) the
+    polar form.  The nodes alpha^2, N = alpha*beta and beta^2 are
+    distinct, as t != 0, so the Vandermonde system of i = 0, 1, 2 against
+    c*N^i gives Q(A) = 0 and 2*Q(A, B) = c != 0, so A != 0 lies on an
+    isotropic line of Q.  A rational alpha is an integer dividing N, which
+    with alpha != beta makes {alpha, beta} = {1, -1} and t = 0, excluded
+    by (1); so alpha is irrational, and B = (v_1 - alpha*v_0)/(beta -
+    alpha) is the conjugate of A.  If D is a square, 0 included (the
+    kinds "square-disc", "line" and "one-variable"), the isotropic lines
+    of Q are rational: A is a multiple of a rational w, so B, its
+    conjugate, is too, every v_i lies on the line of w, and Q(v_i) = 0 !=
+    c.  If D is not a square ("pell"), qa != 0, so a nonzero isotropic
+    (x, y) has y != 0 and x/y = (-qb +- sqrt(D))/(2*qa), which is
+    irrational; A_1/A_2 lies in Q(alpha), so sqrt(D) does, and Q(alpha) =
+    Q(sqrt(t^2 - 4N)) = Q(sqrt(D)): (t^2 - 4N)*D is a nonzero square.
+    With N = -1 that is (t^2 + 4)*D; with N = 1, t >= 2 and alpha != beta
+    give t >= 3.  By (1) t <= T, and by (0) N = 1 on a one-sign form.
+    (2b) alpha = beta: "line" only, with a step that fits the box.  Then
+    t = 2 and N = 1, v_i = A + i*B with A = v_0 and B = v_1 - v_0
+    rational, and Q(v_i) = c at i = 0, 1, 2 gives Q(B) = 0 and Q(A, B) =
+    0.  B != 0, or v_1 = v_0 is a point listed twice, so D is a square, as
+    Q has a rational isotropic vector: the kind is not "pell".  If D != 0
+    ("square-disc") the polar form is nondegenerate and the vectors
+    orthogonal to the isotropic B are its multiples, so Q(A) = 0 != c.  So
+    D = 0, and with qb != 0 ("line"; for "one-variable" see (3)) r and s
+    are nonzero, the isotropic vectors of Q are the multiples of (s, -r),
+    and the integer vector B is lambda*(s, -r) with lambda != 0.  The u_i
     increase, so u_3 = u_0 + 3*|lambda*s| >= 1 + 3|s|, and 1 + 3|s| <= M.
-    (3) The axes.  For Q = qa*m^2 and |e| >= 1 there is at most one m = k
-    with qa*k^2 = +-|e|, so a class is the single line (k, 0), (k, 1),
-    ..., (k, bound) and every candidate with at least three points pairs
-    the constant sequence k with a non-constant arithmetic one a*i + b.
-    The values are constant, so N = 1.  A candidate of fewer than 4 points
-    gets no read-off; on 4 or more, p = 1 gives t = 2 on every window of
-    both sequences, as k + k = 2k and (a*(i + 2) + b) + (a*i + b) =
-    2*(a*(i + 1) + b), where a zero middle term comes with a zero outer
-    sum.  So the read-off stops at p = 1 with the denominator (1 - z)^2,
-    the rebuilt generating functions are k/(1 - z) and (b + (a - b)*z)/(1 -
-    z)^2 with a != 0, both in lowest terms, and the "denominator split"
-    check rejects the pair.  Q = qc*n^2 is the same with the roles of m and
-    n swapped.
+    (3) The axes: "one-variable".  For Q = qa*m^2 and |e| >= 1 there is at
+    most one m = k with qa*k^2 = +-|e|, so a class is the single line
+    (k, 0), (k, 1), ..., (k, bound) and every candidate with at least
+    three points pairs the constant sequence k with a non-constant
+    arithmetic one a*i + b.  The values are constant, so N = 1.  A
+    candidate of fewer than 4 points gets no read-off; on 4 or more, p = 1
+    gives t = 2 on every window of both sequences, as k + k = 2k and
+    (a*(i + 2) + b) + (a*i + b) = 2*(a*(i + 1) + b), where a zero middle
+    term comes with a zero outer sum.  So the read-off stops at p = 1 with
+    the denominator (1 - z)^2, the rebuilt generating functions are
+    k/(1 - z) and (b + (a - b)*z)/(1 - z)^2 with a != 0, both in lowest
+    terms, and the "denominator split" check rejects the pair.  Q =
+    qc*n^2 is the same with the roles of m and n swapped.
 
     The test costs at most 2T isqrt calls, memoised per D' in forge's
     tables (the module docstring's Cost paragraph counts them).  It covers
@@ -1119,8 +1144,8 @@ def sol_quad(
     """
     check_work_option("bound", bound)
     check_work_option("target_cap", target_cap)
-    k, f, disc = _primitive(form)
-    if disc < 0:
+    kind, k, f, disc = _slot_kind(form)
+    if kind == "definite":
         raise DefiniteForm(
             "{} has negative discriminant {}; every target admits only finitely many solutions",
             form,
@@ -1129,15 +1154,15 @@ def sol_quad(
     one_sign = form.qa != 0 and form.qa * form.qb >= 0 and form.qa * form.qc >= 0
     # M, the largest m a candidate that passes the read-off can reach
     reach = min(bound, isqrt(target_cap // abs(form.qa))) if one_sign else bound
-    if isqrt(disc) ** 2 != disc:
+    if kind == "pell":
         table = _table({} if _tables is None else _tables, disc)
-        kind = _Classes(f, k, table) if table.has_unit(1 + isqrt(reach), one_sign) else None
-    elif disc == 0 and form.qb != 0 and 1 + 3 * isqrt(abs(form.qc) // k) <= reach:
-        kind = _Factored(f, k)
+        data = _Classes(f, k, table) if table.has_unit(1 + isqrt(reach), one_sign) else None
+    elif kind == "line" and 1 + 3 * isqrt(abs(form.qc) // k) <= reach:
+        data = _Factored(f, k)
     else:
-        kind = None
-    if kind is not None:
-        for sols in _by_magnitude(form, kind, bound, target_cap):
+        data = None  # "square-disc", "one-variable" and a line too steep for M
+    if data is not None:
+        for sols in _by_magnitude(form, data, bound, target_cap):
             if len(sols) < 3:
                 continue  # _ladder has no candidate
             alternating = None

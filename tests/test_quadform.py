@@ -467,6 +467,72 @@ def _forge_forms():
     return sorted(forms, key=lambda f: (f.qa, f.qb, f.qc))
 
 
+_KIND_DATA = {
+    "definite": quadform._Definite,
+    "pell": quadform._Classes,
+    "square-disc": quadform._Factored,
+    "line": quadform._Factored,
+    "one-variable": quadform._Factored,
+}
+
+
+class TestSlotKind:
+    """_slot_kind names the kind of a form with its content, primitive
+    part and primitive discriminant, and _prepare builds the enumeration
+    data of that kind."""
+
+    @settings(deadline=None)
+    @given(
+        # random coefficients rarely have a square discriminant, products
+        # of two linear forms always do, and equal or axis factors give D = 0
+        st.one_of(
+            st.tuples(*[st.integers(-40, 40)] * 3),
+            st.tuples(*[st.integers(-4, 4)] * 4).map(
+                lambda v: (v[0] * v[2], v[0] * v[3] + v[1] * v[2], v[1] * v[3])
+            ),
+        ),
+        st.integers(1, 12),
+    )
+    @example((1, 0, -2), 12)
+    @example((0, 3, 0), 5)
+    def test_slot_kind_matches_oracle(self, coeffs, content):
+        assume(any(coeffs))
+        form = QuadForm(*(content * x for x in coeffs))
+        values = (form.qa, form.qb, form.qc)
+        # the content by brute force, the largest d that divides all three,
+        # and squareness by a search for a root, on D itself: D = k^2 D'
+        k = max(d for d in range(1, 40 * 12 + 1) if all(x % d == 0 for x in values))
+        d = form.discriminant
+        if d < 0:
+            kind = "definite"
+        elif d == 0:
+            kind = "line" if form.qb else "one-variable"
+        elif any(r * r == d for r in range(d + 1)):
+            kind = "square-disc"
+        else:
+            kind = "pell"
+        f = tuple(x // k for x in values)
+        assert quadform._slot_kind(form) == (kind, k, f, d // (k * k))
+        assert type(quadform._prepare(form, {})) is _KIND_DATA[kind]
+        event(kind)
+
+    @pytest.mark.parametrize(
+        "coeffs, expected",
+        [
+            ((1, 0, 1), ("definite", 1, (1, 0, 1), -4)),
+            ((1, 0, -2), ("pell", 1, (1, 0, -2), 8)),
+            ((2, 5, 2), ("square-disc", 1, (2, 5, 2), 9)),
+            ((1, -2, 1), ("line", 1, (1, -2, 1), 0)),
+            ((3, 0, 0), ("one-variable", 3, (1, 0, 0), 0)),
+            ((0, 0, -1), ("one-variable", 1, (0, 0, -1), 0)),
+        ],
+    )
+    def test_one_form_per_kind(self, coeffs, expected):
+        form = QuadForm(*coeffs)
+        assert quadform._slot_kind(form) == expected
+        assert type(quadform._prepare(form, {})) is _KIND_DATA[expected[0]]
+
+
 class TestReductionTheory:
     @settings(max_examples=400, deadline=None)
     @given(
@@ -648,7 +714,7 @@ class TestClassIndex:
     def test_bases_of_both_signs_from_one_factorisation(self, monkeypatch):
         discs = sorted(
             {
-                quadform._primitive(form)[2]
+                quadform._slot_kind(form)[3]
                 for form in _forge_forms()
                 if isinstance(quadform._prepare(form, {}), quadform._Classes)
             }
@@ -1132,6 +1198,33 @@ class TestSolQuad:
         assert str(refused.value) == (
             "no certified orbit for m^2 + 2*m*n + n^2 with |target| <= 15, enumeration bound 2000"
         )
+
+    @pytest.mark.parametrize(
+        "coeffs, target_cap, outcome, built",
+        [
+            ((1, 0, 1), 30, DefiniteForm, set()),  # definite
+            ((2, 5, 2), 30, NoOrbitFound, set()),  # square-disc
+            ((3, 0, 0), 30, NoOrbitFound, set()),  # one-variable
+            ((0, 0, -1), 30, NoOrbitFound, set()),  # one-variable
+            ((1, 6, 9), 30, NoOrbitFound, set()),  # line, 1 + 3*3 > M = 5
+            ((1, -1400, 490000), 30, NoOrbitFound, set()),  # line, 1 + 3*700 > 2000
+            ((1, 13, 11), 15, NoOrbitFound, {"_DiscTable"}),  # pell, no unit of trace <= 2
+            ((1, -2, 1), 30, PellOrbit, {"_Factored"}),  # line
+            ((1, 0, -2), 30, PellOrbit, {"_DiscTable", "_Classes"}),  # pell
+        ],
+    )
+    def test_each_kind_builds_only_its_data(self, coeffs, target_cap, outcome, built):
+        # a refusal builds no enumeration data, and a sweep builds only the
+        # data of its kind
+        classes = (quadform._DiscTable, quadform._Classes, quadform._Factored, quadform._Definite)
+        with contextlib.ExitStack() as stack:
+            calls = {c.__name__: stack.enter_context(_recording((c, "__init__"))) for c in classes}
+            try:
+                got = sol_quad(QuadForm(*coeffs), target_cap=target_cap)
+            except (DefiniteForm, NoOrbitFound) as refused:
+                got = refused
+        assert type(got) is outcome
+        assert {name for name, asked in calls.items() if asked} == built
 
     @pytest.mark.parametrize("cap, swept", [(16, True), (15, False)])
     def test_one_sign_unit_at_the_bound(self, cap, swept):
