@@ -27,7 +27,6 @@ from .errors import (
 )
 from .kernel import (
     MultiPoly,
-    _monomial_key,
     content_primitive,
     rational_nullspace,
     resultant,
@@ -127,22 +126,24 @@ class FormResult:
     certificate: Certificate = field(init=False)
 
     def __post_init__(self):
-        names = tuple(f"X{i+1}" for i in range(len(self.seqs)))
-        expr = MultiPoly(names, self.coefficients) - rhs_poly(self.constant, self.target)
-        cert = certify_zero(expr, dict(zip(names, self.seqs)))
+        form = self._form
+        expr = form - rhs_poly(self.constant, self.target)
+        cert = certify_zero(expr, dict(zip(form.variables, self.seqs)))
         object.__setattr__(self, "certificate", cert)
+
+    @property
+    def _form(self) -> MultiPoly:
+        # P, in the variables X1, ..., Xd
+        return MultiPoly((f"X{i+1}" for i in range(len(self.seqs))), self.coefficients)
 
     @property
     def homogeneous_vanishing(self) -> bool:
         return self.constant == 0
 
     def to_json(self) -> dict:
-        ordered = sorted(
-            self.coefficients.items(), key=lambda kv: _monomial_key(kv[0]), reverse=True
-        )
         return {
             "degree": self.degree,
-            "coeffs": [[list(ev), c] for ev, c in ordered],
+            "coeffs": [[list(ev), c] for ev, c in self._form.sorted_terms()],
             "C": self.constant,
             "target": self.target,
         }

@@ -37,7 +37,7 @@ from .errors import (
     NoOrbitFound,
     PoleAtOrigin,
 )
-from .kernel import MultiPoly
+from .kernel import MultiPoly, _signed_sum
 from .quadform import QuadForm, check_work_option, sol_quad
 
 log = logging.getLogger(__name__)
@@ -300,47 +300,23 @@ def _gf_text(g: RationalGF) -> str:
     return f"({_poly_text(g.num)})/({_poly_text(g.den)})"
 
 
-def _poly_text(coeffs) -> str:
-    """The polynomial in t with ascending ``coeffs``, as "1 - 3*t + t^2"."""
-    if not coeffs:
-        return "0"
-    pieces = []
-    for i, c in enumerate(coeffs):
-        if not c:
-            continue
-        if i == 0:
-            body = str(abs(c))
-        else:
-            v = "t" if i == 1 else f"t^{i}"
-            body = v if abs(c) == 1 else f"{abs(c)}*{v}"
-        pieces.append(("-" if c < 0 else "+", body))
-    if not pieces:
-        return "0"
-    sign, body = pieces[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in pieces[1:]:
-        text += f" {sign} {body}"
-    return text
+def _poly_text(coeffs, times: str = "*") -> str:
+    """The polynomial in t with ascending ``coeffs``, as "1 - 3*t + t^2";
+    ``times`` joins a coefficient to its power of t."""
+    return _signed_sum(
+        ((c, "" if i == 0 else "t" if i == 1 else f"t^{i}") for i, c in enumerate(coeffs) if c),
+        times,
+    )
 
 
 def _gf_latex(g: RationalGF) -> str:
-    num = _poly_text(g.num).replace("*", " ")
-    den = _poly_text(g.den).replace("*", " ")
-    return rf"\frac{{{num}}}{{{den}}}"
+    return rf"\frac{{{_poly_text(g.num, ' ')}}}{{{_poly_text(g.den, ' ')}}}"
 
 
 def _weight_prefix(w: int) -> str:
     if w == 1:
         return ""
     return f"({w})*" if w < 0 else f"{w}*"
-
-
-def _latex_term(w: int, body: str, first: bool) -> str:
-    """w*body as one summand: "-3\\,C_n^3", or " - 3\\,C_n^3" after another."""
-    coeff = "" if abs(w) == 1 else f"{abs(w)}\\,"
-    if first:
-        return f"{'-' if w < 0 else ''}{coeff}{body}"
-    return f" {'-' if w < 0 else '+'} {coeff}{body}"
 
 
 def json_text(value) -> str:
@@ -404,10 +380,7 @@ def render(thm: CubicTheorem, fmt: str = "text") -> str:
         return "\n".join(lines)
     if fmt == "latex":
         rhs_tex = str(thm.c) if thm.rhs_kind == "constant" else f"{thm.c}\\,(-1)^n"
-        lhs = "".join(
-            _latex_term(w, f"{v}_n^3", i == 0)
-            for i, (w, v) in enumerate(((thm.a, "A"), (thm.a, "B"), (thm.b, "C")))
-        )
+        lhs = _signed_sum(((thm.a, "A_n^3"), (thm.a, "B_n^3"), (thm.b, "C_n^3")), "\\,")
         if cert.certified:
             relation = rf"&= {rhs_tex} \quad (n \ge 0)"
             verdict = rf"Certified by checking $n = 0, \dots, {cert.bound - 1}$."

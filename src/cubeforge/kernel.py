@@ -7,8 +7,10 @@ fraction-free on integers, and only the answer is built from Fractions.
 One elimination loop (``_reduced_echelon``) serves both: ``rational_solve``
 reads its solution off the nullspace of the augmented matrix.
 Monomials are ordered graded-lexicographically by the declared variable
-list, which fixes canonical printing and the leading term used for exact
-division.
+list, which fixes the leading term used for exact division and the term
+order of printing.  One printer, ``_signed_sum``, writes every signed sum
+of terms: ``MultiPoly`` text here, and the generating-function text and
+LaTeX of ``forge``.
 
 The inner loops of multiplication, exact division, determinants and
 substitution run on packed monomials (see ``_Packing``): each exponent
@@ -38,6 +40,31 @@ Scalar = Union[int, Fraction]
 def _monomial_key(evec: tuple[int, ...]) -> tuple:
     # graded lex: total degree first, then the exponent vector itself
     return (sum(evec), evec)
+
+
+def _signed_sum(terms: Iterable[tuple[int, str]], times: str = "*") -> str:
+    """The sum of (coefficient, monomial text) pairs, as "3*m^2 - n + 1".
+
+    The monomial of a constant is "".  The first term is written unsigned
+    (with a leading "-" if negative), each later one as " + body" or
+    " - body".  A coefficient of absolute value 1 before a monomial is left
+    out; any other is joined to its monomial by ``times``.  No terms give
+    "0".  Terms are written as given, zero coefficients included."""
+    parts = []
+    for c, mono in terms:
+        sign = " - " if c < 0 else " + "
+        c = abs(c)
+        if not mono:
+            body = str(c)
+        elif c == 1:
+            body = mono
+        else:
+            body = f"{c}{times}{mono}"
+        parts.append(sign + body)
+    text = "".join(parts)
+    if not text:
+        return "0"
+    return "-" + text[3:] if text[1] == "-" else text[3:]
 
 
 class MultiPoly:
@@ -318,27 +345,11 @@ class MultiPoly:
     # --- printing ---
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for ev, c in self.sorted_terms():
-            factors = []
-            for v, e in zip(self.variables, ev):
-                if e == 1:
-                    factors.append(v)
-                elif e > 1:
-                    factors.append(f"{v}^{e}")
-            if factors:
-                mono = "*".join(factors)
-                body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
-            else:
-                body = str(abs(c))
-            pieces.append(("-" if c < 0 else "+", body))
-        sign, body = pieces[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+        vs = self.variables
+        return _signed_sum(
+            (c, "*".join([v if e == 1 else f"{v}^{e}" for v, e in zip(vs, ev) if e]))
+            for ev, c in self.sorted_terms()
+        )
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"

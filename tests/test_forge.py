@@ -27,7 +27,8 @@ from cubeforge import cli
 from cubeforge.cfinite import _mul, _symmetric_square, certify_zero, read_gfs, rhs_poly
 from cubeforge.cubic import search_quadruples
 from cubeforge.errors import DefiniteForm, EmptySeedSet, MalformedTheorem, NoOrbitFound
-from cubeforge.forge import _value_gfs, json_text
+from cubeforge.forge import _poly_text, _value_gfs, json_text
+from cubeforge.parsing import parse_poly
 from cubeforge.quadform import QuadForm, sol_quad
 
 
@@ -513,6 +514,117 @@ class TestLatexWeights:
     def test_forged_negative_weight(self):
         latex = "\n".join(render(t, "latex") for t in forge(1, -1))
         assert r"A_n^3 + B_n^3 - C_n^3 &=" in latex and "+ -" not in latex
+
+
+# Reference printers, each with its own copy of the sign and unit-coefficient
+# rules: the oracles for MultiPoly.__str__, forge._poly_text (its LaTeX form
+# is the text with "*" replaced by a space) and the LaTeX left side of
+# render, joined from reference_latex_term.
+
+def reference_multipoly_str(p):
+    if not p.terms:
+        return "0"
+    pieces = []
+    for ev, c in p.sorted_terms():
+        factors = []
+        for v, e in zip(p.variables, ev):
+            if e == 1:
+                factors.append(v)
+            elif e > 1:
+                factors.append(f"{v}^{e}")
+        if factors:
+            mono = "*".join(factors)
+            body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        else:
+            body = str(abs(c))
+        pieces.append(("-" if c < 0 else "+", body))
+    sign, body = pieces[0]
+    text = ("-" if sign == "-" else "") + body
+    for sign, body in pieces[1:]:
+        text += f" {sign} {body}"
+    return text
+
+
+def reference_poly_text(coeffs):
+    if not coeffs:
+        return "0"
+    pieces = []
+    for i, c in enumerate(coeffs):
+        if not c:
+            continue
+        if i == 0:
+            body = str(abs(c))
+        else:
+            v = "t" if i == 1 else f"t^{i}"
+            body = v if abs(c) == 1 else f"{abs(c)}*{v}"
+        pieces.append(("-" if c < 0 else "+", body))
+    if not pieces:
+        return "0"
+    sign, body = pieces[0]
+    text = ("-" if sign == "-" else "") + body
+    for sign, body in pieces[1:]:
+        text += f" {sign} {body}"
+    return text
+
+
+def reference_latex_term(w, body, first):
+    coeff = "" if abs(w) == 1 else f"{abs(w)}\\,"
+    if first:
+        return f"{'-' if w < 0 else ''}{coeff}{body}"
+    return f" {'-' if w < 0 else '+'} {coeff}{body}"
+
+
+# coefficients at the edges of the sign and unit rules: +-1, +-2, 0, and
+# magnitudes of at least 10^30
+_printed_coeffs = st.one_of(
+    st.sampled_from([1, -1, 2, -2, 0]),
+    st.integers(10**30, 10**40).flatmap(lambda c: st.sampled_from([c, -c])),
+)
+
+
+class TestSignedSum:
+    @settings(deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)),
+            _printed_coeffs,
+            max_size=8,
+        ),
+        st.sampled_from([("x", "y", "z"), ("m", "n", "t")]),
+    )
+    @example({}, ("x", "y", "z"))
+    @example({(0, 0, 0): -1}, ("x", "y", "z"))
+    @example({(0, 0, 0): 1, (1, 0, 0): -1, (0, 2, 1): 10**30}, ("x", "y", "z"))
+    def test_multipoly_text_matches_reference(self, terms, variables):
+        p = MultiPoly(variables, terms)
+        assert str(p) == reference_multipoly_str(p)
+
+    @settings(deadline=None)
+    @given(st.lists(_printed_coeffs, max_size=8))
+    @example([])
+    @example([0, 0])
+    @example([-1])
+    @example([0, -1, 0, 2])
+    @example([-(10**30), 1, -2])
+    def test_poly_text_matches_reference(self, coeffs):
+        text = reference_poly_text(coeffs)
+        assert _poly_text(coeffs) == text
+        assert _poly_text(coeffs, " ") == text.replace("*", " ")
+        poly = MultiPoly(("t",), {(i,): c for i, c in enumerate(coeffs)})
+        assert parse_poly(_poly_text(coeffs), ("t",)) == poly
+
+    @settings(deadline=None)
+    @given(_printed_coeffs, _printed_coeffs)
+    @example(1, -1)
+    @example(-2, 1)
+    @example(0, 0)
+    def test_latex_left_side_matches_reference(self, alternating_triple, a, b):
+        lhs = "".join(
+            reference_latex_term(w, f"{v}_n^3", i == 0)
+            for i, (w, v) in enumerate(((a, "A"), (a, "B"), (b, "C")))
+        )
+        thm = make_theorem(a, b, 1, "alternating", alternating_triple)
+        assert render(thm, "latex").splitlines()[4].startswith(lhs + " &")
 
 
 # JSON values the CLI can print: str keys, lists and tuples, str with

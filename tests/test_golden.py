@@ -1,13 +1,15 @@
-"""Golden digests of `forge --format json` over 60 weight pairs.
+"""Golden digests of `forge` output over 60 weight pairs.
 
 Each digest is the sha256 of, per pair (a, b) with a = 1..5 and
 b = -6..6, b != 0, the line "a b exit-code" followed by the captured
-stdout.  DIGEST pins the forge output byte for byte across changes that
-claim to leave it alone.  MASKED_DIGEST hashes the same output with every
-`"certified_depth": N` replaced by a placeholder, so it pins everything but
-the certificate depths.  It was recorded before the depth formula was
-sharpened to the (degree, sign) support of the checked expression, and it
-was unchanged by that change, which re-recorded DIGEST: only depths moved.
+stdout.  DIGEST pins the `--format json` output byte for byte across
+changes that claim to leave it alone; TEXT_DIGEST and LATEX_DIGEST pin
+`--format text` and `--format latex` the same way.  MASKED_DIGEST hashes
+the JSON output with every `"certified_depth": N` replaced by a
+placeholder, so it pins everything but the certificate depths.  It was
+recorded before the depth formula was sharpened to the (degree, sign)
+support of the checked expression, and it was unchanged by that change,
+which re-recorded DIGEST: only depths moved.
 """
 
 import contextlib
@@ -23,20 +25,26 @@ PAIRS = [(a, b) for a in range(1, 6) for b in range(-6, 7) if b]
 
 DIGEST = "ceef0656702e64aa4d68863fcbd80083ba9d22a0e9c8536a6ec8853c72254da2"
 MASKED_DIGEST = "afe739d0af213c80945c58a1a215acb4c007d945325cfb3cd21a781095a140e3"
+TEXT_DIGEST = "b7d483d7d5b037c881f25913b3c6c7dffe1f0954b22a189b9a53628587ec8086"
+LATEX_DIGEST = "1d2291dd55148b139ca18fe1344ab714145a89e31aa86c1f5407b24f083bf60a"
 
 DEPTH = re.compile(r'"certified_depth": \d+')
 
 
-@pytest.fixture(scope="module")
-def forged():
+def _forge_all(fmt):
     runs = []
     for a, b in PAIRS:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            rc = main(["forge", "--a", str(a), "--b", str(b), "--format", "json"])
+            rc = main(["forge", "--a", str(a), "--b", str(b), "--format", fmt])
         runs.append((f"{a} {b} {rc}\n", out.getvalue()))
     assert len(runs) == 60
     return runs
+
+
+@pytest.fixture(scope="module")
+def forged():
+    return _forge_all("json")
 
 
 def _digest(runs, mask=lambda text: text):
@@ -53,3 +61,8 @@ def test_forge_json_digest(forged):
 
 def test_forge_json_digest_without_depths(forged):
     assert _digest(forged, lambda text: DEPTH.sub('"certified_depth": N', text)) == MASKED_DIGEST
+
+
+@pytest.mark.parametrize("fmt, digest", [("text", TEXT_DIGEST), ("latex", LATEX_DIGEST)])
+def test_forge_rendered_digest(fmt, digest):
+    assert _digest(_forge_all(fmt)) == digest
