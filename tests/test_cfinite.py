@@ -1,11 +1,13 @@
 import json
 import random
+import time
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from cubeforge import (
@@ -316,9 +318,10 @@ _P = (1 << 61) - 1  # the prime of the coprimality pre-test
 
 
 class TestCoprimePretest:
-    """RationalGF runs Euclid mod p = 2^61 - 1 first and skips the
-    primitive gcd only when that proves num and den coprime; each edge of
-    the proof gives the normal form of the Fraction oracle."""
+    """Euclid mod p = 2^61 - 1, which RationalGF runs when both sides have
+    at least 4 coefficients, proves num and den coprime or cannot tell; each
+    edge of its proof is tested on it directly, and RationalGF gives the
+    normal form of the Fraction oracle there."""
 
     def _check(self, num, den, proved):
         assert cfinite._coprime_mod_p(_trim(num), _trim(den)) is proved
@@ -389,6 +392,120 @@ class TestCoprimePretest:
     def test_constant_numerator_or_denominator(self, num, den, form):
         g = self._check(num, den, True)
         assert (g.num, g.den) == form
+
+
+_HALF = 10**15  # the roots' numerators and denominators
+_WIDE = 10**30  # the other coefficients: products stay near 60 digits
+
+
+@st.composite
+def short_sides(draw):
+    """(case, a, parts): a polynomial a of at most 3 coefficients of each
+    kind the closed form tells apart, and its factors over Q up to
+    constants, with a linear factor q*t - p listed once per root p/q."""
+    nonzero = st.integers(1, _HALF) | st.integers(-_HALF, -1)
+
+    def line():  # q*t - p: a root p/q, 0 and +-1 included, or a large one
+        return (-draw(st.integers(-_HALF, _HALF) | st.sampled_from([0, 1, -1])), draw(nonzero))
+
+    case = draw(st.sampled_from(
+        ["constant", "linear", "distinct roots", "double root", "D < 0", "D > 0"]
+    ))
+    if case == "constant":
+        return case, (draw(nonzero),), []
+    if case == "linear":
+        l1 = line()
+        return case, l1, [l1]
+    if case in ("distinct roots", "double root"):
+        l1 = line()
+        l2 = l1 if case == "double root" else line()
+        assume(case == "double root" or l1[0] * l2[1] != l2[0] * l1[1])
+        return case, _mul(l1, l2), [l1, l2]
+    a1, a2 = draw(st.integers(-_WIDE, _WIDE)), draw(st.integers(1, _WIDE))
+    if case == "D < 0":  # a1^2 < 4*a0*a2
+        a0 = a1 * a1 // (4 * a2) + draw(st.integers(1, _WIDE))
+    else:  # a1^2 + 4*|a0|*a2, not a square
+        a0 = -draw(st.integers(1, _WIDE))
+        disc = a1 * a1 - 4 * a0 * a2
+        assume(isqrt(disc) ** 2 != disc)
+    a = (a0, a1, a2)
+    return case, a, [a]
+
+
+@st.composite
+def short_pairs(draw):
+    """(a, b): a from short_sides times a constant, and b of degree up to 30
+    that holds all, some or none of a's factors, times a random cofactor
+    (a random b of up to 60 digits when it holds none)."""
+    case, a, parts = draw(short_sides())
+    a = tuple(draw(st.sampled_from([1, -1, 2, 6, -35])) * c for c in a)
+    held = draw(st.sets(st.sampled_from(range(len(parts))))) if parts else set()
+    shared = (1,)
+    for i in held:
+        shared = _mul(shared, parts[i])
+    top = _WIDE if held else 10**MAX_COEFFICIENT_DIGITS
+    lead = draw(st.integers(1, top) | st.integers(-top, -1))
+    cofactor = draw(st.lists(st.integers(-top, top), max_size=31 - len(shared))) + [lead]
+    event(f"{case}, {len(held)} of {len(parts)} factors held")
+    return a, _mul(shared, cofactor)
+
+
+class TestClosedFormCoprime:
+    """When the shorter side has at most 3 coefficients, _coprime decides
+    coprimality exactly by a root or divisibility test, with no Euclid; the
+    primitive gcd is the oracle."""
+
+    @settings(deadline=None)
+    @given(short_pairs())
+    @example(((0, 3), (0, 5, 1)))  # a shared root 0
+    @example(((1, -3, 2), (3, -2, -1)))  # the root 1 of (1 - t)(1 - 2t) in b
+    @example(((1, -3, 2), (3, -5, -2)))  # its root 1/2 in b
+    @example(((4, -12, 9), (2, -1, -3)))  # the double root 2/3, once in b
+    @example(((1, 1, 1), (1, 2, 2, 1)))  # 1 + t + t^2 divides (1 + t)(1 + t + t^2)
+    @example(((-1, 0, 2), (1, 0, -2, 5)))  # D = 8, not a square
+    def test_matches_gcd(self, pair):
+        a, b = pair
+        coprime = len(cfinite._poly_gcd(a, b)) == 1
+        assert cfinite._coprime(a, b) is coprime
+        assert cfinite._coprime(b, a) is coprime
+
+    @settings(deadline=None)
+    @given(short_pairs(), st.booleans())
+    def test_normal_form_matches_prs_alone(self, pair, short_den):
+        num, den = pair[::-1] if short_den else pair
+        assume(den[0] != 0)
+        g = RationalGF(num, den)
+        with patch.object(cfinite, "_coprime", lambda num, den: False):
+            prs = RationalGF(num, den)
+        assert (g.num, g.den) == (prs.num, prs.den)
+
+    def test_each_branch_at_verify_caps(self):
+        # one side of degree <= 2 with 60-digit coefficients, the other of
+        # degree 30 with 60-digit ones: each branch is one Horner pass,
+        # 0.06-0.18 ms on a shared 2-core Xeon; best of 5 within 1 ms
+        rng = random.Random(38)
+        big = 10**MAX_COEFFICIENT_DIGITS
+
+        def digits():
+            return rng.randrange(big // 10, big)
+
+        b = tuple(rng.choice((1, -1)) * digits() for _ in range(MAX_VERIFY_ORDER + 1))
+        l1, l2 = (rng.randrange(_WIDE), rng.randrange(1, _WIDE)), (rng.randrange(_WIDE), 1)
+        sides = {
+            "linear": (digits(), digits()),
+            "distinct roots": _mul(l1, l2),
+            "double root": _mul(l1, l1),
+            "D < 0": (digits(), 3, digits()),
+            "D > 0": (-digits(), 3, digits()),
+        }
+        for case, a in sides.items():
+            best = float("inf")
+            for _ in range(5):
+                start = time.perf_counter()
+                got = cfinite._coprime(a, b)
+                best = min(best, time.perf_counter() - start)
+            assert got is (len(cfinite._poly_gcd(a, b)) == 1), case
+            assert best < 1e-3, (case, best)
 
 
 _CAPPED_INT = st.integers(-(10**MAX_COEFFICIENT_DIGITS) + 1, 10**MAX_COEFFICIENT_DIGITS - 1)

@@ -4,6 +4,7 @@ import importlib
 import itertools
 import json
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -23,7 +24,7 @@ from cubeforge import (
     theorem_from_json,
     theorem_to_json,
 )
-from cubeforge import cli
+from cubeforge import cfinite, cli
 from cubeforge.cfinite import _mul, _symmetric_square, certify_zero, read_gfs, rhs_poly
 from cubeforge.cubic import search_quadruples
 from cubeforge.errors import DefiniteForm, EmptySeedSet, MalformedTheorem, NoOrbitFound
@@ -352,6 +353,35 @@ class TestForge:
         assert cli.main(["verify", "--file", str(path)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines == [f"certified, depth {item['certified_depth']}" for item in payload]
+
+
+    def test_euclid_mod_p_only_when_both_sides_pass_degree_two(self, monkeypatch):
+        # RationalGF decides coprimality in closed form when one side has
+        # at most 3 coefficients (cfinite._coprime); over forge on the pairs
+        # of tests/test_golden.py, Euclid mod p is left 30 of its 1562
+        # normal forms, of degrees (3, 4) and (9, 10)
+        euclid, coprime = cfinite._coprime_mod_p, cfinite._coprime
+        shapes, tests = [], []
+
+        def recording_euclid(num, den):
+            shapes.append((len(num) - 1, len(den) - 1))
+            return euclid(num, den)
+
+        def recording_coprime(num, den):
+            tests.append(min(len(num), len(den)))
+            return coprime(num, den)
+
+        monkeypatch.setattr(cfinite, "_coprime_mod_p", recording_euclid)
+        monkeypatch.setattr(cfinite, "_coprime", recording_coprime)
+        for a, b in itertools.product(range(1, 6), range(-6, 7)):
+            if b:
+                try:
+                    forge(a, b)
+                except EmptySeedSet:
+                    pass
+        assert all(min(shape) >= 3 for shape in shapes)
+        assert Counter(shapes) == {(3, 4): 12, (9, 10): 18}
+        assert len(tests) == 1562 and sum(length <= 3 for length in tests) == 1532
 
 
 def reference_value_gfs(forms, gf_m, gf_n):

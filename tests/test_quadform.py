@@ -467,6 +467,16 @@ def _forge_forms():
     return sorted(forms, key=lambda f: (f.qa, f.qb, f.qc))
 
 
+def _golden_forms():
+    """Every form forge meets on the 60 weight pairs of tests/test_golden.py."""
+    forms = set()
+    for a, b in itertools.product(range(1, 6), range(-6, 7)):
+        if b:
+            for seed in search_quadruples(a, b, 12):
+                forms.update(morph(seed).polys)
+    return sorted(forms, key=lambda f: (f.qa, f.qb, f.qc))
+
+
 _KIND_DATA = {
     "definite": quadform._Definite,
     "pell": quadform._Classes,
@@ -650,6 +660,35 @@ class TestMagnitudeSweep:
                 assert _sweep(form, 2000, 30, tables) == fresh[form], form
         # the 158 forms have far fewer primitive discriminants than forms
         assert len(tables) < len(forms) // 2
+
+    @pytest.mark.parametrize("target_cap, swept", [(30, 2), (MAX_TARGET_CAP, 5)])
+    def test_one_sign_scan_matches_classes(self, target_cap, swept):
+        # sol_quad sweeps a one-sign "pell" form by _Definite's scan in the
+        # box of B = max(isqrt(cap // |qa|), isqrt(cap // |qc|)); on every
+        # such form of the golden pairs' seeds each magnitude's list is the
+        # one its classes give over the 2000-box, and a form that passes
+        # the unit test is swept in that box
+        tables = {}
+        forms = []
+        for form in _golden_forms():
+            kind, k, f, disc = quadform._slot_kind(form)
+            if kind != "pell" or f[0] * f[1] < 0 or f[0] * f[2] < 0:
+                continue
+            forms.append(form)
+            box = max(isqrt(target_cap // abs(form.qa)), isqrt(target_cap // abs(form.qc)))
+            scan = quadform._Definite(f, k, disc)
+            classes = quadform._Classes(f, k, quadform._table(tables, disc))
+            assert list(quadform._by_magnitude(form, scan, box, target_cap)) == list(
+                quadform._by_magnitude(form, classes, 2000, target_cap)
+            ), form
+            with _recording((quadform, "_by_magnitude")) as sweeps:
+                with contextlib.suppress(NoOrbitFound):
+                    sol_quad(form, target_cap=target_cap)
+            if sweeps:
+                swept -= 1
+                ((data, bound, _),) = sweeps
+                assert type(data) is quadform._Definite and bound == box, form
+        assert len(forms) == 66 and swept == 0
 
     def test_content_spreads_magnitudes(self):
         # 3*(m^2 - 2n^2): only multiples of 3; 12 = 3 * 2^2 * 1 holds the
@@ -1231,8 +1270,9 @@ class TestSolQuad:
         # D = 125 lies in Q(sqrt(5)), whose least norm +1 unit, the square
         # of (1 + sqrt(5))/2, has trace 3 = 1 + isqrt(4): at cap 16, M = 4
         # and the form is swept; at 15, M = 3 and it is refused before the
-        # classes are asked anything.  Both end in the same message.
-        with _recording((quadform._Classes, "primitive")) as asked:
+        # scan of its small box is asked anything.  Both end in the same
+        # message.
+        with _recording((quadform._Definite, "primitive")) as asked:
             with pytest.raises(NoOrbitFound) as refused:
                 sol_quad(QuadForm(1, 13, 11), target_cap=cap)
         assert bool(asked) == swept
@@ -1310,8 +1350,12 @@ class TestSolQuad:
     @example(QuadForm(-3, -12, -3), 400, 243)
     def test_one_sign_forms_match_reference(self, form, bound, target_cap):
         # a one-sign form is swept only when a norm +1 unit, or the step of
-        # a D = 0 line, fits the box of M = min(bound, isqrt(cap // |qa|))
-        with _recording((quadform._Classes, "__init__"), (quadform._Factored, "__init__")) as built:
+        # a D = 0 line, fits the box of M = min(bound, isqrt(cap // |qa|));
+        # a swept "pell" form is scanned in its small box, not by classes
+        classes = (quadform._Classes, "__init__")
+        with _recording(classes) as by_classes, _recording(
+            (quadform._Definite, "__init__"), (quadform._Factored, "__init__")
+        ) as built:
             got = _outcome(sol_quad, form, bound, target_cap)
         assert got == _outcome(reference_sol_quad, form, bound, target_cap)
         d, k = form.discriminant, _content(form)
@@ -1322,6 +1366,7 @@ class TestSolQuad:
         else:
             fits = d == 0 and form.qb != 0 and 1 + 3 * isqrt(abs(form.qc) // k) <= reach
         assert bool(built) == fits
+        assert by_classes == []
         if not fits:
             event("refused")
             assert got is NoOrbitFound
