@@ -548,6 +548,10 @@ def certificate_bound(expr: MultiPoly, seqs: Mapping[str, RationalGF]) -> int:
     return s + sum(comb(r + d - 1, d) if d else 1 for d, _ in support)
 
 
+# the kinds of right-hand side c*s_n of an identity: s_n = 1 or (-1)^n
+RHS_KINDS = ("constant", "alternating")
+
+
 def rhs_poly(c: int, kind: str) -> MultiPoly:
     """Right-hand side c*(-1)^n for kind "alternating", spelled
     c*SIGN_SYMBOL, and the constant c for any other kind."""

@@ -116,7 +116,8 @@ class FormResult:
     bound to the sequences ``seqs``, with P(a_1(n), ..., a_d(n)) equal to C
     (target "constant"), C*(-1)^n ("alternating"), or identically zero
     (target "none", C = 0).  Its certificate is not an argument: it is
-    certify_zero on P(X) - C*(+-1)^n, computed when the result is built."""
+    certify_zero on P(X) - C*(+-1)^n, computed when the result is built.
+    Another target raises ValueError before the certificate is computed."""
 
     seqs: tuple[RationalGF, ...]
     degree: int
@@ -126,6 +127,8 @@ class FormResult:
     certificate: Certificate = field(init=False)
 
     def __post_init__(self):
+        if self.target not in TARGETS:
+            raise ValueError(f"target must be one of {TARGETS}")
         form = self._form
         expr = form - rhs_poly(self.constant, self.target)
         cert = certify_zero(expr, dict(zip(form.variables, self.seqs)))

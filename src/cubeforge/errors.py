@@ -88,7 +88,8 @@ class EmptySeedSet(CubeforgeError):
 
 
 class MalformedTheorem(CubeforgeError):
-    """A serialized theorem has an unusable generating function or schema."""
+    """A theorem, serialized or built, has an unusable generating function,
+    schema or right-hand kind."""
 
 
 # --- concoct ---

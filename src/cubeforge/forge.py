@@ -6,10 +6,10 @@ Pipeline: brute-force numeric seeds, morph each against (m, -m, n, -n) into a
 parametric quadruple, solve one of the four quadratics as a Pell-like orbit
 (its recurrence read off a unit, see quadform), evaluate the remaining three
 along the orbit, build their generating functions exactly over the symmetric
-square of the orbit's denominator, and certify the emitted cubic identity with
-certify_theorem.  A CubicTheorem certifies itself that way when it is
-built, forged, parsed or by hand, so verify re-checks a forged theorem's
-JSON at the depth forge recorded.
+square of the orbit's recurrence (PellOrbit.den), and certify the emitted
+cubic identity with certify_theorem.  A CubicTheorem certifies itself that
+way when it is built, forged, parsed or by hand, so verify re-checks a
+forged theorem's JSON at the depth forge recorded.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 from .cfinite import (
+    RHS_KINDS,
     SIGN_SYMBOL,
     Certificate,
     RationalGF,
@@ -42,15 +43,15 @@ from .quadform import QuadForm, check_work_option, sol_quad
 
 log = logging.getLogger(__name__)
 
-RHS_KINDS = ("constant", "alternating")
-
 
 @dataclass(frozen=True)
 class CubicTheorem:
     """A statement a*A^3 + a*B^3 + b*C^3 = c (or c*(-1)^n) about the Taylor
     coefficient sequences of three generating functions.  Its certificate
     is not an argument: it is certify_theorem on the statement, computed
-    when the theorem is built (dataclasses.replace included)."""
+    when the theorem is built (dataclasses.replace included).
+    An rhs_kind other than "constant" and "alternating" raises
+    MalformedTheorem before the certificate is computed."""
 
     a: int
     b: int
@@ -63,6 +64,8 @@ class CubicTheorem:
     certificate: Certificate = field(init=False)
 
     def __post_init__(self):
+        if self.rhs_kind not in RHS_KINDS:
+            raise MalformedTheorem(f"bad rhs_kind {self.rhs_kind!r}")
         object.__setattr__(self, "certificate", certify_theorem(self))
 
     @property
@@ -99,8 +102,6 @@ def theorem_from_json(data) -> CubicTheorem:
         kind = data["rhs_kind"]
         gf_list = data["gfs"]
         provenance = dict(data.get("provenance", {}))
-        if kind not in RHS_KINDS:
-            raise MalformedTheorem(f"bad rhs_kind {kind!r}")
         if len(gf_list) != 3:
             raise MalformedTheorem("expected exactly three generating functions")
         gfs = read_gfs((g["num"], g["den"]) for g in gf_list)
@@ -201,24 +202,25 @@ def forge(
     return result[:max_theorems]
 
 
-def _value_gfs(forms, gf_m, gf_n) -> list[RationalGF] | None:
+def _value_gfs(forms, den, gf_m, gf_n) -> list[RationalGF] | None:
     """The generating functions of the values of the quadratic forms
-    ``forms`` along the orbit (gf_m, gf_n), or None when one of the value
-    sequences vanishes identically.
+    ``forms`` along the orbit with generating functions gf_m and gf_n whose
+    two sequences obey the recurrence of ``den`` (PellOrbit.den) from index
+    0 on, or None when one of the value sequences vanishes identically.
 
-    They are built, not guessed.  Orbit generating functions come from
-    gf_from_den: they share one denominator den = prod_i (1 - a_i t)
-    of order r with den[0] = 1, and are proper, so m_k = sum_i p_i(k) a_i^k
-    for every k >= 0 with deg p_i < mu_i, the multiplicity of a_i; the same
-    holds for n_k.  So each value sequence v is a sum of products m_k^2,
-    m_k n_k, n_k^2, whose terms are polynomials of degree
-    <= mu_i + mu_j - 2 times (a_i a_j)^k.  den2 = _symmetric_square(den), of
-    degree rho = C(r+1, 2), holds the factor (1 - a_i a_j t) at least
-    C(mu+1, 2) >= 2mu - 1 times for a_i = a_j of multiplicity mu, and at
-    least mu*nu >= mu + nu - 1 times for distinct roots of multiplicities
-    mu and nu, so it annihilates v from k = 0 on: v has the proper
-    generating function gf_from_den(v, den2) = num/den2, and v vanishes
-    identically exactly when num is zero.
+    They are built, not guessed.  With den = prod_i (1 - a_i t) of order r
+    and den[0] = 1, m_k = sum_i p_i(k) a_i^k for every k >= 0 with
+    deg p_i < mu_i, the multiplicity of a_i; the same holds for n_k.  So
+    each value sequence v is a sum of products m_k^2, m_k n_k, n_k^2, whose
+    terms are polynomials of degree <= mu_i + mu_j - 2 times (a_i a_j)^k.
+    den2 = _symmetric_square(den), of degree rho = C(r+1, 2), holds the
+    factor (1 - a_i a_j t) at least C(mu+1, 2) >= 2mu - 1 times for
+    a_i = a_j of multiplicity mu, and at least mu*nu >= mu + nu - 1 times
+    for distinct roots of multiplicities mu and nu, so it annihilates v
+    from k = 0 on: v has the proper generating function
+    gf_from_den(v, den2) = num/den2, and v vanishes identically exactly
+    when num is zero.  Either sequence's lowest-terms denominator may be a
+    proper factor of den; only den is used.
 
     This is the rational function that reconstruction by guessing finds
     (seq_from_terms with orders up to rho + 1 on 2(rho + 1) + 6 terms):
@@ -227,10 +229,6 @@ def _value_gfs(forms, gf_m, gf_n) -> list[RationalGF] | None:
     with v on 2 rho + 8 terms.  u - v is proper with a denominator of degree
     <= r' + d <= 2 rho, so it is zero, and RationalGF's normal form of one
     rational function is unique."""
-    # a zero sequence has the normal form 0/1 and obeys den too
-    den = max(gf_m.den, gf_n.den, key=len)
-    assert all(g.den == den or not g.num for g in (gf_m, gf_n))
-    assert len(gf_m.num) < len(den) and len(gf_n.num) < len(den)
     den2 = _symmetric_square(den)
     rho = len(den2) - 1
     ms = taylor_coefficients(gf_m, rho)
@@ -250,12 +248,13 @@ def _build_theorem(seed, quadruple, j, orbit) -> CubicTheorem:
     AssertionError.
 
     No value sequence vanishes.  The orbit's terms v_0, v_p, v_2p are points
-    of the list sol_quad's read-off checked (gf_from_den rebuilds it):
-    distinct box points with m >= 1 and |Q| = |e| >= 1 for the solved Q.
-    Two of them on one line through the origin, w' = l w, would give
-    l^2 = 1, so l = 1 as m >= 1: the same point.  A nonzero quadratic form
-    (each morph component is one) vanishes on at most two lines through the
-    origin, so not at all three.
+    of the list sol_quad's read-off checked (the orbit starts at its first
+    2p points and obeys the den fitted to all of them): distinct box
+    points with m >= 1 and |Q| = |e| >= 1 for the solved Q.  Two of them
+    on one line through the origin, w' = l w, would give l^2 = 1, so l = 1
+    as m >= 1: the same point.  A nonzero quadratic form (each morph
+    component is one) vanishes on at most two lines through the origin, so
+    not at all three.
 
     No theorem is refuted.  morph's identity a P1^3 + a P2^3 + b P3^3 +
     b P4^3 = 0, the orbit's certificate Q(m_k, n_k) = e s_k with s_k = 1 or
@@ -275,7 +274,7 @@ def _build_theorem(seed, quadruple, j, orbit) -> CubicTheorem:
     if thm_a < 0:
         # negate the whole equation so the paired weight is positive
         thm_a, thm_b, c = -thm_a, -thm_b, -c
-    gfs = _value_gfs([quadruple.polys[i] for i in ordered], orbit.gf_m, orbit.gf_n)
+    gfs = _value_gfs([quadruple.polys[i] for i in ordered], orbit.den, orbit.gf_m, orbit.gf_n)
     if gfs is None:
         raise AssertionError(f"seed {seed}, index {j + 1}: a value sequence vanishes")
     provenance = {

@@ -3,8 +3,9 @@ with generating-function output, and the explicit constant-value form
 constructors for shared-denominator sequence pairs.
 
 Orbits are found from data: enumerate small solutions, read the recurrence
-of a unit off them, rebuild generating functions, and certify the resulting
-infinite family by a finite check.  A Pell-like orbit steps from one
+of a unit off them, build the orbit from that recurrence and its first
+points (PellOrbit, which derives the generating functions), and certify the
+resulting infinite family by a finite check.  A Pell-like orbit steps from one
 solution to the next by an automorph of the form; its eigenvalues are a unit
 (t + s*sqrt(D'))/2 of norm N = +-1 and its conjugate (Cohen, GTM 138, 5.6
 and 5.7), so both coordinate sequences obey x_(k+2p) = t*x_(k+p) - N*x_k,
@@ -122,6 +123,7 @@ from math import gcd, isqrt
 from typing import Iterable, Iterator, Sequence
 
 from .cfinite import (
+    RHS_KINDS,
     SIGN_SYMBOL,
     Certificate,
     RationalGF,
@@ -187,20 +189,32 @@ class QuadForm:
 @dataclass(frozen=True)
 class PellOrbit:
     """A family of solutions of Q(m, n) = e (kind "constant") or
-    Q(m, n) = e * (-1)^i (kind "alternating") of the form Q, given by the
-    Taylor coefficient pairs of two generating functions with one
-    denominator.  Its certificate is not an argument: it is certify_zero
-    on Q(m, n) - e*(+-1)^n over the two sequences, computed when the orbit
-    is built."""
+    Q(m, n) = e * (-1)^i (kind "alternating") of the form Q: the pairs
+    (m_i, n_i) that start at the deg den points ``start`` and obey the
+    recurrence of ``den`` (den[0] = 1) from i = 0 on.  gf_m and gf_n are
+    not arguments: they are the generating functions of the two sequences,
+    gf_from_den of ``start`` over ``den`` in lowest terms, so either may
+    reduce below ``den``.  Nor is the certificate: it is certify_zero on
+    Q(m, n) - e*(+-1)^n over the two sequences, computed when the orbit is
+    built.  ValueError for a kind other than "constant" and "alternating"
+    or a start of another length than deg den."""
 
     form: QuadForm
-    gf_m: RationalGF
-    gf_n: RationalGF
+    den: tuple[int, ...]
+    start: tuple[tuple[int, int], ...]
     target: int
     kind: str
+    gf_m: RationalGF = field(init=False)
+    gf_n: RationalGF = field(init=False)
     certificate: Certificate = field(init=False)
 
     def __post_init__(self):
+        if self.kind not in RHS_KINDS:
+            raise ValueError(f"bad kind {self.kind!r}")
+        if len(self.start) != len(self.den) - 1:
+            raise ValueError(f"{len(self.start)} start points for the denominator {self.den}")
+        object.__setattr__(self, "gf_m", gf_from_den([m for m, _ in self.start], self.den))
+        object.__setattr__(self, "gf_n", gf_from_den([n for _, n in self.start], self.den))
         # Q(m, n) - target*(+-1)^n in one step, as forge.certify_theorem
         # builds its expression
         f, sign = self.form, 1 if self.kind == "alternating" else 0
@@ -926,22 +940,23 @@ def _orbit_from_solutions(
     form: QuadForm, sols: Sequence[tuple[int, int, int]]
 ) -> PellOrbit | None:
     """The certified orbit through the listed points, or None when their
-    values fit no pattern, no unit read-off fits, or the rebuilt generating
-    functions do not share their denominator.
+    values fit no pattern, no unit read-off fits, or the orbit's generating
+    functions do not share their lowest-terms denominator.
 
     Once those pass, the certificate cannot refute, so a refutation raises
     AssertionError.  The read-off fits den = 1 - t*z^p + N*z^(2p) on at
     least 3p + 1 points, so each residue class j mod p holds the three
-    listed points j, j + p, j + 2p.  Every window of the list obeys den, so
-    the rebuilt gf_m and gf_n agree with the listed terms and obey den
-    throughout: along a class, u_i = m_(j+pi) and v_i = n_(j+pi) are
-    annihilated by 1 - t*y + N*y^2.  With alpha, beta its roots,
-    alpha*beta = N, each value Q(u_i, v_i) lies in the 3-dimensional space
-    spanned by alpha^(2i), N^i and beta^(2i) (generalised powers when
-    alpha = beta), which the symmetric square of 1 - t*y + N*y^2, monic of
-    order 3, annihilates.  The target along the class is c*N^i: constant
-    values have N = 1, and alternating ones give (-1)^(j+pi) = (-1)^j N^i
-    as N = (-1)^p.  So Q(u_i, v_i) - c*N^i lies in that space and vanishes
+    listed points j, j + p, j + 2p.  The orbit starts at the first 2p
+    listed points and obeys den, and so does every window of the list, so
+    the orbit's terms are the listed ones as far as the list goes: along a
+    class, u_i = m_(j+pi) and v_i = n_(j+pi) are annihilated by
+    1 - t*y + N*y^2.  With alpha, beta its roots, alpha*beta = N, each
+    value Q(u_i, v_i) lies in the 3-dimensional space spanned by
+    alpha^(2i), N^i and beta^(2i) (generalised powers when alpha = beta),
+    which the symmetric square of 1 - t*y + N*y^2, monic of order 3,
+    annihilates.  The target along the class is c*N^i: constant values
+    have N = 1, and alternating ones give (-1)^(j+pi) = (-1)^j N^i as
+    N = (-1)^p.  So Q(u_i, v_i) - c*N^i lies in that space and vanishes
     at i = 0, 1, 2, where _value_pattern checked the listed values; an
     order-3 recurrence then makes it zero for every i.  The identity is
     true, and certify_zero, which evaluates it exactly, certifies it."""
@@ -951,17 +966,13 @@ def _orbit_from_solutions(
     if pattern is None:
         return None
     kind, target = pattern
-    mseq = [m for m, _, _ in sols]
-    nseq = [n for _, n, _ in sols]
-    den = _unit_recurrence((mseq, nseq), kind)
+    den = _unit_recurrence(([m for m, _, _ in sols], [n for _, n, _ in sols]), kind)
     if den is None:
         return None
-    gf_m = gf_from_den(mseq, den)
-    gf_n = gf_from_den(nseq, den)
-    if gf_m.den != gf_n.den:
+    orbit = PellOrbit(form, den, tuple((m, n) for m, n, _ in sols[: len(den) - 1]), target, kind)
+    if orbit.gf_m.den != orbit.gf_n.den:
         # reduction split the shared denominator; treat as a failed candidate
         return None
-    orbit = PellOrbit(form, gf_m, gf_n, target, kind)
     if not orbit.certificate.certified:
         raise AssertionError(
             f"{form}: a read-off orbit was refuted at n={orbit.certificate.witness}"
@@ -1153,7 +1164,7 @@ def sol_quad(
     gives t = 2 on every window of both sequences, as k + k = 2k and
     (a*(i + 2) + b) + (a*i + b) = 2*(a*(i + 1) + b), where a zero middle
     term comes with a zero outer sum.  So the read-off stops at p = 1 with
-    the denominator (1 - z)^2, the rebuilt generating functions are
+    the denominator (1 - z)^2, the orbit's generating functions are
     k/(1 - z) and (b + (a - b)*z)/(1 - z)^2 with a != 0, both in lowest
     terms, and the "denominator split" check rejects the pair.  Q =
     qc*n^2 is the same with the roles of m and n swapped.

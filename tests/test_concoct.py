@@ -162,6 +162,13 @@ class TestFormResult:
         assert not r.certificate.certified
         assert r.certificate.witness == (1 if constant == 1 else 0)
 
+    @pytest.mark.parametrize("target", ["foo", "Constant", "alternate", None])
+    def test_unknown_target_rejected(self, target):
+        # rhs_poly would give it a constant right side, and to_json would
+        # print the target as given
+        with pytest.raises(ValueError, match="target must be one of"):
+            FormResult(self.SEQS, 2, self.FORM, 1, target)
+
 
 class TestFindForm:
     def test_constant_pair(self):

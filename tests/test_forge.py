@@ -25,12 +25,19 @@ from cubeforge import (
     theorem_to_json,
 )
 from cubeforge import cfinite, cli
-from cubeforge.cfinite import _mul, _symmetric_square, certify_zero, read_gfs, rhs_poly
+from cubeforge.cfinite import (
+    _mul,
+    _symmetric_square,
+    certify_zero,
+    gf_from_den,
+    read_gfs,
+    rhs_poly,
+)
 from cubeforge.cubic import search_quadruples
 from cubeforge.errors import DefiniteForm, EmptySeedSet, MalformedTheorem, NoOrbitFound
 from cubeforge.forge import _poly_text, _value_gfs, json_text
 from cubeforge.parsing import parse_poly
-from cubeforge.quadform import QuadForm, sol_quad
+from cubeforge.quadform import PellOrbit, QuadForm, sol_quad
 
 
 def make_theorem(a, b, c, kind, gfs):
@@ -74,8 +81,12 @@ class TestCertifyTheorem:
     def test_matches_the_expression_built_by_arithmetic(self, alternating_triple, kind, a, b, c):
         # certify_theorem builds a*A^3 + a*B^3 + b*C^3 - c*sgn^k in one
         # step and drops zero weights; the sum of polynomials gives the
-        # same certificate, zero weights and a kind other than
-        # "alternating" (a constant right side) included
+        # same certificate, zero weights included.  A kind other than
+        # "constant" and "alternating" is refused before certify_theorem runs
+        if kind == "other":
+            with pytest.raises(MalformedTheorem, match="bad rhs_kind 'other'"):
+                make_theorem(a, b, c, kind, alternating_triple)
+            return
         A, B, C = (MultiPoly.variable(v) for v in "ABC")
         expr = a * A**3 + a * B**3 + b * C**3 - rhs_poly(c, kind)
         thm = make_theorem(a, b, c, kind, alternating_triple)
@@ -110,6 +121,15 @@ class TestDerivedCertificate:
         assert dataclasses.replace(wrong, c=1) == thm
         with pytest.raises(ValueError):
             dataclasses.replace(thm, certificate=Certificate(bound=11))
+
+    @pytest.mark.parametrize("kind", ["Constant", "weird", "none", ["constant"]])
+    def test_unknown_kind_rejected(self, kind):
+        # certify_theorem would check the constant right side, and render
+        # would print c*(-1)^n under "certified by checking n = 0 .. 10"
+        thm = forge(1, 2)[0]
+        assert thm.rhs_kind == "constant"
+        with pytest.raises(MalformedTheorem, match=r"^bad rhs_kind "):
+            dataclasses.replace(thm, rhs_kind=kind)
 
 
 class TestSerialization:
@@ -355,6 +375,34 @@ class TestForge:
         assert lines == [f"certified, depth {item['certified_depth']}" for item in payload]
 
 
+    def test_golden_orbits_carry_their_read_off(self, monkeypatch):
+        # every orbit forge builds on the pairs of tests/test_golden.py holds
+        # the read-off's denominator 1 - t*z^p + N*z^(2p), p <= 2, N = +-1,
+        # its first 2p points, and the generating functions they give
+        forge_module = importlib.import_module("cubeforge.forge")
+        orbits = []
+
+        def recording(form, **options):
+            orbit = sol_quad(form, **options)
+            orbits.append(orbit)
+            return orbit
+
+        monkeypatch.setattr(forge_module, "sol_quad", recording)
+        for a, b in itertools.product(range(1, 6), range(-6, 7)):
+            if b:
+                try:
+                    forge(a, b)
+                except EmptySeedSet:
+                    pass
+        assert len(orbits) > 100
+        for orbit in orbits:
+            den, p = orbit.den, (len(orbit.den) - 1) // 2
+            assert p in (1, 2) and len(orbit.start) == 2 * p
+            assert den == (1,) + (0,) * (p - 1) + (den[p],) + (0,) * (p - 1) + (den[-1],)
+            assert den[-1] in (1, -1)
+            assert orbit.gf_m == gf_from_den([m for m, _ in orbit.start], den)
+            assert orbit.gf_n == gf_from_den([n for _, n in orbit.start], den)
+
     def test_euclid_mod_p_only_when_both_sides_pass_degree_two(self, monkeypatch):
         # RationalGF decides coprimality in closed form when one side has
         # at most 3 coefficients (cfinite._coprime); over forge on the pairs
@@ -384,12 +432,13 @@ class TestForge:
         assert len(tests) == 1562 and sum(length <= 3 for length in tests) == 1532
 
 
-def reference_value_gfs(forms, gf_m, gf_n):
+def reference_value_gfs(forms, den, gf_m, gf_n):
     """The reconstruction by guessing that forge used before the symmetric
-    square: expand 2*(C(r+1, 2) + 1) + 6 terms of the orbit, evaluate the
-    quadratics there and guess each value sequence with seq_from_terms up to
-    order C(r+1, 2) + 1; None when a value sequence vanishes on every term."""
-    r = len(gf_m.den) - 1
+    square: with r = deg den, the orbit's recurrence, expand
+    2*(C(r+1, 2) + 1) + 6 terms of the orbit, evaluate the quadratics there
+    and guess each value sequence with seq_from_terms up to order
+    C(r+1, 2) + 1; None when a value sequence vanishes on every term."""
+    r = len(den) - 1
     order_cap = comb(r + 1, 2) + 1
     count = 2 * order_cap + 6
     ms = taylor_coefficients(gf_m, count)
@@ -420,13 +469,13 @@ def orbit_dens(draw):
 
 @st.composite
 def orbit_pairs(draw):
-    """Proper integer generating functions gf_m, gf_n in lowest terms with
-    one shared denominator, as sol_quad builds them."""
+    """(den, gf_m, gf_n): proper integer generating functions gf_m, gf_n
+    whose lowest-terms denominator is den, as sol_quad builds them."""
     den = draw(orbit_dens())
     nums = st.lists(st.integers(-5, 5), min_size=len(den) - 1, max_size=len(den) - 1)
     gf_m, gf_n = RationalGF(draw(nums), den), RationalGF(draw(nums), den)
     assume(gf_m.den == den and gf_n.den == den)
-    return gf_m, gf_n
+    return den, gf_m, gf_n
 
 
 forms = st.tuples(*[st.integers(-4, 4)] * 3).filter(any).map(lambda t: QuadForm(*t))
@@ -451,29 +500,30 @@ class TestValueGFs:
     # n = 2m, and m^2 - mn, which is zero along n = m
     @settings(max_examples=300, deadline=None)
     @given(orbit_pairs(), st.lists(forms, min_size=1, max_size=3))
-    @example((RationalGF((1, 0), (1, -2, 1)), RationalGF((0, 1), (1, -2, 1))),
+    @example(((1, -2, 1), RationalGF((1, 0), (1, -2, 1)), RationalGF((0, 1), (1, -2, 1))),
              [QuadForm(1, 0, 0), QuadForm(0, 1, 0), QuadForm(2, -3, 1)])
-    @example((RationalGF((1, 0, 0, 0), (1, -1, -4, -1, 1)),
+    @example(((1, -1, -4, -1, 1), RationalGF((1, 0, 0, 0), (1, -1, -4, -1, 1)),
               RationalGF((0, 1, 0, 0), (1, -1, -4, -1, 1))),
              [QuadForm(1, 0, -1), QuadForm(3, 1, 2)])
-    @example((RationalGF((1,), (1, -1)), RationalGF((0,), (1, -1))), [QuadForm(1, 0, 0)])
-    @example((RationalGF((1,), (1, 1)), RationalGF((2,), (1, 1))), [QuadForm(1, 1, -1)])
-    @example((RationalGF((1, -3), (1, -6, 1)), RationalGF((1, -3), (1, -6, 1))),
+    @example(((1, -1), RationalGF((1,), (1, -1)), RationalGF((0,), (1, -1))), [QuadForm(1, 0, 0)])
+    @example(((1, 1), RationalGF((1,), (1, 1)), RationalGF((2,), (1, 1))), [QuadForm(1, 1, -1)])
+    @example(((1, -6, 1), RationalGF((1, -3), (1, -6, 1)), RationalGF((1, -3), (1, -6, 1))),
              [QuadForm(1, 0, 1), QuadForm(1, -1, 0)])
-    def test_matches_the_guess(self, pair, polys):
-        assert _value_gfs(polys, *pair) == reference_value_gfs(polys, *pair)
+    def test_matches_the_guess(self, orbit, polys):
+        assert _value_gfs(polys, *orbit) == reference_value_gfs(polys, *orbit)
 
     @settings(max_examples=100, deadline=None)
     @given(orbit_pairs(), st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
-    def test_vanishing_value_sequence(self, pair, k, x, y):
-        # n = k*m makes (k*m - n)(x*m + y*n) vanish along the whole orbit
-        gf_m, _ = pair
+    def test_vanishing_value_sequence(self, orbit, k, x, y):
+        # n = k*m makes (k*m - n)(x*m + y*n) vanish along the whole orbit;
+        # with k = 0, n is the zero sequence, which obeys den too
+        den, gf_m, _ = orbit
         gf_n = RationalGF([k * c for c in gf_m.num], gf_m.den)
-        assume(gf_n.den == gf_m.den and (x, y) != (0, 0))
+        assume((x, y) != (0, 0))
         vanishing = QuadForm(k * x, k * y - x, -y)
         polys = [QuadForm(1, 0, 1), vanishing]
-        assert _value_gfs(polys, gf_m, gf_n) is None
-        assert reference_value_gfs(polys, gf_m, gf_n) is None
+        assert _value_gfs(polys, den, gf_m, gf_n) is None
+        assert reference_value_gfs(polys, den, gf_m, gf_n) is None
 
     @settings(max_examples=300, deadline=None)
     @given(st.data(), forms)
@@ -482,14 +532,14 @@ class TestValueGFs:
         # on three distinct lines through the origin, and a nonzero
         # quadratic vanishes on at most two such lines
         orbit = data.draw(st.sampled_from(solved_small_orbits()))
-        assert _value_gfs([poly], orbit.gf_m, orbit.gf_n) is not None
+        assert _value_gfs([poly], orbit.den, orbit.gf_m, orbit.gf_n) is not None
 
     @settings(max_examples=200, deadline=None)
     @given(orbit_pairs())
-    def test_symmetric_square_annihilates_products(self, pair):
-        gf_m, gf_n = pair
-        den2 = _symmetric_square(gf_m.den)
-        rho = comb(len(gf_m.den), 2)
+    def test_symmetric_square_annihilates_products(self, orbit):
+        den, gf_m, gf_n = orbit
+        den2 = _symmetric_square(den)
+        rho = comb(len(den), 2)
         assert len(den2) == rho + 1
         ms = taylor_coefficients(gf_m, 3 * rho)
         ns = taylor_coefficients(gf_n, 3 * rho)
@@ -515,10 +565,34 @@ class TestValueGFs:
         den = (1, -1, -1, -1)
         gf_m, gf_n = RationalGF((1,), den), RationalGF((0, 1, 1), den)
         polys = [QuadForm(1, 0, 0), QuadForm(1, 1, 0), QuadForm(2, -1, 3)]
-        gfs = _value_gfs(polys, gf_m, gf_n)
+        gfs = _value_gfs(polys, den, gf_m, gf_n)
         assert [len(g.den) - 1 for g in gfs] == [6, 6, 6]
         assert all(g.den == _symmetric_square(den) for g in gfs)
-        assert gfs == reference_value_gfs(polys, gf_m, gf_n)
+        assert gfs == reference_value_gfs(polys, den, gf_m, gf_n)
+
+    def test_one_variable_orbit(self):
+        # m = 1, n = i: gf_m = 1/(1 - z) reduces below the orbit's
+        # denominator (1 - z)^2, which only gf_n keeps; the value sequences
+        # have order 3, which a guess up to order C(1 + 1, 2) + 1 = 2 from
+        # gf_m's denominator could not reach
+        orbit = PellOrbit(QuadForm(1, 0, 0), (1, -2, 1), ((1, 0), (1, 1)), 1, "constant")
+        assert orbit.gf_m.den == (1, -1) and orbit.certificate.certified
+        polys = [QuadForm(0, 0, 1), QuadForm(1, 1, 0), QuadForm(2, -3, 1)]
+        gfs = _value_gfs(polys, orbit.den, orbit.gf_m, orbit.gf_n)
+        assert gfs == reference_value_gfs(polys, orbit.den, orbit.gf_m, orbit.gf_n)
+        assert gfs[0].den == (1, -3, 3, -1)
+
+    def test_reduced_pair_gives_the_same_values(self):
+        # (m - n)^2 = 1: the read-off fits (1 - z^2)^2, and both generating
+        # functions reduce to (1 - z)^2 (1 + z), which their sequences obey
+        # from index 0 as well
+        orbit = sol_quad(QuadForm(1, -2, 1))
+        assert orbit.den == (1, 0, -2, 0, 1) and len(orbit.start) == 4
+        assert orbit.gf_m.den == orbit.gf_n.den == (1, -1, -1, 1)
+        polys = [QuadForm(1, 0, 0), QuadForm(0, 1, 0), QuadForm(2, -3, 1), QuadForm(1, -2, 1)]
+        gfs = _value_gfs(polys, orbit.den, orbit.gf_m, orbit.gf_n)
+        assert gfs == _value_gfs(polys, orbit.gf_m.den, orbit.gf_m, orbit.gf_n)
+        assert gfs == reference_value_gfs(polys, orbit.den, orbit.gf_m, orbit.gf_n)
 
 
 class TestLatexWeights:

@@ -155,8 +155,8 @@ def reference_sol_quad(form, bound, target_cap, enumerator=None):
 def reference_orbit_from_solutions(form, sols):
     """The guessed orbit: one recurrence of order <= 4, the largest the
     read-off builds, fitted to both coordinate sequences by
-    joint_guess_recurrence, then the same rebuild, denominator check and
-    certificate as _orbit_from_solutions."""
+    joint_guess_recurrence, then the same orbit from the first points,
+    denominator check and certificate as _orbit_from_solutions."""
     if len(sols) < 3:
         return None
     pattern = _value_pattern([v for _, _, v in sols])
@@ -171,14 +171,15 @@ def reference_orbit_from_solutions(form, sols):
     if any(e.denominator != 1 for e in coeffs):
         return None
     den = (1,) + tuple(-int(e) for e in coeffs)
-    gf_m = gf_from_den(mseq, den)
-    gf_n = gf_from_den(nseq, den)
-    if gf_m.den != gf_n.den:
+    start = tuple(zip(mseq, nseq))[: len(den) - 1]
+    orbit = PellOrbit(form=form, den=den, start=start, target=target, kind=kind)
+    assert (orbit.gf_m, orbit.gf_n) == (gf_from_den(mseq, den), gf_from_den(nseq, den))
+    if orbit.gf_m.den != orbit.gf_n.den:
         return None
-    cert = certify_zero(form.to_poly() - rhs_poly(target, kind), {"m": gf_m, "n": gf_n})
+    expr = form.to_poly() - rhs_poly(target, kind)
+    cert = certify_zero(expr, {"m": orbit.gf_m, "n": orbit.gf_n})
     if not cert.certified:
         return None
-    orbit = PellOrbit(form=form, gf_m=gf_m, gf_n=gf_n, target=target, kind=kind)
     assert orbit.certificate == cert
     return orbit
 
@@ -269,20 +270,51 @@ class TestQuadForm:
 
 
 class TestPellOrbit:
-    """A PellOrbit's certificate is certify_zero on Q(m, n) - e*(+-1)^n
-    over its own sequences, never an argument."""
+    """A PellOrbit's generating functions are gf_from_den of its first
+    points over its denominator, and its certificate is certify_zero on
+    Q(m, n) - e*(+-1)^n over its own sequences; none is an argument."""
 
-    PELL = (QuadForm(1, 0, -2), RationalGF((1, -3), (1, -6, 1)), RationalGF((0, 2), (1, -6, 1)))
+    PELL = (QuadForm(1, 0, -2), (1, -6, 1), ((1, 0), (3, 2)))
 
     def test_certificate_argument_rejected(self):
         with pytest.raises(TypeError):
             PellOrbit(*self.PELL, 1, "constant", certificate=Certificate(bound=4))
 
+    def test_generating_function_argument_rejected(self):
+        with pytest.raises(TypeError):
+            PellOrbit(*self.PELL, 1, "constant", gf_m=RationalGF((1, -3), (1, -6, 1)))
+
     def test_true_orbit_certified(self):
         orbit = PellOrbit(*self.PELL, 1, "constant")
         assert orbit.certificate == Certificate(bound=4)
+        assert (orbit.gf_m, orbit.gf_n) == (
+            RationalGF((1, -3), (1, -6, 1)),
+            RationalGF((0, 2), (1, -6, 1)),
+        )
         assert orbit == sol_quad(QuadForm(1, 0, -2))
         assert "form" not in orbit.to_json()
+
+    @pytest.mark.parametrize("kind", ["Alternating", "Constant", "none", ""])
+    def test_unknown_kind_rejected(self, kind):
+        # certify_zero would check a constant right side for it, and to_json
+        # would print the kind as given
+        with pytest.raises(ValueError, match="bad kind"):
+            PellOrbit(*self.PELL, 1, kind)
+
+    @pytest.mark.parametrize("start", [((1, 0),), ((1, 0), (3, 2), (17, 12))])
+    def test_start_of_another_length_rejected(self, start):
+        # a third point would be ignored, not checked against the denominator
+        with pytest.raises(ValueError, match="start points"):
+            PellOrbit(QuadForm(1, 0, -2), (1, -6, 1), start, 1, "constant")
+
+    def test_one_variable_orbit(self):
+        # m = 1, n = i: m^2 = 1 along an orbit whose m reduces below the
+        # denominator (1 - z)^2 that n needs
+        orbit = PellOrbit(QuadForm(1, 0, 0), (1, -2, 1), ((1, 0), (1, 1)), 1, "constant")
+        assert orbit.gf_m == RationalGF((1,), (1, -1))
+        assert orbit.gf_n == RationalGF((0, 1), (1, -2, 1))
+        assert orbit.certificate == Certificate(bound=2)
+        assert orbit.pairs(4) == [(1, 0), (1, 1), (1, 2), (1, 3)]
 
     @pytest.mark.parametrize("target, kind", [(2, "constant"), (1, "alternating"), (-1, "constant")])
     def test_wrong_target_carries_a_witness(self, target, kind):
