@@ -53,7 +53,11 @@ def implicitize(p: MultiPoly, q: MultiPoly, r: MultiPoly) -> MultiPoly:
     where the first of x - P, y - Q, z - R that involves m takes the place of
     x - P: an m-free shared equation is both m-resultants, and res_n vanishes.
     It may carry extraneous factors; minimality is not promised, only that the
-    substitution vanishes (asserted before returning).
+    substitution vanishes.  That is proved before returning, by
+    ``MultiPoly.vanishes_on``: an exact test, which evaluates one of m, n at
+    a power of two wide enough that no coefficient of S(P, Q, R) can hide
+    (or expands S(P, Q, R) where its packed digits would be mostly zero);
+    AssertionError when it fails.
     """
     for poly in (p, q, r):
         if poly.is_constant():
@@ -75,8 +79,7 @@ def implicitize(p: MultiPoly, q: MultiPoly, r: MultiPoly) -> MultiPoly:
     if s0.is_constant():
         raise EliminationCollapse("elimination left no relation in x, y, z")
     s = content_primitive(s0)[1].restricted(("x", "y", "z"))
-    check = s.substitute({"x": p, "y": q, "z": r})
-    if not check.is_zero:
+    if not s.vanishes_on({"x": p, "y": q, "z": r}):
         raise AssertionError("implicit equation does not vanish on the parametrization")
     return s
 
@@ -117,7 +120,8 @@ class FormResult:
     (target "constant"), C*(-1)^n ("alternating"), or identically zero
     (target "none", C = 0).  Its certificate is not an argument: it is
     certify_zero on P(X) - C*(+-1)^n, computed when the result is built.
-    Another target raises ValueError before the certificate is computed."""
+    Another target, or target "none" with C != 0, raises ValueError before
+    the certificate is computed."""
 
     seqs: tuple[RationalGF, ...]
     degree: int
@@ -129,6 +133,8 @@ class FormResult:
     def __post_init__(self):
         if self.target not in TARGETS:
             raise ValueError(f"target must be one of {TARGETS}")
+        if self.target == "none" and self.constant:
+            raise ValueError("target 'none' needs the constant 0")
         form = self._form
         expr = form - rhs_poly(self.constant, self.target)
         cert = certify_zero(expr, dict(zip(form.variables, self.seqs)))

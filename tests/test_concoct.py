@@ -1,4 +1,7 @@
+import json
 import random
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
@@ -70,6 +73,18 @@ class TestImplicitize:
             assert s.substitute({"x": ps[0], "y": ps[1], "z": ps[2]}).is_zero
             done += 1
 
+    @pytest.mark.parametrize("texts", [
+        ("m^2 - n^2", "2*m*n", "m^2 + n^2"),  # expanded: criterion 8
+        ("m^2*n - 2*n", "-3*m*n + 3*n^2", "3*m^2 + 2*m*n - 3*m"),  # packed
+    ])
+    def test_equation_that_does_not_vanish_is_refused(self, monkeypatch, texts):
+        # the primitive part moved by one: the vanishing check refutes it on
+        # either path of MultiPoly.vanishes_on
+        primitive = concoct.content_primitive
+        monkeypatch.setattr(concoct, "content_primitive", lambda p: (1, primitive(p)[1] + 1))
+        with pytest.raises(AssertionError, match="does not vanish"):
+            implicitize(*(P(text) for text in texts))
+
     # x - P is free of m, so the m-eliminations share y - Q instead
     M_FREE_X = {"x": "3*n^3 - 2", "y": "-m*n - 3*m^2*n", "z": "3*m^2 + n^2 + 2 + 2*n^3"}
 
@@ -85,6 +100,67 @@ class TestImplicitize:
         assert main(["eliminate", *argv]) == 0
         s = XYZ(capsys.readouterr().out.strip())
         assert s == implicitize(*(P(text) for text in self.M_FREE_X.values()))
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+
+
+def eliminate_variants():
+    """Every job of the eliminate benchmark workload: its id, the polynomial
+    S it prints, and the values under which S must vanish.  An eliminate
+    job's S is its implicit equation under x, y, z = P, Q, R.  A twist job
+    prints G = F(M (x, y, z)), so F(x, y, z) - w vanishes under the rows of
+    M and w = G."""
+    spec = json.loads(GOLDEN.read_text())["workloads"]["eliminate"]
+    jobs = spec["fixed"] + [job for pool in spec["pools"] for group in pool["groups"] for job in group]
+    out = []
+    for job in jobs:
+        argv, printed = job["argv"], XYZ(job["stdout"].strip())
+        if argv[0] == "eliminate":
+            out.append((job["id"], printed, {v: P(argv[argv.index(f"--{v}") + 1]) for v in "xyz"}))
+        else:
+            rows = [[int(c) for c in row.split(",")] for row in argv[argv.index("--matrix") + 1].split(";")]
+            base_text = argv[argv.index("--base") + 1] if "--base" in argv else "x^3 + y^3 + z^3"
+            base = parse_poly(f"{base_text} - w", ("x", "y", "z", "w"))
+            values = {v: MultiPoly(("x", "y", "z"), {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
+                      for v, (a, b, c) in zip("xyz", rows)}
+            out.append((job["id"], base, {**values, "w": printed}))
+    return out
+
+
+class TestVanishingCheckOnBenchmarkInputs:
+    """The zero test of MultiPoly.vanishes_on on all 68 jobs of the
+    eliminate benchmark workload (perfbench/golden.json, read only)."""
+
+    VARIANTS = eliminate_variants()
+
+    def test_every_variant(self):
+        assert len(self.VARIANTS) == 68
+        for job_id, s, values in self.VARIANTS:
+            assert s.vanishes_on(values), job_id
+            lead = max(s.terms)
+            for delta in (-1, 1):
+                moved = s + MultiPoly(s.variables, {lead: delta})
+                assert not moved.vanishes_on(values), (job_id, delta)
+
+    def test_both_paths_are_taken(self):
+        # the four criterion-8 inputs, whose images are binomials, are
+        # expanded; at least one random parametrisation is packed
+        expanded = MultiPoly.substitute
+        calls = []
+
+        def spy(p, values):
+            calls.append(p)
+            return expanded(p, values)
+
+        paths = {}
+        with patch.object(MultiPoly, "substitute", spy):
+            for job_id, s, values in self.VARIANTS:
+                calls.clear()
+                assert s.vanishes_on(values)
+                paths[job_id] = "expanded" if calls else "packed"
+        assert all(paths[f"eliminate:criterion8-{k}"] == "expanded" for k in range(4))
+        assert any(path == "packed" for job_id, path in paths.items() if ":random-" in job_id)
 
 
 class TestTwist:
@@ -168,6 +244,15 @@ class TestFormResult:
         # print the target as given
         with pytest.raises(ValueError, match="target must be one of"):
             FormResult(self.SEQS, 2, self.FORM, 1, target)
+
+    @pytest.mark.parametrize("constant", [1, -1, 5])
+    def test_vanishing_target_with_a_constant_rejected(self, constant):
+        # "none" means P vanishes identically; with C = 1 the form would be
+        # certified as constant and print "target": "none" beside "C": 1
+        with patch("cubeforge.concoct.certify_zero") as certify:
+            with pytest.raises(ValueError, match="target 'none' needs the constant 0"):
+                FormResult(self.SEQS, 2, self.FORM, constant, "none")
+        certify.assert_not_called()
 
 
 class TestFindForm:

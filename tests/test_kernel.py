@@ -1,5 +1,6 @@
 import random
 from contextlib import contextmanager
+from functools import cache
 from fractions import Fraction
 from itertools import permutations
 from math import gcd, lcm
@@ -710,6 +711,124 @@ class TestMultiPoly:
         for _ in range(40):
             p = random_poly(rng, ("m", "n", "x"))
             assert parse_poly(str(p), ("m", "n", "x")) == p
+
+
+# --- the exact zero test of a substitution ---
+
+# _KRONECKER_MIN_DENSITY as set by the tests: the selection's own, every
+# substitution packed, or every one expanded (no density exceeds 1)
+PATHS = {"selected": kernel._KRONECKER_MIN_DENSITY, "packed": 0, "expanded": 2}
+
+# parametrisations whose implicit equations the zero test must accept:
+# criterion 8's four, two random ones of the eliminate benchmark, an m-free
+# first component and one with a constant term in every component
+PARAMETRIZATIONS = [
+    ("m^2 - n^2", "2*m*n", "m^2 + n^2"),
+    ("2*m^2 - 3*n^2", "2*m*n", "m^2 + n^2"),
+    ("m^3 - n^3", "m^2*n + m*n^2", "m^3 + n^3"),
+    ("m^3 + n", "m*n^2 - 1", "m + n^3"),
+    ("m^2*n - 2*n", "-3*m*n + 3*n^2", "3*m^2 + 2*m*n - 3*m"),
+    ("m^2 - 2*n^2", "-2*m^2 - 2*m*n - 3*n", "-3*m^3 - 3*n"),
+    ("3*n^3 - 2", "-m*n - 3*m^2*n", "3*m^2 + n^2 + 2 + 2*n^3"),
+    ("m^2 + n^2 + m + 1", "m^2 - n^2 + m*n", "m*n + n + 1"),
+]
+
+
+@cache
+def implicit_equation(k):
+    ps = [P(text) for text in PARAMETRIZATIONS[k]]
+    return implicitize(*ps), dict(zip("xyz", ps))
+
+
+@contextmanager
+def zero_test_path(path):
+    with patch.object(kernel, "_KRONECKER_MIN_DENSITY", PATHS[path]):
+        yield
+
+
+@st.composite
+def images_in_m_n(draw):
+    """An image for a substitution: a polynomial of degree <= 3 in m, n,
+    an int, or the variable x, left symbolic."""
+    kind = draw(st.sampled_from(["poly", "poly", "int", "symbolic"]))
+    if kind == "int":
+        return draw(st.integers(-3, 3))
+    if kind == "symbolic":
+        return MultiPoly.variable("x")
+    return draw(polys(("m", "n"), draw(st.integers(0, 3))))
+
+
+class TestVanishesOn:
+    """MultiPoly.vanishes_on against substitute(values).is_zero, on each of
+    its two paths and on the one it selects."""
+
+    @pytest.mark.parametrize("path", PATHS)
+    @settings(deadline=None)
+    @given(st.data())
+    def test_matches_substitution(self, path, data):
+        # S of degree <= 6 in x, y, z with coefficients of up to 60 digits:
+        # random, or a multiple of a relation the images satisfy, with one
+        # coefficient moved by -1, 0 or 1
+        big = st.integers(-10**60, 10**60).filter(bool)
+        y, z = data.draw(images_in_m_n()), data.draw(images_in_m_n())
+        relation, x = data.draw(st.sampled_from([
+            ({(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 1): -1}, y + z),
+            ({(1, 0, 0): 1, (0, 1, 1): -1}, y * z),
+            ({}, data.draw(images_in_m_n())),
+        ]))
+        degree = 4 if relation else 6
+        factor = MultiPoly(("x", "y", "z"), {
+            ev: data.draw(big) for ev in data.draw(st.sets(exponents(3, degree), min_size=1, max_size=8))
+        })
+        s = factor * MultiPoly(("x", "y", "z"), relation) if relation else factor
+        moved = data.draw(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)))
+        s = s + MultiPoly(s.variables, {moved: data.draw(st.integers(-1, 1))})
+        values = {"x": x, "y": y, "z": z}
+        with zero_test_path(path):
+            assert s.vanishes_on(values) == s.substitute(values).is_zero
+
+    @pytest.mark.parametrize("path", PATHS)
+    @settings(deadline=None)
+    @given(st.data())
+    def test_implicit_equation_moved_by_one(self, path, data):
+        # an implicit equation is accepted, and refuted once one of its
+        # coefficients, or a new one, is moved by +-1
+        s, values = implicit_equation(data.draw(st.integers(0, len(PARAMETRIZATIONS) - 1)))
+        with zero_test_path(path):
+            assert s.vanishes_on(values)
+        terms = sorted(s.terms)
+        ev = data.draw(st.sampled_from(terms) | st.tuples(*[st.integers(0, 3)] * 3))
+        moved = s + MultiPoly(s.variables, {ev: data.draw(st.sampled_from([-1, 1]))})
+        with zero_test_path(path):
+            assert not moved.vanishes_on(values)
+        assert not moved.substitute(values).is_zero
+
+    @pytest.mark.parametrize("k", [1, 60, 200])
+    def test_width_edge(self, k):
+        # S = x - z under x = m, z = 2^k: T = m - 2^k has the coefficient
+        # bound B = 2^k + 1, so the width is k + 1 bits.  T is nonzero but
+        # vanishes at m = 2^k: one bit narrower, the packed test would
+        # accept it.  The expanded path is not taken.
+        s = MultiPoly(("x", "z"), {(1, 0): 1, (0, 1): -1})
+        values = {"x": P("m"), "z": 2**k}
+        t = s.substitute(values)
+        assert t == P("m") - 2**k and t.evaluate({"m": 2**k}) == 0
+        with patch.object(MultiPoly, "substitute", side_effect=AssertionError("expanded")):
+            assert not s.vanishes_on(values)
+
+    def test_edge_cases(self):
+        # no terms; every image an int, so no result variable; an image the
+        # int 0; a variable left symbolic beside the images
+        assert MultiPoly(("x",), {}).vanishes_on({"x": P("m")})
+        pell = MultiPoly(("x", "y"), {(2, 0): 1, (0, 2): -2})
+        assert not pell.vanishes_on({"x": 17, "y": 12})
+        assert pell.vanishes_on({"x": 0, "y": 0})
+        assert not pell.vanishes_on({"x": P("m"), "y": 0})
+        square = MultiPoly(("x", "y", "z"), {(2, 0, 0): 1, (0, 1, 1): -1})
+        for path in PATHS:
+            with zero_test_path(path):
+                assert square.vanishes_on({"x": P("m*n"), "y": P("m^2"), "z": P("n^2")})
+                assert not square.vanishes_on({"x": P("m*n"), "z": P("n^2")})
 
 
 class TestContentPrimitive:
