@@ -16,16 +16,19 @@ The inner loops of multiplication, exact division, determinants and
 substitution run on packed monomials (see ``_Packing``): each exponent
 vector becomes one int, so that a monomial product is one int addition and
 the graded-lex comparison is an int comparison.  A determinant is taken by
-fraction-free elimination on integer pivots followed by expansion by minors
-of the trailing block (see ``resultant``).  Substitution is nested Horner
+expansion by minors with one variable t folded into big-integer
+coefficients, t put to 2**w, when that merges entry terms, and read back
+from the balanced base-2**w digits; otherwise by fraction-free elimination
+on integer pivots followed by expansion by minors of the trailing block or
+of the whole matrix (see ``resultant``).  Substitution is nested Horner
 in every variable but the innermost, whose level adds scalar multiples of
 cached powers of its image (see ``_horner``); the innermost variable is the
 last one unless counts read off the exponents pick another
 (``_nesting_order``).  ``MultiPoly.vanishes_on`` decides whether a
 substitution is zero with the same Horner loop on the images with one
-variable put to 2**w, w wide enough that no coefficient can cancel another
-(Kronecker substitution), or by ``substitute`` where the packed digits would
-be mostly zero.
+variable put to 2**w (folded as a determinant's entries are), w wide enough
+that no coefficient can cancel another (Kronecker substitution), or by
+``substitute`` where the packed digits would be mostly zero.
 """
 
 from __future__ import annotations
@@ -358,13 +361,7 @@ class MultiPoly:
         spans = [_weighted_degree(cols, [{ev[t:t + 1]: 1 for ev in img} for img in images])
                  for t in range(len(vs))]
         t = spans.index(max(spans))
-        packed = []
-        for img in images:
-            digits: dict[tuple[int, ...], int] = {}
-            for ev, c in img.items():
-                rest = ev[:t] + ev[t + 1:]
-                digits[rest] = digits.get(rest, 0) + (c << w * ev[t])
-            packed.append(_nonzero(digits))
+        packed = [_fold(img, t, w) for img in images]
         pk = _Packing(len(vs) - 1, _weighted_degree(cols, packed))
         return not any(_evaluate(self, pk, cols, packed).values())
 
@@ -446,6 +443,33 @@ def _weighted_degree(cols: list[tuple[int, ...]], images: list[Mapping[tuple[int
         for col, w in zip(cols[1:], weights[1:]):
             degrees = map(add, degrees, map(mul, col, repeat(w)))
     return max([0, *weights, *degrees])
+
+
+def _fold(terms: Mapping[tuple[int, ...], int], t: int, w: int) -> dict[tuple[int, ...], int]:
+    # the terms with variable t put to 2**w, over the other variables: each
+    # coefficient the sum of c * 2**(w e_t) over the terms it gathers
+    out: dict[tuple[int, ...], int] = {}
+    for ev, c in terms.items():
+        rest = ev[:t] + ev[t + 1:]
+        out[rest] = out.get(rest, 0) + (c << w * ev[t])
+    return _nonzero(out)
+
+
+def _unfold(terms: Mapping[tuple[int, ...], int], t: int, w: int) -> dict[tuple[int, ...], int]:
+    # the inverse of ``_fold`` for terms whose digits in base 2**w all lie in
+    # (-2**(w - 1), 2**(w - 1)): each coefficient's balanced digits, lowest
+    # first, become the coefficients of t**0, t**1, ...
+    half, mask = 1 << w - 1, (1 << w) - 1
+    out = {}
+    for rest, v in terms.items():
+        e = 0
+        while v:
+            c = ((v + half) & mask) - half
+            if c:
+                out[rest[:t] + (e,) + rest[t:]] = c
+            v = (v - c) >> w
+            e += 1
+    return out
 
 
 def _evaluate(
@@ -776,10 +800,18 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     determinant of their n x n Sylvester matrix M.  Vanishes exactly when p
     and q share a root in ``var``; the result does not involve ``var``.
 
-    The determinant is taken in three stages (``_det_packed``).  Write
-    M[X; Y] for the submatrix on rows X and columns Y, K for rows and
-    columns 0..k-1, d_i for the largest total degree in row i of M and D_X
-    for the sum of d_i over X, so that S = D_all.
+    The determinant takes one of two routes, chosen from the entries alone
+    (``_folded_variable``).  Folding a variable t (below) gathers the terms
+    of an entry that differ only in their exponent of t into one term with
+    a big-integer coefficient.  When folding some variable merges terms,
+    the variable that leaves the entries the fewest terms (the first of
+    several) is folded.  When folding any of them merges none, as for
+    entries of one term, of integers only, or binomials whose terms differ
+    in every variable, the determinant is taken in three stages
+    (``_det_packed``).  Write M[X; Y] for the submatrix on rows X and
+    columns Y, K for rows and columns 0..k-1, d_i for the largest total
+    degree in row i of M and D_X for the sum of d_i over X, so that
+    S = D_all.
 
     1. Integer pivots.  Fraction-free (Bareiss) elimination runs while some
        row has an integer constant in the pivot column; the one of least
@@ -826,6 +858,44 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     itself is expanded, the product M_rj det M[R - r; C - j] has degree at
     most d_r + D_(R - r) = D_R <= S <= 2S.  The entries are packed once,
     for degree 2S.
+
+    Folding (Kronecker substitution; von zur Gathen & Gerhard, *Modern
+    Computer Algebra*, §8.4).  Let ||f||_1 be the sum of the absolute
+    coefficients of f, B = prod over rows r of sum_j ||M_rj||_1 and
+    w = B.bit_length() + 1.  Each entry is mapped by phi: t -> 2**w, so a
+    term c t**e X**a adds c 2**(w e) to the coefficient of X**a, X the
+    other variables (``_fold``, which ``MultiPoly.vanishes_on`` shares).
+    phi(M) is expanded by minors whole, as in stage 2 with no pivots, on
+    the rows ``_minor_plan`` orders; the one division is by the sign +-1 of
+    that order.  A product of two folded entries forms one big-integer
+    product per pair of their monomials in X, where the unfolded product
+    forms one per pair of terms.  No integer pivot runs on folded values:
+    a remainder test on a folded int is implied by stage 1's
+    coefficientwise test, but is weaker than it.  det M is then read back
+    (``_unfold``): the balanced base-2**w digits of each coefficient of X**a,
+    lowest first, are the coefficients of t**0 X**a, t**1 X**a, ...  Proof:
+
+    - phi is a ring homomorphism and a determinant is a polynomial in the
+      entries, so det phi(M) = phi(det M).
+    - ||det M||_1 <= B: det M is the Leibniz sum over permutations s of
+      +-prod_r M_r,s(r), and ||f g||_1 <= ||f||_1 ||g||_1, so ||det M||_1 is
+      at most sum_s prod_r ||M_r,s(r)||_1 <= prod_r sum_j ||M_rj||_1 = B.
+      So every coefficient c_e of t**e X**a in det M has
+      |c_e| <= B < 2**(w - 1).
+    - The coefficient of X**a in phi(det M) is sum_e c_e 2**(w e), with
+      every digit c_e in (-2**(w - 1), 2**(w - 1)), and balanced digits in
+      that range are unique: where two such digit strings of one value
+      first differ, their digits differ by a multiple of 2**w below 2**w in
+      absolute value, so by 0.  ``_unfold`` takes as lowest digit the
+      residue in [-2**(w - 1), 2**(w - 1)) modulo 2**w, which is c_0,
+      subtracts it and shifts by w bits, so it reads every c_e exactly.
+
+    The width is the least this argument allows: diag(2**k t, ..., 2**k t)
+    of size n has B = 2**(k n) and det M = 2**(k n) t**n, and one bit
+    narrower that digit would be read as -2**(k n) with a carry into
+    t**(n + 1).  Packing bound: folding raises no entry's degree, so the
+    expansion's products have degree at most D_R <= S in X, within the
+    packing for 2S.
     """
     dp = p.degree_in(var)
     dq = q.degree_in(var)
@@ -848,14 +918,37 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
 
 def _determinant(m: list[list[MultiPoly]]) -> MultiPoly:
     """Determinant of the square matrix m over the variables of its
-    entries, by the stages argued in ``resultant``.  The entries are packed
-    once, for total degrees up to 2S, S being the sum over rows of the
-    largest entry degree.  ``m`` is left as it was given."""
+    entries, by the route argued in ``resultant``: one variable folded into
+    the coefficients, or the stages of ``_det_packed``.  The entries are
+    packed once, for total degrees up to 2S, S being the sum over rows of
+    the largest entry degree.  ``m`` is left as it was given."""
     vs = tuple(dict.fromkeys(v for row in m for p in row for v in p.variables))
     bound = 2 * sum(max(p.total_degree() for p in row) for row in m)
-    pk = _Packing(len(vs), bound)
-    rows = [[pk.pack(_remap(p, vs)) for p in row] for row in m]
-    return MultiPoly._make(vs, pk.unpack(_det_packed(rows)))
+    entries = [[_remap(p, vs) for p in row] for row in m]
+    t = _folded_variable(entries, len(vs))
+    if t is None:
+        pk = _Packing(len(vs), bound)
+        return MultiPoly._make(vs, pk.unpack(_det_packed([[pk.pack(e) for e in row] for row in entries])))
+    # B of the proof in ``resultant``, a bound on the 1-norm of det M
+    norm = prod(sum(sum(map(abs, e.values())) for e in row) for row in entries)
+    w = norm.bit_length() + 1
+    pk = _Packing(len(vs) - 1, bound)
+    rows = [[pk.pack(_fold(e, t, w)) for e in row] for row in entries]
+    _, order, live = _minor_plan(rows, None)
+    return MultiPoly._make(vs, _unfold(pk.unpack(_expand_by_minors(rows, order, live)), t, w))
+
+
+def _folded_variable(entries: list[list[Mapping[tuple[int, ...], int]]], nvars: int) -> int | None:
+    """The variable whose folding (``_fold``) leaves the entries the fewest
+    terms, the first of several; None when folding any of them merges no
+    terms."""
+    # an entry of one term, or a variable that no term has, merges nothing
+    sums = [e for row in entries for e in row if len(e) > 1]
+    size = sum(map(len, sums))
+    left = [sum(len({ev[:t] + ev[t + 1:] for ev in e}) for e in sums)
+            if any(ev[t] for e in sums for ev in e) else size for t in range(nvars)]
+    t = min(range(nvars), key=left.__getitem__, default=None)
+    return None if t is None or left[t] == size else t
 
 
 def _det_packed(m: list[list[dict[int, int]]]) -> dict[int, int]:

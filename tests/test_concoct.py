@@ -15,6 +15,7 @@ from cubeforge import (
     find_form,
     general_quadform,
     implicitize,
+    kernel,
     taylor_coefficients,
     twist_no_solution,
 )
@@ -161,6 +162,46 @@ class TestVanishingCheckOnBenchmarkInputs:
                 paths[job_id] = "expanded" if calls else "packed"
         assert all(paths[f"eliminate:criterion8-{k}"] == "expanded" for k in range(4))
         assert any(path == "packed" for job_id, path in paths.items() if ":random-" in job_id)
+
+
+class TestResultantsOnBenchmarkInputs:
+    """The determinants of the resultants ``implicitize`` forms on the
+    eliminate jobs of the eliminate benchmark workload (perfbench/golden.json,
+    read only), on both routes of kernel._determinant: integer pivots then
+    expansion by minors, and one variable folded into the coefficients."""
+
+    def test_both_routes_agree(self):
+        determinant, select = kernel._determinant, kernel._folded_variable
+        folded = {}
+        for job_id, _, values in eliminate_variants():
+            if "w" in values:  # a twist forms no resultant
+                continue
+            matrices, picks = [], []
+
+            def record(m):
+                matrices.append([row[:] for row in m])
+                return determinant(m)
+
+            def pick(entries, nvars):
+                picks.append(select(entries, nvars))
+                return picks[-1]
+
+            with patch.object(kernel, "_determinant", record), patch.object(kernel, "_folded_variable", pick):
+                implicitize(*(values[v] for v in "xyz"))
+            assert len(matrices) == len(picks) >= 2, job_id
+            folded[job_id] = [t is not None for t in picks]
+            for m, t in zip(matrices, picks):
+                if t is None:  # fold the first variable the entries use
+                    vs = m[0][0].variables
+                    t = next(i for i, v in enumerate(vs) if any(p.degree_in(v) for row in m for p in row))
+                with patch.object(kernel, "_folded_variable", lambda entries, nvars: None):
+                    unpacked = determinant(m)
+                with patch.object(kernel, "_folded_variable", lambda entries, nvars: t):
+                    assert determinant(m) == unpacked, job_id
+        assert len(folded) == 4 + 48  # criterion 8 and the random variants
+        assert folded["eliminate:criterion8-3"][-1]
+        assert not any(folded["eliminate:criterion8-2"])
+        assert any(any(f) for job_id, f in folded.items() if ":random-" in job_id)
 
 
 class TestTwist:

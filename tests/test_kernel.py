@@ -191,6 +191,18 @@ def minor_plans():
         kernel._minor_plan = plan
 
 
+def determinant_route(route, t=0):
+    """Force the determinant's route by patching its selection: the one it
+    selects, integer pivots then expansion by minors ("unpacked"), or
+    variable t folded into the coefficients ("packed")."""
+    select = {
+        "selected": kernel._folded_variable,
+        "unpacked": lambda entries, nvars: None,
+        "packed": lambda entries, nvars: t,
+    }[route]
+    return patch.object(kernel, "_folded_variable", select)
+
+
 def m_resultants(*components):
     """The two polynomials whose n-resultant ``implicitize`` takes for the
     parametrization (x, y, z) = components, each a text in m and n."""
@@ -1139,7 +1151,7 @@ class TestDeterminant:
         for n in range(2, 6):
             for diag in ([2, -3, 1, -1, 2], [1, 1, -1, 1, -1], [-3, 2, 2, -3, 1]):
                 rows = lu_matrix(rng, diag[:n], [rng.choice((1, -1, 2)) for _ in range(n)])
-                with determinant_paths() as sizes:
+                with determinant_route("unpacked"), determinant_paths() as sizes:
                     got = det(rows)
                 assert sizes == []
                 assert got == naive_det(rows)
@@ -1155,7 +1167,7 @@ class TestDeterminant:
                     MultiPoly(vs, {(0, 1): 1, (1, 0): rng.choice((-1, 1))}) for _ in range(n - 2)
                 ]
                 rows = lu_matrix(rng, [2, -3, *tail], [1, rng.choice((1, 2, -1))] + [1] * (n - 2))
-                with determinant_paths() as sizes:
+                with determinant_route("unpacked"), determinant_paths() as sizes:
                     got = det(rows)
                 assert sizes == [n - 2]
                 assert got == naive_det(rows)
@@ -1170,7 +1182,7 @@ class TestDeterminant:
         ]
         for p_text, q_text, expanded in cases:
             p, q = parse_poly(p_text, vs), parse_poly(q_text, vs)
-            with determinant_paths() as sizes:
+            with determinant_route("unpacked"), determinant_paths() as sizes:
                 got = resultant(p, q, "m")
             assert sizes == expanded
             assert got == naive_det(sylvester_rows(p, q, "m"))
@@ -1291,7 +1303,7 @@ class TestDeterminant:
         ]
         for components, expanded in cases:
             r1, r2 = m_resultants(*components)
-            with determinant_paths() as sizes:
+            with determinant_route("unpacked"), determinant_paths() as sizes:
                 got = resultant(r1, r2, "n")
             assert sizes == expanded
             assert got == bareiss_det(sylvester_rows(r1, r2, "n"))
@@ -1332,7 +1344,7 @@ class TestDeterminant:
             r1, r2 = m_resultants(*components)
             if r1.degree_in("n") == 0 or r2.degree_in("n") == 0:
                 continue
-            with determinant_paths() as sizes, minor_plans() as plans:
+            with determinant_route("unpacked"), determinant_paths() as sizes, minor_plans() as plans:
                 resultant(r1, r2, "n")
             if len(plans) == 2:
                 (t, no_limit, block_cost), (n, limit, raw_cost) = plans
@@ -1392,6 +1404,64 @@ class TestDeterminant:
         )
         rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
         assert det(rows) == naive_det(rows)
+
+
+class TestFoldedDeterminant:
+    """The determinant with one variable folded into big-integer
+    coefficients, and the selection of that route, against the naive
+    determinant."""
+
+    @pytest.mark.parametrize("route", ["selected", "unpacked", "packed"])
+    @settings(deadline=None)
+    @given(st.data())
+    def test_matches_naive_det(self, route, data):
+        # up to 5 x 5 over 2 or 3 variables: entries of up to 3 terms of
+        # degree <= 2 with coefficients of both signs up to 60 digits, zero
+        # entries, and at times a zero row; the packed route folds a drawn
+        # variable
+        vs = VARS[:data.draw(st.integers(2, 3))]
+        n = data.draw(st.integers(1, 5))
+        entry = st.dictionaries(
+            exponents(len(vs), 2), st.integers(-10**60, 10**60), max_size=3
+        ).map(lambda terms: MultiPoly(vs, terms))
+        rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+        zero_row = data.draw(st.integers(-1, n - 1))
+        if zero_row >= 0:
+            rows[zero_row] = [MultiPoly(vs, {})] * n
+        with determinant_route(route, data.draw(st.integers(0, len(vs) - 1))):
+            assert det(rows) == naive_det(rows)
+
+    @pytest.mark.parametrize("k", [1, 60, 200])
+    def test_width_edge(self, k):
+        # diag(2^k t, ..., 2^k t): B = 2^(k n) is a coefficient of
+        # det = 2^(k n) t^n, the largest digit the width B.bit_length() + 1
+        # keeps balanced.  One bit narrower, that digit would be read as
+        # -2^(k n) with a carry into t^(n + 1).
+        vs = ("t", "x")
+        for n in (1, 2, 4):
+            rows = [[MultiPoly(vs, {(1, 0): 2**k} if i == j else {}) for j in range(n)]
+                    for i in range(n)]
+            with determinant_route("packed", 0):
+                assert det(rows) == MultiPoly(vs, {(n, 0): 2**(k * n)})
+
+    def test_folding_that_merges_nothing_keeps_the_pivot_route(self):
+        # entries of one term, of integers only, or binomials whose terms
+        # differ in every variable merge nothing under any fold, and go
+        # through the integer pivots; one entry x*y + x merges under a fold
+        # of y, and the matrix is folded
+        def matrix(*rows):
+            return [[P(text, ("x", "y")) for text in row] for row in rows]
+
+        diagonal = matrix(["7*x", "0", "0"], ["0", "7*x", "0"], ["0", "0", "7*x"])
+        integers = matrix(["2", "-3"], ["5", "11"])
+        binomials = matrix(["x + y", "x^2 - y"], ["3*x*y + 1", "x - 2*y^2"])
+        merging = matrix(["x*y + x", "y"], ["x", "1"])
+        pivots = kernel._det_packed
+        for rows, folded in ((diagonal, False), (integers, False), (binomials, False), (merging, True)):
+            with patch.object(kernel, "_det_packed", side_effect=pivots) as spy:
+                got = det(rows)
+            assert spy.called is not folded
+            assert got == naive_det(rows)
 
 
 class TestNullspace:
