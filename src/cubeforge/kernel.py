@@ -1001,10 +1001,9 @@ def _minor_plan(
     block: list[list[dict[int, int]]], limit: int | None
 ) -> tuple[int, list[int], list[set[int]]]:
     """The cost, row order and live sets with which ``_expand_by_minors``
-    expands a square block: band order or lightest first, whichever
-    ``_live_sets`` costs lower, band order on a tie.  Costing stops once it
-    passes ``limit``; a cost above ``limit`` comes with incomplete live sets
-    and must not be expanded.
+    expands a square block, the rows in band order, costed by
+    ``_live_sets``.  Costing stops once it passes ``limit``; a cost above
+    ``limit`` comes with incomplete live sets and must not be expanded.
 
     Band order: by first nonzero column, fewer terms first among equals.
     After the rows that start at or before column c are used, every live
@@ -1013,21 +1012,12 @@ def _minor_plan(
     a Sylvester block of degrees dp and dq a row starting at c ends by
     column c + max(dp, dq), and s >= c, so the live sets differ only within
     those max(dp, dq) + 1 columns: at most 2^(max(dp, dq) + 1) per row,
-    not 2^t.
-
-    Lightest first, which keeps the early minors small, is band order on a
-    dense block.  After integer pivots a block can hold light banded rows
-    beside heavy rows that start in column 0; band order then uses the
-    heavy rows mid-expansion, where live sets are most numerous."""
+    not 2^t."""
     t = len(block)
+    start = [next((j for j, e in enumerate(row) if e), t) for row in block]
     size = [sum(len(e) for e in row) for row in block]
-    light = sorted(range(t), key=size.__getitem__)
-    order = sorted(light, key=lambda r: next((j for j, e in enumerate(block[r]) if e), t))
+    order = sorted(range(t), key=lambda r: (start[r], size[r]))
     live, cost = _live_sets([block[r] for r in order], limit)
-    if light != order:
-        light_live, light_cost = _live_sets([block[r] for r in light], cost)
-        if light_cost < cost:
-            return light_cost, light, light_live
     return cost, order, live
 
 

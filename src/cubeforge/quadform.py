@@ -64,11 +64,7 @@ a divisor p of e/k' with L1 = p, L2 = e/(k'*p), or lies on one of the lines
 L1 = 0, L2 = 0 (e = 0) or L1 = +-p (D = 0, L2 = +-L1).
 
 Cost.  Definite: per target, at most min(bound, sqrt(4c*|e/k| / |D'|)) + 1
-isqrt calls.  sol_quad's sweep of a one-sign "pell" form (all three
-coefficients >= 0 or all <= 0) uses the same scan and no class data: at
-most B isqrt calls per e', B = max(isqrt(target_cap // |qa|),
-isqrt(target_cap // |qc|)), 5 on a unit qa and qc at the default cap 30.
-Indefinite, per discriminant D', for each |e'| met: the
+isqrt calls.  Indefinite, per discriminant D', for each |e'| met: the
 factorisation of 4|e'| and the square roots, then O(1 + log(|e'|/sqrt(D')))
 reduction steps per root B for each of e' and -e', computed once in the
 table (none when 2|e'| < sqrt(D')).  The factorisation is trial division
@@ -104,10 +100,9 @@ Q(sqrt(D)) on a "pell" form, of norm +1 when the coefficients share one
 sign.  A "square-disc" or "one-variable" form, a line too steep for M,
 and a "pell" form whose field has no such unit (the test depends on D'
 and M only, and is kept in the table) have no orbit, and nothing is
-enumerated.  So the sweep runs on the classes of a "pell" form, the scan
-of a one-sign "pell" form in the box of its points with |Q| <=
-target_cap, or the factors of a "line" form only, and those three paths
-alone list primitive representations.  The sweep does not
+enumerated.  So the sweep runs on the classes of a "pell" form or the
+factors of a "line" form only, and those two paths alone list primitive
+representations.  The sweep does not
 enumerate per target: ``_by_magnitude`` lists the primitive
 representations of each e' = +-1, +-2, ... once and files g times each
 under the magnitude k'*g^2*|e'| it solves, so every e' costs one lookup
@@ -666,26 +661,16 @@ class _Classes:
 
 
 class _Definite:
-    """The scan of a form Q = scale * f, f = (a, b, c) primitive of
-    discriminant disc with c != 0: the enumeration data of a definite form
-    (disc < 0), and sol_quad's sweep of a one-sign "pell" form in its small
-    box.  ``points(n, bound)`` lists the solutions of the primitive part
-    f = n in the box of ``bound``.  As 4c*f(m, y) = (2c*y + b*m)^2 -
-    disc*m^2 for either sign of disc, f(m, y) = n holds exactly when
-    2c*y + b*m = +-s with s^2 = disc*m^2 + 4c*n.  For disc < 0 that
-    radicand falls as m grows, so no m beyond the first one where it is
-    negative gives a point.  For disc > 0 it grows: a target n of f's sign
-    has c*n > 0, so it stays positive and the scan runs to ``bound``, and a
-    target of the other sign has no point in the box of a one-sign form,
-    wherever the scan stops."""
+    """The enumeration data of a definite form Q = scale * f, f = (a, b, c)
+    primitive of discriminant disc < 0, so c != 0: the scan.
+    ``points(n, bound)`` lists the solutions of the primitive part f = n in
+    the box of ``bound``.  As 4c*f(m, y) = (2c*y + b*m)^2 - disc*m^2,
+    f(m, y) = n holds exactly when 2c*y + b*m = +-s with s^2 = disc*m^2 +
+    4c*n.  That radicand falls as m grows, so no m beyond the first one
+    where it is negative gives a point."""
 
     def __init__(self, f: tuple[int, int, int], k: int, disc: int):
         self.scale, self.b, self.c, self.disc = k, f[1], f[2], disc
-
-    def primitive(self, e1: int, limit: int) -> list[tuple[int, int]]:
-        """Every solution (x, y) of f = e1 with gcd(x, y) = 1 in the box of
-        ``limit``."""
-        return [v for v in self.points(e1, limit) if gcd(*v) == 1]
 
     def points(self, n: int, bound: int) -> list[tuple[int, int]]:
         b, two_c, disc = self.b, 2 * self.c, self.disc
@@ -981,17 +966,16 @@ def _orbit_from_solutions(
 
 
 def _by_magnitude(
-    form: QuadForm, data: _Definite | _Factored | _Classes, bound: int, target_cap: int
+    form: QuadForm, data: _Factored | _Classes, bound: int, target_cap: int
 ) -> Iterator[list[tuple[int, int, int]]]:
     """For mag = 1, 2, ..., target_cap in turn, the list
     enumerate_solutions(form, (mag, -mag), bound), computed lazily by one
     sweep over |e1| = 1, 2, ... with the enumeration data ``data`` of the
     form.  sol_quad sweeps a "line" or "pell" form only (_slot_kind), so
-    ``data`` is a _Factored, a _Classes, or for a one-sign "pell" form the
-    scan _Definite.
+    ``data`` is a _Factored or a _Classes.
 
-    Let Q = s * f with s = data.scale, f the primitive part (_Classes,
-    _Definite) or the product of the linear factors (_Factored).  A
+    Let Q = s * f with s = data.scale, f the primitive part (_Classes) or
+    the product of the linear factors (_Factored).  A
     solution (m, n) of Q = +-mag with gcd(m, n) = g is g times a primitive
     representation v of e1 = +-mag / (s g^2) by f, and v lies in the box
     of bound // g.
@@ -1097,11 +1081,8 @@ def sol_quad(
     - "pell" (D > 0, not a square) is swept only when some t in 1..T makes
       (t^2 - 4)*D with t >= 3, or, on a form not of one sign, (t^2 + 4)*D
       a nonzero square (_DiscTable.has_unit on D' = D/k^2, which is the
-      same test, with norm_one for one-sign forms), by (2a).  A one-sign
-      "pell" form is swept by the scan of _Definite in the box of
-      min(bound, B), B = max(isqrt(target_cap // |qa|), isqrt(target_cap
-      // |qc|)), which holds every point of the box with |Q| <= target_cap
-      (see the one-sign box below); any other by its classes (_Classes).
+      same test, with norm_one for one-sign forms), by (2a), and then by
+      its classes (_Classes).
     A form refused by its rule raises NoOrbitFound before any enumeration
     data are built: it has no candidate that passes the read-off, so the
     sweep would end in NoOrbitFound.  Proof.  Let a candidate
@@ -1169,15 +1150,6 @@ def sol_quad(
     terms, and the "denominator split" check rejects the pair.  Q =
     qc*n^2 is the same with the roles of m and n swapped.
 
-    The one-sign box.  On a one-sign form every term of Q(m, n) has the
-    sign of qa on the box, as in (0), so |Q(m, n)| >= |qa|*m^2 and
-    |Q(m, n)| >= |qc|*n^2: a point with |Q| <= target_cap has m, n <= B,
-    and the sweep lists the same points in the box of min(bound, B) as in
-    that of bound.  A "pell" form has qc != 0, as qc = 0 makes D = qb^2 a
-    square, so _Definite's scan applies: for D > 0 its radicand stays
-    positive on every target of the form's sign, and a target of the other
-    sign has no point in the box (see _Definite).
-
     The test costs at most 2T isqrt calls, memoised per D' in forge's
     tables (the module docstring's Cost paragraph counts them).  It covers
     the read-off ladder only: an orbit found another way, through a unit of
@@ -1195,23 +1167,15 @@ def sol_quad(
     one_sign = form.qa != 0 and form.qa * form.qb >= 0 and form.qa * form.qc >= 0
     # M, the largest m a candidate that passes the read-off can reach
     reach = min(bound, isqrt(target_cap // abs(form.qa))) if one_sign else bound
-    box = bound
     if kind == "pell":
         table = _table({} if _tables is None else _tables, disc)
-        if not table.has_unit(1 + isqrt(reach), one_sign):
-            data = None
-        elif one_sign:
-            # the one-sign box of the docstring
-            box = min(bound, max(reach, isqrt(target_cap // abs(form.qc))))
-            data = _Definite(f, k, disc)
-        else:
-            data = _Classes(f, k, table)
+        data = _Classes(f, k, table) if table.has_unit(1 + isqrt(reach), one_sign) else None
     elif kind == "line" and 1 + 3 * isqrt(abs(form.qc) // k) <= reach:
         data = _Factored(f, k)
     else:
         data = None  # "square-disc", "one-variable" and a line too steep for M
     if data is not None:
-        for sols in _by_magnitude(form, data, box, target_cap):
+        for sols in _by_magnitude(form, data, bound, target_cap):
             if len(sols) < 3:
                 continue  # _ladder has no candidate
             alternating = None

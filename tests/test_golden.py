@@ -9,7 +9,10 @@ the JSON output with every `"certified_depth": N` replaced by a
 placeholder, so it pins everything but the certificate depths.  It was
 recorded before the depth formula was sharpened to the (degree, sign)
 support of the checked expression, and it was unchanged by that change,
-which re-recorded DIGEST: only depths moved.
+which re-recorded DIGEST: only depths moved.  CAP_200_DIGEST pins the
+`--format json` output at `--target-cap 200`, the CLI's largest cap,
+where one-sign forms of primitive discriminant 3k^2 and 5k^2 pass the
+unit test of `sol_quad` and are swept.
 """
 
 import contextlib
@@ -27,16 +30,17 @@ DIGEST = "ceef0656702e64aa4d68863fcbd80083ba9d22a0e9c8536a6ec8853c72254da2"
 MASKED_DIGEST = "afe739d0af213c80945c58a1a215acb4c007d945325cfb3cd21a781095a140e3"
 TEXT_DIGEST = "b7d483d7d5b037c881f25913b3c6c7dffe1f0954b22a189b9a53628587ec8086"
 LATEX_DIGEST = "1d2291dd55148b139ca18fe1344ab714145a89e31aa86c1f5407b24f083bf60a"
+CAP_200_DIGEST = "7588bf09d4ad493e076c31df2cd9ced64fcfa154af7d2fd8d7a0ad7af2947a4d"
 
 DEPTH = re.compile(r'"certified_depth": \d+')
 
 
-def _forge_all(fmt):
+def _forge_all(fmt, *options):
     runs = []
     for a, b in PAIRS:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            rc = main(["forge", "--a", str(a), "--b", str(b), "--format", fmt])
+            rc = main(["forge", "--a", str(a), "--b", str(b), "--format", fmt, *options])
         runs.append((f"{a} {b} {rc}\n", out.getvalue()))
     assert len(runs) == 60
     return runs
@@ -66,3 +70,7 @@ def test_forge_json_digest_without_depths(forged):
 @pytest.mark.parametrize("fmt, digest", [("text", TEXT_DIGEST), ("latex", LATEX_DIGEST)])
 def test_forge_rendered_digest(fmt, digest):
     assert _digest(_forge_all(fmt)) == digest
+
+
+def test_forge_json_digest_at_the_largest_target_cap():
+    assert _digest(_forge_all("json", "--target-cap", "200")) == CAP_200_DIGEST

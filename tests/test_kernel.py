@@ -1254,43 +1254,6 @@ class TestDeterminant:
         assert calls[0] <= 20_000
         assert got == bareiss_det(sylvester_rows(p, q, "m"))
 
-    def test_mixed_block_takes_the_cheaper_order(self, monkeypatch):
-        # three light banded rows beside five heavy rows that start in
-        # column 0, as integer pivots can leave them: band order would use
-        # the heavy rows in the middle, lightest first leaves them to the end
-        rng = random.Random(101)
-        vs = ("x", "y")
-        t = 8
-        zero = MultiPoly(vs, {})
-        rows = [
-            [no_constant_poly(rng, vs, terms=1) if s <= j < s + 6 else zero for j in range(t)]
-            for s in range(3)
-        ]
-        rows += [[no_constant_poly(rng, vs, max_degree=2, terms=4) for _ in range(t)]
-                 for _ in range(t - 3)]
-        pk = _Packing(len(vs), 40)
-        m = [[pk.pack(_remap(p, vs)) for p in row] for row in rows]
-        size = [sum(len(e) for e in row) for row in m]
-        start = [next(j for j, e in enumerate(row) if e) for row in m]
-        band = sorted(range(t), key=lambda r: (start[r], size[r]))
-        light = sorted(range(t), key=size.__getitem__)
-        band_cost = kernel._live_sets([m[r] for r in band], None)[1]
-        light_cost = kernel._live_sets([m[r] for r in light], None)[1]
-        assert light_cost < band_cost
-        # the expansion's products, each counted by the terms of its entry
-        formed = [0]
-        pmul = kernel._pmul
-
-        def counted(a, b, acc):
-            formed[0] += len(a)
-            return pmul(a, b, acc)
-
-        monkeypatch.setattr(kernel, "_pmul", counted)
-        got = det(rows)
-        monkeypatch.undo()
-        assert formed[0] <= light_cost
-        assert got == bareiss_det(rows)
-
     def test_expands_the_cheaper_of_block_and_raw_matrix(self):
         # n-resultants of two eliminate inputs.  The 1026-term input's 7 x 7
         # block after integer pivots costs 2618 products and its raw 16 x 16
@@ -1352,6 +1315,18 @@ class TestDeterminant:
                 assert sizes == ([n] if raw_cost < block_cost else [t])
                 routes.add(raw_cost < block_cost)
         assert routes == {True, False}
+
+    def test_selected_route_expands_the_raw_matrix(self):
+        # an implicitize n-resultant whose entries fold no variable, so the
+        # selected route takes the integer pivots: they stop at k = 7 with a
+        # 6 x 6 block that costs 3074 products, and the raw 13 x 13
+        # Sylvester matrix, costing 1307, is expanded instead
+        r1, r2 = m_resultants("3*m^3 - m^2*n", "2*m*n - 3*n^2 - 2*m", "-m^3 + 3*m*n + 3*n^2")
+        with determinant_paths() as sizes, minor_plans() as plans:
+            got = resultant(r1, r2, "n")
+        assert plans == [(6, None, 3074), (13, 3074, 1307)]
+        assert sizes == [13]
+        assert got == bareiss_det(sylvester_rows(r1, r2, "n"))
 
     def test_zero_determinant(self):
         rng = random.Random(83)

@@ -694,12 +694,13 @@ class TestMagnitudeSweep:
         assert len(tables) < len(forms) // 2
 
     @pytest.mark.parametrize("target_cap, swept", [(30, 2), (MAX_TARGET_CAP, 5)])
-    def test_one_sign_scan_matches_classes(self, target_cap, swept):
-        # sol_quad sweeps a one-sign "pell" form by _Definite's scan in the
-        # box of B = max(isqrt(cap // |qa|), isqrt(cap // |qc|)); on every
-        # such form of the golden pairs' seeds each magnitude's list is the
-        # one its classes give over the 2000-box, and a form that passes
-        # the unit test is swept in that box
+    def test_one_sign_forms_swept_by_classes(self, target_cap, swept):
+        # a one-sign form has |Q| >= |qa|*m^2 and |Q| >= |qc|*n^2 on the box,
+        # so its points with |Q| <= cap lie in the box of B = max(isqrt(cap
+        # // |qa|), isqrt(cap // |qc|)): on every one-sign "pell" form of the
+        # golden pairs' seeds each magnitude's list over the 2000-box is the
+        # one over B's box, and a form that passes the unit test is swept by
+        # its classes over the 2000-box, with no scan built
         tables = {}
         forms = []
         for form in _golden_forms():
@@ -708,18 +709,20 @@ class TestMagnitudeSweep:
                 continue
             forms.append(form)
             box = max(isqrt(target_cap // abs(form.qa)), isqrt(target_cap // abs(form.qc)))
-            scan = quadform._Definite(f, k, disc)
             classes = quadform._Classes(f, k, quadform._table(tables, disc))
-            assert list(quadform._by_magnitude(form, scan, box, target_cap)) == list(
+            assert list(quadform._by_magnitude(form, classes, box, target_cap)) == list(
                 quadform._by_magnitude(form, classes, 2000, target_cap)
             ), form
-            with _recording((quadform, "_by_magnitude")) as sweeps:
+            with _recording((quadform, "_by_magnitude")) as sweeps, _recording(
+                (quadform._Definite, "__init__")
+            ) as scans:
                 with contextlib.suppress(NoOrbitFound):
                     sol_quad(form, target_cap=target_cap)
+            assert scans == [], form
             if sweeps:
                 swept -= 1
                 ((data, bound, _),) = sweeps
-                assert type(data) is quadform._Definite and bound == box, form
+                assert type(data) is quadform._Classes and bound == 2000, form
         assert len(forms) == 66 and swept == 0
 
     def test_content_spreads_magnitudes(self):
@@ -1301,13 +1304,16 @@ class TestSolQuad:
     def test_one_sign_unit_at_the_bound(self, cap, swept):
         # D = 125 lies in Q(sqrt(5)), whose least norm +1 unit, the square
         # of (1 + sqrt(5))/2, has trace 3 = 1 + isqrt(4): at cap 16, M = 4
-        # and the form is swept; at 15, M = 3 and it is refused before the
-        # scan of its small box is asked anything.  Both end in the same
-        # message.
-        with _recording((quadform._Definite, "primitive")) as asked:
+        # and the form is swept by its classes; at 15, M = 3 and it is
+        # refused before the classes are asked anything.  Neither builds
+        # the scan of definite forms, and both end in the same message.
+        with _recording((quadform._Classes, "primitive")) as asked, _recording(
+            (quadform._Definite, "__init__")
+        ) as scans:
             with pytest.raises(NoOrbitFound) as refused:
                 sol_quad(QuadForm(1, 13, 11), target_cap=cap)
         assert bool(asked) == swept
+        assert scans == []
         assert str(refused.value) == (
             f"no certified orbit for m^2 + 13*m*n + 11*n^2 with |target| <= {cap}, "
             "enumeration bound 2000"
@@ -1383,10 +1389,10 @@ class TestSolQuad:
     def test_one_sign_forms_match_reference(self, form, bound, target_cap):
         # a one-sign form is swept only when a norm +1 unit, or the step of
         # a D = 0 line, fits the box of M = min(bound, isqrt(cap // |qa|));
-        # a swept "pell" form is scanned in its small box, not by classes
-        classes = (quadform._Classes, "__init__")
-        with _recording(classes) as by_classes, _recording(
-            (quadform._Definite, "__init__"), (quadform._Factored, "__init__")
+        # a swept "pell" form is swept by its classes, never by the scan of
+        # definite forms
+        with _recording((quadform._Definite, "__init__")) as scans, _recording(
+            (quadform._Classes, "__init__"), (quadform._Factored, "__init__")
         ) as built:
             got = _outcome(sol_quad, form, bound, target_cap)
         assert got == _outcome(reference_sol_quad, form, bound, target_cap)
@@ -1398,7 +1404,7 @@ class TestSolQuad:
         else:
             fits = d == 0 and form.qb != 0 and 1 + 3 * isqrt(abs(form.qc) // k) <= reach
         assert bool(built) == fits
-        assert by_classes == []
+        assert scans == []
         if not fits:
             event("refused")
             assert got is NoOrbitFound
