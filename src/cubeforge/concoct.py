@@ -8,7 +8,7 @@ along tuples of C-finite sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, gcd
 from typing import Sequence
 
 from .cfinite import (
@@ -27,7 +27,6 @@ from .errors import (
 )
 from .kernel import (
     MultiPoly,
-    content_primitive,
     rational_nullspace,
     resultant,
 )
@@ -57,7 +56,9 @@ def implicitize(p: MultiPoly, q: MultiPoly, r: MultiPoly) -> MultiPoly:
     ``MultiPoly.vanishes_on``: an exact test, which evaluates one of m, n at
     a power of two wide enough that no coefficient of S(P, Q, R) can hide
     (or expands S(P, Q, R) where its packed digits would be mostly zero);
-    AssertionError when it fails.
+    AssertionError when it fails.  S is read off the n-resultant in one
+    pass, its content divided out and its m and n columns dropped; a term
+    left with m or n is an internal fault too, AssertionError.
     """
     for poly in (p, q, r):
         if poly.is_constant():
@@ -78,7 +79,15 @@ def implicitize(p: MultiPoly, q: MultiPoly, r: MultiPoly) -> MultiPoly:
         raise EliminationCollapse("shared component while eliminating n")
     if s0.is_constant():
         raise EliminationCollapse("elimination left no relation in x, y, z")
-    s = content_primitive(s0)[1].restricted(("x", "y", "z"))
+    # S's content divided out and its m and n columns dropped, in one pass;
+    # the equations, so their resultants, list the variables vs first
+    g = gcd(*s0.terms.values())
+    terms = {}
+    for ev, c in s0.terms.items():
+        if ev[0] or ev[1]:
+            raise AssertionError("implicit equation still involves m or n")
+        terms[ev[2:5]] = c // g
+    s = MultiPoly._make(("x", "y", "z"), terms)
     if not s.vanishes_on({"x": p, "y": q, "z": r}):
         raise AssertionError("implicit equation does not vanish on the parametrization")
     return s

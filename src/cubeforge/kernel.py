@@ -15,12 +15,16 @@ LaTeX of ``forge``.
 The inner loops of multiplication, exact division, determinants and
 substitution run on packed monomials (see ``_Packing``): each exponent
 vector becomes one int, so that a monomial product is one int addition and
-the graded-lex comparison is an int comparison.  A determinant is taken by
-expansion by minors with one variable t folded into big-integer
-coefficients, t put to 2**w, when that merges entry terms, and read back
-from the balanced base-2**w digits; otherwise by fraction-free elimination
-on integer pivots followed by expansion by minors of the trailing block or
-of the whole matrix (see ``resultant``).  Substitution is nested Horner
+the graded-lex comparison is an int comparison.  A resultant's Sylvester
+rows are term maps over one variable tuple, bucketed straight from its two
+polynomials, and its determinant is taken on them: by expansion by minors
+with one variable t folded into big-integer coefficients, t put to 2**w,
+when that merges entry terms, each entry folded and packed in one pass and
+the result read back from the balanced base-2**w digits and unpacked in
+one; otherwise by fraction-free elimination on integer pivots followed by
+expansion by minors of the trailing block or of the whole matrix (see
+``resultant``).  Either expansion keeps each minor as one list of packed
+terms.  Substitution is nested Horner
 in every variable but the innermost, whose level adds scalar multiples of
 cached powers of its image (see ``_horner``); the innermost variable is the
 last one unless counts read off the exponents pick another
@@ -37,7 +41,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import comb, gcd, lcm, prod
 from operator import add, mul
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Collection, Iterable, Mapping, Sequence, Union
 
 from .errors import DegenerateInput, InexactDivision, ZeroPolynomial
 
@@ -256,7 +260,8 @@ class MultiPoly:
             )
         vs, a, b = self._aligned(other)
         pk = _Packing(len(vs), _degree(a) + _degree(b))
-        return MultiPoly._make(vs, pk.unpack(_nonzero(_pmul(pk.pack(a), pk.pack(b), {}))))
+        product = _pmul(pk.pack(a).items(), pk.pack(b).items(), {})
+        return MultiPoly._make(vs, pk.unpack(_nonzero(product)))
 
     __rmul__ = __mul__
 
@@ -268,9 +273,9 @@ class MultiPoly:
         base = pk.pack(self.terms)
         while n:
             if n & 1:
-                result = _nonzero(_pmul(result, base, {}))
+                result = _nonzero(_pmul(result.items(), base.items(), {}))
             if n > 1:
-                base = _nonzero(_pmul(base, base, {}))
+                base = _nonzero(_pmul(base.items(), base.items(), {}))
             n >>= 1
         return MultiPoly._make(self.variables, pk.unpack(result))
 
@@ -303,8 +308,9 @@ class MultiPoly:
         Every order gives the same polynomial within the same packing
         bound."""
         vs, images, cols = self._images(values)
-        pk = _Packing(len(vs), _weighted_degree(cols, images))
-        return MultiPoly._make(vs, pk.unpack(_nonzero(_evaluate(self, pk, cols, images))))
+        pk = _Packing(len(vs), _weighted_degree(cols, list(map(_degree, images))))
+        total = _evaluate(self, _nesting_order(cols, images), list(map(pk.pack, images)))
+        return MultiPoly._make(vs, pk.unpack(_nonzero(total)))
 
     def vanishes_on(self, values: Mapping[str, "MultiPoly | int"]) -> bool:
         """Whether ``self.substitute(values)`` is zero, decided exactly
@@ -358,12 +364,14 @@ class MultiPoly:
         norms = [sum(map(abs, img.values())) for img in images]
         w = sum(abs(c) * prod(map(pow, norms, ev)) for ev, c in self.terms.items()).bit_length()
         # T's degree bound in each result variable
-        spans = [_weighted_degree(cols, [{ev[t:t + 1]: 1 for ev in img} for img in images])
+        spans = [_weighted_degree(cols, [max((ev[t] for ev in img), default=0) for img in images])
                  for t in range(len(vs))]
         t = spans.index(max(spans))
-        packed = [_fold(img, t, w) for img in images]
-        pk = _Packing(len(vs) - 1, _weighted_degree(cols, packed))
-        return not any(_evaluate(self, pk, cols, packed).values())
+        # a folded image's degree is at most its terms' degree without t
+        weights = [max((sum(ev) - ev[t] for ev in img), default=0) for img in images]
+        pk = _Packing(len(vs) - 1, _weighted_degree(cols, weights))
+        packed = [_fold(img, t, w, pk) for img in images]
+        return not any(_evaluate(self, _nesting_order(cols, list(map(pk.unpack, packed))), packed).values())
 
     def _images(self, values: Mapping[str, "MultiPoly | int"]):
         """(vs, images, cols) of a substitution: the result variables, each
@@ -393,11 +401,7 @@ class MultiPoly:
         if var not in self.variables:
             return [self]
         i = self.variables.index(var)
-        d = self.degree_in(var)
-        buckets: list[dict[tuple[int, ...], int]] = [dict() for _ in range(d + 1)]
-        for ev, c in self.terms.items():
-            rest = ev[:i] + (0,) + ev[i + 1:]
-            buckets[ev[i]][rest] = c
+        buckets = _coefficients(self.terms, i, self.degree_in(var))
         return [MultiPoly._make(self.variables, b) for b in buckets]
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
@@ -429,14 +433,25 @@ def _remap(p: MultiPoly, vs: tuple[str, ...]) -> Mapping[tuple[int, ...], int]:
     return out
 
 
+def _coefficients(
+    terms: Mapping[tuple[int, ...], int], i: int, d: int
+) -> list[dict[tuple[int, ...], int]]:
+    # the coefficients of x_i**0, ..., x_i**d in a term map of degree d in
+    # x_i, each a term map over the same tuple with x_i's exponent put to 0
+    buckets: list[dict[tuple[int, ...], int]] = [{} for _ in range(d + 1)]
+    for ev, c in terms.items():
+        buckets[ev[i]][ev[:i] + (0,) + ev[i + 1:]] = c
+    return buckets
+
+
 def _degree(terms: Mapping[tuple[int, ...], int]) -> int:
     return max((sum(ev) for ev in terms), default=0)
 
 
-def _weighted_degree(cols: list[tuple[int, ...]], images: list[Mapping[tuple[int, ...], int]]) -> int:
-    # the largest total degree of an image and of the image of a term whose
-    # exponents are the columns ``cols``: the packing bound of a substitution
-    weights = [_degree(img) for img in images]
+def _weighted_degree(cols: list[tuple[int, ...]], weights: list[int]) -> int:
+    # the largest weight and the largest weighted degree of a term whose
+    # exponents are the columns ``cols``: with each image's total degree at
+    # most its weight, the packing bound of a substitution
     degrees: Iterable[int] = ()
     if cols:
         degrees = map(mul, cols[0], repeat(weights[0]))
@@ -445,39 +460,48 @@ def _weighted_degree(cols: list[tuple[int, ...]], images: list[Mapping[tuple[int
     return max([0, *weights, *degrees])
 
 
-def _fold(terms: Mapping[tuple[int, ...], int], t: int, w: int) -> dict[tuple[int, ...], int]:
-    # the terms with variable t put to 2**w, over the other variables: each
-    # coefficient the sum of c * 2**(w e_t) over the terms it gathers
-    out: dict[tuple[int, ...], int] = {}
+def _fold(terms: Mapping[tuple[int, ...], int], t: int, w: int, pk: "_Packing") -> dict[int, int]:
+    # the terms with variable t put to 2**w, packed by ``pk`` over the other
+    # variables, in one pass: each coefficient the sum of c * 2**(w e_t) over
+    # the terms it gathers.  A monomial's packed int is the sum over the
+    # other variables of e_i times the unit of its field plus the unit of
+    # the total-degree field, so t's weight is 0.
+    top = 1 << pk.stride * len(pk.shifts)
+    weights = [(1 << s) + top for s in pk.shifts]
+    weights.insert(t, 0)
+    out: dict[int, int] = {}
+    get = out.get
     for ev, c in terms.items():
-        rest = ev[:t] + ev[t + 1:]
-        out[rest] = out.get(rest, 0) + (c << w * ev[t])
+        key = sum(map(mul, ev, weights))
+        out[key] = get(key, 0) + (c << w * ev[t])
     return _nonzero(out)
 
 
-def _unfold(terms: Mapping[tuple[int, ...], int], t: int, w: int) -> dict[tuple[int, ...], int]:
-    # the inverse of ``_fold`` for terms whose digits in base 2**w all lie in
-    # (-2**(w - 1), 2**(w - 1)): each coefficient's balanced digits, lowest
-    # first, become the coefficients of t**0, t**1, ...
+def _unfold(packed: Mapping[int, int], t: int, w: int, pk: "_Packing") -> dict[tuple[int, ...], int]:
+    # the inverse of ``_fold``, in one pass, for terms whose digits in base
+    # 2**w all lie in (-2**(w - 1), 2**(w - 1)): each coefficient's balanced
+    # digits, lowest first, become the coefficients of t**0, t**1, ... of
+    # its unpacked monomial
     half, mask = 1 << w - 1, (1 << w) - 1
+    before, after, field = pk.shifts[:t], pk.shifts[t:], pk.mask
     out = {}
-    for rest, v in terms.items():
+    for key, v in packed.items():
+        head = tuple([(key >> s) & field for s in before])
+        tail = tuple([(key >> s) & field for s in after])
         e = 0
         while v:
             c = ((v + half) & mask) - half
             if c:
-                out[rest[:t] + (e,) + rest[t:]] = c
+                out[head + (e,) + tail] = c
             v = (v - c) >> w
             e += 1
     return out
 
 
-def _evaluate(
-    p: MultiPoly, pk: "_Packing", cols: list[tuple[int, ...]], images: list[Mapping[tuple[int, ...], int]]
-) -> dict[int, int]:
-    # the packed sum of p's terms with the images in, by ``_horner``
-    order = _nesting_order(cols, images)
-    powers = [[{0: 1}, pk.pack(images[j])] for j in order]
+def _evaluate(p: MultiPoly, order: tuple[int, ...], images: list[dict[int, int]]) -> dict[int, int]:
+    # the packed sum of p's terms with the packed images in, by ``_horner``
+    # in the nesting order ``order``
+    powers = [[{0: 1}, images[j]] for j in order]
     return _horner(list(p.terms.items()), 0, order, powers)
 
 
@@ -530,15 +554,18 @@ class _Packing:
         return {tuple((key >> s) & mask for s in shifts): c for key, c in packed.items()}
 
 
-def _pmul(a: Mapping[int, int], b: Mapping[int, int], acc: dict[int, int]) -> dict[int, int]:
-    """Add a*b into acc and return it.  Coefficients that cancel stay in acc
-    as zeros; ``_nonzero`` drops them."""
+def _pmul(
+    a: Collection[tuple[int, int]], b: Collection[tuple[int, int]], acc: dict[int, int]
+) -> dict[int, int]:
+    """Add a*b into acc and return it, a and b given as their (packed
+    monomial, coefficient) items: a packed map's ``items()``, or a list of
+    them kept for many products.  Coefficients that cancel stay in acc as
+    zeros; ``_nonzero`` drops them."""
     if len(a) > len(b):
         a, b = b, a
     get = acc.get
-    bitems = list(b.items())
-    for ma, ca in a.items():
-        for mb, cb in bitems:
+    for ma, ca in a:
+        for mb, cb in b:
             m = ma + mb
             acc[m] = get(m, 0) + ca * cb
     return acc
@@ -738,20 +765,20 @@ def _horner(
     last = 0
     for e in sorted(groups, reverse=True):
         if acc:
-            acc = _nonzero(_pmul(_power(table, last - e), acc, {}))
+            acc = _nonzero(_pmul(_power(table, last - e).items(), acc.items(), {}))
         inner = _horner(groups[e], i + 1, order, powers)
         for m, c in inner.items():
             acc[m] = acc.get(m, 0) + c
         last = e
     if last:
-        acc = _pmul(_power(table, last), acc, {})
+        acc = _pmul(_power(table, last).items(), acc.items(), {})
     return acc
 
 
 def _power(table: list[dict[int, int]], d: int) -> dict[int, int]:
     # table[d], with table[1] the base, filled in up to d
     while len(table) <= d:
-        table.append(_nonzero(_pmul(table[-1], table[1], {})))
+        table.append(_nonzero(_pmul(table[-1].items(), table[1].items(), {})))
     return table[d]
 
 
@@ -799,6 +826,13 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     """Sylvester resultant of p and q with respect to ``var``: the
     determinant of their n x n Sylvester matrix M.  Vanishes exactly when p
     and q share a root in ``var``; the result does not involve ``var``.
+
+    p and q are aligned to one variable tuple once, and their terms are
+    bucketed by their exponent of ``var`` straight into the rows of M: each
+    entry is a term map over that whole tuple, ``var``'s exponent put to 0,
+    and the rows of one polynomial share the same maps, shifted.
+    ``_determinant`` takes those rows and the tuple's length; it reads each
+    distinct map once, and no ``MultiPoly`` is built until the result.
 
     The determinant takes one of two routes, chosen from the entries alone
     (``_folded_variable``).  Folding a variable t (below) gathers the terms
@@ -864,7 +898,8 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     coefficients of f, B = prod over rows r of sum_j ||M_rj||_1 and
     w = B.bit_length() + 1.  Each entry is mapped by phi: t -> 2**w, so a
     term c t**e X**a adds c 2**(w e) to the coefficient of X**a, X the
-    other variables (``_fold``, which ``MultiPoly.vanishes_on`` shares).
+    other variables, and the packed monomial of X**a is formed in the same
+    pass (``_fold``, which ``MultiPoly.vanishes_on`` shares).
     phi(M) is expanded by minors whole, as in stage 2 with no pivots, on
     the rows ``_minor_plan`` orders; the one division is by the sign +-1 of
     that order.  A product of two folded entries forms one big-integer
@@ -872,8 +907,9 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     forms one per pair of terms.  No integer pivot runs on folded values:
     a remainder test on a folded int is implied by stage 1's
     coefficientwise test, but is weaker than it.  det M is then read back
-    (``_unfold``): the balanced base-2**w digits of each coefficient of X**a,
-    lowest first, are the coefficients of t**0 X**a, t**1 X**a, ...  Proof:
+    (``_unfold``, which also unpacks X**a in the same pass): the balanced
+    base-2**w digits of each coefficient of X**a, lowest first, are the
+    coefficients of t**0 X**a, t**1 X**a, ...  Proof:
 
     - phi is a ring homomorphism and a determinant is a polynomial in the
       entries, so det phi(M) = phi(det M).
@@ -902,52 +938,63 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     if dp == 0 or dq == 0:
         raise DegenerateInput(f"both polynomials must have positive degree in {var!r}")
     vs, a, b = p._aligned(q)
-    cp = MultiPoly._make(vs, a).coefficients_in(var)
-    cq = MultiPoly._make(vs, b).coefficients_in(var)
-    zero = MultiPoly._make(vs, {})
+    i = vs.index(var)
     n = dp + dq
-    rows: list[list[MultiPoly]] = []
-    desc_p = list(reversed(cp))
-    desc_q = list(reversed(cq))
-    for r in range(dq):
-        rows.append([zero] * r + desc_p + [zero] * (n - r - dp - 1))
-    for r in range(dp):
-        rows.append([zero] * r + desc_q + [zero] * (n - r - dq - 1))
-    return _determinant(rows)
+    rows: list[list[dict[tuple[int, ...], int]]] = []
+    for terms, d, copies in ((a, dp, dq), (b, dq, dp)):
+        coeffs = _coefficients(terms, i, d)[::-1]  # of var**d, ..., var**0
+        for r in range(copies):
+            rows.append([{}] * r + coeffs + [{}] * (n - r - d - 1))
+    return MultiPoly._make(vs, _determinant(rows, len(vs)))
 
 
-def _determinant(m: list[list[MultiPoly]]) -> MultiPoly:
-    """Determinant of the square matrix m over the variables of its
-    entries, by the route argued in ``resultant``: one variable folded into
-    the coefficients, or the stages of ``_det_packed``.  The entries are
-    packed once, for total degrees up to 2S, S being the sum over rows of
-    the largest entry degree.  ``m`` is left as it was given."""
-    vs = tuple(dict.fromkeys(v for row in m for p in row for v in p.variables))
-    bound = 2 * sum(max(p.total_degree() for p in row) for row in m)
-    entries = [[_remap(p, vs) for p in row] for row in m]
-    t = _folded_variable(entries, len(vs))
+def _determinant(m: list[list[Mapping[tuple[int, ...], int]]], nvars: int) -> dict[tuple[int, ...], int]:
+    """Determinant of the square matrix m of term maps, every exponent tuple
+    of length ``nvars``, as a term map, by the route argued in
+    ``resultant``: one variable folded into the coefficients, or the stages
+    of ``_det_packed``.  The entries are packed once, for total degrees up
+    to 2S, S being the sum over rows of the largest entry degree; a folded
+    entry is folded and packed in one pass (``_fold``), and the result is
+    read back and unpacked in one (``_unfold``).  ``m`` is left as it was
+    given."""
+    # the rows of a Sylvester matrix repeat the same term maps, shifted:
+    # each distinct map, keyed by identity, is read once per pass and
+    # counted as often as it occurs
+    distinct: dict[int, list] = {}
+    for row in m:
+        for e in row:
+            distinct.setdefault(id(e), [e, 0])[1] += 1
+
+    def per_entry(f) -> list[list]:
+        # f of each entry, in the shape of m
+        done = {key: f(e) for key, (e, _) in distinct.items()}
+        return [[done[id(e)] for e in row] for row in m]
+
+    bound = 2 * sum(map(max, per_entry(_degree)))
+    t = _folded_variable(list(distinct.values()), nvars)
     if t is None:
-        pk = _Packing(len(vs), bound)
-        return MultiPoly._make(vs, pk.unpack(_det_packed([[pk.pack(e) for e in row] for row in entries])))
+        pk = _Packing(nvars, bound)
+        return pk.unpack(_det_packed(per_entry(pk.pack)))
     # B of the proof in ``resultant``, a bound on the 1-norm of det M
-    norm = prod(sum(sum(map(abs, e.values())) for e in row) for row in entries)
+    norm = prod(map(sum, per_entry(lambda e: sum(map(abs, e.values())))))
     w = norm.bit_length() + 1
-    pk = _Packing(len(vs) - 1, bound)
-    rows = [[pk.pack(_fold(e, t, w)) for e in row] for row in entries]
+    pk = _Packing(nvars - 1, bound)
+    rows = per_entry(lambda e: _fold(e, t, w, pk))
     _, order, live = _minor_plan(rows, None)
-    return MultiPoly._make(vs, _unfold(pk.unpack(_expand_by_minors(rows, order, live)), t, w))
+    return _unfold(_expand_by_minors(rows, order, live), t, w, pk)
 
 
-def _folded_variable(entries: list[list[Mapping[tuple[int, ...], int]]], nvars: int) -> int | None:
+def _folded_variable(entries: list[list], nvars: int) -> int | None:
     """The variable whose folding (``_fold``) leaves the entries the fewest
     terms, the first of several; None when folding any of them merges no
-    terms."""
+    terms.  ``entries`` lists each distinct term map of the matrix with the
+    number of times it occurs, as ``[map, count]``."""
     # an entry of one term, or a variable that no term has, merges nothing
-    sums = [e for row in entries for e in row if len(e) > 1]
-    size = sum(map(len, sums))
-    left = [sum(len({ev[:t] + ev[t + 1:] for ev in e}) for e in sums)
-            if any(ev[t] for e in sums for ev in e) else size for t in range(nvars)]
-    t = min(range(nvars), key=left.__getitem__, default=None)
+    sums = [(e, k) for e, k in entries if len(e) > 1]
+    size = sum(len(e) * k for e, k in sums)
+    used = [t for t, col in enumerate(zip(*(ev for e, _ in sums for ev in e))) if any(col)]
+    left = {t: sum(len({ev[:t] + ev[t + 1:] for ev in e}) * k for e, k in sums) for t in used}
+    t = min(used, key=left.__getitem__, default=None)
     return None if t is None or left[t] == size else t
 
 
@@ -975,9 +1022,9 @@ def _det_packed(m: list[list[dict[int, int]]]) -> dict[int, int]:
         row_k = m[k]
         for i in range(k + 1, n):
             row_i = m[i]
-            neg_ik = {t: -c for t, c in row_i[k].items()}
+            neg_ik = [(t, -c) for t, c in row_i[k].items()]
             for j in range(k + 1, n):
-                acc = _nonzero(_pmul(neg_ik, row_k[j], _pmul(pivot, row_i[j], {})))
+                acc = _nonzero(_pmul(neg_ik, row_k[j].items(), _pmul(pivot.items(), row_i[j].items(), {})))
                 row_i[j] = _div_int(acc, prev)
             row_i[k] = {}
         prev = pivot[0]
@@ -1029,17 +1076,22 @@ def _expand_by_minors(
     the rows used in ``order`` with the column sets ``live`` after each, as
     ``_minor_plan`` chose them.  After each row, ``minors`` maps each live
     set of columns, as a bit mask, to the nonzero minor on the rows used so
-    far and those columns; each minor is formed once and shared by every
-    larger minor that expands into it.  A set is live while the rows still
-    to come reach every column outside it.  The products formed, each
-    counted by the terms of its entry, add up to at most the plan's cost."""
+    far and those columns, stored once as a list of (packed monomial,
+    coefficient) pairs with the zeros dropped; each minor is formed once
+    and shared by every larger minor that expands into it, and no product
+    rebuilds its list.  A set is live while the rows still to come reach
+    every column outside it.  The products formed, each counted by the
+    terms of its entry, add up to at most the plan's cost.  Both routes of
+    ``_determinant`` expand through here: the trailing block or raw matrix
+    of ``_det_packed``, and the folded matrix."""
     t = len(block)
     # the reordering's sign is the parity of its inversions
     odd = sum(a > b for i, a in enumerate(order) for b in order[i + 1:]) & 1
-    minors: dict[int, dict[int, int]] = {0: {0: 1}}
+    minors: dict[int, list[tuple[int, int]]] = {0: [(0, 1)]}
     for r, sets in zip(order, live):
-        entries = [(j, 1 << j, e, {m: -c for m, c in e.items()}) for j, e in enumerate(block[r]) if e]
-        nxt: dict[int, dict[int, int]] = {}
+        entries = [(j, 1 << j, list(e.items()), [(m, -c) for m, c in e.items()])
+                   for j, e in enumerate(block[r]) if e]
+        nxt: dict[int, list[tuple[int, int]]] = {}
         for cols in sets:
             acc: dict[int, int] = {}
             for j, bit, e, neg in entries:
@@ -1047,14 +1099,15 @@ def _expand_by_minors(
                 if minor:
                     # the sign of the entry's place in the last row of the
                     # minor is (-1) to the number of its columns right of j
-                    _pmul(neg if bin(cols >> j + 1).count("1") & 1 else e, minor, acc)
-            acc = _nonzero(acc)
-            if acc:
-                nxt[cols] = acc
+                    _pmul(neg if (cols >> j + 1).bit_count() & 1 else e, minor, acc)
+            items = [(m, c) for m, c in acc.items() if c]
+            if items:
+                nxt[cols] = items
         if not nxt:
             return {}
         minors = nxt
-    return _div_int(minors[(1 << t) - 1], -1 if odd else 1)
+    det = minors[(1 << t) - 1]
+    return {m: -c for m, c in det} if odd else dict(det)
 
 
 def _live_sets(rows: list[list[dict[int, int]]], limit: int | None) -> tuple[list[set[int]], int]:

@@ -1,5 +1,6 @@
 import json
 import random
+from math import gcd
 from pathlib import Path
 from unittest.mock import patch
 
@@ -79,12 +80,36 @@ class TestImplicitize:
         ("m^2*n - 2*n", "-3*m*n + 3*n^2", "3*m^2 + 2*m*n - 3*m"),  # packed
     ])
     def test_equation_that_does_not_vanish_is_refused(self, monkeypatch, texts):
-        # the primitive part moved by one: the vanishing check refutes it on
-        # either path of MultiPoly.vanishes_on
-        primitive = concoct.content_primitive
-        monkeypatch.setattr(concoct, "content_primitive", lambda p: (1, primitive(p)[1] + 1))
+        # the n-resultant moved by its content, so the primitive part by
+        # one: the vanishing check refutes it on either path of
+        # MultiPoly.vanishes_on
+        eliminant = concoct.resultant
+
+        def moved(f, g, var):
+            out = eliminant(f, g, var)
+            return out + gcd(*out.terms.values()) if var == "n" else out
+
+        monkeypatch.setattr(concoct, "resultant", moved)
         with pytest.raises(AssertionError, match="does not vanish"):
             implicitize(*(P(text) for text in texts))
+
+    def test_eliminant_left_with_n_is_an_internal_fault(self, monkeypatch, capsys):
+        # an n-resultant that still involves n is the kernel's fault, not
+        # the input's: AssertionError, which the CLI reports as exit 3
+        from cubeforge.cli import main
+
+        eliminant = concoct.resultant
+
+        def leaky(f, g, var):
+            out = eliminant(f, g, var)
+            return out + MultiPoly.variable("n", out.variables) if var == "n" else out
+
+        monkeypatch.setattr(concoct, "resultant", leaky)
+        texts = ("m^2 - n^2", "2*m*n", "m^2 + n^2")
+        with pytest.raises(AssertionError, match="still involves m or n"):
+            implicitize(*(P(text) for text in texts))
+        assert main(["eliminate", *(w for v, t in zip("xyz", texts) for w in (f"--{v}", t))]) == 3
+        assert "internal invariant violated" in capsys.readouterr().err
 
     # x - P is free of m, so the m-eliminations share y - Q instead
     M_FREE_X = {"x": "3*n^3 - 2", "y": "-m*n - 3*m^2*n", "z": "3*m^2 + n^2 + 2 + 2*n^3"}
@@ -178,9 +203,9 @@ class TestResultantsOnBenchmarkInputs:
                 continue
             matrices, picks = [], []
 
-            def record(m):
-                matrices.append([row[:] for row in m])
-                return determinant(m)
+            def record(m, nvars):
+                matrices.append(([row[:] for row in m], nvars))
+                return determinant(m, nvars)
 
             def pick(entries, nvars):
                 picks.append(select(entries, nvars))
@@ -190,14 +215,13 @@ class TestResultantsOnBenchmarkInputs:
                 implicitize(*(values[v] for v in "xyz"))
             assert len(matrices) == len(picks) >= 2, job_id
             folded[job_id] = [t is not None for t in picks]
-            for m, t in zip(matrices, picks):
+            for (m, nvars), t in zip(matrices, picks):
                 if t is None:  # fold the first variable the entries use
-                    vs = m[0][0].variables
-                    t = next(i for i, v in enumerate(vs) if any(p.degree_in(v) for row in m for p in row))
+                    t = next(i for i in range(nvars) if any(ev[i] for row in m for e in row for ev in e))
                 with patch.object(kernel, "_folded_variable", lambda entries, nvars: None):
-                    unpacked = determinant(m)
+                    unpacked = determinant(m, nvars)
                 with patch.object(kernel, "_folded_variable", lambda entries, nvars: t):
-                    assert determinant(m) == unpacked, job_id
+                    assert determinant(m, nvars) == unpacked, job_id
         assert len(folded) == 4 + 48  # criterion 8 and the random variants
         assert folded["eliminate:criterion8-3"][-1]
         assert not any(folded["eliminate:criterion8-2"])

@@ -24,12 +24,14 @@ from cubeforge.cfinite import joint_guess_recurrence
 from cubeforge.errors import DegenerateInput, InexactDivision, ZeroPolynomial
 from cubeforge.kernel import (
     _degree,
+    _fold,
     _monomial_key,
     _nonzero,
     _Packing,
     _pdiv,
     _pmul,
     _remap,
+    _unfold,
     rational_solve,
     try_exact_div,
 )
@@ -107,7 +109,7 @@ def bareiss_det(rows):
             row_i = m[i]
             neg_ik = {t: -c for t, c in row_i[k].items()}
             for j in range(k + 1, n):
-                acc = _pmul(neg_ik, row_k[j], _pmul(pivot, row_i[j], {}))
+                acc = _pmul(neg_ik.items(), row_k[j].items(), _pmul(pivot.items(), row_i[j].items(), {}))
                 quot = _pdiv(_nonzero(acc), prev, pk.guard)
                 assert quot is not None
                 row_i[j] = quot
@@ -147,12 +149,12 @@ def reference_substitute(p, values):
             if e:
                 table = powers[i]
                 while len(table) <= e:
-                    table.append(_nonzero(_pmul(table[-1], packed[i], {})))
+                    table.append(_nonzero(_pmul(table[-1].items(), packed[i].items(), {})))
                 factors.append(table[e])
         last = factors.pop() if factors else {0: 1}
         for f in factors:
-            prod = _pmul(prod, f, {})
-        _pmul(prod, last, out)
+            prod = _pmul(prod.items(), f.items(), {})
+        _pmul(prod.items(), last.items(), out)
     return MultiPoly(vs, pk.unpack(_nonzero(out)))
 
 
@@ -1058,8 +1060,6 @@ class TestPackedExponents:
 
 class TestBareiss:
     def test_random_matrices_match_naive_det(self):
-        from cubeforge.kernel import _determinant as _bareiss_determinant
-
         rng = random.Random(53)
         vs = ("x", "y")
         zero = MultiPoly(vs, {})
@@ -1073,7 +1073,7 @@ class TestBareiss:
             if rng.random() < 0.5:
                 rows[0][0] = zero
             expected = naive_det(rows)
-            got = _bareiss_determinant([row[:] for row in rows])
+            got = det(rows)
             assert got == expected
 
 
@@ -1082,8 +1082,6 @@ class TestBareiss:
     def test_degree_bound_at_the_top_of_a_field(self, data):
         # row degrees summing to S = 2^k - 1, each row led by a pure power
         # of x: the products Bareiss forms reach x-degrees near 2S
-        from cubeforge.kernel import _determinant as _bareiss_determinant
-
         vs = ("x", "y")
         n = data.draw(st.integers(2, 4))
         total = data.draw(st.sampled_from([s for s in (3, 7) if n <= s <= 3 * n]))
@@ -1100,7 +1098,7 @@ class TestBareiss:
             ]
             row[data.draw(st.integers(0, n - 1))] = data.draw(polys(vs, d, 2))
             rows.append(row)
-        assert _bareiss_determinant([row[:] for row in rows]) == naive_det(rows)
+        assert det(rows) == naive_det(rows)
 
 
 def lu_matrix(rng, diag_l, diag_u, vs=("x", "y")):
@@ -1137,7 +1135,10 @@ def no_constant_poly(rng, vs, max_degree=1, terms=2):
 
 
 def det(rows):
-    return kernel._determinant([row[:] for row in rows])
+    """The determinant of a matrix of MultiPolys, by kernel._determinant on
+    their term maps over one variable tuple."""
+    vs = tuple(dict.fromkeys(v for row in rows for p in row for v in p.variables))
+    return MultiPoly(vs, kernel._determinant([[_remap(p, vs) for p in row] for row in rows], len(vs)))
 
 
 class TestDeterminant:
@@ -1229,7 +1230,10 @@ class TestDeterminant:
         # every coefficient in m is c*n + d, so there is no integer pivot and
         # the 19 x 19 Sylvester block is expanded whole.  Band order keeps
         # at most 2^11 live column sets per row and forms 8446 products;
-        # the rows taken lightest first form 1043120.
+        # the rows taken lightest first form 1043120.  Folding n leaves
+        # every entry one term, so the plan's cost, which weighs each
+        # product of an entry and a minor by the entry's terms, bounds the
+        # products too.
         rng = random.Random(97)
         vs = ("m", "n")
 
@@ -1247,11 +1251,13 @@ class TestDeterminant:
             return pmul(a, b, acc)
 
         monkeypatch.setattr(kernel, "_pmul", counted)
-        with determinant_paths() as sizes:
+        with determinant_paths() as sizes, minor_plans() as plans:
             got = resultant(p, q, "m")
         monkeypatch.undo()
         assert sizes == [19]
         assert calls[0] <= 20_000
+        ((size, _, cost),) = plans
+        assert size == 19 and cost <= 20_000
         assert got == bareiss_det(sylvester_rows(p, q, "m"))
 
     def test_expands_the_cheaper_of_block_and_raw_matrix(self):
@@ -1437,6 +1443,120 @@ class TestFoldedDeterminant:
                 got = det(rows)
             assert spy.called is not folded
             assert got == naive_det(rows)
+
+
+# --- oracle: folding as two passes, the folded term map and then its
+# packing, and reading back as unpacking and then the balanced digits ---
+
+def two_pass_fold(terms, t, w, pk):
+    out = {}
+    for ev, c in terms.items():
+        rest = ev[:t] + ev[t + 1:]
+        out[rest] = out.get(rest, 0) + (c << w * ev[t])
+    return pk.pack(_nonzero(out))
+
+
+def two_pass_unfold(packed, t, w, pk):
+    half, mask = 1 << w - 1, (1 << w) - 1
+    out = {}
+    for rest, v in pk.unpack(packed).items():
+        e = 0
+        while v:
+            c = ((v + half) & mask) - half
+            if c:
+                out[rest[:t] + (e,) + rest[t:]] = c
+            v = (v - c) >> w
+            e += 1
+    return out
+
+
+@st.composite
+def term_map_exponents(draw, nvars, degree):
+    """(unused, strategy): a set of variables no term has, at times empty,
+    and exponent vectors of total degree at most ``degree`` that are zero
+    at those variables."""
+    unused = draw(st.sets(st.integers(0, nvars - 1), max_size=nvars - 1))
+    free = [i for i in range(nvars) if i not in unused]
+
+    def spread(ev):
+        out = [0] * nvars
+        for i, e in zip(free, ev):
+            out[i] = e
+        return tuple(out)
+
+    return unused, exponents(len(free), degree).map(spread)
+
+
+class TestTermMaps:
+    """The determinant's helpers on term maps over one variable tuple: the
+    one-pass fold and pack (``_fold``) and read-back (``_unfold``), and
+    ``_determinant`` itself on rows of term maps."""
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_fold_and_read_back(self, data):
+        # term maps over 2 to 5 variables, some of which no term has, with
+        # coefficients of both signs up to 60 digits, folded at any width;
+        # at times a term and a partner one power of t higher cancel in the
+        # fold.  The one pass equals the two; at a width above every
+        # coefficient's bit length the read-back returns the input.  The
+        # width is at least 2, as the determinant's is for a nonzero B:
+        # balanced digits of one bit, -1 and 0, write no positive value.
+        nvars = data.draw(st.integers(2, 5))
+        unused, evs = data.draw(term_map_exponents(nvars, 4))
+        coeff = st.one_of(st.integers(-9, 9), st.integers(-10**60, 10**60)).filter(bool)
+        terms = data.draw(st.dictionaries(evs, coeff, max_size=8))
+        t = data.draw(st.integers(0, nvars - 1))
+        w = data.draw(st.integers(2, 210))
+        cancelled = None
+        if terms and t not in unused and data.draw(st.booleans()):
+            ev = data.draw(st.sampled_from(sorted(terms)))
+            rest = ev[:t] + ev[t + 1:]
+            terms = {u: c for u, c in terms.items() if u[:t] + u[t + 1:] != rest}
+            partner = ev[:t] + (ev[t] + 1,) + ev[t + 1:]
+            c = data.draw(coeff)
+            terms[ev], terms[partner] = -(c << w), c
+            cancelled = rest
+        pk = _Packing(nvars - 1, _degree(terms))
+        folded = _fold(terms, t, w, pk)
+        assert folded == two_pass_fold(terms, t, w, pk)
+        assert _unfold(folded, t, w, pk) == two_pass_unfold(folded, t, w, pk)
+        if cancelled is not None:
+            assert cancelled not in pk.unpack(folded)
+        if all(abs(c).bit_length() < w for c in terms.values()):
+            assert _unfold(folded, t, w, pk) == terms
+
+    @pytest.mark.parametrize("route", ["unpacked", "packed"])
+    @settings(deadline=None)
+    @given(st.data())
+    def test_determinant_matches_naive_det(self, route, data):
+        # up to 4 x 4 over 2 to 5 variables, some of which no term has:
+        # entries of up to 3 terms of degree <= 2 with coefficients of both
+        # signs up to 60 digits, empty entries, and entries that repeat an
+        # earlier term map, as the rows of a Sylvester matrix do.  The
+        # packed route folds any variable, used or not.
+        nvars = data.draw(st.integers(2, 5))
+        vs = VARS[:nvars]
+        _, evs = data.draw(term_map_exponents(nvars, 2))
+        n = data.draw(st.integers(1, 4))
+        seen = []
+        rows = []
+        for _ in range(n):
+            row = []
+            for _ in range(n):
+                if seen and data.draw(st.booleans()):
+                    e = data.draw(st.sampled_from(seen))
+                else:
+                    e = data.draw(st.dictionaries(evs, st.integers(-10**60, 10**60), max_size=3))
+                    e = {ev: c for ev, c in e.items() if c}
+                    seen.append(e)
+                row.append(e)
+            rows.append(row)
+        given_rows = [[dict(e) for e in row] for row in rows]
+        with determinant_route(route, data.draw(st.integers(0, nvars - 1))):
+            got = kernel._determinant(rows, nvars)
+        assert rows == given_rows
+        assert MultiPoly(vs, got) == naive_det([[MultiPoly(vs, e) for e in row] for row in rows])
 
 
 class TestNullspace:
