@@ -14,24 +14,19 @@ in the sorted list.  N follows from the value pattern, and t is read off as
 one integer on every window; nothing is fitted.
 
 Enumeration lists the solutions of Q(m, n) = e in the box 1 <= m <= bound,
-0 <= n <= bound.  ``_slot_kind`` divides the content out once: it
+0 <= n <= bound, by one scan over m = 1..bound per distinct target that
+reads the n of each column off one isqrt or one division
+(``enumerate_solutions`` gives the algebra and the early stops).
+
+The sweep's kinds.  ``_slot_kind`` divides the content out once: it
 computes the content k, the primitive part f = Q/k and its discriminant
 D' = D/k^2, and names the kind of the form, the one place that tests the
-sign and squareness of a discriminant.  There are five kinds, and the
-enumeration data of each (``_prepare``):
-- "definite", D < 0: the scan (``_Definite``);
-- "pell", D > 0 and not a square: the classes of D' (``_Classes`` over a
-  ``_DiscTable``);
-- "square-disc", D a nonzero square; "line", D = 0 with qb != 0; and
-  "one-variable", D = 0 with qb = 0: the linear factors (``_Factored``).
-Each lists the solutions of its primitive part = e/k (e/k' for square D),
-so enumerate_solutions is the one place that divides a target by the
-scale, and a target the scale does not divide has no solution.
-
-Definite D (D < 0).  4c*f(m, y) = (2c*y + b*m)^2 - D'*m^2 for f = (a, b, c),
-so a scan over m = 1, 2, ... reads the y with f(m, y) = e/k off one isqrt
-of D'*m^2 + 4c*e/k per m, and stops at the first m where that is negative,
-or at ``bound``.
+sign and squareness of a discriminant.  There are five kinds: "definite"
+(D < 0), "pell" (D > 0 and not a square), "square-disc" (D a nonzero
+square), "line" (D = 0 with qb != 0) and "one-variable" (D = 0 with
+qb = 0).  sol_quad sweeps two of them only: a "pell" form by its
+classes (``_Classes`` over a ``_DiscTable``), a "line" form by its linear
+factor (``_Factored``).
 
 Indefinite non-square D (D > 0, so qa*qc != 0).  A solution with
 gcd(m, n) = g is g times a primitive representation of e' = e/(k*g^2) by f.
@@ -50,47 +45,37 @@ window of positions can reach the box (proved in ``_Classes``), so only the
 window is explored, from both sides of the reduction of f; a huge unit, or
 a long cycle, costs no more than a small one.  When 2|e'| < sqrt(D') the
 forms f_B of the class are read off the cycle directly (Lagrange).  The
-square roots of D' mod 4|e'| come from the factorisation of e'
-(Pollard's rho with Miller-Rabin, ``_factor``), Tonelli-Shanks and
-Hensel lifting per odd prime power, bit-by-bit lifting for powers of 2, and
-the Chinese remainder theorem.  The roots and the reduced forms f_B depend
-only on (D', e'), so they live in a ``_DiscTable`` per D' that every form of
-that discriminant shares.
+square roots of D' mod 4|e'| come from the factorisation of 4|e'| by trial
+division (``_factor``), Tonelli-Shanks and Hensel lifting per odd prime
+power, bit-by-bit lifting for powers of 2, and the Chinese remainder
+theorem.  The roots and the reduced forms f_B depend only on (D', e'), so
+they live in a ``_DiscTable`` per D' that every form of that discriminant
+shares.
 
-Square D (D a square, zero included, which covers every form with qa = 0
-or qc = 0).  Q = k'*L1*L2 with k' = +-k and
-primitive integer linear forms L1, L2 (Gauss's lemma), so a solution pairs
-a divisor p of e/k' with L1 = p, L2 = e/(k'*p), or lies on one of the lines
-L1 = 0, L2 = 0 (e = 0) or L1 = +-p (D = 0, L2 = +-L1).
+D = 0 with qb != 0.  Q = k'*L^2 with k' = +-k and L = r*m + s*n primitive,
+so a solution lies on one of the lines L = +-p with k'*p^2 = e.
 
-Cost.  Definite: per target, at most min(bound, sqrt(4c*|e/k| / |D'|)) + 1
-isqrt calls.  Indefinite, per discriminant D', for each |e'| met: the
-factorisation of 4|e'| and the square roots, then O(1 + log(|e'|/sqrt(D')))
-reduction steps per root B for each of e' and -e', computed once in the
-table (none when 2|e'| < sqrt(D')).  The factorisation is trial division
-by the primes below 64 when 4|e'| < 4225, as for every target the CLI
-allows (|e'| <= 200); larger 4|e'| below _MR_PROVEN take expected
-O(|e'|^(1/4)) steps of Pollard's rho with Floyd's cycle finding, three
-squarings and a gcd each; above _MR_PROVEN, trial division has no useful
-bound (see ``_factor``).  Per form, one reduction and the window:
-the positions j where |L+-| of the first column of P_j stay within the
-box's bound times sqrt(D') |z| / |e'|, O(log(bound * D' * |z|)) positions,
-as those grow geometrically along the cycle.  Per target, O(min(sqrt|e|,
-bound)) steps for the square divisors g^2, then O(1) per explored
-position whose form has the first coefficient e' or that of a reduced
-form of the table's bases;
-beyond those steps the work follows the number of classes and solutions,
-not ``bound``.  On every path, targets beyond (|qa| + |qb| + |qc|) *
-bound^2, which bounds |Q| on the box, cost nothing.  sol_quad's unit test
-costs up to 2 * (1 + isqrt(bound)) isqrt calls once per D': 90 at its
-default bound 2000 and 284 at the CLI's MAX_PELL_BOUND, but 2 * 10^5 at
-bound 10^10, where it outweighs the sweep it can save: on (4, 11, -21),
-D = 457, it took 94 ms against 1.1 ms for the whole sweep (one Xeon core,
-CPython 3.11), and 8 ms at bound 10^8.
+Cost.  enumerate_solutions takes at most bound isqrt calls or divisions
+per distinct target, whatever the size of the targets: O(bound *
+|distinct targets|), and nothing for a target beyond (|qa| + |qb| + |qc|)
+* bound^2, which bounds |Q| on the box.  The sweep, per discriminant D',
+for each |e'| met: the trial division of
+4|e'|, O(sqrt|e'|) steps, and the square roots, then O(1 + log(|e'| /
+sqrt(D'))) reduction steps per root B for each of e' and -e', computed
+once in the table (none when 2|e'| < sqrt(D')).  Per form, one reduction
+and the window: the positions j where |L+-| of the first column of P_j
+stay within the box's bound times sqrt(D') |z| / |e'|, O(log(bound * D' *
+|z|)) positions, as those grow geometrically along the cycle.  Beyond
+those steps the work follows the number of classes and solutions, not
+``bound``.  sol_quad's unit test costs up to 2 * (1 + isqrt(bound)) isqrt
+calls once per D': 90 at its default bound 2000 and 284 at the CLI's
+MAX_PELL_BOUND, but 2 * 10^5 at bound 10^10, where it outweighs the sweep
+it can save: on (4, 11, -21), D = 457, it took 94 ms against 1.1 ms for
+the whole sweep (one Xeon core, CPython 3.11), and 8 ms at bound 10^8.
 
 The magnitude sweep.  sol_quad needs the solutions of Q = +-mag for mag =
-1, 2, ... in turn.  Before any of them, and before any enumeration data
-are built, it asks whether an orbit can exist, by the kind of the form.
+1, 2, ... in turn.  Before any of them, and before any sweep data are
+built, it asks whether an orbit can exist, by the kind of the form.
 The points of a read-off orbit have m <= M, where M = bound, or
 isqrt(target_cap // |qa|) when that is less and the coefficients share
 one sign, as then |Q| >= |qa|*m^2 on the box.  Such an orbit either runs
@@ -101,7 +86,7 @@ sign.  A "square-disc" or "one-variable" form, a line too steep for M,
 and a "pell" form whose field has no such unit (the test depends on D'
 and M only, and is kept in the table) have no orbit, and nothing is
 enumerated.  So the sweep runs on the classes of a "pell" form or the
-factors of a "line" form only, and those two paths alone list primitive
+factor of a "line" form only, and those two paths alone list primitive
 representations.  The sweep does not
 enumerate per target: ``_by_magnitude`` lists the primitive
 representations of each e' = +-1, +-2, ... once and files g times each
@@ -233,99 +218,22 @@ class PellOrbit:
         }
 
 
-# Miller-Rabin on these bases decides primality for every n below
-# _MR_PROVEN (Sorenson & Webster, Math. Comp. 86 (2017), psi_13)
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_PROVEN = 3317044064679887385961981
-
-
-def _is_prime(n: int) -> bool:
-    """Whether n is prime, for 1 < n < _MR_PROVEN: Miller-Rabin on _MR_BASES."""
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    """A proper divisor of the odd composite n: Pollard's rho with Floyd's
-    cycle finding on x -> x^2 + c (mod n); the next c when a cycle closes
-    modulo every factor at once, so that the gcd is n."""
-    c = 0
-    while True:
-        c += 1
-        x = y = 2
-        g = 1
-        while g == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            g = gcd(x - y, n)
-        if g != n:
-            return g
-
-
 def _factor(n: int) -> dict[int, int]:
-    """{p: k} with n = prod p^k, for n >= 1.  Trial division by the primes
-    below 64, and further for as long as the cofactor is at least
-    _MR_PROVEN; the cofactor left then splits by Pollard's rho, its parts
-    tested by Miller-Rabin.  Expected O(n^(1/4)) steps below the proven
-    bound instead of O(n^(1/2)).
-
-    Below 65^2 = 4225, trial division alone finishes: such an n is below
-    _MR_PROVEN, so the loop runs only while p < 64 and p * p <= n, and the
-    cofactor never exceeds n.  It ends at the first p with p * p > n, or at
-    p = 65, the candidate after 63, where p * p = 4225 > n as well.  Either
-    way p * p > n, so the cofactor, free of every factor below p, is 1 or
-    a prime, and neither Miller-Rabin nor rho runs.  The CLI caps every
-    target at MAX_TARGET_CAP = 200, so it factors only 4|e'| <= 800, and
-    |e/k'| <= 200 for square D, all inside this bound.
-
-    The work is unbounded above _MR_PROVEN: a cofactor at least that large
-    is trial-divided until it falls below it, so a product of two primes
-    near 10^13, such as (10^13 + 37) * (10^13 + 51), takes about 5 * 10^12
-    divisions, and _factor of it does not return in any useful time."""
+    """{p: k} with n = prod p^k, for n >= 1, by trial division: at most
+    sqrt(n) / 2 + 1 candidate divisors.  Its one caller, _DiscTable.bases,
+    passes 4|e1| for an e1 of sol_quad's sweep, which reaches |e1| only
+    after sweeping every smaller magnitude, so the division never outweighs
+    the sweep; the CLI caps |e1| at MAX_TARGET_CAP = 200, so n <= 800."""
     out: dict[int, int] = {}
     p = 2
-    while p * p <= n and (p < 64 or n >= _MR_PROVEN):
+    while p * p <= n:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
         p += 1 if p == 2 else 2
-    if p * p > n:
-        if n > 1:
-            out[n] = out.get(n, 0) + 1
-        return out
-    parts = [n]
-    while parts:
-        m = parts.pop()
-        if _is_prime(m):
-            out[m] = out.get(m, 0) + 1
-        else:
-            d = _pollard_rho(m)
-            parts += [d, m // d]
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
     return out
-
-
-def _divisors(factors: dict[int, int]) -> list[int]:
-    divs = [1]
-    for p, k in factors.items():
-        divs = [d * p**i for d in divs for i in range(k + 1)]
-    return divs
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int | None:
@@ -450,8 +358,7 @@ class _DiscTable:
     call factors 4|e1|, takes the roots once and fills the lists of e1 and
     -e1 together; the sweep asks for both.  The unit test is memoised by
     the traces it has scanned.  A table lives as long as its owner: one
-    enumerate_solutions or sol_quad call, or one forge call for all the
-    forms it meets."""
+    sol_quad call, or one forge call for all the forms it meets."""
 
     def __init__(self, disc: int):
         self.disc = disc
@@ -515,7 +422,7 @@ class _DiscTable:
 
 
 class _Classes:
-    """The enumeration data of a form Q = scale * f of positive non-square
+    """The sweep data of a form Q = scale * f of positive non-square
     discriminant, f = (a, b, c) primitive of discriminant disc, over the
     _DiscTable of disc.
 
@@ -649,118 +556,49 @@ class _Classes:
                 out.append((x, y))
         return out
 
-    def points(self, n: int, bound: int) -> list[tuple[int, int]]:
-        """Every solution of the primitive part f = n in the box of
-        ``bound``: a solution with gcd g is g times a primitive
-        representation of n / g^2 in the box of bound // g."""
-        out = []
-        for g in range(1, min(isqrt(abs(n)), bound) + 1):
-            if n % (g * g) == 0:
-                out += [(g * x, g * y) for x, y in self.primitive(n // (g * g), bound // g)]
-        return out
 
-
-class _Definite:
-    """The enumeration data of a definite form Q = scale * f, f = (a, b, c)
-    primitive of discriminant disc < 0, so c != 0: the scan.
-    ``points(n, bound)`` lists the solutions of the primitive part f = n in
-    the box of ``bound``.  As 4c*f(m, y) = (2c*y + b*m)^2 - disc*m^2,
-    f(m, y) = n holds exactly when 2c*y + b*m = +-s with s^2 = disc*m^2 +
-    4c*n.  That radicand falls as m grows, so no m beyond the first one
-    where it is negative gives a point."""
-
-    def __init__(self, f: tuple[int, int, int], k: int, disc: int):
-        self.scale, self.b, self.c, self.disc = k, f[1], f[2], disc
-
-    def points(self, n: int, bound: int) -> list[tuple[int, int]]:
-        b, two_c, disc = self.b, 2 * self.c, self.disc
-        rest = 2 * two_c * n  # 4c*n
-        out = []
-        for m in range(1, bound + 1):
-            square = disc * m * m + rest
-            if square < 0:
-                break
-            s = isqrt(square)
-            if s * s == square:
-                for t in ((-s, s) if s else (0,)):
-                    y, r = divmod(t - b * m, two_c)
-                    if not r and 0 <= y <= bound:
-                        out.append((m, y))
-        return out
-
-
-def _t_range(c0: int, c1: int, lo: int, hi: int, t_lo: int, t_hi: int) -> tuple[int, int]:
-    """[t_lo, t_hi] narrowed to the t with lo <= c0 + c1*t <= hi."""
-    if c1 == 0:
-        return (t_lo, t_hi) if lo <= c0 <= hi else (1, 0)
+def _t_range(c0: int, c1: int, lo: int, hi: int) -> tuple[int, int]:
+    """(t_lo, t_hi), the interval of the t with lo <= c0 + c1*t <= hi, for
+    c1 != 0."""
     if c1 < 0:
         c0, c1, lo, hi = -c0, -c1, -hi, -lo
-    return max(t_lo, -((c0 - lo) // c1)), min(t_hi, (hi - c0) // c1)
+    return -((c0 - lo) // c1), (hi - c0) // c1
 
 
 def _line_points(r: int, s: int, p: int, bound: int) -> list[tuple[int, int]]:
-    """The (m, n) of the box on the line r*m + s*n = p, gcd(r, s) = 1: the
-    points (m0 + s*t, n0 - r*t) for one solution (m0, n0)."""
-    if s:
-        m0 = p * pow(r, -1, abs(s))  # r*m0 = p (mod s)
-        n0 = (p - r * m0) // s
-    else:
-        m0, n0 = p * r, 0  # r = +-1
-    wide = abs(m0) + abs(n0) + bound
-    lo, hi = _t_range(m0, s, 1, bound, -wide, wide)
-    lo, hi = _t_range(n0, -r, 0, bound, lo, hi)
-    return [(m0 + s * t, n0 - r * t) for t in range(lo, hi + 1)]
+    """The (m, n) of the box on the line r*m + s*n = p, gcd(r, s) = 1 and
+    r, s != 0: the points (m0 + s*t, n0 - r*t) for one solution (m0, n0)."""
+    m0 = p * pow(r, -1, abs(s))  # r*m0 = p (mod s)
+    n0 = (p - r * m0) // s
+    m_lo, m_hi = _t_range(m0, s, 1, bound)
+    n_lo, n_hi = _t_range(n0, -r, 0, bound)
+    return [(m0 + s * t, n0 - r * t) for t in range(max(m_lo, n_lo), min(m_hi, n_hi) + 1)]
 
 
 class _Factored:
-    """The enumeration data of a form of square discriminant d^2: Q = scale
-    * L1 * L2 with primitive integer linear forms L1 = (r1, s1), L2 = (r2,
-    s2), scale = +-k.  ``points(n, bound)`` lists the solutions of the
-    primitive part L1 * L2 = n in the box of ``bound``.  For f = Q/k
-    primitive with a != 0, 4a*f = (2a*m + (b + d)*n) * (2a*m + (b - d)*n);
-    dividing out the contents g1, g2 leaves primitive L1, L2, and by
-    Gauss's lemma f = (g1*g2 / 4a) * L1 * L2 with g1*g2 / 4a = +-1.  With
-    a = 0, f = n * (b*m + c*n)."""
+    """The sweep data of a "line" form, D = 0 with qb != 0: Q = scale * L^2
+    with L = r*m + s*n, gcd(r, s) = 1 and scale = +-k.  For f = Q/k =
+    (a, b, c) primitive, b^2 = 4ac with b != 0 makes a and c nonzero and of
+    one sign, and |a| a square: a prime to an odd power in |a| divides |c|,
+    as |a*c| = (b/2)^2, so it divides b too, and f would not be primitive.
+    So f = sign(a) * (r*m + s*n)^2 with r = isqrt(|a|) and s = b / (2a/r),
+    and gcd(r, s) = 1, again as f is primitive."""
 
     def __init__(self, f: tuple[int, int, int], k: int):
-        a, b, c = f
-        if a:
-            d = isqrt(b * b - 4 * a * c)
-            g1, g2 = gcd(2 * a, b + d), gcd(2 * a, b - d)
-            self.l1 = (2 * a // g1, (b + d) // g1)
-            self.l2 = (2 * a // g2, (b - d) // g2)
-            self.scale = k * g1 * g2 // (4 * a)
-        else:
-            self.l1, self.l2, self.scale = (0, 1), (b, c), k
+        a, b, _ = f
+        self.r = isqrt(abs(a))
+        self.s = b // (2 * a // self.r)
+        self.scale = k if a > 0 else -k
 
     def primitive(self, e1: int, limit: int) -> list[tuple[int, int]]:
-        """Every solution (x, y) of L1 * L2 = e1 with gcd(x, y) = 1 in the
-        box of ``limit``."""
-        return [v for v in self.points(e1, limit) if gcd(*v) == 1]
-
-    def points(self, n: int, bound: int) -> list[tuple[int, int]]:
-        (r1, s1), (r2, s2) = self.l1, self.l2
-        det = r1 * s2 - r2 * s1
-        if n == 0:
-            lines = [(r1, s1, 0)] + ([(r2, s2, 0)] if det else [])
-        elif det == 0:
-            # D = 0: L2 = +-L1, so L1^2 = +-n and the solutions lie on L1 = +-p
-            sq = n if self.l2 == self.l1 else -n
-            p = isqrt(sq) if sq > 0 else 0
-            if p * p != sq or not p:
-                return []
-            lines = [(r1, s1, p), (r1, s1, -p)]
-        else:
-            out = []
-            for d in _divisors(_factor(abs(n))):
-                for p in (d, -d):
-                    q = n // p
-                    m, r = divmod(s2 * p - s1 * q, det)
-                    k, w = divmod(r1 * q - r2 * p, det)
-                    if not r and not w and 1 <= m <= bound and 0 <= k <= bound:
-                        out.append((m, k))
-            return out
-        return [pt for line in lines for pt in _line_points(*line, bound)]
+        """Every (x, y) of the box of ``limit`` with L(x, y)^2 = e1 and
+        gcd(x, y) = 1: the points of the lines L = p and L = -p for
+        p^2 = e1."""
+        p = isqrt(e1) if e1 > 0 else 0
+        if not p or p * p != e1:
+            return []
+        lines = (_line_points(self.r, self.s, q, limit) for q in (p, -p))
+        return [v for points in lines for v in points if gcd(*v) == 1]
 
 
 def _slot_kind(form: QuadForm) -> tuple[str, int, tuple[int, int, int], int]:
@@ -790,21 +628,6 @@ def _table(tables: dict[int, _DiscTable], disc: int) -> _DiscTable:
     return table
 
 
-def _prepare(
-    form: QuadForm, tables: dict[int, _DiscTable]
-) -> _Definite | _Factored | _Classes:
-    """The enumeration data of the form, by its _slot_kind: the scan for
-    "definite", f's classes over the _DiscTable of D' in ``tables`` for
-    "pell", and the linear factors of f for the three kinds of square D'
-    ("square-disc", "line", "one-variable")."""
-    kind, k, f, disc = _slot_kind(form)
-    if kind == "definite":
-        return _Definite(f, k, disc)
-    if kind == "pell":
-        return _Classes(f, k, _table(tables, disc))
-    return _Factored(f, k)
-
-
 def _box_cap(form: QuadForm, bound: int) -> int:
     """(|qa| + |qb| + |qc|) * bound^2, which bounds |Q| on the box."""
     return (abs(form.qa) + abs(form.qb) + abs(form.qc)) * bound * bound
@@ -828,31 +651,54 @@ def enumerate_solutions(
     (m, n) <-> (-m, -n) symmetry and fixes the orientation every orbit read-off
     relies on.
 
-    The solutions of each target come from the scan, reduction theory or
-    the linear factors, as set out in the module docstring; a target beyond
-    (|qa| + |qb| + |qc|) * bound^2, which bounds |Q| on the box, is dropped
-    at once.  The class data are computed afresh for each call.  The
-    bound and the targets must be ints (not bools): a target 1.5 read as 1
-    would list the solutions of another value.
-
-    A target inside the box is factored (``_factor`` of 4|e'|, or of |e/k'|
-    for square D), and that work has no useful bound once a cofactor is at
-    least _MR_PROVEN, about 3.3 * 10^24: the target
-    (10^13 + 37) * (10^13 + 51), a product of two primes, at bound
-    2 * 10^13 on (1, 0, -2) or on (0, 1, 0) does not return.  Only a
-    target passed here reaches that case; no CLI verb does, as the CLI
-    caps every target at 200.
+    One scan over m = 1..bound per distinct target e.  With qc != 0,
+    4*qc*Q = (2*qc*n + qb*m)^2 - D*m^2, so the n of column m come from one
+    isqrt of D*m^2 + 4*qc*e; with qc = 0 from one division of e - qa*m^2 by
+    qb*m; and with qb = qc = 0 the whole column matches when qa*m^2 = e.
+    So the work is at most bound isqrt calls or divisions per distinct
+    target, O(bound * |distinct targets|), for targets of any size.  A
+    target beyond (|qa| + |qb| + |qc|) * bound^2, which bounds |Q| on the
+    box, costs nothing.  The scan of e stops at the first negative radicand
+    when D <= 0, as the radicand then falls or stays as m grows, and at the
+    first m with |qa|*m^2 > |e| when the coefficients share one sign, as
+    then |Q| >= |qa|*m^2 on the box.  The bound and the targets must be
+    ints (not bools): a target 1.5 read as 1 would list the solutions of
+    another value.
     """
     check_work_option("bound", bound)
     targets = list(targets)
     if any(type(t) is not int for t in targets):
         raise ValueError("targets must be ints")
-    data = _prepare(form, {})
-    cap = _box_cap(form, bound)
+    qa, qb, qc = form.qa, form.qb, form.qc
+    disc, cap, two_c = form.discriminant, _box_cap(form, bound), 2 * qc
+    # |Q| >= floor * m^2 on the box when the coefficients share one sign
+    floor = abs(qa) if qa * qb >= 0 and qa * qc >= 0 else 0
     out = []
     for e in set(targets):
-        if -cap <= e <= cap and e % data.scale == 0:
-            out += [(m, n, e) for m, n in data.points(e // data.scale, bound)]
+        if not -cap <= e <= cap:
+            continue
+        rest = 2 * two_c * e  # 4*qc*e
+        for m in range(1, bound + 1):
+            if floor * m * m > abs(e):
+                break
+            if qc:
+                square = disc * m * m + rest
+                if square < 0:
+                    if disc <= 0:
+                        break
+                    continue
+                s = isqrt(square)
+                if s * s == square:
+                    for t in {s, -s}:
+                        n, r = divmod(t - qb * m, two_c)
+                        if not r and 0 <= n <= bound:
+                            out.append((m, n, e))
+            elif qb:
+                n, r = divmod(e - qa * m * m, qb * m)
+                if not r and 0 <= n <= bound:
+                    out.append((m, n, e))
+            elif qa * m * m == e:
+                out += [(m, n, e) for n in range(bound + 1)]
     out.sort()
     return out
 
@@ -970,12 +816,12 @@ def _by_magnitude(
 ) -> Iterator[list[tuple[int, int, int]]]:
     """For mag = 1, 2, ..., target_cap in turn, the list
     enumerate_solutions(form, (mag, -mag), bound), computed lazily by one
-    sweep over |e1| = 1, 2, ... with the enumeration data ``data`` of the
+    sweep over |e1| = 1, 2, ... with the sweep data ``data`` of the
     form.  sol_quad sweeps a "line" or "pell" form only (_slot_kind), so
     ``data`` is a _Factored or a _Classes.
 
     Let Q = s * f with s = data.scale, f the primitive part (_Classes) or
-    the product of the linear factors (_Factored).  A
+    the square of the linear factor (_Factored).  A
     solution (m, n) of Q = +-mag with gcd(m, n) = g is g times a primitive
     representation v of e1 = +-mag / (s g^2) by f, and v lies in the box
     of bound // g.
@@ -1083,7 +929,7 @@ def sol_quad(
       a nonzero square (_DiscTable.has_unit on D' = D/k^2, which is the
       same test, with norm_one for one-sign forms), by (2a), and then by
       its classes (_Classes).
-    A form refused by its rule raises NoOrbitFound before any enumeration
+    A form refused by its rule raises NoOrbitFound before any sweep
     data are built: it has no candidate that passes the read-off, so the
     sweep would end in NoOrbitFound.  Proof.  Let a candidate
     pass with den = 1 - t*z^p + N*z^(2p).  It is a subsequence of the

@@ -964,11 +964,10 @@ class _Reached(Exception):
 
 
 class TestUnreachedHelpers:
-    """No CLI verb runs Pollard's rho, Miller-Rabin or the polynomial
-    division loop: with them replaced by functions that raise, every verb
-    gives the same exit code and stdout.  The CLI caps every target at
-    MAX_TARGET_CAP, so each factorisation ends in trial division (see
-    quadform._factor)."""
+    """No CLI verb runs the polynomial division loop: with it replaced by a
+    function that raises, every verb gives the same exit code and stdout.
+    The CLI caps every target at MAX_TARGET_CAP, so quadform._factor, trial
+    division, is never asked for more than 4 * MAX_TARGET_CAP."""
 
     def test_verbs_give_the_same_output_without_them(self, tmp_path, capsys, monkeypatch):
         cap = str(cli.MAX_TARGET_CAP)
@@ -998,8 +997,6 @@ class TestUnreachedHelpers:
         def unreached(*args):
             raise _Reached(args)
 
-        monkeypatch.setattr(quadform, "_pollard_rho", unreached)
-        monkeypatch.setattr(quadform, "_is_prime", unreached)
         monkeypatch.setattr(kernel, "_pdiv", unreached)
         factored = []
         factor = quadform._factor
@@ -1007,7 +1004,7 @@ class TestUnreachedHelpers:
         for argv, want in zip(table, expected):
             assert run(argv) == want, argv
         # the forge runs factor 4|e'| up to 4 * MAX_TARGET_CAP
-        assert factored and max(factored) <= 4 * cli.MAX_TARGET_CAP < 65 * 65
+        assert factored and max(factored) <= 4 * cli.MAX_TARGET_CAP
 
 
 class TestJsonBytes:

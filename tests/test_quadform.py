@@ -509,19 +509,26 @@ def _golden_forms():
     return sorted(forms, key=lambda f: (f.qa, f.qb, f.qc))
 
 
-_KIND_DATA = {
-    "definite": quadform._Definite,
-    "pell": quadform._Classes,
-    "square-disc": quadform._Factored,
-    "line": quadform._Factored,
-    "one-variable": quadform._Factored,
-}
+def _sweep_data(form, tables):
+    """The sweep data sol_quad builds for the form, with no unit or slope
+    test before it: the classes over the _DiscTable of D' in ``tables`` for
+    a "pell" form, the linear factor for a "line" form, and None for the
+    kinds sol_quad never sweeps."""
+    kind, k, f, disc = quadform._slot_kind(form)
+    if kind == "pell":
+        return quadform._Classes(f, k, quadform._table(tables, disc))
+    if kind == "line":
+        return quadform._Factored(f, k)
+    return None
+
+
+_SWEEP_DATA = {"pell": quadform._Classes, "line": quadform._Factored}
 
 
 class TestSlotKind:
     """_slot_kind names the kind of a form with its content, primitive
-    part and primitive discriminant, and _prepare builds the enumeration
-    data of that kind."""
+    part and primitive discriminant, and the sweep data of a "pell" or
+    "line" form build from them."""
 
     @settings(deadline=None)
     @given(
@@ -555,7 +562,13 @@ class TestSlotKind:
             kind = "pell"
         f = tuple(x // k for x in values)
         assert quadform._slot_kind(form) == (kind, k, f, d // (k * k))
-        assert type(quadform._prepare(form, {})) is _KIND_DATA[kind]
+        data = _sweep_data(form, {})
+        assert type(data) is _SWEEP_DATA.get(kind, type(None))
+        if kind == "line":
+            # Q = scale * (r*m + s*n)^2 with gcd(r, s) = 1
+            r, s, scale = data.r, data.s, data.scale
+            assert (scale * r * r, 2 * scale * r * s, scale * s * s) == values
+            assert gcd(r, s) == 1
         event(kind)
 
     @pytest.mark.parametrize(
@@ -572,7 +585,7 @@ class TestSlotKind:
     def test_one_form_per_kind(self, coeffs, expected):
         form = QuadForm(*coeffs)
         assert quadform._slot_kind(form) == expected
-        assert type(quadform._prepare(form, {})) is _KIND_DATA[expected[0]]
+        assert type(_sweep_data(form, {})) is _SWEEP_DATA.get(expected[0], type(None))
 
 
 class TestReductionTheory:
@@ -645,10 +658,63 @@ class TestReductionTheory:
         )
 
 
+class TestBoundedScan:
+    """enumerate_solutions scans m = 1..bound once per distinct target, with
+    at most one isqrt per column, whatever the size of the target."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(forms_of_every_class(), st.integers(1, 30), st.data())
+    def test_matches_naive_oracle(self, form, bound, data):
+        # values at points of the box, small targets and 0, on every kind
+        points = data.draw(st.lists(st.tuples(st.integers(1, bound), st.integers(0, bound))))
+        targets = {0, *data.draw(st.lists(st.integers(-60, 60), max_size=4))}
+        targets.update(form.value(m, n) for m, n in points)
+        event(quadform._slot_kind(form)[0])
+        assert enumerate_solutions(form, targets, bound) == naive_enumerate(form, targets, bound)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            (1, 0, -2),  # pell
+            (3, -6, 3),  # line
+            (2, -5, 2),  # square-disc
+            (0, 4, -6),  # square-disc with qa = 0
+            (2, 3, 0),  # square-disc with qc = 0
+        ],
+    )
+    def test_isqrt_calls_within_the_work_bound(self, monkeypatch, coeffs):
+        form, bound = QuadForm(*coeffs), 300
+        targets = [0, 1, -1, 3, 12, -12, 48, 3, form.value(250, 17), 10**40]
+        expected = reference_enumerate_solutions(form, targets, bound)
+        calls = []
+        monkeypatch.setattr(quadform, "isqrt", lambda n: calls.append(n) or isqrt(n))
+        assert enumerate_solutions(form, targets, bound) == expected
+        assert len(calls) <= bound * len(set(targets))
+
+    def test_definite_scan_stops_at_the_first_negative_radicand(self, monkeypatch):
+        # m^2 + n^2 = 25: the radicand 100 - 4m^2 is negative from m = 6 on
+        calls = []
+        monkeypatch.setattr(quadform, "isqrt", lambda n: calls.append(n) or isqrt(n))
+        got = enumerate_solutions(QuadForm(1, 0, 1), {25}, 10**6)
+        assert got == [(3, 4, 25), (4, 3, 25), (5, 0, 25)]
+        assert len(calls) <= 6
+
+    def test_two_prime_target_near_10_26_ends_in_time(self):
+        # a product of two primes near 10^13 inside the box: its size does
+        # not enter the scan
+        big = (10**13 + 37) * (10**13 + 51)
+        start = time.perf_counter()
+        assert enumerate_solutions(QuadForm(1, 0, -(10**30 + 1)), {big}, 300) == []
+        f = QuadForm(1, 1, -(10**30 + 1))
+        assert enumerate_solutions(f, {big, f.value(7, 3)}, 300) == [(7, 3, f.value(7, 3))]
+        assert time.perf_counter() - start < 2
+
+
 def _sweep(form, bound, target_cap, tables=None):
-    """The lists of _by_magnitude, over class data from ``tables`` if given."""
-    kind = quadform._prepare(form, {} if tables is None else tables)
-    return list(quadform._by_magnitude(form, kind, bound, target_cap))
+    """The lists of _by_magnitude on a "pell" or "line" form, over class
+    data from ``tables`` if given."""
+    data = _sweep_data(form, {} if tables is None else tables)
+    return list(quadform._by_magnitude(form, data, bound, target_cap))
 
 
 def _per_magnitude(form, bound, target_cap):
@@ -663,34 +729,42 @@ def _per_magnitude(form, bound, target_cap):
     return out
 
 
-SWEPT_CLASSES = tuple(c for c in FORM_CLASSES if c not in DEFINITE_CLASSES)
+def _swept(form):
+    """Whether sol_quad can sweep the form: a "pell" or "line" form."""
+    return quadform._slot_kind(form)[0] in _SWEEP_DATA
+
+
+SWEPT_CLASSES = ("D=0", "D>0", "one-sign")
 
 
 class TestMagnitudeSweep:
-    # sol_quad refuses definite forms before it sweeps, so the sweep is
-    # checked on forms of D >= 0 only, against the windowed scan
+    # sol_quad sweeps only "pell" and "line" forms, so the sweep is checked
+    # on those, against the windowed scan
 
     def test_forge_forms_match_enumeration(self):
-        forms = [form for form in _forge_forms() if form.discriminant >= 0]
+        forms = [form for form in _forge_forms() if _swept(form)]
         for form in forms:
             assert _sweep(form, 2000, 30) == _per_magnitude(form, 2000, 30), form
-        assert len(forms) == 158
+        # 136 "pell" and 12 "line" forms
+        assert len(forms) == 148
 
     @settings(max_examples=300, deadline=None)
     @given(forms_of_every_class(SWEPT_CLASSES), st.integers(1, 300), st.integers(1, 60))
     def test_matches_enumeration(self, form, bound, target_cap):
-        # contents up to 4 with caps that are no multiples of them, square
-        # discriminants, and bounds small enough to cut orbits
+        # contents up to 4 with caps that are no multiples of them, lines,
+        # and bounds small enough to cut orbits
+        assume(_swept(form))
+        event(quadform._slot_kind(form)[0])
         assert _sweep(form, bound, target_cap) == _per_magnitude(form, bound, target_cap)
 
     def test_shared_table_matches_fresh(self):
-        forms = [form for form in _forge_forms() if form.discriminant >= 0]
+        forms = [form for form in _forge_forms() if _swept(form)]
         fresh = {form: _sweep(form, 2000, 30) for form in forms}
         for order in (forms, forms[::-1]):
             tables = {}
             for form in order:
                 assert _sweep(form, 2000, 30, tables) == fresh[form], form
-        # the 158 forms have far fewer primitive discriminants than forms
+        # the swept forms have far fewer primitive discriminants than forms
         assert len(tables) < len(forms) // 2
 
     @pytest.mark.parametrize("target_cap, swept", [(30, 2), (MAX_TARGET_CAP, 5)])
@@ -700,7 +774,7 @@ class TestMagnitudeSweep:
         # // |qa|), isqrt(cap // |qc|)): on every one-sign "pell" form of the
         # golden pairs' seeds each magnitude's list over the 2000-box is the
         # one over B's box, and a form that passes the unit test is swept by
-        # its classes over the 2000-box, with no scan built
+        # its classes over the 2000-box
         tables = {}
         forms = []
         for form in _golden_forms():
@@ -713,12 +787,9 @@ class TestMagnitudeSweep:
             assert list(quadform._by_magnitude(form, classes, box, target_cap)) == list(
                 quadform._by_magnitude(form, classes, 2000, target_cap)
             ), form
-            with _recording((quadform, "_by_magnitude")) as sweeps, _recording(
-                (quadform._Definite, "__init__")
-            ) as scans:
+            with _recording((quadform, "_by_magnitude")) as sweeps:
                 with contextlib.suppress(NoOrbitFound):
                     sol_quad(form, target_cap=target_cap)
-            assert scans == [], form
             if sweeps:
                 swept -= 1
                 ((data, bound, _),) = sweeps
@@ -759,9 +830,7 @@ class TestClassIndex:
         # bases, with z = (1, 0)
         checked = nonempty = 0
         for form in _forge_forms():
-            if form.discriminant < 0:
-                continue
-            kind = quadform._prepare(form, {})
+            kind = _sweep_data(form, {})
             if not isinstance(kind, quadform._Classes):
                 continue
             for a in range(1, 31):
@@ -790,7 +859,7 @@ class TestClassIndex:
             {
                 quadform._slot_kind(form)[3]
                 for form in _forge_forms()
-                if isinstance(quadform._prepare(form, {}), quadform._Classes)
+                if quadform._slot_kind(form)[0] == "pell"
             }
         )[:8]
         signed = [a if a % 3 else -a for a in range(1, 31)]
@@ -817,14 +886,22 @@ def _met_candidates(forms, bound=2000, target_cap=30):
     forms when nothing is decided before it, as (form, candidate) pairs:
     the ladders of _by_magnitude up to the first magnitude that certifies,
     each cut after its first constant orbit, the forms sharing their class
-    data as in forge.  Definite and one-variable forms meet none."""
+    data as in forge.  A "square-disc" form, which sol_quad refuses before
+    any sweep, meets the ladders of enumerate_solutions per magnitude.
+    Definite and one-variable forms meet none."""
     met = []
     tables = {}
     for form in forms:
         if form.discriminant < 0 or (form.qb == 0 and form.qa * form.qc == 0):
             continue
-        kind = quadform._prepare(form, tables)
-        for sols in quadform._by_magnitude(form, kind, bound, target_cap):
+        data = _sweep_data(form, tables)
+        if data is None:
+            lists = (
+                enumerate_solutions(form, (mag, -mag), bound) for mag in range(1, target_cap + 1)
+            )
+        else:
+            lists = quadform._by_magnitude(form, data, bound, target_cap)
+        for sols in lists:
             found = None
             for cand in quadform._ladder(sols):
                 met.append((form, cand))
@@ -932,79 +1009,45 @@ class TestFactor:
             assert quadform._factor(n) == trial_factor(n), n
 
     def test_semiprimes_and_prime_powers(self):
+        # the cofactor left when p * p exceeds it is a prime, a power of 2
+        # is divided out before the odd candidates, and a square of a
+        # prime ends the loop at that prime
         rng = random.Random(89)
-        candidates = (rng.randint(10**5, 10**6) for _ in range(400))
+        candidates = (rng.randint(10**3, 10**4) for _ in range(400))
         primes = sorted({p for p in candidates if trial_factor(p) == {p: 1}})
         assert len(primes) > 20
         for p, q in zip(primes, primes[1:]):
             assert quadform._factor(p * q) == {p: 1, q: 1}
             assert quadform._factor(p * p * q) == {p: 2, q: 1}
             assert quadform._factor(p**3) == {p: 3}
+            assert quadform._factor(4 * p * q) == {2: 2, p: 1, q: 1}
+            assert quadform._factor(p * p) == {p: 2}
 
     def test_large_semiprime(self):
-        p, q = 1000000007, 100000007
+        # primes near 10^6: the loop runs to the smaller factor, about
+        # 5 * 10^5 odd candidates, and for p * p to p itself
+        p, q = 1000003, 999983
         assert quadform._factor(4 * p * q) == {2: 2, p: 1, q: 1}
         assert quadform._factor(p * p) == {p: 2}
 
-    def test_miller_rabin_bases_at_their_limit(self):
-        # psi_12, the least strong pseudoprime to the bases 2..37, falls to
-        # base 41; psi_13, the least one to 2..41, passes them all, so
-        # Miller-Rabin decides primality exactly below it (Sorenson & Webster)
-        assert not quadform._is_prime(318665857834031151167461)
-        psi_13 = 3317044064679887385961981
-        assert quadform._is_prime(psi_13) and psi_13 == quadform._MR_PROVEN
-
-    def test_trial_division_above_the_proven_bound(self, monkeypatch):
-        tested = []
-        is_prime = quadform._is_prime
-        monkeypatch.setattr(quadform, "_is_prime", lambda n: tested.append(n) or is_prime(n))
-        # 67^14 > _MR_PROVEN: trial division goes on to 67, and only the
-        # cofactor below the bound meets Miller-Rabin
-        assert quadform._factor(67**14 * 1000003) == {67: 14, 1000003: 1}
-        assert tested == [1000003]
+    def test_trial_division_alone_below_65_squared(self):
+        # every CLI target gives 4|e'| <= 4 * MAX_TARGET_CAP, below 65^2, so
+        # no candidate above 64 is ever tried for it
+        assert 4 * MAX_TARGET_CAP < 65 * 65
+        for n in range(1, 65 * 65):
+            assert quadform._factor(n) == trial_factor(n), n
+        # 67^2 is the least n with no prime factor below 65 but not prime
+        assert quadform._factor(67 * 67) == {67: 2}
 
     def test_huge_targets_end_in_time(self):
-        # the large targets lie near 10^17: trial division of them took 21 s
+        # the large targets lie near 10^17; the scan costs at most 300 isqrt
+        # calls per target, whatever its size
         form = QuadForm(-443522816873, -982260105182, 930848578435)
         targets = [-37824618397980917, -34748209332988136, -25, -6, -2, 41247816907507579]
         start = time.perf_counter()
         got = enumerate_solutions(form, targets, 300)
         assert time.perf_counter() - start < 2
         assert got == reference_enumerate_solutions(form, targets, 300) and len(got) == 3
-
-    def test_trial_division_alone_below_65_squared(self, monkeypatch):
-        def unreached(n):
-            raise RuntimeError(f"reached with {n}")
-
-        monkeypatch.setattr(quadform, "_is_prime", unreached)
-        monkeypatch.setattr(quadform, "_pollard_rho", unreached)
-        # every CLI target gives 4|e'| <= 4 * MAX_TARGET_CAP, below the bound
-        assert 4 * MAX_TARGET_CAP < 65 * 65
-        for n in range(1, 65 * 65):
-            assert quadform._factor(n) == trial_factor(n), n
-        # 67^2 is the least n whose cofactor outlives trial division
-        with pytest.raises(RuntimeError):
-            quadform._factor(67 * 67)
-
-    def test_rho_retries_when_the_cycle_closes_modulo_n(self):
-        def first_gcd(n, c):
-            # the gcd the Floyd loop ends with for this c
-            x = y = 2
-            g = 1
-            while g == 1:
-                x = (x * x + c) % n
-                y = ((y * y + c) ** 2 + c) % n
-                g = gcd(x - y, n)
-            return g
-
-        # c = 1 closes the cycle modulo both factors at once on each; 2669
-        # fails with c = 2 as well
-        for n, p, q in [(21, 3, 7), (341, 11, 31), (2669, 17, 157)]:
-            assert first_gcd(n, 1) == n
-            assert quadform._pollard_rho(n) in (p, q)
-        assert first_gcd(2669, 2) == 2669
-        for p in (999999937, 1000000007):
-            assert quadform._pollard_rho(p * p) == p
 
 
 @contextlib.contextmanager
@@ -1223,8 +1266,8 @@ class TestSolQuad:
         # the reference enumerates every magnitude and knows no unit test
         got = _outcome(sol_quad, form, bound, target_cap)
         assert got == _outcome(reference_sol_quad, form, bound, target_cap)
-        kind = quadform._prepare(form, {})
-        if not kind.table.has_unit(1 + isqrt(bound)):
+        table = quadform._DiscTable(quadform._slot_kind(form)[3])
+        if not table.has_unit(1 + isqrt(bound)):
             event("no small unit")
         else:
             event("orbit" if isinstance(got, dict) else "no orbit after the sweep")
@@ -1242,7 +1285,7 @@ class TestSolQuad:
         # only a line of a D = 0 form off the axes can carry an orbit: every
         # other form of square discriminant is refused before the sweep
         # lists a single point, with the message the sweep would end in
-        with _recording((quadform._Factored, "points")) as asked:
+        with _recording((quadform._Factored, "primitive")) as asked:
             got = _outcome(sol_quad, form, bound, target_cap)
         assert got == _outcome(reference_sol_quad, form, bound, target_cap)
         if form.discriminant != 0 or form.qb == 0:
@@ -1264,8 +1307,8 @@ class TestSolQuad:
         orbit = sol_quad(form, target_cap=16)
         assert orbit.pairs(4) == [(1, 3), (2, 2), (3, 1), (4, 0)]
         assert (orbit.target, orbit.kind) == (16, "constant")
-        # at 15, M = 3 < 4: refused before the factors list a point
-        with _recording((quadform._Factored, "points")) as asked:
+        # at 15, M = 3 < 4: refused before the factor lists a point
+        with _recording((quadform._Factored, "primitive")) as asked:
             with pytest.raises(NoOrbitFound) as refused:
                 sol_quad(form, target_cap=15)
         assert asked == []
@@ -1290,7 +1333,7 @@ class TestSolQuad:
     def test_each_kind_builds_only_its_data(self, coeffs, target_cap, outcome, built):
         # a refusal builds no enumeration data, and a sweep builds only the
         # data of its kind
-        classes = (quadform._DiscTable, quadform._Classes, quadform._Factored, quadform._Definite)
+        classes = (quadform._DiscTable, quadform._Classes, quadform._Factored)
         with contextlib.ExitStack() as stack:
             calls = {c.__name__: stack.enter_context(_recording((c, "__init__"))) for c in classes}
             try:
@@ -1305,15 +1348,12 @@ class TestSolQuad:
         # D = 125 lies in Q(sqrt(5)), whose least norm +1 unit, the square
         # of (1 + sqrt(5))/2, has trace 3 = 1 + isqrt(4): at cap 16, M = 4
         # and the form is swept by its classes; at 15, M = 3 and it is
-        # refused before the classes are asked anything.  Neither builds
-        # the scan of definite forms, and both end in the same message.
-        with _recording((quadform._Classes, "primitive")) as asked, _recording(
-            (quadform._Definite, "__init__")
-        ) as scans:
+        # refused before the classes are asked anything.  Both end in the
+        # same message.
+        with _recording((quadform._Classes, "primitive")) as asked:
             with pytest.raises(NoOrbitFound) as refused:
                 sol_quad(QuadForm(1, 13, 11), target_cap=cap)
         assert bool(asked) == swept
-        assert scans == []
         assert str(refused.value) == (
             f"no certified orbit for m^2 + 13*m*n + 11*n^2 with |target| <= {cap}, "
             "enumeration bound 2000"
@@ -1388,12 +1428,8 @@ class TestSolQuad:
     @example(QuadForm(-3, -12, -3), 400, 243)
     def test_one_sign_forms_match_reference(self, form, bound, target_cap):
         # a one-sign form is swept only when a norm +1 unit, or the step of
-        # a D = 0 line, fits the box of M = min(bound, isqrt(cap // |qa|));
-        # a swept "pell" form is swept by its classes, never by the scan of
-        # definite forms
-        with _recording((quadform._Definite, "__init__")) as scans, _recording(
-            (quadform._Classes, "__init__"), (quadform._Factored, "__init__")
-        ) as built:
+        # a D = 0 line, fits the box of M = min(bound, isqrt(cap // |qa|))
+        with _recording((quadform._Classes, "__init__"), (quadform._Factored, "__init__")) as built:
             got = _outcome(sol_quad, form, bound, target_cap)
         assert got == _outcome(reference_sol_quad, form, bound, target_cap)
         d, k = form.discriminant, _content(form)
@@ -1404,7 +1440,6 @@ class TestSolQuad:
         else:
             fits = d == 0 and form.qb != 0 and 1 + 3 * isqrt(abs(form.qc) // k) <= reach
         assert bool(built) == fits
-        assert scans == []
         if not fits:
             event("refused")
             assert got is NoOrbitFound
