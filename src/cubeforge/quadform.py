@@ -45,12 +45,12 @@ window of positions can reach the box (proved in ``_Classes``), so only the
 window is explored, from both sides of the reduction of f; a huge unit, or
 a long cycle, costs no more than a small one.  When 2|e'| < sqrt(D') the
 forms f_B of the class are read off the cycle directly (Lagrange).  The
-square roots of D' mod 4|e'| come from the factorisation of 4|e'| by trial
-division (``_factor``), Tonelli-Shanks and Hensel lifting per odd prime
-power, bit-by-bit lifting for powers of 2, and the Chinese remainder
-theorem.  The roots and the reduced forms f_B depend only on (D', e'), so
-they live in a ``_DiscTable`` per D' that every form of that discriminant
-shares.
+square roots B of D' mod 4|e'| come from one scan of the |e'| integers of
+D''s parity in the window (sqrt(D') - 2|e'|, sqrt(D')): B^2 mod 4|e'|
+depends on B mod 2|e'| only, the window holds one B of each class, and
+B^2 = D' (mod 4) fixes the parity.  The roots and the reduced forms f_B
+depend only on (D', e'), so they live in a ``_DiscTable`` per D' that
+every form of that discriminant shares.
 
 D = 0 with qb != 0.  Q = k'*L^2 with k' = +-k and L = r*m + s*n primitive,
 so a solution lies on one of the lines L = +-p with k'*p^2 = e.
@@ -59,10 +59,16 @@ Cost.  enumerate_solutions takes at most bound isqrt calls or divisions
 per distinct target, whatever the size of the targets: O(bound *
 |distinct targets|), and nothing for a target beyond (|qa| + |qb| + |qc|)
 * bound^2, which bounds |Q| on the box.  The sweep, per discriminant D',
-for each |e'| met: the trial division of
-4|e'|, O(sqrt|e'|) steps, and the square roots, then O(1 + log(|e'| /
-sqrt(D'))) reduction steps per root B for each of e' and -e', computed
-once in the table (none when 2|e'| < sqrt(D')).  Per form, one reduction
+for each |e'| met: the scan of |e'| candidates B for the square roots,
+then O(1 + log(|e'| / sqrt(D'))) reduction steps per root B for each of
+e' and -e', computed once in the table (none when 2|e'| < sqrt(D')).  The
+scans of a sweep up to target_cap add up to O(target_cap^2) steps per D',
+at most 20100 at the CLI's MAX_TARGET_CAP = 200; beyond that cap they
+dominate the library call: sol_quad(QuadForm(2, -9, 5), bound=20000),
+which finds no orbit, took 5.5 ms at target_cap 200, 0.23 s at 2000 and
+4.9 s at 10^4, where a factorisation of 4|e'| with Tonelli-Shanks,
+Hensel lifting and CRT took 5.5 ms, 0.06 s and 0.32 s (one Xeon core,
+CPython 3.11).  Per form, one reduction
 and the window: the positions j where |L+-| of the first column of P_j
 stay within the box's bound times sqrt(D') |z| / |e'|, O(log(bound * D' *
 |z|)) positions, as those grow geometrically along the cycle.  Beyond
@@ -218,95 +224,6 @@ class PellOrbit:
         }
 
 
-def _factor(n: int) -> dict[int, int]:
-    """{p: k} with n = prod p^k, for n >= 1, by trial division: at most
-    sqrt(n) / 2 + 1 candidate divisors.  Its one caller, _DiscTable.bases,
-    passes 4|e1| for an e1 of sol_quad's sweep, which reaches |e1| only
-    after sweeping every smaller magnitude, so the division never outweighs
-    the sweep; the CLI caps |e1| at MAX_TARGET_CAP = 200, so n <= 800."""
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _sqrt_mod_prime(a: int, p: int) -> int | None:
-    """A square root of the unit a modulo the odd prime p, or None when a is
-    a non-residue (Tonelli-Shanks)."""
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) == 1:
-        z += 1
-    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (s - i - 1), p)
-        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
-
-
-def _sqrts_mod_prime_power(d: int, p: int, k: int) -> list[int]:
-    """Every x mod p^k with x^2 = d (mod p^k).  With d = p^v * d', d' a unit
-    and v < k, x = p^(v/2) * y where y^2 = d' (mod p^(k-v)): the unit roots
-    come from Tonelli-Shanks and Hensel lifting (p odd) or bit by bit (p = 2),
-    and each has p^(v/2) lifts modulo p^(k-v/2)."""
-    q = p**k
-    d %= q
-    if d == 0:
-        return list(range(0, q, p ** ((k + 1) // 2)))
-    v = 0
-    while d % p == 0:
-        d //= p
-        v += 1
-    if v % 2:
-        return []
-    h, j = p ** (v // 2), k - v
-    pj = p**j
-    if p == 2:
-        ys = [1]
-        for i in range(1, j):  # the roots mod 2^i lift to y or y + 2^i
-            ys = [y + t for y in ys for t in (0, 1 << i) if ((y + t) ** 2 - d) % (2 << i) == 0]
-    else:
-        y = _sqrt_mod_prime(d % p, p)
-        if y is None:
-            return []
-        pi = p
-        for _ in range(1, j):
-            pi *= p
-            y = (y - (y * y - d) * pow(2 * y, -1, pi)) % pi
-        ys = [y, pj - y]
-    return [h * (y + i * pj) for y in ys for i in range(h)]
-
-
-def _sqrts_mod(d: int, factors: dict[int, int]) -> list[int]:
-    """Every x mod N = prod p^k over ``factors`` with x^2 = d (mod N): the
-    roots per prime power joined by the Chinese remainder theorem."""
-    xs, mod = [0], 1
-    for p, k in factors.items():
-        q = p**k
-        roots = _sqrts_mod_prime_power(d, p, k)
-        if not roots:
-            return []
-        inv = pow(mod, -1, q)
-        xs = [x + mod * ((r - x) * inv % q) for x in xs for r in roots]
-        mod *= q
-    return xs
-
-
 # 2x2 integer matrices are tuples (p, q, r, s) = [[p, q], [r, s]] acting on
 # column vectors; a form f transformed by M is f∘M, (f∘M)(v) = f(M v).
 
@@ -355,10 +272,14 @@ class _DiscTable:
     nothing but disc and the bound.
 
     The lists are memoised per e1.  The roots B depend on |e1| only, so one
-    call factors 4|e1|, takes the roots once and fills the lists of e1 and
-    -e1 together; the sweep asks for both.  The unit test is memoised by
-    the traces it has scanned.  A table lives as long as its owner: one
-    sol_quad call, or one forge call for all the forms it meets."""
+    call scans the |e1| candidates B of disc's parity in the window once and
+    fills the lists of e1 and -e1 together; the sweep asks for both.  Over
+    a sweep the scans cost O(target_cap^2) steps per disc: at most 20100 at
+    the CLI's caps, but 4.9 s of sol_quad(QuadForm(2, -9, 5), bound=20000)
+    at target_cap 10^4 (the module docstring's Cost paragraph).  The unit
+    test is memoised by the traces it has scanned.  A table lives as long
+    as its owner: one sol_quad call, or one forge call for all the forms it
+    meets."""
 
     def __init__(self, disc: int):
         self.disc = disc
@@ -411,11 +332,14 @@ class _DiscTable:
         if e1 not in self._bases:
             disc, root = self.disc, self.root
             two_e = 2 * abs(e1)
-            roots = {x % two_e for x in _sqrts_mod(disc, _factor(2 * two_e))}  # 4|e1|
+            # the B of the window of disc's parity, as B^2 = disc (mod 4)
+            # forces it: |e1| candidates
+            low = root - two_e + 1
+            low += (low - disc) % 2
+            roots = [b for b in range(low, root + 1, 2) if (b * b - disc) % (2 * two_e) == 0]
             for e in (e1, -e1):
                 out = self._bases[e] = []
-                for x in roots:
-                    b = root - (root - x) % two_e
+                for b in roots:
                     reduced, m = _reduce_indefinite((e, b, (b * b - disc) // (4 * e)), disc, root)
                     out.append((reduced, (m[3], -m[2])))
         return self._bases[e1]

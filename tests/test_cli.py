@@ -966,8 +966,9 @@ class _Reached(Exception):
 class TestUnreachedHelpers:
     """No CLI verb runs the polynomial division loop: with it replaced by a
     function that raises, every verb gives the same exit code and stdout.
-    The CLI caps every target at MAX_TARGET_CAP, so quadform._factor, trial
-    division, is never asked for more than 4 * MAX_TARGET_CAP."""
+    The CLI caps every target at MAX_TARGET_CAP, so quadform._DiscTable.bases
+    is never asked for an |e1| above it, and its root scan never takes more
+    than MAX_TARGET_CAP steps."""
 
     def test_verbs_give_the_same_output_without_them(self, tmp_path, capsys, monkeypatch):
         cap = str(cli.MAX_TARGET_CAP)
@@ -998,13 +999,15 @@ class TestUnreachedHelpers:
             raise _Reached(args)
 
         monkeypatch.setattr(kernel, "_pdiv", unreached)
-        factored = []
-        factor = quadform._factor
-        monkeypatch.setattr(quadform, "_factor", lambda n: factored.append(n) or factor(n))
+        asked = []
+        bases = quadform._DiscTable.bases
+        monkeypatch.setattr(
+            quadform._DiscTable, "bases", lambda self, e1: asked.append(e1) or bases(self, e1)
+        )
         for argv, want in zip(table, expected):
             assert run(argv) == want, argv
-        # the forge runs factor 4|e'| up to 4 * MAX_TARGET_CAP
-        assert factored and max(factored) <= 4 * cli.MAX_TARGET_CAP
+        # the forge runs scan the roots for |e1| up to MAX_TARGET_CAP
+        assert asked and max(abs(e1) for e1 in asked) <= cli.MAX_TARGET_CAP
 
 
 class TestJsonBytes:

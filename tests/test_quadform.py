@@ -709,6 +709,16 @@ class TestBoundedScan:
         assert enumerate_solutions(f, {big, f.value(7, 3)}, 300) == [(7, 3, f.value(7, 3))]
         assert time.perf_counter() - start < 2
 
+    def test_huge_targets_end_in_time(self):
+        # the large targets lie near 10^17; the scan costs at most 300 isqrt
+        # calls per target, whatever its size
+        form = QuadForm(-443522816873, -982260105182, 930848578435)
+        targets = [-37824618397980917, -34748209332988136, -25, -6, -2, 41247816907507579]
+        start = time.perf_counter()
+        got = enumerate_solutions(form, targets, 300)
+        assert time.perf_counter() - start < 2
+        assert got == reference_enumerate_solutions(form, targets, 300) and len(got) == 3
+
 
 def _sweep(form, bound, target_cap, tables=None):
     """The lists of _by_magnitude on a "pell" or "line" form, over class
@@ -818,6 +828,23 @@ def _in_box(points, limit):
     return sorted(out)
 
 
+def _pell_discs():
+    """The first 8 primitive discriminants of the "pell" forms forge meets
+    on the benchmark weight pairs."""
+    kinds = (quadform._slot_kind(form) for form in _forge_forms())
+    return sorted({disc for kind, _, _, disc in kinds if kind == "pell"})[:8]
+
+
+def _completion(x, y):
+    """(u, v) with x*v - y*u = 1, for gcd(x, y) = 1."""
+    r0, r1, s0, s1, t0, t1 = x, y, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1, s0, s1, t0, t1 = r1, r0 - q * r1, s1, s0 - q * s1, t1, t0 - q * t1
+    # x*s0 + y*t0 = r0 = +-1
+    return -t0 * r0, s0 * r0
+
+
 class TestClassIndex:
     """_Classes keeps one index of its explored cycle positions, keyed by
     the first coefficient of their reduced form, and _DiscTable one memo,
@@ -854,31 +881,53 @@ class TestClassIndex:
         # points in the box
         assert (checked, nonempty) == (3028, 415)
 
-    def test_bases_of_both_signs_from_one_factorisation(self, monkeypatch):
-        discs = sorted(
-            {
-                quadform._slot_kind(form)[3]
-                for form in _forge_forms()
-                if quadform._slot_kind(form)[0] == "pell"
-            }
-        )[:8]
+    def test_bases_of_both_signs_from_one_root_scan(self, monkeypatch):
+        discs = _pell_discs()
         signed = [a if a % 3 else -a for a in range(1, 31)]
         fresh = {
             disc: {e: quadform._DiscTable(disc).bases(e) for a in signed for e in (a, -a)}
             for disc in discs
         }
-        factored = []
-        factor = quadform._factor
-        monkeypatch.setattr(quadform, "_factor", lambda n: factored.append(n) or factor(n))
+        reduced = []
+        reduce = quadform._reduce_indefinite
+        monkeypatch.setattr(
+            quadform, "_reduce_indefinite", lambda *args: reduced.append(args) or reduce(*args)
+        )
         for disc in discs:
             table = quadform._DiscTable(disc)
-            factored.clear()
             for e in signed:
+                reduced.clear()
                 assert table.bases(e) == fresh[disc][e]
-                # -e is held already: no second factorisation
+                # one scan reduces the f_B of e and of -e
+                assert len(reduced) == 2 * len(fresh[disc][e]), (disc, e)
+                reduced.clear()
+                # -e is held already: no new work
                 assert table.bases(-e) == fresh[disc][-e]
-            assert factored == [4 * abs(e) for e in signed], disc
+                assert reduced == [], (disc, e)
         assert len(discs) == 8
+
+    def test_bases_match_residue_oracle(self):
+        # every B mod 2|e1| with B^2 = disc (mod 4|e1|), from all residues
+        # mod 4|e1| mapped into the window, against the B that each (g, z)
+        # of bases fixes: z completed to M in SL2(Z) gives g∘M = (e1, B', .)
+        # with B' = B (mod 2|e1|) whatever the completion
+        listed = 0
+        for disc in _pell_discs() + [5, 8, 125, 213, 4 * (10**13 + 37) * (10**13 + 51)]:
+            table, root = quadform._DiscTable(disc), isqrt(disc)
+            for a in range(1, MAX_TARGET_CAP + 1):
+                roots = (x for x in range(4 * a) if (x * x - disc) % (4 * a) == 0)
+                want = sorted({root - (root - x) % (2 * a) for x in roots})
+                for e1 in (a, -a):
+                    got = []
+                    for (ga, gb, gc), (x, y) in table.bases(e1):
+                        assert 0 < gb <= root and root - gb < 2 * abs(ga) <= root + gb
+                        assert ga * x * x + gb * x * y + gc * y * y == e1
+                        u, v = _completion(x, y)
+                        b = 2 * ga * x * u + gb * (x * v + y * u) + 2 * gc * y * v
+                        got.append(root - (root - b) % (2 * a))
+                    assert sorted(got) == want, (disc, e1)
+                    listed += len(got)
+        assert listed
 
 
 def _met_candidates(forms, bound=2000, target_cap=30):
@@ -986,68 +1035,6 @@ class TestUnitReadOff:
         orbit = _orbit_from_solutions(form, sols)
         assert orbit.kind == "alternating" and orbit.gf_m.den == (1, 0, -15, 0, 1)
         assert _orbit_key(orbit) == _orbit_key(reference_orbit_from_solutions(form, sols))
-
-
-def trial_factor(n):
-    """{p: k} with n = prod p^k by trial division: the oracle for _factor."""
-    out = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-class TestFactor:
-    def test_matches_trial_division(self):
-        rng = random.Random(83)
-        for n in list(range(1, 3000)) + [rng.randint(1, 10**12) for _ in range(100)]:
-            assert quadform._factor(n) == trial_factor(n), n
-
-    def test_semiprimes_and_prime_powers(self):
-        # the cofactor left when p * p exceeds it is a prime, a power of 2
-        # is divided out before the odd candidates, and a square of a
-        # prime ends the loop at that prime
-        rng = random.Random(89)
-        candidates = (rng.randint(10**3, 10**4) for _ in range(400))
-        primes = sorted({p for p in candidates if trial_factor(p) == {p: 1}})
-        assert len(primes) > 20
-        for p, q in zip(primes, primes[1:]):
-            assert quadform._factor(p * q) == {p: 1, q: 1}
-            assert quadform._factor(p * p * q) == {p: 2, q: 1}
-            assert quadform._factor(p**3) == {p: 3}
-            assert quadform._factor(4 * p * q) == {2: 2, p: 1, q: 1}
-            assert quadform._factor(p * p) == {p: 2}
-
-    def test_large_semiprime(self):
-        # primes near 10^6: the loop runs to the smaller factor, about
-        # 5 * 10^5 odd candidates, and for p * p to p itself
-        p, q = 1000003, 999983
-        assert quadform._factor(4 * p * q) == {2: 2, p: 1, q: 1}
-        assert quadform._factor(p * p) == {p: 2}
-
-    def test_trial_division_alone_below_65_squared(self):
-        # every CLI target gives 4|e'| <= 4 * MAX_TARGET_CAP, below 65^2, so
-        # no candidate above 64 is ever tried for it
-        assert 4 * MAX_TARGET_CAP < 65 * 65
-        for n in range(1, 65 * 65):
-            assert quadform._factor(n) == trial_factor(n), n
-        # 67^2 is the least n with no prime factor below 65 but not prime
-        assert quadform._factor(67 * 67) == {67: 2}
-
-    def test_huge_targets_end_in_time(self):
-        # the large targets lie near 10^17; the scan costs at most 300 isqrt
-        # calls per target, whatever its size
-        form = QuadForm(-443522816873, -982260105182, 930848578435)
-        targets = [-37824618397980917, -34748209332988136, -25, -6, -2, 41247816907507579]
-        start = time.perf_counter()
-        got = enumerate_solutions(form, targets, 300)
-        assert time.perf_counter() - start < 2
-        assert got == reference_enumerate_solutions(form, targets, 300) and len(got) == 3
 
 
 @contextlib.contextmanager
