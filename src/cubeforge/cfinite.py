@@ -9,9 +9,11 @@ identity among C-finite sequences that holds for enough initial indices
 holds for all of them, because the left side is itself C-finite of bounded
 order.  The normal form decides coprimality before it takes a polynomial
 gcd (``_coprime``): in closed form when one side has degree <= 2, by Euclid
-mod a prime otherwise, and the finite check compiles its
-expression once into a term plan that it evaluates on the expanding series
-(``certify_zero``).  The pipeline builds its denominators
+mod a prime otherwise.  The finite check (``certify_zero``) reads its
+expression in one pass that gives the depth, the used sequences and a term
+plan (``_compile``, which ``certificate_bound`` shares), and evaluates the
+plan while it extends each integer sequence as a list of ints, one term per
+checked index.  The pipeline builds its denominators
 (quadform._unit_recurrence, forge._value_gfs); guessing a recurrence from
 data, ``joint_guess_recurrence`` and ``seq_from_terms``, is kept for
 library callers.
@@ -497,11 +499,57 @@ def _symmetric_square(den: Coeffs) -> Coeffs:
     return tuple(d)
 
 
+def _compile(expr: MultiPoly, seqs: Mapping[str, RationalGF]):
+    """(bound, places, even, odd) from one pass over the terms of ``expr``:
+    the depth of certificate_bound, the (place in an exponent vector,
+    sequence) of each used symbol in the order of expr.variables, and the
+    term plan, once with each term's sign at even n and once at odd n.  A
+    term's plan entry is its coefficient and its (place, exponent) pairs;
+    the parity of its SIGN_SYMBOL exponent fixes its sign at odd n.
+    UnboundSymbol is raised for a used symbol with no sequence."""
+    variables = expr.variables
+    sign = variables.index(SIGN_SYMBOL) if SIGN_SYMBOL in variables else -1
+    used = [False] * len(variables)
+    support = set()
+    even, odd = [], []
+    for ev, c in expr.terms.items():
+        factors = []
+        d = 0
+        for k, e in enumerate(ev):
+            if e and k != sign:
+                factors.append((k, e))
+                used[k] = True
+                d += e
+        p = ev[sign] & 1 if sign >= 0 else 0
+        support.add((d, p))
+        even.append((c, factors))
+        odd.append((-c if p else c, factors))
+    places = []
+    dens = set()
+    s = 0
+    for k, v in enumerate(variables):
+        if not used[k]:
+            continue
+        if v not in seqs:
+            raise UnboundSymbol(f"no sequence bound to symbol {v!r}")
+        g = seqs[v]
+        places.append((k, g))
+        dens.add(g.den)
+        s = max(s, len(g.num) - len(g.den) + 1)
+    l: Coeffs = (1,)
+    for den in dens:  # the sequences of a theorem or an orbit mostly share one
+        l = _poly_lcm(l, den) if len(l) > 1 else den
+    r = len(l) - 1
+    bound = s + sum(comb(r + d - 1, d) if d else 1 for d, _ in support)
+    return bound, places, even, odd
+
+
 def certificate_bound(expr: MultiPoly, seqs: Mapping[str, RationalGF]) -> int:
     """The number of initial indices whose zeros prove that ``expr`` vanishes
     for all n, each used symbol replaced by its sequence and SIGN_SYMBOL by
     (-1)^n: B = s + sum of C(r+d-1, d) over the support, a d = 0 pair
-    counting 1.
+    counting 1.  certify_zero reads the same depth, with its term plan,
+    from the one pass over the terms (``_compile``) that computes it here.
 
     The support is the set of pairs (d, p) over the terms of expr, with d
     the total degree without SIGN_SYMBOL and p its exponent mod 2, as
@@ -526,26 +574,7 @@ def certificate_bound(expr: MultiPoly, seqs: Mapping[str, RationalGF]) -> int:
     and k zeros from its start force u = 0.  With n < s checked directly,
     zeros at every n < B prove that expr vanishes for all n.
     """
-    sign = expr.variables.index(SIGN_SYMBOL) if SIGN_SYMBOL in expr.variables else None
-    support = set()
-    for ev in expr.terms:
-        p = 0 if sign is None else ev[sign]
-        support.add((sum(ev) - p, p % 2))
-    dens = set()
-    s = 0
-    for v in expr.used_variables():
-        if v == SIGN_SYMBOL:
-            continue
-        if v not in seqs:
-            raise UnboundSymbol(f"no sequence bound to symbol {v!r}")
-        g = seqs[v]
-        dens.add(g.den)
-        s = max(s, len(g.num) - len(g.den) + 1)
-    l: Coeffs = (1,)
-    for den in dens:  # the sequences of a theorem or an orbit mostly share one
-        l = _poly_lcm(l, den) if len(l) > 1 else den
-    r = len(l) - 1
-    return s + sum(comb(r + d - 1, d) if d else 1 for d, _ in support)
+    return _compile(expr, seqs)[0]
 
 
 # the kinds of right-hand side c*s_n of an identity: s_n = 1 or (-1)^n
@@ -566,33 +595,48 @@ def certify_zero(expr: MultiPoly, seqs: Mapping[str, RationalGF]) -> Certificate
     n < certificate_bound(expr, seqs), which carries the proof.
 
     SIGN_SYMBOL always stands for (-1)^n, in any power and any term: binding
-    a sequence to it raises ValueError.  The expression is compiled once
-    into a term plan: per term its coefficient, its (sequence slot,
-    exponent) pairs and the parity of its SIGN_SYMBOL exponent, which fixes
-    its sign at even and at odd n.  The sequences are expanded while the
-    plan is evaluated on them, so a refuted identity stops at its first
-    nonzero value, the witness.
+    a sequence to it raises ValueError.  One pass over the terms
+    (``_compile``) gives the depth, the used sequences and the term plan:
+    per term its coefficient, its (place, exponent) pairs and its sign at
+    even and at odd n.  The sequences are extended while the plan is
+    evaluated on them, one term per checked index, so a refuted identity
+    stops at its first nonzero value, the witness.  A sequence with
+    den[0] = 1 (every integer sequence, by RationalGF's normal form) is
+    extended as a list of ints, a(n) = num_n + sum_i w_i a(n-i) with the
+    weights w_i = -den_i negated once, on r leading zeros that stand for
+    a(-r), ..., a(-1); any other takes taylor_series's Fraction path.
     """
     if SIGN_SYMBOL in seqs:
         raise ValueError(f"{SIGN_SYMBOL!r} stands for (-1)^n and cannot be bound")
-    bound = certificate_bound(expr, seqs)
-    names = [v for v in expr.used_variables() if v != SIGN_SYMBOL]
-    # (place in an exponent vector, sequence slot) of each used sequence
-    places = [(expr.variables.index(v), i) for i, v in enumerate(names)]
-    sign = expr.variables.index(SIGN_SYMBOL) if SIGN_SYMBOL in expr.variables else None
-    # the plan, once with each term's sign at even n and once at odd n
-    even, odd = [], []
-    for ev, c in expr.terms.items():
-        factors = [(i, ev[k]) for k, i in places if ev[k]]
-        even.append((c, factors))
-        odd.append((-c if sign is not None and ev[sign] % 2 else c, factors))
-    series = [taylor_series(seqs[v]) for v in names]
+    bound, used, even, odd = _compile(expr, seqs)
+    values = [0] * len(expr.variables)
+    # (place, r, weights w_r .. w_1, r zeros then num then zeros) per
+    # integer sequence
+    ints = []
+    series = []
+    for k, g in used:
+        den = g.den
+        if den[0] == 1:
+            r = len(den) - 1
+            terms = [0] * (r + bound)
+            terms[r : r + len(g.num)] = g.num
+            ints.append((k, r, [-c for c in den[:0:-1]], terms))
+        else:
+            series.append((k, taylor_series(g)))
     for n in range(bound):
-        values = list(map(next, series))
+        for k, r, weights, terms in ints:
+            i = n
+            acc = terms[n + r]
+            for w in weights:
+                acc += w * terms[i]
+                i += 1
+            terms[i] = values[k] = acc
+        for k, it in series:
+            values[k] = next(it)
         total = 0
         for c, factors in odd if n & 1 else even:
-            for i, e in factors:
-                c *= values[i] ** e
+            for k, e in factors:
+                c *= values[k] ** e
             total += c
         if total:
             return Certificate(bound=bound, witness=n)

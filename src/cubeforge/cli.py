@@ -63,8 +63,8 @@ MAX_FINDFORM_DEGREE = 3
 # The number d of --gf sequences sets the width C(d+D-1, D) of the
 # evaluation matrix that find_form takes the nullspace of, and the caps above
 # leave it unbounded: at --degree 3 with the sequences 1/(1-k t), k = 2, 3,
-# ..., 6 of them take 0.04 s, 8 take 0.2 s, 10 take 2 s and 14 took 105 s
-# (one Xeon core).
+# ..., 6 of them take 0.03 s, 8 take 0.2 s, 10 take 2.8 s (in-process, best
+# of 3, one Xeon core) and 14 took 105 s.
 MAX_FINDFORM_SEQUENCES = 8
 # eliminate's resultants grow fast with the degree of its inputs.  At degree
 # 3, m^3 + n, m*n^2 - 1, m + n^3 takes about 0.2 s, and the dense inputs
@@ -83,6 +83,13 @@ MAX_ELIMINATE_DEGREE = 3
 # and at 20 in 0.3 s (one Xeon core).  twist's --matrix entries and --base
 # literals are held to cfinite.MAX_COEFFICIENT_DIGITS before either is read.
 MAX_TWIST_DEGREE = 12
+# verify --file and forge --seed-file read at most this many bytes (4 MiB),
+# so that an endless or huge file such as /dev/zero is refused rather than
+# read until memory runs out.  The largest forge --format json output at the
+# caps above (--search-bound 100, --target-cap 200, --max-theorems 10^9),
+# over the 450 coprime pairs with 1 <= a <= 12 and 1 <= |b| <= 30, is the
+# 34 theorems of (2, -1) in 87911 bytes, 1/48 of the cap.
+MAX_INPUT_BYTES = 1 << 22
 
 _EMPTY_ERRORS = (EmptySeedSet, NoOrbitFound, NoForm, NoTargetedForm, EliminationCollapse)
 _INPUT_ERRORS = (
@@ -120,9 +127,20 @@ def _parse_matrix(text: str) -> list[list[int]]:
 def _load_json(path: str):
     """The JSON value in a UTF-8 file, its line ends read as a text-mode
     open reads them, so that a decoding error gives the same position;
-    nesting too deep to decode raises ValueError."""
+    nesting too deep to decode raises ValueError, and so does a file of
+    more than MAX_INPUT_BYTES bytes, of which one byte past the cap is
+    read and nothing is decoded."""
     with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8")
+        # a read allocates the size it asks for: asking for the cap took
+        # 26 us against 6 for reading a 3 kB theorem file whole (one Xeon
+        # core), so the first read asks for 64 KiB, which holds nearly every
+        # input file
+        data = fh.read(1 << 16)
+        if len(data) == 1 << 16:
+            data += fh.read(MAX_INPUT_BYTES + 1 - len(data))
+    if len(data) > MAX_INPUT_BYTES:
+        raise ValueError(f"the file {path} exceeds the cap of {MAX_INPUT_BYTES} bytes")
+    text = data.decode("utf-8")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:

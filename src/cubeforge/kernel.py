@@ -4,8 +4,10 @@ Sylvester resultants, exact division, and rational nullspaces.
 Everything is pure and immutable.  Coefficients are Python ints (arbitrary
 precision).  Linear systems may have ``Fraction`` entries; they are solved
 fraction-free on integers, and only the answer is built from Fractions.
-One elimination loop (``_reduced_echelon``) serves both: ``rational_solve``
-reads its solution off the nullspace of the augmented matrix.
+One forward elimination loop (``_echelon``) serves both, and neither clears
+its echelon to the rref: ``rational_nullspace`` back-substitutes each free
+column's kernel vector, and ``rational_solve`` only the rhs column of the
+augmented matrix (``_back_substitute``).
 Monomials are ordered graded-lexicographically by the declared variable
 list, which fixes the leading term used for exact division and the term
 order of printing.  One printer, ``_signed_sum``, writes every signed sum
@@ -1170,10 +1172,11 @@ def _eliminate(row: list[int], s: list[int], p: int) -> list[int]:
     return [b * x - a * y for x, y in zip(row, s)]
 
 
-def _reduced_echelon(rows: Iterable[Sequence[Scalar]]) -> dict[int, list[int]]:
-    """Reduced row-echelon basis of the row space, in integers: a map from
-    each pivot column to a primitive integer row whose first nonzero entry,
-    positive, sits in that column, with zeros in every other pivot column.
+def _echelon(rows: Iterable[Sequence[Scalar]], ncols: int) -> dict[int, list[int]]:
+    """A row-echelon basis of the row space, in integers: a map from each
+    pivot column to a primitive integer row whose first nonzero entry,
+    positive, sits in that column, zero in the pivot columns stored before
+    it.  ValueError when a row's length is not ``ncols``.
 
     Rows enter one at a time, each scaled to integers.  An incoming row is
     reduced against the stored rows in the order they were stored: with a
@@ -1182,9 +1185,7 @@ def _reduced_echelon(rows: Iterable[Sequence[Scalar]]) -> dict[int, list[int]]:
     without fractions.  Each stored row is zero in the pivot columns stored
     before it, so columns cleared earlier stay clear, and what is left is
     zero in every pivot column.  A nonzero remainder is stored, divided by
-    its content, under its first nonzero column.  After the last row, the
-    stored rows are cleared in the pivot columns stored after them the same
-    way, newest pivot first.
+    its content, under its first nonzero column.
 
     The pivot set is the rref's whatever the row order: a basis whose
     first nonzero columns differ has, as first nonzero columns of its
@@ -1193,6 +1194,8 @@ def _reduced_echelon(rows: Iterable[Sequence[Scalar]]) -> dict[int, list[int]]:
     """
     stored: dict[int, list[int]] = {}
     for row in rows:
+        if len(row) != ncols:
+            raise ValueError("matrix is not rectangular")
         row = scale_to_integers(row)
         for p, s in stored.items():
             if row[p]:
@@ -1201,14 +1204,35 @@ def _reduced_echelon(rows: Iterable[Sequence[Scalar]]) -> dict[int, list[int]]:
         if lead is None:
             continue
         stored[lead] = _primitive(row)
-    pivots = list(stored)
-    for i in range(len(pivots) - 1, 0, -1):
-        p = pivots[i]
-        s = stored[p]
-        for q in pivots[:i]:
-            if stored[q][p]:
-                stored[q] = _primitive(_eliminate(stored[q], s, p))
     return stored
+
+
+def _back_substitute(echelon: dict[int, list[int]], f: int, ncols: int) -> list[int]:
+    """A multiple of the kernel vector v of the echelon's rows with v_f = 1
+    for the free column f and 0 in every other free column.
+
+    Row p reads v_p * row[p] + sum_(c > p) row[c] * v_c = 0, so the pivot
+    entries follow in decreasing column order, each from entries already
+    known; a pivot column above f is 0, as every column its row reaches is.
+    v is kept in integers by scaling it by row[p] / g before v_p = -sum / g
+    is set, g = gcd(sum, row[p])."""
+    v = [0] * ncols
+    v[f] = 1
+    for p in sorted((p for p in echelon if p < f), reverse=True):
+        row = echelon[p]
+        total = 0
+        for c in range(p + 1, f + 1):
+            if v[c] and row[c]:
+                total += row[c] * v[c]
+        if not total:
+            continue
+        a = row[p]
+        g = gcd(total, a)
+        if a != g:
+            m = a // g
+            v = [x * m for x in v]
+        v[p] = -total // g
+    return v
 
 
 def rational_nullspace(
@@ -1218,29 +1242,22 @@ def rational_nullspace(
     coprime integers with positive first nonzero entry.  An empty matrix has
     the full space as nullspace (``ncols`` must then be given).
 
-    The vectors are those of the rref (free column f set to 1, pivot
-    column p to minus the rref's entry at f), scaled; the rref is unique,
-    so they do not depend on how it was computed."""
+    One vector per free column f: the kernel vector with v_f = 1 and 0 in
+    every other free column, scaled.  It is unique, as a kernel vector that
+    is zero in every free column is zero (its pivot entries follow from
+    them by back-substitution), and it is the rref's (free column f set to
+    1, pivot column p to minus the rref's entry at f): the echelon rows span
+    the rref's row space, so both have one kernel.  So the basis does not
+    depend on the row order or on how the echelon was computed."""
     rows = [list(row) for row in matrix]
     if rows:
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise ValueError("matrix is not rectangular")
-        ncols = widths.pop()
+        ncols = len(rows[0])
     elif ncols is None:
         raise ValueError("empty matrix needs an explicit column count")
-    echelon = _reduced_echelon(rows)
-    scale = lcm(*(row[p] for p, row in echelon.items()))
-    basis = []
-    for f in range(ncols):
-        if f in echelon:
-            continue
-        v = [0] * ncols
-        v[f] = scale
-        for p, row in echelon.items():
-            v[p] = -row[f] * (scale // row[p])
-        basis.append(_primitive(v))
-    return basis
+    echelon = _echelon(rows, ncols)
+    return [
+        _primitive(_back_substitute(echelon, f, ncols)) for f in range(ncols) if f not in echelon
+    ]
 
 
 def rational_solve(
@@ -1249,20 +1266,24 @@ def rational_solve(
     """One exact solution of matrix * x = rhs (free unknowns set to 0), or
     None when the system is inconsistent.
 
-    x = v[:-1] / v[-1] for the vector v of rational_nullspace([A | -rhs])
-    that is nonzero in the last column.  That basis vector is the one of
-    the free column -rhs (every other basis vector is zero there), so the
-    free unknowns come out 0 and each pivot unknown as its rref row's rhs
-    over its pivot.  When -rhs is a pivot column, the system is
-    inconsistent: its rref row is zero on every unknown, so every basis
-    vector is zero in the last column and None is returned.  Only this last
-    step uses Fractions.
+    x = v[:-1] / v[-1] for the kernel vector v of [A | -rhs] that is 1 in
+    the column -rhs and 0 in every free column of A: the one vector of
+    rational_nullspace([A | -rhs]) that is nonzero in the last column, here
+    back-substituted alone.  So the free unknowns come out 0 and each pivot
+    unknown as its rref row's rhs over its pivot.  When -rhs is a pivot
+    column, the system is inconsistent: a row of the row space is zero on
+    every unknown and nonzero at -rhs, so every kernel vector is zero in
+    the last column and None is returned.  Only this last step uses
+    Fractions.
     """
     if not matrix:
         return []
     ncols = len(matrix[0])
-    basis = rational_nullspace([list(row) + [-b] for row, b in zip(matrix, rhs)])
-    v = next((v for v in basis if v[ncols]), None)
-    if v is None:
+    rows = [list(row) + [-b] for row, b in zip(matrix, rhs)]
+    if not rows:  # an empty rhs: as rational_nullspace([]) refuses it
+        raise ValueError("empty matrix needs an explicit column count")
+    echelon = _echelon(rows, ncols + 1)
+    if ncols in echelon:
         return None
+    v = _back_substitute(echelon, ncols, ncols + 1)
     return [Fraction(x, v[ncols]) for x in v[:ncols]]

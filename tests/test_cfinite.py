@@ -845,24 +845,34 @@ class TestCertifyZero:
         assert cert.bound == s + 2
         assert cert.witness == s + 1
 
-    def test_refutation_stops_at_the_witness(self, monkeypatch):
-        import cubeforge.cfinite as cf
-
-        expanded = []
-        series = cf.taylor_series
-
-        def counting(g):
-            for value in series(g):
-                expanded.append(value)
-                yield value
-
-        monkeypatch.setattr(cf, "taylor_series", counting)
+    def test_refutation_stops_at_the_witness(self):
         # 1/(1-t)^10 is C(n+9, 9): X^2 - 55 first fails at n = 0, depth
-        # C(10+1, 2) + 1
+        # C(10+1, 2) + 1.  Every term after a(0) = 1 takes a product of a
+        # recurrence weight, den_i up to sign, and an earlier nonzero term;
+        # a(1) takes exactly one, w_1 * a(0).  The weights count such
+        # products, so none means that a(0) was the only term computed.
+        products = []
+
+        class Weight(int):
+            def __neg__(self):
+                return Weight(-int(self))
+
+            def __mul__(self, other):
+                if self and other:
+                    products.append(other)
+                return int(self) * other
+
+            __rmul__ = __mul__
+
         den = (1, -10, 45, -120, 210, -252, 210, -120, 45, -10, 1)
-        cert = certify_zero(var("X") ** 2 - 55, {"X": RationalGF((1,), den)})
+        g = RationalGF((1,), den)
+        object.__setattr__(g, "den", tuple(map(Weight, den)))
+        cert = certify_zero(var("X") ** 2 - 55, {"X": g})
         assert (cert.bound, cert.witness) == (56, 0)
-        assert len(expanded) == 1
+        assert products == []
+        # the count sees the weights: X - 1 first fails at a(1) = 10
+        assert certify_zero(var("X") - 1, {"X": g}) == Certificate(bound=11, witness=1)
+        assert products == [1]
 
     def test_unbound_symbol(self, alternating_triple):
         with pytest.raises(UnboundSymbol):

@@ -1062,3 +1062,55 @@ class TestJsonBytes:
         path = tmp_path / "theorem.json"
         path.write_bytes(data)
         assert self._verify(path, capsys) == (2, "", message + "\n")
+
+
+class TestInputByteCap:
+    """verify --file and forge --seed-file read at most one byte past
+    cli.MAX_INPUT_BYTES: a longer file exits 2, naming the cap, before
+    anything is decoded, and a file of exactly the cap is read.  The
+    reader's first read takes 64 KiB, so each size is tried below and
+    above that."""
+
+    @staticmethod
+    def _theorem_file(tmp_path, capsys, size):
+        # trailing blanks are JSON whitespace: the padded theorem still reads
+        assert main(["forge", "--a", "1", "--b", "-1", "--format", "json"]) == 0
+        data = capsys.readouterr().out.encode()
+        path = tmp_path / "theorem.json"
+        path.write_bytes(data.ljust(size or len(data)))
+        return path, path.stat().st_size
+
+    @staticmethod
+    def _loads_spy(monkeypatch):
+        calls = []
+        loads = json.loads
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(cli.json, "loads", counting)
+        return calls
+
+    @pytest.mark.parametrize("size", [None, 70_000])
+    def test_one_byte_over_the_cap_is_refused_unread(self, tmp_path, capsys, monkeypatch, size):
+        path, size = self._theorem_file(tmp_path, capsys, size)
+        seeds = tmp_path / "seeds.json"
+        seeds.write_bytes(b"[[9, 10, -1, -12]]".ljust(size))
+        calls = self._loads_spy(monkeypatch)
+        monkeypatch.setattr(cli, "MAX_INPUT_BYTES", size - 1)
+        message = f"ValueError: the file {{}} exceeds the cap of {size - 1} bytes\n"
+        assert main(["verify", "--file", str(path)]) == 2
+        assert capsys.readouterr() == ("", message.format(path))
+        assert main(["forge", "--a", "1", "--b", "1", "--seed-file", str(seeds)]) == 2
+        assert capsys.readouterr() == ("", message.format(seeds))
+        assert calls == []
+
+    @pytest.mark.parametrize("size", [None, 70_000])
+    def test_a_file_at_the_cap_is_read(self, tmp_path, capsys, monkeypatch, size):
+        path, size = self._theorem_file(tmp_path, capsys, size)
+        calls = self._loads_spy(monkeypatch)
+        monkeypatch.setattr(cli, "MAX_INPUT_BYTES", size)
+        assert main(["verify", "--file", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("certified, depth ")
+        assert calls == [1]

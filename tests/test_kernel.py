@@ -3,7 +3,7 @@ from contextlib import contextmanager
 from functools import cache
 from fractions import Fraction
 from itertools import permutations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from unittest.mock import patch
 
 import pytest
@@ -20,7 +20,7 @@ from cubeforge import (
     rational_nullspace,
     resultant,
 )
-from cubeforge.cfinite import joint_guess_recurrence
+from cubeforge.cfinite import RationalGF, joint_guess_recurrence, taylor_coefficients
 from cubeforge.errors import DegenerateInput, InexactDivision, ZeroPolynomial
 from cubeforge.kernel import (
     _degree,
@@ -458,6 +458,40 @@ class TestFractionFreeElimination:
     @given(matrices())
     def test_nullspace_matches_reference(self, matrix):
         assert rational_nullspace(matrix) == reference_nullspace(matrix)
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices(), st.randoms(use_true_random=False))
+    def test_nullspace_independent_of_row_order(self, matrix, rng):
+        shuffled = rng.sample(matrix, len(matrix))
+        assert rational_nullspace(shuffled) == rational_nullspace(matrix)
+
+    def test_nullspace_work_on_a_findform_matrix(self, monkeypatch):
+        # the 11 x 11 matrix of findform --degree 3 --target constant on
+        # (0 - 2t + 3t^2, 3t + 4t^2, 1 - 4t + 2t^2) / (1 + 2t - 3t^2 - t^3):
+        # the ten cubic monomials and the constant column at n = 0..10.
+        # The forward echelon eliminates each row against at most the rows
+        # before it, C(11, 2) = 55 calls in all; clearing it to the rref as
+        # well would make 91.
+        den = (1, 2, -3, -1)
+        seqs = [RationalGF(num, den) for num in ((0, -2, 3), (0, 3, 4), (1, -4, 2))]
+        terms = [taylor_coefficients(g, 11) for g in seqs]
+        monomials = [(i, j, 3 - i - j) for i in range(3, -1, -1) for j in range(3 - i, -1, -1)]
+        matrix = [
+            [terms[0][n] ** i * terms[1][n] ** j * terms[2][n] ** k for i, j, k in monomials] + [1]
+            for n in range(11)
+        ]
+        calls = []
+        eliminate = kernel._eliminate
+
+        def counting(*args):
+            calls.append(1)
+            return eliminate(*args)
+
+        monkeypatch.setattr(kernel, "_eliminate", counting)
+        assert rational_nullspace(matrix) == [
+            [24613, -24350, -45186, 6677, 30209, 26299, -543, -3995, -8670, -4913, 4913]
+        ]
+        assert len(calls) <= comb(11, 2)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
