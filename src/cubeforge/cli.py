@@ -111,11 +111,16 @@ def _parse_form(text: str) -> QuadForm:
 
 
 def _split_gf(text: str) -> tuple[list[int], list[int]]:
-    """The raw numerator and denominator of "num;den"."""
+    """The raw numerator and denominator of "num;den".  An empty part is the
+    empty list, but an empty entry in a nonempty part is refused: dropping
+    it would shift every coefficient after it."""
     parts = text.split(";")
     if len(parts) != 2:
         raise ValueError(f"generating function must be 'num;den', got {text!r}")
-    num, den = ([int(c) for c in part.split(",") if c.strip() != ""] for part in parts)
+    entries = [part.split(",") if part.strip() else [] for part in parts]
+    if any(not c.strip() for part in entries for c in part):
+        raise ValueError(f"generating function {text!r} has an empty coefficient")
+    num, den = ([int(c) for c in part] for part in entries)
     return num, den
 
 

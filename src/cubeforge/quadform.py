@@ -25,8 +25,8 @@ sign and squareness of a discriminant.  There are five kinds: "definite"
 (D < 0), "pell" (D > 0 and not a square), "square-disc" (D a nonzero
 square), "line" (D = 0 with qb != 0) and "one-variable" (D = 0 with
 qb = 0).  sol_quad sweeps two of them only: a "pell" form by its
-classes (``_Classes`` over a ``_DiscTable``), a "line" form by its linear
-factor (``_Factored``).
+classes (``_Classes`` over a ``_DiscTable``), a "line" form by
+``enumerate_solutions`` at the magnitudes it takes.
 
 Indefinite non-square D (D > 0, so qa*qc != 0).  A solution with
 gcd(m, n) = g is g times a primitive representation of e' = e/(k*g^2) by f.
@@ -52,17 +52,32 @@ B^2 = D' (mod 4) fixes the parity.  The roots and the reduced forms f_B
 depend only on (D', e'), so they live in a ``_DiscTable`` per D' that
 every form of that discriminant shares.
 
-D = 0 with qb != 0.  Q = k'*L^2 with k' = +-k and L = r*m + s*n primitive,
-so a solution lies on one of the lines L = +-p with k'*p^2 = e.
+D = 0 with qb != 0.  Q = k'*L^2 with k' = +-k and L = r*m + s*n primitive:
+for f = Q/k = (a, b, c) primitive, b^2 = 4ac with b != 0 makes a and c
+nonzero and of one sign, and |a| a square, as a prime to an odd power in
+|a| divides |c| (|a*c| = (b/2)^2), so it divides b too, and f would not be
+primitive; likewise |c|.  So r = isqrt(|a|), |s| = isqrt(|c|) and
+gcd(r, s) = 1.  A solution lies on one of the lines L = +-p with
+k'*p^2 = e, and Q takes only the magnitudes k*p^2.  sol_quad lists the
+solutions of Q = +-k*p^2 with enumerate_solutions for p = 1 ..
+isqrt(target_cap // k), and asks nothing of the other magnitudes, which
+have no solution.
 
 Cost.  enumerate_solutions takes at most bound isqrt calls or divisions
 per distinct target, whatever the size of the targets: O(bound *
 |distinct targets|), and nothing for a target beyond (|qa| + |qb| + |qc|)
-* bound^2, which bounds |Q| on the box.  The sweep, per discriminant D',
-for each |e'| met: the scan of |e'| candidates B for the square roots,
-then O(1 + log(|e'| / sqrt(D'))) reduction steps per root B for each of
-e' and -e', computed once in the table (none when 2|e'| < sqrt(D')).  The
-scans of a sweep up to target_cap add up to O(target_cap^2) steps per D',
+* bound^2, which bounds |Q| on the box.  A "line" form costs one such
+scan per p = 1 .. isqrt(target_cap // k), of at most bound columns, as
+the target of the sign Q does not take stops at m = 1: at most 14 * bound
+isqrt calls at the CLI's MAX_TARGET_CAP = 200.  sol_quad(QuadForm(45,
+-150, 125), bound=20000, target_cap=200), 5*(3m - 5n)^2, took 16 ms,
+against 8 ms when the points of the lines r*m + s*n = +-p were listed
+from the linear factor (one Xeon core, CPython 3.11).  The "pell" sweep,
+per discriminant D', for each |e'| met: the scan of |e'| candidates B for
+the square roots, then O(1 + log(|e'| / sqrt(D'))) reduction steps per
+root B for each of e' and -e', computed once in the table (none when
+2|e'| < sqrt(D')).  The scans of a sweep up to target_cap add up to
+O(target_cap^2) steps per D',
 at most 20100 at the CLI's MAX_TARGET_CAP = 200; beyond that cap they
 dominate the library call: sol_quad(QuadForm(2, -9, 5), bound=20000),
 which finds no orbit, took 5.5 ms at target_cap 200, 0.23 s at 2000 and
@@ -91,14 +106,13 @@ Q(sqrt(D)) on a "pell" form, of norm +1 when the coefficients share one
 sign.  A "square-disc" or "one-variable" form, a line too steep for M,
 and a "pell" form whose field has no such unit (the test depends on D'
 and M only, and is kept in the table) have no orbit, and nothing is
-enumerated.  So the sweep runs on the classes of a "pell" form or the
-factor of a "line" form only, and those two paths alone list primitive
-representations.  The sweep does not
-enumerate per target: ``_by_magnitude`` lists the primitive
-representations of each e' = +-1, +-2, ... once and files g times each
-under the magnitude k'*g^2*|e'| it solves, so every e' costs one lookup
-however many magnitudes it serves, and a ``forge`` call computes each
-table once for all its forms.
+enumerated.  So the sweep runs on a "pell" form, by its classes, or on a
+"line" form, by enumerate_solutions at its magnitudes k*p^2, only.  The
+sweep of a "pell" form does not enumerate per target: ``_by_magnitude``
+lists the primitive representations of each e' = +-1, +-2, ... once and
+files g times each under the magnitude k*g^2*|e'| it solves, so every e'
+costs one lookup however many magnitudes it serves, and a ``forge`` call
+computes each table once for all its forms.
 """
 
 from __future__ import annotations
@@ -481,50 +495,6 @@ class _Classes:
         return out
 
 
-def _t_range(c0: int, c1: int, lo: int, hi: int) -> tuple[int, int]:
-    """(t_lo, t_hi), the interval of the t with lo <= c0 + c1*t <= hi, for
-    c1 != 0."""
-    if c1 < 0:
-        c0, c1, lo, hi = -c0, -c1, -hi, -lo
-    return -((c0 - lo) // c1), (hi - c0) // c1
-
-
-def _line_points(r: int, s: int, p: int, bound: int) -> list[tuple[int, int]]:
-    """The (m, n) of the box on the line r*m + s*n = p, gcd(r, s) = 1 and
-    r, s != 0: the points (m0 + s*t, n0 - r*t) for one solution (m0, n0)."""
-    m0 = p * pow(r, -1, abs(s))  # r*m0 = p (mod s)
-    n0 = (p - r * m0) // s
-    m_lo, m_hi = _t_range(m0, s, 1, bound)
-    n_lo, n_hi = _t_range(n0, -r, 0, bound)
-    return [(m0 + s * t, n0 - r * t) for t in range(max(m_lo, n_lo), min(m_hi, n_hi) + 1)]
-
-
-class _Factored:
-    """The sweep data of a "line" form, D = 0 with qb != 0: Q = scale * L^2
-    with L = r*m + s*n, gcd(r, s) = 1 and scale = +-k.  For f = Q/k =
-    (a, b, c) primitive, b^2 = 4ac with b != 0 makes a and c nonzero and of
-    one sign, and |a| a square: a prime to an odd power in |a| divides |c|,
-    as |a*c| = (b/2)^2, so it divides b too, and f would not be primitive.
-    So f = sign(a) * (r*m + s*n)^2 with r = isqrt(|a|) and s = b / (2a/r),
-    and gcd(r, s) = 1, again as f is primitive."""
-
-    def __init__(self, f: tuple[int, int, int], k: int):
-        a, b, _ = f
-        self.r = isqrt(abs(a))
-        self.s = b // (2 * a // self.r)
-        self.scale = k if a > 0 else -k
-
-    def primitive(self, e1: int, limit: int) -> list[tuple[int, int]]:
-        """Every (x, y) of the box of ``limit`` with L(x, y)^2 = e1 and
-        gcd(x, y) = 1: the points of the lines L = p and L = -p for
-        p^2 = e1."""
-        p = isqrt(e1) if e1 > 0 else 0
-        if not p or p * p != e1:
-            return []
-        lines = (_line_points(self.r, self.s, q, limit) for q in (p, -p))
-        return [v for points in lines for v in points if gcd(*v) == 1]
-
-
 def _slot_kind(form: QuadForm) -> tuple[str, int, tuple[int, int, int], int]:
     """(kind, k, f, D'): the kind of the form, its content k > 0, its
     primitive part f = Q/k and f's discriminant D' = D/k^2, computed here
@@ -736,48 +706,46 @@ def _orbit_from_solutions(
 
 
 def _by_magnitude(
-    form: QuadForm, data: _Factored | _Classes, bound: int, target_cap: int
+    form: QuadForm, classes: _Classes, bound: int, target_cap: int
 ) -> Iterator[list[tuple[int, int, int]]]:
     """For mag = 1, 2, ..., target_cap in turn, the list
     enumerate_solutions(form, (mag, -mag), bound), computed lazily by one
-    sweep over |e1| = 1, 2, ... with the sweep data ``data`` of the
-    form.  sol_quad sweeps a "line" or "pell" form only (_slot_kind), so
-    ``data`` is a _Factored or a _Classes.
+    sweep over |e1| = 1, 2, ... with the classes of the form.  sol_quad
+    sweeps a "pell" form only this way; a "line" form lists its points
+    with enumerate_solutions.
 
-    Let Q = s * f with s = data.scale, f the primitive part (_Classes) or
-    the square of the linear factor (_Factored).  A
-    solution (m, n) of Q = +-mag with gcd(m, n) = g is g times a primitive
-    representation v of e1 = +-mag / (s g^2) by f, and v lies in the box
-    of bound // g.
+    Let Q = k * f with k = classes.scale > 0, the content, and f the
+    primitive part.  A solution (m, n) of Q = +-mag with gcd(m, n) = g is
+    g times a primitive representation v of e1 = +-mag / (k g^2) by f, and
+    v lies in the box of bound // g.
     So for each e1 = +-a the sweep takes the primitive representations in
-    the box of ``bound`` once, from data.primitive, and files them under
-    magnitude |s| g^2 a for every g with |s| g^2 a <= target_cap; the list
+    the box of ``bound`` once, from classes.primitive, and files them under
+    magnitude k g^2 a for every g with k g^2 a <= target_cap; the list
     of a magnitude is the g * v of its entries with v in the box of
-    bound // g.  It is exact: the window data.primitive explores for the
+    bound // g.  It is exact: the window classes.primitive explores for the
     box of ``bound`` contains the window of every smaller box, and
     positions outside a box's window give no point in it (_Classes), so
     the box test removes them.  Nothing is listed twice: points of
-    distinct (g, e1) differ in gcd or value, and data.primitive lists each
-    representation once.  After a, every magnitude <= |s| a has all its
+    distinct (g, e1) differ in gcd or value, and classes.primitive lists
+    each representation once.  After a, every magnitude <= k a has all its
     entries, so its list is built, sorted and yielded then (a magnitude
     with no entry is yielded empty, with nothing built); a consumer
     that stops at a magnitude stops the sweep there.  Magnitudes beyond
     (|qa| + |qb| + |qc|) * bound^2 have no point in the box and are
     yielded empty without any work."""
-    scale = abs(data.scale)
+    k = classes.scale
     top = min(target_cap, _box_cap(form, bound))
-    # magnitude -> (g, value, primitive representations of value / (s g^2))
+    # magnitude -> (g, value, primitive representations of value / (k g^2))
     pending: dict[int, list[tuple[int, int, list[tuple[int, int]]]]] = {}
     done = 0
-    for a in range(1, top // scale + 1):
+    for a in range(1, top // k + 1):
         for e1 in (a, -a):
-            reps = data.primitive(e1, bound)
+            reps = classes.primitive(e1, bound)
             g = 1
-            while reps and scale * g * g * a <= top:
-                value = data.scale * g * g * e1
-                pending.setdefault(scale * g * g * a, []).append((g, value, reps))
+            while reps and k * g * g * a <= top:
+                pending.setdefault(k * g * g * a, []).append((g, k * g * g * e1, reps))
                 g += 1
-        while done < scale * a:
+        while done < k * a:
             done += 1
             entries = pending.pop(done, None)
             yield [] if entries is None else sorted(
@@ -819,12 +787,14 @@ def sol_quad(
 ) -> PellOrbit:
     """Find a certified Pell-like orbit for the form.
 
-    Target magnitudes |e| are scanned upward from 1 to ``target_cap``; the
+    Target magnitudes |e| are scanned upward from 1 to ``target_cap``, and
+    the scan stops at the winning magnitude.  On a "pell" form the
     solutions of Q = +-|e| come from one lazy sweep over the primitive
-    representations (_by_magnitude), and the scan stops at the winning
-    magnitude.  The class data of each primitive discriminant are computed
-    once per call, or once per forge call, which passes its own ``_tables``
-    (private).  Inside one magnitude class the candidate solution lists are
+    representations (_by_magnitude); on a "line" form from
+    enumerate_solutions, for the magnitudes the form takes only.  The
+    class data of each primitive discriminant are computed once per call,
+    or once per forge call, which passes its own ``_tables`` (private).
+    Inside one magnitude class the candidate solution lists are
     tried in a fixed ladder (_ladder).  Among the certified candidates of
     the winning class, a constant-kind orbit beats an alternating one;
     remaining ties go to the earliest ladder position.  So the ladder stops
@@ -846,16 +816,21 @@ def sol_quad(
     - "one-variable" (D = 0 with qb = 0, so qa*qc = 0) raises NoOrbitFound
       at once, by (3).
     - "line" (D = 0 with qb != 0, a line of the form off the axes) is swept
-      only when 1 + 3|s| <= M for Q = k'*(r*m + s*n)^2, gcd(r, s) = 1, so
-      |s| = isqrt(|qc|/k) for the content k, by (2b).
+      only when 1 + 3|s| <= M for Q = k'*(r*m + s*n)^2, gcd(r, s) = 1,
+      k' = +-k, so |s| = isqrt(|qc|/k) for the content k, by (2b).  Q
+      takes only the magnitudes k*p^2, so the sweep lists
+      enumerate_solutions(form, (k*p^2, -k*p^2), bound) for p = 1 ..
+      isqrt(target_cap // k), in that order; every other magnitude has
+      no solution and no candidate.
     - "pell" (D > 0, not a square) is swept only when some t in 1..T makes
       (t^2 - 4)*D with t >= 3, or, on a form not of one sign, (t^2 + 4)*D
       a nonzero square (_DiscTable.has_unit on D' = D/k^2, which is the
       same test, with norm_one for one-sign forms), by (2a), and then by
       its classes (_Classes).
-    A form refused by its rule raises NoOrbitFound before any sweep
-    data are built: it has no candidate that passes the read-off, so the
-    sweep would end in NoOrbitFound.  Proof.  Let a candidate
+    A form refused by its rule raises NoOrbitFound before any point is
+    listed or any sweep data are built: it has no candidate that passes
+    the read-off, so the sweep would end in NoOrbitFound.  Proof.  Let a
+    candidate
     pass with den = 1 - t*z^p + N*z^(2p).  It is a subsequence of the
     solutions, sorted by m, with m >= 1 and no point twice, and the
     read-off checked x_(k+2p) = t*x_(k+p) - N*x_k on at least 3p + 1
@@ -937,29 +912,32 @@ def sol_quad(
     one_sign = form.qa != 0 and form.qa * form.qb >= 0 and form.qa * form.qc >= 0
     # M, the largest m a candidate that passes the read-off can reach
     reach = min(bound, isqrt(target_cap // abs(form.qa))) if one_sign else bound
+    lists: Iterable[list[tuple[int, int, int]]] = ()  # a refused form lists nothing
     if kind == "pell":
         table = _table({} if _tables is None else _tables, disc)
-        data = _Classes(f, k, table) if table.has_unit(1 + isqrt(reach), one_sign) else None
+        if table.has_unit(1 + isqrt(reach), one_sign):
+            lists = _by_magnitude(form, _Classes(f, k, table), bound, target_cap)
     elif kind == "line" and 1 + 3 * isqrt(abs(form.qc) // k) <= reach:
-        data = _Factored(f, k)
-    else:
-        data = None  # "square-disc", "one-variable" and a line too steep for M
-    if data is not None:
-        for sols in _by_magnitude(form, data, bound, target_cap):
-            if len(sols) < 3:
-                continue  # _ladder has no candidate
-            alternating = None
-            for cand in _ladder(sols):
-                if alternating is not None and any(v != cand[0][2] for _, _, v in cand):
-                    continue  # only a constant candidate can replace it
-                orbit = _orbit_from_solutions(form, cand)
-                if orbit is None:
-                    continue
-                if orbit.kind == "constant":
-                    return orbit
-                alternating = alternating or orbit
-            if alternating is not None:
-                return alternating
+        # Q = +-k*L^2 takes the magnitudes k*p^2 only
+        lists = (
+            enumerate_solutions(form, (k * p * p, -k * p * p), bound)
+            for p in range(1, isqrt(target_cap // k) + 1)
+        )
+    for sols in lists:
+        if len(sols) < 3:
+            continue  # _ladder has no candidate
+        alternating = None
+        for cand in _ladder(sols):
+            if alternating is not None and any(v != cand[0][2] for _, _, v in cand):
+                continue  # only a constant candidate can replace it
+            orbit = _orbit_from_solutions(form, cand)
+            if orbit is None:
+                continue
+            if orbit.kind == "constant":
+                return orbit
+            alternating = alternating or orbit
+        if alternating is not None:
+            return alternating
     raise NoOrbitFound(
         "no certified orbit for {} with |target| <= {}, enumeration bound {}",
         form,

@@ -574,6 +574,22 @@ class TestCliCommands:
     def test_findform_non_integer_coefficient(self, capsys, value):
         assert main(["findform", "--degree", "2", "--gf", f"{value};1,-1", "--gf", "1;1,-1"]) == 2
 
+    @pytest.mark.parametrize("text", ["1,,1;1,-1", ",1;1,-3,1", "1,2,;1,-1", "1;1,,-1"])
+    def test_findform_empty_coefficient_refused(self, capsys, text):
+        # dropping the empty entry used to shift the coefficients after it:
+        # "1,,1" read as 1 + t
+        assert main(["findform", "--degree", "2", "--gf", text, "--gf", "1;1,-1"]) == 2
+        assert f"generating function {text!r} has an empty coefficient" in capsys.readouterr().err
+
+    def test_findform_empty_part_is_the_zero_sequence(self, capsys):
+        # an empty numerator reads as the numerator 0: with A = 0 and
+        # B = 1/(1 - t) the form found is B^2 = 1
+        outs = []
+        for zero in (";1", "0;1"):
+            assert main(["findform", "--degree", "2", "--gf", zero, "--gf", "1;1,-1"]) == 0
+            outs.append(json.loads(capsys.readouterr().out))
+        assert outs[0] == outs[1] and outs[0]["coeffs"] == [[[0, 2], 1]]
+
     @staticmethod
     def _cancelling_theorem(coefficient, where):
         # A = -B, C = 1: A^3 + B^3 + C^3 = 1 for any A; the coefficient sits

@@ -509,26 +509,21 @@ def _golden_forms():
     return sorted(forms, key=lambda f: (f.qa, f.qb, f.qc))
 
 
-def _sweep_data(form, tables):
-    """The sweep data sol_quad builds for the form, with no unit or slope
-    test before it: the classes over the _DiscTable of D' in ``tables`` for
-    a "pell" form, the linear factor for a "line" form, and None for the
-    kinds sol_quad never sweeps."""
+def _classes(form, tables):
+    """The classes sol_quad builds for a "pell" form, with no unit test
+    before it, over the _DiscTable of D' in ``tables``; None for every
+    other kind, as sol_quad builds no sweep data for them."""
     kind, k, f, disc = quadform._slot_kind(form)
     if kind == "pell":
         return quadform._Classes(f, k, quadform._table(tables, disc))
-    if kind == "line":
-        return quadform._Factored(f, k)
     return None
-
-
-_SWEEP_DATA = {"pell": quadform._Classes, "line": quadform._Factored}
 
 
 class TestSlotKind:
     """_slot_kind names the kind of a form with its content, primitive
-    part and primitive discriminant, and the sweep data of a "pell" or
-    "line" form build from them."""
+    part and primitive discriminant; the classes of a "pell" form build
+    from them, and a "line" form is +-k*(r*m + s*n)^2 with the |s| that
+    sol_quad's slope rule reads off qc and k."""
 
     @settings(deadline=None)
     @given(
@@ -562,11 +557,13 @@ class TestSlotKind:
             kind = "pell"
         f = tuple(x // k for x in values)
         assert quadform._slot_kind(form) == (kind, k, f, d // (k * k))
-        data = _sweep_data(form, {})
-        assert type(data) is _SWEEP_DATA.get(kind, type(None))
+        assert type(_classes(form, {})) is (quadform._Classes if kind == "pell" else type(None))
         if kind == "line":
-            # Q = scale * (r*m + s*n)^2 with gcd(r, s) = 1
-            r, s, scale = data.r, data.s, data.scale
+            # Q = scale * (r*m + s*n)^2 with gcd(r, s) = 1, scale = +-k and
+            # |s| = isqrt(|qc| // k)
+            scale = k if form.qa > 0 else -k
+            r, s = isqrt(abs(form.qa) // k), isqrt(abs(form.qc) // k)
+            s = s if form.qb * scale > 0 else -s
             assert (scale * r * r, 2 * scale * r * s, scale * s * s) == values
             assert gcd(r, s) == 1
         event(kind)
@@ -585,7 +582,8 @@ class TestSlotKind:
     def test_one_form_per_kind(self, coeffs, expected):
         form = QuadForm(*coeffs)
         assert quadform._slot_kind(form) == expected
-        assert type(_sweep_data(form, {})) is _SWEEP_DATA.get(expected[0], type(None))
+        pell = expected[0] == "pell"
+        assert type(_classes(form, {})) is (quadform._Classes if pell else type(None))
 
 
 class TestReductionTheory:
@@ -721,10 +719,19 @@ class TestBoundedScan:
 
 
 def _sweep(form, bound, target_cap, tables=None):
-    """The lists of _by_magnitude on a "pell" or "line" form, over class
-    data from ``tables`` if given."""
-    data = _sweep_data(form, {} if tables is None else tables)
-    return list(quadform._by_magnitude(form, data, bound, target_cap))
+    """The lists of each magnitude 1..target_cap as sol_quad sweeps them,
+    with no unit or slope test before: _by_magnitude over the classes of a
+    "pell" form (from ``tables`` if given), and for a "line" form of
+    content k enumerate_solutions at the magnitudes k*p^2, every other
+    magnitude empty."""
+    classes = _classes(form, {} if tables is None else tables)
+    if classes is not None:
+        return list(quadform._by_magnitude(form, classes, bound, target_cap))
+    k = _content(form)
+    return [
+        enumerate_solutions(form, (mag, -mag), bound) if isqrt(mag // k) ** 2 * k == mag else []
+        for mag in range(1, target_cap + 1)
+    ]
 
 
 def _per_magnitude(form, bound, target_cap):
@@ -741,7 +748,7 @@ def _per_magnitude(form, bound, target_cap):
 
 def _swept(form):
     """Whether sol_quad can sweep the form: a "pell" or "line" form."""
-    return quadform._slot_kind(form)[0] in _SWEEP_DATA
+    return quadform._slot_kind(form)[0] in ("pell", "line")
 
 
 SWEPT_CLASSES = ("D=0", "D>0", "one-sign")
@@ -749,7 +756,8 @@ SWEPT_CLASSES = ("D=0", "D>0", "one-sign")
 
 class TestMagnitudeSweep:
     # sol_quad sweeps only "pell" and "line" forms, so the sweep is checked
-    # on those, against the windowed scan
+    # on those, against the windowed scan: on a "line" form it checks that
+    # the magnitudes other than k*p^2 have no solution
 
     def test_forge_forms_match_enumeration(self):
         forms = [form for form in _forge_forms() if _swept(form)]
@@ -857,8 +865,8 @@ class TestClassIndex:
         # bases, with z = (1, 0)
         checked = nonempty = 0
         for form in _forge_forms():
-            kind = _sweep_data(form, {})
-            if not isinstance(kind, quadform._Classes):
+            kind = _classes(form, {})
+            if kind is None:
                 continue
             for a in range(1, 31):
                 if 2 * a > kind.root:
@@ -935,21 +943,22 @@ def _met_candidates(forms, bound=2000, target_cap=30):
     forms when nothing is decided before it, as (form, candidate) pairs:
     the ladders of _by_magnitude up to the first magnitude that certifies,
     each cut after its first constant orbit, the forms sharing their class
-    data as in forge.  A "square-disc" form, which sol_quad refuses before
-    any sweep, meets the ladders of enumerate_solutions per magnitude.
+    data as in forge.  A "line" form meets the ladders of
+    enumerate_solutions per magnitude, as sol_quad lists them, and so does
+    a "square-disc" form, which sol_quad refuses before any sweep.
     Definite and one-variable forms meet none."""
     met = []
     tables = {}
     for form in forms:
         if form.discriminant < 0 or (form.qb == 0 and form.qa * form.qc == 0):
             continue
-        data = _sweep_data(form, tables)
-        if data is None:
+        classes = _classes(form, tables)
+        if classes is None:
             lists = (
                 enumerate_solutions(form, (mag, -mag), bound) for mag in range(1, target_cap + 1)
             )
         else:
-            lists = quadform._by_magnitude(form, data, bound, target_cap)
+            lists = quadform._by_magnitude(form, classes, bound, target_cap)
         for sols in lists:
             found = None
             for cand in quadform._ladder(sols):
@@ -1271,10 +1280,14 @@ class TestSolQuad:
     def test_square_discriminants_match_reference(self, form, bound, target_cap):
         # only a line of a D = 0 form off the axes can carry an orbit: every
         # other form of square discriminant is refused before the sweep
-        # lists a single point, with the message the sweep would end in
-        with _recording((quadform._Factored, "primitive")) as asked:
+        # lists a single point, with the message the sweep would end in; a
+        # line of content k asks only the magnitudes k*p^2, in order
+        with _recording((quadform, "enumerate_solutions")) as asked:
             got = _outcome(sol_quad, form, bound, target_cap)
         assert got == _outcome(reference_sol_quad, form, bound, target_cap)
+        k = _content(form)
+        magnitudes = [k * p * p for p in range(1, isqrt(target_cap // k) + 1)]
+        assert asked == [((mag, -mag), bound) for mag in magnitudes][: len(asked)]
         if form.discriminant != 0 or form.qb == 0:
             event("refused")
             assert asked == []
@@ -1294,14 +1307,43 @@ class TestSolQuad:
         orbit = sol_quad(form, target_cap=16)
         assert orbit.pairs(4) == [(1, 3), (2, 2), (3, 1), (4, 0)]
         assert (orbit.target, orbit.kind) == (16, "constant")
-        # at 15, M = 3 < 4: refused before the factor lists a point
-        with _recording((quadform._Factored, "primitive")) as asked:
+        # at 15, M = 3 < 4: refused before a point is listed
+        with _recording((quadform, "enumerate_solutions")) as asked:
             with pytest.raises(NoOrbitFound) as refused:
                 sol_quad(form, target_cap=15)
         assert asked == []
         assert str(refused.value) == (
             "no certified orbit for m^2 + 2*m*n + n^2 with |target| <= 15, enumeration bound 2000"
         )
+
+    @pytest.mark.parametrize(
+        "coeffs, bound, target_cap, asks",
+        [
+            ((2, -4, 2), 2000, 2, [((2, -2), 2000)]),  # 2*(m - n)^2 takes 2, 8, 18, ...
+            ((2, -4, 2), 2000, 1, []),  # isqrt(1 // 2) = 0
+            ((1000003, -2000006, 1000003), 2000, 200, []),  # content above the cap
+        ],
+    )
+    def test_line_asks_only_the_magnitudes_it_takes(self, coeffs, bound, target_cap, asks):
+        # Q = +-k*(r*m + s*n)^2 takes only the magnitudes k*p^2, so a line
+        # asks enumerate_solutions for those alone, up to the cap, and ends
+        # as the reference that asks every magnitude
+        form = QuadForm(*coeffs)
+        with _recording((quadform, "enumerate_solutions")) as asked:
+            got = _outcome(sol_quad, form, bound, target_cap)
+        assert asked == asks
+        assert got == _outcome(
+            partial(reference_sol_quad, enumerator=enumerate_solutions), form, bound, target_cap
+        )
+        if asks:
+            assert got["target"] == 2
+        else:
+            with pytest.raises(NoOrbitFound) as refused:
+                sol_quad(form, bound=bound, target_cap=target_cap)
+            assert str(refused.value) == (
+                f"no certified orbit for {form} with |target| <= {target_cap}, "
+                f"enumeration bound {bound}"
+            )
 
     @pytest.mark.parametrize(
         "coeffs, target_cap, outcome, built",
@@ -1313,16 +1355,21 @@ class TestSolQuad:
             ((1, 6, 9), 30, NoOrbitFound, set()),  # line, 1 + 3*3 > M = 5
             ((1, -1400, 490000), 30, NoOrbitFound, set()),  # line, 1 + 3*700 > 2000
             ((1, 13, 11), 15, NoOrbitFound, {"_DiscTable"}),  # pell, no unit of trace <= 2
-            ((1, -2, 1), 30, PellOrbit, {"_Factored"}),  # line
+            ((1, -2, 1), 30, PellOrbit, {"enumerate_solutions"}),  # line
             ((1, 0, -2), 30, PellOrbit, {"_DiscTable", "_Classes"}),  # pell
         ],
     )
     def test_each_kind_builds_only_its_data(self, coeffs, target_cap, outcome, built):
-        # a refusal builds no enumeration data, and a sweep builds only the
-        # data of its kind
-        classes = (quadform._DiscTable, quadform._Classes, quadform._Factored)
+        # a refusal builds no enumeration data and lists no point, and a
+        # sweep builds only the data of its kind: a line lists its points
+        # with enumerate_solutions
+        spied = {
+            "_DiscTable": (quadform._DiscTable, "__init__"),
+            "_Classes": (quadform._Classes, "__init__"),
+            "enumerate_solutions": (quadform, "enumerate_solutions"),
+        }
         with contextlib.ExitStack() as stack:
-            calls = {c.__name__: stack.enter_context(_recording((c, "__init__"))) for c in classes}
+            calls = {name: stack.enter_context(_recording(m)) for name, m in spied.items()}
             try:
                 got = sol_quad(QuadForm(*coeffs), target_cap=target_cap)
             except (DefiniteForm, NoOrbitFound) as refused:
@@ -1416,7 +1463,8 @@ class TestSolQuad:
     def test_one_sign_forms_match_reference(self, form, bound, target_cap):
         # a one-sign form is swept only when a norm +1 unit, or the step of
         # a D = 0 line, fits the box of M = min(bound, isqrt(cap // |qa|))
-        with _recording((quadform._Classes, "__init__"), (quadform._Factored, "__init__")) as built:
+        spied = (quadform._Classes, "__init__"), (quadform, "enumerate_solutions")
+        with _recording(*spied) as built:
             got = _outcome(sol_quad, form, bound, target_cap)
         assert got == _outcome(reference_sol_quad, form, bound, target_cap)
         d, k = form.discriminant, _content(form)
